@@ -1,19 +1,24 @@
 """Dialect definitions used by the SYCL-MLIR reproduction.
 
-Besides the dialect descriptors, this module hosts the **dialect type
-parser registry** used by :mod:`repro.ir.parser` to resolve ``!``-prefixed
-types (``!sycl_id_2``, ``!llvm.ptr<i32>``, ...).  Each dialect registers a
+Besides the dialect descriptors, importing this module fills the
+**dialect type parser registry** :mod:`repro.ir.parser` resolves
+``!``-prefixed types through (``!sycl_id_2``, ``!llvm.ptr<i32>``, ...);
+the registry's functions are re-exported here.  Each dialect registers a
 parser callable ``(text, parse_type) -> Optional[Type]`` where ``text`` is
 the full raw spelling after ``!`` (identifier characters plus balanced
 ``<...>`` groups, e.g. ``"sycl_buffer_1_memref<4xf32>"`` or
 ``"llvm.ptr<i32>"``) and ``parse_type`` parses a nested type from a
-string.  Returning None lets the IR parser report a helpful error.
+string.  Returning None lets the IR parser report a helpful error.  A
+parser must be a pure function of its spelling: the IR parser interns
+results by spelling (see :func:`repro.ir.parser.register_type_parser`).
 """
 
-from typing import Callable, Dict, Optional
-
-from ..ir.types import Type
-
+from ..ir.parser import (
+    TypeParser,
+    lookup_type_parser,
+    register_type_parser,
+    registered_type_parsers,
+)
 from . import affine, arith, builtin, cf, func, llvm, math, memref, scf, sycl
 from .affine import AffineDialect
 from .arith import ArithDialect
@@ -25,26 +30,6 @@ from .math import MathDialect
 from .memref import MemRefDialect
 from .scf import SCFDialect
 from .sycl import SYCLDialect
-
-#: ``(text, parse_type) -> Optional[Type]`` — returns None when the
-#: dialect does not recognize the type, letting the parser report an error.
-TypeParser = Callable[[str, Callable[[str], Type]], Optional[Type]]
-
-_TYPE_PARSERS: Dict[str, TypeParser] = {}
-
-
-def register_type_parser(dialect_name: str, parser: TypeParser) -> None:
-    """Register ``parser`` for ``!``-types of dialect ``dialect_name``."""
-    _TYPE_PARSERS[dialect_name] = parser
-
-
-def lookup_type_parser(dialect_name: str) -> Optional[TypeParser]:
-    return _TYPE_PARSERS.get(dialect_name)
-
-
-def registered_type_parsers() -> Dict[str, TypeParser]:
-    return dict(_TYPE_PARSERS)
-
 
 register_type_parser("sycl", sycl.parse_sycl_type)
 register_type_parser("llvm", llvm.parse_llvm_type)

@@ -7,7 +7,7 @@ Accepts the generic operation form::
 including nested regions, blocks with arguments, successor lists and the
 full type grammar (``i32``, ``f32``, ``index``, ``memref<...>``, function
 types and ``!``-prefixed dialect types resolved through the dialect type
-parser registry in :mod:`repro.dialects`).
+parser registry, :func:`register_type_parser`).
 
 Together with :mod:`repro.ir.printer` this gives a verified serialization
 layer: for any module ``m`` built programmatically,
@@ -18,13 +18,22 @@ cases can be annotated.
 Operation classes are resolved through the operation registry
 (:func:`repro.ir.operations.lookup_op_class`); parsing an op name that is
 not registered is an error unless ``allow_unregistered`` is set.
+
+Parsing is linear in the size of the input: whitespace, the
+``%r, ... = "op.name"(%a, ...)`` head of an operation and quoted strings
+are each consumed by one compiled regular expression, source positions
+come from a line-start table built once per input, and type spellings are
+interned process-wide (see "Parser cost model and interning contract" in
+``docs/textual_ir.md``).
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .attributes import (
     ArrayAttr,
@@ -75,14 +84,131 @@ class ParseError(Exception):
         self.column = column
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$.]*")
-_IDENT_CHAR_RE = re.compile(r"[A-Za-z0-9_$.]")
-_VALUE_ID_RE = re.compile(r"%([A-Za-z0-9_$.]+)")
-_NUMBER_RE = re.compile(r"-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan)")
-_SUCCESSOR_RE = re.compile(r"\^bb(\d+)")
+# ---------------------------------------------------------------------------
+# Dialect type parsers and interned type spellings
+# ---------------------------------------------------------------------------
+
+#: ``(text, parse_type) -> Optional[Type]`` — returns None when the
+#: dialect does not recognize the type, letting the parser report an error.
+TypeParser = Callable[[str, Callable[[str], Type]], Optional[Type]]
+
+_TYPE_PARSERS: Dict[str, TypeParser] = {}
+
+#: Type spelling -> parsed type, shared by every parse in the process.
+#: Types are frozen dataclasses, so one instance can stand for every
+#: occurrence of its spelling.  Only spellings that parsed successfully
+#: are entered.  Plain dict get/set under the GIL: a race re-parses a
+#: spelling, it cannot corrupt the table.
+_INTERNED_TYPES: Dict[str, Type] = {}
+
+#: Bounds on the table (entries, and characters of one spelling) so a
+#: long-lived process cannot grow on adversarial spellings.  The real
+#: vocabulary is a few hundred short spellings, so dropping everything
+#: at the limit costs one re-parse of each.
+_MAX_INTERNED_TYPES = 4096
+_MAX_INTERNED_SPELLING = 512
+
+
+def register_type_parser(dialect_name: str, parser: TypeParser) -> None:
+    """Register ``parser`` for ``!``-types of dialect ``dialect_name``.
+
+    ``parser(text, parse_type)`` gets the raw spelling after ``!`` and a
+    callable parsing a nested type from a string, and returns the type or
+    None when it does not recognize the spelling.  It must be a **pure
+    function of its spelling**: results are interned by spelling and
+    shared between parses, so a hook that answers from mutable state
+    would be shadowed by its own earlier answers.  Registering a hook
+    (again) forgets every interned spelling.
+    """
+    _TYPE_PARSERS[dialect_name] = parser
+    _INTERNED_TYPES.clear()
+
+
+def lookup_type_parser(dialect_name: str) -> Optional[TypeParser]:
+    parser = _TYPE_PARSERS.get(dialect_name)
+    if parser is None:
+        # The shipped dialects register their hooks when the package is
+        # imported; make sure that has happened before giving up.
+        importlib.import_module("repro.dialects")
+        parser = _TYPE_PARSERS.get(dialect_name)
+    return parser
+
+
+def registered_type_parsers() -> Dict[str, TypeParser]:
+    return dict(_TYPE_PARSERS)
+
+
+def _intern_type(spelling: str, type_: Type) -> None:
+    if len(spelling) > _MAX_INTERNED_SPELLING:
+        return
+    if len(_INTERNED_TYPES) >= _MAX_INTERNED_TYPES:
+        _INTERNED_TYPES.clear()
+    _INTERNED_TYPES[spelling] = type_
+
+
+# ---------------------------------------------------------------------------
+# Scanning patterns
+#
+# Every pattern is deterministic — at each character at most one branch
+# can continue — so a failed match backtracks in linear time: blank runs
+# and comments are never nested quantifiers of each other, a comment must
+# run to its newline, and strings use the unrolled normal*(escape normal*)*
+# form.
+# ---------------------------------------------------------------------------
+
+_BLANK = r"[ \t\r\n]*"
+#: Whitespace and ``//`` line comments.
+_WS = _BLANK + r"(?://[^\n]*(?:\n" + _BLANK + r"|\Z))*"
+_WS_RE = re.compile(_WS)
+_NEWLINE_RE = re.compile(r"\n")
+
+_ID_CHARS = r"A-Za-z0-9_$."
+_IDENT = rf"[A-Za-z_$][{_ID_CHARS}]*"
+_VALUE_LIST = rf"%[{_ID_CHARS}]+(?:{_WS},{_WS}%[{_ID_CHARS}]+)*"
+_STRING = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_STRING_RE = re.compile(_STRING, re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_STRING_ESCAPES = {"n": "\n", "t": "\t"}
+
+#: ``%r, ... = "op.name"(%a, ...)`` and the whitespace after it: result
+#: list, raw (still escaped) name, operand list.
+_OP_HEAD_RE = re.compile(
+    rf"(?:({_VALUE_LIST}){_WS}={_WS})?{_STRING}{_WS}"
+    rf"\({_WS}({_VALUE_LIST})?{_WS}\){_WS}", re.DOTALL)
+#: The values of a matched list; a ``%name`` inside a comment is not one.
+_VALUE_OR_COMMENT_RE = re.compile(rf"//[^\n]*|%([{_ID_CHARS}]+)")
+
+#: Spellings the intern table is keyed on.  Each alternative delimits
+#: itself (closing bracket, or a lookahead past the last identifier
+#: character), so equal spellings always parse alike.  Nested ``( )`` or
+#: ``< >`` and embedded comments do not match and are parsed piecewise.
+_FUNCTION_TYPE = rf"\([^()/]*\){_BLANK}->{_BLANK}\([^()/]*\)"
+_TYPE_SPELLING_RE = re.compile(
+    rf"{_FUNCTION_TYPE}"
+    r"|(?:memref|vector)<[^<>/]*>"
+    rf"|![A-Za-z$](?:[{_ID_CHARS}!]|<[^<>/]*>)*(?![{_ID_CHARS}!<])"
+    rf"|{_IDENT}")
+_SIGNATURE_RE = re.compile(rf"{_WS}:{_WS}({_FUNCTION_TYPE})")
+
+_DIALECT_NAME_RE = re.compile(r"[A-Za-z$][A-Za-z0-9$]*")
+_DIALECT_RUN_RE = re.compile(rf"[{_ID_CHARS}!]*")
+_ANGLE_RE = re.compile(r"[<>]")
+_ATTR_KEYWORD_RE = re.compile(r"true|false|unit|dense")
 _INTEGER_TYPE_RE = re.compile(r"i(\d+)$")
 _FLOAT_TYPE_RE = re.compile(r"f(\d+)$")
-_DIM_RE = re.compile(r"(\?|\d+)x")
+
+
+def _token_pattern(body: str) -> "re.Pattern[str]":
+    """A pattern for :meth:`Parser._token`: leading whitespace, then
+    ``body``, whose one group is the token's value."""
+    return re.compile(_WS + body)
+
+
+_IDENT_RE = _token_pattern(rf"({_IDENT})")
+_VALUE_ID_RE = _token_pattern(rf"%([{_ID_CHARS}]+)")
+_NUMBER_RE = _token_pattern(r"(-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan))")
+_SUCCESSOR_RE = _token_pattern(r"\^bb(\d+)")
+_DIM_RE = _token_pattern(r"(\?|\d+)x")
 
 
 def _keepable_hint(name: str) -> Optional[str]:
@@ -120,28 +246,28 @@ class Parser:
         self.allow_unregistered = allow_unregistered
         self.filename = filename
         self._scopes: List[_Scope] = [_Scope(isolated=True)]
+        #: Offset of the first character of every line, built on the
+        #: first position lookup.
+        self._line_starts: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Low-level scanning
     # ------------------------------------------------------------------
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end == -1 else end
-            else:
-                break
+    def _skip_ws(self) -> int:
+        """Move past whitespace and comments; the new position."""
+        self.pos = pos = _WS_RE.match(self.text, self.pos).end()
+        return pos
+
+    def _peek_char(self) -> str:
+        """The next significant character, ``""`` at the end of input."""
+        pos = self._skip_ws()
+        return self.text[pos:pos + 1]
 
     def _at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
+        return self._skip_ws() >= len(self.text)
 
     def _peek(self, literal: str) -> bool:
-        self._skip_ws()
-        return self.text.startswith(literal, self.pos)
+        return self.text.startswith(literal, self._skip_ws())
 
     def _consume(self, literal: str) -> bool:
         if self._peek(literal):
@@ -152,37 +278,36 @@ class Parser:
     def _expect(self, literal: str, context: str = "") -> None:
         if not self._consume(literal):
             where = f" {context}" if context else ""
-            found = self.text[self.pos:self.pos + 12] or "<end of input>"
-            self.error(f"expected {literal!r}{where}, found {found!r}")
+            self.error(f"expected {literal!r}{where}, "
+                       f"found {self._found()!r}")
 
-    def _match(self, pattern: re.Pattern) -> Optional[str]:
-        self._skip_ws()
+    def _found(self) -> str:
+        """What a diagnostic quotes as the offending input."""
+        return self.text[self.pos:self.pos + 12] or "<end of input>"
+
+    def _token(self, pattern: "re.Pattern[str]") -> Optional[str]:
+        """Match a :func:`_token_pattern`; its value, or None with the
+        cursor left on the offending token."""
         m = pattern.match(self.text, self.pos)
         if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def _match_group(self, pattern: re.Pattern) -> Optional[str]:
-        self._skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
+            self._skip_ws()
             return None
         self.pos = m.end()
         return m.group(1)
 
-    def error(self, message: str) -> None:
-        consumed = self.text[:self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        raise ParseError(message, line, column)
+    def _line_column(self, pos: int) -> Tuple[int, int]:
+        """1-based line and column of character ``pos``."""
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0]
+            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text))
+        line = bisect_right(starts, pos)
+        return line, pos - starts[line - 1] + 1
 
-    def _location_at(self, pos: int) -> Location:
-        """Source location (1-based line/col) of character ``pos``."""
-        consumed = self.text[:pos]
-        line = consumed.count("\n") + 1
-        column = pos - (consumed.rfind("\n") + 1) + 1
-        return Location(self.filename, line, column)
+    def error(self, message: str, pos: Optional[int] = None) -> None:
+        """Raise a :class:`ParseError` at ``pos`` (default: the cursor)."""
+        raise ParseError(
+            message, *self._line_column(self.pos if pos is None else pos))
 
     # ------------------------------------------------------------------
     # SSA value scoping
@@ -196,38 +321,37 @@ class Parser:
         if pending is not None:
             placeholder, use_pos = pending
             if placeholder.type != value.type:
-                self.pos = use_pos
                 self.error(
                     f"type mismatch for forward-referenced value %{name}: "
-                    f"used as {placeholder.type} but defined as {value.type}")
+                    f"used as {placeholder.type} but defined as {value.type}",
+                    use_pos)
             placeholder.replace_all_uses_with(value)
 
-    def _lookup_value(self, name: str, declared: Optional[Type] = None,
-                      use_pos: Optional[int] = None) -> Value:
+    def _lookup_value(self, name: str) -> Optional[Value]:
         for scope in reversed(self._scopes):
             if name in scope.values:
                 return scope.values[name]
             if scope.isolated:
                 break
-        if declared is None:
-            self.error(f"use of undefined value %{name}")
-        # A use before the definition: hand out a typed placeholder that a
-        # later definition in this scope replaces (the mlir-opt behaviour,
-        # which keeps dominance violations *parseable* so the verifier and
-        # the lint rules can diagnose them on real IR).
+        return None
+
+    def _forward_reference(self, name: str, declared: Type,
+                           use_pos: int) -> Value:
+        """A use before the definition: hand out a typed placeholder that a
+        later definition in this scope replaces (the mlir-opt behaviour,
+        which keeps dominance violations *parseable* so the verifier and
+        the lint rules can diagnose them on real IR)."""
         scope = self._scopes[-1]
         if name not in scope.forward:
-            pos = use_pos if use_pos is not None else self.pos
             scope.forward[name] = (
-                Value(declared, name_hint=_keepable_hint(name)), pos)
+                Value(declared, name_hint=_keepable_hint(name)), use_pos)
         return scope.forward[name][0]
 
     def _close_scope(self) -> None:
         scope = self._scopes.pop()
         if scope.forward:
             name, (_, use_pos) = next(iter(scope.forward.items()))
-            self.pos = use_pos
-            self.error(f"use of undefined value %{name}")
+            self.error(f"use of undefined value %{name}", use_pos)
 
     # ------------------------------------------------------------------
     # Operations
@@ -236,39 +360,48 @@ class Parser:
             self,
             successor_sink: Optional[List[Tuple[Operation, List[int]]]] = None,
     ) -> Operation:
-        self._skip_ws()
-        op_start = self.pos
-        result_names = self._parse_result_names()
-        op_name = self._parse_string_literal("operation name")
-        operand_names = self._parse_operand_names()
+        text = self.text
+        op_start = self._skip_ws()
+        head = _OP_HEAD_RE.match(text, op_start)
+        if head is None:
+            self._fail_op_head()
+        self.pos = head.end()
+        op_name = _unescape(head.group(2))
+        result_names = self._values_of(head, 1)
+        operand_names = self._values_of(head, 3)
 
         # Upstream-MLIR generic order (the `--emit=mlir` exporter):
         # successor list and region list come directly after the operand
         # list, with the attribute dictionary after the regions.  The
         # classic order printed by repro.ir.printer puts both after the
         # signature instead; a '[' or '(' here is unambiguous because
-        # the classic order always continues with '{' or ':'.
+        # the classic order always continues with '{' or ':'.  (The head
+        # pattern took the whitespace before it.)
+        ch = text[self.pos:self.pos + 1]
         successor_indices: Optional[List[int]] = None
-        if self._peek("["):
+        if ch == "[":
             successor_indices = self._parse_successor_indices()
+            ch = self._peek_char()
         early_regions: Optional[List[Region]] = None
-        if self._peek("("):
+        if ch == "(":
             early_regions = self._parse_detached_regions(op_name)
+            ch = self._peek_char()
 
-        attributes = self._parse_attr_dict() if self._peek("{") else {}
-        self._expect(":", "before the operation signature")
-        in_types = self._parse_paren_type_list()
-        self._expect("->", "in the operation signature")
-        out_types = self._parse_paren_type_list()
+        attributes = self._parse_attr_dict() if ch == "{" else {}
+        in_types, out_types = self._parse_signature()
 
         if len(operand_names) != len(in_types):
             self.error(
                 f"'{op_name}' has {len(operand_names)} operands but its "
                 f"signature lists {len(in_types)} operand types")
         operands = []
-        for (name, use_pos), declared in zip(operand_names, in_types):
-            value = self._lookup_value(name, declared, use_pos)
-            if value.type != declared:
+        for index, (name, declared) in enumerate(
+                zip(operand_names, in_types)):
+            value = self._lookup_value(name)
+            if value is None:
+                value = self._forward_reference(
+                    name, declared, self._value_position(head, 3, index))
+            if value.type is not declared and value.type != declared:
                 self.error(
                     f"type mismatch for operand %{name} of '{op_name}': "
                     f"value has type {value.type} but the signature "
@@ -300,72 +433,69 @@ class Parser:
             self._parse_region_list(op)
 
         # Trailing `loc(...)` (printed under print_locations) wins over the
-        # textual position the op was parsed at.
+        # textual position the op was parsed at, which is then not looked
+        # up at all.
         explicit = self._parse_location_trailer()
         op.location = explicit if explicit is not None \
-            else self._location_at(op_start)
+            else Location(self.filename, *self._line_column(op_start))
         return op
 
-    def _parse_result_names(self) -> List[str]:
-        names: List[str] = []
-        if not self._peek("%"):
-            return names
-        while True:
-            name = self._match_group(_VALUE_ID_RE)
-            if name is None:
-                self.error("expected a result name after '%'")
-            names.append(name)
-            if not self._consume(","):
-                break
-        self._expect("=", "after the operation result list")
+    def _values_of(self, head: "re.Match[str]", group: int) -> List[str]:
+        """The value names in a list group of the op head."""
+        start, end = head.span(group)
+        if start < 0:
+            return []
+        names = _VALUE_OR_COMMENT_RE.findall(self.text, start, end)
+        if "" in names:  # comments between the values
+            names = [name for name in names if name]
         return names
 
-    _STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+    def _value_position(self, head: "re.Match[str]", group: int,
+                        index: int) -> int:
+        """Where value ``index`` of a list group of the op head starts
+        (looked up only to locate a use error)."""
+        values = [m.start() for m in _VALUE_OR_COMMENT_RE.finditer(
+            self.text, *head.span(group)) if m.group(1)]
+        return values[index]
 
-    def _parse_string_literal(self, what: str) -> str:
-        self._skip_ws()
-        if not self._consume('"'):
-            found = self.text[self.pos:self.pos + 12] or "<end of input>"
-            self.error(f"expected {what} in double quotes, found {found!r}")
-        chars: List[str] = []
-        i = self.pos
-        while i < len(self.text):
-            ch = self.text[i]
-            if ch == '"':
-                self.pos = i + 1
-                return "".join(chars)
-            if ch == "\\" and i + 1 < len(self.text):
-                chars.append(self._STRING_ESCAPES.get(
-                    self.text[i + 1], self.text[i + 1]))
-                i += 2
-            else:
-                chars.append(ch)
-                i += 1
-        self.error(f"unterminated string literal in {what}")
-        raise AssertionError("unreachable")
-
-    def _parse_operand_names(self) -> List[Tuple[str, int]]:
-        """``(name, position)`` per operand; positions locate use errors."""
+    def _fail_op_head(self) -> None:
+        """Report why the text at the cursor is not an operation head, at
+        the token that breaks it (reached only when the head pattern does
+        not match)."""
+        if self._peek("%"):
+            while True:
+                if self._token(_VALUE_ID_RE) is None:
+                    self.error("expected a result name after '%'")
+                if not self._consume(","):
+                    break
+            self._expect("=", "after the operation result list")
+        self._parse_string_literal("operation name")
         self._expect("(", "before the operand list")
-        names: List[Tuple[str, int]] = []
         if not self._consume(")"):
             while True:
-                self._skip_ws()
-                use_pos = self.pos
-                name = self._match_group(_VALUE_ID_RE)
-                if name is None:
+                if self._token(_VALUE_ID_RE) is None:
                     self.error("expected an operand name ('%value')")
-                names.append((name, use_pos))
                 if not self._consume(","):
                     break
             self._expect(")", "after the operand list")
-        return names
+        raise AssertionError("the op-head pattern rejected a valid head")
+
+    def _parse_string_literal(self, what: str) -> str:
+        pos = self._skip_ws()
+        m = _STRING_RE.match(self.text, pos)
+        if m is None:
+            if not self.text.startswith('"', pos):
+                self.error(f"expected {what} in double quotes, "
+                           f"found {self._found()!r}")
+            self.error(f"unterminated string literal in {what}", pos + 1)
+        self.pos = m.end()
+        return _unescape(m.group(1))
 
     def _parse_successor_indices(self) -> List[int]:
         self._expect("[")
         indices: List[int] = []
         while True:
-            label = self._match_group(_SUCCESSOR_RE)
+            label = self._token(_SUCCESSOR_RE)
             if label is None:
                 self.error("expected a successor label ('^bbN')")
             indices.append(int(label))
@@ -383,11 +513,11 @@ class Parser:
             return UNKNOWN
         filename = self._parse_string_literal("location filename")
         self._expect(":", "after the location filename")
-        line = self._match(_NUMBER_RE)
+        line = self._token(_NUMBER_RE)
         if line is None:
             self.error("expected a line number in loc(...)")
         self._expect(":", "after the location line number")
-        column = self._match(_NUMBER_RE)
+        column = self._token(_NUMBER_RE)
         if column is None:
             self.error("expected a column number in loc(...)")
         self._expect(")", "after the location")
@@ -450,12 +580,16 @@ class Parser:
         label_map: Dict[int, Block] = {}
         fixups: List[Tuple[Operation, List[int]]] = []
         current: Optional[Block] = None
-        while not self._peek("}"):
-            if self._at_end():
+        while True:
+            ch = self._peek_char()
+            if ch == "}":
+                self.pos += 1
+                break
+            if not ch:
                 self.error(
                     f"unbalanced region in '{op_name}': missing '}}' before "
                     "end of input")
-            if self._peek("^"):
+            if ch == "^":
                 label, block = self._parse_block_header()
                 if label in label_map:
                     self.error(f"duplicate block label ^bb{label}")
@@ -467,7 +601,6 @@ class Parser:
                     current = region.add_block(Block())
                     label_map.setdefault(0, current)
                 current.append(self.parse_operation(fixups))
-        self._expect("}")
         if not region.blocks:
             # An empty region body stands for one empty block (builders always
             # materialize entry blocks, and `region.front` relies on it).
@@ -485,14 +618,14 @@ class Parser:
         self._close_scope()
 
     def _parse_block_header(self) -> Tuple[int, Block]:
-        label = self._match_group(_SUCCESSOR_RE)
+        label = self._token(_SUCCESSOR_RE)
         if label is None:
             self.error("expected a block label ('^bbN')")
         block = Block()
         if self._consume("("):
             if not self._consume(")"):
                 while True:
-                    name = self._match_group(_VALUE_ID_RE)
+                    name = self._token(_VALUE_ID_RE)
                     if name is None:
                         self.error("expected a block argument name")
                     self._expect(":", "after the block argument name")
@@ -508,6 +641,27 @@ class Parser:
     # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------
+    def _parse_signature(self) -> Tuple[Sequence[Type], Sequence[Type]]:
+        """``: (operand types) -> (result types)`` — spelled like a
+        function type, and interned as one."""
+        m = _SIGNATURE_RE.match(self.text, self.pos)
+        if m is not None:
+            signature = _INTERNED_TYPES.get(m.group(1))
+            if signature is not None:
+                self.pos = m.end()
+                return signature.inputs, signature.results
+        self._expect(":", "before the operation signature")
+        signature = self._parse_function_type("in the operation signature")
+        if m is not None and self.pos == m.end():
+            _intern_type(m.group(1), signature)
+        return signature.inputs, signature.results
+
+    def _parse_function_type(self, arrow_context: str) -> FunctionType:
+        inputs = self._parse_paren_type_list()
+        self._expect("->", arrow_context)
+        results = self._parse_paren_type_list()
+        return FunctionType(tuple(inputs), tuple(results))
+
     def _parse_paren_type_list(self) -> List[Type]:
         self._expect("(", "before a type list")
         types: List[Type] = []
@@ -520,17 +674,28 @@ class Parser:
         return types
 
     def parse_type(self) -> Type:
-        if self._peek("("):
-            inputs = self._parse_paren_type_list()
-            self._expect("->", "in a function type")
-            results = self._parse_paren_type_list()
-            return FunctionType(tuple(inputs), tuple(results))
-        if self._peek("!"):
+        spelling = _TYPE_SPELLING_RE.match(self.text, self._skip_ws())
+        if spelling is not None:
+            type_ = _INTERNED_TYPES.get(spelling.group())
+            if type_ is not None:
+                self.pos = spelling.end()
+                return type_
+        type_ = self._parse_type_piecewise()
+        # Only a parse that consumed exactly the delimited spelling stands
+        # for it (`memref <4xf32>` reads past the spelling `memref`).
+        if spelling is not None and self.pos == spelling.end():
+            _intern_type(spelling.group(), type_)
+        return type_
+
+    def _parse_type_piecewise(self) -> Type:
+        ch = self.text[self.pos:self.pos + 1]
+        if ch == "(":
+            return self._parse_function_type("in a function type")
+        if ch == "!":
             return self._parse_dialect_type()
-        ident = self._match(_IDENT_RE)
+        ident = self._token(_IDENT_RE)
         if ident is None:
-            found = self.text[self.pos:self.pos + 12] or "<end of input>"
-            self.error(f"expected a type, found {found!r}")
+            self.error(f"expected a type, found {self._found()!r}")
         if ident == "index":
             return IndexType()
         if ident == "none":
@@ -540,10 +705,10 @@ class Parser:
         if ident == "vector":
             return self._parse_vector_body()
         m = _INTEGER_TYPE_RE.match(ident)
-        if m and m.end() == len(ident):
+        if m:
             return IntegerType(int(m.group(1)))
         m = _FLOAT_TYPE_RE.match(ident)
-        if m and m.end() == len(ident):
+        if m:
             return FloatType(int(m.group(1)))
         self.error(f"unknown type {ident!r}")
         raise AssertionError("unreachable")
@@ -551,14 +716,10 @@ class Parser:
     def _parse_shape(self) -> Tuple[int, ...]:
         shape: List[int] = []
         while True:
-            self._skip_ws()
-            m = _DIM_RE.match(self.text, self.pos)
-            if m is None:
-                break
-            self.pos = m.end()
-            dim = m.group(1)
+            dim = self._token(_DIM_RE)
+            if dim is None:
+                return tuple(shape)
             shape.append(DYNAMIC if dim == "?" else int(dim))
-        return tuple(shape)
 
     def _parse_memref_body(self) -> MemRefType:
         self._expect("<", "after 'memref'")
@@ -566,7 +727,7 @@ class Parser:
         element = self.parse_type()
         memory_space = "global"
         if self._consume(","):
-            space = self._match(_IDENT_RE)
+            space = self._token(_IDENT_RE)
             if space is None:
                 self.error("expected a memory space name in memref type")
             memory_space = space
@@ -582,29 +743,24 @@ class Parser:
 
     def _parse_dialect_type(self) -> Type:
         self._expect("!")
-        self._skip_ws()
-        start = self.pos
-        if _IDENT_RE.match(self.text, self.pos) is None:
+        start = self._skip_ws()
+        # The dialect namespace is the leading identifier run, up to the
+        # first '.', '_', '<' or nested '!' ("sycl" in "sycl_buffer_1_...",
+        # "llvm" in "llvm.ptr<...>").
+        namespace = _DIALECT_NAME_RE.match(self.text, start)
+        if namespace is None:
             self.error("expected a dialect type name after '!'")
+        dialect = namespace.group()
         # Take the full raw spelling: identifier characters interleaved with
         # balanced <...> groups (e.g. `sycl_accessor_1_memref<4xf32>_read`)
         # and embedded `!` from nested dialect-type elements
         # (`sycl_buffer_1_!sycl_id_2`).
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "<":
-                self._skip_balanced_angle()
-            elif ch == "!" or _IDENT_CHAR_RE.match(ch):
-                self.pos += 1
-            else:
+        while True:
+            self.pos = _DIALECT_RUN_RE.match(self.text, self.pos).end()
+            if not self.text.startswith("<", self.pos):
                 break
+            self._skip_balanced_angle()
         raw = self.text[start:self.pos]
-        # The dialect namespace is the leading identifier run, up to the
-        # first '.', '_', '<' or nested '!' ("sycl" in "sycl_buffer_1_...",
-        # "llvm" in "llvm.ptr<...>").
-        dialect = re.match(r"[A-Za-z$][A-Za-z0-9$]*", raw).group(0)
-        from ..dialects import lookup_type_parser
-
         type_parser = lookup_type_parser(dialect)
         if type_parser is None:
             self.error(
@@ -616,17 +772,13 @@ class Parser:
         return result
 
     def _skip_balanced_angle(self) -> None:
-        assert self.text[self.pos] == "<"
+        """Move past the ``<...>`` group opening at the cursor."""
         depth = 0
-        for i in range(self.pos, len(self.text)):
-            ch = self.text[i]
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                depth -= 1
-                if depth == 0:
-                    self.pos = i + 1
-                    return
+        for m in _ANGLE_RE.finditer(self.text, self.pos):
+            depth += 1 if m.group() == "<" else -1
+            if depth == 0:
+                self.pos = m.end()
+                return
         self.error("unbalanced '<...>' in dialect type")
 
     # ------------------------------------------------------------------
@@ -637,7 +789,7 @@ class Parser:
         attrs: Dict[str, Attribute] = {}
         if not self._consume("}"):
             while True:
-                key = self._match(_IDENT_RE)
+                key = self._token(_IDENT_RE)
                 if key is None:
                     self.error("expected an attribute name")
                 self._expect("=", "after the attribute name")
@@ -648,24 +800,25 @@ class Parser:
         return attrs
 
     def parse_attribute(self) -> Attribute:
-        if self._consume("true"):
-            return BoolAttr(True)
-        if self._consume("false"):
-            return BoolAttr(False)
-        if self._consume("unit"):
-            return UnitAttr()
-        if self._peek('"'):
+        ch = self._peek_char()
+        if ch == '"':
             return StringAttr(self._parse_string_literal("string attribute"))
-        if self._peek("@"):
+        if ch == "@":
             return self._parse_symbol_ref()
-        if self._peek("["):
+        if ch == "[":
             return self._parse_array_attr()
-        if self._consume("dense"):
-            return self._parse_dense_attr()
-        self._skip_ws()
-        if self.text.startswith("{", self.pos):
+        if ch == "{":
             return DictAttr(tuple(self._parse_attr_dict().items()))
-        number = self._match(_NUMBER_RE)
+        keyword = _ATTR_KEYWORD_RE.match(self.text, self.pos)
+        if keyword is not None:
+            self.pos = keyword.end()
+            word = keyword.group()
+            if word == "unit":
+                return UnitAttr()
+            if word == "dense":
+                return self._parse_dense_attr()
+            return BoolAttr(word == "true")
+        number = self._token(_NUMBER_RE)
         if number is not None:
             self._expect(":", "after a numeric attribute value")
             type_ = self.parse_type()
@@ -680,13 +833,13 @@ class Parser:
 
     def _parse_symbol_ref(self) -> SymbolRefAttr:
         self._expect("@")
-        root = self._match(_IDENT_RE)
+        root = self._token(_IDENT_RE)
         if root is None:
             self.error("expected a symbol name after '@'")
         nested: List[str] = []
         while self._consume("::"):
             self._expect("@", "in a nested symbol reference")
-            name = self._match(_IDENT_RE)
+            name = self._token(_IDENT_RE)
             if name is None:
                 self.error("expected a nested symbol name after '::@'")
             nested.append(name)
@@ -713,7 +866,7 @@ class Parser:
                     self.error(
                         "dense attribute contains a truncation marker "
                         "('...'); the data cannot be reconstructed")
-                number = self._match(_NUMBER_RE)
+                number = self._token(_NUMBER_RE)
                 if number is None:
                     self.error("expected a number in dense attribute")
                 if any(c in number for c in ".eE") or \
@@ -729,6 +882,15 @@ class Parser:
         element_type = self.parse_type()
         self._expect(">", "after the dense attribute")
         return DenseElementsAttr(tuple(values), shape, element_type)
+
+
+def _unescape(body: str) -> str:
+    """The value of a string literal's body (``\\n``, ``\\t``; any other
+    escaped character stands for itself)."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(
+        lambda m: _STRING_ESCAPES.get(m.group(1), m.group(1)), body)
 
 
 # ---------------------------------------------------------------------------

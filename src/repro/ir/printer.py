@@ -35,6 +35,8 @@ class Printer:
         self._names: Dict[int, str] = {}
         self._used: Set[str] = set()
         self._next_id = 0
+        #: ``id(block)`` -> label, filled a whole region at a time.
+        self._block_labels: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def value_name(self, value: Value) -> str:
@@ -75,19 +77,21 @@ class Printer:
 
     def print_op_to_string(self, op: Operation) -> str:
         out = StringIO()
+        self._block_labels.clear()  # the IR may have changed since
         self._print_op(op, out, 0)
         return out.getvalue().rstrip("\n")
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _block_label(block: Block) -> str:
+    def _block_label(self, block: Block) -> str:
         """Label of a block: its index within its parent region."""
-        region = block.parent
-        if region is not None:
-            for index, candidate in enumerate(region.blocks):
-                if candidate is block:
-                    return f"^bb{index}"
-        return "^bb?"
+        label = self._block_labels.get(id(block))
+        if label is None and block.parent is not None:
+            # Index the whole region on its first successor, so labelling
+            # every branch of a CFG stays linear in the number of blocks.
+            for index, candidate in enumerate(block.parent.blocks):
+                self._block_labels[id(candidate)] = f"^bb{index}"
+            label = self._block_labels.get(id(block))
+        return label or "^bb?"
 
     def _print_op(self, op: Operation, out: StringIO, indent: int) -> None:
         pad = " " * (indent * self.indent_width)

@@ -72,3 +72,35 @@ class TestSuccessorLabels:
         parent = Operation(regions=1)
         parent.regions[0].add_block(Block()).append(branch)
         assert "^bb?" in Printer().print_op_to_string(parent)
+
+    def test_labelling_a_cfg_scans_each_region_once(self):
+        # One branch per block: a linear scan of region.blocks per
+        # successor is O(blocks^2); the per-region index reads the block
+        # list a constant number of times however many branches there are.
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return list.__iter__(self)
+
+        op = Operation(regions=1)
+        region = op.regions[0]
+        blocks = [region.add_block(Block()) for _ in range(200)]
+        for index, block in enumerate(blocks):
+            block.append(Operation(
+                successors=(blocks[(index + 1) % len(blocks)], blocks[0])))
+        region.blocks = CountingList(region.blocks)
+        text = Printer().print_op_to_string(op)
+        assert CountingList.iterations <= 4
+        labels = re.findall(r"\[(\^bb\d+), \^bb0\]", text)
+        assert labels == [f"^bb{(i + 1) % 200}" for i in range(200)]
+
+    def test_reused_printer_relabels_after_the_ir_changed(self):
+        op, _, _ = self._graph_op()
+        printer = Printer()
+        assert "[^bb2]" in printer.print_op_to_string(op)
+        region = op.regions[0]
+        region.blocks.insert(0, region.blocks.pop())  # ^bb2 becomes ^bb0
+        # The branch that targeted ^bb2 now targets ^bb0 (and sits in ^bb1).
+        assert "[^bb0]" in printer.print_op_to_string(op)
