@@ -54,9 +54,9 @@ def _exec_scenario(name: str, module, entry: str, resolved,
                    repeats: int, tier: str = "interp") -> Dict:
     # Mirrors jit_bench._tier_scenario: one engine, an untimed warmup
     # populating any caches, then a best-of-N warm loop.  Both sides of
-    # the structured-vs-lowered comparison run the scalar tier (the JIT
-    # and vector tiers decline CFG functions anyway), so the overhead
-    # ratio prices block dispatch, not a tier change.
+    # the structured-vs-lowered comparison are pinned to the scalar tier
+    # on purpose (the JIT compiles CFG functions too): the overhead
+    # ratio prices the interpreter's block dispatch, not a tier change.
     engine = ExecutionEngine(module, tier=tier)
     function = module.lookup_symbol(entry)
     warmup = engine.execute(function, resolved)

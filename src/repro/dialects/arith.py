@@ -452,7 +452,10 @@ def _eval_binary(ctx, op, args):
 
 
 def _ieee_zero_divide(op_name: str, a: float, b: float) -> float:
-    if op_name == "arith.divf" and a != 0.0 and not math.isnan(a):
+    # ``llvm.fdiv`` is the same op after convert-arith-to-llvm: lowering
+    # must not turn a defined +-inf into NaN.
+    if op_name in ("arith.divf", "llvm.fdiv") and a != 0.0 \
+            and not math.isnan(a):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
     return math.nan
 

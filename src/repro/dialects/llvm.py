@@ -405,6 +405,57 @@ class LLVMFPTruncOp(_arith._CastOp):
         return float(value)
 
 
+#: ``arith`` operation name -> mirroring ``llvm`` operation class: the
+#: one statement of which ``llvm.*`` value op *is* which ``arith.*`` op.
+#: ``convert-arith-to-llvm`` rewrites along it (attribute-preserving,
+#: which carries ``cmpi``/``cmpf`` predicates and constant ``value``
+#: payloads across unchanged); the execution tiers read it backwards.
+ARITH_TO_LLVM = {
+    "arith.constant": LLVMConstantOp,
+    "arith.addi": LLVMAddOp,
+    "arith.subi": LLVMSubOp,
+    "arith.muli": LLVMMulOp,
+    "arith.divsi": LLVMSDivOp,
+    "arith.divui": LLVMUDivOp,
+    "arith.remsi": LLVMSRemOp,
+    "arith.remui": LLVMURemOp,
+    "arith.andi": LLVMAndOp,
+    "arith.ori": LLVMOrOp,
+    "arith.xori": LLVMXOrOp,
+    "arith.shli": LLVMShlOp,
+    "arith.shrsi": LLVMAShrOp,
+    "arith.minsi": LLVMSMinOp,
+    "arith.maxsi": LLVMSMaxOp,
+    "arith.addf": LLVMFAddOp,
+    "arith.subf": LLVMFSubOp,
+    "arith.mulf": LLVMFMulOp,
+    "arith.divf": LLVMFDivOp,
+    "arith.remf": LLVMFRemOp,
+    "arith.minf": LLVMFMinOp,
+    "arith.maxf": LLVMFMaxOp,
+    "arith.cmpi": LLVMICmpOp,
+    "arith.cmpf": LLVMFCmpOp,
+    "arith.select": LLVMSelectOp,
+    "arith.negf": LLVMFNegOp,
+    "arith.index_cast": LLVMSExtOp,
+    "arith.extsi": LLVMSExtOp,
+    "arith.trunci": LLVMTruncOp,
+    "arith.sitofp": LLVMSIToFPOp,
+    "arith.fptosi": LLVMFPToSIOp,
+    "arith.extf": LLVMFPExtOp,
+    "arith.truncf": LLVMFPTruncOp,
+}
+
+#: The same table inverted: ``llvm`` operation name -> the ``arith``
+#: name whose semantics it shares.  The compiled execution tiers rename
+#: an ``llvm.*`` value op through it and compile the ``arith`` op, so
+#: lowered code needs no op templates of its own.  (``index_cast`` and
+#: ``extsi`` both lower to ``llvm.sext``; either name compiles alike.)
+LLVM_TO_ARITH = {}
+for _arith_name, _llvm_class in ARITH_TO_LLVM.items():
+    LLVM_TO_ARITH.setdefault(_llvm_class.OPERATION_NAME, _arith_name)
+
+
 from ..ir import StructType  # noqa: E402  (grouped with the parser hook)
 
 
@@ -443,12 +494,10 @@ from ..interp.memory import (  # noqa: E402
     MemRefView,
     TrapError,
 )
-from ..interp.registry import register_evaluator  # noqa: E402
-
-
-@register_evaluator("llvm.mlir.constant")
-def _eval_llvm_constant(ctx, op, args):
-    return [op.value]
+from ..interp.registry import (  # noqa: E402
+    lookup_evaluator,
+    register_evaluator,
+)
 
 
 @register_evaluator("llvm.mlir.undef")
@@ -467,25 +516,11 @@ def _eval_llvm_return(ctx, op, args):
     return BlockResult("return", tuple(args))
 
 
-for _name in (
-    "llvm.add", "llvm.sub", "llvm.mul", "llvm.sdiv", "llvm.udiv",
-    "llvm.srem", "llvm.urem", "llvm.and", "llvm.or", "llvm.xor",
-    "llvm.intr.smin", "llvm.intr.smax",
-    "llvm.fadd", "llvm.fsub", "llvm.fmul", "llvm.fdiv", "llvm.frem",
-    "llvm.intr.fmin", "llvm.intr.fmax",
-):
-    register_evaluator(_name, _arith._eval_binary)
+# Every value op of the table runs its ``arith`` twin's evaluator.
+for _llvm_name, _arith_name in LLVM_TO_ARITH.items():
+    register_evaluator(_llvm_name, lookup_evaluator(_arith_name))
 
-register_evaluator("llvm.shl", _arith._eval_shift)
-register_evaluator("llvm.ashr", _arith._eval_shift)
-register_evaluator("llvm.icmp", _arith._eval_cmp)
-register_evaluator("llvm.fcmp", _arith._eval_cmp)
-register_evaluator("llvm.select", _arith._eval_select)
-register_evaluator("llvm.fneg", _arith._eval_negf)
-
-for _name in ("llvm.sext", "llvm.zext", "llvm.trunc", "llvm.sitofp",
-              "llvm.fptosi", "llvm.fpext", "llvm.fptrunc"):
-    register_evaluator(_name, _arith._eval_cast)
+register_evaluator("llvm.zext", _arith._eval_cast)  # no arith twin
 
 
 def _pointer_element_type(type_):

@@ -18,6 +18,29 @@ from ..interp.memory import TrapError
 from ..interp.registry import register_evaluator
 from .arith import constant_value_of
 
+#: What a scalar function raises outside its domain (``sqrt(-1)``,
+#: ``log(0)``, ``rsqrt(0)``, an overflowing ``exp``).
+DOMAIN_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+#: Operation name -> its ``PY_FUNC``.  Every execution tier computes a
+#: ``math`` op by calling (or, lane-wise, confirming a suspect NumPy
+#: result against) this function, so the dialect states each op's value
+#: and domain exactly once.
+SCALAR_FUNCS = {}
+
+
+def domain_error(name: str, error: Exception) -> TrapError:
+    """The trap every tier raises for a :data:`DOMAIN_ERRORS` failure."""
+    return TrapError(f"'{name}' domain error: {error}")
+
+
+def evaluate(name: str, *args) -> float:
+    """``name`` applied to scalar ``args``; a domain error traps."""
+    try:
+        return float(SCALAR_FUNCS[name](*map(float, args)))
+    except DOMAIN_ERRORS as error:
+        raise domain_error(name, error) from None
+
 
 class _UnaryMathOp(Operation, InterpretableOpInterface):
     TRAITS = frozenset({Trait.PURE, Trait.MAY_TRAP})
@@ -33,17 +56,14 @@ class _UnaryMathOp(Operation, InterpretableOpInterface):
             return None
         try:
             result = type(self).PY_FUNC(float(value))
-        except (ValueError, OverflowError, ZeroDivisionError):
+        except DOMAIN_ERRORS:
             return None
         return [FloatAttr(result, self.results[0].type)]
 
     def interpret(self, args, ctx):
         # Interface-based evaluation (the registry fallback path): the
         # dialect's PY_FUNC *is* the semantics.
-        try:
-            return [float(type(self).PY_FUNC(float(args[0])))]
-        except (ValueError, OverflowError, ZeroDivisionError) as error:
-            raise TrapError(f"'{self.name}' domain error: {error}") from None
+        return [evaluate(self.name, args[0])]
 
 
 def _unary(name: str, func: Callable[[float], float]):
@@ -53,6 +73,7 @@ def _unary(name: str, func: Callable[[float], float]):
         PY_FUNC = staticmethod(func)
 
     _Op.__name__ = name.split(".")[-1].capitalize() + "Op"
+    SCALAR_FUNCS[name] = func
     return _Op
 
 
@@ -72,6 +93,10 @@ TanhOp = _unary("math.tanh", math.tanh)
 class PowFOp(Operation):
     OPERATION_NAME = "math.powf"
     TRAITS = frozenset({Trait.PURE, Trait.MAY_TRAP})
+    # math.pow, not **: a negative base with a fractional exponent must
+    # trap (ValueError), not produce a complex that crashes downstream
+    # (or, folded, stay unfolded so it traps at runtime).
+    PY_FUNC = staticmethod(math.pow)
 
     @classmethod
     def build(cls, base: Value, exponent: Value) -> "PowFOp":
@@ -82,11 +107,9 @@ class PowFOp(Operation):
         exponent = constant_value_of(self.operands[1])
         if base is None or exponent is None:
             return None
-        # math.pow, not **: a negative base with a fractional exponent
-        # must stay unfolded (it traps at runtime), not fold to complex.
         try:
-            result = math.pow(float(base), float(exponent))
-        except (ValueError, OverflowError, ZeroDivisionError):
+            result = self.PY_FUNC(float(base), float(exponent))
+        except DOMAIN_ERRORS:
             return None
         return [FloatAttr(result, self.results[0].type)]
 
@@ -110,14 +133,12 @@ class FmaOp(Operation):
         return [FloatAttr(a * b + c, self.results[0].type)]
 
 
+SCALAR_FUNCS["math.powf"] = PowFOp.PY_FUNC
+
+
 @register_evaluator("math.powf")
 def _eval_powf(ctx, op, args):
-    # math.pow, not **: a negative base with a fractional exponent must
-    # trap (ValueError), not produce a complex that crashes downstream.
-    try:
-        return [math.pow(float(args[0]), float(args[1]))]
-    except (ValueError, OverflowError, ZeroDivisionError) as error:
-        raise TrapError(f"'math.powf' domain error: {error}") from None
+    return [evaluate("math.powf", args[0], args[1])]
 
 
 @register_evaluator("math.fma")

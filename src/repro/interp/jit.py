@@ -20,6 +20,12 @@ generated function preserves the interpreter's observable semantics:
   :class:`ExecutionCounters` match the interpreter's exactly.  Loop
   bodies also check ``_bc * ops > max_steps``, bounding runaway loops
   like the interpreter's step budget does.
+* **CFGs** — a multi-block body (``lower-to-llvm`` output) compiles to
+  a ``_bb`` block-dispatch loop (:meth:`_Emitter._emit_cfg`); its
+  ``llvm.*`` value ops are renamed to the ``arith.*`` ops they mirror
+  (``dialects.llvm.LLVM_TO_ARITH``) and its pointer bridge /
+  ``getelementptr`` / ``load`` / ``store`` chain folds into the same
+  flat-array access path ``memref`` accesses use.
 * **Barriers** — kernels containing ``sycl.group_barrier`` compile to a
   per-item *generator* that yields at barriers; the generated group
   loop round-robins the generators exactly like
@@ -36,11 +42,13 @@ prologue (an argument that is not array-backed) fall back the same way
 
 **Caching.**  Compiled executables are cached per structural
 fingerprint: the key is ``(text_fingerprint(printed function),
-"jit:<mode>")`` — the same key scheme (and, optionally, the same
-:class:`~repro.transforms.disk_cache.DiskCache`) the compile cache
-uses.  Disk entries store the *generated Python source* as the entry
-text; rehydration is ``compile()`` + ``exec`` against the static
-namespace below, no emitter run needed.
+"jit<EMITTER_VERSION>:<mode>")`` — the same key scheme (and, optionally,
+the same :class:`~repro.transforms.disk_cache.DiskCache`) the compile
+cache uses, tagged with the emitter generation so an entry written by an
+older emitter is a miss, never a stale hit.  Disk entries store the
+*generated Python source* as the entry text; rehydration is
+``compile()`` + ``exec`` against the static namespace below, no emitter
+run needed.
 
 **Fault injection** (:mod:`repro.faults`): ``jit.compile`` (``corrupt``
 poisons the generated source, ``transient`` fails the compile) and
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -78,6 +87,13 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - the toolchain ships NumPy
     _np = None
+
+
+#: Generation of the emitter's output format, part of every
+#: :class:`ExecutableCache` key: a disk entry holds *generated source*,
+#: which a changed emitter would otherwise keep reusing for as long as it
+#: still compiles.  Bump on any change to what ``_Emitter`` generates.
+EMITTER_VERSION = 2
 
 
 class JITUnsupportedError(InterpreterError):
@@ -109,27 +125,30 @@ def _jit_floordiv(a, b):
     return int(a / b) if (a < 0) != (b < 0) and a % b != 0 else a // b
 
 
-def _jit_divsi(a, b):
+# The optional trailing ``name`` of the trapping helpers is the op the
+# trap is reported against: an ``llvm.*`` alias traps under its own name.
+
+def _jit_divsi(a, b, name="arith.divsi"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.divsi'")
+        raise TrapError(f"division by zero in '{name}'")
     return _jit_floordiv(a, b)
 
 
-def _jit_divui(a, b):
+def _jit_divui(a, b, name="arith.divui"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.divui'")
+        raise TrapError(f"division by zero in '{name}'")
     return a // b
 
 
-def _jit_remsi(a, b):
+def _jit_remsi(a, b, name="arith.remsi"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.remsi'")
+        raise TrapError(f"division by zero in '{name}'")
     return a - _jit_floordiv(a, b) * b
 
 
-def _jit_remui(a, b):
+def _jit_remui(a, b, name="arith.remui"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.remui'")
+        raise TrapError(f"division by zero in '{name}'")
     return a % b
 
 
@@ -174,20 +193,32 @@ def _jit_shift(op_name, compute, width, a, b):
     return compute(int(a), shift)
 
 
-def _jit_shli(a, b, width):
-    return _jit_shift("arith.shli", lambda x, s: x << s, width, a, b)
+def _jit_shli(a, b, width, name="arith.shli"):
+    return _jit_shift(name, lambda x, s: x << s, width, a, b)
 
 
-def _jit_shrsi(a, b, width):
-    return _jit_shift("arith.shrsi", lambda x, s: x >> s, width, a, b)
+def _jit_shrsi(a, b, width, name="arith.shrsi"):
+    return _jit_shift(name, lambda x, s: x >> s, width, a, b)
 
 
-def _jit_fptosi(value):
+def _jit_fptosi(value, name="arith.fptosi"):
     try:
         return int(value)
     except (ValueError, OverflowError) as error:
         raise TrapError(
-            f"'arith.fptosi' cannot convert {value!r}: {error}") from None
+            f"'{name}' cannot convert {value!r}: {error}") from None
+
+
+def _jit_budget_trap(max_steps):
+    return TrapError(
+        f"exceeded the interpreter step budget ({max_steps} ops)")
+
+
+def _jit_flat_trap(position, size):
+    # MemRefStorage.load_flat / store_flat's message.
+    return TrapError(
+        f"flat index {position} out of bounds for memref of {size} "
+        f"elements")
 
 
 def _jit_at(values, dim, what):
@@ -219,13 +250,20 @@ def _jit_namespace() -> Dict[str, object]:
     """Fresh globals for one executable.  Static by construction: every
     name binds a module-level object, so disk-cached source needs only
     ``compile()`` + ``exec`` to rehydrate."""
+    from ..dialects import math as math_d
     from ..dialects.arith import _FLOAT_PREDICATES
     from ..runtime.accessor import LocalAccessor
 
-    return {
+    namespace = {_math_symbol(name): func
+                 for name, func in math_d.SCALAR_FUNCS.items()}
+    namespace.update({
+        "_MathErrors": math_d.DOMAIN_ERRORS,
+        "_domain_error": math_d.domain_error,
         "_np": _np,
         "math": math,
         "_TrapError": TrapError,
+        "_budget_trap": _jit_budget_trap,
+        "_flat_trap": _jit_flat_trap,
         "_Fallback": _GuardFallback,
         "_BARRIER": BARRIER,
         "_AccessorBinding": AccessorBinding,
@@ -245,7 +283,13 @@ def _jit_namespace() -> Dict[str, object]:
         "_fptosi": _jit_fptosi,
         "_FCMP": _FLOAT_PREDICATES,
         "_local_tile": _jit_local_tile,
-    }
+    })
+    return namespace
+
+
+def _math_symbol(name: str) -> str:
+    """The generated-code name bound to ``math`` op ``name``'s PY_FUNC."""
+    return "_m_" + name.split(".", 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +372,22 @@ class _Emitter:
     CMP_FLOAT_ORDERED = {
         "oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
     }
+    #: The BIN_HELPER functions that trap (they take the op's name).
+    TRAPPING = frozenset({"_divsi", "_divui", "_remsi", "_remui"})
 
     def __init__(self, function, mode: str):
+        from ..dialects.llvm import LLVM_TO_ARITH
+        from ..dialects.math import SCALAR_FUNCS
+
         self.fn = function
         self.mode = mode
+        #: ``llvm.*`` value op -> the ``arith.*`` op it is compiled as.
+        self.alias = LLVM_TO_ARITH
+        #: ``math`` ops compiled to a guarded call of their ``PY_FUNC``
+        #: (bound in the namespace as ``_m_<op>``).
+        self.math_funcs = SCALAR_FUNCS
+        #: CFG mode: ``id(block)`` -> its ``_bb`` dispatch label.
+        self.labels: Dict[int, int] = {}
         self.out: List[Optional[str]] = []     # body lines (indented)
         self.pro: List[str] = []               # prologue lines (indent 1)
         self.ind = 2                           # current body indent
@@ -417,8 +473,7 @@ class _Emitter:
             text = f"{pad}{self.bc(bid)} += 1"
             if budget:
                 text += (f"\n{pad}if {self.bc(bid)} * {max(stat.ops, 1)} > "
-                         f"_max_steps: raise _TrapError('exceeded the "
-                         f"interpreter step budget')")
+                         f"_max_steps: raise _budget_trap(_max_steps)")
             self.out[pos] = text
         lines = ["def _run(_args, _GR, _LR, _PR, _counters, _max_steps):"]
         lines += self.pro
@@ -427,8 +482,7 @@ class _Emitter:
         for expr, bid in self.static_budget:
             ops = max(self.blocks[bid].ops, 1)
             lines.append(f"    if ({expr}) * {ops} > _max_steps: raise "
-                         f"_TrapError('exceeded the interpreter step "
-                         f"budget')")
+                         f"_budget_trap(_max_steps)")
         if self.patches:
             if self.uses_generator:
                 lines.append(f"    _bc = [0] * {len(self.blocks)}")
@@ -630,15 +684,13 @@ class _Emitter:
         if not rank:
             self.line("for _i0 in range(math.prod(_GR)):")
             self.ind += 1
-            self.emit_block(self.fn.body, None, budget=True,
-                            count=self.total_expr)
+            self._emit_body(budget=True, count=self.total_expr)
             self.ind -= 1
             return
         for d in range(rank):
             self.line(f"for {g[d]} in range(_GR{d}):")
             self.ind += 1
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.ind -= rank
 
     def _emit_nd_driver(self, rank, g, lo, pr) -> None:
@@ -653,8 +705,7 @@ class _Emitter:
             self.line(f"for {lo[d]} in range(_LR{d}):")
             self.ind += 1
             self.line(f"{g[d]} = {pr[d]} * _LR{d} + {lo[d]}")
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.ind -= 2 * rank
 
     def _emit_nd_barrier_driver(self, rank, g, lo, pr) -> None:
@@ -671,8 +722,7 @@ class _Emitter:
         joined_l = ", ".join(lo) + ("," if rank == 1 else "")
         self.line(f"{joined_g} = _g")
         self.line(f"{joined_l} = _l")
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.line("if False: yield None")  # force generator when no barrier
         self.ind -= 1
         self.line("_active = []")
@@ -702,18 +752,19 @@ class _Emitter:
 
     def _emit_function_body(self) -> None:
         self.pro.insert(0, "    _ret = []")
-        self.emit_block(self.fn.body, None, budget=False, count="1")
+        self._emit_body(budget=False, count="1")
 
     # -- block emission ------------------------------------------------------
-    def emit_block(self, block, arg_kinds, budget: bool,
-                   yield_vars: Optional[List[str]] = None,
-                   count: Optional[str] = None) -> None:
-        """Emit one region block.  ``count`` is the block's execution
-        count as an expression of prologue variables when it is known
-        statically (then no run-time counter is emitted for it)."""
-        if arg_kinds is not None:
-            for block_arg, kind in zip(block.arguments, arg_kinds):
-                self.kinds[id(block_arg)] = kind
+    @contextmanager
+    def _counted_block(self, budget: bool, count: Optional[str]):
+        """Open one counted block and yield its :class:`_Stat`.
+
+        ``count`` is the block's execution count as an expression of
+        prologue variables when it is known statically; otherwise a
+        run-time ``_bc`` counter (with the step-budget check when
+        ``budget``) is patched in at the current position.  The block's
+        cell and subscript-CSE scopes stay open until the ``with`` ends.
+        """
         bid = len(self.blocks)
         stat = _Stat()
         self.blocks.append(stat)
@@ -726,21 +777,126 @@ class _Emitter:
         self.count_stack.append(count)
         self.scopes.append(set())
         self.memo_stack.append({})
-        start = len(self.out)
+        yield stat
+        self.memo_stack.pop()
+        self.scopes.pop()
+        self.count_stack.pop()
+
+    def _emit_ops(self, block, stat: _Stat, yield_vars) -> None:
         op = block.first_op
         while op is not None:
             stat.ops += 1
             self.emit_op(op, stat, yield_vars)
             op = op.next_op()
-        if len(self.out) == start:
-            self.line("pass")
-        self.memo_stack.pop()
-        self.scopes.pop()
-        self.count_stack.pop()
+
+    def emit_block(self, block, arg_kinds, budget: bool,
+                   yield_vars: Optional[List[str]] = None,
+                   count: Optional[str] = None) -> None:
+        """Emit one region block (see :meth:`_counted_block` for
+        ``budget`` / ``count``)."""
+        if arg_kinds is not None:
+            for block_arg, kind in zip(block.arguments, arg_kinds):
+                self.kinds[id(block_arg)] = kind
+        with self._counted_block(budget, count) as stat:
+            start = len(self.out)
+            self._emit_ops(block, stat, yield_vars)
+            if len(self.out) == start:
+                self.line("pass")
+
+    def _emit_body(self, budget: bool, count: str) -> None:
+        """The function body: one block, or a CFG in dispatch-loop form."""
+        if len(self.fn.regions[0].blocks) == 1:
+            self.emit_block(self.fn.body, None, budget, count=count)
+        else:
+            self._emit_cfg(budget, count)
+
+    def _emit_cfg(self, budget: bool, count: str) -> None:
+        """A multi-block body (``cf.br`` / ``cf.cond_br`` CFG)::
+
+            <entry block>                  # ends in ``_bb = <label>``
+            while True:
+                if _bb == 1:
+                    _bc1 += 1              # + step-budget check
+                    <block 1>              # br: ``b.. = <args>; _bb = k``
+                elif _bb == 2:             # return: ``break``
+                    ...
+
+        Block arguments are Python locals written by one *parallel*
+        tuple assignment per edge (a back edge may permute them), values
+        of dominating blocks are plain locals still in scope, and every
+        block but the entry counts its executions at run time, so the
+        ``_Stat`` x count flush stays exact whatever path was taken.
+        Blocks are laid out in reverse post-order: each block's
+        dominators are emitted (their values bound) before it, the
+        true-successor chain of a loop stays near the top of the
+        ``elif`` ladder, and unreachable blocks are not emitted at all.
+        """
+        entry = self.fn.body
+        order: List = []                       # post-order, reversed below
+        seen = {id(entry)}
+        stack = [(entry, iter(self._successors(entry)))]
+        while stack:
+            block, pending = stack[-1]
+            successor = next(pending, None)
+            if successor is None:
+                order.append(block)
+                stack.pop()
+            elif id(successor) not in seen:
+                seen.add(id(successor))
+                stack.append((successor, iter(self._successors(successor))))
+        order.reverse()
+        for label, block in enumerate(order):
+            self.labels[id(block)] = label
+            if label:
+                for argument in block.arguments:
+                    self.kinds[id(argument)] = ("scalar", self.fresh("b"))
+        # The entry block dominates every other: its scopes stay open
+        # around the dispatch loop.
+        with self._counted_block(budget, count) as stat:
+            self._emit_ops(entry, stat, None)
+            if len(order) == 1:
+                return
+            self.line("while True:")
+            self.ind += 1
+            for label, block in enumerate(order[1:], 1):
+                self.line(f"{'if' if label == 1 else 'elif'} _bb == "
+                          f"{label}:")
+                self.ind += 1
+                self.emit_block(block, None, budget=True)
+                self.ind -= 1
+            self.ind -= 1
+
+    def _successors(self, block):
+        """Successor blocks, false edge first: the reverse post-order
+        then lists a loop's body before its exit."""
+        terminator = block.last_op
+        if terminator is None or terminator.name not in (
+                "cf.br", "cf.cond_br", "func.return", "llvm.return"):
+            raise self.unsup("a CFG block without a branch or return "
+                             "terminator")
+        return reversed(terminator.successors)
+
+    def _emit_edge(self, dest, values) -> None:
+        """Transfer control to ``dest``, passing ``values``."""
+        label = self.labels.get(id(dest))
+        if not label:
+            raise self.unsup("a branch outside a CFG body or to its entry "
+                             "block")
+        moves = [(self.expr(argument), self.expr(value))
+                 for argument, value in zip(dest.arguments, values)]
+        moves = [(target, source) for target, source in moves
+                 if target != source]
+        if moves:
+            self.line(f"{', '.join(t for t, _ in moves)} = "
+                      f"{', '.join(v for _, v in moves)}")
+        self.line(f"_bb = {label}")
 
     # -- single-op emission --------------------------------------------------
     def emit_op(self, op, stat: _Stat, yield_vars) -> None:
-        name = op.name
+        # An ``llvm.*`` value op is compiled as the ``arith.*`` op it
+        # mirrors; ``trap_name`` carries the real name into trap texts.
+        name = self.alias.get(op.name, op.name)
+        trap_name = "" if name == op.name else f", {op.name!r}"
         if name == "arith.constant":
             value = op.value
             if isinstance(value, bool):
@@ -776,14 +932,16 @@ class _Emitter:
             return
         if name in self.BIN_HELPER:
             a, b = self.expr(op.operands[0]), self.expr(op.operands[1])
-            self._assign(op.results[0],
-                         f"{self.BIN_HELPER[name]}({a}, {b})")
+            helper = self.BIN_HELPER[name]
+            self._assign(op.results[0], f"{helper}({a}, {b}"
+                         f"{trap_name if helper in self.TRAPPING else ''})")
             return
         if name in ("arith.shli", "arith.shrsi"):
             width = getattr(op.results[0].type, "width", 64)
             a, b = self.expr(op.operands[0]), self.expr(op.operands[1])
             helper = "_shli" if name == "arith.shli" else "_shrsi"
-            self._assign(op.results[0], f"{helper}({a}, {b}, {width})")
+            self._assign(op.results[0],
+                         f"{helper}({a}, {b}, {width}{trap_name})")
             return
         if name == "arith.cmpi":
             predicate = op.predicate
@@ -836,7 +994,7 @@ class _Emitter:
             return
         if name == "arith.fptosi":
             self._assign(op.results[0],
-                         f"_fptosi({self.expr(op.operands[0])})")
+                         f"_fptosi({self.expr(op.operands[0])}{trap_name})")
             return
         if name in ("arith.extf", "arith.truncf"):
             value = op.operands[0]
@@ -855,12 +1013,27 @@ class _Emitter:
                 exprs = [self.expr(v) for v in op.operands]
                 self.line(f"{', '.join(yield_vars)} = {', '.join(exprs)}")
             return
-        if name == "func.return":
+        if name in ("func.return", "llvm.return"):
             if self.mode == "function":
                 exprs = [self.expr(v) for v in op.operands]
                 self.line(f"_ret = [{', '.join(exprs)}]")
             elif op.operands:
                 raise self.unsup("kernel returning values")
+            if self.labels.get(id(op.parent)):
+                self.line("break")  # leave the CFG dispatch loop
+            return
+        if name == "cf.br":
+            self._emit_edge(op.dest, op.operands)
+            return
+        if name == "cf.cond_br":
+            self.line(f"if {self.expr(op.condition)}:")
+            self.ind += 1
+            self._emit_edge(op.true_dest, op.true_operands)
+            self.ind -= 1
+            self.line("else:")
+            self.ind += 1
+            self._emit_edge(op.false_dest, op.false_operands)
+            self.ind -= 1
             return
         if name == "scf.if":
             self._emit_if(op)
@@ -905,17 +1078,47 @@ class _Emitter:
             return
         if name == "memref.dealloc":
             return
-        if name == "memref.cast":
+        if name in ("memref.cast", "builtin.unrealized_conversion_cast"):
+            # The pointer bridge of convert-memref-to-llvm passes the
+            # runtime value through: the pointer *is* the storage.
             self.kinds[id(op.results[0])] = self.kind_of(op.operands[0])
             return
         if name == "memref.dim":
             self._emit_dim(op)
             return
         if name in ("memref.load", "affine.load"):
-            self._emit_load(op, stat)
+            self._emit_load(op, stat, self._target_position(
+                op.operands[0], list(op.operands[1:])))
             return
         if name in ("memref.store", "affine.store"):
-            self._emit_store(op, stat)
+            self._emit_store(op, stat, self._target_position(
+                op.operands[1], list(op.operands[2:])))
+            return
+        if name == "llvm.alloca":
+            self._emit_llvm_alloca(op)
+            return
+        if name == "llvm.getelementptr":
+            self._emit_gep(op)
+            return
+        if name == "llvm.load":
+            self._emit_load(op, stat, self._flat_position(
+                self._pointer_view(op.operands[0]), "0"))
+            return
+        if name == "llvm.store":
+            self._emit_store(op, stat, self._flat_position(
+                self._pointer_view(op.operands[1]), "0"))
+            return
+        if name in self.math_funcs:
+            args = ", ".join(self.expr(v) for v in op.operands)
+            var = self.fresh()
+            self.line(f"try: {var} = float({_math_symbol(name)}({args}))")
+            self.line(f"except _MathErrors as _e: raise _domain_error("
+                      f"{name!r}, _e) from None")
+            self.kinds[id(op.results[0])] = ("scalar", var)
+            return
+        if name == "math.fma":
+            a, b, c = (self.expr(v) for v in op.operands)
+            self._assign(op.results[0], f"{a} * {b} + {c}")
             return
         if name == "sycl.constructor":
             self._emit_constructor(op)
@@ -1145,14 +1348,19 @@ class _Emitter:
             return
         if not memref_type.has_static_shape():
             raise self.unsup("alloc with dynamic shape")
-        size = memref_type.num_elements()
+        self._bind_zeros(op.results[0], memref_type.num_elements(),
+                         tuple(memref_type.shape), memref_type.element_type)
+
+    def _bind_zeros(self, result, size, shape, element) -> None:
+        """Bind ``result`` to a fresh zero-filled array of ``size``
+        (an int or an expression) elements of scalar type ``element``."""
+        from .memory import _numpy_dtype
+
         var = self.fresh("m")
         self.line(f"{var} = _np.zeros({size}, dtype=_np."
-                  f"{_np.dtype(dtype).name})")
-        self.kinds[id(op.results[0])] = ("stor", _Ref(
-            var, size, tuple(memref_type.shape),
-            is_float(memref_type.element_type),
-            byte_size_of(memref_type.element_type)))
+                  f"{_np.dtype(_numpy_dtype(element)).name})")
+        self.kinds[id(result)] = ("stor", _Ref(
+            var, size, shape, is_float(element), byte_size_of(element)))
 
     def _emit_dim(self, op) -> None:
         kind = self.kind_of(op.operands[0])
@@ -1198,22 +1406,77 @@ class _Emitter:
             return position, [f"if not ({checks}): raise _TrapError("
                               f"'memref index out of bounds')"], ref
         if kind[0] == "view":
-            _, ref, base, checked = kind
             if len(index_values) > 1:
                 raise self.unsup("multi-index access through a view")
             offset = self.expr(index_values[0]) if index_values else "0"
-            if checked and offset == "0":
-                return base, [], ref
-            var = self.fresh("q")
-            lines = [f"{var} = {base} + {offset}",
-                     f"if not 0 <= {var} < {ref.size}: raise _TrapError("
-                     f"'flat index out of bounds')"]
-            return var, lines, ref
+            return self._flat_position(kind, offset)
         raise self.unsup(f"load/store through a {kind[0]} value")
 
-    def _emit_load(self, op, stat: _Stat) -> None:
-        position, lines, ref = self._target_position(op.operands[0],
-                                                     list(op.operands[1:]))
+    def _flat_position(self, view, offset: str):
+        """(position expr, check lines, ref) of element ``offset`` of a
+        ``("view", ref, base, checked)`` kind."""
+        _, ref, base, checked = view
+        lines = []
+        if offset == "0":
+            if checked:
+                return base, lines, ref
+            position = base
+        else:
+            position = f"{base} + {offset}"
+        if not (position.isidentifier() or position.isdigit()):
+            var = self.fresh("q")
+            lines.append(f"{var} = {position}")
+            position = var
+        lines.append(f"if not 0 <= {position} < {ref.size}: raise "
+                     f"_flat_trap({position}, {ref.size})")
+        return position, lines, ref
+
+    def _pointer_view(self, value):
+        """The flat view an ``!llvm.ptr`` value addresses: what
+        ``dialects.llvm._pointer_window`` resolves at run time, resolved
+        at compile time (no ``MemRefView`` object per access)."""
+        kind = self.kind_of(value)
+        if kind[0] == "view":
+            return kind
+        if kind[0] == "stor":
+            return ("view", kind[1], "0", False)
+        if kind[0] == "acc":
+            return ("view", kind[1].ref, kind[1].base, False)
+        raise self.unsup(f"pointer access through a {kind[0]} value")
+
+    def _emit_gep(self, op) -> None:
+        _, ref, base, _ = self._pointer_view(op.operands[0])
+        terms = [] if base == "0" else [base]
+        terms += [self.expr(v) for v in op.operands[1:]]
+        static = sum(op.static_offsets)
+        if static or not terms:
+            terms.append(str(static))
+        position = " + ".join(terms)
+        if len(terms) > 1:
+            var = self.fresh("q")
+            self.line(f"{var} = {position}")
+            position = var
+        self.kinds[id(op.results[0])] = ("view", ref, position, False)
+
+    def _emit_llvm_alloca(self, op) -> None:
+        from ..dialects.llvm import _pointer_element_type
+        from .memory import _numpy_dtype
+
+        element = _pointer_element_type(op.results[0].type)
+        if element is None or _numpy_dtype(element) is None:
+            raise self.unsup("llvm.alloca of an opaque host object")
+        size = self.expr(op.operands[0])
+        constant = self._const_int(op.operands[0])
+        if constant is None:
+            self.line(f"if {size} < 0: raise _TrapError(\"'llvm.alloca' "
+                      f"with negative size \" + str({size}))")
+        elif constant < 0:
+            raise self.unsup("llvm.alloca with a negative constant size")
+        self._bind_zeros(op.results[0], size, (size,), element)
+
+    def _emit_load(self, op, stat: _Stat, located) -> None:
+        """``located`` is the element's (position, check lines, ref)."""
+        position, lines, ref = located
         stat.loads += 1
         stat.bytes_read += ref.elem_bytes
         for text in lines:
@@ -1221,9 +1484,8 @@ class _Emitter:
         conv = "float" if ref.is_float else "int"
         self._assign(op.results[0], f"{conv}({ref.flat}[{position}])")
 
-    def _emit_store(self, op, stat: _Stat) -> None:
-        position, lines, ref = self._target_position(op.operands[1],
-                                                     list(op.operands[2:]))
+    def _emit_store(self, op, stat: _Stat, located) -> None:
+        position, lines, ref = located
         stat.stores += 1
         stat.bytes_written += ref.elem_bytes
         for text in lines:
@@ -1458,8 +1720,9 @@ class CompiledExecutable:
 class ExecutableCache:
     """Fingerprint-keyed cache of :class:`CompiledExecutable`.
 
-    Keys are ``(text_fingerprint(printed function), "jit:<mode>")`` —
-    the compile-cache key scheme — so a structurally identical function
+    Keys are ``(text_fingerprint(printed function),
+    "jit<EMITTER_VERSION>:<mode>")`` — the compile-cache key scheme,
+    tagged with the emitter generation — so a structurally identical function
     hits regardless of object identity, and a :class:`DiskCache` can
     persist the generated source under the same address (the source
     *is* the entry text; rehydration is ``compile()`` + ``exec``).
@@ -1490,7 +1753,7 @@ class ExecutableCache:
         if memo is not None and memo[0] is function:
             return memo[1]
         printed = Printer().print_op_to_string(function)
-        key = (text_fingerprint(printed), f"jit:{mode}")
+        key = (text_fingerprint(printed), f"jit{EMITTER_VERSION}:{mode}")
         if len(self._keys_by_id) > 4 * self.max_entries:
             self._keys_by_id.clear()
         self._keys_by_id[memo_key] = (function, key)

@@ -71,7 +71,16 @@ except ImportError:  # pragma: no cover - the toolchain ships NumPy
 # Legality
 # ---------------------------------------------------------------------------
 
-_SUPPORTED_OPS = frozenset({
+#: ``math`` op -> the NumPy ufunc computing it lane-wise (``rsqrt`` is
+#: ``1 / sqrt``).  Values only: domains stay the scalar functions'.
+_V_MATH = {
+    "math.sqrt": "sqrt", "math.rsqrt": "sqrt", "math.exp": "exp",
+    "math.log": "log", "math.sin": "sin", "math.cos": "cos",
+    "math.absf": "absolute", "math.floor": "floor", "math.ceil": "ceil",
+    "math.tanh": "tanh", "math.powf": "power",
+}
+
+_SUPPORTED_OPS = frozenset(_V_MATH) | frozenset({
     "arith.constant", "arith.addi", "arith.subi", "arith.muli",
     "arith.andi", "arith.ori", "arith.xori", "arith.minsi", "arith.maxsi",
     "arith.divsi", "arith.divui", "arith.remsi", "arith.remui",
@@ -80,6 +89,7 @@ _SUPPORTED_OPS = frozenset({
     "arith.cmpi", "arith.cmpf", "arith.select", "arith.index_cast",
     "arith.extsi", "arith.trunci", "arith.sitofp", "arith.fptosi",
     "arith.extf", "arith.truncf", "arith.negf",
+    "math.fma",
     "scf.for", "scf.yield",
     "affine.for", "affine.yield", "affine.apply", "affine.min",
     "affine.load", "affine.store",
@@ -676,6 +686,14 @@ class _Lockstep:
             env[id(op.results[0])] = -value if _is_array(value) \
                 else -float(value)
             return None
+        if name in _V_MATH:
+            env[id(op.results[0])] = self._eval_math(
+                name, [self._val(env, operand) for operand in op.operands])
+            return None
+        if name == "math.fma":
+            a, b, c = (self._val(env, operand) for operand in op.operands)
+            env[id(op.results[0])] = a * b + c
+            return None
         if name in ("scf.yield", "affine.yield"):
             return [self._val(env, operand) for operand in op.operands]
         if name == "func.return":
@@ -833,6 +851,31 @@ class _Lockstep:
             return None
         raise JITExecutionError(
             f"operation '{name}' reached the vector tier unsupported")
+
+    def _eval_math(self, name: str, args):
+        """A ``math`` op over lane arrays: the NumPy form for the values,
+        the dialect's scalar function for the domain.  Any lane with a
+        non-finite operand or result is re-evaluated by the scalar
+        function, which traps exactly like the scalar tiers do (and
+        accepts what they accept: a NaN operand of ``sqrt``, ``exp`` of
+        ``inf``) — NumPy alone would warn and yield ``nan``/``inf``."""
+        from ..dialects.math import evaluate
+
+        if not any(_is_array(arg) for arg in args):
+            return evaluate(name, *args)
+        with _np.errstate(all="ignore"):
+            result = getattr(_np, _V_MATH[name])(*args)
+            if name == "math.rsqrt":
+                result = 1.0 / result
+        suspect = ~_np.isfinite(result)
+        for arg in args:
+            suspect |= ~_np.isfinite(arg)
+        if suspect.any():
+            lanes = [_np.broadcast_to(arg, result.shape)[suspect]
+                     for arg in args]
+            for scalars in zip(*lanes):
+                evaluate(name, *scalars)
+        return result
 
     # -- structured control flow ---------------------------------------------
     def _eval_for(self, op, env, affine: bool) -> None:

@@ -320,46 +320,6 @@ class ConvertSCFToCF(FunctionPass):
 # convert-arith-to-llvm
 # ---------------------------------------------------------------------------
 
-#: ``arith`` operation name -> mirroring ``llvm`` operation class.  The
-#: rewrite is attribute-preserving, which carries ``cmpi``/``cmpf``
-#: predicates and constant ``value`` payloads across unchanged.
-_ARITH_TO_LLVM = {
-    "arith.constant": llvm_d.LLVMConstantOp,
-    "arith.addi": llvm_d.LLVMAddOp,
-    "arith.subi": llvm_d.LLVMSubOp,
-    "arith.muli": llvm_d.LLVMMulOp,
-    "arith.divsi": llvm_d.LLVMSDivOp,
-    "arith.divui": llvm_d.LLVMUDivOp,
-    "arith.remsi": llvm_d.LLVMSRemOp,
-    "arith.remui": llvm_d.LLVMURemOp,
-    "arith.andi": llvm_d.LLVMAndOp,
-    "arith.ori": llvm_d.LLVMOrOp,
-    "arith.xori": llvm_d.LLVMXOrOp,
-    "arith.shli": llvm_d.LLVMShlOp,
-    "arith.shrsi": llvm_d.LLVMAShrOp,
-    "arith.minsi": llvm_d.LLVMSMinOp,
-    "arith.maxsi": llvm_d.LLVMSMaxOp,
-    "arith.addf": llvm_d.LLVMFAddOp,
-    "arith.subf": llvm_d.LLVMFSubOp,
-    "arith.mulf": llvm_d.LLVMFMulOp,
-    "arith.divf": llvm_d.LLVMFDivOp,
-    "arith.remf": llvm_d.LLVMFRemOp,
-    "arith.minf": llvm_d.LLVMFMinOp,
-    "arith.maxf": llvm_d.LLVMFMaxOp,
-    "arith.cmpi": llvm_d.LLVMICmpOp,
-    "arith.cmpf": llvm_d.LLVMFCmpOp,
-    "arith.select": llvm_d.LLVMSelectOp,
-    "arith.negf": llvm_d.LLVMFNegOp,
-    "arith.index_cast": llvm_d.LLVMSExtOp,
-    "arith.extsi": llvm_d.LLVMSExtOp,
-    "arith.trunci": llvm_d.LLVMTruncOp,
-    "arith.sitofp": llvm_d.LLVMSIToFPOp,
-    "arith.fptosi": llvm_d.LLVMFPToSIOp,
-    "arith.extf": llvm_d.LLVMFPExtOp,
-    "arith.truncf": llvm_d.LLVMFPTruncOp,
-}
-
-
 @register_pass
 class ConvertArithToLLVM(FunctionPass):
     """Rewrite ``arith.*`` into the mirroring ``llvm.*`` operations.
@@ -380,7 +340,7 @@ class ConvertArithToLLVM(FunctionPass):
                         report: CompileReport) -> None:
         converted = 0
         for op in list(function.walk(include_self=False)):
-            target = _ARITH_TO_LLVM.get(op.name)
+            target = llvm_d.ARITH_TO_LLVM.get(op.name)
             if target is None:
                 continue
             new = target(

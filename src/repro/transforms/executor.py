@@ -437,6 +437,7 @@ class SupervisedExecutor:
         while len(results) < len(units):
             now = time.monotonic()
             waiting: List[Tuple[float, WorkUnit]] = []
+            broken_at_submit = False
             for due, unit in ready:
                 if unit.uid in results:
                     continue
@@ -447,10 +448,21 @@ class SupervisedExecutor:
                     future = self._ensure_pool().submit(
                         _compile_work_unit,
                         self._payload(unit, attempts[unit.uid]))
+                except BrokenProcessPool:
+                    # A worker died while this batch was still being
+                    # submitted.  This unit never started: it waits,
+                    # uncharged, for the restart the in-flight futures
+                    # are about to trigger below.
+                    broken_at_submit = True
+                    waiting.append((due, unit))
+                    continue
                 except RuntimeError as exc:
                     raise TierError(f"cannot submit to worker pool: {exc}")
                 in_flight[future] = (unit, time.monotonic())
             ready = waiting
+            if broken_at_submit and not in_flight:
+                restart_pool("worker crash")
+                continue
             if not in_flight:
                 if ready:
                     time.sleep(max(0.0, min(due for due, _ in ready)

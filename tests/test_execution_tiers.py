@@ -183,6 +183,33 @@ class TestExecutableCache:
         assert executable.entry is not None
 
 
+    def test_entry_of_an_older_emitter_is_a_miss(self, tmp_path):
+        """A disk entry holds generated source.  One written under the
+        pre-versioning tag (``jit:<mode>``) still compiles, so only the
+        key can keep a newer emitter from running it."""
+        from repro.interp.jit import EMITTER_VERSION
+
+        module, specs = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        disk = DiskCache(str(tmp_path / "cache"))
+        cache = ExecutableCache(disk=disk)
+        fingerprint, tag = cache.key_for(function, "nd")
+        assert tag == f"jit{EMITTER_VERSION}:nd"
+        stale = ("def _run(_args, _GR, _LR, _PR, _counters, _max_steps):\n"
+                 "    return None  # an older emitter's idea of this kernel\n")
+        assert disk.store((fingerprint, "jit:nd"), stale)
+        executable = compile_executable(function, "nd", cache=cache)
+        assert executable.origin == "fresh"
+        assert cache.stats["disk_hits"] == 0
+        assert executable.source != stale
+        # ... and the primed directory still yields correct results.
+        baseline, _ = _execute_all(module, specs, "interp")
+        engine = ExecutionEngine(module, tier="jit", executable_cache=cache)
+        executions, _ = engine.execute_module(specs)
+        assert executions["gemm"].tier == "jit"
+        compare_executions(baseline["gemm"], executions["gemm"])
+
+
 # ---------------------------------------------------------------------------
 # The oracle catches a miscompiling emitter
 # ---------------------------------------------------------------------------
@@ -386,3 +413,463 @@ class TestReproRunTiers:
         rc = main([str(gemm_path), "--entry", "gemm", "--tier", "cuda"])
         assert rc == 2
         assert "unknown execution tier" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CFG mode of the JIT: hand-written multi-block functions
+# ---------------------------------------------------------------------------
+
+def _cfg_module(body: str):
+    from repro.ir import parse_module, verify
+
+    module = parse_module('"builtin.module"() ({\n' + body
+                          + '\n}) : () -> ()\n')
+    verify(module)
+    return module
+
+
+def _on_both_tiers(module, name, spec=None, **engine_options):
+    """Execute ``name`` on the interpreter and on the pinned JIT; the
+    JIT must have compiled it (no fallback remark) and must agree on
+    results, memory and every counter."""
+    runs = {}
+    for tier in ("interp", "jit"):
+        engine = ExecutionEngine(module, tier=tier, **engine_options)
+        runs[tier] = engine.run(name, spec)
+        assert engine.remarks == []
+    assert runs["jit"].tier == "jit"
+    assert runs["jit"].results == runs["interp"].results
+    assert runs["jit"].memory == runs["interp"].memory
+    assert runs["jit"].counters == runs["interp"].counters
+    return runs["interp"]
+
+
+_SWAP_ON_BACK_EDGE = '''
+  "func.func"() {function_type = (index) -> (index, index), sym_name = "swap"} : () -> () ({
+   ^bb0(%n: index):
+    %c0 = "arith.constant"() {value = 0 : index} : () -> (index)
+    %c1 = "arith.constant"() {value = 1 : index} : () -> (index)
+    %c10 = "arith.constant"() {value = 10 : index} : () -> (index)
+    %c20 = "arith.constant"() {value = 20 : index} : () -> (index)
+    "cf.br"(%c0, %c10, %c20) : (index, index, index) -> () [^bb1]
+   ^bb1(%i: index, %a: index, %b: index):
+    %more = "arith.cmpi"(%i, %n) {predicate = "slt"} : (index, index) -> (i1)
+    "cf.cond_br"(%more) {num_true_args = 0 : i64} : (i1) -> () [^bb2, ^bb3]
+   ^bb2():
+    %next = "arith.addi"(%i, %c1) : (index, index) -> (index)
+    "cf.br"(%next, %b, %a) : (index, index, index) -> () [^bb1]
+   ^bb3():
+    "func.return"(%a, %b) : (index, index) -> ()
+  })
+'''
+
+_ARGUMENTS_PER_EDGE = '''
+  "func.func"() {function_type = (i1, index, index) -> (index), sym_name = "per_edge"} : () -> () ({
+   ^bb0(%c: i1, %x: index, %y: index):
+    "cf.cond_br"(%c, %x, %y, %y, %x) {num_true_args = 2 : i64} : (i1, index, index, index, index) -> () [^bb1, ^bb1]
+   ^bb1(%p: index, %q: index):
+    %d = "arith.subi"(%p, %q) : (index, index) -> (index)
+    "func.return"(%d) : (index) -> ()
+  })
+'''
+
+# %k is defined in the entry block and next used two blocks later, in a
+# block that comes *first* in the region (layout is not dominance).
+_DOMINATING_VALUE = '''
+  "func.func"() {function_type = (index) -> (index), sym_name = "far_use"} : () -> () ({
+   ^bb0(%x: index):
+    %c3 = "arith.constant"() {value = 3 : index} : () -> (index)
+    %k = "arith.muli"(%x, %c3) : (index, index) -> (index)
+    "cf.br"() : () -> () [^bb2]
+   ^bb1():
+    %r = "arith.addi"(%k, %m) : (index, index) -> (index)
+    "func.return"(%r) : (index) -> ()
+   ^bb2():
+    %m = "arith.addi"(%x, %c3) : (index, index) -> (index)
+    "cf.br"() : () -> () [^bb1]
+  })
+'''
+
+# Three rounds of: publish to the work-group tile, barrier, read the
+# neighbour's slot, barrier — a barrier pair inside a CFG loop.
+_BARRIER_IN_LOOP = '''
+  "func.func"() {function_type = (memref<?x!sycl_nd_item_1>, memref<8xindex>) -> (), sycl.kernel = unit, sym_name = "rotate"} : () -> () ({
+   ^bb0(%item: memref<?x!sycl_nd_item_1>, %out: memref<8xindex>):
+    %d0 = "arith.constant"() {value = 0 : i32} : () -> (i32)
+    %g = "sycl.nd_item.get_global_id"(%item, %d0) : (memref<?x!sycl_nd_item_1>, i32) -> (index)
+    %l = "sycl.nd_item.get_local_id"(%item, %d0) : (memref<?x!sycl_nd_item_1>, i32) -> (index)
+    %grp = "sycl.nd_item.get_group"(%item) {dimensions = 1 : i64} : (memref<?x!sycl_nd_item_1>) -> (!sycl_group_1)
+    %tile = "memref.alloc"() : () -> (memref<4xindex, local>)
+    %c0 = "arith.constant"() {value = 0 : index} : () -> (index)
+    %c1 = "arith.constant"() {value = 1 : index} : () -> (index)
+    %c3 = "arith.constant"() {value = 3 : index} : () -> (index)
+    %c4 = "arith.constant"() {value = 4 : index} : () -> (index)
+    "cf.br"(%c0) : (index) -> () [^bb1]
+   ^bb1(%t: index):
+    %more = "arith.cmpi"(%t, %c3) {predicate = "slt"} : (index, index) -> (i1)
+    "cf.cond_br"(%more) {num_true_args = 0 : i64} : (i1) -> () [^bb2, ^bb3]
+   ^bb2():
+    %mine = "arith.addi"(%g, %t) : (index, index) -> (index)
+    "memref.store"(%mine, %tile, %l) : (index, memref<4xindex, local>, index) -> ()
+    "sycl.group_barrier"(%grp) : (!sycl_group_1) -> ()
+    %right = "arith.addi"(%l, %c1) : (index, index) -> (index)
+    %slot = "arith.remsi"(%right, %c4) : (index, index) -> (index)
+    %theirs = "memref.load"(%tile, %slot) : (memref<4xindex, local>, index) -> (index)
+    %old = "memref.load"(%out, %g) : (memref<8xindex>, index) -> (index)
+    %sum = "arith.addi"(%old, %theirs) : (index, index) -> (index)
+    "memref.store"(%sum, %out, %g) : (index, memref<8xindex>, index) -> ()
+    "sycl.group_barrier"(%grp) : (!sycl_group_1) -> ()
+    %next = "arith.addi"(%t, %c1) : (index, index) -> (index)
+    "cf.br"(%next) : (index) -> () [^bb1]
+   ^bb3():
+    "func.return"() : () -> ()
+  })
+'''
+
+_INFINITE_LOOP = '''
+  "func.func"() {function_type = (index) -> (index), sym_name = "spin"} : () -> () ({
+   ^bb0(%x: index):
+    "cf.br"(%x) : (index) -> () [^bb1]
+   ^bb1(%i: index):
+    %c1 = "arith.constant"() {value = 1 : index} : () -> (index)
+    %n = "arith.addi"(%i, %c1) : (index, index) -> (index)
+    "cf.br"(%n) : (index) -> () [^bb1]
+  })
+'''
+
+_POINTER_LOAD = '''
+  "func.func"() {function_type = (memref<4xf32>, index) -> (f32), sym_name = "peek"} : () -> () ({
+   ^bb0(%buf: memref<4xf32>, %i: index):
+    %p = "builtin.unrealized_conversion_cast"(%buf) : (memref<4xf32>) -> (!llvm.ptr<f32>)
+    "cf.br"() : () -> () [^bb1]
+   ^bb1():
+    %q = "llvm.getelementptr"(%p, %i) {static_offsets = []} : (!llvm.ptr<f32>, index) -> (!llvm.ptr)
+    %v = "llvm.load"(%q) : (!llvm.ptr) -> (f32)
+    "func.return"(%v) : (f32) -> ()
+  })
+'''
+
+
+def _lowered(module):
+    from repro.transforms import build_named_pipeline
+
+    for pipeline in ("sycl-mlir", "lower-to-llvm"):
+        build_named_pipeline(pipeline, None, 1).run(module)
+    return module
+
+
+class TestCFGMode:
+    @pytest.mark.parametrize("n,expected", [(0, [10, 20]), (3, [20, 10]),
+                                            (4, [10, 20])])
+    def test_swap_of_block_arguments_on_a_back_edge(self, n, expected):
+        from repro.interp import ExecutionSpec
+
+        run = _on_both_tiers(_cfg_module(_SWAP_ON_BACK_EDGE), "swap",
+                             ExecutionSpec(scalars={"n": n}))
+        assert run.results == expected
+
+    @pytest.mark.parametrize("flag,expected", [(True, [5]), (False, [-5])])
+    def test_cond_br_passes_different_arguments_per_edge(self, flag,
+                                                         expected):
+        from repro.interp import ExecutionSpec
+
+        run = _on_both_tiers(
+            _cfg_module(_ARGUMENTS_PER_EDGE), "per_edge",
+            ExecutionSpec(scalars={"c": flag, "x": 7, "y": 2}))
+        assert run.results == expected
+
+    def test_value_of_a_dominating_block_used_two_blocks_later(self):
+        from repro.interp import ExecutionSpec
+
+        run = _on_both_tiers(_cfg_module(_DOMINATING_VALUE), "far_use",
+                             ExecutionSpec(scalars={"x": 5}))
+        assert run.results == [5 * 3 + 5 + 3]
+
+    def test_barrier_inside_a_cfg_loop(self):
+        from repro.interp import ExecutionSpec
+
+        run = _on_both_tiers(
+            _cfg_module(_BARRIER_IN_LOOP), "rotate",
+            ExecutionSpec(global_size=(8,), local_size=(4,)))
+        assert run.counters["barriers"] == 8 * 3 * 2
+
+    def test_infinite_loop_hits_the_step_budget_alike(self):
+        from repro.interp.memory import TrapError
+
+        module = _cfg_module(_INFINITE_LOOP)
+        messages = {}
+        for tier in ("interp", "jit"):
+            engine = ExecutionEngine(module, tier=tier, max_steps=500)
+            with pytest.raises(TrapError) as trap:
+                engine.run("spin")
+            assert engine.remarks == []
+            messages[tier] = str(trap.value)
+        budget = "exceeded the interpreter step budget (500 ops)"
+        assert messages["jit"] == budget
+        # The interpreter also names the op it stopped at.
+        assert messages["interp"].startswith(budget + " at '")
+
+    def test_out_of_bounds_pointer_load_traps_alike(self):
+        from repro.interp import ExecutionSpec
+        from repro.interp.memory import TrapError
+
+        module = _cfg_module(_POINTER_LOAD)
+        inside = _on_both_tiers(module, "peek",
+                                ExecutionSpec(scalars={"i": 3}))
+        assert inside.counters["loads"] == 1
+        assert inside.counters["bytes_read"] == 4
+        messages = set()
+        for tier in ("interp", "jit"):
+            engine = ExecutionEngine(module, tier=tier)
+            with pytest.raises(TrapError) as trap:
+                engine.run("peek", ExecutionSpec(scalars={"i": 7}))
+            assert engine.remarks == []
+            messages.add(str(trap.value))
+        assert messages == {
+            "flat index 7 out of bounds for memref of 4 elements"}
+
+    def test_miscompiling_emitter_is_caught_on_a_lowered_module(
+            self, monkeypatch):
+        # ``llvm.mul`` is compiled through the ``arith.muli`` entry of
+        # the one operator table, so seeding the bug there miscompiles
+        # the lowered module too — and the oracle sees it.
+        from repro.interp import ExecutionSpec
+
+        monkeypatch.setitem(_Emitter.BIN_INT, "arith.muli", "+")
+        module = _lowered(_cfg_module(_DOMINATING_VALUE))
+        function = module.lookup_symbol("far_use")
+        assert any(op.name == "llvm.mul" for op in function.walk())
+        resolved = synthesize_spec(function,
+                                   ExecutionSpec(scalars={"x": 5}))
+        before = ExecutionEngine(module, tier="interp").execute(
+            function, resolved)
+        after = ExecutionEngine(module, tier="jit").execute(
+            function, resolved)
+        assert after.tier == "jit"
+        with pytest.raises(DifferentialError):
+            compare_executions(before, after)
+
+    def test_unreachable_blocks_are_not_compiled(self):
+        module = _cfg_module(_DOMINATING_VALUE.replace(
+            '"cf.br"() : () -> () [^bb1]\n  })',
+            '"cf.br"() : () -> () [^bb1]\n   ^bb3():\n'
+            '    "func.return"(%x) : (index) -> ()\n  })'))
+        source = _Emitter(module.lookup_symbol("far_use"),
+                          "function").emit()
+        assert source.count("_bb ==") == 2
+
+
+# ---------------------------------------------------------------------------
+# The math dialect on all three tiers
+# ---------------------------------------------------------------------------
+
+def _math_kernel(op_name, element, operand=None):
+    """``out[i] = op(...)`` over a 1-D range.  ``operand`` maps the
+    loaded ``x[i]`` to the op's first operand (default: ``x*x + 0.5``
+    for the ops with a restricted domain, ``x`` itself otherwise)."""
+    from repro.dialects import math as math_d
+    from repro.frontend.kernel_builder import (
+        AccessorParam,
+        Expr,
+        KernelSource,
+    )
+    from repro.ir.operations import lookup_op_class
+
+    op_class = lookup_op_class(op_name)
+    restricted = op_name in ("math.sqrt", "math.rsqrt", "math.log",
+                             "math.powf")
+
+    def body(k):
+        i = k.global_id(0)
+        x = k.load("x", [i])
+        if operand is not None:
+            first = operand(k, x)
+        else:
+            first = x * x + 0.5 if restricted else x
+        operands = [first]
+        if op_class in (math_d.PowFOp, math_d.FmaOp):
+            operands.append(k.load("y", [i]))
+        if op_class is math_d.FmaOp:
+            operands.append(k.load("z", [i]))
+        op = k._insert(op_class.build(*[e.value for e in operands]))
+        k.store("out", [i], Expr(k, op.result))
+
+    source = KernelSource(
+        "apply", body=body, nd_range_dims=1, uses_nd_item=False,
+        accessors=[AccessorParam(name, 1, element, "read")
+                   for name in "xyz"]
+        + [AccessorParam("out", 1, element, "write")])
+    return wrap_in_module(source.build())
+
+
+def _math_spec():
+    from repro.interp import ExecutionSpec
+
+    return ExecutionSpec(global_size=(24,),
+                         buffers={name: (24,) for name in
+                                  ("x", "y", "z", "out")})
+
+
+MATH_OPS = ("math.sqrt", "math.rsqrt", "math.exp", "math.log", "math.sin",
+            "math.cos", "math.absf", "math.floor", "math.ceil", "math.tanh",
+            "math.powf", "math.fma")
+
+#: Domain edges: op -> the first operand that leaves its domain.
+MATH_DOMAIN_EDGES = [
+    ("math.sqrt", -1.0), ("math.rsqrt", 0.0), ("math.log", 0.0),
+    ("math.log", -1.0), ("math.powf", -2.0), ("math.exp", 1000.0),
+]
+
+
+class TestMathOnEveryTier:
+    @pytest.mark.parametrize("width", (32, 64))
+    @pytest.mark.parametrize("op_name", MATH_OPS)
+    def test_values_and_counters_match_the_interpreter(self, op_name,
+                                                       width):
+        from repro.ir import FloatType
+
+        module = _math_kernel(op_name, FloatType(width))
+        runs = {}
+        for tier in TIERS:
+            engine = ExecutionEngine(module, tier=tier)
+            runs[tier] = engine.run("apply", _math_spec())
+            assert runs[tier].tier == tier, engine.remarks
+        # The JIT calls the interpreter's scalar functions: bit-equal.
+        assert runs["jit"].memory == runs["interp"].memory
+        # NumPy's lane-wise forms may differ from libm in the last bit.
+        compare_executions(runs["interp"], runs["vector"], rtol=1e-6)
+        for tier in ("jit", "vector"):
+            assert runs[tier].counters == runs["interp"].counters
+
+    @pytest.mark.parametrize("op_name,edge", MATH_DOMAIN_EDGES)
+    def test_domain_errors_trap_alike(self, op_name, edge):
+        from repro.interp.memory import TrapError
+        from repro.ir import f32
+
+        # ``x * 0 + edge`` keeps the operand work-item-varying, so the
+        # vector tier takes its lane-array path.  (powf's exponent is
+        # the fractional-or-not buffer ``y``; -2 ** 0.375.. is complex.)
+        module = _math_kernel(op_name, f32(),
+                              operand=lambda k, x: x * 0.0 + edge)
+        messages = {}
+        for tier in TIERS:
+            engine = ExecutionEngine(module, tier=tier)
+            with pytest.raises(TrapError) as trap:
+                engine.run("apply", _math_spec())
+            assert engine.remarks == [], tier
+            messages[tier] = str(trap.value)
+        assert messages["interp"].startswith(f"'{op_name}' domain error: ")
+        assert messages["jit"] == messages["interp"]
+        assert messages["vector"] == messages["interp"]
+
+    @pytest.mark.parametrize("op_name", MATH_OPS)
+    def test_nan_operands_behave_alike(self, op_name):
+        import math
+
+        from repro.interp.memory import TrapError
+        from repro.ir import f32
+
+        # 0/0 is a defined NaN on every tier (IEEE divf).
+        module = _math_kernel(
+            op_name, f32(),
+            operand=lambda k, x: (x * 0.0) / (x * 0.0))
+        outcomes = {}
+        for tier in TIERS:
+            engine = ExecutionEngine(module, tier=tier)
+            try:
+                run = engine.run("apply", _math_spec())
+            except TrapError as trap:
+                outcomes[tier] = str(trap)
+            else:
+                assert run.tier == tier
+                outcomes[tier] = ["nan" if math.isnan(v) else v
+                                  for v in run.memory["out"]]
+            assert engine.remarks == []
+        assert outcomes["jit"] == outcomes["interp"]
+        assert outcomes["vector"] == outcomes["interp"]
+        if op_name in ("math.floor", "math.ceil"):
+            assert "domain error" in outcomes["interp"]  # int(nan)
+        else:
+            # (powf(nan, 0) is 1, so not *every* lane must be NaN.)
+            assert "nan" in outcomes["interp"]
+
+    def test_lowered_fdiv_by_zero_stays_infinite(self):
+        """``llvm.fdiv`` is ``arith.divf``: x/0 is +-inf before and
+        after lowering, on the interpreter and on the JIT."""
+        import math
+
+        from repro.ir import f32
+        from repro.transforms import build_named_pipeline
+
+        module = _math_kernel(
+            "math.absf", f32(),
+            operand=lambda k, x: (x * 0.0 + 1.0) / (x * 0.0))
+        for lowered in (False, True):
+            if lowered:
+                build_named_pipeline("lower-to-llvm", None, 1).run(module)
+            for tier in ("interp", "jit"):
+                run = ExecutionEngine(module, tier=tier).run(
+                    "apply", _math_spec())
+                assert run.tier == tier
+                assert all(math.isinf(v) for v in run.memory["out"])
+
+
+def _nbody_shaped():
+    """Partner loop with ``rsqrt``: no branch, so lockstep is legal."""
+    from repro.frontend.kernel_builder import AccessorParam, KernelSource
+    from repro.ir import f32
+
+    def body(k):
+        i = k.global_id(0)
+        with k.loop(0, 6) as j:
+            delta = k.load("pos", [j]) - k.load("pos", [i])
+            inverse = k.rsqrt(delta * delta + 0.25)
+            k.store("acc", [i], k.load("acc", [i])
+                    + delta * inverse * inverse * inverse)
+
+    return KernelSource(
+        "pull", body=body, nd_range_dims=1, uses_nd_item=False,
+        accessors=[AccessorParam("pos", 1, f32(), "read"),
+                   AccessorParam("acc", 1, f32(), "read_write")])
+
+
+def _sobel_shaped():
+    """3x3 stencil behind a border test on the work-item id: divergent."""
+    from repro.frontend.kernel_builder import AccessorParam, KernelSource
+    from repro.ir import f32
+
+    def body(k):
+        i = k.global_id(0)
+        j = k.global_id(1)
+        with k.if_then((i > 0) & (i < 5) & (j > 0) & (j < 5)):
+            horizontal = k.load("src", [i, j + 1]) - k.load("src", [i, j - 1])
+            vertical = k.load("src", [i + 1, j]) - k.load("src", [i - 1, j])
+            k.store("dst", [i, j], k.sqrt(horizontal * horizontal
+                                          + vertical * vertical))
+
+    return KernelSource(
+        "edges", body=body, nd_range_dims=2, uses_nd_item=False,
+        accessors=[AccessorParam("src", 2, f32(), "read"),
+                   AccessorParam("dst", 2, f32(), "read_write")])
+
+
+class TestAutoTierWithMath:
+    @pytest.mark.parametrize("build,spec,chosen", [
+        (_nbody_shaped, dict(global_size=(6,),
+                             buffers={"pos": (6,), "acc": (6,)}), "vector"),
+        (_sobel_shaped, dict(global_size=(6, 6),
+                             buffers={"src": (6, 6), "dst": (6, 6)}), "jit"),
+    ])
+    def test_no_math_kernel_ends_on_the_interpreter(self, build, spec,
+                                                    chosen):
+        from repro.interp import ExecutionSpec
+
+        source = build()
+        module = wrap_in_module(source.build())
+        spec = ExecutionSpec(**spec)
+        baseline = ExecutionEngine(module, tier="interp").run(
+            source.name, spec)
+        auto = ExecutionEngine(module, tier="auto").run(source.name, spec)
+        assert auto.tier == chosen
+        compare_executions(baseline, auto, rtol=1e-6)
+        assert auto.counters == baseline.counters

@@ -187,6 +187,52 @@ class TestProcessTier:
         assert any("worker pool restarted after worker crash" in remark
                    for remark in report.remarks)
 
+    def test_crash_noticed_while_submitting_is_not_a_tier_failure(
+            self, serial_text, monkeypatch):
+        """The crashing worker can break the pool before the rest of the
+        batch is submitted; ``submit`` then raises ``BrokenProcessPool``.
+        That is the same worker crash, not an unusable tier."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksAfterFirstSubmit:
+            def __init__(self):
+                self.submitted = 0
+
+            def submit(self, *args):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        from repro.transforms.executor import SupervisedExecutor
+
+        real_ensure_pool = SupervisedExecutor._ensure_pool
+
+        def first_pool_is_doomed(executor):
+            if executor._pool is None and not executor.stats:
+                executor._pool = BreaksAfterFirstSubmit()
+            return real_ensure_pool(executor)
+
+        monkeypatch.setattr(SupervisedExecutor, "_ensure_pool",
+                            first_pool_is_doomed)
+        module = _listing_module()
+        manager = _process_manager()
+        try:
+            report = manager.run(module)
+        finally:
+            manager.close()
+        assert Printer().print_module(module) == serial_text
+        assert _stat(report, "process-tier", "degraded") == 0
+        assert _stat(report, "process-tier", "worker_crashes") == 1
+        assert _stat(report, "process-tier", "pool_rebuilds") == 1
+        assert _stat(report, "process-tier", "units") == 3
+
     def test_hang_is_bounded_by_deadline(self, serial_text):
         start = time.monotonic()
         report = _run_process(serial_text,

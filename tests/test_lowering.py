@@ -11,7 +11,10 @@ Covers the lowering subsystem end to end:
 * CFG mechanics: ``cf`` print/parse round trips, multi-block dominance
   in the verifier, the interpreter's branch-dispatch loop;
 * the JIT tier's ``scf.while`` support (results *and* counters match
-  the interpreter).
+  the interpreter);
+* lowered modules on the JIT tier's CFG mode: no fallback, buffers and
+  the whole counter set equal to the interpreter's (the hand-written
+  CFG corner cases live in ``test_execution_tiers.py``).
 """
 
 import pytest
@@ -165,6 +168,52 @@ class TestDifferential:
                                   specs=listing_execution_specs(),
                                   tier=tier)
         assert report.executed == ["foo", "mem_acc", "non_uniform"]
+
+
+class TestLoweredCodeRunsOnTheJIT:
+    """``sycl-mlir`` then ``lower-to-llvm``, pinned ``tier="jit"``: the
+    CFG compiles (no fallback) and reports the interpreter's buffers and
+    its whole counter set, not just matching results."""
+
+    def _cases(self):
+        from .helpers import build_vecadd_source
+
+        yield _listing_module(), listing_execution_specs()
+        vecadd = wrap_in_module(build_vecadd_source().build())
+        yield vecadd, {"vecadd": ExecutionSpec(
+            global_size=(16,), buffers={name: (16,) for name in "abc"})}
+        yield build_gemm_module()
+
+    def test_lowered_modules_match_the_interpreter_exactly(self):
+        executed = []
+        for module, specs in self._cases():
+            build_named_pipeline("sycl-mlir", None, 1).run(module)
+            _lower(module)
+            runs = {}
+            for tier in ("interp", "jit"):
+                engine = ExecutionEngine(module, tier=tier)
+                runs[tier], skipped = engine.execute_module(specs)
+                assert not skipped, skipped
+                assert engine.remarks == []
+            for name, before in runs["interp"].items():
+                after = runs["jit"][name]
+                assert after.tier == "jit", name
+                assert after.results == before.results, name
+                assert after.memory == before.memory, name
+                assert after.counters == before.counters, name
+                executed.append(name)
+        assert sorted(executed) == ["foo", "gemm", "mem_acc", "non_uniform",
+                                    "vecadd"]
+
+    def test_internalized_gemm_keeps_its_barriers_in_the_cfg(self):
+        module, specs = build_gemm_module()
+        build_named_pipeline("sycl-mlir", None, 1).run(module)
+        _lower(module)
+        engine = ExecutionEngine(module, tier="auto")
+        executions, _ = engine.execute_module(specs)
+        assert executions["gemm"].tier == "jit"
+        assert executions["gemm"].counters["barriers"] > 0
+        assert not any("'jit' fell back" in r for r in engine.remarks)
 
 
 class TestCFMechanics:
