@@ -96,6 +96,11 @@ class _ResolvedSpec:
     arg_names: List[str] = field(default_factory=list)
     global_size: Optional[Tuple[int, ...]] = None
     local_size: Optional[Tuple[int, ...]] = None
+    #: Filled, typed initial contents per ``"buffer"`` plan (keyed by the
+    #: plan tuple's id, which the held plan keeps stable): synthesized on
+    #: first materialization, copied from on every later one.
+    templates: Dict[int, object] = field(default_factory=dict, repr=False,
+                                         compare=False)
 
 
 @dataclass
@@ -295,8 +300,12 @@ def _scalar_like(type_) -> bool:
     return isinstance(type_, (IntegerType, IndexType, FloatType))
 
 
-def _materialize(plan: _ArgPlan):
-    """Build a fresh argument value (+ its snapshot handle) from a plan."""
+def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
+    """Build a fresh argument value (+ its snapshot handle) from a plan.
+
+    ``templates`` (the :class:`_ResolvedSpec`'s) keeps each buffer's
+    initial contents so the fill formula runs once per spec, not once
+    per execution."""
     kind = plan[0]
     if kind == "scalar":
         return plan[1], None
@@ -315,13 +324,15 @@ def _materialize(plan: _ArgPlan):
         return LocalAccessor(shape, dtype=dtype), None
     if kind == "buffer":
         _, shape, element_type, mode, seed = plan
-        dtype = _dtype_for(element_type)
-        # runtime.Buffer is NumPy-backed (a hard dependency of the
-        # runtime layer), so the fill is unconditional.
-        buffer = Buffer(shape, dtype=dtype)
-        total = buffer.size()
-        values = _fill_array(element_type, seed, total)
-        buffer.write_host(values.astype(dtype).reshape(shape))
+        cached = templates.get(id(plan))
+        if cached is None or cached[0] is not plan:
+            # runtime.Buffer is NumPy-backed (a hard dependency of the
+            # runtime layer), so the fill is unconditional.
+            values = _fill_array(element_type, seed, math.prod(shape))
+            cached = templates[id(plan)] = (plan, values.astype(
+                _dtype_for(element_type)).reshape(shape))
+        # Buffer copies an ndarray argument: the template stays pristine.
+        buffer = Buffer(cached[1])
         accessor = Accessor(buffer, mode)
         return accessor, buffer
     raise InterpreterError(f"unknown argument plan {plan!r}")

@@ -13,7 +13,7 @@ off:
 * ``tier="jit"``    — :mod:`repro.interp.jit` compiles the function once
   into generated Python source and runs that;
 * ``tier="vector"`` — :mod:`repro.interp.vectorize` executes whole
-  work-groups as NumPy array operations when
+  launches as NumPy array operations when
   :mod:`repro.analysis.uniformity` proves the kernel divergence-free;
 * ``tier="auto"``   — try ``vector``, then ``jit``, then ``interp``.
 
@@ -196,8 +196,9 @@ class ExecutionEngine:
         self.tier = tier
         self.max_steps = max_steps
         self.executable_cache = executable_cache
-        #: Tier-selection decisions (fallbacks, degradations) recorded
-        #: in execution order.
+        #: Tier-selection decisions (fallbacks, degradations): each
+        #: distinct remark once, in first-seen order, so a reused engine
+        #: does not grow by one identical line per execution.
         self.remarks: List[str] = []
 
     # -- plan ---------------------------------------------------------------
@@ -210,7 +211,8 @@ class ExecutionEngine:
         return (self.tier, "interp")
 
     def _remark(self, text: str) -> None:
-        self.remarks.append(text)
+        if text not in self.remarks:
+            self.remarks.append(text)
 
     # -- lookup -------------------------------------------------------------
     def lookup_function(self, function):
@@ -314,7 +316,7 @@ class ExecutionEngine:
             for plan in resolved.arg_plans:
                 if plan[0] == "item":
                     continue
-                value, handle = _materialize(plan)
+                value, handle = _materialize(plan, resolved.templates)
                 if resolved.kind == "function" and isinstance(value, Accessor):
                     # Call paths take prepared values; only the launch
                     # path wraps runtime Accessors itself.

@@ -1,11 +1,15 @@
 """Vectorized ND-range execution tier (the ``"vector"`` backend).
 
 Where the JIT tier (:mod:`repro.interp.jit`) still loops over work
-items in Python, this tier executes a whole work-group — or, for basic
-launches, the whole ND-range — in *lockstep*: every work-item-varying
-value becomes one NumPy array of length ``L`` (the lane count), every
-uniform value stays a Python scalar, and each operation of the kernel
-body executes exactly once as an array operation.
+items in Python, this tier executes the whole launch — basic or
+ND-range, every work-group at once — in *lockstep*: every
+work-item-varying value becomes one NumPy array of length ``L`` (the
+lane count: all work-items, group-major), every launch-uniform value
+stays a Python scalar, and each operation of the kernel body executes
+exactly once as an array operation.  Work-group-local storage is one
+``[groups, size]`` array indexed through a lane -> group vector, so
+tiles stay isolated per group; private storage is lanes-last
+``[size, L]``.
 
 **Legality.**  Lockstep execution is exact only when the lanes cannot
 diverge: :func:`vector_legality` declines kernels containing any
@@ -14,7 +18,13 @@ diverge: :func:`vector_legality` declines kernels containing any
 merely-unvectorized uniform control flow — any unsupported operation,
 and kernels with no work-item argument.  The backend turns the reason
 into a :class:`~repro.interp.engine.TierFallback`, so such kernels
-automatically run on the next tier.
+automatically run on the next tier.  Loop bounds and dimension operands
+must be one Python int per walk; a three-level uniformity slice
+(launch-uniform, group-uniform, per-item — :func:`_walk_verdict`)
+decides before execution: launch-uniform takes the one whole-launch
+walk, group-uniform (a bound computed from the group id or read from a
+local tile) the same walk over one work-group at a time, per-item
+declines.
 
 For the kernels that remain, lockstep preserves the interpreter's
 observable semantics on race-free programs: a divergence-free kernel
@@ -31,8 +41,9 @@ bit for bit; stores round through the element dtype exactly like
 loads/stores/bytes scale the same way), so the reported
 :class:`ExecutionCounters` match the interpreter's.  Bounds, division
 and step traps raise the same :class:`TrapError`\\ s, checked per lane.
-Mid-run aborts that are *not* semantic traps (e.g. a loop bound that
-turns out to vary per work item) raise
+Mid-run aborts that are *not* semantic traps (a loop bound the slice
+took for uniform that turns out to be an array — the safety net behind
+the pre-execution decline) raise
 :class:`~repro.interp.jit.JITExecutionError`, which only the engine's
 re-materializing ``execute`` path degrades to the next tier.
 """
@@ -42,7 +53,8 @@ from __future__ import annotations
 import operator
 from typing import Dict, List, Optional, Tuple
 
-from ..ir import IndexType, IntegerType, is_float
+from ..ir import IndexType, IntegerType, Trait, has_trait, is_float
+from ..ir.operations import mutation_clock
 from .engine import Backend, TierFallback, register_executor
 from .jit import (
     JITExecutionError,
@@ -111,22 +123,43 @@ _SUPPORTED_OPS = frozenset(_V_MATH) | frozenset({
     "sycl.group_barrier",
 })
 
-#: ``id(function) -> (function, reason)`` — the held reference keeps the
-#: id stable; cleared when it grows past any sane working set.
-_LEGALITY_MEMO: Dict[int, Tuple[object, Optional[str]]] = {}
+#: Uniformity levels, ordered: the same value in every lane of the
+#: launch, in every lane of one work-group, or nothing known.  A
+#: :class:`_Store` is tagged with the level its *contents* vary at.
+_UNIFORM, _PER_GROUP, _PER_ITEM = range(3)
+
+#: The only group-uniform sources (the dialect's ``UNIFORM_SOURCE``
+#: trait means work-group-uniform, so it cannot tell them from ranges).
+_GROUP_ID_OPS = ("sycl.nd_item.get_group_id", "sycl.group.get_group_id")
+#: Loop op -> how many leading operands are its bounds (and step).
+_FOR_BOUNDS = {"scf.for": 3, "affine.for": 2}
+
+#: ``id(function) -> (decline reason, per-group-walk reason)``, valid
+#: only for the recorded mutation clock: any IR mutation flushes it, so
+#: an in-place pass can never leave a stale verdict (or a recycled id).
+_LEGALITY_MEMO: Dict[str, object] = {"clock": -1, "verdicts": {}}
 
 
 def vector_legality(function) -> Optional[str]:
     """``None`` when ``function`` is lockstep-vectorizable, else the
-    human-readable reason it is not (memoized per function object)."""
-    memo = _LEGALITY_MEMO.get(id(function))
-    if memo is not None and memo[0] is function:
-        return memo[1]
-    reason = _compute_legality(function)
-    if len(_LEGALITY_MEMO) > 512:
-        _LEGALITY_MEMO.clear()
-    _LEGALITY_MEMO[id(function)] = (function, reason)
-    return reason
+    human-readable reason it is not (memoized until the IR mutates)."""
+    return _legality(function)[0]
+
+
+def _legality(function) -> Tuple[Optional[str], Optional[str]]:
+    """``(decline reason, per-group-walk reason)`` of ``function``: at
+    most one is set; both ``None`` selects the one whole-launch walk."""
+    clock = mutation_clock()
+    if _LEGALITY_MEMO["clock"] != clock:
+        _LEGALITY_MEMO["clock"] = clock
+        _LEGALITY_MEMO["verdicts"] = {}
+    verdict = _LEGALITY_MEMO["verdicts"].get(id(function))
+    if verdict is None:
+        reason = _compute_legality(function)
+        verdict = (reason, None) if reason is not None \
+            else _walk_verdict(function)
+        _LEGALITY_MEMO["verdicts"][id(function)] = verdict
+    return verdict
 
 
 def _compute_legality(function) -> Optional[str]:
@@ -173,6 +206,88 @@ def _compute_legality(function) -> Optional[str]:
     return None
 
 
+def _walk_verdict(function) -> Tuple[Optional[str], Optional[str]]:
+    """Slice ``function`` by uniformity level and judge the operands the
+    walker needs as one Python int (loop bounds and steps, dimension
+    operands): all launch-uniform selects the whole-launch walk, a
+    group-uniform one the per-group walk, a per-item one declines.
+
+    The levels mirror the walker's representations: a value is an array
+    exactly when an operand is, except at the sources (group ids, the
+    dialect's ``NON_UNIFORM_SOURCE`` item ids, loads from
+    work-group-local or private storage).  Loop-carried values and id
+    cells flow backwards, hence the fixpoint (levels only rise).
+    """
+    from ..dialects.sycl import _QueryOpBase, accessor_type_of
+    from .memory import _numpy_dtype
+
+    demands: List[Tuple[object, str]] = []
+    for op in function.walk(include_self=False):
+        name = op.name
+        if name in _FOR_BOUNDS:
+            wanted, kind = op.operands[:_FOR_BOUNDS[name]], "loop bound"
+        elif name == "memref.dim" or isinstance(op, _QueryOpBase):
+            wanted, kind = op.operands[1:2], "dimension operand"
+        else:
+            continue
+        demands.extend(
+            (value, kind) for value in wanted
+            if getattr(value.defining_op(), "name", "") != "arith.constant")
+    if not demands:  # the common case: nothing demanded can vary at all
+        return None, None
+
+    level: Dict[int, int] = {}
+    changed = True
+
+    def of(values) -> int:
+        worst = _UNIFORM
+        for value in values:
+            worst = max(worst, level.get(id(value), _UNIFORM))
+        return worst
+
+    def lift(values, new: int) -> None:
+        nonlocal changed
+        for value in values:
+            if new > level.get(id(value), _UNIFORM):
+                level[id(value)] = new
+                changed = True
+
+    for argument in function.arguments:
+        accessor_type = accessor_type_of(argument)
+        if accessor_type is not None and accessor_type.is_local:
+            lift((argument,), _PER_GROUP)
+    while changed:
+        changed = False
+        for op in function.walk(include_self=False):
+            name = op.name
+            if name in _FOR_BOUNDS:
+                for carried in zip(op.body.arguments[1:], op.results,
+                                   op.operands[_FOR_BOUNDS[name]:],
+                                   op.body.last_op.operands):
+                    lift(carried[:2], of(carried[2:]))
+            elif name in _GROUP_ID_OPS:
+                lift(op.results, _PER_GROUP)
+            elif has_trait(op, Trait.NON_UNIFORM_SOURCE):
+                lift(op.results, _PER_ITEM)
+            elif name in ("memref.alloc", "memref.alloca"):
+                memref_type = op.results[0].type
+                # (An id cell is lifted by its constructors instead.)
+                if _numpy_dtype(memref_type.element_type) is not None:
+                    lift(op.results, _PER_GROUP if memref_type.memory_space
+                         == "local" else _PER_ITEM)
+            elif name == "sycl.constructor":
+                lift(op.operands[:1], of(op.operands[1:]))
+            elif name != "memref.dim":
+                lift(op.results, of(op.operands))
+    worst, kind = max(((of((value,)), kind) for value, kind in demands),
+                      key=lambda demand: demand[0])
+    if worst == _PER_ITEM:
+        return f"a {kind} varies per work-item", None
+    if worst == _PER_GROUP:
+        return None, f"{kind} depends on the group id"
+    return None, None
+
+
 # ---------------------------------------------------------------------------
 # Lockstep value representations
 # ---------------------------------------------------------------------------
@@ -182,18 +297,24 @@ _ITEM = object()
 
 
 class _Store:
-    """One storage: a flat array, shared or one row per lane."""
+    """One storage of ``size`` elements.  ``varies`` is the level its
+    contents vary at and fixes the layout of ``flat``: ``[size]`` shared
+    by every lane (``_UNIFORM``), ``[groups, size]`` with one tile per
+    work-group of the slab (``_PER_GROUP``), or lanes-last
+    ``[size, lanes]`` (``_PER_ITEM``) so that a uniform position is one
+    contiguous row."""
 
     __slots__ = ("flat", "size", "shape", "is_float", "elem_bytes",
-                 "per_lane")
+                 "varies")
 
-    def __init__(self, flat, size, shape, is_float_, elem_bytes, per_lane):
+    def __init__(self, flat, size, shape, is_float_, elem_bytes,
+                 varies=_UNIFORM):
         self.flat = flat
         self.size = size
         self.shape = shape
         self.is_float = is_float_
         self.elem_bytes = elem_bytes
-        self.per_lane = per_lane
+        self.varies = varies
 
 
 class _VAcc:
@@ -323,25 +444,32 @@ def _scalar_int_type(type_) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Lockstep:
-    """Evaluates one kernel body once per work-group, array-at-a-time."""
+    """Evaluates one kernel body array-at-a-time: once for the whole
+    launch, or once per work-group when ``per_group`` (a loop bound or
+    dimension operand is only uniform within a group)."""
 
-    def __init__(self, function, counters, max_steps: int):
+    def __init__(self, function, counters, max_steps: int,
+                 per_group: bool = False):
         self.fn = function
         self.counters = counters
         self.max_steps = max_steps
+        self.per_group = per_group
         self.steps = 0
         self.lanes = 0
+        self.groups = 1
         self.mode = "basic"
         self.item_rank: Optional[int] = None
         self.g: List[object] = []
         self.l: List[object] = []
-        self.p: List[int] = []
+        self.p: List[object] = []
         self.GR: Tuple[int, ...] = ()
         self.LR: Tuple[int, ...] = ()
         self.PR: Tuple[int, ...] = ()
         self.local_args: List[Tuple[int, Tuple[int, ...], object, bool,
                                     int]] = []
         self._lane_ix = None
+        self._group_ix = None
+        self._group_last = None
 
     # -- launch driver -------------------------------------------------------
     def launch(self, plan, global_range, local_range, group_range) -> None:
@@ -371,26 +499,46 @@ class _Lockstep:
         if len(LR) != rank or len(PR) != rank:
             raise TierFallback("launch rank mismatch")
         self.LR, self.PR = LR, PR
-        lanes = 1
+        size = 1
         for extent in LR:
-            lanes *= extent
-        if lanes == 0:
+            size *= extent
+        if size == 0:
             return
-        self.lanes = lanes
-        self._lane_ix = _np.arange(lanes)
+        # A slab is the lanes of one walk, group-major: every work-group
+        # of the launch, or (same loop) one group at a time, whose ids
+        # then stay Python ints so group-uniform loop bounds are legal.
+        self.groups = 1 if self.per_group else total // size
+        self.lanes = self.groups * size
+        self._lane_ix = _np.arange(self.lanes)
+        self._group_ix = self._lane_ix // size
+        self._group_last = slice(size - 1, None, size)
         self.l = [component.astype(_np.int64) for component in
-                  _np.unravel_index(self._lane_ix, LR)]
-        for group in _np.ndindex(*PR):
-            self.p = [int(index) for index in group]
+                  _np.unravel_index(self._lane_ix % size, LR)]
+        if self.groups == 1:
+            slabs = ([int(index) for index in group]
+                     for group in _np.ndindex(*PR))
+        else:
+            slabs = [[component.astype(_np.int64) for component in
+                      _np.unravel_index(self._group_ix, PR)]]
+        for self.p in slabs:
             self.g = [self.l[d] + self.p[d] * LR[d] for d in range(rank)]
             env = dict(base)
             for vid, shape, dtype, floaty, elem_bytes in self.local_args:
-                size = 1
-                for extent in shape:
-                    size *= extent
-                env[vid] = _Store(_np.zeros(size, dtype=dtype), size,
-                                  shape, floaty, elem_bytes, False)
+                env[vid] = self._local_tile(shape, dtype, floaty,
+                                            elem_bytes)
             self._run_block(self.fn.body, env)
+
+    def _local_tile(self, shape, dtype, floaty, elem_bytes) -> _Store:
+        """Fresh work-group-local storage: one tile per group of the
+        slab (a single group's tile is simply shared by all its lanes)."""
+        size = 1
+        for extent in shape:
+            size *= extent
+        if self.groups == 1:
+            return _Store(_np.zeros(size, dtype=dtype), size, shape,
+                          floaty, elem_bytes)
+        return _Store(_np.zeros((self.groups, size), dtype=dtype), size,
+                      shape, floaty, elem_bytes, _PER_GROUP)
 
     # -- argument binding (pre-execution: failures are TierFallback) ---------
     def _bind(self, plan, is_nd: bool) -> Dict[int, object]:
@@ -450,7 +598,7 @@ class _Lockstep:
         if binding.dimensions != dims:
             raise TierFallback("accessor rank mismatch")
         store = _Store(flat, binding.storage._size, None, floaty,
-                       byte_size_of(element), False)
+                       byte_size_of(element))
         return _VAcc(store, dims, tuple(binding.mem_range),
                      tuple(binding.offset), tuple(binding.access_range),
                      binding.base_linear_offset())
@@ -471,7 +619,7 @@ class _Lockstep:
         if len(shape) != argument.type.rank:
             raise TierFallback("memref rank mismatch")
         return _Store(flat, storage._size, shape, floaty,
-                      byte_size_of(element), False)
+                      byte_size_of(element))
 
     # -- evaluation core -----------------------------------------------------
     def _val(self, env, value):
@@ -786,7 +934,7 @@ class _Lockstep:
             self._linear_query(env, op, self.l, self.LR,
                                require_local=True)
             return None
-        if name in ("sycl.nd_item.get_group_id", "sycl.group.get_group_id"):
+        if name in _GROUP_ID_OPS:
             self._position_query(env, op, self.p, "the group id",
                                  require_local=True)
             return None
@@ -923,15 +1071,12 @@ class _Lockstep:
         elem_bytes = byte_size_of(memref_type.element_type)
         shape = tuple(memref_type.shape)
         if memref_type.memory_space == "local" and self.mode == "nd":
-            # The body runs once per group, so a plain allocation here is
-            # naturally one shared tile per work-group.
-            env[id(op.results[0])] = _Store(
-                _np.zeros(size, dtype=dtype), size, shape, floaty,
-                elem_bytes, False)
+            env[id(op.results[0])] = self._local_tile(
+                shape, dtype, floaty, elem_bytes)
             return
         env[id(op.results[0])] = _Store(
-            _np.zeros((self.lanes, size), dtype=dtype), size, shape,
-            floaty, elem_bytes, True)
+            _np.zeros((size, self.lanes), dtype=dtype), size, shape,
+            floaty, elem_bytes, _PER_ITEM)
 
     def _eval_dim(self, op, env) -> None:
         ref = self._val(env, op.operands[0])
@@ -979,26 +1124,42 @@ class _Lockstep:
             f"load/store through a {type(ref).__name__} value")
 
     def _gather(self, store: _Store, position):
-        if store.per_lane:
-            value = store.flat[self._lane_ix, position]
-        elif _is_array(position):
+        varying = _is_array(position)
+        if store.varies == _PER_ITEM:
+            value = store.flat[position, self._lane_ix] if varying \
+                else store.flat[position]
+        elif store.varies == _PER_GROUP:
+            value = store.flat[self._group_ix, position]
+        elif varying:
             value = store.flat[position]
         else:
             raw = store.flat[int(position)]
             return float(raw) if store.is_float else int(raw)
         # Widen to binary64 / Python-int-equivalent int64 so arithmetic
-        # matches the interpreter's load conversion exactly.
+        # matches the interpreter's load conversion exactly (``astype``
+        # copies, so a row of a lanes-last store is never aliased).
         return value.astype(_np.float64) if store.is_float \
             else value.astype(_np.int64)
 
     def _scatter(self, store: _Store, position, value) -> None:
-        if store.per_lane:
-            store.flat[self._lane_ix, position] = value
-        elif _is_array(position):
+        # A varying value at one uniform location: the interpreter's
+        # item-at-a-time order makes the last lane — of each group for a
+        # work-group-local tile, of the launch otherwise — win.
+        varying = _is_array(position)
+        if store.varies == _PER_ITEM:
+            if varying:
+                store.flat[position, self._lane_ix] = value
+            else:
+                store.flat[position] = value
+        elif store.varies == _PER_GROUP:
+            if varying:
+                store.flat[self._group_ix, position] = value
+            else:
+                store.flat[:, position] = value[self._group_last] \
+                    if _is_array(value) else value
+        elif varying:
             store.flat[position] = value
         elif _is_array(value):
-            # A varying value at one uniform location: the interpreter's
-            # item-at-a-time order makes the last lane win.
             store.flat[int(position)] = value[-1]
         else:
             store.flat[int(position)] = value
@@ -1099,7 +1260,7 @@ class _Lockstep:
 
 @register_executor("vector")
 class VectorBackend(Backend):
-    """Lockstep NumPy tier: whole work-groups as array operations."""
+    """Lockstep NumPy tier: a whole launch as array operations."""
 
     NAME = "vector"
 
@@ -1111,7 +1272,7 @@ class VectorBackend(Backend):
 
         if _np is None:
             raise TierFallback("vector tier requires NumPy")
-        reason = vector_legality(function)
+        reason, per_group = _legality(function)
         if reason is not None:
             raise TierFallback(reason)
         interp = interpreter or Interpreter(engine.module,
@@ -1126,7 +1287,8 @@ class VectorBackend(Backend):
             group_range = nd_range.group_range
         plan = interp._bind_arguments(function, values)
         counters = ExecutionCounters()
-        runner = _Lockstep(function, counters, engine.max_steps)
+        runner = _Lockstep(function, counters, engine.max_steps,
+                           per_group=per_group is not None)
         try:
             runner.launch(plan, tuple(global_range),
                           tuple(local_range) if local_range else None,
@@ -1144,6 +1306,9 @@ class VectorBackend(Backend):
                 f"vectorized execution of '{function.sym_name}' failed: "
                 f"{error!r}") from error
         _merge_counters(interp.counters, counters)
+        if per_group is not None and local_range is not None:
+            engine._remark(f"vector: per-group walk for "
+                           f"'{function.sym_name}': {per_group}")
         return LaunchResult(function.sym_name, global_range.size(),
                             counters)
 

@@ -873,3 +873,383 @@ class TestAutoTierWithMath:
         assert auto.tier == chosen
         compare_executions(baseline, auto, rtol=1e-6)
         assert auto.counters == baseline.counters
+
+
+# ---------------------------------------------------------------------------
+# Whole-launch lockstep: group axis, local tiles, uniformity levels
+# ---------------------------------------------------------------------------
+
+def _nd_kernel(name, body, arrays, element=None):
+    """A 1-D ND-item kernel over ``arrays`` (name -> access mode, or
+    ``"local"`` for a local accessor)."""
+    from repro.frontend.kernel_builder import AccessorParam, KernelSource
+    from repro.ir import f32
+
+    source = KernelSource(
+        name, body=body, nd_range_dims=1,
+        accessors=[AccessorParam(array, 1, element or f32(), "read_write",
+                                 target="local") if mode == "local"
+                   else AccessorParam(array, 1, element or f32(), mode)
+                   for array, mode in arrays.items()])
+    return wrap_in_module(source.build())
+
+
+def _local_tile(k, size):
+    from repro.dialects import memref
+    from repro.ir import MemRefType, f32
+
+    return k._insert(memref.AllocOp.build(
+        MemRefType((size,), f32(), "local"))).result
+
+
+def _scf_loop(k, lower, upper, body):
+    """``scf.for`` (the builder's own ``loop`` is ``affine.for``)."""
+    from repro.dialects import scf
+    from repro.frontend.kernel_builder import Expr
+
+    loop = k._insert(scf.ForOp.build(
+        k._as_index(lower), k._as_index(upper), k._as_index(1)))
+    saved = k._builder.insertion_point
+    k._builder.set_insertion_point_to_end(loop.body)
+    body(Expr(k, loop.body.arguments[0]))
+    k._insert(scf.YieldOp.build())
+    k._builder.insertion_point = saved
+
+
+def _nd_spec(groups, size, **buffers):
+    from repro.interp import ExecutionSpec
+
+    total = groups * size
+    return ExecutionSpec(
+        global_size=(total,), local_size=(size,),
+        buffers={name: shape or (total,)
+                 for name, shape in buffers.items()})
+
+
+def _run_on_every_tier(module, name, spec, **engine_options):
+    """Execute on all tiers; memory and the counters dict must equal the
+    interpreter's exactly.  Returns ``tier -> (execution, remarks)``."""
+    runs = {}
+    for tier in TIERS:
+        engine = ExecutionEngine(module, tier=tier, **engine_options)
+        run = engine.run(name, spec)
+        assert run.tier == tier, engine.remarks
+        runs[tier] = (run, engine.remarks)
+    reference = runs["interp"][0]
+    for tier in ("jit", "vector"):
+        assert runs[tier][0].memory == reference.memory, tier
+        assert runs[tier][0].counters == reference.counters, tier
+    return runs
+
+
+def _trap_on_every_tier(module, name, spec, **engine_options):
+    """Every tier must trap; returns ``tier -> message``."""
+    from repro.interp.memory import TrapError
+
+    messages = {}
+    for tier in TIERS:
+        engine = ExecutionEngine(module, tier=tier, **engine_options)
+        with pytest.raises(TrapError) as trap:
+            engine.run(name, spec)
+        assert type(trap.value) is TrapError
+        assert engine.remarks == [], tier
+        messages[tier] = str(trap.value)
+    return messages
+
+
+def _triangular_kernel(bound):
+    """``out[i] += a[j]`` for ``j`` below ``bound(k)``."""
+    def body(k):
+        i = k.global_id(0)
+        _scf_loop(k, 0, bound(k), lambda j: k.store(
+            "out", [i], k.load("out", [i]) + k.load("a", [j])))
+
+    return _nd_kernel("tri", body, {"a": "read", "out": "read_write"})
+
+
+class TestWholeLaunchLockstep:
+    @pytest.mark.parametrize("through_argument", (False, True))
+    def test_local_tiles_are_isolated_per_group(self, through_argument):
+        """Every group fills its tile with its own values and reads a
+        neighbour lane's slot back after the barrier."""
+        def body(k):
+            tile = k.parameter("tile").value if through_argument \
+                else _local_tile(k, 4)
+            li = k.local_id(0)
+            k.private_store(tile, li, k.load("a", [k.global_id(0)]))
+            k.group_barrier()
+            k.store("out", [k.global_id(0)],
+                    k.private_load(tile, (li + 1) % 4))
+
+        arrays, shapes = {"a": "read", "out": "write"}, {}
+        if through_argument:
+            arrays["tile"], shapes["tile"] = "local", (4,)
+        module = _nd_kernel("rotate", body, arrays)
+        runs = _run_on_every_tier(
+            module, "rotate", _nd_spec(3, 4, a=None, out=None, **shapes))
+        run, remarks = runs["vector"]
+        assert remarks == []
+        a = run.memory["a"]
+        assert run.memory["out"] == [
+            a[4 * (i // 4) + (i + 1) % 4] for i in range(12)]
+        assert len(set(run.memory["out"])) > 4  # groups really differ
+
+    def test_uniform_position_store_last_lane_wins(self):
+        """A per-item value stored at one location: the last lane of
+        each group wins in a local tile, the last lane of the launch in
+        global memory (racy SYCL, but the tiers must still agree)."""
+        def body(k):
+            tile = _local_tile(k, 2)
+            value = k.load("a", [k.global_id(0)])
+            k.private_store(tile, 1, value)
+            k.store("last", [0], value)
+            k.group_barrier()
+            k.store("out", [k.global_id(0)], k.private_load(tile, 1))
+
+        module = _nd_kernel("winner", body, {
+            "a": "read", "last": "read_write", "out": "write"})
+        runs = _run_on_every_tier(
+            module, "winner", _nd_spec(3, 4, a=None, last=(1,), out=None))
+        run, _ = runs["vector"]
+        a = run.memory["a"]
+        assert run.memory["out"] == [a[4 * (i // 4) + 3] for i in range(12)]
+        assert run.memory["last"] == [a[11]]
+
+    def test_group_dependent_loop_bound_walks_per_group(self):
+        import numpy as np
+
+        from repro.runtime import Accessor, Buffer
+
+        module = _triangular_kernel(lambda k: k.group_id(0) * 2)
+        function = module.lookup_symbol("tri")
+        assert vector_legality(function) is None
+        runs = _run_on_every_tier(module, "tri",
+                                  _nd_spec(4, 2, a=None, out=None))
+        remark = ("vector: per-group walk for 'tri': loop bound depends "
+                  "on the group id")
+        assert runs["vector"][1] == [remark]
+        # Caller-owned buffers: still the vector tier, same remark.
+        a = Buffer(np.arange(8, dtype=np.float32) + 1.0)
+        out = Buffer(np.zeros(8, dtype=np.float32))
+        engine = ExecutionEngine(module, tier="auto")
+        engine.launch("tri", [Accessor(a, "read"),
+                              Accessor(out, "read_write")], (8,), (2,))
+        assert engine.remarks == [remark]
+        np.testing.assert_array_equal(
+            out.host_array(),
+            [sum(range(1, 2 * (i // 2) + 1)) for i in range(8)])
+
+    def test_per_item_loop_bound_declines_before_running(self):
+        import numpy as np
+
+        from repro.runtime import Accessor, Buffer
+
+        module = _triangular_kernel(lambda k: k.local_id(0) + 1)
+        function = module.lookup_symbol("tri")
+        assert vector_legality(function) == \
+            "a loop bound varies per work-item"
+        spec = _nd_spec(2, 4, a=None, out=None)
+        baseline = ExecutionEngine(module, tier="interp").run("tri", spec)
+        engine = ExecutionEngine(module, tier="vector")
+        run = engine.run("tri", spec)
+        assert run.tier == "interp"
+        assert engine.remarks == [
+            "tier 'vector' fell back for 'tri': a loop bound varies per "
+            "work-item"]  # a decline, not a mid-run "degraded"
+        assert run.memory == baseline.memory
+        # launch() cannot re-materialize: only a pre-execution decline
+        # lets it fall through, and the buffers must be untouched by it.
+        a = Buffer(np.arange(8, dtype=np.float32) + 1.0)
+        out = Buffer(np.zeros(8, dtype=np.float32))
+        auto = ExecutionEngine(module, tier="auto")
+        auto.launch("tri", [Accessor(a, "read"),
+                            Accessor(out, "read_write")], (8,), (4,))
+        assert len(auto.remarks) == 1 and "'vector' fell back" in \
+            auto.remarks[0]  # ... and the JIT took it
+        np.testing.assert_array_equal(
+            out.host_array(),
+            [sum(range(1, i % 4 + 2)) for i in range(8)])
+
+    def test_uniformity_flows_through_loop_carried_values(self):
+        """A bound that only becomes per-item on the loop's back edge
+        (``n = 0; repeat: n += local_id``) still declines up front; a
+        launch-uniform non-constant bound takes the one walk silently."""
+        from repro.dialects import scf
+        from repro.frontend.kernel_builder import Expr
+
+        def carried_bound(k):
+            zero = k.index_constant(0)
+            loop = k._insert(scf.ForOp.build(
+                zero.value, k._as_index(2), k._as_index(1),
+                iter_args=[zero.value]))
+            saved = k._builder.insertion_point
+            k._builder.set_insertion_point_to_end(loop.body)
+            grown = Expr(k, loop.body.arguments[1]) + k.local_id(0)
+            k._insert(scf.YieldOp.build([grown.value]))
+            k._builder.insertion_point = saved
+            return Expr(k, loop.results[0])
+
+        module = _triangular_kernel(carried_bound)
+        assert vector_legality(module.lookup_symbol("tri")) == \
+            "a loop bound varies per work-item"
+        module = _triangular_kernel(lambda k: k.local_range(0))
+        assert vector_legality(module.lookup_symbol("tri")) is None
+        engine = ExecutionEngine(module, tier="vector")
+        assert engine.run("tri", _nd_spec(3, 4, a=None, out=None)).tier \
+            == "vector"
+        assert engine.remarks == []
+
+    def test_private_array_uniform_and_per_lane_indices(self):
+        """Lanes-last private storage: row access at a uniform index,
+        fancy access at a per-lane one, f32 rounding on every store."""
+        def body(k):
+            scratch = k.private_array(4)
+            li = k.local_id(0)
+            x = k.load("a", [k.global_id(0)])
+            for slot in range(4):
+                k.private_store(scratch, slot, x * 0.1 + float(slot))
+            k.private_store(scratch, li % 4, x * 0.7)
+            with k.loop(0, 4) as j:
+                k.store("out", [k.global_id(0)],
+                        k.load("out", [k.global_id(0)])
+                        + k.private_load(scratch, j)
+                        * k.private_load(scratch, (li + 1) % 4))
+
+        module = _nd_kernel("scratch", body,
+                            {"a": "read", "out": "read_write"})
+        runs = _run_on_every_tier(module, "scratch",
+                                  _nd_spec(3, 4, a=None, out=None))
+        assert runs["vector"][1] == []
+
+    def test_traps_match_the_interpreter(self):
+        # Out of bounds in the last group only.
+        def copy(k):
+            k.store("out", [k.global_id(0)], k.load("a", [k.global_id(0)]))
+
+        module = _nd_kernel("copy", copy, {"a": "read", "out": "write"})
+        messages = _trap_on_every_tier(
+            module, "copy", _nd_spec(3, 4, a=None, out=(8,)))
+        for tier in TIERS:  # (only the interpreter also names the index)
+            assert messages[tier].startswith("accessor index "), tier
+            assert messages[tier].endswith(
+                "out of bounds for buffer of shape (8,)"), tier
+
+        # Division by zero in exactly one lane of one group.
+        from repro.ir import i32
+
+        def divide(k):
+            i = k.global_id(0)
+            k.store("out", [i], (k.load("a", [i]) + 40) % (i - 9).to_int())
+
+        module = _nd_kernel("divide", divide,
+                            {"a": "read", "out": "write"}, element=i32())
+        messages = _trap_on_every_tier(
+            module, "divide", _nd_spec(3, 4, a=None, out=None))
+        assert messages["interp"] == "division by zero in 'arith.remsi'"
+        assert messages["vector"] == messages["jit"] == messages["interp"]
+
+        # The step budget: 12 items x 8 iterations cannot fit in 200.
+        module = _triangular_kernel(lambda k: 8)
+        messages = _trap_on_every_tier(
+            module, "tri", _nd_spec(3, 4, a=None, out=None), max_steps=200)
+        for tier in TIERS:
+            assert messages[tier].startswith(
+                "exceeded the interpreter step budget (200 ops)"), tier
+
+    def test_walk_count_is_independent_of_the_group_count(self, monkeypatch):
+        """Clock-free scaling: with launch-uniform bounds the body is
+        walked once however many work-groups the launch has; a bound on
+        the group id costs one walk per group."""
+        from repro.interp.vectorize import _Lockstep
+
+        calls = []
+        original = _Lockstep._eval_op
+
+        def counting(self, op, env):
+            calls.append(op.name)
+            return original(self, op, env)
+
+        monkeypatch.setattr(_Lockstep, "_eval_op", counting)
+
+        def tiled(k):
+            tile = _local_tile(k, 4)
+            li = k.local_id(0)
+            k.private_store(tile, li, k.load("a", [k.global_id(0)]))
+            k.group_barrier()
+            with k.loop(0, 4) as j:
+                k.store("out", [k.global_id(0)],
+                        k.load("out", [k.global_id(0)])
+                        + k.private_load(tile, j))
+
+        def walked(module, name, groups):
+            del calls[:]
+            run = ExecutionEngine(module, tier="vector").run(
+                name, _nd_spec(groups, 4, a=None, out=None))
+            assert run.tier == "vector"
+            return len(calls)
+
+        module = _nd_kernel("tiled", tiled,
+                            {"a": "read", "out": "read_write"})
+        assert walked(module, "tiled", 4) == walked(module, "tiled", 64)
+        module = _triangular_kernel(lambda k: k.group_id(0) % 2)
+        assert walked(module, "tri", 4) < walked(module, "tri", 64)
+
+    def test_legality_memo_is_invalidated_by_in_place_passes(self):
+        from repro.interp.vectorize import _compute_legality
+        from repro.transforms import parse_pass_pipeline
+
+        module, specs = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        engine = ExecutionEngine(module, tier="auto")
+        resolved = synthesize_spec(function, specs["gemm"])
+        assert engine.execute(function, resolved).tier == "vector"
+        parse_pass_pipeline(
+            "builtin.module(func.func(lower-affine,convert-scf-to-cf))"
+        ).run(module)
+        assert vector_legality(function) == _compute_legality(function)
+        assert "'cf.br' is not vectorized" in vector_legality(function)
+        after = engine.execute(function, resolved)
+        assert after.tier == "jit"
+        assert not any("degraded" in remark for remark in engine.remarks)
+
+
+class TestEngineReuse:
+    def test_distinct_remarks_are_recorded_once(self):
+        module = _listing_module()
+        function = module.lookup_symbol("non_uniform")
+        resolved = synthesize_spec(
+            function, listing_execution_specs().get("non_uniform"))
+        engine = ExecutionEngine(module, tier="vector")
+        engine.execute(function, resolved)
+        first = list(engine.remarks)
+        assert len(first) == 1 and "fell back" in first[0]
+        for _ in range(3):
+            engine.execute(function, resolved)
+        assert engine.remarks == first
+
+    def test_buffers_are_filled_once_per_resolved_spec(self, monkeypatch):
+        from repro.interp import differential
+
+        fills = []
+        original = differential._fill_array
+
+        def counting(element_type, seed, total):
+            fills.append(seed)
+            return original(element_type, seed, total)
+
+        monkeypatch.setattr(differential, "_fill_array", counting)
+        module = _triangular_kernel(lambda k: 3)
+        function = module.lookup_symbol("tri")
+        spec = _nd_spec(2, 4, a=None, out=None)
+        resolved = synthesize_spec(function, spec)
+        engine = ExecutionEngine(module, tier="vector")
+        first = engine.execute(function, resolved)
+        assert len(fills) == 2  # a and out
+        second = engine.execute(function, resolved)
+        assert len(fills) == 2
+        # The kernel accumulates into ``out``: a template it had written
+        # through would show as a different second result.
+        assert second.memory == first.memory
+        fresh = ExecutionEngine(module, tier="interp").execute(
+            function, synthesize_spec(function, spec))
+        assert fresh.memory == first.memory
