@@ -10,7 +10,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.9",
     install_requires=["numpy>=1.24"],
     entry_points={
         "console_scripts": [

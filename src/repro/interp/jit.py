@@ -73,6 +73,7 @@ from ..ir import (
     Printer,
     is_float,
 )
+from ..ir.operations import mutation_clock
 from .engine import Backend, TierFallback, register_executor
 from .memory import (
     BARRIER,
@@ -1735,7 +1736,7 @@ class ExecutableCache:
         self.disk = disk
         self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
             = OrderedDict()
-        self._keys_by_id: Dict[Tuple[int, str], Tuple[object, Tuple]] = {}
+        self._keys_by_id: Dict[Tuple[int, str], Tuple[object, int, Tuple]] = {}
         self.stats = {"hits": 0, "misses": 0, "stores": 0,
                       "disk_hits": 0, "disk_stores": 0}
 
@@ -1743,20 +1744,22 @@ class ExecutableCache:
         """The cache key of ``function`` under ``mode``.
 
         Memoized per function object (the held reference keeps ``id``
-        stable) — printing the IR on every launch would cost more than
-        small kernels take to run.
+        stable) until the IR mutates — printing the IR on every launch
+        would cost more than small kernels take to run, and a key that
+        outlived an in-place edit would run the old code.
         """
         from ..transforms.compile_cache import text_fingerprint
 
         memo_key = (id(function), mode)
         memo = self._keys_by_id.get(memo_key)
-        if memo is not None and memo[0] is function:
-            return memo[1]
+        clock = mutation_clock()
+        if memo is not None and memo[0] is function and memo[1] == clock:
+            return memo[2]
         printed = Printer().print_op_to_string(function)
         key = (text_fingerprint(printed), f"jit{EMITTER_VERSION}:{mode}")
         if len(self._keys_by_id) > 4 * self.max_entries:
             self._keys_by_id.clear()
-        self._keys_by_id[memo_key] = (function, key)
+        self._keys_by_id[memo_key] = (function, clock, key)
         return key
 
     def lookup(self, key) -> Optional[CompiledExecutable]:
@@ -1854,22 +1857,24 @@ def _merge_counters(into, delta) -> None:
         setattr(into, field_name, getattr(into, field_name) + value)
 
 
-#: ``id(function)`` -> whether its body contains a group barrier.  The
-#: walk is per-launch overhead otherwise; entries are evicted wholesale
-#: once the table grows past the bound (function identity is stable for
-#: the lifetime of a module, and a stale entry only costs a re-walk).
-_BARRIER_MEMO: Dict[int, bool] = {}
+#: ``id(function)`` -> whether its body contains a group barrier (the
+#: walk is per-launch overhead otherwise), valid only for the recorded
+#: mutation clock, as ``vectorize._LEGALITY_MEMO`` is: building a new
+#: function bumps the clock, so neither an in-place edit nor a recycled
+#: ``id`` can be answered from an old entry.
+_BARRIER_MEMO: Dict[str, object] = {"clock": -1, "answers": {}}
 
 
 def _contains_barrier(function) -> bool:
-    key = id(function)
-    cached = _BARRIER_MEMO.get(key)
+    clock = mutation_clock()
+    if _BARRIER_MEMO["clock"] != clock:
+        _BARRIER_MEMO["clock"] = clock
+        _BARRIER_MEMO["answers"] = {}
+    answers = _BARRIER_MEMO["answers"]
+    cached = answers.get(id(function))
     if cached is None:
-        cached = any(op.name == "sycl.group_barrier"
-                     for op in function.walk())
-        if len(_BARRIER_MEMO) > 512:
-            _BARRIER_MEMO.clear()
-        _BARRIER_MEMO[key] = cached
+        cached = answers[id(function)] = any(
+            op.name == "sycl.group_barrier" for op in function.walk())
     return cached
 
 

@@ -14,7 +14,9 @@ byte-stable.
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from bisect import bisect_right
+from typing import Tuple
 
 
 class Location:
@@ -63,6 +65,35 @@ class Location:
 
 #: Shared sentinel for operations with no recorded provenance.
 UNKNOWN = Location()
+
+_NEWLINE_RE = re.compile(r"\n")
+
+
+class LineTable:
+    """Where every line of one named input starts.
+
+    The textual parser builds one per input and gives it, with a
+    character offset, to each operation it creates; the operation's
+    :class:`Location` is worked out from the two when somebody asks
+    (diagnostics, ``--print-locations``), not allocated per operation.
+    The table does not keep the text.
+    """
+
+    __slots__ = ("filename", "starts")
+
+    def __init__(self, filename: str, text: str):
+        self.filename = filename
+        #: Offset of the first character of every line.
+        self.starts = [0]
+        self.starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
+
+    def line_column(self, pos: int) -> Tuple[int, int]:
+        """1-based line and column of character ``pos``."""
+        line = bisect_right(self.starts, pos)
+        return line, pos - self.starts[line - 1] + 1
+
+    def location(self, pos: int) -> Location:
+        return Location(self.filename, *self.line_column(pos))
 
 
 def location_of(op) -> Location:

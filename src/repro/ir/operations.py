@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type as PyTy
 
 from . import concurrency
 from .attributes import Attribute, IntegerAttr, BoolAttr, StringAttr
+from .location import LineTable
 from .traits import Trait, has_trait
 from .types import Type
 from .values import BlockArgument, OpResult, Use, Value
@@ -44,6 +45,15 @@ def _bump_mutation_clock() -> None:
     _MUTATION_CLOCK += 1
 
 
+#: The one empty container every operation without operands, results,
+#: regions or successors shares.  Most operations have none of the last
+#: two, and a container per field per operation is what the cyclic
+#: collector spends its time walking (docs/performance.md, "The IR object
+#: budget and the collector"); a field becomes a container of its own
+#: when it gets its first element.
+_EMPTY: Tuple = ()
+
+
 class Operation:
     """A generic operation.
 
@@ -55,11 +65,13 @@ class Operation:
     OPERATION_NAME: str = "builtin.unregistered"
     TRAITS: frozenset = frozenset()
 
-    #: Source provenance (:class:`repro.ir.location.Location`), attached by
-    #: the parser / kernel builder; ``None`` means unknown.  Kept a class
-    #: default so located and location-free ops stay layout-compatible
-    #: (``clone`` copies the instance attribute when present).
-    location = None
+    #: The IR fields live in slots; ``__dict__`` stays for state a
+    #: subclass (or the parser, naming an unregistered op) adds, and is
+    #: only created for an instance that has some.
+    __slots__ = ("_operands", "results", "attributes", "regions",
+                 "successors", "parent", "_prev", "_next", "_order",
+                 "_location", "_offset",
+                 "__dict__", "__weakref__")
 
     def __init__(self,
                  operands: Sequence[Value] = (),
@@ -67,13 +79,16 @@ class Operation:
                  attributes: Optional[Dict[str, Attribute]] = None,
                  regions: int = 0,
                  successors: Sequence["Block"] = ()):
-        self._operands: List[Value] = []
-        self.results: List[OpResult] = [
-            OpResult(self, i, t) for i, t in enumerate(result_types)
-        ]
+        self._operands: Sequence[Value] = \
+            list(operands) if operands else _EMPTY
+        self.results: Tuple[OpResult, ...] = tuple(
+            [OpResult(self, i, t) for i, t in enumerate(result_types)]
+        ) if result_types else _EMPTY
         self.attributes: Dict[str, Attribute] = dict(attributes or {})
-        self.regions: List[Region] = [Region(self) for _ in range(regions)]
-        self.successors: List[Block] = list(successors)
+        self.regions: Sequence[Region] = \
+            [Region(self) for _ in range(regions)] if regions else _EMPTY
+        self.successors: Sequence[Block] = \
+            list(successors) if successors else _EMPTY
         self.parent: Optional[Block] = None
         # Intrusive doubly-linked list through the parent block; maintained
         # by Block so detach/insert/move/erase are O(1).
@@ -83,8 +98,18 @@ class Operation:
         #: kept so insertions rarely force a renumbering); only meaningful
         #: while attached.
         self._order: int = 0
-        for value in operands:
-            self._append_operand(value)
+        #: Source provenance behind :attr:`location`: an assigned
+        #: :class:`repro.ir.location.Location` (kernel builder, explicit
+        #: ``loc(...)``), or — parsed operations — the :class:`LineTable`
+        #: of the input and a character offset into it, resolved when
+        #: asked for.
+        self._location = None
+        self._offset = 0
+        for index, value in enumerate(self._operands):
+            if not isinstance(value, Value):
+                raise IRError(f"operand of {self.OPERATION_NAME} must be a "
+                              f"Value, got {value!r}")
+            value.add_use(Use(self, index))
 
     # ------------------------------------------------------------------
     # Identity / naming
@@ -97,20 +122,25 @@ class Operation:
     def dialect(self) -> str:
         return self.OPERATION_NAME.split(".", 1)[0]
 
+    @property
+    def location(self):
+        """Where this operation came from (a
+        :class:`repro.ir.location.Location`), or ``None`` when unknown."""
+        location = self._location
+        if type(location) is LineTable:
+            return location.location(self._offset)
+        return location
+
+    @location.setter
+    def location(self, location) -> None:
+        self._location = location
+
     # ------------------------------------------------------------------
     # Operands
     # ------------------------------------------------------------------
     @property
     def operands(self) -> Tuple[Value, ...]:
         return tuple(self._operands)
-
-    def _append_operand(self, value: Value) -> None:
-        if not isinstance(value, Value):
-            raise IRError(
-                f"operand of {self.OPERATION_NAME} must be a Value, got {value!r}")
-        index = len(self._operands)
-        self._operands.append(value)
-        value.add_use(Use(self, index))
 
     def set_operand(self, index: int, value: Value) -> None:
         if concurrency._ACTIVE_GUARD is not None:
@@ -130,7 +160,7 @@ class Operation:
         _bump_mutation_clock()
         for i, operand in enumerate(self._operands):
             operand.remove_use(self, i)
-        self._operands = []
+        self._operands = _EMPTY
 
     # ------------------------------------------------------------------
     # Results
@@ -207,6 +237,18 @@ class Operation:
 
     def is_proper_ancestor_of(self, other: "Operation") -> bool:
         return self is not other and self.is_ancestor_of(other)
+
+    def add_region(self, region: Optional["Region"] = None) -> "Region":
+        """Append ``region`` (default: a new empty one) to this operation."""
+        _bump_mutation_clock()
+        if region is None:
+            region = Region()
+        region.parent = self
+        if self.regions:
+            self.regions.append(region)
+        else:
+            self.regions = [region]
+        return region
 
     def all_blocks(self) -> Iterator["Block"]:
         for region in self.regions:
@@ -328,21 +370,20 @@ class Operation:
             clone,
             operands=new_operands,
             result_types=[res.type for res in self.results],
-            attributes=dict(self.attributes),
+            attributes=self.attributes,
             regions=0,
-            successors=list(self.successors),
+            successors=self.successors,
         )
+        clone._location = self._location
+        clone._offset = self._offset
         # Copy any extra (non-IR) instance state set by subclasses.
-        core = {"_operands", "results", "attributes", "regions",
-                "successors", "parent"}
-        for key, value in self.__dict__.items():
-            if key not in core and key not in clone.__dict__:
-                clone.__dict__[key] = value
+        if self.__dict__:
+            clone.__dict__.update(self.__dict__)
         for old_res, new_res in zip(self.results, clone.results):
             new_res.name_hint = old_res.name_hint
             mapping[old_res] = new_res
         for region in self.regions:
-            clone.regions.append(region.clone_into(clone, mapping))
+            clone.add_region(region.clone_into(clone, mapping))
         return clone
 
     # ------------------------------------------------------------------
@@ -385,6 +426,9 @@ class Block:
     ``move_before``/``move_after`` are all O(1).  ``block.operations``
     remains available as a materialized list view for read-only traversal.
     """
+
+    __slots__ = ("arguments", "parent", "_first", "_last", "_num_ops",
+                 "_index_cache")
 
     def __init__(self, arg_types: Sequence[Type] = (),
                  arg_names: Optional[Sequence[str]] = None):
@@ -604,6 +648,8 @@ class Block:
 class Region:
     """A list of blocks nested inside an operation."""
 
+    __slots__ = ("parent", "blocks")
+
     def __init__(self, parent: Optional[Operation] = None):
         self.parent = parent
         self.blocks: List[Block] = []
@@ -641,7 +687,9 @@ class Region:
             new_block = block_map[block]
             for op in block.operations:
                 cloned = op.clone(mapping)
-                cloned.successors = [block_map.get(s, s) for s in cloned.successors]
+                if cloned.successors:
+                    cloned.successors = [block_map.get(s, s)
+                                         for s in cloned.successors]
                 new_block.append(cloned)
         return new_region
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import difflib
 import importlib
 import re
-from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .attributes import (
@@ -48,7 +47,7 @@ from .attributes import (
     TypeAttr,
     UnitAttr,
 )
-from .location import UNKNOWN, Location
+from .location import UNKNOWN, LineTable, Location
 from .operations import (
     Block,
     Operation,
@@ -101,10 +100,17 @@ _TYPE_PARSERS: Dict[str, TypeParser] = {}
 #: spelling, it cannot corrupt the table.
 _INTERNED_TYPES: Dict[str, Type] = {}
 
-#: Bounds on the table (entries, and characters of one spelling) so a
-#: long-lived process cannot grow on adversarial spellings.  The real
-#: vocabulary is a few hundred short spellings, so dropping everything
-#: at the limit costs one re-parse of each.
+#: Attribute spelling -> parsed attribute, on the same terms: typed
+#: numbers (``0 : index``) and the ``true``/``false``/``unit`` keywords,
+#: frozen dataclasses too.  One instance per spelling instead of one per
+#: occurrence is a third of an object per operation that the cyclic
+#: collector never has to walk.
+_INTERNED_ATTRS: Dict[str, Attribute] = {}
+
+#: Bounds on each of the two tables (entries, and characters of one
+#: spelling) so a long-lived process cannot grow on adversarial
+#: spellings.  The real vocabulary is a few hundred short spellings, so
+#: dropping everything at the limit costs one re-parse of each.
 _MAX_INTERNED_TYPES = 4096
 _MAX_INTERNED_SPELLING = 512
 
@@ -118,7 +124,7 @@ def register_type_parser(dialect_name: str, parser: TypeParser) -> None:
     function of its spelling**: results are interned by spelling and
     shared between parses, so a hook that answers from mutable state
     would be shadowed by its own earlier answers.  Registering a hook
-    (again) forgets every interned spelling.
+    (again) forgets every interned type spelling.
     """
     _TYPE_PARSERS[dialect_name] = parser
     _INTERNED_TYPES.clear()
@@ -138,12 +144,12 @@ def registered_type_parsers() -> Dict[str, TypeParser]:
     return dict(_TYPE_PARSERS)
 
 
-def _intern_type(spelling: str, type_: Type) -> None:
+def _intern(table: Dict[str, object], spelling: str, parsed: object) -> None:
     if len(spelling) > _MAX_INTERNED_SPELLING:
         return
-    if len(_INTERNED_TYPES) >= _MAX_INTERNED_TYPES:
-        _INTERNED_TYPES.clear()
-    _INTERNED_TYPES[spelling] = type_
+    if len(table) >= _MAX_INTERNED_TYPES:
+        table.clear()
+    table[spelling] = parsed
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +166,10 @@ _BLANK = r"[ \t\r\n]*"
 #: Whitespace and ``//`` line comments.
 _WS = _BLANK + r"(?://[^\n]*(?:\n" + _BLANK + r"|\Z))*"
 _WS_RE = re.compile(_WS)
-_NEWLINE_RE = re.compile(r"\n")
 
 _ID_CHARS = r"A-Za-z0-9_$."
 _IDENT = rf"[A-Za-z_$][{_ID_CHARS}]*"
+_NUMBER = r"-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan)"
 _VALUE_LIST = rf"%[{_ID_CHARS}]+(?:{_WS},{_WS}%[{_ID_CHARS}]+)*"
 _STRING = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _STRING_RE = re.compile(_STRING, re.DOTALL)
@@ -189,6 +195,10 @@ _TYPE_SPELLING_RE = re.compile(
     rf"|![A-Za-z$](?:[{_ID_CHARS}!]|<[^<>/]*>)*(?![{_ID_CHARS}!<])"
     rf"|{_IDENT}")
 _SIGNATURE_RE = re.compile(rf"{_WS}:{_WS}({_FUNCTION_TYPE})")
+#: Attribute spellings the intern table is keyed on, delimited likewise:
+#: a keyword, or a number typed by a bare identifier (``0 : index``).
+_ATTR_SPELLING_RE = re.compile(
+    rf"true|false|unit|{_NUMBER}{_BLANK}:{_BLANK}{_IDENT}(?![{_ID_CHARS}])")
 
 _DIALECT_NAME_RE = re.compile(r"[A-Za-z$][A-Za-z0-9$]*")
 _DIALECT_RUN_RE = re.compile(rf"[{_ID_CHARS}!]*")
@@ -206,7 +216,7 @@ def _token_pattern(body: str) -> "re.Pattern[str]":
 
 _IDENT_RE = _token_pattern(rf"({_IDENT})")
 _VALUE_ID_RE = _token_pattern(rf"%([{_ID_CHARS}]+)")
-_NUMBER_RE = _token_pattern(r"(-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan))")
+_NUMBER_RE = _token_pattern(rf"({_NUMBER})")
 _SUCCESSOR_RE = _token_pattern(r"\^bb(\d+)")
 _DIM_RE = _token_pattern(r"(\?|\d+)x")
 
@@ -246,9 +256,9 @@ class Parser:
         self.allow_unregistered = allow_unregistered
         self.filename = filename
         self._scopes: List[_Scope] = [_Scope(isolated=True)]
-        #: Offset of the first character of every line, built on the
-        #: first position lookup.
-        self._line_starts: Optional[List[int]] = None
+        #: Where the lines of ``text`` start, built on the first position
+        #: lookup; shared with every operation parsed at a position.
+        self._line_starts: Optional[LineTable] = None
 
     # ------------------------------------------------------------------
     # Low-level scanning
@@ -295,19 +305,16 @@ class Parser:
         self.pos = m.end()
         return m.group(1)
 
-    def _line_column(self, pos: int) -> Tuple[int, int]:
-        """1-based line and column of character ``pos``."""
-        starts = self._line_starts
-        if starts is None:
-            starts = self._line_starts = [0]
-            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text))
-        line = bisect_right(starts, pos)
-        return line, pos - starts[line - 1] + 1
+    def _line_table(self) -> LineTable:
+        table = self._line_starts
+        if table is None:
+            table = self._line_starts = LineTable(self.filename, self.text)
+        return table
 
     def error(self, message: str, pos: Optional[int] = None) -> None:
         """Raise a :class:`ParseError` at ``pos`` (default: the cursor)."""
-        raise ParseError(
-            message, *self._line_column(self.pos if pos is None else pos))
+        raise ParseError(message, *self._line_table().line_column(
+            self.pos if pos is None else pos))
 
     # ------------------------------------------------------------------
     # SSA value scoping
@@ -415,8 +422,7 @@ class Parser:
         op = self._create_operation(op_name, operands, out_types, attributes)
         if early_regions is not None:
             for region in early_regions:
-                region.parent = op
-                op.regions.append(region)
+                op.add_region(region)
         for res, name in zip(op.results, result_names):
             res.name_hint = _keepable_hint(name)
             self._define_value(name, res)
@@ -433,11 +439,15 @@ class Parser:
             self._parse_region_list(op)
 
         # Trailing `loc(...)` (printed under print_locations) wins over the
-        # textual position the op was parsed at, which is then not looked
-        # up at all.
+        # textual position the op was parsed at, for which no line table
+        # is then built.  The position stays an offset into that table
+        # (see Operation.location): no Location object per parsed op.
         explicit = self._parse_location_trailer()
-        op.location = explicit if explicit is not None \
-            else Location(self.filename, *self._line_column(op_start))
+        if explicit is not None:
+            op._location = explicit
+        else:
+            op._location = self._line_starts or self._line_table()
+            op._offset = op_start
         return op
 
     def _values_of(self, head: "re.Match[str]", group: int) -> List[str]:
@@ -547,10 +557,9 @@ class Parser:
     def _parse_region_list(self, op: Operation) -> None:
         self._expect("(")
         while self._peek("{"):
-            region = Region(op)
-            op.regions.append(region)
             self._parse_region_body(
-                region, has_trait(op, Trait.ISOLATED_FROM_ABOVE), op.name)
+                op.add_region(), has_trait(op, Trait.ISOLATED_FROM_ABOVE),
+                op.name)
         self._expect(")", "after the region list")
 
     def _parse_detached_regions(self, op_name: str) -> List[Region]:
@@ -653,7 +662,7 @@ class Parser:
         self._expect(":", "before the operation signature")
         signature = self._parse_function_type("in the operation signature")
         if m is not None and self.pos == m.end():
-            _intern_type(m.group(1), signature)
+            _intern(_INTERNED_TYPES, m.group(1), signature)
         return signature.inputs, signature.results
 
     def _parse_function_type(self, arrow_context: str) -> FunctionType:
@@ -684,7 +693,7 @@ class Parser:
         # Only a parse that consumed exactly the delimited spelling stands
         # for it (`memref <4xf32>` reads past the spelling `memref`).
         if spelling is not None and self.pos == spelling.end():
-            _intern_type(spelling.group(), type_)
+            _intern(_INTERNED_TYPES, spelling.group(), type_)
         return type_
 
     def _parse_type_piecewise(self) -> Type:
@@ -800,7 +809,22 @@ class Parser:
         return attrs
 
     def parse_attribute(self) -> Attribute:
-        ch = self._peek_char()
+        spelling = _ATTR_SPELLING_RE.match(self.text, self._skip_ws())
+        if spelling is None:
+            return self._parse_attribute_piecewise()
+        attr = _INTERNED_ATTRS.get(spelling.group())
+        if attr is not None:
+            self.pos = spelling.end()
+            return attr
+        attr = self._parse_attribute_piecewise()
+        # As for types: only a parse that consumed exactly the spelling
+        # stands for it.
+        if self.pos == spelling.end():
+            _intern(_INTERNED_ATTRS, spelling.group(), attr)
+        return attr
+
+    def _parse_attribute_piecewise(self) -> Attribute:
+        ch = self.text[self.pos:self.pos + 1]
         if ch == '"':
             return StringAttr(self._parse_string_literal("string attribute"))
         if ch == "@":

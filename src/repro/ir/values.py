@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from .types import Type
 
@@ -11,9 +10,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .operations import Block, Operation
 
 
-@dataclass
-class Use:
-    """A single use of a value: operand ``index`` of ``owner``."""
+class Use(NamedTuple):
+    """A single use of a value: operand ``index`` of ``owner``.
+
+    A plain value — compared and hashed by owner identity (operations do
+    not define ``__eq__``) and index — so a use is its own key in the
+    use-def chain, and ``(owner, index)`` finds it.
+    """
 
     owner: "Operation"
     index: int
@@ -22,28 +25,31 @@ class Use:
 class Value:
     """Base class of all SSA values.
 
-    The use-def chain is an order-preserving dict keyed by
-    ``(id(owner), operand_index)``, so ``add_use``/``remove_use`` are O(1)
-    and ``users()`` is O(uses) even for values with many uses (dicts keep
-    insertion order, preserving use order for deterministic traversals).
+    The use-def chain is an order-preserving dict whose keys are the
+    uses themselves (one :class:`Use` per operand), so ``add_use``/
+    ``remove_use`` are O(1) and ``users()`` is O(uses) even for values
+    with many uses (dicts keep insertion order, preserving use order for
+    deterministic traversals).
     """
+
+    __slots__ = ("type", "name_hint", "_uses")
 
     def __init__(self, type_: Type, name_hint: Optional[str] = None):
         self.type = type_
         self.name_hint = name_hint
-        self._uses: Dict[Tuple[int, int], Use] = {}
+        self._uses: Dict[Use, None] = {}
 
     # -- use-def chain -----------------------------------------------------
     @property
     def uses(self) -> List[Use]:
         """List view of the uses, in insertion order."""
-        return list(self._uses.values())
+        return list(self._uses)
 
     def add_use(self, use: Use) -> None:
-        self._uses[(id(use.owner), use.index)] = use
+        self._uses[use] = None
 
     def remove_use(self, owner: "Operation", index: int) -> None:
-        self._uses.pop((id(owner), index), None)
+        self._uses.pop((owner, index), None)
 
     def drop_all_uses(self) -> None:
         """Forget every use without rewriting the owners' operand lists."""
@@ -57,26 +63,21 @@ class Value:
 
     def users(self) -> List["Operation"]:
         """Distinct operations using this value, in use order."""
-        seen: Dict[int, "Operation"] = {}
-        for use in self._uses.values():
-            key = id(use.owner)
-            if key not in seen:
-                seen[key] = use.owner
-        return list(seen.values())
+        return list(dict.fromkeys(owner for owner, _ in self._uses))
 
     def replace_all_uses_with(self, other: "Value") -> None:
         """Replace every use of this value with ``other``."""
         if other is self:
             return
-        for use in list(self._uses.values()):
-            use.owner.set_operand(use.index, other)
+        for owner, index in list(self._uses):
+            owner.set_operand(index, other)
 
     def replace_uses_in(self, other: "Value", ops) -> None:
         """Replace uses of this value with ``other`` only inside ``ops``."""
         op_set = set(id(op) for op in ops)
-        for use in list(self._uses.values()):
-            if id(use.owner) in op_set:
-                use.owner.set_operand(use.index, other)
+        for owner, index in list(self._uses):
+            if id(owner) in op_set:
+                owner.set_operand(index, other)
 
     # -- structural queries -------------------------------------------------
     def defining_op(self) -> Optional["Operation"]:
@@ -95,6 +96,8 @@ class Value:
 class OpResult(Value):
     """A result produced by an operation."""
 
+    __slots__ = ("op", "result_index")
+
     def __init__(self, op: "Operation", index: int, type_: Type):
         super().__init__(type_)
         self.op = op
@@ -112,6 +115,8 @@ class OpResult(Value):
 
 class BlockArgument(Value):
     """An argument of a block (including region entry blocks)."""
+
+    __slots__ = ("block", "arg_index")
 
     def __init__(self, block: "Block", index: int, type_: Type,
                  name_hint: Optional[str] = None):

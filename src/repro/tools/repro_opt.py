@@ -69,6 +69,7 @@ from ..transforms.executor import (
 )
 from ..transforms.pass_manager import (
     CompileReport,
+    GcTiming,
     IRPrintingInstrumentation,
     LintInstrumentation,
     VerifierInstrumentation,
@@ -201,8 +202,15 @@ def _format_timing_table(timings) -> str:
     """Per-pass wall-time table in pass-execution order.
 
     Rows are keyed by pipeline position (``"3: canonicalize"``), so two
-    instances of the same pass report separately.
+    instances of the same pass report separately.  The ``gc:`` row (the
+    collector's pauses from parse to print) comes after the total: those
+    pauses happened *inside* the rows above and outside every pass, so
+    they are neither a summand nor a share of it.
     """
+    gc_rows = {name: seconds for name, seconds in timings.items()
+               if name.startswith("gc:")}
+    timings = {name: seconds for name, seconds in timings.items()
+               if name not in gc_rows}
     total = sum(timings.values())
     width = 70
     lines = [
@@ -218,6 +226,8 @@ def _format_timing_table(timings) -> str:
         percent = (seconds / total * 100.0) if total > 0 else 0.0
         lines.append(f"  {seconds:9.4f} ({percent:5.1f}%)  {name}")
     lines.append(f"  {total:9.4f} (100.0%)  Total")
+    for name, seconds in gc_rows.items():
+        lines.append(f"  {seconds:9.4f} {'':8}  {name}")
     return "\n".join(lines)
 
 
@@ -489,6 +499,10 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return 0, (Printer(print_locations=args.print_locations)
                    .print_module(module) + "\n")
 
+    # The collector is only watched when --timing asks (and only in this
+    # process: process-tier workers collect on their own).
+    gc_timing = GcTiming().start() \
+        if args.timing and report is not None else None
     try:
         if use_batch_process:
             try:
@@ -555,6 +569,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 else:
                     printed.append(out)
     finally:
+        if gc_timing is not None:
+            gc_timing.stop(report)
         if manager is not None:
             manager.close()
 

@@ -23,6 +23,7 @@ from .lower_sycl import LowerAccessorSubscripts
 from .pass_manager import (
     CompileReport,
     FunctionPass,
+    GcTiming,
     IRPrintingInstrumentation,
     LintInstrumentation,
     ModulePass,
@@ -76,7 +77,8 @@ __all__ = [
     "LowerAccessorSubscripts",
     "CachedCompile", "CacheStats", "CompileCache",
     "DiskCache", "DiskCacheStats", "cache_dir_from_env",
-    "CompileReport", "FunctionPass", "IRPrintingInstrumentation",
+    "CompileReport", "FunctionPass", "GcTiming",
+    "IRPrintingInstrumentation",
     "LintInstrumentation",
     "ModulePass", "OpPassManager", "Pass", "PassInstrumentation",
     "PassManager", "PassOptions", "PassRegistration", "PassStatistic",

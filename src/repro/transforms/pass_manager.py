@@ -23,6 +23,7 @@ Mirrors MLIR's pass infrastructure at the granularity this project needs:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
 import sys
 import threading
@@ -524,6 +525,41 @@ class TimingInstrumentation(PassInstrumentation):
         self.timings[key] = self.timings.get(key, 0.0) + elapsed
 
 
+class GcTiming:
+    """Collections per generation and total pause of the cyclic collector
+    between :meth:`start` and :meth:`stop`, as one ``gc:`` timing row.
+
+    IR is a graph of small cyclic objects, so the collector's walks are a
+    real share of a large compile (``docs/performance.md``, "The IR object
+    budget and the collector").  The ``gc.callbacks`` hook exists only
+    between the two calls: nothing is installed, and nothing is paid,
+    unless timing was asked for.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.pause = 0.0
+        self._started: Optional[float] = None
+
+    def start(self) -> "GcTiming":
+        gc.callbacks.append(self._on_gc)
+        return self
+
+    def stop(self, report: CompileReport) -> None:
+        """Remove the hook and add the row to ``report.timings``."""
+        gc.callbacks.remove(self._on_gc)
+        counts = "/".join(str(count) for count in self.collections)
+        report.timings[f"gc: {counts} collections (gen 0/1/2)"] = self.pause
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:  # else: installed mid-collection
+            self.pause += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+            self._started = None
+
+
 class IRPrintingInstrumentation(PassInstrumentation):
     """Prints the anchored IR around selected passes (mlir-opt's
     ``-print-ir-before/after`` analogue).
@@ -909,11 +945,15 @@ class PassManager(OpPassManager):
         Children are detached from the clone *before* the target is
         emptied, so every failure-prone step happens while ``op`` is
         still untouched (the cache self-healing path relies on that).
+        The replaced children are only unlinked, not erased op by op:
+        nothing outside a module body uses a value defined inside it, so
+        the old body is garbage as a whole once it is unreachable.
         """
         staged = [child.detach() for child
-                  in list(materialized.regions[0].blocks[0].operations)]
+                  in materialized.regions[0].blocks[0].operations]
         target = op.regions[0].blocks[0]
-        target.erase_all_ops()
+        for child in target.operations:
+            child.detach()
         for child in staged:
             target.append(child)
 

@@ -1253,3 +1253,59 @@ class TestEngineReuse:
         fresh = ExecutionEngine(module, tier="interp").execute(
             function, synthesize_spec(function, spec))
         assert fresh.memory == first.memory
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_in_place_mutation_is_seen_by_the_same_engine(self, tier):
+        # The JIT memoized its executable key per function object: after
+        # an in-place edit the same engine kept running the old code.
+        from repro.dialects import arith
+        from repro.ir import FloatAttr, f32
+
+        def body(k):
+            i = k.global_id(0)
+            k.store("c", [i], k.load("a", [i]) + k.load("b", [i]) * 2.5)
+
+        module = _nd_kernel("vec_add", body,
+                            {"a": "read", "b": "read", "c": "write"})
+        function = module.lookup_symbol("vec_add")
+        resolved = synthesize_spec(function,
+                                   _nd_spec(2, 4, a=None, b=None, c=None))
+        engine = ExecutionEngine(module, tier=tier)
+        before = engine.execute(function, resolved)
+        assert before.tier == tier, engine.remarks
+        alpha, = [op for op in function.walk_type(arith.ConstantOp)
+                  if op.get_attr("value") == FloatAttr(2.5, f32())]
+        alpha.set_attr("value", FloatAttr(100.0, f32()))
+        after = engine.execute(function, resolved)
+        fresh = ExecutionEngine(module, tier="interp").execute(
+            function, resolved)
+        assert after.memory == fresh.memory
+        assert after.memory != before.memory
+
+    def test_a_barrier_added_in_place_keeps_the_kernel_on_the_jit(self):
+        # "Does it contain a barrier" was memoized by id(function) alone:
+        # an in-place edit (or a new function at a recycled address) got
+        # the old answer, the wrong compilation mode and a fallback.
+        from repro.dialects import sycl
+
+        groups = []
+
+        def body(k):
+            i = k.global_id(0)
+            groups.append(k._insert(sycl.SYCLNDItemGetGroupOp.build(
+                k.item, k.source.nd_range_dims)))
+            k.store("c", [i], k.load("a", [i]))
+
+        module = _nd_kernel("copy", body, {"a": "read", "c": "write"})
+        function = module.lookup_symbol("copy")
+        resolved = synthesize_spec(function, _nd_spec(2, 4, a=None, c=None))
+        engine = ExecutionEngine(module, tier="jit")
+        before = engine.execute(function, resolved)
+        assert before.tier == "jit", engine.remarks
+        group, = groups
+        group.parent.insert_after(
+            group, sycl.SYCLGroupBarrierOp.build(group.result))
+        after = engine.execute(function, resolved)
+        assert after.tier == "jit", engine.remarks
+        assert after.memory == before.memory
+        assert after.counters["barriers"] == 8

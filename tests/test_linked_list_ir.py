@@ -11,7 +11,8 @@ mutation, including the order-key renumbering path.
 import pytest
 
 from repro.dialects import arith, builtin, scf
-from repro.ir import Block, IRError, i64, index
+from repro.ir import Block, IRError, Region, i64, index
+from repro.ir.values import Use
 
 
 def _constants(n):
@@ -242,3 +243,91 @@ class TestUseListInvariants:
         c.result.replace_all_uses_with(d.result)
         assert not c.result.has_uses()
         assert d.result.num_uses() == 2000
+
+    def test_a_use_is_a_value_found_by_owner_and_index(self):
+        block = Block()
+        c = block.append(arith.ConstantOp.build(1, i64()))
+        twice = block.append(arith.AddIOp.build(c.result, c.result))
+        uses = c.result.uses
+        assert uses == [Use(twice, 0), Use(twice, 1)]
+        assert uses == [(twice, 0), (twice, 1)]
+        assert [(use.owner, use.index) for use in uses] == uses
+        # Owners compare by identity: an equal-looking op is another use.
+        other = block.append(arith.AddIOp.build(c.result, c.result))
+        assert Use(other, 0) != Use(twice, 0)
+        assert c.result.uses == uses + [Use(other, 0), Use(other, 1)]
+        assert c.result.users() == [twice, other]
+
+    def test_set_operand_moves_exactly_one_use(self):
+        block = Block()
+        a = block.append(arith.ConstantOp.build(1, i64()))
+        b = block.append(arith.ConstantOp.build(2, i64()))
+        twice = block.append(arith.AddIOp.build(a.result, a.result))
+        twice.set_operand(1, b.result)
+        assert a.result.uses == [Use(twice, 0)]
+        assert b.result.uses == [Use(twice, 1)]
+        twice.set_operand(0, b.result)
+        assert not a.result.has_uses()
+        # Use order is the order the uses were made in, not operand order.
+        assert b.result.uses == [Use(twice, 1), Use(twice, 0)]
+        assert twice.operands == (b.result, b.result)
+
+    def test_replace_uses_in_only_touches_the_given_ops(self):
+        block = Block()
+        a = block.append(arith.ConstantOp.build(1, i64()))
+        b = block.append(arith.ConstantOp.build(2, i64()))
+        kept = block.append(arith.AddIOp.build(a.result, a.result))
+        moved = block.append(arith.MulIOp.build(a.result, kept.result))
+        a.result.replace_uses_in(b.result, [moved])
+        assert a.result.uses == [Use(kept, 0), Use(kept, 1)]
+        assert b.result.uses == [Use(moved, 0)]
+        assert moved.operands == (b.result, kept.result)
+
+    def test_dropping_operand_uses_leaves_the_rest_in_order(self):
+        block = Block()
+        c = block.append(arith.ConstantOp.build(1, i64()))
+        first = block.append(arith.AddIOp.build(c.result, c.result))
+        second = block.append(arith.MulIOp.build(c.result, first.result))
+        third = block.append(arith.AddIOp.build(c.result, second.result))
+        second.drop_all_uses_of_operands()
+        assert second.operands == ()
+        assert c.result.uses == [Use(first, 0), Use(first, 1), Use(third, 0)]
+        assert not first.result.has_uses()
+        # `third` still uses `second`: erasing it must be refused, and
+        # allowed once the last use is gone.
+        with pytest.raises(IRError, match="still have uses"):
+            second.erase()
+        third.erase()
+        second.erase()
+        assert list(block) == [c, first]
+
+
+class TestSharedEmptyContainers:
+    def test_region_less_ops_share_one_empty_object(self):
+        a = arith.ConstantOp.build(1, i64())
+        b = arith.ConstantOp.build(2, i64())
+        assert a.regions is b.regions and a.regions == ()
+        assert a.successors is b.successors
+        assert a.operands == () and len(a.results) == 1
+
+    def test_appending_to_the_shared_regions_raises(self):
+        op = arith.ConstantOp.build(1, i64())
+        with pytest.raises(AttributeError):
+            op.regions.append(Region(op))
+        assert arith.ConstantOp.build(2, i64()).regions == ()
+
+    def test_add_region_gives_the_op_its_own_list(self):
+        a = arith.ConstantOp.build(1, i64())
+        b = arith.ConstantOp.build(2, i64())
+        region = a.add_region()
+        assert a.regions == [region] and region.parent is a
+        assert b.regions == ()
+        given = Region()
+        assert a.add_region(given) is given
+        assert a.regions == [region, given] and given.parent is a
+        assert list(a.all_blocks()) == []
+
+    def test_results_cannot_be_edited_in_place(self):
+        op = arith.ConstantOp.build(1, i64())
+        assert isinstance(op.results, tuple)
+        assert op.result is op.results[0]

@@ -6,6 +6,8 @@ before/after test through the driver: ``--print-ir-before``,
 ``--dump-pass-pipeline`` and the schema-printing ``--list-passes``.
 """
 
+import re
+
 import pytest
 
 from repro.ir import Printer, parse_module, verify
@@ -154,6 +156,55 @@ class TestVerifyEach:
             CHECK: 1: cse
             CHECK: Total
         """)
+
+    def test_timing_adds_one_gc_row_and_leaves_no_hook(self, listing_path,
+                                                       tmp_path, capsys):
+        import gc
+
+        hooks = list(gc.callbacks)
+        rc = repro_opt_main([str(listing_path), "--passes", "canonicalize,cse",
+                             "--timing", "-o", str(tmp_path / "o.mlir")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        # After the total: collector pauses are inside the rows above.
+        filecheck(err, """
+            CHECK: 1: cse
+            CHECK: Total
+            CHECK: gc:
+        """)
+        assert len(re.findall(
+            r"gc: \d+/\d+/\d+ collections \(gen 0/1/2\)", err)) == 1
+        assert err.count("gc:") == 1
+        assert gc.callbacks == hooks
+
+    def test_no_gc_hook_and_no_gc_row_without_timing(self, listing_path,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        from repro.transforms import GcTiming
+
+        def installed(self):
+            raise AssertionError("the gc hook was installed")
+
+        monkeypatch.setattr(GcTiming, "start", installed)
+        rc = repro_opt_main([str(listing_path), "--passes", "canonicalize,cse",
+                             "--report", "-o", str(tmp_path / "o.mlir")])
+        assert rc == 0
+        assert "gc:" not in capsys.readouterr().err
+
+    def test_gc_timing_counts_a_forced_collection(self):
+        import gc
+
+        from repro.transforms import CompileReport, GcTiming
+
+        report = CompileReport()
+        timing = GcTiming().start()
+        gc.collect()
+        timing.stop(report)
+        assert timing.collections[2] >= 1 and timing.pause > 0.0
+        (row, seconds), = report.timings.items()
+        assert row.startswith("gc: ") and seconds == timing.pause
+        gc.collect()  # the hook is gone
+        assert report.timings == {row: seconds}
 
 
 class TestListPasses:
