@@ -60,6 +60,7 @@ recorded remark.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -1736,30 +1737,34 @@ class ExecutableCache:
         self.disk = disk
         self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
             = OrderedDict()
-        self._keys_by_id: Dict[Tuple[int, str], Tuple[object, int, Tuple]] = {}
+        self._keys_by_id: Dict[Tuple[int, str],
+                               Tuple["weakref.ref", int, Tuple]] = {}
         self.stats = {"hits": 0, "misses": 0, "stores": 0,
                       "disk_hits": 0, "disk_stores": 0}
 
     def key_for(self, function, mode: str) -> Tuple[str, str]:
         """The cache key of ``function`` under ``mode``.
 
-        Memoized per function object (the held reference keeps ``id``
-        stable) until the IR mutates — printing the IR on every launch
-        would cost more than small kernels take to run, and a key that
-        outlived an in-place edit would run the old code.
+        Memoized per function object until the IR mutates — printing
+        the IR on every launch would cost more than small kernels take
+        to run, and a key that outlived an in-place edit would run the
+        old code.  The memo refers to the function weakly (a dead
+        reference can never be mistaken for the live function that
+        reuses its ``id``): a server parses a new module per request,
+        and a strong reference here kept every one of them alive.
         """
         from ..transforms.compile_cache import text_fingerprint
 
         memo_key = (id(function), mode)
         memo = self._keys_by_id.get(memo_key)
         clock = mutation_clock()
-        if memo is not None and memo[0] is function and memo[1] == clock:
+        if memo is not None and memo[0]() is function and memo[1] == clock:
             return memo[2]
         printed = Printer().print_op_to_string(function)
         key = (text_fingerprint(printed), f"jit{EMITTER_VERSION}:{mode}")
         if len(self._keys_by_id) > 4 * self.max_entries:
             self._keys_by_id.clear()
-        self._keys_by_id[memo_key] = (function, clock, key)
+        self._keys_by_id[memo_key] = (weakref.ref(function), clock, key)
         return key
 
     def lookup(self, key) -> Optional[CompiledExecutable]:

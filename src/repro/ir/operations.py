@@ -380,7 +380,7 @@ class Operation:
         if self.__dict__:
             clone.__dict__.update(self.__dict__)
         for old_res, new_res in zip(self.results, clone.results):
-            new_res.name_hint = old_res.name_hint
+            new_res._name_hint = old_res._name_hint
             mapping[old_res] = new_res
         for region in self.regions:
             clone.add_region(region.clone_into(clone, mapping))

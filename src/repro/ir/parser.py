@@ -30,6 +30,7 @@ interned process-wide (see "Parser cost model and interning contract" in
 from __future__ import annotations
 
 import difflib
+import hashlib
 import importlib
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,6 +54,7 @@ from .operations import (
     Operation,
     Region,
     lookup_op_class,
+    mutation_clock,
     registered_operations,
 )
 from .traits import Trait, has_trait
@@ -424,7 +426,7 @@ class Parser:
             for region in early_regions:
                 op.add_region(region)
         for res, name in zip(op.results, result_names):
-            res.name_hint = _keepable_hint(name)
+            res._name_hint = _keepable_hint(name)
             self._define_value(name, res)
 
         if successor_indices is None and self._peek("["):
@@ -937,9 +939,19 @@ def parse_op(text: str, allow_unregistered: bool = False,
 
 def parse_module(text: str, allow_unregistered: bool = False,
                  filename: str = "<input>") -> Operation:
-    """Parse textual IR holding one top-level op (typically a module)."""
-    return parse_op(text, allow_unregistered=allow_unregistered,
-                    filename=filename)
+    """Parse textual IR holding one top-level op (typically a module).
+
+    The module is stamped with the digest of ``text`` beside the current
+    mutation clock: until the clock moves, its printed form is a function
+    of that digest alone, which lets
+    :meth:`repro.transforms.CompileCache.memo_key_for` key it without
+    printing it.
+    """
+    module = parse_op(text, allow_unregistered=allow_unregistered,
+                      filename=filename)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16)
+    module._content_stamp = (mutation_clock(), digest.hexdigest())
+    return module
 
 
 def parse_type(text: str) -> Type:

@@ -32,12 +32,21 @@ class Value:
     deterministic traversals).
     """
 
-    __slots__ = ("type", "name_hint", "_uses")
+    __slots__ = ("type", "_name_hint", "_uses")
 
     def __init__(self, type_: Type, name_hint: Optional[str] = None):
         self.type = type_
-        self.name_hint = name_hint
+        self._name_hint = name_hint
         self._uses: Dict[Use, None] = {}
+
+    def _rename(self, name_hint: Optional[str]) -> None:
+        # The hint is part of the printed form, which caches key on: a
+        # rename must end the validity of everything the mutation clock
+        # guards, like any other edit of the IR.
+        from .operations import _bump_mutation_clock
+
+        _bump_mutation_clock()
+        self._name_hint = name_hint
 
     # -- use-def chain -----------------------------------------------------
     @property
@@ -91,6 +100,12 @@ class Value:
     def __repr__(self) -> str:
         hint = self.name_hint or "?"
         return f"<Value %{hint} : {self.type}>"
+
+
+#: The preferred SSA name, or ``None``.  Reading goes straight to the
+#: slot; assigning advances the mutation clock (values under construction
+#: — the parser's, a clone's — write ``_name_hint`` directly).
+Value.name_hint = property(Value._name_hint.__get__, Value._rename)
 
 
 class OpResult(Value):

@@ -16,7 +16,16 @@ manager is mutable (instrumentations, per-run state), so exclusive use
 during a compile is the concurrency contract; the shared cache and
 analysis manager are the thread-safe rendezvous between requests.
 Checked-in managers are reused, so a warm daemon never re-parses a
-pipeline spec it has seen before.
+pipeline spec it has seen before — in any spelling: requests are
+resolved to the canonical spec once (a bounded memo) and the pool, the
+compile cache and its front tier are all keyed on that.
+
+A ``compile`` request first asks the cache's *front tier*
+(:meth:`~repro.transforms.CompileCache.front_lookup`): the key hashes
+the request's IR text, canonical spec, ``verify`` and
+``print_locations``, the value is a recorded reply.  A front hit never
+parses, checks out a manager or builds an operation; a miss takes the
+path below and, when the reply is a success, records it.
 
 Progress streaming attaches a per-request
 :class:`StreamingInstrumentation` to the checked-out manager.  An
@@ -37,6 +46,7 @@ from __future__ import annotations
 import socketserver
 import threading
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from ..analysis import AnalysisManager
@@ -98,6 +108,10 @@ class StreamingInstrumentation(PassInstrumentation):
 class CompileService:
     """The daemon's shared brain: cache, analyses, and a manager pool."""
 
+    #: Bound of the spec-spelling memo (clients generate specs; a
+    #: daemon must not remember every one it was ever sent).
+    MAX_SPELLINGS = 256
+
     def __init__(self, cache_dir: Optional[str] = None,
                  max_entries: Optional[int] = 256,
                  max_bytes: Optional[int] = None):
@@ -114,6 +128,8 @@ class CompileService:
         self.executables = ExecutableCache(disk=disk)
         self.analysis_manager = AnalysisManager()
         self._pool: Dict[str, List[PassManager]] = {}
+        #: Request spelling of a pipeline spec -> canonical spelling.
+        self._canonical: "OrderedDict[str, str]" = OrderedDict()
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._started = time.monotonic()
@@ -123,26 +139,62 @@ class CompileService:
         self.errors = 0
 
     # -- manager pool --------------------------------------------------------
+    def _canonical_spec(self, spec: str) -> Optional[str]:
+        """The canonical spelling of ``spec``; ``None`` when it is not a
+        valid pipeline (never remembered: :meth:`_checkout` reports it).
+        """
+        with self._pool_lock:
+            canonical = self._canonical.get(spec)
+        if canonical is None:
+            try:
+                manager = self._new_manager(spec)
+            except ValueError:
+                return None
+            canonical = manager.to_spec()
+            with self._pool_lock:
+                self._canonical[spec] = canonical
+                if len(self._canonical) > self.MAX_SPELLINGS:
+                    self._canonical.popitem(last=False)
+                spare = bool(self._pool.get(canonical))
+            # The manager built to learn the spelling serves the request
+            # that follows, unless this pipeline already has an idle one.
+            if not spare:
+                self._checkin(manager)
+        return canonical
+
+    def _new_manager(self, spec: str) -> PassManager:
+        manager = parse_pass_pipeline(spec)
+        manager.cache = self.cache
+        return manager
+
     def _checkout(self, spec: str) -> PassManager:
         """An exclusively-owned manager for ``spec`` (pooled or fresh)."""
-        problems = check_pass_pipeline(spec)
-        if problems:
-            raise ValueError("; ".join(d.render() for d in problems))
+        canonical = self._canonical_spec(spec)
+        if canonical is None:
+            raise ValueError("; ".join(
+                d.render() for d in check_pass_pipeline(spec)))
         manager = None
         with self._pool_lock:
-            idle = self._pool.get(spec)
+            idle = self._pool.get(canonical)
             if idle:
                 manager = idle.pop()
         if manager is None:
-            manager = parse_pass_pipeline(spec)
-            manager.cache = self.cache
-            manager.analysis_manager = self.analysis_manager
+            manager = self._new_manager(canonical)
+        # Analyses are cached per anchor *object*, and a request's module
+        # dies with the request: its entries live in a child of the
+        # daemon's manager that is emptied at check-in.
+        manager.analysis_manager = self.analysis_manager.child()
         return manager
 
     def _checkin(self, manager: PassManager) -> None:
         # Per-request instrumentations must not leak into the next
         # request (they would silently disable its cache).
         manager.instrumentations.clear()
+        # Keep the request's analysis counters, not its analyses: they
+        # can never hit again and would pin the dead module (entries
+        # anchored at ops a pass erased are not even found by ancestry).
+        manager.analysis_manager.clear()
+        self.analysis_manager.absorb(manager.analysis_manager)
         with self._pool_lock:
             self._pool.setdefault(manager.to_spec(), []).append(manager)
 
@@ -217,7 +269,23 @@ class CompileService:
             return self._error(
                 request_id, "compile request names no pipeline "
                 "(pass 'passes' or 'pipeline')")
-        run_verify = request.get("verify", True)
+        run_verify = bool(request.get("verify", True))
+        print_locations = bool(request.get("print_locations"))
+        # The front tier: a recorded reply for these very bytes.  An
+        # invalid spec has no canonical form and is reported below, after
+        # the parse, as it always was; a progress request wants the
+        # events of a real run (the instrumented-manager rule).
+        front_key = None
+        canonical = self._canonical_spec(spec)
+        if canonical is not None and not request.get("progress"):
+            front_key = CompileCache.front_key(
+                ir, canonical, "served", run_verify, print_locations)
+            recorded = self.cache.front_lookup(front_key, canonical)
+            if recorded is not None:
+                return self._compiled(
+                    request_id, recorded.text,
+                    [list(triple) for triple in recorded.statistics],
+                    recorded.remarks, cached=True)
         try:
             module = parse_module(ir, filename="<request>")
         except ParseError as exc:
@@ -236,9 +304,8 @@ class CompileService:
             report = manager.run(module)
             if run_verify:
                 verify(module)
-            text = Printer(
-                print_locations=bool(request.get("print_locations"))
-            ).print_module(module) + "\n"
+            text = Printer(print_locations=print_locations
+                           ).print_module(module) + "\n"
         except VerificationError as exc:
             return self._error(request_id, f"verification failed: {exc}",
                                kind="verify-error")
@@ -246,6 +313,16 @@ class CompileService:
             return self._error(request_id, str(exc), kind="compile-error")
         finally:
             self._checkin(manager)
+        if front_key is not None and report.cache_key is not None:
+            self.cache.front_store(front_key, text, report.cache_key)
+        return self._compiled(
+            request_id, text,
+            [[s.pass_name, s.name, s.value] for s in report.statistics],
+            report.remarks,
+            cached=report.get_statistic("compile-cache", "hits") > 0)
+
+    def _compiled(self, request_id, text: str, statistics: List[list],
+                  remarks: List[str], cached: bool) -> dict:
         with self._stats_lock:
             self.compiles += 1
         return {
@@ -253,10 +330,9 @@ class CompileService:
             "event": "done",
             "ok": True,
             "text": text,
-            "statistics": [[s.pass_name, s.name, s.value]
-                           for s in report.statistics],
-            "remarks": list(report.remarks),
-            "cached": report.get_statistic("compile-cache", "hits") > 0,
+            "statistics": statistics,
+            "remarks": list(remarks),
+            "cached": cached,
         }
 
     # -- execute -------------------------------------------------------------

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import time
 from typing import List, Optional, Tuple
 
 from ..dialects import all_dialects  # noqa: F401 - registers ops and types
@@ -438,6 +439,10 @@ def _main(argv: Optional[List[str]] = None) -> int:
             manager.cache = cache
     else:
         use_batch_process = False
+    # A plain compile (text in, text out, nothing observing the module)
+    # is asked of the cache's front tier first.
+    front_spec = manager.to_spec() \
+        if cache is not None and not args.lint and engine is None else None
 
     # One report aggregates the whole batch: every segment runs the same
     # pipeline, so position-keyed timing buckets sum across segments.
@@ -460,12 +465,27 @@ def _main(argv: Optional[List[str]] = None) -> int:
         is isolated (batch).
         """
         nonlocal lint_findings
+        filename = label.split(" (segment")[0]
+        front_key = None
+        if front_spec is not None:
+            # Everything the printed text depends on besides the input
+            # and the pipeline (the file name shows only in locations).
+            start = time.perf_counter()
+            front_key = CompileCache.front_key(
+                text, front_spec, "repro-opt", args.emit,
+                args.print_locations and filename, args.no_verify,
+                args.allow_unregistered)
+            recorded = cache.front_lookup(front_key, front_spec)
+            if recorded is not None:
+                report.add_cache_hit(recorded.statistics, recorded.remarks,
+                                     time.perf_counter() - start)
+                return 0, recorded.text
         try:
             # Parse under the real file name so every op carries a
             # file:line:col location diagnostics can point at.
             module = parse_module(
                 text, allow_unregistered=args.allow_unregistered,
-                filename=label.split(" (segment")[0])
+                filename=filename)
         except ParseError as exc:
             print(f"repro-opt: {label}: parse error: {exc}",
                   file=sys.stderr)
@@ -494,10 +514,14 @@ def _main(argv: Optional[List[str]] = None) -> int:
         if args.emit == "mlir":
             from ..target import emit_mlir
 
-            return 0, emit_mlir(
+            out = emit_mlir(
                 module, print_locations=args.print_locations) + "\n"
-        return 0, (Printer(print_locations=args.print_locations)
-                   .print_module(module) + "\n")
+        else:
+            out = Printer(print_locations=args.print_locations
+                          ).print_module(module) + "\n"
+        if front_key is not None and report.cache_key is not None:
+            cache.front_store(front_key, out, report.cache_key)
+        return 0, out
 
     # The collector is only watched when --timing asks (and only in this
     # process: process-tier workers collect on their own).
@@ -593,6 +617,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
             print(f"compile cache: {stats['hits']} hits, "
                   f"{stats['misses']} misses, {stats['entries']} entries",
                   file=sys.stderr)
+            if front_spec is not None:
+                front = stats["front"]
+                print(f"front cache: {front['hits']} hits, "
+                      f"{front['misses']} misses, "
+                      f"{front['entries']} entries", file=sys.stderr)
             disk_stats = stats.get("disk")
             if disk_stats is not None:
                 print(f"disk cache: {disk_stats['hits']} hits, "

@@ -29,6 +29,23 @@ promotes it so later lookups hit in memory; stores write through so a
 warm compile survives the process.  Disk entries that fail to re-parse
 are evicted on the spot and the lookup degrades to a cold compile —
 PR 7's recover-don't-fail contract extended to persistent state.
+
+Two key levels.  The key above — the *second level* — needs a parsed
+module (it hashes the printed form) and answers with an op graph.  In
+front of it sits a byte-addressed **front tier** for callers that start
+from text and want text back (``repro-served``, ``repro-opt``): its key
+hashes the *source bytes* with everything else that determines the
+reply (:meth:`CompileCache.front_key`), its value is the printed output
+plus the statistics and remarks a second-level hit would report
+(:class:`FrontEntry`), so a front hit costs a hash and a dict lookup and
+builds no ``Operation``.  The second level stays because only it makes
+differently spelled inputs that print the same share one compile; every
+front entry names the second-level key it resolved to.  For callers
+that already hold a module, :meth:`CompileCache.memo_key_for` links the
+levels the other way: a module stamped by ``parse_module`` (source
+digest) or by a cache-hit splice (the spliced entry's key) keeps that
+stamp's printed-form fingerprint in a bounded memo while the IR's
+mutation clock stands still, so the same content is printed once.
 """
 
 from __future__ import annotations
@@ -39,10 +56,21 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..faults import FaultInjected, fault_point
 from ..ir import Operation
+from ..ir.operations import mutation_clock
 
 #: Cache keys: ``(input fingerprint, canonical pipeline spec)``.
 CacheKey = Tuple[str, str]
+
+#: What a front-tier entry's fingerprint starts with in the
+#: :class:`~repro.transforms.disk_cache.DiskCache`, which both levels
+#: share: a front key can never address a second-level entry.
+FRONT_PREFIX = "front:"
+
+#: Bound of the stamp -> printed-form-fingerprint memo (a few dozen
+#: bytes an entry; the oldest goes first).
+_MEMO_ENTRIES = 4096
 
 
 def text_fingerprint(text: str) -> str:
@@ -67,6 +95,28 @@ class CachedCompile:
         """A private deep clone of the cached module."""
         return self.module.clone({})
 
+    def hit_statistics(self) -> List[Tuple[str, str, int]]:
+        """The triples a hit on this entry adds to a compile report."""
+        triples = list(self.statistics)
+        triples.append(("compile-cache", "hits", 1))
+        if self.preserved_analyses:
+            triples.append(("compile-cache", "analyses_carried",
+                            len(self.preserved_analyses)))
+        return triples
+
+
+@dataclass
+class FrontEntry:
+    """What a front-key hit answers with: text, never a module."""
+
+    #: The printed output, exactly as the caller emitted it.
+    text: str
+    #: The statistics and remarks a second-level hit reports.
+    statistics: List[Tuple[str, str, int]]
+    remarks: List[str]
+    #: The second-level key the recorded compile resolved to.
+    key: CacheKey
+
 
 @dataclass
 class CacheStats:
@@ -75,6 +125,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    #: Hits dropped because the entry turned out unusable (front tier;
+    #: the second level reports these per compile, as a statistic).
+    recovered: int = 0
 
     @property
     def lookups(self) -> int:
@@ -101,7 +154,15 @@ class CompileCache:
         #: backing tier (read-through on miss, write-through on store).
         self.disk = disk
         self.stats = CacheStats()
+        #: Front-tier counters; a front hit also counts as one of
+        #: ``stats.hits``, so the top level still counts every request
+        #: exactly once.
+        self.front_stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, CachedCompile]" = OrderedDict()
+        self._front: "OrderedDict[str, FrontEntry]" = OrderedDict()
+        #: Content stamp (see :meth:`memo_key_for`) -> fingerprint of
+        #: the printed form of a module carrying it.
+        self._printed: "OrderedDict[object, str]" = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -118,6 +179,146 @@ class CompileCache:
 
         return (text_fingerprint(Printer().print_module(op)), pipeline_spec)
 
+    def memo_key_for(self, op: Operation, pipeline_spec: str) -> CacheKey:
+        """:meth:`key_for`, printing ``op`` only when it has to.
+
+        ``parse_module`` and the cache-hit splice leave a *content stamp*
+        on the module: ``(mutation clock, token)``, the token naming
+        what the content is (the digest of the parsed source, or the key
+        of the spliced entry).  While the clock has not moved since, the
+        module still prints what every module with that token prints, so
+        the fingerprint is remembered per token.  Any mutation anywhere
+        ends the stamp's validity (operand, attribute, block, region and
+        ``name_hint`` writes all advance the clock) and the module is
+        printed again.
+        """
+        stamp = getattr(op, "_content_stamp", None)
+        if stamp is None or stamp[0] != mutation_clock():
+            return self.key_for(op, pipeline_spec)
+        token = stamp[1]
+        with self._lock:
+            fingerprint = self._printed.get(token)
+        if fingerprint is None:
+            fingerprint = self.key_for(op, pipeline_spec)[0]
+            with self._lock:
+                self._printed[token] = fingerprint
+                if len(self._printed) > _MEMO_ENTRIES:
+                    self._printed.popitem(last=False)
+        return (fingerprint, pipeline_spec)
+
+    # -- front tier ----------------------------------------------------------
+    @staticmethod
+    def front_key(source: str, pipeline_spec: str, *form: object) -> str:
+        """The front key of compiling ``source`` through ``pipeline_spec``.
+
+        ``pipeline_spec`` must be the canonical spelling; ``form`` is
+        everything else the reply depends on — who prints it and how,
+        whether it was verified.  The entry schema version is hashed in,
+        so a schema bump orphans old entries instead of misreading them.
+        """
+        from .disk_cache import ENTRY_VERSION
+
+        digest = hashlib.blake2b(digest_size=16)
+        for part in (repr((ENTRY_VERSION,) + form), pipeline_spec, source):
+            data = part.encode("utf-8")
+            digest.update(b"%d:" % len(data))
+            digest.update(data)
+        return digest.hexdigest()
+
+    def front_lookup(self, front_key: str,
+                     pipeline_spec: str) -> Optional[FrontEntry]:
+        """The recorded reply for ``front_key``, or ``None``.
+
+        A hit passes the same ``compile-cache.hit`` fault point as a
+        second-level hit; an injected fault drops the entry and reports
+        a miss, so the caller takes the slow path.
+        """
+        with self._lock:
+            entry = self._front.get(front_key)
+            if entry is not None:
+                self._front.move_to_end(front_key)
+        if entry is None and self.disk is not None:
+            entry = self._front_read_through(front_key, pipeline_spec)
+        if entry is not None:
+            try:
+                if fault_point("compile-cache.hit",
+                               key=entry.key[0]) == "corrupt":
+                    entry = None
+            except FaultInjected:
+                entry = None
+            if entry is None:
+                with self._lock:
+                    if self._front.pop(front_key, None) is not None:
+                        self.front_stats.evictions += 1
+                    self.front_stats.recovered += 1
+        with self._lock:
+            if entry is None:
+                self.front_stats.misses += 1
+            else:
+                self.front_stats.hits += 1
+                self.stats.hits += 1
+                # The hit stands in for one on the second-level entry:
+                # keep that one as recent, or the callers that need the
+                # module (``execute``) find it evicted by miss traffic.
+                if entry.key in self._entries:
+                    self._entries.move_to_end(entry.key)
+        return entry
+
+    def _front_read_through(self, front_key: str,
+                            pipeline_spec: str) -> Optional[FrontEntry]:
+        disk_key = (FRONT_PREFIX + front_key, pipeline_spec)
+        payload = self.disk.load(disk_key)
+        if payload is None:
+            return None
+        try:
+            # A front entry has no module and so no analyses to carry:
+            # that slot holds the second-level fingerprint instead.
+            (fingerprint,) = payload["preserved_analyses"]
+            entry = FrontEntry(
+                text=payload["text"],
+                statistics=[tuple(triple)
+                            for triple in payload["statistics"]],
+                remarks=list(payload["remarks"]),
+                key=(fingerprint, pipeline_spec))
+        except (KeyError, TypeError, ValueError):
+            # Valid JSON around intact text, but not a front entry.
+            self.disk.recover(disk_key)
+            return None
+        self._front_promote(front_key, entry)
+        return entry
+
+    def _front_promote(self, front_key: str, entry: FrontEntry) -> None:
+        with self._lock:
+            self._front[front_key] = entry
+            self._front.move_to_end(front_key)
+            if self.max_entries is not None:
+                while len(self._front) > self.max_entries:
+                    self._front.popitem(last=False)
+                    self.front_stats.evictions += 1
+
+    def front_store(self, front_key: str, text: str, key: CacheKey) -> None:
+        """Record ``text`` as the reply for ``front_key``.
+
+        ``key`` is the second-level key the compile that produced
+        ``text`` ran under; its entry supplies what a hit reports.
+        Nothing is recorded when that entry is gone (or the run never
+        consulted the cache): a front hit must be indistinguishable
+        from the second-level hit it stands in for.
+        """
+        with self._lock:
+            compiled = self._entries.get(key)
+        if compiled is None:
+            return
+        entry = FrontEntry(text=text, statistics=compiled.hit_statistics(),
+                           remarks=list(compiled.remarks), key=key)
+        self._front_promote(front_key, entry)
+        if self.disk is not None:
+            self.disk.store(
+                (FRONT_PREFIX + front_key, key[1]), text,
+                statistics=entry.statistics, remarks=entry.remarks,
+                preserved_analyses=(key[0],))
+
+    # -- second level --------------------------------------------------------
     def lookup(self, key: CacheKey) -> Optional[CachedCompile]:
         with self._lock:
             entry = self._entries.get(key)
@@ -201,13 +402,17 @@ class CompileCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._front.clear()
+            self._printed.clear()
 
     def describe(self) -> Dict[str, object]:
         """JSON-able snapshot for reports and benchmarks.
 
         Memory-tier counters live at the top level (their historical
-        shape); when a disk tier is attached its counters appear under
-        the ``"disk"`` sub-dict.
+        shape; ``hits`` includes the front tier's, so every request is
+        counted once); the front tier's own counters appear under
+        ``"front"`` and, when a disk tier is attached, its counters
+        under ``"disk"``.
         """
         with self._lock:
             summary: Dict[str, object] = {
@@ -215,6 +420,13 @@ class CompileCache:
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,
                 "evictions": self.stats.evictions,
+                "front": {
+                    "entries": len(self._front),
+                    "hits": self.front_stats.hits,
+                    "misses": self.front_stats.misses,
+                    "evictions": self.front_stats.evictions,
+                    "recovered": self.front_stats.recovered,
+                },
             }
         if self.disk is not None:
             summary["disk"] = self.disk.describe()

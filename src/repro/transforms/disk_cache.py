@@ -22,8 +22,13 @@ daemon.  The design is a classic content-addressed store:
   POSIX rename semantics.  A write that fails part-way leaves only a
   temp file, which eviction sweeps with everything else.
 * **Eviction** — least-recently-used by mtime under a byte budget
-  (``max_bytes``); every hit refreshes the entry's mtime.  The sweep
-  runs after stores, so the store can only transiently exceed budget.
+  (``max_bytes``); every hit refreshes the entry's mtime.  A store adds
+  its size to a running total (one directory scan on first use) and the
+  sweep — a full re-scan, oldest first — runs only when that total
+  crosses the budget, so a store is O(1) in the number of entries and
+  the store can only transiently exceed budget.  The total is this
+  process's view: what another process wrote since is seen at the next
+  sweep, whichever process's total triggers it.
 * **Self-healing reads** — an entry that fails to decode, fails its
   stored-text fingerprint, or mismatches the requested key (a mangled
   or misplaced file) is *evicted on the spot* and the lookup reported
@@ -97,6 +102,11 @@ class DiskCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
         self.stats = DiskCacheStats()
+        #: Bytes believed on disk (``None`` until the first store scans):
+        #: never below what this process knows it wrote, re-based by
+        #: every sweep.  Removals are not subtracted — an over-estimate
+        #: only makes the next sweep come early.
+        self._total: Optional[int] = None
         self._lock = threading.Lock()
 
     # -- addressing ----------------------------------------------------------
@@ -195,8 +205,9 @@ class DiskCache:
               preserved_analyses: Tuple[str, ...] = ()) -> bool:
         """Persist one compile result; returns ``False`` on I/O failure.
 
-        The write is atomic (same-directory temp file + ``os.replace``)
-        and followed by an LRU sweep back under ``max_bytes``.
+        The write is atomic (same-directory temp file + ``os.replace``);
+        when it takes the running total over ``max_bytes`` an LRU sweep
+        brings the store back under it.
         """
         fingerprint, spec = key
         path = self.path_for(key)
@@ -224,7 +235,8 @@ class DiskCache:
             return False
         with self._lock:
             self.stats.stores += 1
-        self._evict_over_budget()
+        # json.dumps escapes to ASCII: characters are bytes.
+        self._evict_over_budget(len(encoded))
         return True
 
     def recover(self, key: CacheKey) -> None:
@@ -264,10 +276,17 @@ class DiskCache:
         found.sort(key=lambda item: item[0])
         return found
 
-    def _evict_over_budget(self) -> None:
+    def _evict_over_budget(self, written: int) -> None:
+        """Account for ``written`` new bytes; sweep if over budget."""
         if self.max_bytes is None:
             return
         with self._lock:
+            if self._total is not None:
+                self._total += written
+                if self._total <= self.max_bytes:
+                    return
+            # First use, or over budget by the running total: see what
+            # is really there (other processes write here too).
             entries = self._entries_by_age()
             total = sum(size for _, size, _ in entries)
             for _, size, path in entries:
@@ -279,6 +298,7 @@ class DiskCache:
                     continue
                 total -= size
                 self.stats.evictions += 1
+            self._total = total
 
     # -- introspection -------------------------------------------------------
     def bytes_on_disk(self) -> int:

@@ -50,6 +50,7 @@ from ..ir.concurrency import (
     guarded_region,
     unregistered_threading_allowed,
 )
+from ..ir.operations import mutation_clock
 from ..analysis.manager import (
     AnalysisManager,
     analysis_scope,
@@ -100,6 +101,10 @@ class CompileReport:
     statistics: List[PassStatistic] = field(default_factory=list)
     remarks: List[str] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
+    #: The compile-cache key of the latest run that consulted a cache
+    #: (``None`` when none did): what the caller records a front-tier
+    #: entry under, see ``CompileCache.front_store``.
+    cache_key: Optional[Tuple[str, str]] = None
 
     def __post_init__(self) -> None:
         self._stat_index: Dict[Tuple[str, str], PassStatistic] = {
@@ -122,6 +127,20 @@ class CompileReport:
 
     def remark(self, message: str) -> None:
         self.remarks.append(message)
+
+    def add_cache_hit(self, statistics, remarks: List[str],
+                      elapsed: float) -> None:
+        """Replay what a compile-cache hit (of either key level) reports.
+
+        ``elapsed`` is the hit's real cost, so ``--timing`` tables account
+        for warm segments instead of silently omitting them while
+        statistics sum.
+        """
+        for pass_name, name, value in statistics:
+            self.add_statistic(pass_name, name, value)
+        self.remarks.extend(remarks)
+        self.timings["compile-cache: hit"] = \
+            self.timings.get("compile-cache: hit", 0.0) + elapsed
 
     def merge(self, other: "CompileReport",
               renumber_timings: bool = True) -> None:
@@ -849,7 +868,7 @@ class PassManager(OpPassManager):
     def run(self, op: Operation,
             report: Optional[CompileReport] = None) -> CompileReport:
         report = report if report is not None else CompileReport()
-        cache_key = None
+        cache_key = report.cache_key = None
         # A cache hit skips pass execution entirely, so it must not be
         # taken while instrumentations are attached — --verify-each and
         # the IR-printing hooks observe *runs*, and silently dropping
@@ -858,7 +877,8 @@ class PassManager(OpPassManager):
                 and op.name == MODULE_ANCHOR:
             # Key on the *input* fingerprint, before the pipeline mutates it.
             start = time.perf_counter()
-            cache_key = self.cache.key_for(op, self.to_spec())
+            cache_key = self.cache.memo_key_for(op, self.to_spec())
+            report.cache_key = cache_key
             hit = self.cache.lookup(cache_key)
             if hit is not None:
                 # Self-healing: a corrupt entry (failed clone/splice)
@@ -869,7 +889,7 @@ class PassManager(OpPassManager):
                     if fault_point("compile-cache.hit",
                                    key=cache_key[0]) == "corrupt":
                         raise RuntimeError("injected corrupt cache entry")
-                    self._splice_cached(op, materialized)
+                    self._splice_cached(op, materialized, cache_key)
                 except Exception as error:  # noqa: BLE001 - self-healing
                     self.cache.evict(cache_key)
                     report.add_statistic("compile-cache", "recovered", 1)
@@ -878,23 +898,14 @@ class PassManager(OpPassManager):
                         f"({type(error).__name__}: {error})")
                     hit = None
             if hit is not None:
-                for pass_name, name, value in hit.statistics:
-                    report.add_statistic(pass_name, name, value)
-                report.remarks.extend(hit.remarks)
-                report.add_statistic("compile-cache", "hits", 1)
                 # The hit carries the analyses the original compile left
                 # valid: they hold for the spliced (structurally
                 # identical) result, so clients can warm them knowingly.
                 if hit.preserved_analyses:
                     self.analysis_manager.note_carried(hit.preserved_analyses)
-                    report.add_statistic("compile-cache", "analyses_carried",
-                                         len(hit.preserved_analyses))
-                # The hit's real cost (fingerprint + lookup + splice), so
-                # --timing tables account for warm segments instead of
-                # silently omitting them while statistics sum.
-                elapsed = time.perf_counter() - start
-                report.timings["compile-cache: hit"] = \
-                    report.timings.get("compile-cache: hit", 0.0) + elapsed
+                # Timed: fingerprint + lookup + splice.
+                report.add_cache_hit(hit.hit_statistics(), hit.remarks,
+                                     time.perf_counter() - start)
                 return report
         fresh = CompileReport() if cache_key is not None else report
         self._execute(op, fresh)
@@ -936,7 +947,8 @@ class PassManager(OpPassManager):
                 instrumentation.run_after_pipeline(op)
 
     @staticmethod
-    def _splice_cached(op: Operation, materialized: Operation) -> None:
+    def _splice_cached(op: Operation, materialized: Operation,
+                       cache_key) -> None:
         """Replace ``op``'s body with a materialized cached result.
 
         ``materialized`` is a private deep clone of the cached template,
@@ -956,6 +968,9 @@ class PassManager(OpPassManager):
             child.detach()
         for child in staged:
             target.append(child)
+        # What ``op`` holds now is named by the entry it came from: the
+        # next pipeline's CompileCache.memo_key_for need not print it.
+        op._content_stamp = (mutation_clock(), cache_key)
 
     def _slot_positions(self) -> Dict[Tuple[int, int], int]:
         """Pipeline position per ``(id(pipeline), element index)`` slot.

@@ -253,6 +253,69 @@ class TestEviction:
                      if path.stat().st_mtime > aged[path] + 500]
         assert len(refreshed) == 1
 
+    @staticmethod
+    def _store(disk, name, age):
+        """One ~1 KB entry whose mtime lies ``age`` seconds back."""
+        key = (name, "spec")
+        assert disk.store(key, name + " " * 1000)
+        path = disk.path_for(key)
+        past = path.stat().st_mtime - age
+        os.utime(path, (past, past))
+        return path
+
+    def test_running_total_evicts_oldest_first(self, tmp_path):
+        disk = DiskCache(tmp_path, max_bytes=4500)  # room for three
+        paths = [self._store(disk, f"entry{n}", age=1000 - 100 * n)
+                 for n in range(3)]
+        assert disk.stats.evictions == 0 and all(p.exists() for p in paths)
+        paths.append(self._store(disk, "entry3", age=0))
+        # Over budget: the oldest goes, nothing else.
+        assert [p.exists() for p in paths] == [False, True, True, True]
+        assert disk.stats.evictions == 1
+        assert disk.bytes_on_disk() <= 4500
+        # A hit refreshes recency: entry1 outlives the colder entry2.
+        assert disk.load(("entry1", "spec")) is not None
+        paths.append(self._store(disk, "entry4", age=0))
+        assert [p.exists() for p in paths] == \
+            [False, True, False, True, True]
+
+    def test_stores_under_budget_do_not_rescan(self, tmp_path, monkeypatch):
+        disk = DiskCache(tmp_path, max_bytes=1_000_000)
+        scans = []
+        real = DiskCache._entries_by_age
+        monkeypatch.setattr(DiskCache, "_entries_by_age",
+                            lambda self: scans.append(1) or real(self))
+        for n in range(5):
+            self._store(disk, f"entry{n}", age=0)
+        assert len(scans) == 1  # the first store's, never again
+        assert disk._total == disk.bytes_on_disk()
+        assert disk.describe()["entries"] == 5
+
+    def test_sweep_sees_what_another_process_wrote(self, tmp_path):
+        """The running total is one process's view; the sweep is not:
+        files another writer added are counted and, being older, are
+        the first to go."""
+        disk = DiskCache(tmp_path, max_bytes=4500)
+        mine = [self._store(disk, f"mine{n}", age=100 - n)
+                for n in range(2)]
+        other = DiskCache(tmp_path, max_bytes=None)  # "another process"
+        theirs = [self._store(other, "theirs0", age=1000),
+                  self._store(other, "theirs1", age=50)]
+        stray = theirs[0].parent / f".{theirs[0].name}.99999.tmp"
+        stray.write_text("x" * 1000)  # a writer that died mid-store
+        os.utime(stray, (1, 1))
+        mine.append(self._store(disk, "mine2", age=0))
+        assert disk.bytes_on_disk() > 4500  # over budget, unnoticed ...
+        assert disk.stats.evictions == 0
+        mine.append(self._store(disk, "mine3", age=0))
+        # ... until this process's own total crosses it; then oldest
+        # first, whoever wrote it, temp files included.
+        assert disk.bytes_on_disk() <= 4500
+        assert not stray.exists()
+        assert [p.exists() for p in theirs] == [False, True]
+        assert [p.exists() for p in mine] == [False, False, True, True]
+        assert disk._total == disk.bytes_on_disk()
+
     def test_explicit_evict(self, tmp_path):
         disk = DiskCache(tmp_path)
         _compile(CompileCache(disk=disk))
@@ -302,5 +365,8 @@ class TestCrossProcess:
         assert first.returncode == 0, first.stderr
         assert second.returncode == 0, second.stderr
         assert first.stdout == second.stdout
-        assert "disk cache: 0 hits, 1 misses" in first.stderr
+        # A cold compile misses at both key levels; the warm process is
+        # answered by the front tier alone, from one disk read.
+        assert "disk cache: 0 hits, 2 misses" in first.stderr
         assert "disk cache: 1 hits, 0 misses" in second.stderr
+        assert "front cache: 1 hits, 0 misses" in second.stderr

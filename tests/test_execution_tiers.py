@@ -183,6 +183,22 @@ class TestExecutableCache:
         assert executable.entry is not None
 
 
+    def test_key_memo_does_not_keep_functions_alive(self):
+        """The memo used to hold every keyed function (and with it the
+        whole parsed module): a daemon parses a new one per request."""
+        import gc
+        import weakref
+
+        cache = ExecutableCache()
+        module, _ = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        key = cache.key_for(function, "nd")
+        assert cache.key_for(function, "nd") is key  # memoized
+        alive = weakref.ref(module)
+        del module, function
+        gc.collect()
+        assert alive() is None
+
     def test_entry_of_an_older_emitter_is_a_miss(self, tmp_path):
         """A disk entry holds generated source.  One written under the
         pre-versioning tag (``jit:<mode>``) still compiles, so only the

@@ -207,6 +207,116 @@ class TestVerifyEach:
         assert report.timings == {row: seconds}
 
 
+class TestFrontTier:
+    """Plain compiles are answered from the cache's front tier: same
+    bytes on stdout and stderr, same exit code, with and without it."""
+
+    FLAG_SETS = [
+        [],
+        ["--print-locations"],
+        ["--emit", "mlir"],
+        ["--emit", "mlir", "--print-locations"],
+        ["--no-verify"],
+        ["--allow-unregistered"],
+    ]
+
+    @pytest.fixture
+    def batch_path(self, tmp_path):
+        listing = Printer().print_module(
+            wrap_in_module(build_listing2_function()[0]))
+        other = listing.replace("sym_name = \"", "sym_name = \"other_")
+        broken = listing.replace("func.return", "func.retrun", 1)
+        path = tmp_path / "batch.mlir"
+        # Duplicated segments, a distinct one and one that fails.
+        path.write_text("\n// -----\n".join(
+            [listing, other, listing, broken, other, listing]) + "\n",
+            encoding="utf-8")
+        return path
+
+    def _run(self, capsys, argv):
+        rc = repro_opt_main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("flags", FLAG_SETS,
+                             ids=lambda flags: " ".join(flags) or "plain")
+    def test_batches_are_byte_identical_with_and_without_the_cache(
+            self, batch_path, tmp_path, capsys, flags):
+        argv = [str(batch_path), "--split-input-file",
+                "--passes", NESTED_SPEC] + flags
+        reference = self._run(capsys, argv + ["--no-cache"])
+        # The misspelt terminator fails its segment — unless unregistered
+        # operations are allowed, which is why that flag is in the key.
+        failed = "--allow-unregistered" not in flags
+        assert reference[0] == int(failed)
+        assert ("FAILED" in reference[1]) == failed
+        assert self._run(capsys, argv) == reference
+        # ... and from a primed --cache-dir, cold then warm.
+        cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+        assert self._run(capsys, cached) == reference
+        assert self._run(capsys, cached) == reference
+
+    def test_report_counts_front_hits_on_their_own_line(
+            self, batch_path, tmp_path, capsys):
+        argv = [str(batch_path), "--split-input-file", "--passes",
+                NESTED_SPEC, "--report", "--cache-dir",
+                str(tmp_path / "cache")]
+        rc, cold_out, cold_err = self._run(capsys, argv)
+        assert rc == 1
+        # Five good segments, two distinct: 2 compiles, 3 front hits; the
+        # broken one is looked up (and fails to parse) every time.
+        filecheck(cold_err, """
+            CHECK: compile-cache: misses = 2
+            CHECK: compile-cache: hits = 3
+            CHECK: compile cache: 3 hits, 2 misses, 2 entries
+            CHECK: front cache: 3 hits, 3 misses, 2 entries
+        """)
+        rc, warm_out, warm_err = self._run(capsys, argv)
+        assert rc == 1 and warm_out == cold_out
+        filecheck(warm_err, """
+            CHECK: compile-cache: hits = 5
+            CHECK: compile cache: 5 hits, 0 misses, 0 entries
+            CHECK: front cache: 5 hits, 1 misses, 2 entries
+        """)
+        # What a hit reports is what the compile reported.
+        statistic = re.compile(r"^  (?!compile-cache)\S+: .* = \d+$", re.M)
+        assert statistic.findall(cold_err)
+        assert statistic.findall(warm_err) == statistic.findall(cold_err)
+
+    def test_a_warm_process_does_not_parse(self, listing_path, tmp_path,
+                                           capsys, monkeypatch):
+        argv = [str(listing_path), "--passes", NESTED_SPEC,
+                "--cache-dir", str(tmp_path / "cache")]
+        reference = self._run(capsys, argv)
+        assert reference[0] == 0
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a front hit never parses")
+
+        monkeypatch.setattr("repro.tools.repro_opt.parse_module", no_parse)
+        assert self._run(capsys, argv) == reference
+        # Another file name only shows in locations: still a hit
+        # without them, a different entry with them.
+        renamed = tmp_path / "renamed.mlir"
+        renamed.write_text(listing_path.read_text(encoding="utf-8"),
+                           encoding="utf-8")
+        assert self._run(capsys, [str(renamed)] + argv[1:]) == reference
+        with pytest.raises(AssertionError, match="never parses"):
+            repro_opt_main([str(renamed)] + argv[1:]
+                           + ["--print-locations"])
+
+    @pytest.mark.parametrize("flags", [["--lint"], ["--verify-each"],
+                                       ["--print-ir-after-all"]])
+    def test_observed_compiles_bypass_the_tier(self, listing_path, tmp_path,
+                                               capsys, flags):
+        argv = [str(listing_path), "--passes", NESTED_SPEC, "--report",
+                "--cache-dir", str(tmp_path / "cache")] + flags
+        first = self._run(capsys, argv)
+        second = self._run(capsys, argv)
+        assert "front cache:" not in first[2] + second[2]
+        assert first[:2] == second[:2]
+
+
 class TestListPasses:
     def test_list_passes_includes_option_schemas(self, capsys):
         assert repro_opt_main(["--list-passes"]) == 0

@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.faults import fault_plan, install_fault_plan  # noqa: E402
 from repro.ir import Printer  # noqa: E402
+from repro.serve import server as server_module  # noqa: E402
 from repro.serve import (  # noqa: E402
     CompileService,
     ProtocolError,
@@ -30,9 +31,14 @@ from repro.serve import (  # noqa: E402
     read_message,
     write_message,
 )
-from repro.transforms import parse_pass_pipeline  # noqa: E402
+from repro.transforms import (  # noqa: E402
+    build_named_pipeline,
+    dump_pass_pipeline,
+    parse_pass_pipeline,
+)
 
 from .helpers import (  # noqa: E402
+    build_gemm_module,
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
@@ -194,6 +200,79 @@ class TestCompile:
             status = client.status()
         assert status["pool"] == {PIPELINE: 1}
 
+    def test_respelled_specs_share_one_pooled_manager(self, monkeypatch):
+        """The pool used to be looked up by the request's spelling but
+        filed under the canonical one: every request with a non-canonical
+        spec re-parsed the pipeline and left one more manager behind."""
+        service = CompileService()
+        text = _module_text()
+        respelled = "builtin.module(func.func(canonicalize, cse,dce))"
+        parses = []
+        real = server_module.parse_pass_pipeline
+        monkeypatch.setattr(server_module, "parse_pass_pipeline",
+                            lambda spec: parses.append(spec) or real(spec))
+        replies = [service.handle(
+            {"id": n, "method": "compile", "ir": text, "passes": respelled,
+             "progress": True},  # keeps the front tier out of the way
+            lambda event: None) for n in range(5)]
+        assert all(reply["ok"] for reply in replies)
+        assert service.pool_sizes() == {PIPELINE: 1}
+        assert parses == [respelled]
+        assert replies[0]["text"] == _one_shot(text)
+
+    def test_invalid_specs_are_reported_and_never_remembered(self):
+        service = CompileService()
+        for _ in range(2):
+            reply = service.handle(
+                {"id": 1, "method": "compile", "ir": _module_text(),
+                 "passes": "canonicalize,no-such-pass"},
+                lambda event: None)
+            assert reply["kind"] == "pipeline-error"
+            assert "no-such-pass" in reply["error"]
+        assert not service._canonical and service.pool_sizes() == {}
+
+    def test_spelling_memo_is_bounded(self, monkeypatch):
+        service = CompileService()
+        monkeypatch.setattr(service, "MAX_SPELLINGS", 3)
+        for blanks in range(1, 6):
+            assert service._canonical_spec(
+                "canonicalize," + " " * blanks + "cse") == \
+                service._canonical_spec("canonicalize,cse")
+        assert len(service._canonical) == 3
+        assert len(service.pool_sizes()) == 1
+
+    def test_request_analyses_do_not_outlive_the_request(self, monkeypatch):
+        """Analyses are anchored at op *objects*: kept in the daemon's
+        manager they could never hit again and pinned every module."""
+        import gc
+        import weakref
+
+        service = CompileService()
+        seen = []
+        real = server_module.parse_module
+
+        def tracking(text, **kwargs):
+            module = real(text, **kwargs)
+            seen.append(weakref.ref(module))
+            return module
+
+        monkeypatch.setattr(server_module, "parse_module", tracking)
+        # The paper's pipeline on a GEMM: Loop Internalization erases
+        # loops that analyses were anchored at, which eviction by
+        # ancestry (all the shared manager had) cannot find any more.
+        text = Printer().print_module(build_gemm_module()[0])
+        spec = dump_pass_pipeline(build_named_pipeline("sycl-mlir"))
+        for name in ("a", "b", "c"):
+            reply = service.handle(
+                {"id": 1, "method": "compile", "passes": spec,
+                 "ir": text.replace("gemm", f"gemm_{name}")},
+                lambda event: None)
+            assert reply["ok"], reply
+        gc.collect()
+        assert len(seen) == 3 and all(ref() is None for ref in seen)
+        described = service.analysis_manager.describe()
+        assert described["entries"] == 0 and described["misses"] > 0
+
 
 class TestStatus:
     def test_status_reports_cache_and_counters(self, server):
@@ -207,6 +286,11 @@ class TestStatus:
         assert status["cache"]["misses"] == 1
         assert status["uptime_seconds"] >= 0
         assert "analyses" in status
+        # The second compile was answered by the front tier; the top
+        # level counts it once, like any other hit.
+        assert status["cache"]["front"] == {
+            "entries": 1, "hits": 1, "misses": 1, "evictions": 0,
+            "recovered": 0}
 
     def test_status_includes_disk_tier_when_configured(self, tmp_path):
         service = CompileService(cache_dir=str(tmp_path))
@@ -220,7 +304,9 @@ class TestStatus:
                 client.compile(_module_text(), PIPELINE)
                 status = client.status()
             disk = status["cache"]["disk"]
-            assert disk["stores"] == 1
+            # One compile persists at both key levels: the optimized
+            # module and the recorded reply (the "front:" entry).
+            assert disk["stores"] == 2
             assert disk["bytes_on_disk"] > 0
         finally:
             server.shutdown()
