@@ -24,7 +24,7 @@ __version__ = "1.0.0"
 #: Subpackages resolved lazily (PEP 562) so that ``import repro.interp``
 #: does not eagerly pull in the dialect definitions: the interpreter /
 #: execution-engine layer only needs them once a module actually runs.
-_LAZY_SUBPACKAGES = ("dialects", "interp", "ir")
+_LAZY_SUBPACKAGES = ("analysis", "dialects", "interp", "ir", "transforms")
 
 
 def __getattr__(name):
@@ -37,4 +37,26 @@ def __getattr__(name):
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
-__all__ = ["dialects", "interp", "ir", "__version__"]
+def _lazy_exports(package: str, table):
+    """The PEP 562 ``__getattr__`` of a subpackage whose public names live
+    in its submodules: ``table`` maps each name to the submodule defining
+    it, imported when the name is first asked for."""
+
+    def __getattr__(name):
+        submodule = table.get(name)
+        if submodule is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        import importlib
+        import sys
+
+        value = getattr(
+            importlib.import_module(f"{package}.{submodule}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__all__ = ["analysis", "dialects", "interp", "ir", "transforms",
+           "__version__"]

@@ -1,44 +1,35 @@
-"""Compiler analyses (paper, Section V)."""
+"""Compiler analyses (paper, Section V).
 
-from .alias import AliasAnalysis, AliasResult, underlying_object
-from .callgraph import CallGraph, CallGraphNode, CallSite
-from .dataflow import NonConvergenceWarning, StructuredDataFlowAnalysis
-from .lint import (
-    LINT_RULES,
-    LintContext,
-    describe_lint_rules,
-    register_lint_rule,
-    run_lint,
-)
-from .manager import (
-    ALL_ANALYSES,
-    AnalysisManager,
-    analysis_scope,
-    current_analysis_manager,
-    get_analysis,
-)
-from .memory_access import (
-    BasisKind,
-    BasisVariable,
-    MemoryAccess,
-    MemoryAccessAnalysis,
-    NonAffineAccessError,
-)
-from .reaching_definitions import ReachingDefinitionAnalysis, ReachingDefs
-from .sycl_alias import SYCLAliasAnalysis, sycl_values_definitely_distinct
-from .uniformity import Uniformity, UniformityAnalysis
+Every name is resolved on first use (PEP 562, as in ``repro.interp``
+and ``repro.transforms``): ``repro.analysis.manager`` — all the pass
+manager needs — imports without the lint rules or any analysis.
+"""
 
-__all__ = [
-    "AliasAnalysis", "AliasResult", "underlying_object",
-    "CallGraph", "CallGraphNode", "CallSite",
-    "NonConvergenceWarning", "StructuredDataFlowAnalysis",
-    "LINT_RULES", "LintContext", "describe_lint_rules",
-    "register_lint_rule", "run_lint",
-    "ALL_ANALYSES", "AnalysisManager", "analysis_scope",
-    "current_analysis_manager", "get_analysis",
-    "BasisKind", "BasisVariable", "MemoryAccess", "MemoryAccessAnalysis",
-    "NonAffineAccessError",
-    "ReachingDefinitionAnalysis", "ReachingDefs",
-    "SYCLAliasAnalysis", "sycl_values_definitely_distinct",
-    "Uniformity", "UniformityAnalysis",
-]
+from .. import _lazy_exports
+
+#: Lazily resolved attributes -> defining submodule.
+_LAZY = {
+    "AliasAnalysis": "alias", "AliasResult": "alias",
+    "underlying_object": "alias",
+    "CallGraph": "callgraph", "CallGraphNode": "callgraph",
+    "CallSite": "callgraph",
+    "NonConvergenceWarning": "dataflow",
+    "StructuredDataFlowAnalysis": "dataflow",
+    "LINT_RULES": "lint", "LintContext": "lint",
+    "describe_lint_rules": "lint", "register_lint_rule": "lint",
+    "run_lint": "lint",
+    "ALL_ANALYSES": "manager", "AnalysisManager": "manager",
+    "analysis_scope": "manager", "current_analysis_manager": "manager",
+    "get_analysis": "manager",
+    "BasisKind": "memory_access", "BasisVariable": "memory_access",
+    "MemoryAccess": "memory_access", "MemoryAccessAnalysis": "memory_access",
+    "NonAffineAccessError": "memory_access",
+    "ReachingDefinitionAnalysis": "reaching_definitions",
+    "ReachingDefs": "reaching_definitions",
+    "SYCLAliasAnalysis": "sycl_alias",
+    "sycl_values_definitely_distinct": "sycl_alias",
+    "Uniformity": "uniformity", "UniformityAnalysis": "uniformity",
+}
+
+__getattr__ = _lazy_exports(__name__, _LAZY)
+__all__ = list(_LAZY)

@@ -12,6 +12,9 @@ Layers:
   facade and the ``@register_executor`` backend registry;
 * :mod:`repro.interp.jit` — the compile-to-Python JIT tier
   (``tier="jit"``) with its fingerprint-keyed executable cache;
+* :mod:`repro.interp.jit_runtime` — the error types and scalar helpers
+  the JIT's generated code, the engine and the vector tier share
+  (importable without the emitter);
 * :mod:`repro.interp.vectorize` — the lockstep NumPy vector tier
   (``tier="vector"``) for divergence-free kernels;
 * :mod:`repro.interp.differential` — the pre- vs post-pipeline
@@ -68,8 +71,8 @@ _LAZY = {
     "CompiledExecutable": ("jit", "CompiledExecutable"),
     "ExecutableCache": ("jit", "ExecutableCache"),
     "JITBackend": ("jit", "JITBackend"),
-    "JITExecutionError": ("jit", "JITExecutionError"),
-    "JITUnsupportedError": ("jit", "JITUnsupportedError"),
+    "JITExecutionError": ("jit_runtime", "JITExecutionError"),
+    "JITUnsupportedError": ("jit_runtime", "JITUnsupportedError"),
     "compile_executable": ("jit", "compile_executable"),
     "VectorBackend": ("vectorize", "VectorBackend"),
     "vector_legality": ("vectorize", "vector_legality"),

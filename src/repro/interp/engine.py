@@ -27,9 +27,11 @@ interpreter would pass; they just run slower.
 
 Import-order contract (PEP 562, see ``repro.interp.__init__``): this
 module imports only :mod:`repro.interp.memory` eagerly.  The
-interpreter, the differential helpers and the tier modules are imported
-inside methods, so ``repro.interp.ExecutionEngine`` resolves without
-pulling in any dialect module.
+interpreter and the differential helpers are imported inside methods,
+so ``repro.interp.ExecutionEngine`` resolves without pulling in any
+dialect module; a tier module is imported when an execution first
+reaches its tier (``_BUILTIN_TIER_MODULES``), so building an engine
+loads none.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class TierFallback(Exception):
     The engine records the reason as a remark and falls through to the
     next tier of the plan.  Raising this after side effects have been
     performed is a backend bug — use
-    :class:`repro.interp.jit.JITExecutionError` for mid-run failures,
+    :class:`repro.interp.jit_runtime.JITExecutionError` for mid-run failures,
     which only the re-materializing ``execute`` path may retry.
     """
 
@@ -63,7 +65,12 @@ class TierFallback(Exception):
 # ---------------------------------------------------------------------------
 
 _EXECUTORS: Dict[str, "Backend"] = {}
-_BUILTINS_LOADED = False
+
+#: Built-in tiers -> the module (of this package) that registers them.
+#: A tier is imported when an execution first reaches it, not when an
+#: engine is built: ``auto`` on a kernel the vector tier accepts never
+#: loads the JIT's emitter.  The names are taken from the start.
+_BUILTIN_TIER_MODULES = {"jit": "jit", "vector": "vectorize"}
 
 
 class Backend:
@@ -109,7 +116,10 @@ def register_executor(name: str, backend: Optional[Backend] = None):
     """
     def _install(target):
         instance = target() if isinstance(target, type) else target
-        if name in _EXECUTORS:
+        owner = _BUILTIN_TIER_MODULES.get(name)
+        if name in _EXECUTORS or (
+                owner is not None
+                and type(instance).__module__ != f"{__package__}.{owner}"):
             raise ExecutorRegistrationError(
                 f"an executor is already registered for tier '{name}'")
         if not instance.NAME:
@@ -122,28 +132,29 @@ def register_executor(name: str, backend: Optional[Backend] = None):
     return _install
 
 
-def _ensure_builtin_executors() -> None:
-    """Import the built-in tier modules (registering their backends)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from . import jit, vectorize  # noqa: F401  (register on import)
+def _is_registered(name: str) -> bool:
+    return name in _EXECUTORS or name in _BUILTIN_TIER_MODULES
 
 
 def registered_executors() -> Tuple[str, ...]:
     """Sorted names of every registered execution tier."""
-    _ensure_builtin_executors()
-    return tuple(sorted(_EXECUTORS))
+    return tuple(sorted(_EXECUTORS.keys() | _BUILTIN_TIER_MODULES.keys()))
 
 
 def executor_for(name: str) -> Backend:
-    _ensure_builtin_executors()
     backend = _EXECUTORS.get(name)
     if backend is None:
-        raise ValueError(
-            f"unknown execution tier '{name}' (registered: "
-            f"{', '.join(registered_executors())})")
+        module = _BUILTIN_TIER_MODULES.get(name)
+        if module is None:
+            raise ValueError(
+                f"unknown execution tier '{name}' (registered: "
+                f"{', '.join(registered_executors())})")
+        import importlib
+
+        # Registration is the last statement of a tier module, so the
+        # entry appears only once everything it calls is defined.
+        importlib.import_module(f".{module}", __package__)
+        backend = _EXECUTORS[name]
     return backend
 
 
@@ -187,8 +198,7 @@ class ExecutionEngine:
     def __init__(self, module, tier: str = "auto",
                  max_steps: int = 10_000_000,
                  executable_cache=None):
-        _ensure_builtin_executors()
-        if tier != "auto" and tier not in _EXECUTORS:
+        if tier != "auto" and not _is_registered(tier):
             raise ValueError(
                 f"unknown execution tier '{tier}' (available: auto, "
                 f"{', '.join(registered_executors())})")
@@ -205,7 +215,7 @@ class ExecutionEngine:
     def tier_plan(self) -> Tuple[str, ...]:
         """The tiers tried, in order, for this engine's ``tier``."""
         if self.tier == "auto":
-            return tuple(t for t in AUTO_TIER_ORDER if t in _EXECUTORS)
+            return tuple(t for t in AUTO_TIER_ORDER if _is_registered(t))
         if self.tier == "interp":
             return ("interp",)
         return (self.tier, "interp")
@@ -299,7 +309,7 @@ class ExecutionEngine:
             _snapshot,
         )
         from .interpreter import Interpreter
-        from .jit import JITExecutionError
+        from .jit_runtime import JITExecutionError
         from .memory import AccessorBinding
         from ..runtime.accessor import Accessor
 

@@ -51,10 +51,22 @@ def linearize(indices, extents) -> int:
         _linearize_impl = _impl
     return _linearize_impl(indices, extents)
 
-try:  # pragma: no cover - numpy ships with the project, lists are the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+
+#: NumPy, bound by the first :func:`_numpy_dtype` call — every array this
+#: module builds goes through it.  Dialect modules import this module to
+#: register evaluators, so importing NumPy here would charge its ~80 ms
+#: to every compile-only process.  ``False`` once the import has failed
+#: (lists are the fallback).
+_np = None
+
+
+def _import_numpy():
+    global _np
+    try:
+        import numpy as _np
+    except ImportError:  # pragma: no cover - numpy ships with the project
+        _np = False
+    return _np
 
 
 class InterpreterError(Exception):
@@ -112,12 +124,13 @@ def byte_size_of(type_: Type) -> int:
 
 
 def _numpy_dtype(element_type: Type):
-    if _np is None:
+    numpy = _np if _np is not None else _import_numpy()
+    if not numpy:
         return None
     if isinstance(element_type, FloatType):
-        return _np.float64 if element_type.width == 64 else _np.float32
+        return numpy.float64 if element_type.width == 64 else numpy.float32
     if isinstance(element_type, (IntegerType, IndexType)):
-        return _np.int64
+        return numpy.int64
     return None
 
 

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from ..ir import IndexType, IntegerType, Trait, has_trait, is_float
 from ..ir.operations import mutation_clock
 from .engine import Backend, TierFallback, register_executor
-from .jit import (
+from .jit_runtime import (
     JITExecutionError,
     _jit_divf,
     _jit_fptosi,

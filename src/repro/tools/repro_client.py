@@ -26,6 +26,7 @@ from ..serve import (
     ServeClient,
     ServeError,
 )
+from . import read_input
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -81,13 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _progress_printer(event: dict) -> None:
     phase = event.get("phase", "?")
     name = event.get("pass", "?")
@@ -127,7 +121,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
             exit_code = 0
             for path in args.inputs:
                 try:
-                    ir = _read_input(path)
+                    ir = read_input(path)
                 except OSError as exc:
                     print(f"repro-client: cannot read input: {exc}",
                           file=sys.stderr)

@@ -58,16 +58,8 @@ from ..ir import (
     verify,
     verify_with_diagnostics,
 )
-from ..analysis.lint import run_lint
 from ..transforms.compile_cache import CompileCache, text_fingerprint
 from ..transforms.disk_cache import DiskCache, cache_dir_from_env
-from ..transforms.executor import (
-    ExecutorOptions,
-    TierError,
-    WorkResult,
-    WorkUnit,
-    validate_segment_result,
-)
 from ..transforms.pass_manager import (
     CompileReport,
     GcTiming,
@@ -84,6 +76,7 @@ from ..transforms.pipelines import (
     parse_pass_pipeline,
     resolve_pass_name,
 )
+from . import read_input
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -192,13 +185,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _format_timing_table(timings) -> str:
     """Per-pass wall-time table in pass-execution order.
 
@@ -262,7 +248,7 @@ def _collect_segments(args) -> List[tuple]:
     """``(origin label, IR text)`` per module to compile, in input order."""
     segments: List[tuple] = []
     for path in args.inputs:
-        text = _read_input(path)
+        text = read_input(path)
         label = "<stdin>" if path == "-" else path
         if args.split_input_file:
             parts = _split_segments(text)
@@ -384,6 +370,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if manager is not None:
         manager.tier = args.parallel_tier
         if args.deadline is not None:
+            from ..transforms.executor import ExecutorOptions
+
             manager.executor_options = ExecutorOptions(
                 jobs=args.jobs, deadline=args.deadline)
 
@@ -505,6 +493,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
             print(f"repro-opt: {label}: {exc}", file=sys.stderr)
             return 2, None
         if args.lint:
+            from ..analysis.lint import run_lint
+
             findings = run_lint(module,
                                 am=_analysis_manager_of(manager))
             for diagnostic in findings:
@@ -529,6 +519,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
         if args.timing and report is not None else None
     try:
         if use_batch_process:
+            from ..transforms.executor import TierError
+
             try:
                 printed, exit_code = _run_batch_process(
                     args, manager, segments, report, compile_one)
@@ -574,6 +566,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
                             if not args.no_verify:
                                 verify_with_diagnostics(module, engine)
                         if args.lint and not broken:
+                            from ..analysis.lint import run_lint
+
                             run_lint(module,
                                      am=_analysis_manager_of(manager),
                                      engine=engine)
@@ -655,6 +649,12 @@ def _run_batch_process(args, manager, segments, report,
     policy.  Raises :class:`TierError` only when the tier as a whole
     cannot make progress.
     """
+    from ..transforms.executor import (
+        WorkResult,
+        WorkUnit,
+        validate_segment_result,
+    )
+
     spec = f"pipeline:{args.pipeline}" if args.pipeline \
         else dump_pass_pipeline(manager)
     units: List[WorkUnit] = []

@@ -35,35 +35,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..dialects import all_dialects  # noqa: F401 - registers ops and types
-from ..dialects.func import FuncOp
-from ..ir import ParseError, VerificationError, parse_module, verify
-from ..interp.differential import (
-    ExecutionSpec,
-    _executable_functions,
-    synthesize_spec,
-)
-from ..interp.engine import ExecutionEngine, registered_executors
-from ..interp.memory import InterpreterError, TrapError
-from ..runtime.device import (
-    DeviceSpec,
-    intel_data_center_gpu_max_1100,
-    small_test_device,
-)
-from ..transforms.compile_cache import CompileCache
-from ..transforms.disk_cache import DiskCache, cache_dir_from_env
-from ..transforms.pipelines import (
-    NAMED_PIPELINES,
-    build_named_pipeline,
-    parse_pass_pipeline,
-)
-from .repro_opt import _read_input
+from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
+from . import read_input
 
+if TYPE_CHECKING:
+    from ..dialects.func import FuncOp
+    from ..interp.differential import ExecutionSpec
+    from ..runtime.device import DeviceSpec
+
+# Nothing else is imported here: a process pays for what its run reaches
+# (``_main`` imports at the point of use), and a run answered by the
+# cache's front tier reaches no pass, analysis or lowering.  See
+# "Start-up: what a process imports" in docs/performance.md.
+
+#: ``--device`` name -> the :mod:`repro.runtime.device` factory's name.
 DEVICES = {
-    "max1100": intel_data_center_gpu_max_1100,
-    "small": small_test_device,
+    "max1100": "intel_data_center_gpu_max_1100",
+    "small": "small_test_device",
 }
 
 
@@ -85,7 +75,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--passes", default=None, metavar="SPEC",
         help="run a pass pipeline spec before executing")
     parser.add_argument(
-        "--pipeline", default=None, choices=sorted(NAMED_PIPELINES),
+        "--pipeline", default=None, choices=sorted(NAMED_PIPELINE_SPECS),
         help="run a full compiler-model pipeline before executing")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -168,6 +158,8 @@ def _split_assignment(text: str, what: str) -> Tuple[str, str]:
 
 
 def _build_spec(args) -> ExecutionSpec:
+    from ..interp.differential import ExecutionSpec
+
     spec = ExecutionSpec()
     if args.global_size:
         spec.global_size = _parse_extents(args.global_size, "--global-size")
@@ -244,10 +236,99 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
 
 
+def _recorded_module(cache, front_key: str, spec: str, args):
+    """The optimized module the cache's front tier recorded, or ``None``.
+
+    A hit hands back *text*; it becomes a module the way the input does
+    (parsed, then verified under the same flags).  A recorded text that
+    does neither is dropped from the cache and the caller compiles the
+    source — a stale or damaged entry costs time, never the run.
+    """
+    from ..ir import ParseError, VerificationError, parse_module, verify
+
+    recorded = cache.front_lookup(front_key, spec)
+    if recorded is None:
+        return None
+    try:
+        module = parse_module(recorded.text,
+                              allow_unregistered=args.allow_unregistered)
+        if not args.no_verify:
+            verify(module)
+    except (ParseError, VerificationError, RecursionError):
+        cache.front_recover(front_key, spec)
+        return None
+    return module
+
+
+def _compile(text: str, args, cache, front_key: Optional[str]):
+    """Parse ``text`` and run the requested pipeline over it.
+
+    Returns ``(module, 0)``, or ``(None, exit code)`` after reporting on
+    stderr.  With a ``front_key`` the optimized module is recorded in
+    ``cache``'s front tier — only here, after the post-pipeline verify.
+    """
+    from ..ir import ParseError, VerificationError, parse_module, verify
+
+    try:
+        module = parse_module(text,
+                              allow_unregistered=args.allow_unregistered)
+    except ParseError as exc:
+        print(f"repro-run: parse error: {exc}", file=sys.stderr)
+        return None, 1
+
+    try:
+        if args.pipeline:
+            from ..transforms.pipelines import build_named_pipeline
+
+            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+        elif args.passes:
+            from ..transforms.pipelines import parse_pass_pipeline
+
+            manager = parse_pass_pipeline(args.passes)
+            manager.jobs = args.jobs
+        else:
+            manager = None
+    except ValueError as exc:
+        print(f"repro-run: {exc}", file=sys.stderr)
+        return None, 2
+    # Optimize-before-execute pays disk-cache dividends: the pipeline
+    # cost of a hot kernel is skipped entirely on the second run.
+    if manager is not None and cache is not None:
+        manager.cache = cache
+
+    report = None
+    try:
+        if not args.no_verify:
+            verify(module)
+        if manager is not None:
+            try:
+                report = manager.run(module)
+            finally:
+                manager.close()
+            if not args.no_verify:
+                verify(module)
+    except VerificationError as exc:
+        print(f"repro-run: verification failed: {exc}", file=sys.stderr)
+        return None, 1
+    except ValueError as exc:
+        # Pass misconfiguration surfaced at run time (same contract as
+        # repro-opt's pipeline stage): usage error.
+        print(f"repro-run: {exc}", file=sys.stderr)
+        return None, 2
+    if front_key is not None and report.cache_key is not None:
+        from ..ir import Printer
+
+        cache.front_store(front_key, Printer().print_module(module),
+                          report.cache_key)
+    return module, 0
+
+
 def _main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
     if args.list_tiers:
+        from ..interp.engine import registered_executors
+
         print("auto")
         for name in registered_executors():
             print(name)
@@ -264,52 +345,40 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        text = _read_input(args.input)
+        text = read_input(args.input)
     except OSError as exc:
         print(f"repro-run: cannot read input: {exc}", file=sys.stderr)
         return 1
-    try:
-        module = parse_module(text,
-                              allow_unregistered=args.allow_unregistered)
-    except ParseError as exc:
-        print(f"repro-run: parse error: {exc}", file=sys.stderr)
-        return 1
 
-    try:
-        if args.pipeline:
-            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
-        elif args.passes:
-            manager = parse_pass_pipeline(args.passes)
-            manager.jobs = args.jobs
-        else:
-            manager = None
-    except ValueError as exc:
-        print(f"repro-run: {exc}", file=sys.stderr)
-        return 2
-    # Optimize-before-execute pays disk-cache dividends: the pipeline
-    # cost of a hot kernel is skipped entirely on the second run.
-    cache_dir = args.cache_dir or cache_dir_from_env()
-    if manager is not None and cache_dir:
-        manager.cache = CompileCache(disk=DiskCache(cache_dir))
+    from ..dialects import all_dialects  # noqa: F401 - registers ops, types
 
-    try:
-        if not args.no_verify:
-            verify(module)
-        if manager is not None:
-            try:
-                manager.run(module)
-            finally:
-                manager.close()
-            if not args.no_verify:
-                verify(module)
-    except VerificationError as exc:
-        print(f"repro-run: verification failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Pass misconfiguration surfaced at run time (same contract as
-        # repro-opt's pipeline stage): usage error.
-        print(f"repro-run: {exc}", file=sys.stderr)
-        return 2
+    cache = front_key = module = None
+    if args.pipeline or args.passes:
+        from ..transforms.disk_cache import DiskCache, cache_dir_from_env
+
+        cache_dir = args.cache_dir or cache_dir_from_env()
+        if cache_dir:
+            from ..transforms.compile_cache import CompileCache
+
+            cache = CompileCache(disk=DiskCache(cache_dir))
+            # A named pipeline's canonical spec is known without building
+            # it, so the front tier is asked before any pass is imported.
+            # (Canonicalising a free-form --passes spec needs the pass
+            # registry: those runs start at the second level.)
+            if args.pipeline:
+                front_spec = NAMED_PIPELINE_SPECS[args.pipeline]
+                front_key = CompileCache.front_key(
+                    text, front_spec, "repro-run", args.no_verify,
+                    args.allow_unregistered)
+                module = _recorded_module(cache, front_key, front_spec, args)
+    if module is None:
+        module, exit_code = _compile(text, args, cache, front_key)
+        if module is None:
+            return exit_code
+
+    from ..interp.differential import _executable_functions, synthesize_spec
+    from ..interp.engine import ExecutionEngine
+    from ..interp.memory import InterpreterError, TrapError
 
     # Functions are resolved after the pipeline ran, so entries the
     # pipeline created are selectable and --list-functions reflects the
@@ -372,10 +441,12 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     if args.cost_report:
         from ..interp.memory import ExecutionCounters
+        from ..runtime import device
 
         counters = ExecutionCounters(**execution.counters)
         launches = 1 if execution.kind == "kernel" else 0
-        print(_cost_report(counters, DEVICES[args.device](), launches),
+        device_spec = getattr(device, DEVICES[args.device])()
+        print(_cost_report(counters, device_spec, launches),
               file=sys.stderr)
     return 0
 

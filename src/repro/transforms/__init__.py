@@ -1,95 +1,60 @@
-"""Transformation passes (paper, Sections VI and VII)."""
+"""Transformation passes (paper, Sections VI and VII).
 
-from .canonicalize import CanonicalizePass, DCEPass, erase_dead_ops, fold_operation
-from .cse import CSEPass
-from .detect_reduction import DetectReduction, ReductionCandidate
-from .host_device import (
-    AccessorInfo,
-    HostDeviceOptimizationPass,
-    KernelLaunchInfo,
-    host_constructor_of,
-)
-from .host_raising import (
-    DEVICE_MODULE_NAME,
-    HostRaisingPass,
-    classify_runtime_call,
-    extract_kernel_name,
-)
-from .compile_cache import CachedCompile, CacheStats, CompileCache
-from .disk_cache import DiskCache, DiskCacheStats, cache_dir_from_env
-from .licm import LoopInvariantCodeMotion, VersionedLICM
-from .loop_internalization import LoopInternalization, work_group_size_of
-from .lower_sycl import LowerAccessorSubscripts
-from .pass_manager import (
-    CompileReport,
-    FunctionPass,
-    GcTiming,
-    IRPrintingInstrumentation,
-    LintInstrumentation,
-    ModulePass,
-    OpPassManager,
-    Pass,
-    PassInstrumentation,
-    PassManager,
-    PassOptions,
-    PassRegistration,
-    PassStatistic,
-    TimingInstrumentation,
-    VerifierInstrumentation,
-    lookup_pass,
-    register_pass,
-    register_pass_alias,
-)
-from .pipelines import (
-    OptimizationOptions,
-    PipelineParseError,
-    adaptivecpp_aot_pipeline,
-    adaptivecpp_jit_pipeline,
-    available_passes,
-    build_named_pipeline,
-    check_pass_pipeline,
-    describe_registered_passes,
-    dpcpp_pipeline,
-    dump_pass_pipeline,
-    parse_pass_pipeline,
-    resolve_pass_name,
-    shipped_pipeline_names,
-    sycl_mlir_pipeline,
-)
-from .rewrite import (
-    NonConvergenceWarning,
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns_greedily,
-)
-from .specialization import RuntimeCheckedAliasAnalysis
+Every name is resolved on first use (PEP 562, as in ``repro.interp``):
+importing the package — which importing any submodule does — loads no
+pass, so a process that only consults the compile cache
+(``repro.transforms.compile_cache``) pays for nothing else.  The pass
+registry does not rely on this package having been imported: it loads
+the built-in pass modules itself (see
+:func:`repro.transforms.pass_manager.lookup_pass`).
+"""
 
-__all__ = [
-    "CanonicalizePass", "DCEPass", "erase_dead_ops", "fold_operation",
-    "CSEPass",
-    "DetectReduction", "ReductionCandidate",
-    "AccessorInfo", "HostDeviceOptimizationPass", "KernelLaunchInfo",
-    "host_constructor_of",
-    "DEVICE_MODULE_NAME", "HostRaisingPass", "classify_runtime_call",
-    "extract_kernel_name",
-    "LoopInvariantCodeMotion", "VersionedLICM",
-    "LoopInternalization", "work_group_size_of",
-    "LowerAccessorSubscripts",
-    "CachedCompile", "CacheStats", "CompileCache",
-    "DiskCache", "DiskCacheStats", "cache_dir_from_env",
-    "CompileReport", "FunctionPass", "GcTiming",
-    "IRPrintingInstrumentation",
-    "LintInstrumentation",
-    "ModulePass", "OpPassManager", "Pass", "PassInstrumentation",
-    "PassManager", "PassOptions", "PassRegistration", "PassStatistic",
-    "TimingInstrumentation", "VerifierInstrumentation", "lookup_pass",
-    "register_pass", "register_pass_alias",
-    "OptimizationOptions", "PipelineParseError", "adaptivecpp_aot_pipeline",
-    "adaptivecpp_jit_pipeline", "available_passes", "build_named_pipeline",
-    "check_pass_pipeline",
-    "describe_registered_passes", "dpcpp_pipeline", "dump_pass_pipeline",
-    "parse_pass_pipeline", "resolve_pass_name", "sycl_mlir_pipeline",
-    "NonConvergenceWarning", "PatternRewriter", "RewritePattern",
-    "apply_patterns_greedily",
-    "RuntimeCheckedAliasAnalysis",
-]
+from .. import _lazy_exports
+
+#: Lazily resolved attributes -> defining submodule.
+_LAZY = {
+    "CanonicalizePass": "canonicalize", "DCEPass": "canonicalize",
+    "erase_dead_ops": "canonicalize", "fold_operation": "canonicalize",
+    "CSEPass": "cse",
+    "DetectReduction": "detect_reduction",
+    "ReductionCandidate": "detect_reduction",
+    "AccessorInfo": "host_device",
+    "HostDeviceOptimizationPass": "host_device",
+    "KernelLaunchInfo": "host_device", "host_constructor_of": "host_device",
+    "DEVICE_MODULE_NAME": "host_raising", "HostRaisingPass": "host_raising",
+    "classify_runtime_call": "host_raising",
+    "extract_kernel_name": "host_raising",
+    "LoopInvariantCodeMotion": "licm", "VersionedLICM": "licm",
+    "LoopInternalization": "loop_internalization",
+    "work_group_size_of": "loop_internalization",
+    "LowerAccessorSubscripts": "lower_sycl",
+    "CachedCompile": "compile_cache", "CacheStats": "compile_cache",
+    "CompileCache": "compile_cache",
+    "DiskCache": "disk_cache", "DiskCacheStats": "disk_cache",
+    "cache_dir_from_env": "disk_cache",
+    "CompileReport": "pass_manager", "FunctionPass": "pass_manager",
+    "GcTiming": "pass_manager",
+    "IRPrintingInstrumentation": "pass_manager",
+    "LintInstrumentation": "pass_manager",
+    "ModulePass": "pass_manager", "OpPassManager": "pass_manager",
+    "Pass": "pass_manager", "PassInstrumentation": "pass_manager",
+    "PassManager": "pass_manager", "PassOptions": "pass_manager",
+    "PassRegistration": "pass_manager", "PassStatistic": "pass_manager",
+    "TimingInstrumentation": "pass_manager",
+    "VerifierInstrumentation": "pass_manager", "lookup_pass": "pass_manager",
+    "register_pass": "pass_manager", "register_pass_alias": "pass_manager",
+    "OptimizationOptions": "pipelines", "PipelineParseError": "pipelines",
+    "adaptivecpp_aot_pipeline": "pipelines",
+    "adaptivecpp_jit_pipeline": "pipelines", "available_passes": "pipelines",
+    "build_named_pipeline": "pipelines", "check_pass_pipeline": "pipelines",
+    "describe_registered_passes": "pipelines", "dpcpp_pipeline": "pipelines",
+    "dump_pass_pipeline": "pipelines", "parse_pass_pipeline": "pipelines",
+    "resolve_pass_name": "pipelines", "shipped_pipeline_names": "pipelines",
+    "sycl_mlir_pipeline": "pipelines",
+    "NonConvergenceWarning": "rewrite", "PatternRewriter": "rewrite",
+    "RewritePattern": "rewrite", "apply_patterns_greedily": "rewrite",
+    "RuntimeCheckedAliasAnalysis": "specialization",
+}
+
+__getattr__ = _lazy_exports(__name__, _LAZY)
+__all__ = list(_LAZY)

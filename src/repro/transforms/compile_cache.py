@@ -318,6 +318,21 @@ class CompileCache:
                 statistics=entry.statistics, remarks=entry.remarks,
                 preserved_analyses=(key[0],))
 
+    def front_recover(self, front_key: str, pipeline_spec: str) -> None:
+        """The caller found a front hit unusable after the fact (its text
+        no longer parses or verifies): drop the entry from both tiers
+        and turn the counted hit into a counted recovery, so the request
+        is still counted once when the slow path answers it."""
+        with self._lock:
+            if self._front.pop(front_key, None) is not None:
+                self.front_stats.evictions += 1
+            self.front_stats.recovered += 1
+            self.front_stats.hits -= 1
+            self.front_stats.misses += 1
+            self.stats.hits -= 1
+        if self.disk is not None:
+            self.disk.recover((FRONT_PREFIX + front_key, pipeline_spec))
+
     # -- second level --------------------------------------------------------
     def lookup(self, key: CacheKey) -> Optional[CachedCompile]:
         with self._lock:
@@ -398,6 +413,11 @@ class CompileCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def __bool__(self) -> bool:
+        # An empty cache is still a cache (``cache or CompileCache()``
+        # would otherwise replace one that has not stored anything yet).
+        return True
 
     def clear(self) -> None:
         with self._lock:

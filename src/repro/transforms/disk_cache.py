@@ -308,6 +308,11 @@ class DiskCache:
         return sum(1 for _, _, path in self._entries_by_age()
                    if path.suffix == ".json")
 
+    def __bool__(self) -> bool:
+        # An empty store is still a store, and answering from
+        # ``__len__`` would walk and ``stat`` every entry.
+        return True
+
     def describe(self) -> Dict[str, int]:
         """JSON-able snapshot for ``--report`` and the daemon status."""
         with self._lock:

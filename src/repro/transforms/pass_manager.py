@@ -28,10 +28,10 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -57,6 +57,9 @@ from ..analysis.manager import (
     current_analysis_manager,
 )
 from ..dialects.func import FuncOp
+
+if TYPE_CHECKING:  # the pool is imported where a ``jobs > 1`` run builds it
+    from concurrent.futures import ThreadPoolExecutor
 
 #: Operation names a pipeline may anchor on.  ``builtin.module`` pipelines
 #: may nest ``func.func`` pipelines, never the other way around (a function
@@ -419,9 +422,33 @@ class PassRegistration:
         return self.pass_class(options=options)
 
 
-#: All registered passes, keyed by spec name.  Populated at import time by
-#: the :func:`register_pass` decorators on each pass module.
-PASS_REGISTRATIONS: Dict[str, PassRegistration] = {}
+#: All registered passes, keyed by spec name; the :func:`register_pass`
+#: decorators fill it as pass modules are imported.  Read it through
+#: :func:`lookup_pass` or as ``PASS_REGISTRATIONS`` (module
+#: ``__getattr__`` below), which load the built-in pass modules first:
+#: importing the ``repro.transforms`` package loads none of them.
+_REGISTRATIONS: Dict[str, PassRegistration] = {}
+_BUILTINS_LOADED = False
+
+
+def _load_builtin_passes() -> None:
+    """Import the built-in pass modules (registering their passes).
+
+    The flag is set once the import has *finished*, so a second thread
+    either waits on the import lock or finds the registry complete.
+    """
+    global _BUILTINS_LOADED
+    from . import pipelines  # noqa: F401 - imports every pass module
+
+    _BUILTINS_LOADED = True
+
+
+def __getattr__(name: str):
+    if name == "PASS_REGISTRATIONS":
+        if not _BUILTINS_LOADED:
+            _load_builtin_passes()
+        return _REGISTRATIONS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _first_doc_line(cls: type) -> str:
@@ -442,9 +469,9 @@ def register_pass(cls: Optional[Type[Pass]] = None, *,
 
     def wrap(pass_class: Type[Pass]) -> Type[Pass]:
         spec_name = name or pass_class.NAME
-        if spec_name in PASS_REGISTRATIONS:
+        if spec_name in _REGISTRATIONS:
             raise ValueError(f"pass {spec_name!r} is already registered")
-        PASS_REGISTRATIONS[spec_name] = PassRegistration(
+        _REGISTRATIONS[spec_name] = PassRegistration(
             name=spec_name,
             pass_class=pass_class,
             options_class=pass_class.Options,
@@ -463,9 +490,9 @@ def register_pass_alias(name: str, base: Type[Pass],
         register_pass_alias("licm-generic", LoopInvariantCodeMotion,
                             alias="generic")
     """
-    if name in PASS_REGISTRATIONS:
+    if name in _REGISTRATIONS:
         raise ValueError(f"pass {name!r} is already registered")
-    PASS_REGISTRATIONS[name] = PassRegistration(
+    _REGISTRATIONS[name] = PassRegistration(
         name=name,
         pass_class=base,
         options_class=base.Options,
@@ -475,7 +502,9 @@ def register_pass_alias(name: str, base: Type[Pass],
 
 
 def lookup_pass(name: str) -> Optional[PassRegistration]:
-    return PASS_REGISTRATIONS.get(name)
+    if not _BUILTINS_LOADED:
+        _load_builtin_passes()
+    return _REGISTRATIONS.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +886,8 @@ class PassManager(OpPassManager):
             self.close()
             return None
         if self._executor is None or self._executor_jobs != self.jobs:
+            from concurrent.futures import ThreadPoolExecutor
+
             self.close()
             self._executor = ThreadPoolExecutor(
                 max_workers=self.jobs,

@@ -52,12 +52,14 @@ from .pass_manager import (
     MODULE_ANCHOR,
     OpPassManager,
     Pass,
-    PASS_REGISTRATIONS,
     PassManager,
     PassRegistration,
     lookup_pass,
 )
-from .specialization import RuntimeCheckedAliasAnalysis
+# The raw table: this module's own imports are what fills it, so reading
+# it here needs no ``_load_builtin_passes``.
+from .pass_manager import _REGISTRATIONS as PASS_REGISTRATIONS
+from .pipeline_specs import NAMED_PIPELINE_SPECS
 
 # Importing the target subsystem registers the conversion passes behind
 # the "lower-to-llvm" pipeline with the declarative pass registry, so
@@ -154,17 +156,17 @@ def dpcpp_pipeline(options: Optional[OptimizationOptions] = None,
     return pm
 
 
+def _pipeline_from_spec(name: str, jobs: int) -> PassManager:
+    """A pipeline without options: its ``NAMED_PIPELINE_SPECS`` entry is
+    its definition, so the two cannot drift apart."""
+    manager = parse_pass_pipeline(NAMED_PIPELINE_SPECS[name])
+    manager.jobs = jobs
+    return manager
+
+
 def adaptivecpp_aot_pipeline(jobs: int = 1) -> PassManager:
     """AdaptiveCpp ahead-of-time part: lowering + light cleanup only."""
-    pm = PassManager(jobs=jobs)
-    _nest_function_passes(pm, [
-        CanonicalizePass(),
-        CSEPass(),
-        LowerAccessorSubscripts(),
-        CanonicalizePass(),
-        CSEPass(),
-    ])
-    return pm
+    return _pipeline_from_spec("adaptivecpp-aot", jobs)
 
 
 def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
@@ -175,18 +177,7 @@ def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
     promotion of reductions (with the cost of JIT-ing accounted separately
     by the compiler driver).
     """
-    alias = RuntimeCheckedAliasAnalysis()
-    pm = PassManager(jobs=jobs)
-    _nest_function_passes(pm, [
-        CanonicalizePass(),
-        CSEPass(),
-        LoopInvariantCodeMotion(alias_analysis=alias),
-        DetectReduction(alias_analysis=alias),
-        CanonicalizePass(),
-        CSEPass(),
-        DCEPass(),
-    ])
-    return pm
+    return _pipeline_from_spec("adaptivecpp-jit", jobs)
 
 
 def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
@@ -198,6 +189,9 @@ def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
     whole functions convert to ``llvm.func``.  The differential harness
     proves the composition preserves the source module's semantics
     (see :mod:`repro.target.conversions` and ``docs/lowering.md``).
+
+    Built in code although it takes no options: batch drivers build it
+    once per module, and parsing its spec costs ten times the calls.
     """
     from ..target.conversions import (
         ConvertArithToLLVM,
@@ -586,16 +580,16 @@ def _options_free(name: str, builder: Callable[[int], PassManager]):
     return build
 
 
-#: Full compiler-model pipelines selectable by name (`repro-opt --pipeline`).
+#: Full compiler-model pipelines selectable by name (`repro-opt --pipeline`);
+#: the same names key ``NAMED_PIPELINE_SPECS``.
 NAMED_PIPELINES: Dict[str, Callable[..., PassManager]] = {
     "sycl-mlir": sycl_mlir_pipeline,
     "dpcpp": dpcpp_pipeline,
-    "adaptivecpp-aot": _options_free(
-        "adaptivecpp-aot", lambda jobs: adaptivecpp_aot_pipeline(jobs=jobs)),
-    "adaptivecpp-jit": _options_free(
-        "adaptivecpp-jit", lambda jobs: adaptivecpp_jit_pipeline(jobs=jobs)),
-    "lower-to-llvm": _options_free(
-        "lower-to-llvm", lambda jobs: lower_to_llvm_pipeline(jobs=jobs)),
+    "adaptivecpp-aot": _options_free("adaptivecpp-aot",
+                                     adaptivecpp_aot_pipeline),
+    "adaptivecpp-jit": _options_free("adaptivecpp-jit",
+                                     adaptivecpp_jit_pipeline),
+    "lower-to-llvm": _options_free("lower-to-llvm", lower_to_llvm_pipeline),
 }
 
 

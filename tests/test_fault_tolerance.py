@@ -460,7 +460,9 @@ class TestGracefulInterrupt:
         def boom(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(repro_run, "parse_module", boom)
+        # repro-run imports at the point of use, so the parser is patched
+        # where it lives, not on the tool module.
+        monkeypatch.setattr("repro.ir.parse_module", boom)
         rc = repro_run.main([str(path)])
         assert rc == 130
         assert "repro-run: interrupted" in capsys.readouterr().err

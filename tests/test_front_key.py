@@ -22,8 +22,16 @@ from repro.faults import fault_plan, install_fault_plan
 from repro.ir import Printer, i64, parse_module
 from repro.ir.printer import Printer as PrinterClass
 from repro.serve import CompileService
-from repro.transforms import CompileCache, parse_pass_pipeline
+from repro.transforms import (
+    CompileCache,
+    DiskCache,
+    build_named_pipeline,
+    dump_pass_pipeline,
+    parse_pass_pipeline,
+    shipped_pipeline_names,
+)
 from repro.transforms.compile_cache import FRONT_PREFIX
+from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 
 from .helpers import (
     build_listing1_function,
@@ -314,6 +322,62 @@ class TestFaultsDegradeToTheSlowPath:
         healed = CompileService(cache_dir=str(tmp_path))
         assert _compile(healed, text)["text"] == expected
         assert healed.cache.describe()["front"]["hits"] == 1
+
+
+    def test_a_hit_found_unusable_later_is_recovered_at_both_tiers(
+            self, tmp_path):
+        """``front_recover``: what a caller that *parses* a hit (repro-run)
+        does when the recorded text turns out not to be a module."""
+        text = _texts()[1]
+        service = CompileService(cache_dir=str(tmp_path))
+        _compile(service, text)
+        cache = CompileCache(disk=DiskCache(tmp_path))
+        key = CompileCache.front_key(text, PIPELINE, *FORM)
+        assert cache.front_lookup(key, PIPELINE) is not None
+        cache.front_recover(key, PIPELINE)
+        described = cache.describe()
+        # The request is still counted once: a miss, not a hit.
+        assert described["hits"] == 0
+        assert (described["front"]["hits"], described["front"]["misses"],
+                described["front"]["recovered"],
+                described["front"]["entries"]) == (0, 1, 1, 0)
+        assert described["disk"]["corrupt_recoveries"] == 1
+        assert CompileCache(disk=DiskCache(tmp_path)).front_lookup(
+            key, PIPELINE) is None
+
+
+class TestNamedPipelineSpecs:
+    """The leaf table ``repro-run`` computes its front key from without
+    importing a pass must be what building the pipeline would dump."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_the_table_is_the_dump_of_every_shipped_pipeline(self, jobs):
+        dumped = {}
+        for name in shipped_pipeline_names():
+            manager = build_named_pipeline(name, jobs=jobs)
+            dumped[name] = dump_pass_pipeline(manager)
+            manager.close()
+        assert NAMED_PIPELINE_SPECS == dumped
+
+    def test_every_entry_is_its_own_canonical_form(self):
+        for name, spec in NAMED_PIPELINE_SPECS.items():
+            manager = parse_pass_pipeline(spec)
+            assert dump_pass_pipeline(manager) == spec, name
+            manager.close()
+
+
+class TestAnEmptyCacheIsStillACache:
+    def test_truthiness_does_not_depend_on_the_contents(self, tmp_path,
+                                                        monkeypatch):
+        cache = CompileCache()
+        disk = DiskCache(tmp_path)
+        assert len(cache) == 0 and len(disk) == 0
+        assert cache and (cache or None) is cache
+        # ... and asking costs no directory walk.
+        monkeypatch.setattr(
+            DiskCache, "_entries_by_age",
+            lambda self: pytest.fail("truthiness walked the store"))
+        assert disk and (disk or None) is disk
 
 
 class TestConcurrency:

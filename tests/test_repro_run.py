@@ -5,8 +5,15 @@ import pytest
 from repro.dialects import builtin
 from repro.ir import Printer, index
 from repro.tools.repro_run import main as repro_run
+from repro.transforms import shipped_pipeline_names
 
-from .helpers import build_gemm_module
+from .helpers import (
+    build_gemm_module,
+    build_listing1_function,
+    build_listing2_function,
+    build_listing3_function,
+    wrap_in_module,
+)
 
 
 @pytest.fixture
@@ -175,3 +182,274 @@ class TestKernelExecution:
                         "--max-steps", "10"])
         assert rc == 1
         assert "step budget" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --cache-dir and the cache's front tier
+# ---------------------------------------------------------------------------
+
+def _listing_path(tmp_path, name, *functions):
+    path = tmp_path / f"{name}.mlir"
+    path.write_text(
+        Printer().print_module(wrap_in_module(*functions)) + "\n",
+        encoding="utf-8")
+    return path
+
+
+def _front_tier_inputs(tmp_path):
+    """``name -> (path, execution flags)``: the three paper listings and
+    the internalizing GEMM."""
+    gemm, _ = build_gemm_module(size=4, work_group=2)
+    gemm_path = tmp_path / "gemm.mlir"
+    gemm_path.write_text(Printer().print_module(gemm) + "\n",
+                         encoding="utf-8")
+    return {
+        "listing1": (_listing_path(tmp_path, "l1",
+                                   build_listing1_function()[0]),
+                     ["--entry", "foo"]),
+        "listing2": (_listing_path(tmp_path, "l2",
+                                   build_listing2_function()[0]),
+                     ["--global-size", "4x4", "--arg", "idx=3"]),
+        "listing3": (_listing_path(tmp_path, "l3",
+                                   build_listing3_function()[0]),
+                     ["--entry", "mem_acc", "--global-size", "2x2",
+                      "--buffer", "acc=3x128x130"]),
+        "gemm": (gemm_path, TestKernelExecution.ARGS),
+    }
+
+
+def _run(capsys, argv):
+    rc = repro_run([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def spy_cache(monkeypatch):
+    """Every ``CompileCache`` the tool builds, in creation order."""
+    from repro.transforms import compile_cache
+
+    created = []
+
+    class Recorded(compile_cache.CompileCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(compile_cache, "CompileCache", Recorded)
+    return created
+
+
+class TestFrontTier:
+    @pytest.mark.parametrize("tier", ["auto", "interp"])
+    @pytest.mark.parametrize("pipeline", shipped_pipeline_names())
+    def test_same_bytes_without_a_cache_cold_and_primed(
+            self, tmp_path, capsys, spy_cache, pipeline, tier):
+        for name, (path, flags) in _front_tier_inputs(tmp_path).items():
+            argv = [path, *flags, "--pipeline", pipeline, "--tier", tier,
+                    "--print-buffers", "--cost-report"]
+            cached = argv + ["--cache-dir", tmp_path / f"cache-{name}"]
+            reference = _run(capsys, argv)
+            assert reference[0] == 0, (name, reference[2])
+            del spy_cache[:]
+            assert _run(capsys, cached) == reference, (name, "cold")
+            assert _run(capsys, cached) == reference, (name, "primed")
+            cold, primed = spy_cache
+            assert cold.front_stats.hits == 0
+            assert primed.front_stats.hits == 1, name
+            assert len(primed) == 0  # no second-level traffic on a hit
+
+    @pytest.mark.parametrize("flags", [["--list-functions"],
+                                       ["--entry", "gemm"]])
+    def test_listing_and_entry_selection_see_the_recorded_module(
+            self, kernel_module_path, tmp_path, capsys, flags):
+        argv = [kernel_module_path, *TestKernelExecution.ARGS[2:], *flags,
+                "--pipeline", "lower-to-llvm"]
+        reference = _run(capsys, argv)
+        assert reference[0] == 0 and "gemm" in reference[1]
+        cached = argv + ["--cache-dir", tmp_path / "cache"]
+        assert _run(capsys, cached) == reference
+        assert _run(capsys, cached) == reference
+
+    def test_a_hit_parses_only_the_recorded_text_and_runs_no_pass(
+            self, kernel_module_path, tmp_path, capsys, monkeypatch):
+        import repro.ir
+        from repro.transforms import PassManager
+
+        argv = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--pipeline", "sycl-mlir", "--print-buffers",
+                "--cache-dir", tmp_path / "cache"]
+        reference = _run(capsys, argv)
+        assert reference[0] == 0
+
+        parsed = []
+        real_parse = repro.ir.parse_module
+
+        def spying_parse(text, *args, **kwargs):
+            parsed.append(text)
+            return real_parse(text, *args, **kwargs)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a front hit runs no pass")
+
+        monkeypatch.setattr("repro.ir.parse_module", spying_parse)
+        monkeypatch.setattr(PassManager, "run", no_pass)
+        assert _run(capsys, argv) == reference
+        (recorded,) = parsed
+        assert recorded != kernel_module_path.read_text(encoding="utf-8")
+        assert "sycl.work_group_size" in recorded
+
+    def test_verify_and_unregistered_flags_never_share_an_entry(
+            self, kernel_module_path, tmp_path, capsys, spy_cache):
+        from repro.transforms import DiskCache
+
+        root = tmp_path / "cache"
+        base = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--pipeline", "dpcpp", "--cache-dir", root]
+        entries = []
+        for extra in ([], ["--no-verify"], ["--allow-unregistered"],
+                      ["--no-verify", "--allow-unregistered"]):
+            assert _run(capsys, base + extra)[0] == 0
+            assert spy_cache[-1].front_stats.hits == 0, extra
+            entries.append(len(DiskCache(root)))
+        # One second-level entry, then one front entry per combination.
+        assert entries == [2, 3, 4, 5]
+        for extra in ([], ["--no-verify"]):
+            assert _run(capsys, base + extra)[0] == 0
+            assert spy_cache[-1].front_stats.hits == 1, extra
+
+    def test_other_tools_front_entries_are_not_taken(
+            self, kernel_module_path, tmp_path, capsys, spy_cache):
+        from repro.serve import CompileService
+        from repro.tools.repro_opt import main as repro_opt
+        from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
+
+        root = tmp_path / "cache"
+        text = kernel_module_path.read_text(encoding="utf-8")
+        assert repro_opt([str(kernel_module_path), "--pipeline", "sycl-mlir",
+                          "--cache-dir", str(root), "-o",
+                          str(tmp_path / "out.mlir")]) == 0
+        service = CompileService(cache_dir=str(root))
+        reply = service.handle(
+            {"id": 1, "method": "compile", "ir": text,
+             "passes": NAMED_PIPELINE_SPECS["sycl-mlir"]}, lambda _: None)
+        assert reply["ok"]
+        del spy_cache[:]
+
+        argv = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--pipeline", "sycl-mlir", "--print-buffers"]
+        reference = _run(capsys, argv)
+        assert _run(capsys, argv + ["--cache-dir", root]) == reference
+        (cache,) = spy_cache
+        # Same text, same spec, another form tag: a front miss; the
+        # second level, which all three share, answers from disk.
+        assert (cache.front_stats.hits, cache.front_stats.misses) == (0, 1)
+        assert (cache.disk.stats.hits, cache.disk.stats.misses) == (1, 1)
+
+    def _prime(self, capsys, argv):
+        """Run once, return ``(reference, front key, spec, cache root)``."""
+        from repro.transforms import CompileCache
+        from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
+
+        reference = _run(capsys, argv)
+        assert reference[0] == 0
+        path, pipeline = argv[0], argv[argv.index("--pipeline") + 1]
+        spec = NAMED_PIPELINE_SPECS[pipeline]
+        key = CompileCache.front_key(
+            path.read_text(encoding="utf-8"), spec, "repro-run",
+            False, False)
+        return reference, key, spec
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "this is not IR\n",
+        # Parses; an op after the terminator does not verify.
+        lambda text: text.replace(
+            '"func.return"() : () -> ()\n',
+            '"func.return"() : () -> ()\n'
+            '    "func.return"() : () -> ()\n', 1),
+    ], ids=["truncated", "not-ir", "not-verifying"])
+    def test_an_unusable_recorded_text_degrades_heals_and_is_counted(
+            self, kernel_module_path, tmp_path, capsys, spy_cache, damage):
+        from repro.transforms import CompileCache, DiskCache
+        from repro.transforms.compile_cache import FRONT_PREFIX
+
+        root = tmp_path / "cache"
+        argv = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--pipeline", "sycl-mlir", "--print-buffers",
+                "--cache-dir", root]
+        reference, key, spec = self._prime(capsys, argv)
+        disk = DiskCache(root)
+        good = disk.load((FRONT_PREFIX + key, spec))
+        bad = damage(good["text"])
+        assert bad != good["text"]
+        # A well-formed entry (its text passes its stored fingerprint)
+        # whose text is not the module the key promises.
+        assert disk.store((FRONT_PREFIX + key, spec), bad,
+                          statistics=good["statistics"],
+                          remarks=good["remarks"],
+                          preserved_analyses=good["preserved_analyses"])
+        del spy_cache[:]
+
+        assert _run(capsys, argv) == reference
+        (cache,) = spy_cache
+        front = cache.describe()["front"]
+        assert (front["recovered"], front["hits"]) == (1, 0)
+        assert cache.disk.stats.corrupt_recoveries == 1
+        # The slow path recorded the entry again.
+        healed = CompileCache(disk=DiskCache(root)).front_lookup(key, spec)
+        assert healed.text == good["text"]
+        assert _run(capsys, argv) == reference
+        assert spy_cache[-1].front_stats.hits == 1
+
+    def test_a_corrupt_hit_fault_degrades_heals_and_is_counted(
+            self, kernel_module_path, tmp_path, capsys, spy_cache):
+        from repro.faults import fault_plan
+
+        argv = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--pipeline", "sycl-mlir", "--print-buffers",
+                "--cache-dir", tmp_path / "cache"]
+        reference, _, _ = self._prime(capsys, argv)
+        del spy_cache[:]
+        with fault_plan("compile-cache.hit=corrupt"):
+            assert _run(capsys, argv) == reference
+        (cache,) = spy_cache
+        front = cache.describe()["front"]
+        assert (front["recovered"], front["hits"]) == (1, 0)
+        assert _run(capsys, argv) == reference
+        assert spy_cache[-1].front_stats.hits == 1
+
+    @pytest.mark.parametrize("source, message", [
+        ('"builtin.module"() ({\n  "arith.nope"() : () -> ()\n}) '
+         ': () -> ()\n', "parse error: line 2:28: unknown operation"),
+        ('"builtin.module"() ({\n  "func.func"() {function_type = () -> (),'
+         ' sym_name = "f"} : () -> () ({\n    "func.return"() : () -> ()\n'
+         '    "func.return"() : () -> ()\n  })\n}) : () -> ()\n',
+         "verification failed: func.return: terminator must be the last"),
+    ], ids=["parse-error", "verification-error"])
+    def test_a_broken_source_is_never_recorded(
+            self, tmp_path, capsys, spy_cache, source, message):
+        from repro.transforms import DiskCache
+
+        path = tmp_path / "broken.mlir"
+        path.write_text(source, encoding="utf-8")
+        root = tmp_path / "cache"
+        argv = [path, "--pipeline", "sycl-mlir"]
+        reference = _run(capsys, argv)
+        assert reference[0] == 1 and message in reference[2]
+        for _ in range(2):
+            assert _run(capsys, argv + ["--cache-dir", root]) == reference
+            assert spy_cache[-1].front_stats.hits == 0
+        assert len(DiskCache(root)) == 0
+
+    def test_passes_specs_stay_on_the_second_level(
+            self, kernel_module_path, tmp_path, capsys, spy_cache):
+        argv = [kernel_module_path, *TestKernelExecution.ARGS,
+                "--passes", "canonicalize, cse", "--print-buffers",
+                "--cache-dir", tmp_path / "cache"]
+        reference = _run(capsys, argv[:-2])
+        assert _run(capsys, argv) == reference
+        assert _run(capsys, argv) == reference
+        cold, warm = spy_cache
+        assert (cold.disk.stats.hits, warm.disk.stats.hits) == (0, 1)
+        assert warm.front_stats.lookups == 0
