@@ -374,7 +374,8 @@ class ConvertMemRefToLLVM(FunctionPass):
     * higher-rank static-shape accesses linearize by Horner's rule with
       ``llvm.mul``/``llvm.add``, matching ``MemRefStorage``'s layout.
 
-    Accesses it cannot prove linearizable keep their ``memref`` form.
+    Accesses it cannot prove linearizable keep their ``memref`` form; a
+    load whose result is unused is erased rather than addressed.
     Private static-shape allocations whose every remaining use is such
     a pointer bridge are then promoted to ``llvm.alloca``; ``local``
     (work-group shared) allocations are never promoted because their
@@ -430,6 +431,9 @@ class ConvertMemRefToLLVM(FunctionPass):
         return linear
 
     def _convert_access(self, op: Operation) -> int:
+        if isinstance(op, memref.LoadOp) and not op.results[0].has_uses():
+            op.erase()  # a dead read: nothing to address
+            return 0
         memref_value = op.memref
         memref_type = memref_value.type
         if not isinstance(memref_type, MemRefType):

@@ -18,6 +18,7 @@ from ..ir import (
     EffectKind,
     FloatAttr,
     IntegerAttr,
+    MemoryEffectsInterface,
     Operation,
     Trait,
     Value,
@@ -221,11 +222,7 @@ def _erase_allocation_groups(root: Operation) -> int:
         if not newly_dead:
             return erased
         erased += len(newly_dead)
-        for feeders in newly_dead:
-            for feeder in feeders:
-                if feeder is not None and id(feeder) not in seen:
-                    seen.add(id(feeder))
-                    worklist.append(feeder)
+        _enqueue_unseen(newly_dead, worklist, seen)
         erased += _drain_trivially_dead(worklist, seen)
 
 
@@ -242,48 +239,79 @@ def _erase_write_only_allocations(root: Operation) -> List[List[Operation]]:
     """
     feeders: List[List[Operation]] = []
     for op in root.walk(include_self=False):
-        if op.parent is None:
+        # Only an op with a result and declared effects can allocate;
+        # asking every op for its effects was most of a sweep's cost.
+        if op.parent is None or not op.results or \
+                not isinstance(op, MemoryEffectsInterface):
             continue
-        effects = get_memory_effects(op)
-        if effects is None or not effects:
-            continue
-        if not all(e.kind == EffectKind.ALLOCATE for e in effects):
-            continue
-        allocation = op.results[0] if op.results else None
-        if allocation is None:
-            continue
-        users = allocation.users()
-        if not users:
-            continue
-        writers = []
-        removable = True
-        for user in users:
-            if user.has_uses():
-                removable = False
-                break
-            user_effects = get_memory_effects(user)
-            if user_effects is None:
-                removable = False
-                break
-            for effect in user_effects:
-                if effect.kind == EffectKind.READ and effect.value is allocation:
-                    removable = False
-                    break
-                if effect.kind == EffectKind.WRITE and effect.value is not allocation:
-                    removable = False
-                    break
-            if not removable:
-                break
-            writers.append(user)
-        if not removable:
-            continue
-        for writer in writers:
-            feeders.append([operand.defining_op()
-                            for operand in writer.operands])
-            writer.erase()
-        feeders.append([operand.defining_op() for operand in op.operands])
-        op.erase()
+        feeders.extend(_erase_if_write_only_allocation(op))
     return feeders
+
+
+def _erase_if_write_only_allocation(op: Operation) -> List[List[Operation]]:
+    """Erase ``op`` (which has a result) and its writers if it is a
+    write-only allocation.
+
+    Returns the feeders of what was erased (empty when nothing was).
+    """
+    effects = get_memory_effects(op)
+    if not effects or \
+            not all(e.kind == EffectKind.ALLOCATE for e in effects):
+        return []
+    allocation = op.results[0]
+    writers = allocation.users()
+    if not writers:
+        return []
+    for user in writers:
+        if user.has_uses():
+            return []
+        user_effects = get_memory_effects(user)
+        if user_effects is None:
+            return []
+        for effect in user_effects:
+            if effect.kind == EffectKind.READ and effect.value is allocation:
+                return []
+            if effect.kind == EffectKind.WRITE and \
+                    effect.value is not allocation:
+                return []
+    feeders: List[List[Operation]] = []
+    for writer in writers:
+        feeders.append([operand.defining_op() for operand in writer.operands])
+        writer.erase()
+    feeders.append([operand.defining_op() for operand in op.operands])
+    op.erase()
+    return feeders
+
+
+def erase_orphaned_ops(candidates: List[Optional[Operation]]) -> int:
+    """Erase those of ``candidates`` a rewrite left dead, and their feeders.
+
+    The targeted form of :func:`erase_dead_ops` for a rewrite that knows
+    which ops it may have orphaned (``None`` entries — values that were
+    block arguments — are skipped): each candidate is erased when it is
+    trivially dead or a write-only allocation group, dead chains behind it
+    collapse as usual, and no other op of the function is visited.
+    """
+    erased = 0
+    worklist: List[Operation] = []
+    seen: set = set()
+    for op in candidates:
+        if op is None or op.parent is None:
+            continue  # no op, or it went with an earlier candidate
+        group = _erase_if_write_only_allocation(op) \
+            if op.results and isinstance(op, MemoryEffectsInterface) else []
+        erased += len(group)
+        _enqueue_unseen(group or [[op]], worklist, seen)
+    return erased + _drain_trivially_dead(worklist, seen)
+
+
+def _enqueue_unseen(groups: List[List[Operation]],
+                    worklist: List[Operation], seen: set) -> None:
+    for group in groups:
+        for op in group:
+            if op is not None and id(op) not in seen:
+                seen.add(id(op))
+                worklist.append(op)
 
 
 def _effects_are_unobservable(op: Operation) -> bool:

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..ir import (
     EffectKind,
+    MemoryEffect,
     Operation,
     Trait,
     Value,
@@ -145,9 +146,11 @@ class LoopInvariantCodeMotion(FunctionPass):
 
     # ------------------------------------------------------------------
     def run_on_function(self, function: FuncOp, report: CompileReport) -> None:
+        loops = [op for op in function.walk() if isinstance(op, _LOOP_TYPES)]
+        if not loops:
+            return  # before resolving the analysis, which hashes the function
         alias = self._alias_for(function)
         # Innermost loops first so invariants bubble outwards.
-        loops = [op for op in function.walk() if isinstance(op, _LOOP_TYPES)]
         for loop in reversed(loops):
             if loop.parent is None:
                 continue
@@ -162,6 +165,11 @@ class LoopInvariantCodeMotion(FunctionPass):
         trip_count = _loop_trip_count(loop)
         may_not_execute = trip_count is None or trip_count == 0
         hoisted_total = 0
+        # Effect summary per body op, filled on first use.  Hoisting only
+        # moves ops out of the body, so the summaries of those that stay
+        # hold for the whole call.  A local on purpose: pass instances are
+        # pooled and shared across workers.
+        body_effects: Dict[int, Optional[List[MemoryEffect]]] = {}
         changed = True
         while changed:
             changed = False
@@ -182,7 +190,7 @@ class LoopInvariantCodeMotion(FunctionPass):
                     continue
                 if not self.allow_side_effecting_hoist or may_not_execute:
                     continue
-                if self._can_hoist_effectful(op, loop, alias):
+                if self._can_hoist_effectful(op, loop, alias, body_effects):
                     self._hoist(op, loop)
                     hoisted_total += 1
                     changed = True
@@ -201,8 +209,9 @@ class LoopInvariantCodeMotion(FunctionPass):
                     return False
         return True
 
-    def _can_hoist_effectful(self, op: Operation, loop: Operation,
-                             alias: AliasAnalysis) -> bool:
+    def _can_hoist_effectful(
+            self, op: Operation, loop: Operation, alias: AliasAnalysis,
+            body_effects: Dict[int, Optional[List[MemoryEffect]]]) -> bool:
         effects = get_memory_effects(op)
         if effects is None:
             return False
@@ -225,7 +234,10 @@ class LoopInvariantCodeMotion(FunctionPass):
         for other in loop.loop_body().ops_without_terminator():
             if other is op:
                 continue
-            other_effects = self._effects_in_tree(other)
+            key = id(other)
+            if key not in body_effects:
+                body_effects[key] = self._effects_in_tree(other)
+            other_effects = body_effects[key]
             if other_effects is None:
                 return False
             for effect in other_effects:

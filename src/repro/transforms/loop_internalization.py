@@ -28,6 +28,7 @@ from ..ir import (
     MemRefType,
     Operation,
     Value,
+    i32,
     i64,
     index,
 )
@@ -39,6 +40,7 @@ from ..dialects.sycl import (
     NDItemType,
     SYCLAccessorSubscriptOp,
     SYCLGroupBarrierOp,
+    SYCLNDItemGetGlobalIDOp,
     SYCLNDItemGetGroupIDOp,
     SYCLNDItemGetGroupOp,
     SYCLNDItemGetLocalIDOp,
@@ -248,22 +250,33 @@ class LoopInternalization(FunctionPass):
             return op
 
         # Work-item coordinates used by the prefetch and the tiled uses.
-        dim_constants: Dict[int, Value] = {}
+        # A row addressed by its own work-item dimension prefetches at
+        # group_id(d) * tile + local_id(d), which is get_global_id(d) under
+        # the work-group size this pass requires — one query CSE merges
+        # with the kernel's own.  Transposed rows keep the explicit form.
         local_ids: Dict[int, Value] = {}
         group_ids: Dict[int, Value] = {}
+        global_ids: Dict[int, Value] = {}
+        thread_rows = [(row_index, row.thread_dim)
+                       for c in candidates
+                       for row_index, row in enumerate(c.rows)
+                       if row.kind == "thread"]
+        own_dims = {dim for row_index, dim in thread_rows if dim == row_index}
+        transposed_dims = {dim for row_index, dim in thread_rows
+                           if dim != row_index}
         needed_dims = sorted(
-            {r.thread_dim for c in candidates for r in c.rows
-             if r.kind == "thread"} |
+            {dim for _, dim in thread_rows} |
             {dim for c in candidates for dim in range(len(c.rows))})
-        from ..ir import i32 as _i32
-
         for dim in needed_dims:
-            dim_const = insert(arith.ConstantOp.build(dim, _i32()))
-            dim_constants[dim] = dim_const.result
+            dim_const = insert(arith.ConstantOp.build(dim, i32())).result
             local_ids[dim] = insert(
-                SYCLNDItemGetLocalIDOp.build(nd_item, dim_const.result)).result
-            group_ids[dim] = insert(
-                SYCLNDItemGetGroupIDOp.build(nd_item, dim_const.result)).result
+                SYCLNDItemGetLocalIDOp.build(nd_item, dim_const)).result
+            if dim in own_dims:
+                global_ids[dim] = insert(
+                    SYCLNDItemGetGlobalIDOp.build(nd_item, dim_const)).result
+            if dim in transposed_dims:
+                group_ids[dim] = insert(
+                    SYCLNDItemGetGroupIDOp.build(nd_item, dim_const)).result
 
         group = insert(SYCLNDItemGetGroupOp.build(nd_item, len(wg_size)))
         tile_const = insert(arith.ConstantOp.build(tile, index()))
@@ -295,15 +308,16 @@ class LoopInternalization(FunctionPass):
         for candidate, tile_memref in zip(candidates, tiles):
             global_indices: List[Value] = []
             for row_index, row in enumerate(candidate.rows):
-                local_value = local_ids[row_index]
+                if row.kind == "thread" and row.thread_dim == row_index:
+                    global_indices.append(global_ids[row_index])
+                    continue
                 if row.kind == "loop":
                     base = t_value
                 else:
-                    scaled = append_outer(arith.MulIOp.build(
-                        group_ids[row.thread_dim], tile_const.result))
-                    base = scaled.result
-                combined = append_outer(arith.AddIOp.build(base, local_value))
-                global_indices.append(combined.result)
+                    base = append_outer(arith.MulIOp.build(
+                        group_ids[row.thread_dim], tile_const.result)).result
+                global_indices.append(append_outer(
+                    arith.AddIOp.build(base, local_ids[row_index])).result)
             prefetch_load = append_outer(self._build_accessor_load(
                 candidate, global_indices, append_outer))
             tile_indices = [local_ids[row_index]

@@ -1,4 +1,4 @@
-"""Premature lowering of SYCL accessor semantics (baseline modeling).
+"""Lowering of SYCL accessor semantics to raw pointer arithmetic.
 
 LLVM-IR based SYCL compilers (DPC++, AdaptiveCpp's SSCP flow) lower accessor
 accesses to raw pointer arithmetic long before the optimization pipeline
@@ -6,16 +6,20 @@ runs; the structured, SYCL-level information — which accessor an access
 belongs to, the access matrix, accessor non-overlap facts — is lost
 (paper, Sections I and II-B).
 
-This pass performs that lowering on our device IR so the baseline compiler
-models in :mod:`repro.frontend.driver` optimize the same kernels *without*
-SYCL semantics:
+Where this pass sits is the difference between the compiler models: the
+baseline pipelines run it *first* and optimize the same kernels without
+SYCL semantics, ``sycl-mlir`` runs it *last*, after the SYCL-aware passes,
+so that all of them are counted in the same lowered form (see
+``docs/lowering.md``):
 
 * ``sycl.accessor.subscript`` + the ``sycl.constructor`` building its index
   are replaced by explicit row-major address arithmetic on the raw data
   pointer (``sycl.accessor.get_pointer``), using ``sycl.accessor.get_mem_range``
   for the strides;
 * loads/stores through the subscript result become plain ``memref.load`` /
-  ``memref.store`` on the raw pointer.
+  ``memref.store`` on the raw pointer;
+* the id object a lowered subscript orphans goes with it.  Nothing else is
+  touched: a function without a subscript is left exactly as it was.
 
 The work-item queries remain (they model SPIR-V builtins and are executable
 by the simulator); what is lost is exactly what the paper says is lost.
@@ -37,7 +41,7 @@ from ..dialects.sycl import (
     SYCLConstructorOp,
     accessor_type_of,
 )
-from .canonicalize import erase_dead_ops
+from .canonicalize import erase_orphaned_ops
 from .pass_manager import CompileReport, FunctionPass, register_pass
 
 
@@ -52,20 +56,26 @@ class LowerAccessorSubscripts(FunctionPass):
     )
 
     def run_on_function(self, function: FuncOp, report: CompileReport) -> None:
-        #: Raw pointer per accessor value, so repeated subscripts share it.
-        pointers: Dict[int, Value] = {}
         subscripts = [op for op in function.walk()
                       if isinstance(op, SYCLAccessorSubscriptOp)]
+        if not subscripts:
+            return
+        #: Raw pointer per accessor value, so repeated subscripts share it.
+        pointers: Dict[int, Value] = {}
+        #: Definers of what the rewritten ops used: the id objects and the
+        #: old accesses' index operands, dead once nothing else uses them.
+        orphans: List[Optional[Operation]] = []
         for subscript in subscripts:
             if subscript.parent is None:
                 continue
-            if self._lower_subscript(subscript, pointers):
+            if self._lower_subscript(subscript, pointers, orphans):
                 report.add_statistic(self.NAME, "subscripts_lowered")
-        erase_dead_ops(function)
+        erase_orphaned_ops(orphans)
 
     # ------------------------------------------------------------------
     def _lower_subscript(self, subscript: SYCLAccessorSubscriptOp,
-                         pointers: Dict[int, Value]) -> bool:
+                         pointers: Dict[int, Value],
+                         orphans: List[Optional[Operation]]) -> bool:
         accessor = subscript.accessor
         accessor_type = accessor_type_of(accessor)
         if accessor_type is None:
@@ -123,15 +133,17 @@ class LowerAccessorSubscripts(FunctionPass):
                 replacement = memref_dialect.LoadOp.build(pointer, [linear])
                 user.parent.insert_before(user, replacement)
                 user.replace_all_uses_with([replacement.result])
-                user.erase()
+                orphans.append(replacement)  # dead if the old load was
             elif isinstance(user, (affine_dialect.AffineStoreOp,
                                    memref_dialect.StoreOp)):
                 replacement = memref_dialect.StoreOp.build(
                     user.value, pointer, [linear])
                 user.parent.insert_before(user, replacement)
-                user.erase()
             else:
                 return False
+            orphans.extend(index.defining_op() for index in user.indices)
+            user.erase()
+        orphans.append(subscript.index.defining_op())
         subscript.erase()
         return True
 

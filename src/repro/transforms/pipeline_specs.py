@@ -20,7 +20,8 @@ NAMED_PIPELINE_SPECS = {
     "adaptivecpp-jit":
         "builtin.module(func.func(canonicalize,cse,"
         "sycl-licm{alias=runtime-checked},"
-        "detect-reduction{alias=runtime-checked},canonicalize,cse,dce))",
+        "detect-reduction{alias=runtime-checked},lower-sycl-accessors,"
+        "canonicalize,cse,sycl-licm{alias=runtime-checked},dce))",
     "dpcpp":
         "builtin.module(func.func(canonicalize,cse,lower-sycl-accessors,"
         "canonicalize,cse,sycl-licm{alias=generic},"
@@ -32,6 +33,6 @@ NAMED_PIPELINE_SPECS = {
     "sycl-mlir":
         "builtin.module(func.func(canonicalize,cse),host-raising,"
         "host-device-propagation,func.func(canonicalize,"
-        "loop-internalization,sycl-licm,detect-reduction,canonicalize,cse,"
-        "dce))",
+        "loop-internalization,sycl-licm,detect-reduction,"
+        "lower-sycl-accessors,canonicalize,cse,sycl-licm,dce))",
 }
