@@ -24,6 +24,8 @@ _LAZY = {
     "BasisKind": "memory_access", "BasisVariable": "memory_access",
     "MemoryAccess": "memory_access", "MemoryAccessAnalysis": "memory_access",
     "NonAffineAccessError": "memory_access",
+    "SlotForwarding": "private_slots",
+    "forward_private_slots": "private_slots",
     "ReachingDefinitionAnalysis": "reaching_definitions",
     "ReachingDefs": "reaching_definitions",
     "SYCLAliasAnalysis": "sycl_alias",

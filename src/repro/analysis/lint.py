@@ -4,7 +4,7 @@ PR 5's differential interpreter found two real miscompiles — a cached
 ``sycl.accessor.get_pointer`` that stopped dominating its uses across
 sibling regions, and a ``MAY_TRAP`` division speculated out of a
 possibly-zero-trip loop — by *executing* modules.  Both properties are
-statically decidable; the rules here decide them (plus three more classes
+statically decidable; the rules here decide them (plus four more classes
 in the same spirit) on unexecuted IR, reporting source-located
 :class:`~repro.ir.diagnostics.Diagnostic` findings.
 
@@ -27,7 +27,10 @@ Shipped rules:
 ``readonly-accessor-write``
     a store through a view of a read-only accessor;
 ``dead-private-function``
-    a private ``func.func`` no call site reaches.
+    a private ``func.func`` no call site reaches;
+``uninitialised-private-load``
+    a constant-slot load of a private ``memref.alloca`` that nothing has
+    stored to since the allocation (``mem2reg``'s first decline reason).
 """
 
 from __future__ import annotations
@@ -48,11 +51,13 @@ from ..ir import (
 from ..dialects import affine as affine_dialect
 from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
+from ..dialects.memref import AllocaOp
 from ..dialects.sycl import SYCLGroupBarrierOp, accessor_type_of
 from .alias import underlying_object
 from .callgraph import CallGraph
 from .manager import AnalysisManager
 from .memory_access import MemoryAccessAnalysis
+from .private_slots import forward_private_slots
 from .uniformity import UniformityAnalysis
 
 
@@ -264,3 +269,19 @@ def _lint_dead_private_function(ctx: LintContext) -> None:
             ctx.warning(
                 f"private function '@{function.sym_name}' has no callers "
                 f"and is dead", function)
+
+
+@register_lint_rule(
+    "uninitialised-private-load",
+    "a constant-slot load of a private memref.alloca must be reached by "
+    "a store (mem2reg declines it: uninitialised-slot)")
+def _lint_uninitialised_private_load(ctx: LintContext) -> None:
+    for op in ctx.module.walk():
+        if not isinstance(op, AllocaOp):
+            continue
+        found = forward_private_slots(op)
+        if found.never_written:
+            ctx.warning(
+                f"'{found.culprit.name}' reads a slot of a private array "
+                f"that nothing has stored to", found.culprit).attach_note(
+                    "the array is allocated here", location_of(op))

@@ -28,6 +28,7 @@ _LAZY = {
     "LoopInternalization": "loop_internalization",
     "work_group_size_of": "loop_internalization",
     "LowerAccessorSubscripts": "lower_sycl",
+    "Mem2Reg": "mem2reg",
     "CachedCompile": "compile_cache", "CacheStats": "compile_cache",
     "CompileCache": "compile_cache",
     "DiskCache": "disk_cache", "DiskCacheStats": "disk_cache",

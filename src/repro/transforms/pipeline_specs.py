@@ -15,23 +15,23 @@ and ``tests/test_front_key.py`` holds the two descriptions together.
 
 NAMED_PIPELINE_SPECS = {
     "adaptivecpp-aot":
-        "builtin.module(func.func(canonicalize,cse,lower-sycl-accessors,"
-        "canonicalize,cse))",
+        "builtin.module(func.func(canonicalize,cse,mem2reg,"
+        "lower-sycl-accessors,canonicalize,cse))",
     "adaptivecpp-jit":
-        "builtin.module(func.func(canonicalize,cse,"
+        "builtin.module(func.func(canonicalize,cse,mem2reg,"
         "sycl-licm{alias=runtime-checked},"
         "detect-reduction{alias=runtime-checked},lower-sycl-accessors,"
         "canonicalize,cse,sycl-licm{alias=runtime-checked},dce))",
     "dpcpp":
-        "builtin.module(func.func(canonicalize,cse,lower-sycl-accessors,"
-        "canonicalize,cse,sycl-licm{alias=generic},"
+        "builtin.module(func.func(canonicalize,cse,mem2reg,"
+        "lower-sycl-accessors,canonicalize,cse,sycl-licm{alias=generic},"
         "detect-reduction{alias=generic},canonicalize,cse,dce))",
     "lower-to-llvm":
         "builtin.module(func.func(lower-sycl-accessors,lower-affine,"
         "convert-scf-to-cf,convert-arith-to-llvm,convert-memref-to-llvm),"
         "convert-func-to-llvm)",
     "sycl-mlir":
-        "builtin.module(func.func(canonicalize,cse),host-raising,"
+        "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"
         "host-device-propagation,func.func(canonicalize,"
         "loop-internalization,sycl-licm,detect-reduction,"
         "lower-sycl-accessors,canonicalize,cse,sycl-licm,dce))",

@@ -11,6 +11,10 @@
   specialization happens at launch time (see
   :mod:`repro.transforms.specialization` and the compiler driver).
 
+Every device pipeline opens ``canonicalize,cse,mem2reg``: promoting
+constant-indexed private arrays is what LLVM's ``-O3`` does for each of
+the modelled compilers, so none of them may be counted without it.
+
 All three are expressed on the nested pass-manager API
 (``pm.nest("func.func").add(...)``), so function-local optimizations run
 once per isolated function.
@@ -48,6 +52,7 @@ from .host_raising import HostRaisingPass
 from .licm import LoopInvariantCodeMotion
 from .loop_internalization import LoopInternalization
 from .lower_sycl import LowerAccessorSubscripts
+from .mem2reg import Mem2Reg
 from .pass_manager import (
     ANCHOR_OPS,
     MODULE_ANCHOR,
@@ -112,8 +117,9 @@ def sycl_mlir_pipeline(options: Optional[OptimizationOptions] = None,
     options = options or OptimizationOptions()
     alias = SYCLAliasAnalysis()
     pm = PassManager(jobs=jobs)
-    if options.canonicalize:
-        _nest_function_passes(pm, [CanonicalizePass(), CSEPass()])
+    lead: List[Pass] = [CanonicalizePass(), CSEPass()] \
+        if options.canonicalize else []
+    _nest_function_passes(pm, lead + [Mem2Reg()])
     if options.host_raising:
         pm.add(HostRaisingPass())
     if options.host_device_propagation:
@@ -156,6 +162,7 @@ def dpcpp_pipeline(options: Optional[OptimizationOptions] = None,
     passes: List[Pass] = [
         CanonicalizePass(),
         CSEPass(),
+        Mem2Reg(),
         LowerAccessorSubscripts(),
         CanonicalizePass(),
         CSEPass(),

@@ -279,7 +279,8 @@ class TestLintRules:
     def test_all_shipped_rules_registered(self):
         assert set(LINT_RULES) == {
             "non-dominating-use", "speculated-trap", "barrier-divergence",
-            "readonly-accessor-write", "dead-private-function"}
+            "readonly-accessor-write", "dead-private-function",
+            "uninitialised-private-load"}
         listing = describe_lint_rules()
         for name in LINT_RULES:
             assert name in listing
