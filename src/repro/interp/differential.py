@@ -33,6 +33,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..ir import (
     FloatType,
     IndexType,
@@ -52,11 +54,6 @@ from .memory import (
     TrapError,
     _numpy_dtype,
 )
-
-try:  # pragma: no cover - numpy ships with the project
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class DifferentialError(AssertionError):
@@ -96,9 +93,10 @@ class _ResolvedSpec:
     arg_names: List[str] = field(default_factory=list)
     global_size: Optional[Tuple[int, ...]] = None
     local_size: Optional[Tuple[int, ...]] = None
-    #: Filled, typed initial contents per ``"buffer"`` plan (keyed by the
-    #: plan tuple's id, which the held plan keeps stable): synthesized on
-    #: first materialization, copied from on every later one.
+    #: Filled, typed initial contents per ``"buffer"`` / ``"storage"``
+    #: plan (keyed by the plan tuple's id, which the held plan keeps
+    #: stable): synthesized on first materialization, copied from on
+    #: every later one.
     templates: Dict[int, object] = field(default_factory=dict, repr=False,
                                          compare=False)
 
@@ -110,7 +108,10 @@ class FunctionExecution:
     name: str
     kind: str
     results: List[object]
-    memory: Dict[str, List[object]]
+    #: Final contents by argument name (``global:<sym>`` for globals): a
+    #: read-only 1-D array in the element's dtype, a view of storage
+    #: this execution owns alone.
+    memory: Dict[str, _np.ndarray]
     counters: Dict[str, int]
     #: The execution tier that actually ran (``"interp"``, ``"jit"``,
     #: ``"vector"``, or a custom registered tier).
@@ -154,21 +155,14 @@ def _scalar_for(type_, seed: int):
     return None
 
 
-def _fill_value(element_type, seed: int, index: int):
-    if is_float(element_type):
-        return (((seed + index * 29) % 23) - 11) * 0.375
-    if isinstance(element_type, IntegerType) and element_type.width == 1:
-        return (seed + index) % 2
-    return ((seed + index * 13) % 17) - 8
-
-
 def _fill_array(element_type, seed: int, total: int):
-    """Vectorized :func:`_fill_value` over ``range(total)``.
+    """Initial contents of a synthesized buffer, element ``index`` of
+    ``range(total)``: ``((seed + 29·index) % 23 − 11) · 0.375`` for
+    floats, ``(seed + index) % 2`` for ``i1`` and
+    ``(seed + 13·index) % 17 − 8`` for other integers and ``index``.
 
-    Bit-identical to the scalar formula (all intermediates are
-    non-negative, so NumPy's ``%`` agrees with Python's); the scalar
-    helper remains the executable specification and the fallback for
-    storage without a NumPy dtype.
+    All intermediates are non-negative, so NumPy's ``%`` agrees with
+    Python's and the values equal the scalar formula's.
     """
     index = _np.arange(total, dtype=_np.int64)
     if is_float(element_type):
@@ -300,20 +294,29 @@ def _scalar_like(type_) -> bool:
     return isinstance(type_, (IntegerType, IndexType, FloatType))
 
 
-def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
-    """Build a fresh argument value (+ its snapshot handle) from a plan.
+def _template(plan: _ArgPlan, templates: Dict[int, object]):
+    """The typed, shaped initial contents of a ``"buffer"`` or
+    ``"storage"`` plan.
 
-    ``templates`` (the :class:`_ResolvedSpec`'s) keeps each buffer's
-    initial contents so the fill formula runs once per spec, not once
-    per execution."""
+    ``templates`` (the :class:`_ResolvedSpec`'s) keeps them so the fill
+    formula runs once per spec, not once per execution; callers copy."""
+    cached = templates.get(id(plan))
+    if cached is None or cached[0] is not plan:
+        shape, element_type, seed = plan[1], plan[2], plan[-1]
+        values = _fill_array(element_type, seed, math.prod(shape))
+        cached = templates[id(plan)] = (plan, values.astype(
+            _dtype_for(element_type)).reshape(shape))
+    return cached[1]
+
+
+def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
+    """Build a fresh argument value (+ its snapshot handle) from a plan."""
     kind = plan[0]
     if kind == "scalar":
         return plan[1], None
     if kind == "storage":
-        _, shape, element_type, seed = plan
-        storage = MemRefStorage(shape, element_type)
-        for i in range(storage.size):
-            storage.store_flat(i, _fill_value(element_type, seed, i))
+        storage = MemRefStorage(plan[1], plan[2],
+                                array=_template(plan, templates).copy())
         return storage, storage
     if kind == "local_accessor":
         from ..runtime.accessor import LocalAccessor
@@ -323,27 +326,23 @@ def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
         # Work-group scratch: fresh per group, nothing to snapshot.
         return LocalAccessor(shape, dtype=dtype), None
     if kind == "buffer":
-        _, shape, element_type, mode, seed = plan
-        cached = templates.get(id(plan))
-        if cached is None or cached[0] is not plan:
-            # runtime.Buffer is NumPy-backed (a hard dependency of the
-            # runtime layer), so the fill is unconditional.
-            values = _fill_array(element_type, seed, math.prod(shape))
-            cached = templates[id(plan)] = (plan, values.astype(
-                _dtype_for(element_type)).reshape(shape))
         # Buffer copies an ndarray argument: the template stays pristine.
-        buffer = Buffer(cached[1])
-        accessor = Accessor(buffer, mode)
+        buffer = Buffer(_template(plan, templates))
+        accessor = Accessor(buffer, plan[3])
         return accessor, buffer
     raise InterpreterError(f"unknown argument plan {plan!r}")
 
 
-def _snapshot(handle) -> List[object]:
+def _snapshot(handle) -> _np.ndarray:
+    """Read-only flat view of an argument's final contents.
+
+    Every execution materializes fresh handles, so the view aliases
+    storage nothing else will write: no copy, no per-element
+    conversion."""
     if isinstance(handle, Buffer):
-        array = handle.host_array()
-        # tolist() yields native Python floats / ints, matching the
-        # per-element float()/int() conversions it replaces.
-        return array.reshape(-1).tolist()
+        view = handle.host_array().reshape(-1)
+        view.flags.writeable = False
+        return view
     if isinstance(handle, MemRefStorage):
         return handle.snapshot()
     raise InterpreterError(f"cannot snapshot {handle!r}")
@@ -410,16 +409,48 @@ def _values_equal(a, b, rtol: float, atol: float) -> bool:
     return a == b
 
 
+def _equal_arrays(a: _np.ndarray, b: _np.ndarray, rtol: float,
+                  atol: float) -> _np.ndarray:
+    """:func:`_values_equal` element-wise over two numeric arrays."""
+    kinds = a.dtype.kind + b.dtype.kind
+    if "b" in kinds:
+        return a.astype(bool) == b.astype(bool)
+    if "f" not in kinds:
+        return a == b
+    a, b = a.astype(_np.float64), b.astype(_np.float64)
+    with _np.errstate(invalid="ignore", over="ignore"):
+        diff = _np.abs(b - a)
+        # math.isclose, term for term: the *symmetric* relative bound,
+        # and no tolerance at all once either side is infinite.
+        close = (diff <= _np.abs(rtol * b)) | (diff <= _np.abs(rtol * a)) \
+            | (diff <= atol)
+    nan_a, nan_b = _np.isnan(a), _np.isnan(b)
+    finite = ~(_np.isinf(a) | _np.isinf(b) | nan_a | nan_b)
+    return (a == b) | (nan_a & nan_b) | (finite & close)
+
+
+def _python_values(values: Sequence) -> Sequence:
+    return values.tolist() if isinstance(values, _np.ndarray) else values
+
+
 def _compare_sequences(where: str, before: Sequence, after: Sequence,
                        rtol: float, atol: float) -> None:
     if len(before) != len(after):
         raise DifferentialError(
             f"{where}: element count changed ({len(before)} -> "
             f"{len(after)})")
-    for index, (a, b) in enumerate(zip(before, after)):
-        if not _values_equal(a, b, rtol, atol):
-            raise DifferentialError(
-                f"{where}[{index}]: {a!r} (pre) != {b!r} (post)")
+    if isinstance(before, _np.ndarray) and isinstance(after, _np.ndarray) \
+            and before.dtype.kind in "biuf" and after.dtype.kind in "biuf":
+        differing = _np.flatnonzero(~_equal_arrays(before, after, rtol, atol))
+        index = int(differing[0]) if differing.size else None
+    else:
+        index = next((i for i, (a, b) in enumerate(zip(
+            _python_values(before), _python_values(after)))
+            if not _values_equal(a, b, rtol, atol)), None)
+    if index is not None:
+        a, b = (_python_values(side)[index] for side in (before, after))
+        raise DifferentialError(
+            f"{where}[{index}]: {a!r} (pre) != {b!r} (post)")
 
 
 def compare_executions(before: FunctionExecution, after: FunctionExecution,

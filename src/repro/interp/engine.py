@@ -357,7 +357,8 @@ class ExecutionEngine:
                     f"{err}")
                 last_error = err
                 continue
-            memory: Dict[str, List[object]] = {}
+            # Read-only views, no copies: the handles are this attempt's.
+            memory = {}
             handle_index = 0
             for plan, arg_name in zip(resolved.arg_plans,
                                       resolved.arg_names):

@@ -28,7 +28,7 @@ live here too so dialect evaluators need only this module and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..ir import FloatType, IndexType, IntegerType, MemRefType, Type, is_float
 
@@ -233,13 +233,20 @@ class MemRefStorage:
             self._list[linear] = value
 
     # -- snapshots ----------------------------------------------------------
-    def snapshot(self) -> List:
-        """Flat list copy of the contents (used by the differential
-        harness for comparisons)."""
+    def snapshot(self):
+        """Read-only flat view of the contents, in the storage's dtype
+        (an ``object`` array of tuples for aggregate elements).
+
+        A view, not a copy: it shows later stores, so take it once the
+        storage is final (the engine does, after an execution)."""
         if self._flat is not None:
-            cast = float if is_float(self.element_type) else int
-            return [cast(v) for v in self._flat]
-        return list(self._list)
+            view = self._flat.view()
+        else:
+            view = _np.empty(self._size, dtype=object)
+            for index, value in enumerate(self._list):
+                view[index] = value
+        view.flags.writeable = False
+        return view
 
     def fill_from(self, values: Sequence) -> None:
         for i, value in enumerate(values):

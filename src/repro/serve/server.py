@@ -412,7 +412,8 @@ class CompileService:
             "kind": execution.kind,
             "tier": execution.tier,
             "results": list(execution.results),
-            "memory": {name: list(values)
+            # Arrays become JSON lists of Python numbers only here.
+            "memory": {name: values.tolist()
                        for name, values in execution.memory.items()},
             "counters": dict(execution.counters),
             "remarks": list(engine.remarks),

@@ -188,8 +188,10 @@ def _signature(function: FuncOp) -> str:
     return f"@{function.sym_name}({params}) -> ({results}){kernel}"
 
 
-def _format_values(values: List[object], limit: int = 32) -> str:
-    shown = values[:limit]
+def _format_values(values, limit: int = 32) -> str:
+    """``values`` (a 1-D array) as ``[v0, v1, ...]``; only the shown
+    prefix becomes Python numbers, which keeps ``.6g`` formatting."""
+    shown = values[:limit].tolist()
     body = ", ".join(
         f"{v:.6g}" if isinstance(v, float) else str(v) for v in shown)
     suffix = f", ... ({len(values)} values)" if len(values) > limit else ""

@@ -137,6 +137,30 @@ def wrap_in_module(*functions):
     return module
 
 
+def memory_differences(left, right):
+    """How two ``FunctionExecution.memory`` dicts differ; ``[]`` when they
+    hold the same buffers with equal dtypes and element-wise equal values.
+
+    ``assert not memory_differences(a, b)`` prints what differs;
+    ``assert memory_differences(a, b)`` checks that something does.
+    """
+    import numpy as np
+
+    if left.keys() != right.keys():
+        return [f"buffers {sorted(left)} != {sorted(right)}"]
+    differences = []
+    for name, values in left.items():
+        other = right[name]
+        if (values.dtype, values.shape) != (other.dtype, other.shape):
+            differences.append(f"{name}: {values.dtype}{values.shape} != "
+                               f"{other.dtype}{other.shape}")
+        elif not np.array_equal(values, other):
+            where = int(np.flatnonzero(values != other)[0])
+            differences.append(f"{name}[{where}]: {values[where]!r} != "
+                               f"{other[where]!r}")
+    return differences
+
+
 # ---------------------------------------------------------------------------
 # Shared interpreter test kernels.  The builders live in
 # benchmarks/kernels.py (tests already depend on the benchmarks package,

@@ -41,6 +41,7 @@ from .helpers import (
     build_listing2_function,
     build_listing3_function,
     listing_execution_specs,
+    memory_differences,
     wrap_in_module,
 )
 
@@ -455,7 +456,7 @@ def _on_both_tiers(module, name, spec=None, **engine_options):
         assert engine.remarks == []
     assert runs["jit"].tier == "jit"
     assert runs["jit"].results == runs["interp"].results
-    assert runs["jit"].memory == runs["interp"].memory
+    assert not memory_differences(runs["jit"].memory, runs["interp"].memory)
     assert runs["jit"].counters == runs["interp"].counters
     return runs["interp"]
 
@@ -751,7 +752,8 @@ class TestMathOnEveryTier:
             runs[tier] = engine.run("apply", _math_spec())
             assert runs[tier].tier == tier, engine.remarks
         # The JIT calls the interpreter's scalar functions: bit-equal.
-        assert runs["jit"].memory == runs["interp"].memory
+        assert not memory_differences(runs["jit"].memory,
+                                      runs["interp"].memory)
         # NumPy's lane-wise forms may differ from libm in the last bit.
         compare_executions(runs["interp"], runs["vector"], rtol=1e-6)
         for tier in ("jit", "vector"):
@@ -799,7 +801,7 @@ class TestMathOnEveryTier:
             else:
                 assert run.tier == tier
                 outcomes[tier] = ["nan" if math.isnan(v) else v
-                                  for v in run.memory["out"]]
+                                  for v in run.memory["out"].tolist()]
             assert engine.remarks == []
         assert outcomes["jit"] == outcomes["interp"]
         assert outcomes["vector"] == outcomes["interp"]
@@ -953,7 +955,8 @@ def _run_on_every_tier(module, name, spec, **engine_options):
         runs[tier] = (run, engine.remarks)
     reference = runs["interp"][0]
     for tier in ("jit", "vector"):
-        assert runs[tier][0].memory == reference.memory, tier
+        assert not memory_differences(runs[tier][0].memory,
+                                      reference.memory), tier
         assert runs[tier][0].counters == reference.counters, tier
     return runs
 
@@ -1005,8 +1008,8 @@ class TestWholeLaunchLockstep:
             module, "rotate", _nd_spec(3, 4, a=None, out=None, **shapes))
         run, remarks = runs["vector"]
         assert remarks == []
-        a = run.memory["a"]
-        assert run.memory["out"] == [
+        a = run.memory["a"].tolist()
+        assert run.memory["out"].tolist() == [
             a[4 * (i // 4) + (i + 1) % 4] for i in range(12)]
         assert len(set(run.memory["out"])) > 4  # groups really differ
 
@@ -1027,9 +1030,10 @@ class TestWholeLaunchLockstep:
         runs = _run_on_every_tier(
             module, "winner", _nd_spec(3, 4, a=None, last=(1,), out=None))
         run, _ = runs["vector"]
-        a = run.memory["a"]
-        assert run.memory["out"] == [a[4 * (i // 4) + 3] for i in range(12)]
-        assert run.memory["last"] == [a[11]]
+        a = run.memory["a"].tolist()
+        assert run.memory["out"].tolist() == [
+            a[4 * (i // 4) + 3] for i in range(12)]
+        assert run.memory["last"].tolist() == [a[11]]
 
     def test_group_dependent_loop_bound_walks_per_group(self):
         import numpy as np
@@ -1072,7 +1076,7 @@ class TestWholeLaunchLockstep:
         assert engine.remarks == [
             "tier 'vector' fell back for 'tri': a loop bound varies per "
             "work-item"]  # a decline, not a mid-run "degraded"
-        assert run.memory == baseline.memory
+        assert not memory_differences(run.memory, baseline.memory)
         # launch() cannot re-materialize: only a pre-execution decline
         # lets it fall through, and the buffers must be untouched by it.
         a = Buffer(np.arange(8, dtype=np.float32) + 1.0)
@@ -1265,10 +1269,10 @@ class TestEngineReuse:
         assert len(fills) == 2
         # The kernel accumulates into ``out``: a template it had written
         # through would show as a different second result.
-        assert second.memory == first.memory
+        assert not memory_differences(second.memory, first.memory)
         fresh = ExecutionEngine(module, tier="interp").execute(
             function, synthesize_spec(function, spec))
-        assert fresh.memory == first.memory
+        assert not memory_differences(fresh.memory, first.memory)
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_in_place_mutation_is_seen_by_the_same_engine(self, tier):
@@ -1295,8 +1299,8 @@ class TestEngineReuse:
         after = engine.execute(function, resolved)
         fresh = ExecutionEngine(module, tier="interp").execute(
             function, resolved)
-        assert after.memory == fresh.memory
-        assert after.memory != before.memory
+        assert not memory_differences(after.memory, fresh.memory)
+        assert memory_differences(after.memory, before.memory)
 
     def test_a_barrier_added_in_place_keeps_the_kernel_on_the_jit(self):
         # "Does it contain a barrier" was memoized by id(function) alone:
@@ -1323,5 +1327,57 @@ class TestEngineReuse:
             group, sycl.SYCLGroupBarrierOp.build(group.result))
         after = engine.execute(function, resolved)
         assert after.tier == "jit", engine.remarks
-        assert after.memory == before.memory
+        assert not memory_differences(after.memory, before.memory)
         assert after.counters["barriers"] == 8
+
+
+class TestMemoryContract:
+    """``FunctionExecution.memory``: per buffer a read-only 1-D array in
+    the element's dtype, the same on every tier."""
+
+    def test_accessor_buffers_are_read_only_f32_views_on_every_tier(self):
+        import numpy as np
+
+        module, specs = build_gemm_module(size=4, work_group=2)
+        runs = {tier: ExecutionEngine(module, tier=tier).run(
+            "gemm", specs["gemm"]) for tier in TIERS}
+        for tier, run in runs.items():
+            assert run.tier == tier
+            assert sorted(run.memory) == ["A", "B", "C"]
+            for name, values in run.memory.items():
+                assert values.ndim == 1 and values.size == 16, name
+                assert values.dtype == np.float32, name
+                assert values.flags.writeable is False, name
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+            assert not memory_differences(run.memory, runs["interp"].memory)
+
+    def test_memref_arguments_and_globals_follow_the_same_contract(self):
+        import numpy as np
+
+        from repro.dialects import arith, func as func_dialect, memref
+        from repro.ir import Builder, InsertionPoint, MemRefType, index
+
+        module = wrap_in_module(build_listing1_function()[0])
+        module.append(memref.GlobalOp.build(
+            "state", MemRefType((2,), index()), constant=False))
+        bump = func_dialect.FuncOp.build("bump", [index()])
+        b = Builder(InsertionPoint.at_end(bump.body))
+        get = b.insert(memref.GetGlobalOp.build(
+            "state", MemRefType((2,), index())))
+        c1 = b.insert(arith.ConstantOp.build(1, index()))
+        b.insert(memref.StoreOp.build(bump.arguments[0], get.result,
+                                      [c1.result]))
+        b.insert(func_dialect.ReturnOp.build())
+        module.append(bump)
+        executions, skipped = ExecutionEngine(
+            module, tier="interp").execute_module()
+        assert skipped == {}
+        memory = {**executions["foo"].memory, **executions["bump"].memory}
+        assert sorted(memory) == ["global:state", "ptr1", "ptr2"]
+        for name, values in memory.items():
+            assert values.ndim == 1 and values.dtype == np.int64, name
+            assert values.flags.writeable is False, name
+        assert memory["ptr1"].shape == (1,)  # a 0-d memref<i32>
+        assert memory["global:state"][0] == 0
+        assert memory["global:state"][1] != 0

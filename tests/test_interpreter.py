@@ -272,7 +272,7 @@ class TestMemory:
         dst = MemRefStorage((4,), index())
         Interpreter(wrap_in_module(f)).call(
             "cp", [MemRefView(src, 2), dst])
-        assert dst.snapshot() == [20, 30, 40, 50]
+        assert dst.snapshot().tolist() == [20, 30, 40, 50]
 
     def test_shift_out_of_range_traps(self):
         f, b = _function("sh", [i32(), i32()], [i32()])
@@ -305,7 +305,7 @@ class TestMemory:
         b.insert(func.ReturnOp.build())
         storage = MemRefStorage((3,), index())
         Interpreter(wrap_in_module(f)).call("fill", [storage])
-        assert storage.snapshot() == [7, 0, 0]
+        assert storage.snapshot().tolist() == [7, 0, 0]
 
 
 class TestKernelLaunch:

@@ -1,5 +1,7 @@
 """Tests for the ``repro-run`` driver (parse -> optimize -> execute)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.dialects import builtin
@@ -182,6 +184,38 @@ class TestKernelExecution:
                         "--max-steps", "10"])
         assert rc == 1
         assert "step budget" in capsys.readouterr().err
+
+
+class TestPrintedBuffers:
+    """``--print-buffers`` text is parsed by scripts (the e2e benchmark's
+    ``cold_cli`` among them): pinned byte for byte.  Float buffers
+    (``.6g``, a truncated prefix with its count), 0-d ``i32`` storage."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @pytest.mark.parametrize("case,argv", [
+        ("gemm", ["--entry", "gemm", "--global-size", "8x8",
+                  "--local-size", "4x4", "--buffer", "A=8x8",
+                  "--buffer", "B=8x8", "--buffer", "C=8x8",
+                  "--pipeline", "sycl-mlir"]),
+        ("foo", ["--entry", "foo"]),
+        ("mem_acc", ["--entry", "mem_acc", "--global-size", "2x2",
+                     "--buffer", "acc=3x128x130"]),
+    ])
+    def test_text_is_pinned(self, tmp_path, capsys, case, argv):
+        if case == "gemm":
+            module, _ = build_gemm_module(size=8, work_group=4)
+        else:
+            module = wrap_in_module(*[build()[0] for build in (
+                build_listing1_function, build_listing2_function,
+                build_listing3_function)])
+        path = tmp_path / "in.mlir"
+        path.write_text(Printer().print_module(module) + "\n",
+                        encoding="utf-8")
+        assert repro_run([str(path), *argv, "--print-buffers"]) == 0
+        expected = (self.GOLDEN / f"print_buffers_{case}.txt").read_text(
+            encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------

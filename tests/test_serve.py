@@ -274,6 +274,30 @@ class TestCompile:
         assert described["entries"] == 0 and described["misses"] > 0
 
 
+class TestExecute:
+    def test_gemm_reply_carries_the_engine_buffers_as_lists(self, server):
+        from repro.interp import ExecutionEngine
+
+        module, specs = build_gemm_module(size=4, work_group=2)
+        spec = specs["gemm"]
+        with _client(server) as client:
+            reply = client.request(
+                "execute", ir=Printer().print_module(module), entry="gemm",
+                global_size=list(spec.global_size),
+                local_size=list(spec.local_size),
+                buffers={name: list(shape)
+                         for name, shape in spec.buffers.items()})
+            assert client.status()["executions"] == 1
+        expected = ExecutionEngine(module).run("gemm", spec)
+        assert reply["tier"] == expected.tier
+        assert reply["counters"] == expected.counters
+        assert sorted(reply["memory"]) == ["A", "B", "C"]
+        for name, values in reply["memory"].items():
+            assert all(type(value) is float for value in values), name
+            # f32 -> Python float -> JSON -> float is exact.
+            assert values == expected.memory[name].tolist(), name
+
+
 class TestStatus:
     def test_status_reports_cache_and_counters(self, server):
         text = _module_text()
