@@ -409,26 +409,6 @@ def _values_equal(a, b, rtol: float, atol: float) -> bool:
     return a == b
 
 
-def _equal_arrays(a: _np.ndarray, b: _np.ndarray, rtol: float,
-                  atol: float) -> _np.ndarray:
-    """:func:`_values_equal` element-wise over two numeric arrays."""
-    kinds = a.dtype.kind + b.dtype.kind
-    if "b" in kinds:
-        return a.astype(bool) == b.astype(bool)
-    if "f" not in kinds:
-        return a == b
-    a, b = a.astype(_np.float64), b.astype(_np.float64)
-    with _np.errstate(invalid="ignore", over="ignore"):
-        diff = _np.abs(b - a)
-        # math.isclose, term for term: the *symmetric* relative bound,
-        # and no tolerance at all once either side is infinite.
-        close = (diff <= _np.abs(rtol * b)) | (diff <= _np.abs(rtol * a)) \
-            | (diff <= atol)
-    nan_a, nan_b = _np.isnan(a), _np.isnan(b)
-    finite = ~(_np.isinf(a) | _np.isinf(b) | nan_a | nan_b)
-    return (a == b) | (nan_a & nan_b) | (finite & close)
-
-
 def _python_values(values: Sequence) -> Sequence:
     return values.tolist() if isinstance(values, _np.ndarray) else values
 
@@ -439,18 +419,13 @@ def _compare_sequences(where: str, before: Sequence, after: Sequence,
         raise DifferentialError(
             f"{where}: element count changed ({len(before)} -> "
             f"{len(after)})")
-    if isinstance(before, _np.ndarray) and isinstance(after, _np.ndarray) \
-            and before.dtype.kind in "biuf" and after.dtype.kind in "biuf":
-        differing = _np.flatnonzero(~_equal_arrays(before, after, rtol, atol))
-        index = int(differing[0]) if differing.size else None
-    else:
-        index = next((i for i, (a, b) in enumerate(zip(
-            _python_values(before), _python_values(after)))
-            if not _values_equal(a, b, rtol, atol)), None)
-    if index is not None:
-        a, b = (_python_values(side)[index] for side in (before, after))
-        raise DifferentialError(
-            f"{where}[{index}]: {a!r} (pre) != {b!r} (post)")
+    # Memory arrives as arrays; the rules are _values_equal's, over the
+    # same Python scalars the messages show.
+    before, after = _python_values(before), _python_values(after)
+    for index, (a, b) in enumerate(zip(before, after)):
+        if not _values_equal(a, b, rtol, atol):
+            raise DifferentialError(
+                f"{where}[{index}]: {a!r} (pre) != {b!r} (post)")
 
 
 def compare_executions(before: FunctionExecution, after: FunctionExecution,

@@ -234,11 +234,13 @@ class MemRefStorage:
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self):
-        """Read-only flat view of the contents, in the storage's dtype
-        (an ``object`` array of tuples for aggregate elements).
+        """Read-only flat contents, in the storage's dtype.
 
-        A view, not a copy: it shows later stores, so take it once the
-        storage is final (the engine does, after an execution)."""
+        Numeric storage comes back as a live view, not a copy: it shows
+        later stores, so take it once the storage is final (the engine
+        does, after an execution). Aggregate elements are copied into a
+        fresh ``object`` array of tuples, which later stores do not
+        reach."""
         if self._flat is not None:
             view = self._flat.view()
         else:

@@ -333,120 +333,8 @@ class TestHarnessSensitivity:
 
 
 # ---------------------------------------------------------------------------
-# The comparator over arrays and the synthesized fill
+# The synthesized fill
 # ---------------------------------------------------------------------------
-
-def _scalar_comparison(before, after, rtol, atol):
-    """The element-at-a-time comparator over Python scalars, as it ran
-    before memory came back as arrays: ``None`` or the error text."""
-    from repro.interp.differential import _values_equal
-
-    before, after = before.tolist(), after.tolist()
-    for position, (a, b) in enumerate(zip(before, after)):
-        if not _values_equal(a, b, rtol, atol):
-            return f"m[{position}]: {a!r} (pre) != {b!r} (post)"
-    return None
-
-
-#: Edge values: signed zeros, infinities, NaN, float64 and float32
-#: subnormals, the largest finite values, and near-misses of 1.
-_EDGES = (0.0, -0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf"),
-          5e-324, -5e-324, 1e-45, 1e-40, 1e-6, 2e-6, 1e308, -1e308,
-          3.4e38, 1.00005, 1.0002, 0.375, -8.0, 2.0 ** 62)
-
-
-def _draw(rng, kind):
-    if kind in ("f32", "f64"):
-        return rng.choice(_EDGES) if rng.random() < 0.5 \
-            else rng.uniform(-10, 10)
-    return rng.randint(-8, 8)
-
-
-def _array(values, kind):
-    import math
-
-    import numpy as np
-
-    dtype = {"f32": np.float32, "f64": np.float64, "i64": np.int64,
-             "bool": np.bool_}[kind]
-    if kind in ("f32", "f64"):
-        with np.errstate(over="ignore"):  # 1e308 as f32 is inf
-            return np.array(values, dtype=dtype)
-    return np.array([int(v) if math.isfinite(v) and abs(v) < 2 ** 63
-                     else 0 for v in values], dtype=dtype)
-
-
-def _seeded_pair(rng, kinds):
-    """Two arrays of one length: ``after`` keeps, nudges by a relative
-    1e-7..1e-3, or redraws each element of ``before``."""
-    before = [_draw(rng, kinds[0]) for _ in range(rng.randint(1, 24))]
-    after = []
-    for value in before:
-        roll = rng.random()
-        if roll < 0.5:
-            after.append(value)
-        elif roll < 0.75:
-            after.append(value * (1 + rng.choice((1e-7, 1e-5, 1e-4, 1e-3))))
-        else:
-            after.append(_draw(rng, kinds[1]))
-    return _array(before, kinds[0]), _array(after, kinds[1])
-
-
-class TestArrayComparison:
-    KINDS = [("f32", "f32"), ("f64", "f64"), ("f32", "f64"),
-             ("i64", "i64"), ("i64", "f32"), ("f64", "i64"),
-             ("bool", "bool"), ("bool", "f64"), ("i64", "bool")]
-
-    @pytest.mark.parametrize("kinds", KINDS)
-    @pytest.mark.parametrize("tolerances", [(1e-4, 1e-6), (0.0, 0.0),
-                                            (1e-6, 0.0), (0.0, 1e-3)])
-    def test_agrees_with_the_scalar_rules(self, kinds, tolerances):
-        import random
-
-        from repro.interp.differential import (
-            _compare_sequences,
-            _equal_arrays,
-            _values_equal,
-        )
-
-        rtol, atol = tolerances
-        rng = random.Random(f"{kinds}{tolerances}")
-        for _ in range(200):
-            before, after = _seeded_pair(rng, kinds)
-            assert _equal_arrays(before, after, rtol, atol).tolist() == [
-                _values_equal(a, b, rtol, atol)
-                for a, b in zip(before.tolist(), after.tolist())]
-            expected = _scalar_comparison(before, after, rtol, atol)
-            try:
-                _compare_sequences("m", before, after, rtol, atol)
-            except DifferentialError as error:
-                assert str(error) == expected
-            else:
-                assert expected is None
-
-    def test_tolerance_is_symmetric(self):
-        import numpy as np
-
-        from repro.interp.differential import _compare_sequences
-
-        # |a - b| = 1e-4: within rtol * max(|a|, |b|) only, which
-        # numpy.isclose (rtol * |b|) would judge by argument order.
-        a, b = np.array([1.0]), np.array([0.9999])
-        for before, after in ((a, b), (b, a)):
-            _compare_sequences("m", before, after, rtol=1.0001e-4, atol=0.0)
-        with pytest.raises(DifferentialError,
-                           match=r"^m\[0\]: 1\.0 \(pre\) != 0\.9999 "):
-            _compare_sequences("m", a, b, rtol=0.99e-4, atol=0.0)
-
-    def test_element_count_change_is_reported(self):
-        import numpy as np
-
-        from repro.interp.differential import _compare_sequences
-
-        with pytest.raises(DifferentialError,
-                           match=r"element count changed \(3 -> 2\)"):
-            _compare_sequences("m", np.zeros(3), np.zeros(2), 1e-4, 1e-6)
-
 
 class TestSynthesizedFill:
     def test_memref_argument_contents_are_pinned(self):
