@@ -7,16 +7,18 @@ The ``lower-to-llvm`` pipeline (registered in
     ``affine.for`` / ``affine.load`` / ``affine.store`` /
     ``affine.apply`` / ``affine.min`` to their ``scf`` / ``memref`` /
     ``arith`` equivalents.
+``convert-memref-to-llvm``
+    ``memref.load`` / ``memref.store`` into
+    ``llvm.getelementptr`` + ``llvm.load`` / ``llvm.store`` through a
+    ``builtin.unrealized_conversion_cast`` pointer bridge, and private
+    static allocations into ``llvm.alloca``.  It runs while the control
+    flow is still structured, so each address ingredient is built once,
+    where its operands are defined.
 ``convert-scf-to-cf``
     structured ``scf.if`` / ``scf.for`` / ``scf.while`` into a
     branch-based CFG of ``cf.br`` / ``cf.cond_br`` blocks.
 ``convert-arith-to-llvm``
     ``arith.*`` into the mirroring ``llvm.*`` arithmetic.
-``convert-memref-to-llvm``
-    ``memref.load`` / ``memref.store`` into
-    ``llvm.getelementptr`` + ``llvm.load`` / ``llvm.store`` through a
-    ``builtin.unrealized_conversion_cast`` pointer bridge, and private
-    static allocations into ``llvm.alloca``.
 ``convert-func-to-llvm``
     ``func.func`` / ``func.return`` / ``func.call`` into ``llvm.func``
     / ``llvm.return`` / ``llvm.call``.
@@ -89,7 +91,8 @@ class LowerAffine(FunctionPass):
     ``affine.apply`` becomes a ``muli``/``addi`` chain (skipping zero
     coefficients and strength-reducing unit ones), ``affine.min`` a
     ``minsi`` chain, and ``affine.for``'s integer step is materialized
-    as an ``arith.constant`` so the loop can become ``scf.for``.  The
+    as an ``arith.constant`` — once, before the outermost enclosing
+    loop — so the loop can become ``scf.for``.  The
     affine body *block* is moved, not cloned, preserving block-argument
     identities and any nested regions untouched.
     """
@@ -140,8 +143,15 @@ class LowerAffine(FunctionPass):
 
     def _lower_for(self, op: affine_d.AffineForOp) -> None:
         block = op.parent
+        outermost = op
+        ancestor = op.parent_op()
+        while ancestor is not None:
+            if isinstance(ancestor, (affine_d.AffineForOp, scf.ForOp,
+                                     scf.WhileOp, scf.ParallelOp)):
+                outermost = ancestor
+            ancestor = ancestor.parent_op()
         step = arith.ConstantOp.build(op.step, IndexType())
-        block.insert_before(op, step)
+        outermost.parent.insert_before(outermost, step)
         loop = scf.ForOp.build(op.lower_bound, op.upper_bound,
                                step.results[0], list(op.init_args))
         block.insert_before(op, loop)
@@ -359,6 +369,79 @@ class ConvertArithToLLVM(FunctionPass):
 # convert-memref-to-llvm
 # ---------------------------------------------------------------------------
 
+def _address_builder(function: FuncOp):
+    """``ingredient(access, key, build, *args)``: the result of
+    ``build(*args)`` for ``key``, needed at ``access`` — each pure op
+    that addresses memory in ``function`` built once.
+
+    An ingredient is keyed by its kind and operands.  A new one goes right
+    after the innermost definition among its operands — one without
+    operands at the top of the entry block — so it dominates every access
+    those operands reach and serves all of them.  In structured form the
+    innermost definition is found by walking up from the access through
+    the enclosing blocks, with no dominance query.  When an operand is
+    defined in a block that does not enclose the access (CFG input), the
+    op goes before the access and is not reused.  A closure rather than a
+    class: a class definition costs calls at import, and every tool that
+    loads the pass registry imports this module, lowering or not.
+    """
+    entry = function.regions[0].blocks[0]
+    built = {}
+    # Ops placed at a definition; a later op for the same definition goes
+    # after them, so hoisted ops keep their creation order.
+    placed = set()
+
+    def innermost_definition(access, operands):
+        """An op, or a block for its arguments; None if some operand is
+        not visible structurally."""
+        if not operands:
+            return entry
+        depth = {}
+        block = access.parent
+        while True:
+            depth[block] = len(depth)
+            owner = block.parent.parent
+            if owner is function:
+                break
+            block = owner.parent
+        # The entry block dominates every block of a CFG body.
+        depth.setdefault(entry, len(depth))
+        best, best_depth = None, 0
+        for value in operands:
+            block = value.owner_block()
+            if block not in depth:
+                return None
+            op = value.defining_op()
+            if best is None or depth[block] < best_depth or (
+                    depth[block] == best_depth and op is not None and (
+                        isinstance(best, Block)
+                        or best.is_before_in_block(op))):
+                best, best_depth = (block if op is None else op), depth[block]
+        return best
+
+    def ingredient(access, key, build, *args):
+        value = built.get(key)
+        if value is not None:
+            return value
+        op = build(*args)
+        anchor = innermost_definition(access, op.operands)
+        if anchor is None:
+            access.parent.insert_before(access, op)
+            return op.results[0]
+        if isinstance(anchor, Block):
+            block, before = anchor, anchor.first_op
+        else:
+            block, before = anchor.parent, anchor.next_op()
+        while before in placed:
+            before = before.next_op()
+        block.insert_before(before, op)
+        placed.add(op)
+        built[key] = op.results[0]
+        return op.results[0]
+
+    return ingredient
+
+
 @register_pass
 class ConvertMemRefToLLVM(FunctionPass):
     """Lower memref accesses to ``llvm.getelementptr`` + load/store.
@@ -374,8 +457,12 @@ class ConvertMemRefToLLVM(FunctionPass):
     * higher-rank static-shape accesses linearize by Horner's rule with
       ``llvm.mul``/``llvm.add``, matching ``MemRefStorage``'s layout.
 
-    Accesses it cannot prove linearizable keep their ``memref`` form; a
-    load whose result is unused is erased rather than addressed.
+    The bridge, extent constants, Horner steps and addresses are pure and
+    built once per function (see :func:`_address_builder`), so an
+    access inside a loop reuses what its operands allow to be computed
+    outside it.  Accesses it cannot prove linearizable keep their
+    ``memref`` form; a load whose result is unused is erased rather than
+    addressed.
     Private static-shape allocations whose every remaining use is such
     a pointer bridge are then promoted to ``llvm.alloca``; ``local``
     (work-group shared) allocations are never promoted because their
@@ -392,10 +479,13 @@ class ConvertMemRefToLLVM(FunctionPass):
 
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
+        # A local, never pass state: pass instances are pooled and shared
+        # across functions under jobs=N.
+        ingredient = _address_builder(function)
         accesses = 0
         for op in list(function.walk(include_self=False)):
             if isinstance(op, (memref.LoadOp, memref.StoreOp)):
-                accesses += self._convert_access(op)
+                accesses += self._convert_access(op, ingredient)
         allocations = 0
         for op in list(function.walk(include_self=False)):
             if isinstance(op, (memref.AllocaOp, memref.AllocOp)):
@@ -406,31 +496,29 @@ class ConvertMemRefToLLVM(FunctionPass):
             report.add_statistic(self.NAME, "allocations", allocations)
 
     # ------------------------------------------------------------------
-    def _linear_index(self, op: Operation, memref_type: MemRefType):
-        """Emit (before ``op``) the row-major linear offset, or None."""
+    def _linear_index(self, op: Operation, memref_type: MemRefType,
+                      ingredient):
+        """The row-major linear offset of ``op``'s indices, or None."""
         indices = list(op.indices)
-        block = op.parent
         if len(indices) == 1:
             return indices[0]
         if not indices:
-            zero = llvm_d.LLVMConstantOp.build(0, IndexType())
-            block.insert_before(op, zero)
-            return zero.results[0]
+            return ingredient(op, ("constant", 0),
+                              llvm_d.LLVMConstantOp.build, 0, IndexType())
         if (not memref_type.has_static_shape()
                 or len(indices) != len(memref_type.shape)):
             return None
         linear = indices[0]
         for dim, index in zip(memref_type.shape[1:], indices[1:]):
-            extent = llvm_d.LLVMConstantOp.build(dim, IndexType())
-            block.insert_before(op, extent)
-            scaled = llvm_d.LLVMMulOp.build(linear, extent.results[0])
-            block.insert_before(op, scaled)
-            bumped = llvm_d.LLVMAddOp.build(scaled.results[0], index)
-            block.insert_before(op, bumped)
-            linear = bumped.results[0]
+            extent = ingredient(op, ("constant", dim),
+                                llvm_d.LLVMConstantOp.build, dim, IndexType())
+            scaled = ingredient(op, ("mul", linear, extent),
+                                llvm_d.LLVMMulOp.build, linear, extent)
+            linear = ingredient(op, ("add", scaled, index),
+                                llvm_d.LLVMAddOp.build, scaled, index)
         return linear
 
-    def _convert_access(self, op: Operation) -> int:
+    def _convert_access(self, op: Operation, ingredient) -> int:
         if isinstance(op, memref.LoadOp) and not op.results[0].has_uses():
             op.erase()  # a dead read: nothing to address
             return 0
@@ -441,22 +529,22 @@ class ConvertMemRefToLLVM(FunctionPass):
         element = memref_type.element_type
         if not is_scalar(element):
             return 0
-        linear = self._linear_index(op, memref_type)
+        linear = self._linear_index(op, memref_type, ingredient)
         if linear is None:
             return 0
+        bridge = ingredient(op, ("bridge", memref_value),
+                            UnrealizedConversionCastOp.build,
+                            memref_value, PointerType(element))
+        address = ingredient(op, ("gep", bridge, linear),
+                             llvm_d.LLVMGEPOp.build, bridge, [linear])
         block = op.parent
-        bridge = UnrealizedConversionCastOp.build(
-            memref_value, PointerType(element))
-        block.insert_before(op, bridge)
-        address = llvm_d.LLVMGEPOp.build(bridge.results[0], [linear])
-        block.insert_before(op, address)
         if isinstance(op, memref.LoadOp):
-            new = llvm_d.LLVMLoadOp.build(address.results[0], element)
+            new = llvm_d.LLVMLoadOp.build(address, element)
             block.insert_before(op, new)
             op.replace_all_uses_with(list(new.results))
         else:
             block.insert_before(
-                op, llvm_d.LLVMStoreOp.build(op.value, address.results[0]))
+                op, llvm_d.LLVMStoreOp.build(op.value, address))
         op.erase()
         return 1
 

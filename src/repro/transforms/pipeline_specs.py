@@ -28,7 +28,7 @@ NAMED_PIPELINE_SPECS = {
         "detect-reduction{alias=generic},canonicalize,cse,dce))",
     "lower-to-llvm":
         "builtin.module(func.func(lower-sycl-accessors,lower-affine,"
-        "convert-scf-to-cf,convert-arith-to-llvm,convert-memref-to-llvm),"
+        "convert-memref-to-llvm,convert-scf-to-cf,convert-arith-to-llvm),"
         "convert-func-to-llvm)",
     "sycl-mlir":
         "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"

@@ -205,9 +205,11 @@ def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
     """Progressive lowering to an LLVM-dialect CFG.
 
     Accessor subscripts become plain memref accesses, affine constructs
-    become ``scf``, structured control flow becomes a ``cf`` branch
-    CFG, arithmetic and memory accesses become ``llvm.*``, and finally
-    whole functions convert to ``llvm.func``.  The differential harness
+    become ``scf``, memory accesses become ``llvm.*`` while the control
+    flow is still structured (each address is built once, where its
+    operands are defined), structured control flow becomes a ``cf``
+    branch CFG, arithmetic becomes ``llvm.*``, and finally whole
+    functions convert to ``llvm.func``.  The differential harness
     proves the composition preserves the source module's semantics
     (see :mod:`repro.target.conversions` and ``docs/lowering.md``).
 
@@ -226,9 +228,9 @@ def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
     _nest_function_passes(pm, [
         LowerAccessorSubscripts(),
         LowerAffine(),
+        ConvertMemRefToLLVM(),
         ConvertSCFToCF(),
         ConvertArithToLLVM(),
-        ConvertMemRefToLLVM(),
     ])
     pm.add(ConvertFuncToLLVM())
     return pm

@@ -5,6 +5,9 @@ Covers the lowering subsystem end to end:
 * conversion-pass shape tests (``scf.if``/``scf.for``/``scf.while`` →
   ``cf`` CFG, memref accesses → ``llvm.getelementptr``/``load``/
   ``store``, ``func.func`` → ``llvm.func``);
+* address ingredients built once per function, outside the loops that
+  do not need them, with the executed-ops count of the lowered GEMM
+  pinned; the CFG fallback of the old pass order; ``jobs=N`` output;
 * differential equivalence of the fully lowered module against the
   source — all listings, GEMM, and the internalizing composition
   (``sycl-mlir`` *then* ``lower-to-llvm``) — across all execution tiers;
@@ -20,7 +23,8 @@ Covers the lowering subsystem end to end:
 import pytest
 
 from repro.dialects import arith, cf, func, memref, scf
-from repro.dialects.llvm import LLVMFuncOp
+from repro.dialects.builtin import UnrealizedConversionCastOp
+from repro.dialects.llvm import LLVMConstantOp, LLVMFuncOp
 from repro.interp import ExecutionSpec, run_differential
 from repro.interp.engine import ExecutionEngine
 from repro.ir import (
@@ -28,6 +32,7 @@ from repro.ir import (
     IndexType,
     MemRefType,
     VerificationError,
+    f32,
     i1,
     i32,
     parse_module,
@@ -72,6 +77,74 @@ def _dialect_histogram(module):
         dialect = op.name.split(".")[0]
         counts[dialect] = counts.get(dialect, 0) + 1
     return counts
+
+
+def _internalized_gemm():
+    module, specs = build_gemm_module()
+    build_named_pipeline("sycl-mlir", None, 1).run(module)
+    return module, specs
+
+
+def _build_transpose_add_function():
+    """``dst[i, j] = (src[i, j] if i < j else 0) + src[j, i]`` over a
+    4x4 loop nest: the inner body's addresses use the outer loop's
+    induction variable, and ``[i, j]`` is first addressed in one arm of
+    a branch and then in the other."""
+    shape = MemRefType((4, 4), f32())
+    f = func.FuncOp.build("transpose_add", [shape, shape], [],
+                          arg_names=["src", "dst"])
+    src, dst = f.arguments
+    b = Builder(InsertionPoint.at_end(f.body))
+    c0, c1, c4 = (b.insert(arith.ConstantOp.build(v, index())).result
+                  for v in (0, 1, 4))
+    outer = b.insert(scf.ForOp.build(c0, c4, c1))
+    ob = Builder(InsertionPoint.at_end(outer.body))
+    inner = ob.insert(scf.ForOp.build(c0, c4, c1))
+    ob.insert(scf.YieldOp.build())
+    i, j = outer.induction_variable(), inner.induction_variable()
+    ib = Builder(InsertionPoint.at_end(inner.body))
+    t = ib.insert(memref.LoadOp.build(src, [j, i])).result
+    below = ib.insert(arith.CmpIOp.build("slt", i, j))
+    branch = ib.insert(scf.IfOp.build(below.result, [], with_else=True))
+    ib.insert(scf.YieldOp.build())
+    then = Builder(InsertionPoint.at_end(branch.then_block))
+    a = then.insert(memref.LoadOp.build(src, [i, j]))
+    total = then.insert(arith.AddFOp.build(a.result, t))
+    then.insert(memref.StoreOp.build(total.result, dst, [i, j]))
+    then.insert(scf.YieldOp.build())
+    otherwise = Builder(InsertionPoint.at_end(branch.else_block))
+    otherwise.insert(memref.StoreOp.build(t, dst, [i, j]))
+    otherwise.insert(scf.YieldOp.build())
+    b.insert(func.ReturnOp.build())
+    return f
+
+
+def _blocks_on_a_cycle(function):
+    """The blocks of ``function``'s CFG that reach themselves: the
+    lowered loops' headers and bodies."""
+    def successors(block):
+        terminator = block.terminator
+        return terminator.successors if terminator is not None else ()
+
+    looping = []
+    for block in function.regions[0].blocks:
+        seen, stack = set(), list(successors(block))
+        while stack:
+            current = stack.pop()
+            if current is block:
+                looping.append(block)
+                break
+            if current not in seen:
+                seen.add(current)
+                stack.extend(successors(current))
+    return looping
+
+
+def _executions(module, specs):
+    executions, skipped = ExecutionEngine(
+        module, tier="interp").execute_module(specs)
+    assert not skipped, skipped
+    return executions
 
 
 class TestConversionShape:
@@ -216,6 +289,108 @@ class TestLoweredCodeRunsOnTheJIT:
         assert executions["gemm"].tier == "jit"
         assert executions["gemm"].counters["barriers"] > 0
         assert not any("'jit' fell back" in r for r in engine.remarks)
+
+
+#: ``lower-to-llvm`` with ``convert-scf-to-cf`` ahead of
+#: ``convert-memref-to-llvm``: the memory conversion then sees a CFG.
+OLD_PASS_ORDER = (
+    "builtin.module(func.func(lower-sycl-accessors,lower-affine,"
+    "convert-scf-to-cf,convert-arith-to-llvm,convert-memref-to-llvm),"
+    "convert-func-to-llvm)")
+
+
+class TestAddressesAreBuiltOnce:
+    """``convert-memref-to-llvm`` runs on structured control flow and
+    builds each bridge, extent constant, Horner step and address once,
+    right after its operands are defined."""
+
+    def test_one_bridge_per_memref_value(self):
+        module, _ = _internalized_gemm()
+        _lower(module)
+        bridged = [op.operands[0] for op in module.walk()
+                   if isinstance(op, UnrealizedConversionCastOp)]
+        assert bridged
+        assert len(set(bridged)) == len(bridged)
+
+    def test_no_constant_or_bridge_in_a_loop_body(self):
+        module, _ = _internalized_gemm()
+        module.append(_build_transpose_add_function())
+        _lower(module)
+        for function in module.body.operations:
+            looping = _blocks_on_a_cycle(function)
+            assert looping, function.sym_name
+            for block in looping:
+                for op in block.operations:
+                    assert not isinstance(
+                        op, (LLVMConstantOp, UnrealizedConversionCastOp)), \
+                        (function.sym_name, op.name)
+
+    def test_lowered_gemm_executes_a_pinned_number_of_ops(self):
+        """Exact interpreter counts at the 8x8 / 4x4 launch.  Built per
+        access, the addresses made the same kernel execute 15 936 ops;
+        loads and stores are the structured kernel's, one for one."""
+        module, specs = _internalized_gemm()
+        structured = _executions(module, specs)["gemm"].counters
+        lowered = _executions(_lower(module), specs)["gemm"].counters
+        assert structured["ops"] == 6_016
+        assert lowered["ops"] == 11_968
+        assert dict(lowered, ops=0) == dict(structured, ops=0)
+
+
+class TestOldPassOrder:
+    def test_cfg_fallback_verifies_and_computes_the_same(self, tmp_path):
+        """The old order through ``repro-opt --passes``, as the CI
+        pass-smoke job runs passes: an address whose operand is defined
+        in a block that does not enclose the access is built right before
+        the access and not reused, so the module still verifies and
+        computes the same buffers, only with more executed ops."""
+        from repro.tools.repro_opt import main as repro_opt
+
+        module, specs = _internalized_gemm()
+        module.append(_build_transpose_add_function())
+        source = tmp_path / "in.mlir"
+        source.write_text(print_op(module) + "\n")
+        output = tmp_path / "out.mlir"
+        assert repro_opt([str(source), "--passes", OLD_PASS_ORDER,
+                          "--verify-each", "-o", str(output)]) == 0
+        old_order = parse_module(output.read_text())
+        verify(old_order)
+        assert '"cf.cond_br"' in print_op(old_order)
+        new_order = _lower(parse_module(source.read_text()))
+        runs = [_executions(m, specs) for m in (module, old_order, new_order)]
+        reference, old, new = runs
+        assert sorted(reference) == ["gemm", "transpose_add"]
+        for name, expected in reference.items():
+            for run in (old, new):
+                assert not memory_differences(run[name].memory,
+                                              expected.memory), name
+                assert dict(run[name].counters, ops=0) == \
+                    dict(expected.counters, ops=0), name
+        assert old["transpose_add"].counters["ops"] > \
+            new["transpose_add"].counters["ops"]
+
+
+class TestParallelLowering:
+    def test_jobs_give_byte_identical_output(self):
+        """The ingredient memo is per run of the pass on a function, so
+        pooled pass instances shared by three workers change nothing."""
+        module, _ = _internalized_gemm()
+        for build in (build_listing1_function, build_listing2_function,
+                      build_listing3_function):
+            module.append(build()[0])
+        module.append(_build_transpose_add_function())
+        text = print_op(module)
+        lowered = []
+        for jobs in (1, 3):
+            copy = parse_module(text)
+            manager = build_named_pipeline("lower-to-llvm", None, jobs)
+            try:
+                manager.run(copy)
+            finally:
+                manager.close()
+            lowered.append(print_op(copy))
+        assert lowered[0] == lowered[1]
+        assert '"builtin.unrealized_conversion_cast"' in lowered[0]
 
 
 class TestCFMechanics:

@@ -119,9 +119,9 @@ class TestGoldenFiles:
         filecheck(emit_mlir(module), '''
             CHECK: "builtin.module"() ({
             CHECK: "llvm.func"() ({
-            CHECK: "cf.cond_br"(%cond)[^bb1, ^bb2] {num_true_args = 0 : i64} : (i1) -> ()
             CHECK: "llvm.getelementptr"
             CHECK-SAME: {static_offsets = []} : (!llvm.ptr<i32>, index) -> (!llvm.ptr)
+            CHECK: "cf.cond_br"(%cond)[^bb1, ^bb2] {num_true_args = 0 : i64} : (i1) -> ()
             CHECK: "cf.br"()[^bb3] : () -> ()
             CHECK: "llvm.return"() : () -> ()
             CHECK: }) {function_type = (i1, i32, i32, memref<i32>, memref<i32>) -> (), sym_name = "foo"
