@@ -1,4 +1,4 @@
-"""Synthetic IR generator for the benchmark harness.
+"""Seeded synthetic IR generator for tests.
 
 Builds valid modules whose shape is controlled by a :class:`GeneratorConfig`:
 
@@ -15,7 +15,8 @@ Builds valid modules whose shape is controlled by a :class:`GeneratorConfig`:
   nests), modelling the paper's kernel shapes structurally.
 
 Everything is seeded, so a config always generates the same module; the
-runner relies on this to time different phases over identical inputs.
+fixed-point, concurrency and cache-key tests rely on this to build the
+same input more than once.
 """
 
 from __future__ import annotations
@@ -52,19 +53,6 @@ class GeneratorConfig:
     dead_chain_depth: int = 128
     num_kernels: int = 1
     seed: int = 0
-
-    def describe(self) -> dict:
-        return {
-            "num_ops": self.num_ops,
-            "nesting_depth": self.nesting_depth,
-            "duplicate_density": self.duplicate_density,
-            "foldable_density": self.foldable_density,
-            "dead_density": self.dead_density,
-            "chain_density": self.chain_density,
-            "dead_chain_depth": self.dead_chain_depth,
-            "num_kernels": self.num_kernels,
-            "seed": self.seed,
-        }
 
 
 _BINOPS = (arith.AddIOp, arith.MulIOp, arith.SubIOp)

@@ -120,7 +120,7 @@ class FrontEntry:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, exposed in reports and ``BENCH_4.json``."""
+    """Hit/miss counters, exposed in reports and ``describe()``."""
 
     hits: int = 0
     misses: int = 0

@@ -1,7 +1,7 @@
 """Supervised process-parallel execution tier.
 
-The thread scheduler (PR 4) is deterministic but GIL-bound: BENCH_4/5
-record jobs=4 at 0.85x of serial.  This module escapes the GIL by
+The thread scheduler is deterministic but GIL-bound: jobs=4 was
+measured at 0.85x of serial.  This module escapes the GIL by
 shipping work units to ``ProcessPoolExecutor`` workers — and treats the
 executor as a first-class *failure domain* rather than a transparent
 speedup: workers can crash, hang, or return garbage, so every dispatch

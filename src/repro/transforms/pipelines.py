@@ -240,40 +240,6 @@ def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
 # Textual pass pipeline specifications (the `repro-opt --passes` language)
 # ---------------------------------------------------------------------------
 
-class _LegacyRegistryView:
-    """Read-only dict-like view over the declarative registry.
-
-    Preserves the old ``PASS_REGISTRY`` surface (name -> zero-argument
-    factory) for callers that predate ``@register_pass``.
-    """
-
-    def __contains__(self, name: str) -> bool:
-        return name in PASS_REGISTRATIONS
-
-    def __iter__(self):
-        return iter(PASS_REGISTRATIONS)
-
-    def __len__(self) -> int:
-        return len(PASS_REGISTRATIONS)
-
-    def get(self, name: str) -> Optional[Callable[[], Pass]]:
-        registration = lookup_pass(name)
-        if registration is None:
-            return None
-        return registration.build
-
-    def __getitem__(self, name: str) -> Callable[[], Pass]:
-        factory = self.get(name)
-        if factory is None:
-            raise KeyError(name)
-        return factory
-
-
-#: Legacy view of the registry; new code should use ``@register_pass`` and
-#: :func:`repro.transforms.pass_manager.lookup_pass` instead.
-PASS_REGISTRY = _LegacyRegistryView()
-
-
 def available_passes() -> List[str]:
     """Sorted names accepted by :func:`parse_pass_pipeline`."""
     return sorted(PASS_REGISTRATIONS)

@@ -3,11 +3,6 @@
 import pathlib
 import sys
 
-_ROOT = pathlib.Path(__file__).resolve().parents[1]
-_SRC = _ROOT / "src"
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-# The repo root, so tests (and tests/helpers.py) can import the
-# benchmarks package without per-module sys.path edits.
-if str(_ROOT) not in sys.path:
-    sys.path.insert(1, str(_ROOT))

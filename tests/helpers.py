@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.dialects import affine, arith, builtin, func, memref, scf, sycl
+from repro.frontend.kernel_builder import AccessorParam, KernelSource
 from repro.ir import (
     Builder,
     InsertionPoint,
@@ -14,7 +15,9 @@ from repro.ir import (
     i32,
     i64,
     index,
+    int_array_attr,
     memref as memref_type,
+    verify,
 )
 
 
@@ -162,25 +165,52 @@ def memory_differences(left, right):
 
 
 # ---------------------------------------------------------------------------
-# Shared interpreter test kernels.  The builders live in
-# benchmarks/kernels.py (tests already depend on the benchmarks package,
-# never the reverse) so the BENCH_5 scenarios, these tests and the CI
-# differential-smoke job all execute the same kernels.
+# Shared interpreter test kernels: the tests and the CI execution-smoke
+# jobs all execute these same kernels.
 # ---------------------------------------------------------------------------
 
 def build_vecadd_source():
     """``c[i] = a[i] + b[i]`` over a 1-D range (KernelSource)."""
-    from benchmarks.kernels import build_vecadd_source as build
 
-    return build()
+    def body(k):
+        i = k.global_id(0)
+        k.store("c", [i], k.load("a", [i]) + k.load("b", [i]))
+
+    return KernelSource(
+        "vecadd", body=body, nd_range_dims=1,
+        accessors=[AccessorParam("a", 1, f32(), "read"),
+                   AccessorParam("b", 1, f32(), "read"),
+                   AccessorParam("c", 1, f32(), "write")])
 
 
 def build_gemm_module(size=8, work_group=4):
     """An nd_item GEMM whose ``sycl.work_group_size`` attribute makes
     Loop Internalization fire; returns ``(module, {"gemm": spec})``."""
-    from benchmarks.kernels import build_gemm_module as build
+    from repro.interp import ExecutionSpec
 
-    return build(size, work_group)
+    def body(k):
+        i = k.global_id(0)
+        j = k.global_id(1)
+        with k.loop(0, size) as kk:
+            value = k.load("C", [i, j]) \
+                + k.load("A", [i, kk]) * k.load("B", [kk, j])
+            k.store("C", [i, j], value)
+
+    source = KernelSource(
+        "gemm", body=body, nd_range_dims=2,
+        accessors=[AccessorParam("A", 2, f32(), "read"),
+                   AccessorParam("B", 2, f32(), "read"),
+                   AccessorParam("C", 2, f32(), "read_write")])
+    function = source.build()
+    function.set_attr("sycl.work_group_size",
+                      int_array_attr([work_group, work_group], i64()))
+    module = builtin.ModuleOp.build("kernels")
+    module.append(function)
+    verify(module)
+    spec = ExecutionSpec(global_size=(size, size),
+                         local_size=(work_group, work_group),
+                         buffers={name: (size, size) for name in "ABC"})
+    return module, {"gemm": spec}
 
 
 def listing_execution_specs():

@@ -13,24 +13,19 @@ The contract under test (see ``docs/concurrency.md``):
   ``Context.allow_unregistered_threading`` opts out of the guard.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from benchmarks.generate import GeneratorConfig, generate_module  # noqa: E402
-from repro.dialects import arith  # noqa: E402
-from repro.dialects.func import FuncOp  # noqa: E402
-from repro.ir import (  # noqa: E402
+from repro.dialects import arith
+from repro.dialects.func import FuncOp
+from repro.ir import (
     ConcurrentWriteError,
     Context,
     Printer,
     i64,
     verify,
 )
-from repro.transforms import (  # noqa: E402
+from repro.testing.generate import GeneratorConfig, generate_module
+from repro.transforms import (
     CompileCache,
     CompileReport,
     FunctionPass,
@@ -39,7 +34,7 @@ from repro.transforms import (  # noqa: E402
     parse_pass_pipeline,
 )
 
-from .helpers import (  # noqa: E402
+from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,

@@ -17,18 +17,16 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from repro.faults import fault_plan, install_fault_plan  # noqa: E402
-from repro.ir import Printer  # noqa: E402
-from repro.transforms import (  # noqa: E402
+from repro.faults import fault_plan, install_fault_plan
+from repro.ir import Printer
+from repro.transforms import (
     CompileCache,
     DiskCache,
     parse_pass_pipeline,
 )
-from repro.transforms.disk_cache import ENTRY_VERSION  # noqa: E402
+from repro.transforms.disk_cache import ENTRY_VERSION
 
-from .helpers import (  # noqa: E402
+from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,

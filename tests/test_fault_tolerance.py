@@ -16,9 +16,7 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from repro.faults import (  # noqa: E402
+from repro.faults import (
     FAULT_PLAN_ENV,
     FaultPlan,
     TransientFault,
@@ -27,15 +25,15 @@ from repro.faults import (  # noqa: E402
     fault_point,
     install_fault_plan,
 )
-from repro.ir import Printer, parse_module, verify  # noqa: E402
-from repro.transforms import (  # noqa: E402
+from repro.ir import Printer, parse_module
+from repro.transforms import (
     CompileCache,
     parse_pass_pipeline,
 )
-from repro.transforms.executor import ExecutorOptions  # noqa: E402
-from repro.tools import repro_lint, repro_opt, repro_run  # noqa: E402
+from repro.transforms.executor import ExecutorOptions
+from repro.tools import repro_lint, repro_opt, repro_run
 
-from .helpers import (  # noqa: E402
+from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,

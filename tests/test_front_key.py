@@ -16,12 +16,12 @@ import threading
 
 import pytest
 
-from benchmarks.generate import GeneratorConfig, generate_module
 from repro.dialects import arith
 from repro.faults import fault_plan, install_fault_plan
 from repro.ir import Printer, i64, parse_module
 from repro.ir.printer import Printer as PrinterClass
 from repro.serve import CompileService
+from repro.testing.generate import GeneratorConfig, generate_module
 from repro.transforms import (
     CompileCache,
     DiskCache,

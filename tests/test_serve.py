@@ -11,18 +11,15 @@ output.
 """
 
 import json
-import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from repro.faults import fault_plan, install_fault_plan  # noqa: E402
-from repro.ir import Printer  # noqa: E402
-from repro.serve import server as server_module  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro.faults import fault_plan, install_fault_plan
+from repro.ir import Printer
+from repro.serve import server as server_module
+from repro.serve import (
     CompileService,
     ProtocolError,
     ReproServer,
@@ -31,13 +28,13 @@ from repro.serve import (  # noqa: E402
     read_message,
     write_message,
 )
-from repro.transforms import (  # noqa: E402
+from repro.transforms import (
     build_named_pipeline,
     dump_pass_pipeline,
     parse_pass_pipeline,
 )
 
-from .helpers import (  # noqa: E402
+from .helpers import (
     build_gemm_module,
     build_listing1_function,
     build_listing2_function,
