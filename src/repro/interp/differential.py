@@ -449,15 +449,15 @@ def compare_executions(before: FunctionExecution, after: FunctionExecution,
 
 def _resolve_pipeline(pipeline):
     """Accept a PassManager, a named pipeline or a pipeline spec string."""
+    from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
     from ..transforms.pipelines import (
-        NAMED_PIPELINES,
         build_named_pipeline,
         dump_pass_pipeline,
         parse_pass_pipeline,
     )
 
     if isinstance(pipeline, str):
-        if pipeline in NAMED_PIPELINES:
+        if pipeline in NAMED_PIPELINE_SPECS:
             return build_named_pipeline(pipeline), pipeline
         manager = parse_pass_pipeline(pipeline)
         return manager, dump_pass_pipeline(manager)

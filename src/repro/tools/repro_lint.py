@@ -28,8 +28,8 @@ from ..analysis.lint import describe_lint_rules, run_lint
 from ..analysis.manager import AnalysisManager
 from ..transforms.compile_cache import CompileCache
 from ..transforms.disk_cache import DiskCache, cache_dir_from_env
+from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from ..transforms.pipelines import (
-    NAMED_PIPELINES,
     build_named_pipeline,
     check_pass_pipeline,
     parse_pass_pipeline,
@@ -55,7 +55,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--passes", default=None, metavar="SPEC",
         help="run this pass pipeline spec before linting")
     parser.add_argument(
-        "--pipeline", default=None, choices=sorted(NAMED_PIPELINES),
+        "--pipeline", default=None, choices=sorted(NAMED_PIPELINE_SPECS),
         help="run a full compiler-model pipeline before linting")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -67,8 +67,8 @@ from ..transforms.pass_manager import (
     LintInstrumentation,
     VerifierInstrumentation,
 )
+from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from ..transforms.pipelines import (
-    NAMED_PIPELINES,
     check_pass_pipeline,
     describe_registered_passes,
     build_named_pipeline,
@@ -124,7 +124,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "'builtin.module(cse,func.func(canonicalize"
              "{max-iterations=10},licm))'")
     parser.add_argument(
-        "--pipeline", default=None, choices=sorted(NAMED_PIPELINES),
+        "--pipeline", default=None, choices=sorted(NAMED_PIPELINE_SPECS),
         help="run a full compiler-model pipeline instead of --passes")
     parser.add_argument(
         "--no-verify", action="store_true",
@@ -655,8 +655,7 @@ def _run_batch_process(args, manager, segments, report,
         validate_segment_result,
     )
 
-    spec = f"pipeline:{args.pipeline}" if args.pipeline \
-        else dump_pass_pipeline(manager)
+    spec = dump_pass_pipeline(manager)
     units: List[WorkUnit] = []
     first_uid: dict = {}
     alias: dict = {}

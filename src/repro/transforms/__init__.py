@@ -44,14 +44,11 @@ _LAZY = {
     "TimingInstrumentation": "pass_manager",
     "VerifierInstrumentation": "pass_manager", "lookup_pass": "pass_manager",
     "register_pass": "pass_manager", "register_pass_alias": "pass_manager",
-    "OptimizationOptions": "pipelines", "PipelineParseError": "pipelines",
-    "adaptivecpp_aot_pipeline": "pipelines",
-    "adaptivecpp_jit_pipeline": "pipelines", "available_passes": "pipelines",
+    "PipelineParseError": "pipelines", "available_passes": "pipelines",
     "build_named_pipeline": "pipelines", "check_pass_pipeline": "pipelines",
-    "describe_registered_passes": "pipelines", "dpcpp_pipeline": "pipelines",
+    "describe_registered_passes": "pipelines",
     "dump_pass_pipeline": "pipelines", "parse_pass_pipeline": "pipelines",
     "resolve_pass_name": "pipelines", "shipped_pipeline_names": "pipelines",
-    "sycl_mlir_pipeline": "pipelines",
     "NonConvergenceWarning": "rewrite", "PatternRewriter": "rewrite",
     "RewritePattern": "rewrite", "apply_patterns_greedily": "rewrite",
     "RuntimeCheckedAliasAnalysis": "specialization",

@@ -24,7 +24,6 @@ access in the loop may alias the reduced location.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,8 +37,7 @@ from ..dialects import affine as affine_dialect
 from ..dialects import arith
 from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
-from ..analysis.alias import AliasAnalysis
-from .licm import ALIAS_CHOICES, alias_spec_name, make_alias_analysis
+from .licm import ALIAS_CHOICES, make_alias_analysis
 from .pass_manager import (
     CompileReport,
     FunctionPass,
@@ -116,15 +114,11 @@ class DetectReduction(FunctionPass):
     #: Loop kinds handled by the pass.
     _LOOP_TYPES = (affine_dialect.AffineForOp, scf_dialect.ForOp)
 
-    def __init__(self, alias_analysis: Optional[AliasAnalysis] = None,
-                 options: Optional["DetectReduction.Options"] = None):
-        options = options if options is not None else self.Options()
-        if alias_analysis is not None:
-            options = dataclasses.replace(
-                options, alias=alias_spec_name(alias_analysis))
-        super().__init__(options=options)
-        self.alias_analysis = alias_analysis if alias_analysis is not None \
-            else make_alias_analysis(options.alias)
+    def __init__(self, options: Optional[PassOptions] = None):
+        super().__init__(options)
+        #: Built once from the ``alias=`` option (the analyses are
+        #: stateless).
+        self.alias_analysis = make_alias_analysis(self.options.alias)
 
     # ------------------------------------------------------------------
     def run_on_function(self, function: FuncOp, report: CompileReport) -> None:

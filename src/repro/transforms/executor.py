@@ -106,8 +106,8 @@ class WorkUnit:
     kind: str
     #: Textual IR of the unit (function units carry ``loc`` trailers).
     text: str
-    #: Pipeline spec (``func.func(...)`` for function units, a root
-    #: spec or ``pipeline:<name>`` for segment units).
+    #: Pipeline spec (``func.func(...)`` for function units, the
+    #: canonical root spec for segment units).
     spec: str
     #: Verify before/after the pipeline (segment units).
     verify: bool = False
@@ -173,10 +173,8 @@ class _PassTracker:
 
 def _manager_for_spec(spec: str):
     """Build the worker-side pass manager for a unit spec."""
-    from .pipelines import build_named_pipeline, parse_pass_pipeline
+    from .pipelines import parse_pass_pipeline
 
-    if spec.startswith("pipeline:"):
-        return build_named_pipeline(spec[len("pipeline:"):])
     if not spec.startswith("builtin.module("):
         spec = f"builtin.module({spec})"
     return parse_pass_pipeline(spec)

@@ -20,7 +20,6 @@ description.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -40,7 +39,6 @@ from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
 from ..analysis.alias import AliasAnalysis
 from ..analysis.sycl_alias import SYCLAliasAnalysis
-from ..analysis.manager import current_analysis_manager
 from .pass_manager import (
     CompileReport,
     FunctionPass,
@@ -70,17 +68,6 @@ def make_alias_analysis(name: str) -> AliasAnalysis:
         f"{', '.join(ALIAS_CHOICES)}")
 
 
-def alias_spec_name(analysis: AliasAnalysis) -> str:
-    """Best-effort inverse of :func:`make_alias_analysis`, for dumping."""
-    from .specialization import RuntimeCheckedAliasAnalysis
-
-    if isinstance(analysis, RuntimeCheckedAliasAnalysis):
-        return "runtime-checked"
-    if isinstance(analysis, SYCLAliasAnalysis):
-        return "sycl"
-    return "generic"
-
-
 def _loop_trip_count(loop: Operation) -> Optional[int]:
     if isinstance(loop, affine_dialect.AffineForOp):
         return loop.constant_trip_count()
@@ -107,61 +94,26 @@ class LoopInvariantCodeMotion(FunctionPass):
         #: Hoist side-effecting ops when the analysis proves it safe.
         allow_side_effecting_hoist: bool = True
 
-    def __init__(self, alias_analysis: Optional[AliasAnalysis] = None,
-                 allow_side_effecting_hoist: Optional[bool] = None,
-                 options: Optional["LoopInvariantCodeMotion.Options"] = None):
-        options = options if options is not None else self.Options()
-        if allow_side_effecting_hoist is not None:
-            options = dataclasses.replace(
-                options,
-                allow_side_effecting_hoist=allow_side_effecting_hoist)
-        if alias_analysis is not None:
-            # Keep the dumped spec faithful to the injected analysis.
-            options = dataclasses.replace(
-                options, alias=alias_spec_name(alias_analysis))
-        super().__init__(options=options)
-        #: ``None`` unless a concrete analysis was injected; the spec-named
-        #: default resolves per function run (through the analysis manager
-        #: when one is active, so repeated passes share one instance).
-        self._injected_alias = alias_analysis
-        self.alias_analysis = alias_analysis if alias_analysis is not None \
-            else make_alias_analysis(options.alias)
-        self.allow_side_effecting_hoist = options.allow_side_effecting_hoist
-
-    # ------------------------------------------------------------------
-    def _alias_for(self, function: FuncOp) -> AliasAnalysis:
-        """The alias analysis to consult for ``function``.
-
-        Resolved through the run's analysis manager (cached per function,
-        invalidation-aware) unless a concrete analysis was injected or
-        the pass runs outside a pipeline.  Kept off ``self`` at run time:
-        the parallel scheduler shares one pass instance across workers.
-        """
-        if self._injected_alias is not None:
-            return self._injected_alias
-        manager = current_analysis_manager()
-        if manager is None:
-            return self.alias_analysis
-        return manager.get(type(self.alias_analysis), function)
+    def __init__(self, options: Optional[PassOptions] = None):
+        super().__init__(options)
+        #: Built once from the ``alias=`` option: the analyses are
+        #: stateless, so one instance serves every function and worker.
+        self.alias_analysis = make_alias_analysis(self.options.alias)
 
     # ------------------------------------------------------------------
     def run_on_function(self, function: FuncOp, report: CompileReport) -> None:
         loops = [op for op in function.walk() if isinstance(op, _LOOP_TYPES)]
-        if not loops:
-            return  # before resolving the analysis, which hashes the function
-        alias = self._alias_for(function)
         # Innermost loops first so invariants bubble outwards.
         for loop in reversed(loops):
             if loop.parent is None:
                 continue
-            hoisted = self._process_loop(loop, alias)
+            hoisted = self._process_loop(loop)
             if hoisted:
                 report.add_statistic(self.NAME, "ops_hoisted", hoisted)
 
     # ------------------------------------------------------------------
-    def _process_loop(self, loop: Operation,
-                      alias: Optional[AliasAnalysis] = None) -> int:
-        alias = alias if alias is not None else self.alias_analysis
+    def _process_loop(self, loop: Operation) -> int:
+        alias = self.alias_analysis
         trip_count = _loop_trip_count(loop)
         may_not_execute = trip_count is None or trip_count == 0
         hoisted_total = 0
@@ -188,7 +140,8 @@ class LoopInvariantCodeMotion(FunctionPass):
                     hoisted_total += 1
                     changed = True
                     continue
-                if not self.allow_side_effecting_hoist or may_not_execute:
+                if not self.options.allow_side_effecting_hoist \
+                        or may_not_execute:
                     continue
                 if self._can_hoist_effectful(op, loop, alias, body_effects):
                     self._hoist(op, loop)
@@ -294,17 +247,16 @@ class VersionedLICM(LoopInvariantCodeMotion):
 
     NAME = "sycl-licm-versioned"
 
-    def _process_loop(self, loop: Operation,
-                      alias: Optional[AliasAnalysis] = None) -> int:
+    def _process_loop(self, loop: Operation) -> int:
         trip_count = _loop_trip_count(loop)
         if trip_count is not None:
-            return super()._process_loop(loop, alias)
+            return super()._process_loop(loop)
         if not isinstance(loop, (affine_dialect.AffineForOp, scf_dialect.ForOp)):
             return 0
         guarded = self._guard_loop(loop)
         if guarded is None:
             return 0
-        return super()._process_loop(guarded, alias)
+        return super()._process_loop(guarded)
 
     def _guard_loop(self, loop: Operation) -> Optional[Operation]:
         parent_block = loop.parent

@@ -32,7 +32,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -408,18 +407,13 @@ class PassRegistration:
     alias_of: Optional[str] = None
     #: Field-name keyed option presets an alias bakes in.
     preset_options: Dict[str, object] = field(default_factory=dict)
-    #: Optional factory overriding ``pass_class(options=...)``.
-    factory: Optional[Callable[[PassOptions], Pass]] = None
 
     def build(self, option_values: Optional[Dict[str, object]] = None) -> Pass:
         """Instantiate the pass with ``option_values`` (field-name keyed)
         on top of the alias presets."""
         values = dict(self.preset_options)
         values.update(option_values or {})
-        options = self.options_class(**values)
-        if self.factory is not None:
-            return self.factory(options)
-        return self.pass_class(options=options)
+        return self.pass_class(options=self.options_class(**values))
 
 
 #: All registered passes, keyed by spec name; the :func:`register_pass`

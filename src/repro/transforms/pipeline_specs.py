@@ -1,16 +1,33 @@
-"""Canonical specs of the shipped pipelines, as a leaf table.
+"""The shipped pipelines, each defined by its canonical spec.
 
-``NAMED_PIPELINE_SPECS[name]`` is what
-``dump_pass_pipeline(build_named_pipeline(name))`` returns for every
-``jobs`` — the string :class:`~repro.transforms.compile_cache.CompileCache`
-keys are made of.  It lives apart from :mod:`repro.transforms.pipelines`
-so that a tool can name its pipelines and compute a front key without
-importing a single pass.  The two AdaptiveCpp pipelines are *defined* by
-their entry (``parse_pass_pipeline(spec)``).  ``sycl-mlir`` and ``dpcpp``
-are built in code from their ``OptimizationOptions``, ``lower-to-llvm``
-because batch drivers build it per module (parsing a spec costs ten times
-the calls of building it); their entries are the default build's dump,
-and ``tests/test_front_key.py`` holds the two descriptions together.
+``NAMED_PIPELINE_SPECS[name]`` *is* the pipeline ``repro-opt --pipeline
+name`` runs: :func:`repro.transforms.pipelines.build_named_pipeline`
+parses it (once per process) and nothing else describes it.  Each entry
+is also its own canonical dump, the string
+:class:`~repro.transforms.compile_cache.CompileCache` keys are made of.
+The table is a leaf module so that a tool can name its pipelines and
+compute a front key without importing a single pass.
+
+* ``sycl-mlir`` — the paper's flow: host raising and host-device
+  propagation, then the SYCL-aware device passes (Loop Internalization,
+  SYCL LICM, Detect Reduction) while accessor semantics are still
+  visible, and only then accessor lowering and cleanup of the lowered
+  form (CSE merges equal addresses; the second LICM round hoists the
+  address arithmetic the lowering exposed).
+* ``dpcpp`` — the DPC++ baseline: premature accessor lowering, then
+  generic optimizations with the dialect-independent alias analysis, so
+  accessor-derived pointers may alias and array reductions stay in
+  memory.
+* ``adaptivecpp-aot`` / ``adaptivecpp-jit`` — the AdaptiveCpp SSCP
+  baseline: lowering and light cleanup ahead of time, then launch-time
+  optimizations trusting the disjointness facts the JIT observes
+  (``alias=runtime-checked``).
+* ``lower-to-llvm`` — progressive lowering to an LLVM-dialect CFG (see
+  :mod:`repro.target.conversions` and ``docs/lowering.md``).
+
+Every device pipeline opens ``canonicalize,cse,mem2reg``: promoting
+constant-indexed private arrays is what LLVM's ``-O3`` does for each of
+the modelled compilers, so none of them may be counted without it.
 """
 
 NAMED_PIPELINE_SPECS = {

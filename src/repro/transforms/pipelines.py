@@ -1,25 +1,12 @@
-"""Standard pass pipelines and the textual pipeline-spec language.
+"""The textual pipeline-spec language and the named pipelines built from it.
 
-* :func:`sycl_mlir_pipeline` — the paper's SYCL-MLIR flow: host raising,
-  host-device propagation, then the SYCL-aware device optimizations
-  (Loop Internalization, SYCL LICM, Detect Reduction) and only then the
-  accessor lowering, followed by generic cleanup of the lowered form.
-* :func:`dpcpp_pipeline` — the DPC++ baseline: premature lowering of SYCL
-  accessor semantics followed by generic optimizations only.
-* :func:`adaptivecpp_pipeline` — the AdaptiveCpp (SSCP JIT) baseline ahead-
-  of-time part: premature lowering + generic optimizations; the runtime
-  specialization happens at launch time (see
-  :mod:`repro.transforms.specialization` and the compiler driver).
+Every shipped compiler-model pipeline (``repro-opt --pipeline``) *is* its
+entry in :data:`~repro.transforms.pipeline_specs.NAMED_PIPELINE_SPECS`;
+:func:`build_named_pipeline` parses that entry once per process and hands
+out fresh pass instances from it on every call.  An ablation is a spec
+with passes left out, not a flag.
 
-Every device pipeline opens ``canonicalize,cse,mem2reg``: promoting
-constant-indexed private arrays is what LLVM's ``-O3`` does for each of
-the modelled compilers, so none of them may be counted without it.
-
-All three are expressed on the nested pass-manager API
-(``pm.nest("func.func").add(...)``), so function-local optimizations run
-once per isolated function.
-
-The textual spec language (``repro-opt --passes``) round-trips through
+The spec language (``repro-opt --passes``) round-trips through
 :func:`parse_pass_pipeline` / :func:`dump_pass_pipeline`::
 
     builtin.module(cse,func.func(canonicalize{max-iterations=10},licm))
@@ -39,20 +26,8 @@ Pass names resolve through the declarative registry populated by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..analysis.alias import AliasAnalysis
-from ..analysis.sycl_alias import SYCLAliasAnalysis
-from .canonicalize import CanonicalizePass, DCEPass
-from .cse import CSEPass
-from .detect_reduction import DetectReduction
-from .host_device import HostDeviceOptimizationPass
-from .host_raising import HostRaisingPass
-from .licm import LoopInvariantCodeMotion
-from .loop_internalization import LoopInternalization
-from .lower_sycl import LowerAccessorSubscripts
-from .mem2reg import Mem2Reg
 from .pass_manager import (
     ANCHOR_OPS,
     MODULE_ANCHOR,
@@ -67,173 +42,13 @@ from .pass_manager import (
 from .pass_manager import _REGISTRATIONS as PASS_REGISTRATIONS
 from .pipeline_specs import NAMED_PIPELINE_SPECS
 
-# Importing the target subsystem registers the conversion passes behind
-# the "lower-to-llvm" pipeline with the declarative pass registry, so
-# `repro-opt --passes 'convert-scf-to-cf'` works standalone.
-from ..target import conversions as _target_conversions  # noqa: E402,F401
-
-
-@dataclass
-class OptimizationOptions:
-    """Feature toggles used by the drivers and the ablation benchmarks."""
-
-    licm: bool = True
-    detect_reduction: bool = True
-    loop_internalization: bool = True
-    host_device_propagation: bool = True
-    host_raising: bool = True
-    canonicalize: bool = True
-
-    @classmethod
-    def all_disabled(cls) -> "OptimizationOptions":
-        return cls(licm=False, detect_reduction=False,
-                   loop_internalization=False, host_device_propagation=False,
-                   host_raising=False, canonicalize=True)
-
-    def without(self, name: str) -> "OptimizationOptions":
-        options = OptimizationOptions(**self.__dict__)
-        if not hasattr(options, name):
-            raise ValueError(f"unknown optimization flag {name!r}")
-        setattr(options, name, False)
-        return options
-
-
-def _nest_function_passes(pm: PassManager, passes: List[Pass]) -> None:
-    """Nest ``passes`` under a ``func.func`` pipeline, if any."""
-    if not passes:
-        return
-    nested = pm.nest("func.func")
-    for pass_ in passes:
-        nested.add(pass_)
-
-
-def sycl_mlir_pipeline(options: Optional[OptimizationOptions] = None,
-                       jobs: int = 1) -> PassManager:
-    """The SYCL-MLIR optimization pipeline (host + device, Sections V-VII).
-
-    Accessor lowering closes the device stage whatever the options, so an
-    ablation is counted in the same lowered form as the baselines.
-    """
-    options = options or OptimizationOptions()
-    alias = SYCLAliasAnalysis()
-    pm = PassManager(jobs=jobs)
-    lead: List[Pass] = [CanonicalizePass(), CSEPass()] \
-        if options.canonicalize else []
-    _nest_function_passes(pm, lead + [Mem2Reg()])
-    if options.host_raising:
-        pm.add(HostRaisingPass())
-    if options.host_device_propagation:
-        pm.add(HostDeviceOptimizationPass())
-    device: List[Pass] = []
-    if options.canonicalize:
-        device.append(CanonicalizePass())
-    if options.loop_internalization:
-        device.append(LoopInternalization())
-    if options.licm:
-        device.append(LoopInvariantCodeMotion(alias_analysis=alias))
-    if options.detect_reduction:
-        device.append(DetectReduction(alias_analysis=alias))
-    # Late lowering: the SYCL passes above saw accessor semantics; what
-    # runs from here on is the same raw-pointer form the baselines
-    # optimize, so CSE merges equal addresses and the second LICM round
-    # hoists the address arithmetic the lowering exposed.
-    device.append(LowerAccessorSubscripts())
-    if options.canonicalize:
-        device.extend([CanonicalizePass(), CSEPass()])
-    if options.licm:
-        device.append(LoopInvariantCodeMotion(alias_analysis=alias))
-    if options.canonicalize:
-        device.append(DCEPass())
-    _nest_function_passes(pm, device)
-    return pm
-
-
-def dpcpp_pipeline(options: Optional[OptimizationOptions] = None,
-                   jobs: int = 1) -> PassManager:
-    """The DPC++ baseline: premature lowering + generic optimizations.
-
-    The generic optimizations use the dialect-independent alias analysis, so
-    accessor-derived pointers conservatively may alias, which blocks scalar
-    promotion of array reductions — the behaviour the paper attributes to
-    LLVM-IR based flows.
-    """
-    options = options or OptimizationOptions()
-    alias = AliasAnalysis()
-    passes: List[Pass] = [
-        CanonicalizePass(),
-        CSEPass(),
-        Mem2Reg(),
-        LowerAccessorSubscripts(),
-        CanonicalizePass(),
-        CSEPass(),
-    ]
-    if options.licm:
-        passes.append(LoopInvariantCodeMotion(alias_analysis=alias))
-    if options.detect_reduction:
-        passes.append(DetectReduction(alias_analysis=alias))
-    passes.extend([CanonicalizePass(), CSEPass(), DCEPass()])
-    pm = PassManager(jobs=jobs)
-    _nest_function_passes(pm, passes)
-    return pm
-
-
-def _pipeline_from_spec(name: str, jobs: int) -> PassManager:
-    """A pipeline without options: its ``NAMED_PIPELINE_SPECS`` entry is
-    its definition, so the two cannot drift apart."""
-    manager = parse_pass_pipeline(NAMED_PIPELINE_SPECS[name])
-    manager.jobs = jobs
-    return manager
-
-
-def adaptivecpp_aot_pipeline(jobs: int = 1) -> PassManager:
-    """AdaptiveCpp ahead-of-time part: lowering + light cleanup only."""
-    return _pipeline_from_spec("adaptivecpp-aot", jobs)
-
-
-def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
-    """AdaptiveCpp launch-time (JIT) optimizations after specialization.
-
-    The runtime-checked alias analysis trusts the disjointness facts the JIT
-    observes at launch, enabling LICM of accessor metadata and scalar
-    promotion of reductions (with the cost of JIT-ing accounted separately
-    by the compiler driver).
-    """
-    return _pipeline_from_spec("adaptivecpp-jit", jobs)
-
-
-def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
-    """Progressive lowering to an LLVM-dialect CFG.
-
-    Accessor subscripts become plain memref accesses, affine constructs
-    become ``scf``, memory accesses become ``llvm.*`` while the control
-    flow is still structured (each address is built once, where its
-    operands are defined), structured control flow becomes a ``cf``
-    branch CFG, arithmetic becomes ``llvm.*``, and finally whole
-    functions convert to ``llvm.func``.  The differential harness
-    proves the composition preserves the source module's semantics
-    (see :mod:`repro.target.conversions` and ``docs/lowering.md``).
-
-    Built in code although it takes no options: batch drivers build it
-    once per module, and parsing its spec costs ten times the calls.
-    """
-    from ..target.conversions import (
-        ConvertArithToLLVM,
-        ConvertFuncToLLVM,
-        ConvertMemRefToLLVM,
-        ConvertSCFToCF,
-        LowerAffine,
-    )
-
-    pm = PassManager(jobs=jobs)
-    _nest_function_passes(pm, [
-        LowerAccessorSubscripts(),
-        LowerAffine(),
-        ConvertMemRefToLLVM(),
-        ConvertSCFToCF(),
-        ConvertArithToLLVM(),
-    ])
-    pm.add(ConvertFuncToLLVM())
-    return pm
+# Registration imports: importing a pass module registers its passes, and
+# this module is what ``lookup_pass`` imports to fill the registry (the
+# target conversions are the passes behind ``lower-to-llvm``).
+from . import canonicalize, cse, detect_reduction, host_device  # noqa: F401
+from . import host_raising, licm, loop_internalization  # noqa: F401
+from . import lower_sycl, mem2reg  # noqa: F401
+from ..target import conversions  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -556,32 +371,6 @@ def dump_pass_pipeline(pipeline: OpPassManager) -> str:
     return pipeline.to_spec()
 
 
-def _options_free(name: str, builder: Callable[[int], PassManager]):
-    """Wrap a pipeline that takes no options; reject options explicitly."""
-
-    def build(options: Optional[OptimizationOptions] = None,
-              jobs: int = 1) -> PassManager:
-        if options is not None:
-            raise ValueError(
-                f"pipeline {name!r} does not accept optimization options")
-        return builder(jobs)
-
-    return build
-
-
-#: Full compiler-model pipelines selectable by name (`repro-opt --pipeline`);
-#: the same names key ``NAMED_PIPELINE_SPECS``.
-NAMED_PIPELINES: Dict[str, Callable[..., PassManager]] = {
-    "sycl-mlir": sycl_mlir_pipeline,
-    "dpcpp": dpcpp_pipeline,
-    "adaptivecpp-aot": _options_free("adaptivecpp-aot",
-                                     adaptivecpp_aot_pipeline),
-    "adaptivecpp-jit": _options_free("adaptivecpp-jit",
-                                     adaptivecpp_jit_pipeline),
-    "lower-to-llvm": _options_free("lower-to-llvm", lower_to_llvm_pipeline),
-}
-
-
 def shipped_pipeline_names() -> List[str]:
     """Names of the shipped compiler-model pipelines.
 
@@ -590,21 +379,41 @@ def shipped_pipeline_names() -> List[str]:
     for every executable module — tests and the CI differential smoke
     job iterate it rather than hard-coding pipeline names.
     """
-    return sorted(NAMED_PIPELINES)
+    return sorted(NAMED_PIPELINE_SPECS)
 
 
-def build_named_pipeline(
-        name: str,
-        options: Optional[OptimizationOptions] = None,
-        jobs: int = 1) -> PassManager:
-    """Instantiate one of the paper's three compiler-model pipelines.
+#: Pipeline name -> the pipeline its spec parsed to, never run: the
+#: template :func:`build_named_pipeline` copies.  Keyed by name, so it
+#: holds at most one entry per ``NAMED_PIPELINE_SPECS`` row.
+_TEMPLATES: Dict[str, PassManager] = {}
 
-    ``jobs`` sizes the per-function parallel scheduler of the returned
-    :class:`PassManager` (1 = serial).
+
+def _copy_passes(template: OpPassManager, target: OpPassManager) -> None:
+    """Append fresh instances of ``template``'s passes to ``target``."""
+    for element in template.elements:
+        if isinstance(element, OpPassManager):
+            _copy_passes(element, target.nest(element.anchor))
+        else:
+            options = element.options
+            target.elements.append(
+                type(element)(options=type(options)(**vars(options))))
+
+
+def build_named_pipeline(name: str, jobs: int = 1) -> PassManager:
+    """A fresh :class:`PassManager` running ``NAMED_PIPELINE_SPECS[name]``.
+
+    The spec is parsed once per process; every call instantiates its own
+    passes, so no two returned managers share a pass.  ``jobs`` sizes the
+    per-function parallel scheduler (1 = serial).
     """
-    builder = NAMED_PIPELINES.get(name)
-    if builder is None:
-        raise ValueError(
-            f"unknown pipeline {name!r}; available pipelines: "
-            f"{', '.join(sorted(NAMED_PIPELINES))}")
-    return builder(options, jobs=jobs)
+    template = _TEMPLATES.get(name)
+    if template is None:
+        spec = NAMED_PIPELINE_SPECS.get(name)
+        if spec is None:
+            raise ValueError(
+                f"unknown pipeline {name!r}; available pipelines: "
+                f"{', '.join(shipped_pipeline_names())}")
+        template = _TEMPLATES[name] = parse_pass_pipeline(spec)
+    manager = PassManager(jobs=jobs)
+    _copy_passes(template, manager)
+    return manager

@@ -228,3 +228,43 @@ def listing_execution_specs():
         "mem_acc": ExecutionSpec(global_size=(2, 2),
                                  buffers={"acc": (3, 128, 130)}),
     }
+
+
+# ---------------------------------------------------------------------------
+# Ablations: a named pipeline with some passes left out
+# ---------------------------------------------------------------------------
+
+#: Ablation id -> the pass ``NAME``\ s it drops from ``sycl-mlir``
+#: (``all_disabled``: the paper's five SYCL passes).
+ABLATIONS = {
+    "licm": frozenset({"sycl-licm"}),
+    "detect_reduction": frozenset({"detect-reduction"}),
+    "loop_internalization": frozenset({"loop-internalization"}),
+    "host_device_propagation": frozenset({"host-device-propagation"}),
+    "host_raising": frozenset({"host-raising"}),
+    "canonicalize": frozenset({"canonicalize", "cse", "dce"}),
+    "all_disabled": frozenset({
+        "host-raising", "host-device-propagation", "loop-internalization",
+        "sycl-licm", "detect-reduction"}),
+}
+
+
+def ablated(name, drop):
+    """``build_named_pipeline(name)`` without the passes named in
+    ``drop``; a ``func.func`` nest left empty goes too."""
+    from repro.transforms import OpPassManager, build_named_pipeline
+
+    def prune(pipeline):
+        kept = []
+        for element in pipeline.elements:
+            if isinstance(element, OpPassManager):
+                prune(element)
+                if element.elements:
+                    kept.append(element)
+            elif element.NAME not in drop:
+                kept.append(element)
+        pipeline.elements = kept
+
+    manager = build_named_pipeline(name)
+    prune(manager)
+    return manager

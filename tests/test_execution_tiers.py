@@ -571,7 +571,7 @@ def _lowered(module):
     from repro.transforms import build_named_pipeline
 
     for pipeline in ("sycl-mlir", "lower-to-llvm"):
-        build_named_pipeline(pipeline, None, 1).run(module)
+        build_named_pipeline(pipeline).run(module)
     return module
 
 
@@ -824,7 +824,7 @@ class TestMathOnEveryTier:
             operand=lambda k, x: (x * 0.0 + 1.0) / (x * 0.0))
         for lowered in (False, True):
             if lowered:
-                build_named_pipeline("lower-to-llvm", None, 1).run(module)
+                build_named_pipeline("lower-to-llvm").run(module)
             for tier in ("interp", "jit"):
                 run = ExecutionEngine(module, tier=tier).run(
                     "apply", _math_spec())

@@ -45,13 +45,11 @@ from repro.transforms import (
 from repro.transforms.licm import LoopInvariantCodeMotion
 from repro.transforms.lower_sycl import LowerAccessorSubscripts
 from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
-from repro.transforms.pipelines import (
-    OptimizationOptions,
-    lower_to_llvm_pipeline,
-    parse_pass_pipeline,
-)
+from repro.transforms.pipelines import parse_pass_pipeline
 
 from .helpers import (
+    ABLATIONS,
+    ablated,
     build_gemm_module,
     build_listing1_function,
     build_listing2_function,
@@ -350,10 +348,12 @@ def _op_names(module):
     return [op.name for op in module.walk()]
 
 
-def _optimized(module, pipeline="sycl-mlir", options=None):
+def _optimized(module, pipeline="sycl-mlir", manager=None):
     clone = module.clone({})
     report = CompileReport()
-    build_named_pipeline(pipeline, options).run(clone, report=report)
+    if manager is None:
+        manager = build_named_pipeline(pipeline)
+    manager.run(clone, report=report)
     verify(clone)
     return clone, report
 
@@ -602,21 +602,17 @@ class TestDifferential:
 # (e) ablations are counted in the same lowered form
 # ---------------------------------------------------------------------------
 
-ABLATIONS = {name: OptimizationOptions().without(name)
-             for name in vars(OptimizationOptions())}
-ABLATIONS["all_disabled"] = OptimizationOptions.all_disabled()
-
-
 class TestAblationsEndLowered:
     @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
     @pytest.mark.parametrize("label", ("gemm", "host_device", "mvt",
                                        "sobel"))
     def test_ablated_pipeline(self, label, ablation):
-        options = ABLATIONS[ablation]
+        drop = ABLATIONS[ablation]
         module, specs = _all_inputs()[label]
-        optimized, _ = _optimized(module, options=options)
+        optimized, _ = _optimized(module,
+                                  manager=ablated("sycl-mlir", drop))
         _assert_lowered(optimized)
-        manager = build_named_pipeline("sycl-mlir", options)
+        manager = ablated("sycl-mlir", drop)
         report = run_differential(module, "sycl-mlir", specs=specs,
                                   manager=manager)
         assert sorted(report.executed) == sorted(specs)
@@ -692,7 +688,7 @@ class TestLoweringTouchesOnlySubscripts:
         # The sweep this pass no longer does used to delete Listing 1's
         # unused load; the pipeline's output must not grow for it.
         module = wrap_in_module(build_listing1_function()[0])
-        lower_to_llvm_pipeline().run(module)
+        build_named_pipeline("lower-to-llvm").run(module)
         names = [op.name for op in module.walk()]
         assert "llvm.load" not in names and "memref.load" not in names
         assert names.count("llvm.store") == 2

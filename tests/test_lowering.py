@@ -67,7 +67,7 @@ def _listing_module():
 
 
 def _lower(module):
-    build_named_pipeline("lower-to-llvm", None, 1).run(module)
+    build_named_pipeline("lower-to-llvm").run(module)
     return module
 
 
@@ -81,7 +81,7 @@ def _dialect_histogram(module):
 
 def _internalized_gemm():
     module, specs = build_gemm_module()
-    build_named_pipeline("sycl-mlir", None, 1).run(module)
+    build_named_pipeline("sycl-mlir").run(module)
     return module, specs
 
 
@@ -204,7 +204,7 @@ class TestConversionShape:
 
         report = CompileReport()
         module = _listing_module()
-        build_named_pipeline("lower-to-llvm", None, 1).run(
+        build_named_pipeline("lower-to-llvm").run(
             module, report=report)
         stats = {(stat.pass_name, stat.name): stat.value
                  for stat in report.statistics}
@@ -229,7 +229,7 @@ class TestDifferential:
         module must still compute what the *original* source did."""
         module, specs = build_gemm_module()
         reference = print_op(module)
-        build_named_pipeline("sycl-mlir", None, 1).run(module)
+        build_named_pipeline("sycl-mlir").run(module)
         assert print_op(module) != reference  # internalization fired
         report = run_differential(module, "lower-to-llvm", specs=specs)
         assert report.executed == ["gemm"]
@@ -261,7 +261,7 @@ class TestLoweredCodeRunsOnTheJIT:
     def test_lowered_modules_match_the_interpreter_exactly(self):
         executed = []
         for module, specs in self._cases():
-            build_named_pipeline("sycl-mlir", None, 1).run(module)
+            build_named_pipeline("sycl-mlir").run(module)
             _lower(module)
             runs = {}
             for tier in ("interp", "jit"):
@@ -282,7 +282,7 @@ class TestLoweredCodeRunsOnTheJIT:
 
     def test_internalized_gemm_keeps_its_barriers_in_the_cfg(self):
         module, specs = build_gemm_module()
-        build_named_pipeline("sycl-mlir", None, 1).run(module)
+        build_named_pipeline("sycl-mlir").run(module)
         _lower(module)
         engine = ExecutionEngine(module, tier="auto")
         executions, _ = engine.execute_module(specs)
@@ -383,7 +383,7 @@ class TestParallelLowering:
         lowered = []
         for jobs in (1, 3):
             copy = parse_module(text)
-            manager = build_named_pipeline("lower-to-llvm", None, jobs)
+            manager = build_named_pipeline("lower-to-llvm", jobs=jobs)
             try:
                 manager.run(copy)
             finally:

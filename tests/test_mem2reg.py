@@ -22,13 +22,14 @@ from repro.ir import MemRefType, Printer, i32, index, parse_module, verify
 from repro.ir.operations import mutation_clock
 from repro.transforms import CompileReport, build_named_pipeline
 from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
-from repro.transforms.pipelines import (
-    OptimizationOptions,
-    lower_to_llvm_pipeline,
-    parse_pass_pipeline,
-)
+from repro.transforms.pipelines import parse_pass_pipeline
 
-from .helpers import memory_differences, wrap_in_module
+from .helpers import (
+    ABLATIONS,
+    ablated,
+    memory_differences,
+    wrap_in_module,
+)
 from .test_late_lowering import (
     SYCL_STAGE,
     TIERS,
@@ -436,7 +437,7 @@ class TestPipelines:
         verify(optimized)
         assert _private_ops(optimized) == []
         lowered = optimized.clone({})
-        lower_to_llvm_pipeline().run(lowered)
+        build_named_pipeline("lower-to-llvm").run(lowered)
         verify(lowered)
         assert not any(op.name == "llvm.alloca" for op in lowered.walk())
         for form in (optimized, lowered):
@@ -458,18 +459,15 @@ class TestPipelines:
         report = run_differential(module, pipeline, specs=specs, tier=tier)
         assert sorted(report.executed) == sorted(specs)
 
-    @pytest.mark.parametrize("ablation", sorted(
-        [*vars(OptimizationOptions()), "all_disabled"]))
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
     def test_sycl_mlir_ablations_still_end_promoted(self, ablation):
-        options = OptimizationOptions.all_disabled() \
-            if ablation == "all_disabled" \
-            else OptimizationOptions().without(ablation)
+        drop = ABLATIONS[ablation]
         module, specs = _shape_module("median")
-        manager = build_named_pipeline("sycl-mlir", options)
+        manager = ablated("sycl-mlir", drop)
         run_differential(module, "sycl-mlir", specs=specs, manager=manager,
                          rtol=0.0, atol=0.0)
         report = CompileReport()
-        build_named_pipeline("sycl-mlir", options).run(module, report=report)
+        ablated("sycl-mlir", drop).run(module, report=report)
         assert _private_ops(module) == []
         assert _statistics(report)["loads_forwarded"] == 39
 

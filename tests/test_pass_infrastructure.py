@@ -35,14 +35,18 @@ from repro.transforms import (
     PipelineParseError,
     VerifierInstrumentation,
     available_passes,
+    build_named_pipeline,
     dump_pass_pipeline,
     lookup_pass,
     parse_pass_pipeline,
     register_pass,
-    sycl_mlir_pipeline,
+    shipped_pipeline_names,
 )
+from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 
 from .helpers import (
+    ABLATIONS,
+    ablated,
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
@@ -127,7 +131,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("builder", LISTING_BUILDERS)
     def test_sycl_mlir_pipeline_round_trips_and_matches(self, builder):
-        pipeline = sycl_mlir_pipeline()
+        pipeline = build_named_pipeline("sycl-mlir")
         spec = dump_pass_pipeline(pipeline)
         assert dump_pass_pipeline(parse_pass_pipeline(spec)) == spec
 
@@ -137,6 +141,86 @@ class TestRoundTrip:
         parse_pass_pipeline(spec).run(reparsed)
         assert Printer().print_module(direct) == \
             Printer().print_module(reparsed)
+
+
+# ---------------------------------------------------------------------------
+# Named pipelines: built from their spec, one pass instance per manager
+# ---------------------------------------------------------------------------
+
+#: ``sycl-mlir`` with each ablation's passes left out, as the option-driven
+#: builder the spec table replaced dumped them.
+ABLATED_SYCL_MLIR = {
+    "licm":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"
+        "host-device-propagation,func.func(canonicalize,"
+        "loop-internalization,detect-reduction,lower-sycl-accessors,"
+        "canonicalize,cse,dce))",
+    "detect_reduction":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"
+        "host-device-propagation,func.func(canonicalize,"
+        "loop-internalization,sycl-licm,lower-sycl-accessors,canonicalize,"
+        "cse,sycl-licm,dce))",
+    "loop_internalization":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"
+        "host-device-propagation,func.func(canonicalize,sycl-licm,"
+        "detect-reduction,lower-sycl-accessors,canonicalize,cse,sycl-licm,"
+        "dce))",
+    "host_device_propagation":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),host-raising,"
+        "func.func(canonicalize,loop-internalization,sycl-licm,"
+        "detect-reduction,lower-sycl-accessors,canonicalize,cse,sycl-licm,"
+        "dce))",
+    "host_raising":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),"
+        "host-device-propagation,func.func(canonicalize,"
+        "loop-internalization,sycl-licm,detect-reduction,"
+        "lower-sycl-accessors,canonicalize,cse,sycl-licm,dce))",
+    "canonicalize":
+        "builtin.module(func.func(mem2reg),host-raising,"
+        "host-device-propagation,func.func(loop-internalization,sycl-licm,"
+        "detect-reduction,lower-sycl-accessors,sycl-licm))",
+    "all_disabled":
+        "builtin.module(func.func(canonicalize,cse,mem2reg),"
+        "func.func(canonicalize,lower-sycl-accessors,canonicalize,cse,dce))",
+}
+
+
+class TestNamedPipelines:
+    def test_ablations_dump_as_recorded(self):
+        assert {ablation: dump_pass_pipeline(ablated("sycl-mlir", drop))
+                for ablation, drop in ABLATIONS.items()} == ABLATED_SYCL_MLIR
+
+    def test_built_pipelines_share_no_pass(self):
+        for name in shipped_pipeline_names():
+            first = build_named_pipeline(name)
+            second = build_named_pipeline(name, jobs=3)
+            owned = {id(obj) for pass_ in first.passes
+                     for obj in (pass_, pass_.options)}
+            assert not owned & {id(obj) for pass_ in second.passes
+                                for obj in (pass_, pass_.options)}, name
+            for pass_ in first.passes:
+                for option in vars(pass_.options):
+                    setattr(pass_.options, option, None)
+            assert dump_pass_pipeline(second) == NAMED_PIPELINE_SPECS[name]
+            second.close()
+        module = wrap_in_module(*[b()[0] for b in LISTING_BUILDERS])
+        first, second = (build_named_pipeline("sycl-mlir") for _ in "ab")
+        first.run(module)
+        assert dump_pass_pipeline(second) == NAMED_PIPELINE_SPECS["sycl-mlir"]
+        assert dump_pass_pipeline(build_named_pipeline("sycl-mlir")) == \
+            NAMED_PIPELINE_SPECS["sycl-mlir"]
+
+    def test_licm_keeps_its_alias_analysis_out_of_the_manager(self):
+        # The alias analyses are stateless: each pass builds its own from
+        # its ``alias=`` option instead of fetching (and fingerprinting)
+        # one through the analysis manager.
+        module = wrap_in_module(build_listing3_function()[0])
+        manager = parse_pass_pipeline("builtin.module(func.func(sycl-licm))")
+        report = manager.run(module)
+        assert report.get_statistic("sycl-licm", "ops_hoisted") > 0
+        assert not [name for name in manager.analysis_manager.preserved_names()
+                    if name.endswith("AliasAnalysis")]
+        assert manager.analysis_manager.describe()["misses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +617,7 @@ class TestDeclaredMetadata:
         # Statistics reported on a real run are a subset of the declared
         # schema (the schema is what --list-passes advertises).
         module = wrap_in_module(*[b()[0] for b in LISTING_BUILDERS])
-        report = sycl_mlir_pipeline().run(module)
+        report = build_named_pipeline("sycl-mlir").run(module)
         declared = {}
         for name in available_passes():
             registration = lookup_pass(name)

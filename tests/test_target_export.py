@@ -70,9 +70,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("pipeline", shipped_pipeline_names())
     def test_export_round_trips_after_every_pipeline(self, name, pipeline):
         module = _all_modules()[name]
-        build_named_pipeline(
-            pipeline, None if pipeline == "lower-to-llvm" else None,
-            1).run(module)
+        build_named_pipeline(pipeline).run(module)
         text = emit_mlir(module)
         back = parse_module(text)
         verify(back)
@@ -100,7 +98,7 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("name", sorted(LISTING_BUILDERS))
     def test_lowered_export_matches_golden(self, name):
         module = _listing_module(name)
-        build_named_pipeline("lower-to-llvm", None, 1).run(module)
+        build_named_pipeline("lower-to-llvm").run(module)
         text = emit_mlir(module) + "\n"
         golden = (GOLDEN_DIR / f"{name}_lowered.mlir").read_text()
         assert text == golden
@@ -115,7 +113,7 @@ class TestGoldenFiles:
         """Successors/regions precede the attribute dictionary and the
         signature — the upstream generic order, not the classic one."""
         module = _listing_module("listing1")
-        build_named_pipeline("lower-to-llvm", None, 1).run(module)
+        build_named_pipeline("lower-to-llvm").run(module)
         filecheck(emit_mlir(module), '''
             CHECK: "builtin.module"() ({
             CHECK: "llvm.func"() ({
