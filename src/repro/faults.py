@@ -41,6 +41,9 @@ Plan syntax (``;``-separated rules)::
                                      interpreter tier with a remark
     jit.exec@gemm=transient          first jit run of kernel "gemm"
                                      fails pre-dispatch; same degrade
+    vector.compile=corrupt           first vector-tier codegen emits
+                                     garbage — the kernel runs on the
+                                     next tier with a remark
 
 Occurrence indices are 0-based.  A missing occurrence means ``0`` (fire
 once, on the first matching call); ``*`` fires on every matching call.

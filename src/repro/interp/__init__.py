@@ -11,12 +11,14 @@ Layers:
 * :mod:`repro.interp.engine` — the tiered :class:`ExecutionEngine`
   facade and the ``@register_executor`` backend registry;
 * :mod:`repro.interp.jit` — the compile-to-Python JIT tier
-  (``tier="jit"``) with its fingerprint-keyed executable cache;
-* :mod:`repro.interp.jit_runtime` — the error types and scalar helpers
-  the JIT's generated code, the engine and the vector tier share
-  (importable without the emitter);
-* :mod:`repro.interp.vectorize` — the lockstep NumPy vector tier
-  (``tier="vector"``) for divergence-free kernels;
+  (``tier="jit"``);
+* :mod:`repro.interp.jit_runtime` — what both code-generating tiers
+  share: error types, run-time helpers, block counting and the
+  fingerprint-keyed executable cache (importable without either
+  emitter);
+* :mod:`repro.interp.vectorize` — the NumPy vector tier
+  (``tier="vector"``), which compiles a divergence-free kernel into one
+  lockstep function over every work-item at once;
 * :mod:`repro.interp.differential` — the pre- vs post-pipeline
   differential execution harness (``optimized != miscompiled``).
 
@@ -68,8 +70,8 @@ _LAZY = {
     "executor_for": ("engine", "executor_for"),
     "register_executor": ("engine", "register_executor"),
     "registered_executors": ("engine", "registered_executors"),
-    "CompiledExecutable": ("jit", "CompiledExecutable"),
-    "ExecutableCache": ("jit", "ExecutableCache"),
+    "CompiledExecutable": ("jit_runtime", "CompiledExecutable"),
+    "ExecutableCache": ("jit_runtime", "ExecutableCache"),
     "JITBackend": ("jit", "JITBackend"),
     "JITExecutionError": ("jit_runtime", "JITExecutionError"),
     "JITUnsupportedError": ("jit_runtime", "JITUnsupportedError"),

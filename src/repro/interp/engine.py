@@ -12,9 +12,9 @@ off:
   reference; never declines an execution);
 * ``tier="jit"``    — :mod:`repro.interp.jit` compiles the function once
   into generated Python source and runs that;
-* ``tier="vector"`` — :mod:`repro.interp.vectorize` executes whole
-  launches as NumPy array operations when
-  :mod:`repro.analysis.uniformity` proves the kernel divergence-free;
+* ``tier="vector"`` — :mod:`repro.interp.vectorize` compiles the
+  kernel once into whole-launch NumPy array operations when
+  :mod:`repro.analysis.uniformity` proves it divergence-free;
 * ``tier="auto"``   — try ``vector``, then ``jit``, then ``interp``.
 
 Tiers are :class:`Backend` instances in a ``@register_executor``
@@ -191,8 +191,8 @@ class ExecutionEngine:
     registered tier name; explicit non-interpreter tiers still degrade
     to the interpreter when they decline, with the reason recorded in
     :attr:`remarks`.  ``executable_cache`` optionally shares one
-    :class:`repro.interp.jit.ExecutableCache` (e.g. the daemon's) across
-    engines.
+    :class:`repro.interp.jit_runtime.ExecutableCache` (e.g. the
+    daemon's) across engines; both code-generating tiers use it.
     """
 
     def __init__(self, module, tier: str = "auto",

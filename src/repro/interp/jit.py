@@ -40,15 +40,16 @@ interpreter would pass.  Runtime guard failures in the generated
 prologue (an argument that is not array-backed) fall back the same way
 *before* any side effect.
 
-**Caching.**  Compiled executables are cached per structural
-fingerprint: the key is ``(text_fingerprint(printed function),
-"jit<EMITTER_VERSION>:<mode>")`` — the same key scheme (and, optionally,
-the same :class:`~repro.transforms.disk_cache.DiskCache`) the compile
-cache uses, tagged with the emitter generation so an entry written by an
-older emitter is a miss, never a stale hit.  Disk entries store the
-*generated Python source* as the entry text; rehydration is
-``compile()`` + ``exec`` against the static namespace below, no emitter
-run needed.
+**Caching.**  Compiled executables live in the engine's
+:class:`~repro.interp.jit_runtime.ExecutableCache`, keyed per
+structural fingerprint as ``(text_fingerprint(printed function),
+"jit<EMITTER_VERSIONS['jit']>:<mode>")`` — the same key scheme (and,
+optionally, the same :class:`~repro.transforms.disk_cache.DiskCache`)
+the compile cache uses, tagged with the emitter generation so an entry
+written by an older emitter is a miss, never a stale hit.  Disk entries
+store the *generated Python source* as the entry text; rehydration is
+``compile()`` + ``exec`` against the static namespace, no emitter run
+needed.
 
 **Fault injection** (:mod:`repro.faults`): ``jit.compile`` (``corrupt``
 poisons the generated source, ``transient`` fails the compile) and
@@ -60,31 +61,29 @@ recorded remark.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..faults import TransientFault, fault_point
-from ..ir import (
-    IndexType,
-    IntegerType,
-    MemRefType,
-    Printer,
-    is_float,
-)
+from ..ir import MemRefType, is_float
 from ..ir.operations import mutation_clock
 from .engine import Backend, TierFallback, register_executor
 from .jit_runtime import (  # noqa: F401 - the error types are this tier's API
+    ExecutableCache,
     JITExecutionError,
     JITUnsupportedError,
-    _GuardFallback,
+    _EmitterBase,
     _jit_namespace,
     _math_symbol,
     _merge_counters,
+    _py_literal,
+    _scalar_int_type,
+    _Stat,
+    compile_cached,
+    compile_for_engine,
+    launch_ranges,
+    run_executable,
 )
-from .memory import InterpreterError, TrapError, byte_size_of
+from .memory import byte_size_of
 
 try:
     import numpy as _np
@@ -92,32 +91,9 @@ except ImportError:  # pragma: no cover - the toolchain ships NumPy
     _np = None
 
 
-#: Generation of the emitter's output format, part of every
-#: :class:`ExecutableCache` key: a disk entry holds *generated source*,
-#: which a changed emitter would otherwise keep reusing for as long as it
-#: still compiles.  Bump on any change to what ``_Emitter`` generates.
-EMITTER_VERSION = 2
-
-
 # ---------------------------------------------------------------------------
 # The emitter
 # ---------------------------------------------------------------------------
-
-class _Stat:
-    """Per-structured-block static tallies (multiplied by the block's
-    run-time execution count when counters are flushed)."""
-
-    __slots__ = ("ops", "loads", "stores", "bytes_read", "bytes_written",
-                 "barriers")
-
-    def __init__(self):
-        self.ops = 0
-        self.loads = 0
-        self.stores = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.barriers = 0
-
 
 class _Ref:
     """How generated code addresses one storage: a flat array expression
@@ -144,11 +120,7 @@ class _Acc:
         self.ref = ref
 
 
-def _scalar_int_type(type_) -> bool:
-    return isinstance(type_, (IntegerType, IndexType))
-
-
-class _Emitter:
+class _Emitter(_EmitterBase):
     """Emits one Python function for one ``func.func`` body.
 
     ``mode`` is ``"function"`` (plain call), ``"basic"`` (range
@@ -186,7 +158,7 @@ class _Emitter:
         from ..dialects.llvm import LLVM_TO_ARITH
         from ..dialects.math import SCALAR_FUNCS
 
-        self.fn = function
+        super().__init__(function)
         self.mode = mode
         #: ``llvm.*`` value op -> the ``arith.*`` op it is compiled as.
         self.alias = LLVM_TO_ARITH
@@ -195,19 +167,6 @@ class _Emitter:
         self.math_funcs = SCALAR_FUNCS
         #: CFG mode: ``id(block)`` -> its ``_bb`` dispatch label.
         self.labels: Dict[int, int] = {}
-        self.out: List[Optional[str]] = []     # body lines (indented)
-        self.pro: List[str] = []               # prologue lines (indent 1)
-        self.ind = 2                           # current body indent
-        self.kinds: Dict[int, Tuple] = {}      # id(Value) -> kind tuple
-        self.blocks: List[_Stat] = []
-        #: Per-block static execution-count expression, or None when the
-        #: count is data dependent (then a run-time ``_bc`` counts it).
-        self.block_static: List[Optional[str]] = []
-        self.count_stack: List[Optional[str]] = []
-        self.patches: List[Tuple[int, int, int, bool]] = []
-        self.static_budget: List[Tuple[str, int]] = []
-        self.scopes: List[set] = []            # constructed-cell scopes
-        self.memo_stack: List[Dict] = []       # scoped subscript CSE
         #: Result variables of the enclosing scf.while, written by its
         #: scf.condition terminator.
         self.cond_sink: List[List[str]] = []
@@ -215,7 +174,6 @@ class _Emitter:
         self.hoisted: Dict[int, _Ref] = {}     # id(alloc op) -> group tile
         self.group_lines: List[str] = []       # per-group setup
         self.total_expr = "1"
-        self.n = 0
         self.item_rank: Optional[int] = None
         self.uses_generator = mode == "nd-barrier"
         self.g_vars: List[str] = []
@@ -223,23 +181,6 @@ class _Emitter:
         self.p_vars: List[str] = []
 
     # -- small utilities -----------------------------------------------------
-    def fresh(self, prefix: str = "v") -> str:
-        self.n += 1
-        return f"{prefix}{self.n}"
-
-    def line(self, text: str) -> None:
-        self.out.append("    " * self.ind + text)
-
-    def unsup(self, why: str) -> JITUnsupportedError:
-        return JITUnsupportedError(
-            f"'{self.fn.sym_name}' is not jit-compilable: {why}")
-
-    def kind_of(self, value) -> Tuple:
-        kind = self.kinds.get(id(value))
-        if kind is None:
-            raise self.unsup("use of a value the emitter did not bind")
-        return kind
-
     def expr(self, value) -> str:
         kind = self.kind_of(value)
         if kind[0] in ("const", "scalar"):
@@ -274,22 +215,10 @@ class _Emitter:
         return self._assemble()
 
     def _assemble(self) -> str:
-        for pos, ind, bid, budget in self.patches:
-            stat = self.blocks[bid]
-            pad = "    " * ind
-            text = f"{pad}{self.bc(bid)} += 1"
-            if budget:
-                text += (f"\n{pad}if {self.bc(bid)} * {max(stat.ops, 1)} > "
-                         f"_max_steps: raise _budget_trap(_max_steps)")
-            self.out[pos] = text
+        self._fill_patches()
         lines = ["def _run(_args, _GR, _LR, _PR, _counters, _max_steps):"]
         lines += self.pro
-        # Statically counted blocks pre-check the step budget once,
-        # instead of testing it on every execution.
-        for expr, bid in self.static_budget:
-            ops = max(self.blocks[bid].ops, 1)
-            lines.append(f"    if ({expr}) * {ops} > _max_steps: raise "
-                         f"_budget_trap(_max_steps)")
+        lines += self._static_budget_lines()
         if self.patches:
             if self.uses_generator:
                 lines.append(f"    _bc = [0] * {len(self.blocks)}")
@@ -304,23 +233,6 @@ class _Emitter:
         lines.append("    return _ret" if self.mode == "function"
                      else "    return None")
         return "\n".join(lines) + "\n"
-
-    def _block_count(self, bid: int) -> str:
-        static = self.block_static[bid]
-        return f"({static})" if static is not None else self.bc(bid)
-
-    def _flush_lines(self) -> List[str]:
-        fields = ("ops", "loads", "stores", "bytes_read", "bytes_written",
-                  "barriers")
-        lines = []
-        for attr in fields:
-            terms = [f"{self._block_count(bid)} * {getattr(stat, attr)}"
-                     for bid, stat in enumerate(self.blocks)
-                     if getattr(stat, attr)]
-            if terms:
-                lines.append(f"        _counters.{attr} += "
-                             + " + ".join(terms))
-        return lines
 
     # -- prologue: unpack and guard the argument vector ----------------------
     def _emit_prologue(self) -> None:
@@ -562,33 +474,6 @@ class _Emitter:
         self._emit_body(budget=False, count="1")
 
     # -- block emission ------------------------------------------------------
-    @contextmanager
-    def _counted_block(self, budget: bool, count: Optional[str]):
-        """Open one counted block and yield its :class:`_Stat`.
-
-        ``count`` is the block's execution count as an expression of
-        prologue variables when it is known statically; otherwise a
-        run-time ``_bc`` counter (with the step-budget check when
-        ``budget``) is patched in at the current position.  The block's
-        cell and subscript-CSE scopes stay open until the ``with`` ends.
-        """
-        bid = len(self.blocks)
-        stat = _Stat()
-        self.blocks.append(stat)
-        self.block_static.append(count)
-        if count is None:
-            self.patches.append((len(self.out), self.ind, bid, budget))
-            self.out.append(None)
-        elif budget:
-            self.static_budget.append((count, bid))
-        self.count_stack.append(count)
-        self.scopes.append(set())
-        self.memo_stack.append({})
-        yield stat
-        self.memo_stack.pop()
-        self.scopes.pop()
-        self.count_stack.pop()
-
     def _emit_ops(self, block, stat: _Stat, yield_vars) -> None:
         op = block.first_op
         while op is not None:
@@ -705,20 +590,9 @@ class _Emitter:
         name = self.alias.get(op.name, op.name)
         trap_name = "" if name == op.name else f", {op.name!r}"
         if name == "arith.constant":
-            value = op.value
-            if isinstance(value, bool):
-                text = repr(value)
-            elif isinstance(value, int):
-                text = repr(value) if value >= 0 else f"({value!r})"
-            elif isinstance(value, float):
-                if math.isnan(value):
-                    text = "math.nan"
-                elif math.isinf(value):
-                    text = "math.inf" if value > 0 else "(-math.inf)"
-                else:
-                    text = repr(value) if value >= 0 else f"({value!r})"
-            else:
-                raise self.unsup(f"constant of value {value!r}")
+            text = _py_literal(op.value)
+            if text is None:
+                raise self.unsup(f"constant of value {op.value!r}")
             self.kinds[id(op.results[0])] = ("const", text)
             return
         if name in self.BIN_INT or name in ("arith.minsi", "arith.maxsi"):
@@ -1509,153 +1383,13 @@ class _Emitter:
         self.line("yield _BARRIER")
 
 
-# ---------------------------------------------------------------------------
-# Executable cache (in-memory LRU + optional DiskCache persistence)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CompiledExecutable:
-    """One compiled function: generated source plus its entry point."""
-
-    kernel: str
-    mode: str
-    source: str
-    entry: object
-    origin: str = "fresh"  # "fresh" | "memory" | "disk"
-
-
-class ExecutableCache:
-    """Fingerprint-keyed cache of :class:`CompiledExecutable`.
-
-    Keys are ``(text_fingerprint(printed function),
-    "jit<EMITTER_VERSION>:<mode>")`` — the compile-cache key scheme,
-    tagged with the emitter generation — so a structurally identical function
-    hits regardless of object identity, and a :class:`DiskCache` can
-    persist the generated source under the same address (the source
-    *is* the entry text; rehydration is ``compile()`` + ``exec``).
-    """
-
-    def __init__(self, max_entries: int = 128, disk=None):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.disk = disk
-        self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
-            = OrderedDict()
-        self._keys_by_id: Dict[Tuple[int, str],
-                               Tuple["weakref.ref", int, Tuple]] = {}
-        self.stats = {"hits": 0, "misses": 0, "stores": 0,
-                      "disk_hits": 0, "disk_stores": 0}
-
-    def key_for(self, function, mode: str) -> Tuple[str, str]:
-        """The cache key of ``function`` under ``mode``.
-
-        Memoized per function object until the IR mutates — printing
-        the IR on every launch would cost more than small kernels take
-        to run, and a key that outlived an in-place edit would run the
-        old code.  The memo refers to the function weakly (a dead
-        reference can never be mistaken for the live function that
-        reuses its ``id``): a server parses a new module per request,
-        and a strong reference here kept every one of them alive.
-        """
-        from ..transforms.compile_cache import text_fingerprint
-
-        memo_key = (id(function), mode)
-        memo = self._keys_by_id.get(memo_key)
-        clock = mutation_clock()
-        if memo is not None and memo[0]() is function and memo[1] == clock:
-            return memo[2]
-        printed = Printer().print_op_to_string(function)
-        key = (text_fingerprint(printed), f"jit{EMITTER_VERSION}:{mode}")
-        if len(self._keys_by_id) > 4 * self.max_entries:
-            self._keys_by_id.clear()
-        self._keys_by_id[memo_key] = (weakref.ref(function), clock, key)
-        return key
-
-    def lookup(self, key) -> Optional[CompiledExecutable]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats["hits"] += 1
-        return entry
-
-    def store(self, key, executable: CompiledExecutable) -> None:
-        self._entries[key] = executable
-        self._entries.move_to_end(key)
-        self.stats["stores"] += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def describe(self) -> Dict[str, object]:
-        info: Dict[str, object] = dict(self.stats)
-        info["entries"] = len(self._entries)
-        if self.disk is not None:
-            info["disk"] = self.disk.describe()
-        return info
-
-
 def compile_executable(function, mode: str,
-                       cache: Optional[ExecutableCache] = None,
-                       ) -> CompiledExecutable:
-    """Compile ``function`` for ``mode``, through ``cache`` when given.
-
-    Raises :class:`JITUnsupportedError` for uncompilable input and
-    propagates :class:`~repro.faults.TransientFault` from the
-    ``jit.compile`` fault point.
-    """
-    key = None
-    if cache is not None:
-        key = cache.key_for(function, mode)
-        hit = cache.lookup(key)
-        if hit is not None:
-            return CompiledExecutable(hit.kernel, hit.mode, hit.source,
-                                      hit.entry, origin="memory")
-    source = None
-    origin = "fresh"
-    if cache is not None and cache.disk is not None:
-        payload = cache.disk.load(key)
-        if payload is not None:
-            source = payload["text"]
-            origin = "disk"
-            cache.stats["disk_hits"] += 1
-    injected = None
-    if source is None:
-        source = _Emitter(function, mode).emit()
-        injected = fault_point(
-            "jit.compile", key=key[0] if key else function.sym_name)
-        if injected == "corrupt":
-            source = ("def _run(_args, _GR, _LR, _PR, _counters, "
-                      "_max_steps):\n    raise RuntimeError('injected "
-                      "corrupt jit executable')\n")
-    entry = None
-    try:
-        entry = _load_source(function, source)
-    except SyntaxError:
-        if origin != "disk":
-            raise
-        # A mangled disk entry that still passed its fingerprint (or an
-        # emitter-version skew): evict it and compile cold.
-        cache.disk.recover(key)
-        source = _Emitter(function, mode).emit()
-        origin = "fresh"
-        entry = _load_source(function, source)
-    executable = CompiledExecutable(function.sym_name, mode, source, entry,
-                                    origin=origin)
-    if cache is not None and injected is None:
-        cache.store(key, executable)
-        if cache.disk is not None and origin == "fresh":
-            if cache.disk.store(key, source):
-                cache.stats["disk_stores"] += 1
-    return executable
-
-
-def _load_source(function, source: str):
-    code = compile(source, f"<repro-jit:{function.sym_name}>", "exec")
-    namespace = _jit_namespace()
-    exec(code, namespace)
-    return namespace["_run"]
+                       cache: Optional[ExecutableCache] = None):
+    """Compile ``function`` for ``mode``, through ``cache`` when given
+    (see :func:`~repro.interp.jit_runtime.compile_cached`)."""
+    return compile_cached(function, mode, cache, "jit",
+                          lambda: _Emitter(function, mode).emit(),
+                          _jit_namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -1683,31 +1417,17 @@ def _contains_barrier(function) -> bool:
     return cached
 
 
-def _cache_of(engine) -> ExecutableCache:
-    cache = engine.executable_cache
-    if cache is None:
-        cache = ExecutableCache()
-        engine.executable_cache = cache
-    return cache
-
-
 @register_executor("jit")
 class JITBackend(Backend):
     """Compile-to-Python tier: one generated function per kernel."""
 
     NAME = "jit"
 
-    def _compile(self, engine, function, mode: str) -> CompiledExecutable:
+    def _compile(self, engine, function, mode: str):
         if _np is None:
             raise TierFallback("jit tier requires NumPy")
-        try:
-            return compile_executable(function, mode,
-                                      cache=_cache_of(engine))
-        except JITUnsupportedError as error:
-            raise TierFallback(str(error)) from error
-        except TransientFault as error:
-            raise TierFallback(
-                f"injected jit compile fault: {error}") from error
+        return compile_for_engine(engine, "jit", compile_executable,
+                                  function, mode)
 
     def _pre_exec_faults(self, function) -> None:
         try:
@@ -1718,41 +1438,15 @@ class JITBackend(Backend):
         if injected == "corrupt":
             raise TierFallback("injected corrupt jit execution state")
 
-    def _invoke(self, executable, function, run_args, gr, lr, pr,
-                counters, max_steps):
-        try:
-            executable.entry(run_args, gr, lr, pr, counters, max_steps)
-        except (TrapError, TransientFault):
-            raise
-        except _GuardFallback as guard:
-            # Prologue guards fire before any side effect.
-            raise TierFallback(str(guard)) from guard
-        except OverflowError as error:
-            raise TrapError(
-                f"value exceeds the range of the storage element: "
-                f"{error}") from None
-        except InterpreterError:
-            raise
-        except Exception as error:  # noqa: BLE001 - degradation boundary
-            raise JITExecutionError(
-                f"generated executable for '{function.sym_name}' failed: "
-                f"{error!r}") from error
-
     def launch(self, engine, function, values, global_size,
                local_size=None, interpreter=None):
         from .interpreter import Interpreter, LaunchResult
-        from ..runtime.ndrange import NDRange, Range
+        from .memory import ExecutionCounters
 
         interp = interpreter or Interpreter(engine.module,
                                             max_steps=engine.max_steps)
-        global_range = global_size if isinstance(global_size, Range) \
-            else Range(global_size)
-        local_range = group_range = None
-        if local_size is not None:
-            nd_range = NDRange(global_range, local_size if isinstance(
-                local_size, Range) else Range(local_size))
-            local_range = nd_range.local_range
-            group_range = nd_range.group_range
+        global_range, local_range, group_range = launch_ranges(
+            global_size, local_size)
         if local_range is None:
             mode = "basic"
         else:
@@ -1762,17 +1456,13 @@ class JITBackend(Backend):
         run_args = [None if entry[0] == "item" else entry[1]
                     for entry in plan]
         self._pre_exec_faults(function)
-        from .memory import ExecutionCounters
-
         counters = ExecutionCounters()
-        self._invoke(executable, function, run_args, tuple(global_range),
-                     tuple(local_range) if local_range else None,
-                     tuple(group_range) if group_range else None,
-                     counters, engine.max_steps)
+        run_executable(executable, function, run_args, global_range,
+                       local_range, group_range, counters, engine.max_steps)
         # Mirror Interpreter.launch: cumulative interpreter counters
         # advance too, the result reports this launch's delta.
         _merge_counters(interp.counters, counters)
-        return LaunchResult(function.sym_name, global_range.size(),
+        return LaunchResult(function.sym_name, math.prod(global_range),
                             counters)
 
     def call(self, engine, function, values, interpreter=None):
@@ -1781,24 +1471,8 @@ class JITBackend(Backend):
         executable = self._compile(engine, function, "function")
         self._pre_exec_faults(function)
         counters = ExecutionCounters()
-        run_args = list(values)
-        try:
-            results = executable.entry(run_args, None, None, None,
-                                       counters, engine.max_steps)
-        except (TrapError, TransientFault):
-            raise
-        except _GuardFallback as guard:
-            raise TierFallback(str(guard)) from guard
-        except OverflowError as error:
-            raise TrapError(
-                f"value exceeds the range of the storage element: "
-                f"{error}") from None
-        except InterpreterError:
-            raise
-        except Exception as error:  # noqa: BLE001 - degradation boundary
-            raise JITExecutionError(
-                f"generated executable for '{function.sym_name}' failed: "
-                f"{error!r}") from error
+        results = run_executable(executable, function, list(values), None,
+                                 None, None, counters, engine.max_steps)
         if interpreter is not None:
             _merge_counters(interpreter.counters, counters)
         return list(results), counters

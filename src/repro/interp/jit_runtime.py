@@ -1,18 +1,27 @@
-"""What the JIT's generated code and its neighbours need at run time.
+"""What both code-generating tiers share and their code needs to run.
 
-The error types the engine and the vector tier catch, the ``_jit_*``
-scalar helpers generated source binds (and the vector tier reuses for
-its scalar lanes), and the counter merge — none of it depends on the
-emitter.  It lives apart from :mod:`repro.interp.jit` so that the engine
-and :mod:`repro.interp.vectorize` can import it without loading the
-emitter: a kernel the vector tier accepts never pays for the JIT.
+The error types the engine catches, the ``_jit_*`` scalar helpers
+generated source binds, the counter merge, the block-counting half of
+an emitter (:class:`_EmitterBase`) and the fingerprint-keyed
+:class:`ExecutableCache` with its compile path (:func:`compile_cached`).
+None of it depends on either emitter.  It lives apart from
+:mod:`repro.interp.jit` and :mod:`repro.interp.vectorize` so that each
+tier imports it without loading the other: a kernel the vector tier
+accepts never pays for the JIT.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict
+import weakref
+from collections import OrderedDict
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..faults import TransientFault, fault_point
+from ..ir import IndexType, IntegerType
+from .engine import TierFallback
 from .memory import (
     BARRIER,
     AccessorBinding,
@@ -156,22 +165,28 @@ def _jit_at(values, dim, what):
     return int(values[dim])
 
 
-def _jit_local_tile(local_accessor):
-    """The per-group NumPy tile behind a LocalAccessor argument (the
-    same dtype selection ``Interpreter._local_storages`` performs)."""
+def _jit_local_dtype(local_accessor):
+    """The NumPy dtype of the storage behind a LocalAccessor argument
+    (the selection ``Interpreter._local_storages`` performs)."""
     import numpy
 
     from .interpreter import _element_type_for_dtype
     from .memory import _numpy_dtype
 
-    shape = tuple(int(d) for d in local_accessor.shape)
     dtype = _numpy_dtype(_element_type_for_dtype(local_accessor.dtype))
     if dtype is None:
         raise _GuardFallback("local accessor dtype is not array-backed")
+    return numpy.dtype(dtype)
+
+
+def _jit_local_tile(local_accessor):
+    """The per-group NumPy tile behind a LocalAccessor argument."""
+    import numpy
+
     total = 1
-    for dim in shape:
-        total *= dim
-    return numpy.zeros(total, dtype=dtype)
+    for dim in local_accessor.shape:
+        total *= int(dim)
+    return numpy.zeros(total, dtype=_jit_local_dtype(local_accessor))
 
 
 def _jit_namespace() -> Dict[str, object]:
@@ -213,6 +228,7 @@ def _jit_namespace() -> Dict[str, object]:
         "_fptosi": _jit_fptosi,
         "_FCMP": _FLOAT_PREDICATES,
         "_local_tile": _jit_local_tile,
+        "_local_dtype": _jit_local_dtype,
     })
     return namespace
 
@@ -222,6 +238,374 @@ def _math_symbol(name: str) -> str:
     return "_m_" + name.split(".", 1)[1]
 
 
+def _scalar_int_type(type_) -> bool:
+    return isinstance(type_, (IntegerType, IndexType))
+
+
 def _merge_counters(into, delta) -> None:
     for field_name, value in delta.as_dict().items():
         setattr(into, field_name, getattr(into, field_name) + value)
+
+
+# ---------------------------------------------------------------------------
+# The counting half of an emitter
+# ---------------------------------------------------------------------------
+
+def _py_literal(value) -> Optional[str]:
+    """Python source of a constant's value, or ``None`` if it has none."""
+    if isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "math.nan"
+        if math.isinf(value):
+            return "math.inf" if value > 0 else "(-math.inf)"
+    elif not isinstance(value, int):
+        return None
+    return repr(value) if value >= 0 else f"({value!r})"
+
+
+class _Stat:
+    """Per-structured-block static tallies (multiplied by the block's
+    run-time execution count when counters are flushed)."""
+
+    __slots__ = ("ops", "loads", "stores", "bytes_read", "bytes_written",
+                 "barriers")
+
+    def __init__(self):
+        for field_name in self.__slots__:
+            setattr(self, field_name, 0)
+
+
+class _EmitterBase:
+    """Names, lines and block counting of a code generator.
+
+    Every structured block gets a compile-time :class:`_Stat` tally and
+    an execution count: an expression when it is known statically,
+    otherwise a run-time ``_bc<n>`` counter patched in at the block's
+    head (with the step-budget check when asked).  One ``finally``
+    multiplies them out (:meth:`_flush_lines`).  ``SCALE`` multiplies
+    every count: the vector tier runs each op for ``_L`` lanes at once.
+    """
+
+    SCALE = ""
+    WHAT = "jit-compilable"
+
+    def __init__(self, function):
+        self.fn = function
+        self.out: List[Optional[str]] = []     # body lines (indented)
+        self.pro: List[str] = []               # prologue lines (indent 1)
+        self.ind = 2                           # current body indent
+        self.kinds: Dict[int, Tuple] = {}      # id(Value) -> kind tuple
+        self.n = 0
+        self.blocks: List[_Stat] = []
+        #: Per-block static execution-count expression, or None when the
+        #: count is data dependent (then a run-time ``_bc`` counts it).
+        self.block_static: List[Optional[str]] = []
+        self.count_stack: List[Optional[str]] = []
+        self.patches: List[Tuple[int, int, int, bool]] = []
+        self.static_budget: List[Tuple[str, int]] = []
+        self.scopes: List[set] = []            # constructed-cell scopes
+        self.memo_stack: List[Dict] = []       # scoped subscript CSE
+
+    def fresh(self, prefix: str = "v") -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def line(self, text: str) -> None:
+        self.out.append("    " * self.ind + text)
+
+    def unsup(self, why: str) -> JITUnsupportedError:
+        return JITUnsupportedError(
+            f"'{self.fn.sym_name}' is not {self.WHAT}: {why}")
+
+    def kind_of(self, value) -> Tuple:
+        kind = self.kinds.get(id(value))
+        if kind is None:
+            raise self.unsup("use of a value the emitter did not bind")
+        return kind
+
+    def bc(self, bid: int) -> str:
+        return f"_bc{bid}"
+
+    @contextmanager
+    def _counted_block(self, budget: bool, count: Optional[str]):
+        """Open one counted block and yield its :class:`_Stat`.
+
+        ``count`` is the block's execution count as an expression of
+        prologue variables when it is known statically; otherwise a
+        run-time ``_bc`` counter (with the step-budget check when
+        ``budget``) is patched in at the current position.  The block's
+        cell and subscript-CSE scopes stay open until the ``with`` ends.
+        """
+        bid = len(self.blocks)
+        stat = _Stat()
+        self.blocks.append(stat)
+        self.block_static.append(count)
+        if count is None:
+            self.patches.append((len(self.out), self.ind, bid, budget))
+            self.out.append(None)
+        elif budget:
+            self.static_budget.append((count, bid))
+        self.count_stack.append(count)
+        self.scopes.append(set())
+        self.memo_stack.append({})
+        yield stat
+        self.memo_stack.pop()
+        self.scopes.pop()
+        self.count_stack.pop()
+
+    def _over_budget(self, count: str, bid: int) -> str:
+        return (f"if {count} * {max(self.blocks[bid].ops, 1)}{self.SCALE} "
+                f"> _max_steps: raise _budget_trap(_max_steps)")
+
+    def _fill_patches(self) -> None:
+        for pos, ind, bid, budget in self.patches:
+            pad = "    " * ind
+            text = f"{pad}{self.bc(bid)} += 1"
+            if budget:
+                text += f"\n{pad}{self._over_budget(self.bc(bid), bid)}"
+            self.out[pos] = text
+
+    def _static_budget_lines(self) -> List[str]:
+        """Statically counted blocks pre-check the step budget once,
+        instead of testing it on every execution."""
+        return [f"    {self._over_budget(f'({expr})', bid)}"
+                for expr, bid in self.static_budget]
+
+    def _flush_lines(self) -> List[str]:
+        lines = []
+        for attr in _Stat.__slots__:
+            terms = []
+            for bid, stat in enumerate(self.blocks):
+                if getattr(stat, attr):
+                    static = self.block_static[bid]
+                    count = f"({static})" if static is not None \
+                        else self.bc(bid)
+                    terms.append(f"{count} * {getattr(stat, attr)}")
+            if terms:
+                total = " + ".join(terms)
+                if self.SCALE:
+                    total = f"({total}){self.SCALE}"
+                lines.append(f"        _counters.{attr} += {total}")
+        return lines
+
+
+# ---------------------------------------------------------------------------
+# Executable cache (in-memory LRU + optional DiskCache persistence)
+# ---------------------------------------------------------------------------
+
+#: Generation of each emitter's output format, part of every
+#: :class:`ExecutableCache` key: a disk entry holds *generated source*,
+#: which a changed emitter would otherwise keep reusing for as long as it
+#: still compiles.  Bump a tier's entry on any change to what its
+#: emitter generates.
+EMITTER_VERSIONS = {"jit": 2, "vector": 1}
+
+
+@dataclass
+class CompiledExecutable:
+    """One compiled function: generated source plus its entry point."""
+
+    kernel: str
+    mode: str
+    source: str
+    entry: object
+    origin: str = "fresh"  # "fresh" | "memory" | "disk"
+
+
+class ExecutableCache:
+    """Fingerprint-keyed cache of :class:`CompiledExecutable`.
+
+    Keys are ``(text_fingerprint(printed function),
+    "<tier><EMITTER_VERSIONS[tier]>:<mode>")`` — the compile-cache key
+    scheme, tagged with the emitting tier and its generation — so a
+    structurally identical function hits regardless of object identity,
+    both tiers share one cache without colliding, and a
+    :class:`DiskCache` can persist the generated source under the same
+    address (the source *is* the entry text; rehydration is
+    ``compile()`` + ``exec``).
+    """
+
+    def __init__(self, max_entries: int = 128, disk=None):
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self.disk = disk
+        self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
+            = OrderedDict()
+        self._keys_by_id: Dict[Tuple[int, str],
+                               Tuple["weakref.ref", int, Tuple]] = {}
+        self.stats = {"hits": 0, "misses": 0, "stores": 0,
+                      "disk_hits": 0, "disk_stores": 0}
+
+    def key_for(self, function, mode: str,
+                tier: str = "jit") -> Tuple[str, str]:
+        """The cache key of ``function`` under ``tier`` and ``mode``.
+
+        Memoized per function object until the IR mutates — printing
+        the IR on every launch would cost more than small kernels take
+        to run, and a key that outlived an in-place edit would run the
+        old code.  The memo refers to the function weakly (a dead
+        reference can never be mistaken for the live function that
+        reuses its ``id``): a server parses a new module per request,
+        and a strong reference here kept every one of them alive.
+        """
+        from ..ir import Printer
+        from ..ir.operations import mutation_clock
+        from ..transforms.compile_cache import text_fingerprint
+
+        tag = f"{tier}{EMITTER_VERSIONS[tier]}:{mode}"
+        memo_key = (id(function), tag)
+        memo = self._keys_by_id.get(memo_key)
+        clock = mutation_clock()
+        if memo is not None and memo[0]() is function and memo[1] == clock:
+            return memo[2]
+        printed = Printer().print_op_to_string(function)
+        key = (text_fingerprint(printed), tag)
+        if len(self._keys_by_id) > 4 * self.max_entries:
+            self._keys_by_id.clear()
+        self._keys_by_id[memo_key] = (weakref.ref(function), clock, key)
+        return key
+
+    def lookup(self, key) -> Optional[CompiledExecutable]:
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats["misses"] += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats["hits"] += 1
+        return entry
+
+    def store(self, key, executable: CompiledExecutable) -> None:
+        self._entries[key] = executable
+        self._entries.move_to_end(key)
+        self.stats["stores"] += 1
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+
+    def describe(self) -> Dict[str, object]:
+        info: Dict[str, object] = dict(self.stats)
+        info["entries"] = len(self._entries)
+        if self.disk is not None:
+            info["disk"] = self.disk.describe()
+        return info
+
+
+def compile_cached(function, mode: str, cache: Optional[ExecutableCache],
+                   tier: str, emit: Callable[[], str],
+                   namespace: Callable[[], Dict[str, object]],
+                   ) -> CompiledExecutable:
+    """``function``'s executable for ``mode``, through ``cache`` if given.
+
+    ``emit()`` generates the source of a ``_run`` entry point, which is
+    executed in a fresh ``namespace()``.  Raises
+    :class:`JITUnsupportedError` for uncompilable input and propagates
+    :class:`~repro.faults.TransientFault` from the ``<tier>.compile``
+    fault point (``corrupt`` poisons the source instead).
+    """
+    key = None
+    if cache is not None:
+        key = cache.key_for(function, mode, tier)
+        hit = cache.lookup(key)
+        if hit is not None:
+            return CompiledExecutable(hit.kernel, hit.mode, hit.source,
+                                      hit.entry, origin="memory")
+    source = None
+    origin = "fresh"
+    if cache is not None and cache.disk is not None:
+        payload = cache.disk.load(key)
+        if payload is not None:
+            source = payload["text"]
+            origin = "disk"
+            cache.stats["disk_hits"] += 1
+    injected = None
+    if source is None:
+        source = emit()
+        injected = fault_point(
+            f"{tier}.compile", key=key[0] if key else function.sym_name)
+        if injected == "corrupt":
+            source = (f"def _run(_args, _GR, _LR, _PR, _counters, "
+                      f"_max_steps):\n    raise RuntimeError('injected "
+                      f"corrupt {tier} executable')\n")
+    try:
+        entry = _load_source(function, source, namespace)
+    except SyntaxError:
+        if origin != "disk":
+            raise
+        # A mangled disk entry that still passed its fingerprint (or an
+        # emitter-version skew): evict it and compile cold.
+        cache.disk.recover(key)
+        source = emit()
+        origin = "fresh"
+        entry = _load_source(function, source, namespace)
+    executable = CompiledExecutable(function.sym_name, mode, source, entry,
+                                    origin=origin)
+    if cache is not None and injected is None:
+        cache.store(key, executable)
+        if cache.disk is not None and origin == "fresh":
+            if cache.disk.store(key, source):
+                cache.stats["disk_stores"] += 1
+    return executable
+
+
+def _load_source(function, source: str, namespace):
+    code = compile(source, f"<repro-jit:{function.sym_name}>", "exec")
+    globals_ = namespace()
+    exec(code, globals_)
+    return globals_["_run"]
+
+
+def compile_for_engine(engine, tier: str, compile_, *args):
+    """``compile_(*args, cache=...)`` through ``engine``'s executable
+    cache (made on first use); a construct the emitter rejects or an
+    injected transient compile fault declines the tier."""
+    cache = engine.executable_cache
+    if cache is None:
+        cache = engine.executable_cache = ExecutableCache()
+    try:
+        return compile_(*args, cache=cache)
+    except JITUnsupportedError as error:
+        raise TierFallback(str(error)) from error
+    except TransientFault as error:
+        raise TierFallback(
+            f"injected {tier} compile fault: {error}") from error
+
+
+def launch_ranges(global_size, local_size):
+    """``(global, local, group)`` extents of a launch as int tuples, the
+    last two ``None`` for a basic launch (an ND-range is validated by
+    :class:`~repro.runtime.ndrange.NDRange`)."""
+    from ..runtime.ndrange import NDRange, Range
+
+    global_range = global_size if isinstance(global_size, Range) \
+        else Range(global_size)
+    if local_size is None:
+        return tuple(global_range), None, None
+    nd_range = NDRange(global_range, local_size if isinstance(
+        local_size, Range) else Range(local_size))
+    return (tuple(global_range), tuple(nd_range.local_range),
+            tuple(nd_range.group_range))
+
+
+def run_executable(executable: CompiledExecutable, function, *args):
+    """Call a generated entry point, sorting its failures into the
+    engine's channels: traps propagate, a prologue guard (fired before
+    any side effect) declines the tier, anything unexpected is a
+    :class:`JITExecutionError` the re-materializing path degrades on."""
+    try:
+        return executable.entry(*args)
+    except (TrapError, TransientFault):
+        raise
+    except _GuardFallback as guard:
+        raise TierFallback(str(guard)) from guard
+    except OverflowError as error:
+        raise TrapError(
+            f"value exceeds the range of the storage element: "
+            f"{error}") from None
+    except InterpreterError:
+        raise
+    except Exception as error:  # noqa: BLE001 - degradation boundary
+        raise JITExecutionError(
+            f"generated executable for '{function.sym_name}' failed: "
+            f"{error!r}") from error

@@ -1,77 +1,59 @@
 """Vectorized ND-range execution tier (the ``"vector"`` backend).
 
-Where the JIT tier (:mod:`repro.interp.jit`) still loops over work
-items in Python, this tier executes the whole launch — basic or
-ND-range, every work-group at once — in *lockstep*: every
-work-item-varying value becomes one NumPy array of length ``L`` (the
-lane count: all work-items, group-major), every launch-uniform value
-stays a Python scalar, and each operation of the kernel body executes
-exactly once as an array operation.  Work-group-local storage is one
-``[groups, size]`` array indexed through a lane -> group vector, so
-tiles stay isolated per group; private storage is lanes-last
+Where the JIT tier (:mod:`repro.interp.jit`) loops over work items in
+Python, this tier executes a whole launch — every work-group at once —
+in *lockstep*: a work-item-varying value is one NumPy array over the
+``L`` lanes (all work-items, group-major), a uniform value stays a
+Python scalar, and each operation runs once per walk as an array
+operation.  Work-group-local storage is one ``[groups, size]`` array
+indexed through a lane -> group vector; private storage is lanes-last
 ``[size, L]``.
 
-**Legality.**  Lockstep execution is exact only when the lanes cannot
-diverge: :func:`vector_legality` declines kernels containing any
-``scf.if`` — reporting *divergent* branches (those whose condition
-:mod:`repro.analysis.uniformity` cannot prove uniform) distinctly from
-merely-unvectorized uniform control flow — any unsupported operation,
-and kernels with no work-item argument.  The backend turns the reason
-into a :class:`~repro.interp.engine.TierFallback`, so such kernels
-automatically run on the next tier.  Loop bounds and dimension operands
-must be one Python int per walk; a three-level uniformity slice
-(launch-uniform, group-uniform, per-item — :func:`_walk_verdict`)
-decides before execution: launch-uniform takes the one whole-launch
-walk, group-uniform (a bound computed from the group id or read from a
-local tile) the same walk over one work-group at a time, per-item
-declines.
+:class:`_VectorEmitter` compiles a kernel once per (fingerprint, launch
+kind ``basic``/``nd``, walk ``launch``/``group``) into one Python
+function, cached in the engine's
+:class:`~repro.interp.jit_runtime.ExecutableCache` under the tag
+``vector<N>:<kind>:<walk>``.  Each value's form (scalar or lane array)
+is fixed at emission and each memory access specialised to its storage
+layout; a position that is the lane index plus a uniform offset (a 1-D
+launch indexed by its global id) is the slice ``flat[o:o + L]`` behind
+one scalar bounds check of both ends.  Counters, the step budget and
+traps follow the JIT (a flat index names the first lane out of range).
 
-For the kernels that remain, lockstep preserves the interpreter's
-observable semantics on race-free programs: a divergence-free kernel
-executes the same op sequence in every lane; barriers degenerate to
-phase separators lockstep satisfies by construction (no-ops that only
-advance the barrier counter); and SYCL leaves cross-item data races
-undefined, so the array-at-a-time store order is as valid as the
-interpreter's item-at-a-time order.  Gathers from f32 storage widen to
-binary64 (``.astype(float64)``) so arithmetic matches the interpreter
-bit for bit; stores round through the element dtype exactly like
-``MemRefStorage`` does.
-
-**Counters and traps.**  Every op adds ``L`` to ``counters.ops`` (and
-loads/stores/bytes scale the same way), so the reported
-:class:`ExecutionCounters` match the interpreter's.  Bounds, division
-and step traps raise the same :class:`TrapError`\\ s, checked per lane.
-Mid-run aborts that are *not* semantic traps (a loop bound the slice
-took for uniform that turns out to be an array — the safety net behind
-the pre-execution decline) raise
-:class:`~repro.interp.jit.JITExecutionError`, which only the engine's
-re-materializing ``execute`` path degrades to the next tier.
+Lockstep is exact only when lanes cannot diverge:
+:func:`vector_legality` declines ``scf.if`` (naming branches
+:mod:`repro.analysis.uniformity` cannot prove uniform *divergent*),
+unsupported operations and kernels without a work-item argument, and a
+uniformity slice (:func:`_walk_verdict`) picks one whole-launch walk, a
+walk per work-group (a loop bound depends on the group id), or declines
+(a per-item bound).  ``docs/execution_tiers.md`` gives the soundness
+argument and the fallback rules.
 """
 
 from __future__ import annotations
 
-import operator
+import math
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
-from ..ir import IndexType, IntegerType, Trait, has_trait, is_float
+from ..ir import MemRefType, Trait, has_trait, is_float
 from ..ir.operations import mutation_clock
 from .engine import Backend, TierFallback, register_executor
 from .jit_runtime import (
+    CompiledExecutable,
+    ExecutableCache,
     JITExecutionError,
-    _jit_divf,
-    _jit_fptosi,
-    _jit_maxf,
-    _jit_minf,
-    _jit_remf,
+    _EmitterBase,
+    _jit_namespace,
     _merge_counters,
+    _py_literal,
+    _scalar_int_type,
+    compile_cached,
+    compile_for_engine,
+    launch_ranges,
+    run_executable,
 )
-from .memory import (
-    AccessorBinding,
-    InterpreterError,
-    MemRefStorage,
-    TrapError,
-    byte_size_of,
-)
+from .memory import TrapError, byte_size_of
 
 try:
     import numpy as _np
@@ -92,36 +74,72 @@ _V_MATH = {
     "math.tanh": "tanh", "math.powf": "power",
 }
 
-_SUPPORTED_OPS = frozenset(_V_MATH) | frozenset({
-    "arith.constant", "arith.addi", "arith.subi", "arith.muli",
-    "arith.andi", "arith.ori", "arith.xori", "arith.minsi", "arith.maxsi",
-    "arith.divsi", "arith.divui", "arith.remsi", "arith.remui",
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.remf",
-    "arith.minf", "arith.maxf", "arith.shli", "arith.shrsi",
-    "arith.cmpi", "arith.cmpf", "arith.select", "arith.index_cast",
-    "arith.extsi", "arith.trunci", "arith.sitofp", "arith.fptosi",
-    "arith.extf", "arith.truncf", "arith.negf",
-    "math.fma",
-    "scf.for", "scf.yield",
-    "affine.for", "affine.yield", "affine.apply", "affine.min",
-    "affine.load", "affine.store",
-    "memref.alloc", "memref.alloca", "memref.dealloc", "memref.cast",
-    "memref.dim", "memref.load", "memref.store",
-    "func.return",
-    "sycl.constructor", "sycl.id.get", "sycl.range.get", "sycl.range.size",
-    "sycl.item.get_id", "sycl.item.get_linear_id", "sycl.item.get_range",
-    "sycl.nd_item.get_global_id", "sycl.nd_item.get_global_linear_id",
-    "sycl.nd_item.get_local_id", "sycl.nd_item.get_local_linear_id",
-    "sycl.nd_item.get_group_id", "sycl.nd_item.get_global_range",
-    "sycl.nd_item.get_local_range", "sycl.nd_item.get_group_range",
-    "sycl.nd_item.get_group", "sycl.global_id", "sycl.local_id",
-    "sycl.group.get_group_id", "sycl.group.get_local_range",
-    "sycl.group.get_group_range",
-    "sycl.accessor.subscript", "sycl.accessor.get_pointer",
-    "sycl.accessor.get_range", "sycl.accessor.get_mem_range",
-    "sycl.accessor.get_offset", "sycl.accessor.size",
-    "sycl.group_barrier",
-})
+_BIN_INT = {
+    "arith.addi": "+", "arith.subi": "-", "arith.muli": "*",
+    "arith.andi": "&", "arith.ori": "|", "arith.xori": "^",
+}
+_BIN_FLOAT = {"arith.addf": "+", "arith.subf": "-", "arith.mulf": "*"}
+#: Float op -> (scalar helper, lane-array form).
+_FLOAT_OPS = {
+    "arith.divf": ("_divf({a}, {b})", "{a} / {b}"),
+    "arith.remf": ("_remf({a}, {b})", "_np.fmod({a}, {b})"),
+    "arith.minf": ("_minf({a}, {b})", "_np.minimum({a}, {b})"),
+    "arith.maxf": ("_maxf({a}, {b})", "_np.maximum({a}, {b})"),
+}
+_CMP_INT = {
+    "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
+    "sge": ">=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
+}
+#: ``arith.cmpf`` predicates that are a plain comparison on either form.
+_CMP_FLOAT = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">",
+              "oge": ">="}
+#: Work-item query -> (lane ids, what its dimension names, needs a local
+#: range, linearized).
+_ID_QUERIES = {
+    "sycl.item.get_id": ("g", "the global id", False, False),
+    "sycl.nd_item.get_global_id": ("g", "the global id", False, False),
+    "sycl.global_id": ("g", "the global id", False, False),
+    "sycl.item.get_linear_id": ("g", "", False, True),
+    "sycl.nd_item.get_global_linear_id": ("g", "", False, True),
+    "sycl.nd_item.get_local_id": ("l", "the local id", True, False),
+    "sycl.local_id": ("l", "the local id", True, False),
+    "sycl.nd_item.get_local_linear_id": ("l", "", True, True),
+    "sycl.nd_item.get_group_id": ("p", "the group id", True, False),
+    "sycl.group.get_group_id": ("p", "the group id", True, False),
+}
+#: Range query -> (launch extents, what they are, needs a local range).
+_RANGE_QUERIES = {
+    "sycl.item.get_range": ("_GR", "the global range", False),
+    "sycl.nd_item.get_global_range": ("_GR", "the global range", False),
+    "sycl.nd_item.get_local_range": ("_LR", "the local range", True),
+    "sycl.group.get_local_range": ("_LR", "the local range", True),
+    "sycl.nd_item.get_group_range": ("_PR", "the group range", True),
+    "sycl.group.get_group_range": ("_PR", "the group range", True),
+}
+#: Accessor query -> (prologue suffix of its extents, what they are).
+_ACC_QUERIES = {
+    "sycl.accessor.get_range": ("_ar", "the accessor range"),
+    "sycl.accessor.get_mem_range": ("_mr", "the accessor mem range"),
+    "sycl.accessor.get_offset": ("_off", "the accessor offset"),
+}
+#: Every op :class:`_VectorEmitter` compiles: the tables above plus the
+#: ops it handles by name.
+_SUPPORTED_OPS = frozenset(_V_MATH).union(
+    _BIN_INT, _BIN_FLOAT, _FLOAT_OPS, _ID_QUERIES, _RANGE_QUERIES,
+    _ACC_QUERIES, {
+        "arith.constant", "arith.minsi", "arith.maxsi", "arith.divsi",
+        "arith.divui", "arith.remsi", "arith.remui", "arith.shli",
+        "arith.shrsi", "arith.cmpi", "arith.cmpf", "arith.select",
+        "arith.index_cast", "arith.extsi", "arith.trunci", "arith.sitofp",
+        "arith.fptosi", "arith.extf", "arith.truncf", "arith.negf",
+        "math.fma", "scf.for", "scf.yield", "affine.for", "affine.yield",
+        "affine.apply", "affine.min", "affine.load", "affine.store",
+        "memref.alloc", "memref.alloca", "memref.dealloc", "memref.cast",
+        "memref.dim", "memref.load", "memref.store", "func.return",
+        "sycl.constructor", "sycl.id.get", "sycl.range.get",
+        "sycl.range.size", "sycl.nd_item.get_group",
+        "sycl.accessor.subscript", "sycl.accessor.get_pointer",
+        "sycl.accessor.size", "sycl.group_barrier"})
 
 #: Uniformity levels, ordered: the same value in every lane of the
 #: launch, in every lane of one work-group, or nothing known.  A
@@ -207,19 +225,11 @@ def _compute_legality(function) -> Optional[str]:
 
 
 def _walk_verdict(function) -> Tuple[Optional[str], Optional[str]]:
-    """Slice ``function`` by uniformity level and judge the operands the
-    walker needs as one Python int (loop bounds and steps, dimension
-    operands): all launch-uniform selects the whole-launch walk, a
-    group-uniform one the per-group walk, a per-item one declines.
-
-    The levels mirror the walker's representations: a value is an array
-    exactly when an operand is, except at the sources (group ids, the
-    dialect's ``NON_UNIFORM_SOURCE`` item ids, loads from
-    work-group-local or private storage).  Loop-carried values and id
-    cells flow backwards, hence the fixpoint (levels only rise).
-    """
-    from ..dialects.sycl import _QueryOpBase, accessor_type_of
-    from .memory import _numpy_dtype
+    """Judge the operands the walk needs as one Python int (loop bounds
+    and steps, dimension operands) by :func:`_levels`: all
+    launch-uniform selects the whole-launch walk, a group-uniform one
+    the per-group walk, a per-item one declines."""
+    from ..dialects.sycl import _QueryOpBase
 
     demands: List[Tuple[object, str]] = []
     for op in function.walk(include_self=False):
@@ -235,6 +245,28 @@ def _walk_verdict(function) -> Tuple[Optional[str], Optional[str]]:
             if getattr(value.defining_op(), "name", "") != "arith.constant")
     if not demands:  # the common case: nothing demanded can vary at all
         return None, None
+    level = _levels(function)
+    worst, kind = max(((level.get(id(value), _UNIFORM), kind)
+                       for value, kind in demands),
+                      key=lambda demand: demand[0])
+    if worst == _PER_ITEM:
+        return f"a {kind} varies per work-item", None
+    if worst == _PER_GROUP:
+        return None, f"{kind} depends on the group id"
+    return None, None
+
+
+def _levels(function) -> Dict[int, int]:
+    """``id(value) -> uniformity level`` (absent means launch-uniform).
+
+    The levels mirror the walk's representations: a value is an array
+    exactly when an operand is, except at the sources (group ids, the
+    dialect's ``NON_UNIFORM_SOURCE`` item ids, loads from
+    work-group-local or private storage).  Loop-carried values and id
+    cells flow backwards, hence the fixpoint (levels only rise).
+    """
+    from ..dialects.sycl import accessor_type_of
+    from .memory import _numpy_dtype
 
     level: Dict[int, int] = {}
     changed = True
@@ -279,979 +311,1003 @@ def _walk_verdict(function) -> Tuple[Optional[str], Optional[str]]:
                 lift(op.operands[:1], of(op.operands[1:]))
             elif name != "memref.dim":
                 lift(op.results, of(op.operands))
-    worst, kind = max(((of((value,)), kind) for value, kind in demands),
-                      key=lambda demand: demand[0])
-    if worst == _PER_ITEM:
-        return f"a {kind} varies per work-item", None
-    if worst == _PER_GROUP:
-        return None, f"{kind} depends on the group id"
-    return None, None
+    return level
 
 
 # ---------------------------------------------------------------------------
-# Lockstep value representations
+# Run-time helpers (bound in every executable's namespace)
 # ---------------------------------------------------------------------------
 
-#: Sentinel bound to work-item arguments (queries read the lane arrays).
-_ITEM = object()
+def _oob(position, extent):
+    """The first lane position outside ``[0, extent)``, or ``None``."""
+    position = position.astype(_np.int64, copy=False)
+    # One pass: a negative position, viewed unsigned, wraps above extent.
+    if position.view(_np.uint64).max() < extent:
+        return None
+    return int(position[((position < 0) | (position >= extent)).argmax()])
 
 
-class _Store:
-    """One storage of ``size`` elements.  ``varies`` is the level its
-    contents vary at and fixes the layout of ``flat``: ``[size]`` shared
-    by every lane (``_UNIFORM``), ``[groups, size]`` with one tile per
-    work-group of the slab (``_PER_GROUP``), or lanes-last
-    ``[size, lanes]`` (``_PER_ITEM``) so that a uniform position is one
-    contiguous row."""
-
-    __slots__ = ("flat", "size", "shape", "is_float", "elem_bytes",
-                 "varies")
-
-    def __init__(self, flat, size, shape, is_float_, elem_bytes,
-                 varies=_UNIFORM):
-        self.flat = flat
-        self.size = size
-        self.shape = shape
-        self.is_float = is_float_
-        self.elem_bytes = elem_bytes
-        self.varies = varies
+def _v_ids(flat, shape):
+    """Per-dimension int64 index arrays of the row-major positions
+    ``flat`` into ``shape``."""
+    return [component.astype(_np.int64)
+            for component in _np.unravel_index(flat, shape)]
 
 
-class _VAcc:
-    """A bound accessor argument plus its hoisted layout facts."""
-
-    __slots__ = ("store", "dims", "mem_range", "offset", "access_range",
-                 "base", "total")
-
-    def __init__(self, store, dims, mem_range, offset, access_range, base):
-        self.store = store
-        self.dims = dims
-        self.mem_range = mem_range
-        self.offset = offset
-        self.access_range = access_range
-        self.base = base
-        total = 1
-        for extent in access_range:
-            total *= int(extent)
-        self.total = total
+def _v_pick(values, dim, what):
+    dim = int(dim)
+    if not 0 <= dim < len(values):
+        raise TrapError(f"dimension {dim} out of range for {what} of rank "
+                        f"{len(values)}")
+    return values[dim]
 
 
-class _VView:
-    """A resolved element position into a store (accessor subscript or
-    ``get_pointer`` result)."""
-
-    __slots__ = ("store", "position", "checked")
-
-    def __init__(self, store, position, checked):
-        self.store = store
-        self.position = position
-        self.checked = checked
+def _v_dim(shape, dim):
+    dim = int(dim)
+    if shape is None or not 0 <= dim < len(shape):
+        raise TrapError(f"memref.dim {dim} out of range")
+    return int(shape[dim])
 
 
-class _VCell:
-    """A one-slot aggregate cell (``!sycl_id_N`` alloca): holds the
-    component values the dominating ``sycl.constructor`` wrote."""
+def _v_divrem(name, a, b):
+    """``arith.{div,rem}{si,ui}`` of scalars or lanes; a zero divisor in
+    any lane traps.  The signed ops truncate (mirroring
+    ``arith._floordiv``): the remainder takes the dividend's sign."""
+    if (b == 0).any() if isinstance(b, _np.ndarray) else b == 0:
+        raise TrapError(f"division by zero in '{name}'")
+    if not isinstance(a, _np.ndarray) and not isinstance(b, _np.ndarray):
+        a, b = int(a), int(b)
+        remainder = a % b
+        if remainder and (a < 0) != (b < 0):
+            remainder -= b
+    elif name in ("arith.divsi", "arith.remsi"):
+        remainder = _np.fmod(a, b)  # integer ``fmod`` is C's ``%``
+    if name == "arith.divsi":
+        return (a - remainder) // b
+    if name == "arith.remsi":
+        return remainder
+    return a // b if name == "arith.divui" else a % b
 
-    __slots__ = ("comps",)
 
-    def __init__(self):
-        self.comps: Optional[List[object]] = None
+def _v_shift(name, a, b, width):
+    if isinstance(b, _np.ndarray):
+        bad = (b < 0) | (b >= width)
+        if bad.any():
+            raise TrapError(f"shift amount {int(b[bad][0])} out of range "
+                            f"for i{width} in '{name}'")
+    elif not 0 <= int(b) < width:
+        raise TrapError(f"shift amount {int(b)} out of range for "
+                        f"i{width} in '{name}'")
+    return (a << b) if name == "arith.shli" else (a >> b)
 
 
-_BIN_INT = {
-    "arith.addi": operator.add, "arith.subi": operator.sub,
-    "arith.muli": operator.mul, "arith.andi": operator.and_,
-    "arith.ori": operator.or_, "arith.xori": operator.xor,
+#: Lane-wise ``arith.cmpf`` predicates beyond the plain comparisons,
+#: given the lanes where either operand is NaN.
+_V_CMPF = {
+    "one": lambda a, b, nan: (a != b) & ~nan, "ord": lambda a, b, nan: ~nan,
+    "ueq": lambda a, b, nan: (a == b) | nan,
+    "une": lambda a, b, nan: (a != b) | nan,
+    "ult": lambda a, b, nan: (a < b) | nan,
+    "ule": lambda a, b, nan: (a <= b) | nan,
+    "ugt": lambda a, b, nan: (a > b) | nan,
+    "uge": lambda a, b, nan: (a >= b) | nan, "uno": lambda a, b, nan: nan,
 }
-_BIN_FLOAT = {
-    "arith.addf": operator.add, "arith.subf": operator.sub,
-    "arith.mulf": operator.mul,
-}
-_CMP_INT = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-}
-
-
-def _is_array(value) -> bool:
-    return isinstance(value, _np.ndarray)
-
-
-def _v_truncdiv(a, b):
-    # C-style truncating division, elementwise (mirrors arith._floordiv).
-    quotient = a // b
-    remainder = a - quotient * b
-    return quotient + ((remainder != 0) & ((a < 0) != (b < 0)))
-
-
-def _check_nonzero(b, op_name) -> None:
-    if _is_array(b):
-        if (b == 0).any():
-            raise TrapError(f"division by zero in '{op_name}'")
-    elif b == 0:
-        raise TrapError(f"division by zero in '{op_name}'")
 
 
 def _v_cmpf(predicate, a, b):
-    if not _is_array(a) and not _is_array(b):
-        from ..dialects.arith import _FLOAT_PREDICATES
-
-        compare = _FLOAT_PREDICATES.get(predicate)
-        if compare is None:
-            raise JITExecutionError(f"cmpf predicate {predicate!r}")
-        return bool(compare(a, b))
-    unordered = _np.isnan(a) | _np.isnan(b)
-    if predicate == "oeq":
-        return (a == b) & ~unordered
-    if predicate == "one":
-        return (a != b) & ~unordered
-    if predicate == "olt":
-        return a < b
-    if predicate == "ole":
-        return a <= b
-    if predicate == "ogt":
-        return a > b
-    if predicate == "oge":
-        return a >= b
-    if predicate == "ord":
-        return ~unordered
-    if predicate == "ueq":
-        return (a == b) | unordered
-    if predicate == "une":
-        return (a != b) | unordered
-    if predicate == "ult":
-        return (a < b) | unordered
-    if predicate == "ule":
-        return (a <= b) | unordered
-    if predicate == "ugt":
-        return (a > b) | unordered
-    if predicate == "uge":
-        return (a >= b) | unordered
-    if predicate == "uno":
-        return unordered
-    raise JITExecutionError(f"cmpf predicate {predicate!r}")
+    return _V_CMPF[predicate](a, b, _np.isnan(a) | _np.isnan(b))
 
 
-def _scalar_int_type(type_) -> bool:
-    return isinstance(type_, (IntegerType, IndexType))
+def _v_fptosi(value):
+    if not _np.isfinite(value).all():
+        raise TrapError("'arith.fptosi' cannot convert a non-finite value")
+    return value.astype(_np.int64)
+
+
+def _v_math(name, *args):
+    """A ``math`` op over lane arrays: the NumPy form for the values,
+    the dialect's scalar function for the domain.  Any lane with a
+    non-finite operand or result is re-evaluated by the scalar function,
+    which traps exactly like the scalar tiers do (and accepts what they
+    accept: a NaN operand of ``sqrt``, ``exp`` of ``inf``) — NumPy alone
+    would warn and yield ``nan``/``inf``."""
+    from ..dialects.math import evaluate
+
+    with _np.errstate(all="ignore"):
+        result = getattr(_np, _V_MATH[name])(*args)
+        if name == "math.rsqrt":
+            result = 1.0 / result
+    suspect = ~_np.isfinite(result)
+    for arg in args:
+        suspect |= ~_np.isfinite(arg)
+    if suspect.any():
+        lanes = [_np.broadcast_to(arg, result.shape)[suspect]
+                 for arg in args]
+        for scalars in zip(*lanes):
+            evaluate(name, *scalars)
+    return result
+
+
+def _vector_namespace() -> Dict[str, object]:
+    from ..dialects.math import evaluate
+
+    namespace = _jit_namespace()
+    namespace.update({
+        "_Degrade": JITExecutionError, "_oob": _oob, "_ids": _v_ids,
+        "_pick": _v_pick, "_vdim": _v_dim, "_divrem": _v_divrem,
+        "_shift": _v_shift, "_cmpf": _v_cmpf, "_vfptosi": _v_fptosi,
+        "_vmath": _v_math, "_m_eval": evaluate,
+    })
+    return namespace
 
 
 # ---------------------------------------------------------------------------
-# The lockstep evaluator
+# The emitter
 # ---------------------------------------------------------------------------
 
-class _Lockstep:
-    """Evaluates one kernel body array-at-a-time: once for the whole
-    launch, or once per work-group when ``per_group`` (a loop bound or
-    dimension operand is only uniform within a group)."""
+#: How generated code addresses one storage: its flat array and size
+#: (expressions) plus static layout facts.  ``varies`` is the level its
+#: contents vary at and fixes the layout of ``flat``: ``[size]`` shared
+#: by every lane (``_UNIFORM``), ``[groups, size]`` with one tile per
+#: work-group of the walk (``_PER_GROUP``), or lanes-last
+#: ``[size, lanes]`` (``_PER_ITEM``), so that a uniform position is one
+#: contiguous row.
+_Store = namedtuple("_Store", "flat size shape is_float elem_bytes varies",
+                    defaults=(_UNIFORM,))
 
-    def __init__(self, function, counters, max_steps: int,
-                 per_group: bool = False):
-        self.fn = function
-        self.counters = counters
-        self.max_steps = max_steps
-        self.per_group = per_group
-        self.steps = 0
-        self.lanes = 0
-        self.groups = 1
-        self.mode = "basic"
-        self.item_rank: Optional[int] = None
-        self.g: List[object] = []
-        self.l: List[object] = []
-        self.p: List[object] = []
-        self.GR: Tuple[int, ...] = ()
-        self.LR: Tuple[int, ...] = ()
-        self.PR: Tuple[int, ...] = ()
-        self.local_args: List[Tuple[int, Tuple[int, ...], object, bool,
-                                    int]] = []
-        self._lane_ix = None
-        self._group_ix = None
-        self._group_last = None
 
-    # -- launch driver -------------------------------------------------------
-    def launch(self, plan, global_range, local_range, group_range) -> None:
-        base = self._bind(plan, local_range is not None)
-        rank = self.item_rank
-        GR = tuple(int(d) for d in global_range)
-        if rank is None or len(GR) != rank:
-            raise TierFallback("launch rank mismatch")
-        self.GR = GR
-        total = 1
-        for extent in GR:
-            total *= extent
-        self.counters.work_items += total
-        if total == 0:
+_LOCAL_QUERY_TRAP = ("work-group query on a kernel launched without a "
+                     "local range")
+
+
+class _VectorEmitter(_EmitterBase):
+    """Emits one kernel's executable for one launch ``kind`` (``basic``
+    / ``nd``) and ``walk`` (``launch``: one walk over every lane of the
+    launch; ``group``: one walk per work-group, group ids as ints).
+
+    The generated ``_run`` guards and unpacks the arguments, sets up the
+    lane arrays and calls the nested ``_walk`` once per walk.  A numeric
+    value's kind is ``("s", expr)`` — one Python scalar for every lane —
+    or ``("a", var, unit)`` — one value per lane, where a ``unit``
+    offset expression ``o`` (when not ``None``) says ``var == o +
+    arange(L)``.  A *position* may also be ``("u", o, array expr)``: a
+    unit-stride one whose array is only built if a layout needs it.
+    Other kinds: ``("item",)``, ``("acc", var, dims, store)``,
+    ``("stor", store)``, ``("view", store, position, checked)`` and
+    ``("cell", name)`` (an id cell; its components are tracked here).
+    """
+
+    SCALE = " * _L"
+    WHAT = "vectorizable"
+
+    def __init__(self, function, kind: str, walk: str):
+        super().__init__(function)
+        self.kind = kind
+        self.walk = walk
+        self.rank = 0
+        self.consts: Dict[int, object] = {}
+        self.cell_comps: Dict[str, List[Tuple]] = {}
+        self.used: set = set()           # lane set-up the body reads
+        self.walk_pro: List[str] = []    # per-walk set-up lines
+        self.levels: Optional[Dict[int, int]] = None
+
+    # -- assembly ------------------------------------------------------------
+    def emit(self) -> str:
+        self._emit_prologue()
+        self._emit_launch_checks()
+        self.emit_block(self.fn.body, True,
+                        "1" if self.walk == "launch" else "_G")
+        self._fill_patches()
+        counts = [self.bc(bid) for _, _, bid, _ in self.patches]
+        groups = [f"p{d}" for d in range(self.rank)] \
+            if self.walk == "group" else []
+        lines = ["def _run(_args, _GR, _LR, _PR, _counters, _max_steps):"]
+        lines += self.pro + self._lane_lines()
+        lines += self._static_budget_lines()
+        lines += [f"    {count} = 0" for count in counts]
+        lines.append(f"    def _walk({', '.join(groups)}):")
+        if counts:
+            lines.append(f"        nonlocal {', '.join(counts)}")
+        lines += ["        " + text for text in self.walk_pro]
+        lines += [text for text in self.out if text is not None]
+        lines += ["    try:", "        with _np.errstate(divide='ignore', "
+                  "invalid='ignore'):"]
+        pad = " " * 12
+        for d, group in enumerate(groups):
+            lines.append(f"{pad}for {group} in range(_PR{d}):")
+            pad += "    "
+        lines += [f"{pad}_walk({', '.join(groups)})", "    finally:"]
+        lines += self._flush_lines() or ["        pass"]
+        return "\n".join(lines + ["    return None"]) + "\n"
+
+    def _emit_launch_checks(self) -> None:
+        p, r = self.pro.append, self.rank
+
+        def unpack(extents: str) -> None:
+            p(f"    {', '.join(f'{extents}{d}' for d in range(r))}"
+              f"{',' if r == 1 else ''} = {extents}")
+
+        p(f"    if len(_GR) != {r}: raise _Fallback('launch rank mismatch')")
+        unpack("_GR")
+        p(f"    _T = {' * '.join(f'_GR{d}' for d in range(r))}")
+        p("    _counters.work_items += _T")
+        p("    if not _T: return None")
+        if self.kind == "basic":
+            p("    _L = _T")
             return
-        if local_range is None:
-            self.mode = "basic"
-            self.lanes = total
-            self._lane_ix = _np.arange(total)
-            self.g = [component.astype(_np.int64) for component in
-                      _np.unravel_index(self._lane_ix, GR)]
-            self._run_block(self.fn.body, dict(base))
-            return
-        self.mode = "nd"
-        LR = tuple(int(d) for d in local_range)
-        PR = tuple(int(d) for d in group_range)
-        if len(LR) != rank or len(PR) != rank:
-            raise TierFallback("launch rank mismatch")
-        self.LR, self.PR = LR, PR
-        size = 1
-        for extent in LR:
-            size *= extent
-        if size == 0:
-            return
-        # A slab is the lanes of one walk, group-major: every work-group
-        # of the launch, or (same loop) one group at a time, whose ids
-        # then stay Python ints so group-uniform loop bounds are legal.
-        self.groups = 1 if self.per_group else total // size
-        self.lanes = self.groups * size
-        self._lane_ix = _np.arange(self.lanes)
-        self._group_ix = self._lane_ix // size
-        self._group_last = slice(size - 1, None, size)
-        self.l = [component.astype(_np.int64) for component in
-                  _np.unravel_index(self._lane_ix % size, LR)]
-        if self.groups == 1:
-            slabs = ([int(index) for index in group]
-                     for group in _np.ndindex(*PR))
-        else:
-            slabs = [[component.astype(_np.int64) for component in
-                      _np.unravel_index(self._group_ix, PR)]]
-        for self.p in slabs:
-            self.g = [self.l[d] + self.p[d] * LR[d] for d in range(rank)]
-            env = dict(base)
-            for vid, shape, dtype, floaty, elem_bytes in self.local_args:
-                env[vid] = self._local_tile(shape, dtype, floaty,
-                                            elem_bytes)
-            self._run_block(self.fn.body, env)
+        p(f"    if len(_LR) != {r} or len(_PR) != {r}: "
+          f"raise _Fallback('launch rank mismatch')")
+        unpack("_LR")
+        unpack("_PR")
+        p(f"    _S = {' * '.join(f'_LR{d}' for d in range(r))}")
+        p("    if not _S: return None")
+        p("    _G = _T // _S")
+        p(f"    _L = {'_T' if self.walk == 'launch' else '_S'}")
 
-    def _local_tile(self, shape, dtype, floaty, elem_bytes) -> _Store:
-        """Fresh work-group-local storage: one tile per group of the
-        slab (a single group's tile is simply shared by all its lanes)."""
-        size = 1
-        for extent in shape:
-            size *= extent
-        if self.groups == 1:
-            return _Store(_np.zeros(size, dtype=dtype), size, shape,
-                          floaty, elem_bytes)
-        return _Store(_np.zeros((self.groups, size), dtype=dtype), size,
-                      shape, floaty, elem_bytes, _PER_GROUP)
+    def _lane_lines(self) -> List[str]:
+        """Lane index arrays, in group-major lane order (lane ``n`` of
+        an ND-range walk over every group belongs to group ``n // S``)."""
+        used, r = self.used, self.rank
+        names = ", ".join(f"{{0}}{d}" for d in range(r)) \
+            + ("," if r == 1 else "")
+        lines = ["    _lane = _np.arange(_L, dtype=_np.int64)"]
+        launch = self.walk == "launch"
+        if self.kind == "basic":
+            if "g" in used and r > 1:
+                lines.append(f"    {names.format('g')} = _ids(_lane, _GR)")
+            return lines
+        if launch and used & {"grp", "p"}:
+            lines.append("    _grp = _lane // _S")
+        if "last" in used:
+            lines.append("    _last = slice(_S - 1, None, _S)")
+        if "l" in used:
+            lanes = "_lane % _S" if launch else "_lane"
+            lines.append(f"    {names.format('l')} = _ids({lanes}, _LR)")
+        if launch and "p" in used:
+            lines.append(f"    {names.format('p')} = _ids(_grp, _PR)")
+        if launch and "g" in used and r > 1:
+            lines += [f"    g{d} = l{d} + p{d} * _LR{d}" for d in range(r)]
+        return lines
 
-    # -- argument binding (pre-execution: failures are TierFallback) ---------
-    def _bind(self, plan, is_nd: bool) -> Dict[int, object]:
+    def _lane_ids(self, family: str) -> List[Tuple]:
+        """The kinds of the ``g``lobal, ``l``ocal or grou``p`` ids."""
+        r, launch = self.rank, self.walk == "launch"
+        if family == "p" and not launch:
+            return [("s", f"p{d}") for d in range(r)]
+        if r == 1 and (family == "l" and not launch or family == "g"
+                       and launch):
+            return [("a", "_lane", "0")]
+        if family == "g" and not launch:
+            if "g" not in self.used:
+                self.walk_pro += [
+                    f"g{d} = {'_lane' if r == 1 else f'l{d}'} + p{d} * "
+                    f"_LR{d}" for d in range(r)]
+            self.used |= {"g", "l"} if r > 1 else {"g"}
+            return [("a", f"g{d}", "p0 * _LR0" if r == 1 else None)
+                    for d in range(r)]
+        self.used.add(family)
+        if family == "g" and self.kind == "nd":
+            self.used |= {"l", "p"}
+        return [("a", f"{family}{d}", None) for d in range(r)]
+
+    # -- prologue: unpack and guard the argument vector ----------------------
+    def _emit_prologue(self) -> None:
         from ..dialects.sycl import AccessorType, accessor_type_of
-        from .interpreter import _element_type_for_dtype, _item_argument_type
+        from .interpreter import _item_argument_type
         from .memory import _numpy_dtype
 
-        base: Dict[int, object] = {}
-        for argument, entry in zip(self.fn.arguments, plan):
-            if entry[0] == "item":
-                item_type = _item_argument_type(argument.type)
-                self.item_rank = getattr(item_type, "dimensions", 1)
-                base[id(argument)] = _ITEM
+        p = self.pro.append
+        for index, argument in enumerate(self.fn.arguments):
+            item_type = _item_argument_type(argument.type)
+            if item_type is not None:
+                self.rank = getattr(item_type, "dimensions", 1)
+                self.kinds[id(argument)] = ("item",)
                 continue
-            if entry[0] == "local":
-                if not is_nd:
-                    # Matches Interpreter._launch_basic's trap.
-                    raise TrapError(
-                        "a LocalAccessor argument requires a work-group "
-                        "launch (pass local_size)")
-                local = entry[1]
-                element = _element_type_for_dtype(local.dtype)
-                dtype = _numpy_dtype(element)
-                if dtype is None:
-                    raise TierFallback(
-                        "local accessor dtype is not vectorizable")
-                shape = tuple(int(d) for d in local.shape)
-                self.local_args.append(
-                    (id(argument), shape, dtype, is_float(element),
-                     byte_size_of(element)))
-                continue
-            value = entry[1]
+            var = f"x{index}"
+            p(f"    {var} = _args[{index}]")
             accessor_type = accessor_type_of(argument)
-            if isinstance(accessor_type, AccessorType) \
-                    and isinstance(value, AccessorBinding):
-                base[id(argument)] = self._bind_accessor(
-                    value, accessor_type)
-                continue
-            if isinstance(value, MemRefStorage):
-                base[id(argument)] = self._bind_memref(value, argument)
-                continue
-            if isinstance(value, (bool, int, float)):
-                base[id(argument)] = value
-                continue
-            raise TierFallback(
-                f"argument of type {type(value).__name__} is not "
-                f"vectorizable")
-        return base
+            if isinstance(accessor_type, AccessorType):
+                element, dims = accessor_type.element_type, \
+                    accessor_type.dimensions
+                floaty, size = is_float(element), byte_size_of(element)
+                if accessor_type.is_local:
+                    store = self._bind_local(var, index, dims, floaty, size)
+                    self.kinds[id(argument)] = ("stor", store)
+                    continue
+                self._bind_accessor(var, index, dims, floaty)
+                self.kinds[id(argument)] = ("acc", var, dims, _Store(
+                    f"{var}_f", f"{var}_n", None, floaty, size))
+            elif isinstance(argument.type, MemRefType):
+                element, rank = argument.type.element_type, \
+                    argument.type.rank
+                shape = tuple(f"{var}_sh[{k}]" for k in range(rank))
+                self.kinds[id(argument)] = ("stor", _Store(
+                    f"{var}_f", f"{var}_n", shape, is_float(element),
+                    byte_size_of(element)))
+                if _numpy_dtype(element) is None:
+                    p("    raise _Fallback('memref argument of aggregate "
+                      "element type is not vectorizable')")
+                    continue
+                p(f"    if {var}.__class__ is not _MemRefStorage: raise "
+                  f"_Fallback('argument {index} is not a memref storage')")
+                p(f"    {var}_f, {var}_n, {var}_sh = {var}._flat, "
+                  f"{var}._size, {var}.shape")
+                p(f"    if {var}_f is None or ({var}_f.dtype.kind == 'f') "
+                  f"is not {is_float(element)} or len({var}_sh) != {rank}: "
+                  f"raise _Fallback('memref storage is not vectorizable')")
+            else:
+                p(f"    if not isinstance({var}, (bool, int, float)): raise "
+                  f"_Fallback('argument of type ' + type({var}).__name__ "
+                  f"+ ' is not vectorizable')")
+                self.kinds[id(argument)] = ("s", var)
 
-    def _bind_accessor(self, binding, accessor_type) -> _VAcc:
-        element = accessor_type.element_type
-        floaty = is_float(element)
-        flat = binding.storage._flat
-        if flat is None or (flat.dtype.kind == "f") is not floaty:
-            raise TierFallback("accessor storage is not vectorizable")
-        dims = accessor_type.dimensions
-        if binding.dimensions != dims:
-            raise TierFallback("accessor rank mismatch")
-        store = _Store(flat, binding.storage._size, None, floaty,
-                       byte_size_of(element))
-        return _VAcc(store, dims, tuple(binding.mem_range),
-                     tuple(binding.offset), tuple(binding.access_range),
-                     binding.base_linear_offset())
+    def _bind_accessor(self, var, index, dims, floaty) -> None:
+        p = self.pro.append
+        comma = "," if dims == 1 else ""
+        p(f"    if {var}.__class__ is not _AccessorBinding: raise "
+          f"_Fallback('argument {index} is not an accessor binding')")
+        p(f"    {var}_f, {var}_n = {var}.storage._flat, {var}.storage._size")
+        p(f"    if {var}_f is None or ({var}_f.dtype.kind == 'f') is not "
+          f"{floaty}: raise _Fallback('accessor storage is not "
+          f"vectorizable')")
+        p(f"    if {var}.dimensions != {dims}: "
+          f"raise _Fallback('accessor rank mismatch')")
+        p(f"    {var}_mr, {var}_off, {var}_ar = {var}.mem_range, "
+          f"{var}.offset, {var}.access_range")
+        p(f"    {', '.join(f'{var}_m{k}' for k in range(dims))}{comma} = "
+          f"{var}_mr")
+        p(f"    {', '.join(f'{var}_o{k}' for k in range(dims))}{comma} = "
+          f"{var}_off")
+        p(f"    {var}_asz, {var}_b = math.prod({var}_ar), "
+          f"{var}.base_linear_offset()")
 
-    def _bind_memref(self, storage, argument) -> _Store:
-        from .memory import _numpy_dtype
+    def _bind_local(self, var, index, dims, floaty, size) -> _Store:
+        """A LocalAccessor argument: a fresh tile per walk."""
+        p = self.pro.append
+        shape = tuple(f"{var}_sh[{k}]" for k in range(dims))
+        if self.kind == "basic":
+            # Matches Interpreter._launch_basic's trap.
+            p("    raise _TrapError('a LocalAccessor argument requires a "
+              "work-group launch (pass local_size)')")
+            return _Store("None", 0, shape, floaty, size)
+        p(f"    if {var}.__class__ is not _LocalAccessor: raise "
+          f"_Fallback('argument {index} is not a LocalAccessor')")
+        p(f"    {var}_sh = tuple(int(_d) for _d in {var}.shape)")
+        p(f"    if len({var}_sh) != {dims}: "
+          f"raise _Fallback('local accessor rank mismatch')")
+        p(f"    {var}_n, {var}_dt = math.prod({var}_sh), _local_dtype({var})")
+        p(f"    if ({var}_dt.kind == 'f') is not {floaty}: "
+          f"raise _Fallback('local accessor dtype mismatch')")
+        launch = self.walk == "launch"
+        self.walk_pro.append(f"{var}_t = _np.zeros("
+                             f"{'(_G, ' if launch else '('}{var}_n), "
+                             f"dtype={var}_dt)")
+        return _Store(f"{var}_t", f"{var}_n", shape, floaty, size,
+                      _PER_GROUP if launch else _UNIFORM)
 
-        element = argument.type.element_type
-        if _numpy_dtype(element) is None:
-            raise TierFallback(
-                "memref argument of aggregate element type is not "
-                "vectorizable")
-        floaty = is_float(element)
-        flat = storage._flat
-        if flat is None or (flat.dtype.kind == "f") is not floaty:
-            raise TierFallback("memref storage is not vectorizable")
-        shape = tuple(int(d) for d in storage.shape)
-        if len(shape) != argument.type.rank:
-            raise TierFallback("memref rank mismatch")
-        return _Store(flat, storage._size, shape, floaty,
-                      byte_size_of(element))
+    # -- values --------------------------------------------------------------
+    def num(self, value) -> Tuple:
+        kind = self.kind_of(value)
+        if kind[0] not in ("s", "a"):
+            raise self.unsup(f"a {kind[0]} value used as a number")
+        return kind
 
-    # -- evaluation core -----------------------------------------------------
-    def _val(self, env, value):
-        try:
-            return env[id(value)]
-        except KeyError:
-            raise JITExecutionError(
-                f"use of an unbound value in '{self.fn.sym_name}'") \
-                from None
+    def bind(self, result, body: str, array: bool, unit=None) -> Tuple:
+        """A fresh local set to ``body``; its kind, also bound to
+        ``result`` when given."""
+        var = self.fresh()
+        self.line(f"{var} = {body}")
+        kind = ("a", var, unit) if array else ("s", var)
+        if result is not None:
+            self.kinds[id(result)] = kind
+        return kind
 
-    def _run_block(self, block, env):
-        """Run every op of ``block``; returns the final terminator's
-        yielded values (a list) or ``None``."""
-        lanes = self.lanes
-        counters = self.counters
-        result = None
-        op = block.first_op
-        while op is not None:
-            self.steps += lanes
-            if self.steps > self.max_steps:
-                raise TrapError(
-                    f"exceeded the interpreter step budget "
-                    f"({self.max_steps} ops) at '{op.name}'")
-            counters.ops += lanes
-            result = self._eval_op(op, env)
-            op = op.next_op()
-        return result
+    def arr(self, kind) -> str:
+        """A lane array of numeric ``kind`` (a scalar is broadcast)."""
+        return kind[1] if kind[0] == "a" else f"_np.full(_L, {kind[1]})"
 
-    def _uniform_int(self, value, what: str) -> int:
-        if _is_array(value):
-            raise JITExecutionError(
-                f"{what} varies per work-item in '{self.fn.sym_name}'")
-        return int(value)
+    def _name(self, expr: str) -> str:
+        """``expr`` itself when a name or literal, else a local bound
+        to it (it is about to be read more than once)."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        var = self.fresh("q")
+        self.line(f"{var} = {expr}")
+        return var
 
-    def _dim_of(self, env, op) -> int:
-        if len(op.operands) <= 1:
-            return 0
-        return self._uniform_int(self._val(env, op.operands[1]),
-                                 "a dimension operand")
+    def _const_int(self, value) -> Optional[int]:
+        constant = self.consts.get(id(value))
+        return constant if isinstance(constant, int) else None
 
-    def _components(self, env, value) -> List[object]:
-        rep = self._val(env, value)
-        if isinstance(rep, _VCell):
-            if rep.comps is None:
-                raise TrapError("read of an unconstructed SYCL id")
-            return rep.comps
-        if _is_array(rep) or isinstance(rep, (bool, int, float)):
-            return [rep]
-        raise JITExecutionError(
-            f"id read of a {type(rep).__name__} value")
+    def _varies(self, value) -> bool:
+        """Whether ``value`` can differ between the lanes of one walk."""
+        if self.levels is None:
+            self.levels = _levels(self.fn)
+        return self.levels.get(id(value), _UNIFORM) > (
+            _UNIFORM if self.walk == "launch" else _PER_GROUP)
 
-    # -- op dispatch ---------------------------------------------------------
-    def _eval_op(self, op, env):
+    def _raise(self, error: str, message: str, results=()) -> None:
+        """Raise ``error`` here at run time; ``results`` get dummies."""
+        self.line(f"raise {error}({message!r})")
+        for result in results:
+            self.kinds[id(result)] = ("s", "0")
+
+    # -- blocks and ops ------------------------------------------------------
+    def emit_block(self, block, budget: bool, count: Optional[str],
+                   carried=None) -> None:
+        with self._counted_block(budget, count) as stat:
+            start = len(self.out)
+            op = block.first_op
+            while op is not None:
+                stat.ops += 1
+                self.emit_op(op, stat, carried)
+                op = op.next_op()
+            if len(self.out) == start:
+                self.line("pass")
+
+    def emit_op(self, op, stat, carried) -> None:
         name = op.name
+        results = op.results
+        result = results[0] if results else None
         if name == "arith.constant":
-            env[id(op.results[0])] = op.value
-            return None
-        if name in _BIN_INT:
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            result = _BIN_INT[name](a, b)
-            if getattr(op.results[0].type, "width", 64) == 1:
-                result = result.astype(bool) if _is_array(result) \
-                    else bool(result)
-            env[id(op.results[0])] = result
-            return None
-        if name in _BIN_FLOAT:
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            env[id(op.results[0])] = _BIN_FLOAT[name](a, b)
-            return None
-        if name in ("arith.minsi", "arith.maxsi"):
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            if _is_array(a) or _is_array(b):
-                fn = _np.minimum if name == "arith.minsi" else _np.maximum
-            else:
-                fn = min if name == "arith.minsi" else max
-            env[id(op.results[0])] = fn(a, b)
-            return None
-        if name in ("arith.divsi", "arith.divui", "arith.remsi",
-                    "arith.remui"):
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            _check_nonzero(b, name)
-            if not _is_array(a) and not _is_array(b):
-                quotient = _v_truncdiv(int(a), int(b))
-                if name == "arith.divsi":
-                    result = quotient
-                elif name == "arith.divui":
-                    result = a // b
-                elif name == "arith.remsi":
-                    result = a - quotient * b
-                else:
-                    result = a % b
-            elif name == "arith.divsi":
-                result = _v_truncdiv(a, b)
-            elif name == "arith.divui":
-                result = a // b
-            elif name == "arith.remsi":
-                result = a - _v_truncdiv(a, b) * b
-            else:
-                result = a % b
-            env[id(op.results[0])] = result
-            return None
-        if name in ("arith.divf", "arith.remf", "arith.minf", "arith.maxf"):
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            if not _is_array(a) and not _is_array(b):
-                scalar = {"arith.divf": _jit_divf, "arith.remf": _jit_remf,
-                          "arith.minf": _jit_minf,
-                          "arith.maxf": _jit_maxf}[name]
-                env[id(op.results[0])] = scalar(a, b)
-                return None
-            with _np.errstate(divide="ignore", invalid="ignore"):
-                if name == "arith.divf":
-                    result = a / b
-                elif name == "arith.remf":
-                    result = _np.fmod(a, b)
-                elif name == "arith.minf":
-                    result = _np.minimum(a, b)
-                else:
-                    result = _np.maximum(a, b)
-            env[id(op.results[0])] = result
-            return None
-        if name in ("arith.shli", "arith.shrsi"):
-            width = getattr(op.results[0].type, "width", 64)
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            if _is_array(b):
-                bad = (b < 0) | (b >= width)
-                if bad.any():
-                    raise TrapError(
-                        f"shift amount {int(b[bad][0])} out of range for "
-                        f"i{width} in '{name}'")
-            elif not 0 <= int(b) < width:
-                raise TrapError(
-                    f"shift amount {int(b)} out of range for i{width} in "
-                    f"'{name}'")
-            env[id(op.results[0])] = (a << b) if name == "arith.shli" \
-                else (a >> b)
-            return None
-        if name == "arith.cmpi":
-            compare = _CMP_INT.get(op.predicate)
-            if compare is None:
-                raise JITExecutionError(
-                    f"cmpi predicate {op.predicate!r}")
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            env[id(op.results[0])] = compare(a, b)
-            return None
-        if name == "arith.cmpf":
-            a = self._val(env, op.operands[0])
-            b = self._val(env, op.operands[1])
-            env[id(op.results[0])] = _v_cmpf(op.predicate, a, b)
-            return None
-        if name == "arith.select":
-            condition = self._val(env, op.operands[0])
-            on_true = self._val(env, op.operands[1])
-            on_false = self._val(env, op.operands[2])
-            if _is_array(condition) or _is_array(on_true) \
-                    or _is_array(on_false):
-                env[id(op.results[0])] = _np.where(condition, on_true,
-                                                   on_false)
-            else:
-                env[id(op.results[0])] = on_true if condition else on_false
-            return None
-        if name in ("arith.index_cast", "arith.extsi"):
-            value = self._val(env, op.operands[0])
-            if _scalar_int_type(op.operands[0].type) \
-                    and getattr(op.operands[0].type, "width", 64) != 1:
-                env[id(op.results[0])] = value
-            elif _is_array(value):
-                env[id(op.results[0])] = value.astype(_np.int64)
-            else:
-                env[id(op.results[0])] = int(value)
-            return None
-        if name == "arith.trunci":
-            width = op.results[0].type.width
-            mask = (1 << width) - 1
-            value = self._val(env, op.operands[0])
-            if _is_array(value):
-                result = value.astype(_np.int64) & mask
-                if width == 1:
-                    result = result.astype(bool)
-            else:
-                result = int(value) & mask
-                if width == 1:
-                    result = bool(result)
-            env[id(op.results[0])] = result
-            return None
-        if name == "arith.sitofp":
-            value = self._val(env, op.operands[0])
-            env[id(op.results[0])] = value.astype(_np.float64) \
-                if _is_array(value) else float(value)
-            return None
-        if name == "arith.fptosi":
-            value = self._val(env, op.operands[0])
-            if _is_array(value):
-                if not _np.isfinite(value).all():
-                    raise TrapError(
-                        "'arith.fptosi' cannot convert a non-finite value")
-                env[id(op.results[0])] = value.astype(_np.int64)
-            else:
-                env[id(op.results[0])] = _jit_fptosi(value)
-            return None
-        if name in ("arith.extf", "arith.truncf"):
-            env[id(op.results[0])] = self._val(env, op.operands[0])
-            return None
-        if name == "arith.negf":
-            value = self._val(env, op.operands[0])
-            env[id(op.results[0])] = -value if _is_array(value) \
-                else -float(value)
-            return None
-        if name in _V_MATH:
-            env[id(op.results[0])] = self._eval_math(
-                name, [self._val(env, operand) for operand in op.operands])
-            return None
-        if name == "math.fma":
-            a, b, c = (self._val(env, operand) for operand in op.operands)
-            env[id(op.results[0])] = a * b + c
-            return None
+            text = _py_literal(op.value)
+            if text is None:
+                raise self.unsup(f"constant of value {op.value!r}")
+            self.kinds[id(result)] = ("s", text)
+            self.consts[id(result)] = op.value
+            return
+        if name in ("arith.extf", "arith.truncf", "memref.cast"):
+            self.kinds[id(result)] = self.kind_of(op.operands[0])
+            return
         if name in ("scf.yield", "affine.yield"):
-            return [self._val(env, operand) for operand in op.operands]
-        if name == "func.return":
-            return None
+            if carried:
+                values = [self.num(value) for value in op.operands]
+                self.line(f"{', '.join(var for var, _ in carried)} = "
+                          + ", ".join(self.arr(kind) if array else kind[1]
+                                      for (_, array), kind
+                                      in zip(carried, values)))
+            return
+        if name in ("func.return", "memref.dealloc"):
+            return
         if name in ("scf.for", "affine.for"):
-            self._eval_for(op, env, affine=(name == "affine.for"))
-            return None
-        if name == "affine.apply":
-            coefficients = op.coefficients
-            if len(coefficients) != len(op.operands):
-                raise TrapError(
-                    "affine.apply coefficient / operand count mismatch")
-            result = op.get_int_attr("constant", 0)
-            for coefficient, operand in zip(coefficients, op.operands):
-                result = result + coefficient * self._val(env, operand)
-            env[id(op.results[0])] = result
-            return None
-        if name == "affine.min":
-            if not op.operands:
-                raise JITExecutionError("affine.min with no operands")
-            values = [self._val(env, operand) for operand in op.operands]
-            result = values[0]
-            for value in values[1:]:
-                if _is_array(result) or _is_array(value):
-                    result = _np.minimum(result, value)
-                else:
-                    result = min(result, value)
-            env[id(op.results[0])] = result
-            return None
+            self._emit_for(op, name == "affine.for")
+            return
         if name in ("memref.alloc", "memref.alloca"):
-            self._eval_alloc(op, env)
-            return None
-        if name == "memref.dealloc":
-            return None
-        if name == "memref.cast":
-            env[id(op.results[0])] = self._val(env, op.operands[0])
-            return None
-        if name == "memref.dim":
-            self._eval_dim(op, env)
-            return None
+            self._emit_alloc(op)
+            return
         if name in ("memref.load", "affine.load"):
-            store, position = self._position(env, op.operands[0],
-                                             list(op.operands[1:]))
-            self.counters.loads += self.lanes
-            self.counters.bytes_read += self.lanes * store.elem_bytes
-            env[id(op.results[0])] = self._gather(store, position)
-            return None
+            store, position = self._locate(op.operands[0], op.operands[1:])
+            stat.loads += 1
+            stat.bytes_read += store.elem_bytes
+            self._gather(result, store, position)
+            return
         if name in ("memref.store", "affine.store"):
-            store, position = self._position(env, op.operands[1],
-                                             list(op.operands[2:]))
-            self.counters.stores += self.lanes
-            self.counters.bytes_written += self.lanes * store.elem_bytes
-            self._scatter(store, position, self._val(env, op.operands[0]))
-            return None
-        if name == "sycl.constructor":
-            self._eval_constructor(op, env)
-            return None
-        if name in ("sycl.id.get", "sycl.range.get"):
-            what = "the id" if name == "sycl.id.get" else "the range"
-            comps = self._components(env, op.operands[0])
-            dim = self._dim_of(env, op)
-            if not 0 <= dim < len(comps):
-                raise TrapError(
-                    f"dimension {dim} out of range for {what} of rank "
-                    f"{len(comps)}")
-            env[id(op.results[0])] = comps[dim]
-            return None
-        if name == "sycl.range.size":
-            comps = self._components(env, op.operands[0])
-            result = comps[0]
-            for comp in comps[1:]:
-                result = result * comp
-            env[id(op.results[0])] = result
-            return None
-        if name in ("sycl.item.get_id", "sycl.nd_item.get_global_id",
-                    "sycl.global_id"):
-            self._position_query(env, op, self.g, "the global id",
-                                 require_local=False)
-            return None
-        if name in ("sycl.item.get_linear_id",
-                    "sycl.nd_item.get_global_linear_id"):
-            self._linear_query(env, op, self.g, self.GR,
-                               require_local=False)
-            return None
-        if name in ("sycl.nd_item.get_local_id", "sycl.local_id"):
-            self._position_query(env, op, self.l, "the local id",
-                                 require_local=True)
-            return None
-        if name == "sycl.nd_item.get_local_linear_id":
-            self._linear_query(env, op, self.l, self.LR,
-                               require_local=True)
-            return None
-        if name in _GROUP_ID_OPS:
-            self._position_query(env, op, self.p, "the group id",
-                                 require_local=True)
-            return None
-        if name in ("sycl.item.get_range", "sycl.nd_item.get_global_range"):
-            self._range_query(env, op, self.GR, "the global range",
-                              require_local=False)
-            return None
-        if name in ("sycl.nd_item.get_local_range",
-                    "sycl.group.get_local_range"):
-            self._range_query(env, op, self.LR, "the local range",
-                              require_local=True)
-            return None
-        if name in ("sycl.nd_item.get_group_range",
-                    "sycl.group.get_group_range"):
-            self._range_query(env, op, self.PR, "the group range",
-                              require_local=True)
-            return None
-        if name == "sycl.nd_item.get_group":
-            self._item_check(env, op)
-            if self.mode == "basic":
-                raise TrapError("work-group query on a kernel launched "
-                                "without a local range")
-            env[id(op.results[0])] = _ITEM
-            return None
-        if name == "sycl.accessor.subscript":
-            self._eval_subscript(op, env)
-            return None
-        if name == "sycl.accessor.get_pointer":
-            acc = self._acc_of(env, op.operands[0])
-            env[id(op.results[0])] = _VView(acc.store, acc.base, False)
-            return None
-        if name in ("sycl.accessor.get_range", "sycl.accessor.get_mem_range",
-                    "sycl.accessor.get_offset"):
-            acc = self._acc_of(env, op.operands[0])
-            source, what = {
-                "sycl.accessor.get_range":
-                    (acc.access_range, "the accessor range"),
-                "sycl.accessor.get_mem_range":
-                    (acc.mem_range, "the accessor mem range"),
-                "sycl.accessor.get_offset":
-                    (acc.offset, "the accessor offset"),
-            }[name]
-            dim = self._dim_of(env, op)
-            if not 0 <= dim < acc.dims:
-                raise TrapError(
-                    f"dimension {dim} out of range for {what} of rank "
-                    f"{acc.dims}")
-            env[id(op.results[0])] = int(source[dim])
-            return None
-        if name == "sycl.accessor.size":
-            acc = self._acc_of(env, op.operands[0])
-            env[id(op.results[0])] = acc.total
-            return None
-        if name == "sycl.group_barrier":
-            if self.mode == "basic":
-                raise TrapError(
-                    "sycl.group_barrier outside work-group execution "
-                    "(launch the kernel with a local range)")
-            # Lockstep already synchronizes the lanes: the barrier is a
-            # no-op that only advances the counter.
-            self.counters.barriers += self.lanes
-            return None
-        raise JITExecutionError(
-            f"operation '{name}' reached the vector tier unsupported")
+            store, position = self._locate(op.operands[1], op.operands[2:])
+            stat.stores += 1
+            stat.bytes_written += store.elem_bytes
+            self._scatter(store, position, self.num(op.operands[0]))
+            return
+        if name.startswith("sycl."):
+            self._emit_sycl(op, stat)
+            return
+        if name == "memref.dim":
+            kind, dim = self.kind_of(op.operands[0]), self._dim(op)
+            shape = kind[1].shape if kind[0] == "stor" else None
+            if not isinstance(dim, int):
+                text = "None" if shape is None else \
+                    f"({', '.join(map(str, shape))},)"
+                self.bind(result, f"_vdim({text}, {dim[1]})", False)
+            elif shape is None or not 0 <= dim < len(shape):
+                self._raise("_TrapError", f"memref.dim {dim} out of range",
+                            results)
+            else:
+                self.kinds[id(result)] = ("s", str(shape[dim]))
+            return
+        self._emit_arith(op, name, result)
 
-    def _eval_math(self, name: str, args):
-        """A ``math`` op over lane arrays: the NumPy form for the values,
-        the dialect's scalar function for the domain.  Any lane with a
-        non-finite operand or result is re-evaluated by the scalar
-        function, which traps exactly like the scalar tiers do (and
-        accepts what they accept: a NaN operand of ``sqrt``, ``exp`` of
-        ``inf``) — NumPy alone would warn and yield ``nan``/``inf``."""
-        from ..dialects.math import evaluate
+    def _emit_arith(self, op, name, result) -> None:
+        args = [self.num(value) for value in op.operands]
+        array = any(arg[0] == "a" for arg in args)
+        a = args[0][1] if args else ""
+        b = args[1][1] if len(args) > 1 else ""
+        if name in _BIN_INT or name in _BIN_FLOAT:
+            body = f"{a} {_BIN_INT.get(name) or _BIN_FLOAT[name]} {b}"
+            unit = None
+            if name in _BIN_INT and getattr(result.type, "width", 64) == 1:
+                body = f"({body}).astype(bool)" if array else f"bool({body})"
+            elif name in ("arith.addi", "arith.subi"):
+                # A unit-stride index plus a uniform offset stays one.
+                left, right = args
+                if name == "arith.addi" and left[0] == "s":
+                    left, right = right, left
+                if left[0] == "a" and left[2] is not None \
+                        and right[0] == "s":
+                    unit = f"{left[2]} {_BIN_INT[name]} {right[1]}"
+            self.bind(result, body, array, unit)
+        elif name in ("arith.minsi", "arith.maxsi"):
+            fn = name[6:9]  # "min" / "max"
+            self.bind(result, f"_np.{fn}imum({a}, {b})" if array
+                      else f"{fn}({a}, {b})", array)
+        elif name in ("arith.divsi", "arith.divui", "arith.remsi",
+                      "arith.remui"):
+            self.bind(result, f"_divrem({name!r}, {a}, {b})", array)
+        elif name in _FLOAT_OPS:
+            self.bind(result, _FLOAT_OPS[name][array].format(a=a, b=b),
+                      array)
+        elif name in ("arith.shli", "arith.shrsi"):
+            width = getattr(result.type, "width", 64)
+            self.bind(result, f"_shift({name!r}, {a}, {b}, {width})", array)
+        elif name == "arith.cmpi":
+            if op.predicate not in _CMP_INT:
+                self._raise("_Degrade", f"cmpi predicate {op.predicate!r}",
+                            (result,))
+            else:
+                self.bind(result, f"{a} {_CMP_INT[op.predicate]} {b}", array)
+        elif name == "arith.cmpf":
+            from ..dialects.arith import _FLOAT_PREDICATES
 
-        if not any(_is_array(arg) for arg in args):
-            return evaluate(name, *args)
-        with _np.errstate(all="ignore"):
-            result = getattr(_np, _V_MATH[name])(*args)
-            if name == "math.rsqrt":
-                result = 1.0 / result
-        suspect = ~_np.isfinite(result)
-        for arg in args:
-            suspect |= ~_np.isfinite(arg)
-        if suspect.any():
-            lanes = [_np.broadcast_to(arg, result.shape)[suspect]
-                     for arg in args]
-            for scalars in zip(*lanes):
-                evaluate(name, *scalars)
-        return result
+            predicate = op.predicate
+            if predicate in _CMP_FLOAT:
+                self.bind(result, f"{a} {_CMP_FLOAT[predicate]} {b}", array)
+            elif array and predicate in _V_CMPF:
+                self.bind(result, f"_cmpf({predicate!r}, {a}, {b})", True)
+            elif not array and predicate in _FLOAT_PREDICATES:
+                self.bind(result, f"bool(_FCMP[{predicate!r}]({a}, {b}))",
+                          False)
+            else:
+                self._raise("_Degrade", f"cmpf predicate {predicate!r}",
+                            (result,))
+        elif name == "arith.select":
+            c = args[2][1]
+            self.bind(result, f"_np.where({a}, {b}, {c})" if array
+                      else f"({b} if {a} else {c})", array)
+        elif name in ("arith.index_cast", "arith.extsi"):
+            source = op.operands[0].type
+            if _scalar_int_type(source) and getattr(source, "width", 64) != 1:
+                self.kinds[id(result)] = args[0]
+            else:
+                self.bind(result, f"{a}.astype(_np.int64)" if array
+                          else f"int({a})", array)
+        elif name == "arith.trunci":
+            width = result.type.width
+            body = f"{a}.astype(_np.int64) & {(1 << width) - 1}" if array \
+                else f"int({a}) & {(1 << width) - 1}"
+            if width == 1:
+                body = f"({body}).astype(bool)" if array else f"bool({body})"
+            self.bind(result, body, array)
+        elif name == "arith.sitofp":
+            self.bind(result, f"{a}.astype(_np.float64)" if array
+                      else f"float({a})", array)
+        elif name == "arith.fptosi":
+            self.bind(result, f"_vfptosi({a})" if array else f"_fptosi({a})",
+                      array)
+        elif name == "arith.negf":
+            self.bind(result, f"-{a}" if array else f"-float({a})", array)
+        elif name in _V_MATH:
+            joined = ", ".join(arg[1] for arg in args)
+            self.bind(result, f"_vmath({name!r}, {joined})" if array
+                      else f"_m_eval({name!r}, {joined})", array)
+        elif name == "math.fma":
+            self.bind(result, f"{a} * {b} + {args[2][1]}", array)
+        elif name == "affine.apply":
+            coefficients = op.coefficients
+            if len(coefficients) != len(args):
+                self._raise("_TrapError", "affine.apply coefficient / "
+                            "operand count mismatch", (result,))
+                return
+            self.bind(result, " + ".join(
+                [str(op.get_int_attr("constant", 0))] + [
+                    f"({coefficient}) * ({arg[1]})"
+                    for coefficient, arg in zip(coefficients, args)]), array)
+        elif name == "affine.min":
+            if not args:
+                raise self.unsup("affine.min with no operands")
+            body = a
+            for arg in args[1:]:
+                body = f"_np.minimum({body}, {arg[1]})" if array \
+                    else f"min({body}, {arg[1]})"
+            self.bind(result, body, array)
+        else:
+            raise self.unsup(f"operation '{name}'")
 
     # -- structured control flow ---------------------------------------------
-    def _eval_for(self, op, env, affine: bool) -> None:
-        lower = self._uniform_int(self._val(env, op.operands[0]),
-                                  "a loop bound")
-        upper = self._uniform_int(self._val(env, op.operands[1]),
-                                  "a loop bound")
+    def _emit_for(self, op, affine: bool) -> None:
+        bounds = op.operands[:2 if affine else 3]
+        exprs = []
+        for value, what in zip(bounds, ("a loop bound", "a loop bound",
+                                        "a loop step")):
+            kind = self.num(value)
+            if kind[0] == "a":
+                self._raise("_Degrade", f"{what} varies per work-item in "
+                            f"'{self.fn.sym_name}'", op.results)
+                return
+            exprs.append(kind[1])
         if affine:
             step = op.step
-            carried_init = list(op.operands[2:])
             if step <= 0:
-                raise TrapError(
-                    f"affine.for with non-positive step {step}")
+                self._raise("_TrapError",
+                            f"affine.for with non-positive step {step}",
+                            op.results)
+                return
+            step_text = "" if step == 1 else f", {step}"
         else:
-            step = self._uniform_int(self._val(env, op.operands[2]),
-                                     "a loop step")
-            carried_init = list(op.operands[3:])
-            if step <= 0:
-                raise TrapError(
-                    f"scf.for with non-positive step {step}")
-        carried = [self._val(env, value) for value in carried_init]
+            step = self._const_int(bounds[2])
+            self.line(f"if {exprs[2]} <= 0: raise _TrapError("
+                      f"'scf.for with non-positive step ' + str({exprs[2]}))")
+            step_text = f", {exprs[2]}"
+        # A loop with constant bounds nested in statically counted blocks
+        # is itself statically counted: no per-iteration bookkeeping.
+        lower, upper = self._const_int(bounds[0]), self._const_int(bounds[1])
+        parent, count = self.count_stack[-1], None
+        if parent is not None and lower is not None and upper is not None \
+                and step is not None and step > 0:
+            count = f"({parent}) * {max(0, -((lower - upper) // step))}"
         body = op.body
-        arguments = body.arguments
-        for induction in range(lower, upper, step):
-            env[id(arguments[0])] = induction
-            for argument, value in zip(arguments[1:], carried):
-                env[id(argument)] = value
-            yielded = self._run_block(body, env)
-            if yielded is not None:
-                carried = yielded
-        for result, value in zip(op.results, carried):
-            env[id(result)] = value
+        carried = []
+        for argument, init in zip(body.arguments[1:],
+                                  op.operands[len(bounds):]):
+            kind = self.num(init)
+            array = kind[0] == "a" or self._varies(argument)
+            carried.append((self.fresh("c"), array, kind))
+            self.kinds[id(argument)] = ("a", carried[-1][0], None) if array \
+                else ("s", carried[-1][0])
+        if carried:
+            self.line(f"{', '.join(var for var, _, _ in carried)} = "
+                      + ", ".join(self.arr(kind) if array else kind[1]
+                                  for _, array, kind in carried))
+        induction = self.fresh("i")
+        self.kinds[id(body.arguments[0])] = ("s", induction)
+        self.line(f"for {induction} in range({exprs[0]}, {exprs[1]}"
+                  f"{step_text}):")
+        self.ind += 1
+        self.emit_block(body, True, count,
+                        [(var, array) for var, array, _ in carried])
+        self.ind -= 1
+        for result, argument in zip(op.results, body.arguments[1:]):
+            self.kinds[id(result)] = self.kinds[id(argument)]
 
     # -- memory --------------------------------------------------------------
-    def _eval_alloc(self, op, env) -> None:
+    def _emit_alloc(self, op) -> None:
         from .memory import _numpy_dtype
 
         memref_type = op.results[0].type
-        dtype = _numpy_dtype(memref_type.element_type)
+        element = memref_type.element_type
+        dtype = _numpy_dtype(element)
         if dtype is None:
-            env[id(op.results[0])] = _VCell()
+            # An id cell: its components flow through the emitter.
+            self.kinds[id(op.results[0])] = ("cell", self.fresh("cell"))
             return
         size = memref_type.num_elements()
-        floaty = is_float(memref_type.element_type)
-        elem_bytes = byte_size_of(memref_type.element_type)
-        shape = tuple(memref_type.shape)
-        if memref_type.memory_space == "local" and self.mode == "nd":
-            env[id(op.results[0])] = self._local_tile(
-                shape, dtype, floaty, elem_bytes)
-            return
-        env[id(op.results[0])] = _Store(
-            _np.zeros((size, self.lanes), dtype=dtype), size, shape,
-            floaty, elem_bytes, _PER_ITEM)
-
-    def _eval_dim(self, op, env) -> None:
-        ref = self._val(env, op.operands[0])
-        dim = self._uniform_int(self._val(env, op.operands[1]),
-                                "a dimension operand")
-        if not isinstance(ref, _Store) or ref.shape is None \
-                or not 0 <= dim < len(ref.shape):
-            raise TrapError(f"memref.dim {dim} out of range")
-        env[id(op.results[0])] = int(ref.shape[dim])
-
-    def _position(self, env, target, indices):
-        ref = self._val(env, target)
-        if isinstance(ref, _Store):
-            if ref.shape is None or len(indices) != len(ref.shape):
-                raise JITExecutionError("rank-mismatched memref access")
-            if not ref.shape:
-                return ref, 0
-            idx = [self._val(env, value) for value in indices]
-            for index, extent in zip(idx, ref.shape):
-                if _is_array(index):
-                    if ((index < 0) | (index >= extent)).any():
-                        raise TrapError("memref index out of bounds")
-                elif not 0 <= index < extent:
-                    raise TrapError("memref index out of bounds")
-            position = idx[0]
-            for index, extent in zip(idx[1:], ref.shape[1:]):
-                position = position * int(extent) + index
-            return ref, position
-        if isinstance(ref, _VView):
-            if len(indices) > 1:
-                raise JITExecutionError(
-                    "multi-index access through a view")
-            offset = self._val(env, indices[0]) if indices else 0
-            if ref.checked and not _is_array(offset) and offset == 0:
-                return ref.store, ref.position
-            position = ref.position + offset
-            size = ref.store.size
-            if _is_array(position):
-                if ((position < 0) | (position >= size)).any():
-                    raise TrapError("flat index out of bounds")
-            elif not 0 <= position < size:
-                raise TrapError("flat index out of bounds")
-            return ref.store, position
-        raise JITExecutionError(
-            f"load/store through a {type(ref).__name__} value")
-
-    def _gather(self, store: _Store, position):
-        varying = _is_array(position)
-        if store.varies == _PER_ITEM:
-            value = store.flat[position, self._lane_ix] if varying \
-                else store.flat[position]
-        elif store.varies == _PER_GROUP:
-            value = store.flat[self._group_ix, position]
-        elif varying:
-            value = store.flat[position]
+        if memref_type.memory_space == "local" and self.kind == "nd":
+            launch = self.walk == "launch"
+            layout = f"(_G, {size})" if launch else str(size)
+            varies = _PER_GROUP if launch else _UNIFORM
         else:
-            raw = store.flat[int(position)]
-            return float(raw) if store.is_float else int(raw)
-        # Widen to binary64 / Python-int-equivalent int64 so arithmetic
-        # matches the interpreter's load conversion exactly (``astype``
-        # copies, so a row of a lanes-last store is never aliased).
-        return value.astype(_np.float64) if store.is_float \
-            else value.astype(_np.int64)
+            layout, varies = f"({size}, _L)", _PER_ITEM
+        var = self.fresh("m")
+        self.line(f"{var} = _np.zeros({layout}, "
+                  f"dtype=_np.{_np.dtype(dtype).name})")
+        self.kinds[id(op.results[0])] = ("stor", _Store(
+            var, size, tuple(memref_type.shape), is_float(element),
+            byte_size_of(element), varies))
+
+    def _pos(self, kind) -> Tuple:
+        """``kind`` as a position (a unit-stride array becomes ``u``)."""
+        if kind[0] == "a" and kind[2] is not None:
+            return ("u", self._name(kind[2]), kind[1])
+        return kind
+
+    def _mat(self, position) -> str:
+        """A position's value: its scalar or its lane array."""
+        if position[0] == "u":
+            return self._name(position[2])
+        return position[1]
+
+    def _memo(self, key, make):
+        """``make()``, unless this block or an enclosing one already
+        made ``key`` (scoped CSE: that value is still in scope, that
+        bounds check still holds)."""
+        for memo in self.memo_stack:
+            if key in memo:
+                return memo[key]
+        made = self.memo_stack[-1][key] = make()
+        return made
+
+    def _add(self, a, b) -> Tuple:
+        """The position ``a + b``."""
+        a, b = self._pos(a), self._pos(b)
+        if b[0] != "s" or a == ("s", "0"):
+            a, b = b, a
+        if b[1] == "0":
+            return a
+        return self._memo(("+", a, b), lambda: self._sum(a, b))
+
+    def _sum(self, a, b) -> Tuple:
+        if b[0] != "s":  # both vary per lane
+            return self.bind(None, f"{self._mat(a)} + {self._mat(b)}", True)
+        if a[0] == "s":
+            return ("s", self._name(f"{a[1]} + {b[1]}"))
+        if a[0] == "u":
+            offset = b[1] if a[1] == "0" else self._name(f"{a[1]} + {b[1]}")
+            return ("u", offset, f"{a[2]} + {b[1]}")
+        return self.bind(None, f"{a[1]} + {b[1]}", True)
+
+    def _check(self, position, extent, trap: Optional[str] = None) -> None:
+        """Bounds-check ``position`` against ``[0, extent)``; ``trap`` is
+        the raised expression, by default the flat-index trap naming the
+        first lane out of range."""
+        self._memo(("check", position, extent, trap),
+                   lambda: self._emit_check(position, extent, trap))
+
+    def _emit_check(self, position, extent, trap) -> None:
+        kind, value = position[:2]
+        if kind == "s":
+            self.line(f"if not 0 <= {value} < {extent}: raise "
+                      f"{trap or f'_flat_trap({value}, {extent})'}")
+        elif kind == "u":  # the lanes' positions are value .. value + L-1
+            trap = trap or (f"_flat_trap({value} if {value} < 0 else "
+                            f"max({value}, {extent}), {extent})")
+            self.line(f"if not 0 <= {value} <= {extent} - _L: raise {trap}")
+        else:
+            trap = trap or (f"_flat_trap(_oob({value}, {extent}), "
+                            f"{extent})")
+            self.line(f"if _oob({value}, {extent}) is not None: raise {trap}")
+
+    def _locate(self, target, indices) -> Tuple[_Store, Tuple]:
+        """``(store, position)`` of a load/store, bounds checks emitted."""
+        kind = self.kind_of(target)
+        if kind[0] == "stor":
+            store = kind[1]
+            if len(indices) != len(store.shape):
+                self._raise("_Degrade", "rank-mismatched memref access")
+                return store, ("s", "0")
+            if not indices:
+                return store, ("s", "0")
+            idx = [self._pos(self.num(value)) for value in indices]
+            for index, extent in zip(idx, store.shape):
+                self._check(index, extent,
+                            "_TrapError('memref index out of bounds')")
+            if len(idx) == 1:
+                return store, idx[0]
+            return store, self._memo(("*", tuple(idx), store.shape),
+                                     lambda: self._linear(idx, store.shape))
+        if kind[0] != "view" or len(indices) > 1:
+            raise self.unsup(f"load/store through a {kind[0]} value with "
+                             f"{len(indices)} indices")
+        _, store, base, checked = kind
+        if indices and self.consts.get(id(indices[0])) != 0:
+            position = self._add(self.num(indices[0]), base)
+        elif checked:  # the subscript's own check covers element 0
+            return store, self._pos(base)
+        else:
+            position = self._pos(base)
+        self._check(position, store.size)
+        return store, position
+
+    def _gather(self, result, store: _Store, position) -> None:
+        flat, kind = store.flat, position[0]
+        if store.varies == _UNIFORM:
+            if kind == "s":
+                conv = "float" if store.is_float else "int"
+                self.bind(result, f"{conv}({flat}[{position[1]}])", False)
+                return
+            index = f"{position[1]}:{position[1]} + _L" if kind == "u" \
+                else position[1]
+        elif store.varies == _PER_GROUP:
+            self.used.add("grp")
+            index = f"_grp, {self._mat(position)}"
+        else:
+            index = position[1] if kind == "s" \
+                else f"{self._mat(position)}, _lane"
+        # Widen to binary64 / int64 so arithmetic matches the
+        # interpreter's load conversion exactly (``astype`` copies, so a
+        # row or slice of a storage is never aliased).
+        self.bind(result, f"{flat}[{index}].astype("
+                  f"_np.{'float64' if store.is_float else 'int64'})", True)
 
     def _scatter(self, store: _Store, position, value) -> None:
         # A varying value at one uniform location: the interpreter's
         # item-at-a-time order makes the last lane — of each group for a
-        # work-group-local tile, of the launch otherwise — win.
-        varying = _is_array(position)
-        if store.varies == _PER_ITEM:
-            if varying:
-                store.flat[position, self._lane_ix] = value
+        # work-group-local tile, of the walk otherwise — win.
+        kind, text = position[0], value[1]
+        varying = value[0] == "a"
+        if store.varies == _UNIFORM:
+            if kind == "s":
+                index, text = position[1], f"{text}[-1]" if varying else text
             else:
-                store.flat[position] = value
+                index = f"{position[1]}:{position[1]} + _L" if kind == "u" \
+                    else position[1]
         elif store.varies == _PER_GROUP:
-            if varying:
-                store.flat[self._group_ix, position] = value
+            if kind == "s":
+                index = f":, {position[1]}"
+                if varying:
+                    self.used.add("last")
+                    text = f"{text}[_last]"
             else:
-                store.flat[:, position] = value[self._group_last] \
-                    if _is_array(value) else value
-        elif varying:
-            store.flat[position] = value
-        elif _is_array(value):
-            store.flat[int(position)] = value[-1]
+                self.used.add("grp")
+                index = f"_grp, {self._mat(position)}"
         else:
-            store.flat[int(position)] = value
+            index = position[1] if kind == "s" \
+                else f"{self._mat(position)}, _lane"
+        self.line(f"{store.flat}[{index}] = {text}")
 
     # -- SYCL ids, items and accessors ---------------------------------------
-    def _eval_constructor(self, op, env) -> None:
-        cell = self._val(env, op.operands[0])
-        if not isinstance(cell, _VCell):
-            raise JITExecutionError(
-                "sycl.constructor into a non-cell destination")
-        comps: List[object] = []
-        for operand in op.operands[1:]:
-            value = self._val(env, operand)
-            if not _scalar_int_type(operand.type):
-                value = value.astype(_np.int64) if _is_array(value) \
-                    else int(value)
-            comps.append(value)
-        cell.comps = comps
+    def _dim(self, op):
+        """A query's dimension operand: an int when constant (0 when
+        absent), else its scalar kind."""
+        if len(op.operands) <= 1:
+            return 0
+        constant = self._const_int(op.operands[1])
+        if constant is not None:
+            return constant
+        kind = self.num(op.operands[1])
+        if kind[0] == "a":
+            self._raise("_Degrade", f"a dimension operand varies per "
+                        f"work-item in '{self.fn.sym_name}'")
+            return 0
+        return kind
 
-    def _item_check(self, env, op) -> None:
-        if self._val(env, op.operands[0]) is not _ITEM:
-            raise JITExecutionError(
-                "work-item query on a non-item value")
+    def _select(self, result, values, dim, what: str) -> None:
+        """Bind ``result`` to component ``dim`` of the kinds ``values``."""
+        if isinstance(dim, int):
+            if 0 <= dim < len(values):
+                self.kinds[id(result)] = values[dim]
+            else:
+                self._raise("_TrapError", f"dimension {dim} out of range "
+                            f"for {what} of rank {len(values)}", (result,))
+            return
+        array = any(value[0] == "a" for value in values)
+        items = ", ".join(self.arr(value) if array else value[1]
+                          for value in values)
+        self.bind(result, f"_pick(({items},), {dim[1]}, {what!r})", array)
 
-    def _position_query(self, env, op, values, what: str,
-                        require_local: bool) -> None:
-        self._item_check(env, op)
-        if require_local and self.mode == "basic":
-            raise TrapError("work-group query on a kernel launched "
-                            "without a local range")
-        dim = self._dim_of(env, op)
-        rank = len(values)
-        if not 0 <= dim < rank:
-            raise TrapError(
-                f"dimension {dim} out of range for {what} of rank {rank}")
-        env[id(op.results[0])] = values[dim]
+    def _components(self, value) -> List[Tuple]:
+        kind = self.kind_of(value)
+        if kind[0] in ("s", "a"):
+            return [kind]
+        if kind[0] == "cell" and any(kind[1] in scope
+                                     for scope in self.scopes):
+            return self.cell_comps[kind[1]]
+        # An unconstructed cell traps on the interpreter; one whose
+        # constructor does not dominate the read cannot be tracked.
+        raise self.unsup("id read without a dominating sycl.constructor"
+                         if kind[0] == "cell" else
+                         f"id read of a {kind[0]} value")
 
-    def _linear_query(self, env, op, values, ranges,
-                      require_local: bool) -> None:
-        self._item_check(env, op)
-        if require_local and self.mode == "basic":
-            raise TrapError("work-group query on a kernel launched "
-                            "without a local range")
-        position = values[0] if values else 0
-        for d in range(1, len(values)):
-            position = position * ranges[d] + values[d]
-        env[id(op.results[0])] = position
+    def _emit_sycl(self, op, stat) -> None:
+        name, result = op.name, op.results[0] if op.results else None
+        if name in _ID_QUERIES or name in _RANGE_QUERIES \
+                or name == "sycl.nd_item.get_group":
+            if self.kind_of(op.operands[0])[0] != "item":
+                raise self.unsup("work-item query on a non-item value")
+            needs_local = name == "sycl.nd_item.get_group" or (
+                _ID_QUERIES.get(name) or _RANGE_QUERIES[name])[2]
+            if needs_local and self.kind == "basic":
+                self._raise("_TrapError", _LOCAL_QUERY_TRAP, op.results)
+                return
+        if name in _ID_QUERIES:
+            family, what, _, linear = _ID_QUERIES[name]
+            values = self._lane_ids(family)
+            if not linear:
+                self._select(result, values, self._dim(op), what)
+            elif len(values) == 1:
+                self.kinds[id(result)] = values[0]
+            else:
+                extents = "_GR" if family == "g" else "_LR"
+                body = values[0][1]
+                for d in range(1, len(values)):
+                    body = f"({body}) * {extents}{d} + {values[d][1]}"
+                self.bind(result, body, True)
+        elif name in _RANGE_QUERIES:
+            extents, what, _ = _RANGE_QUERIES[name]
+            dim = self._dim(op)
+            if isinstance(dim, int):
+                self._select(result, [("s", f"{extents}{d}")
+                                      for d in range(self.rank)], dim, what)
+            else:
+                self.bind(result, f"_at({extents}, {dim[1]}, {what!r})",
+                          False)
+        elif name == "sycl.nd_item.get_group":
+            self.kinds[id(result)] = ("item",)
+        elif name == "sycl.group_barrier":
+            if self.kind == "basic":
+                self._raise("_TrapError", "sycl.group_barrier outside "
+                            "work-group execution (launch the kernel with a "
+                            "local range)")
+            else:
+                # Lockstep already synchronizes the lanes: the barrier is
+                # a no-op that only advances the counter.
+                stat.barriers += 1
+        elif name == "sycl.constructor":
+            cell = self.kind_of(op.operands[0])
+            if cell[0] != "cell":
+                raise self.unsup("sycl.constructor into a non-cell "
+                                 "destination")
+            comps = []
+            for operand in op.operands[1:]:
+                comp = self.num(operand)
+                if not _scalar_int_type(operand.type):
+                    comp = self.bind(None, f"{comp[1]}.astype(_np.int64)"
+                                     if comp[0] == "a"
+                                     else f"int({comp[1]})", comp[0] == "a")
+                comps.append(comp)
+            self.scopes[-1].add(cell[1])
+            self.cell_comps[cell[1]] = comps
+        elif name in ("sycl.id.get", "sycl.range.get"):
+            comps = self._components(op.operands[0])
+            self._select(result, comps, self._dim(op), "the id"
+                         if name == "sycl.id.get" else "the range")
+        elif name == "sycl.range.size":
+            comps = self._components(op.operands[0])
+            self.bind(result, " * ".join(f"({comp[1]})" for comp in comps),
+                      any(comp[0] == "a" for comp in comps))
+        else:
+            self._emit_accessor_op(op, name, result)
 
-    def _range_query(self, env, op, ranges, what: str,
-                     require_local: bool) -> None:
-        self._item_check(env, op)
-        if require_local and self.mode == "basic":
-            raise TrapError("work-group query on a kernel launched "
-                            "without a local range")
-        dim = self._dim_of(env, op)
-        rank = len(ranges)
-        if not 0 <= dim < rank:
-            raise TrapError(
-                f"dimension {dim} out of range for {what} of rank {rank}")
-        env[id(op.results[0])] = int(ranges[dim])
+    def _emit_accessor_op(self, op, name, result) -> None:
+        kind = self.kind_of(op.operands[0])
+        if kind[0] != "acc":
+            raise self.unsup(f"accessor operation on a {kind[0]} value")
+        _, var, dims, store = kind
+        if name == "sycl.accessor.get_pointer":
+            self.kinds[id(result)] = ("view", store, ("s", f"{var}_b"), False)
+        elif name == "sycl.accessor.size":
+            self.kinds[id(result)] = ("s", f"{var}_asz")
+        elif name in _ACC_QUERIES:
+            suffix, what = _ACC_QUERIES[name]
+            dim = self._dim(op)
+            if not isinstance(dim, int):
+                self.bind(result, f"_at({var}{suffix}, {dim[1]}, {what!r})",
+                          False)
+                return
+            self._select(result, [("s", f"{var}{suffix}[{d}]")
+                                  for d in range(dims)], dim, what)
+        elif name == "sycl.accessor.subscript":
+            self._emit_subscript(op, var, dims, store, result)
+        else:
+            raise self.unsup(f"operation '{name}'")
 
-    def _acc_of(self, env, value) -> _VAcc:
-        rep = self._val(env, value)
-        if not isinstance(rep, _VAcc):
-            raise JITExecutionError(
-                f"accessor operation on a {type(rep).__name__} value")
-        return rep
+    def _emit_subscript(self, op, var, dims, store, result) -> None:
+        comps = self._components(op.operands[1])
+        if len(comps) != dims:
+            self._raise("_TrapError", f"accessor expects {dims} indices, "
+                        f"got {len(comps)}")
+            self.kinds[id(result)] = ("view", store, ("s", "0"), False)
+            return
+        # An identical subscript of the same accessor addresses the
+        # same, already checked element.
+        self.kinds[id(result)] = self._memo(
+            (var, tuple(comps)), lambda: self._subscript(var, comps, store))
 
-    def _eval_subscript(self, op, env) -> None:
-        acc = self._acc_of(env, op.operands[0])
-        comps = self._components(env, op.operands[1])
-        if len(comps) != acc.dims:
-            raise TrapError(
-                f"accessor expects {acc.dims} indices, got {len(comps)}")
+    def _subscript(self, var, comps, store) -> Tuple:
+        trap = (f"_TrapError('accessor index out of bounds for buffer of "
+                f"shape ' + repr({var}_mr))")
         absolute = []
         for k, comp in enumerate(comps):
-            index = comp + acc.offset[k]
-            extent = acc.mem_range[k]
-            if _is_array(index):
-                if ((index < 0) | (index >= extent)).any():
-                    raise TrapError(
-                        "accessor index out of bounds for buffer of "
-                        "shape " + repr(tuple(acc.mem_range)))
-            elif not 0 <= index < extent:
-                raise TrapError(
-                    "accessor index out of bounds for buffer of shape "
-                    + repr(tuple(acc.mem_range)))
-            absolute.append(index)
-        position = absolute[0]
-        for k in range(1, acc.dims):
-            position = position * int(acc.mem_range[k]) + absolute[k]
-        env[id(op.results[0])] = _VView(acc.store, position, True)
+            absolute.append(self._add(comp, ("s", f"{var}_o{k}")))
+            self._check(absolute[-1], f"{var}_m{k}", trap)
+        position = absolute[0] if len(comps) == 1 else self._linear(
+            absolute, [f"{var}_m{k}" for k in range(len(comps))])
+        return ("view", store, position, True)
+
+    def _linear(self, indices, extents) -> Tuple:
+        """The row-major flat position of ``indices`` into ``extents``."""
+        body = self._mat(indices[0])
+        for index, extent in zip(indices[1:], extents[1:]):
+            body = f"({body}) * {extent} + {self._mat(index)}"
+        return self.bind(None, body, any(index[0] != "s" for index in indices))
+
+
+def compile_vector(function, kind: str, walk: str,
+                   cache: Optional[ExecutableCache] = None,
+                   ) -> CompiledExecutable:
+    """``function``'s executable for a ``basic``/``nd`` launch walked
+    once per ``launch`` or per ``group``, through ``cache`` when given
+    (key tag ``vector<N>:<kind>:<walk>``)."""
+    return compile_cached(
+        function, f"{kind}:{walk}", cache, "vector",
+        lambda: _VectorEmitter(function, kind, walk).emit(),
+        _vector_namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1324,6 @@ class VectorBackend(Backend):
                local_size=None, interpreter=None):
         from .interpreter import Interpreter, LaunchResult
         from .memory import ExecutionCounters
-        from ..runtime.ndrange import NDRange, Range
 
         if _np is None:
             raise TierFallback("vector tier requires NumPy")
@@ -1277,39 +1332,24 @@ class VectorBackend(Backend):
             raise TierFallback(reason)
         interp = interpreter or Interpreter(engine.module,
                                             max_steps=engine.max_steps)
-        global_range = global_size if isinstance(global_size, Range) \
-            else Range(global_size)
-        local_range = group_range = None
-        if local_size is not None:
-            nd_range = NDRange(global_range, local_size if isinstance(
-                local_size, Range) else Range(local_size))
-            local_range = nd_range.local_range
-            group_range = nd_range.group_range
+        global_range, local_range, group_range = launch_ranges(
+            global_size, local_size)
+        kind = "basic" if local_range is None else "nd"
+        walk = "group" if per_group is not None and kind == "nd" \
+            else "launch"
+        executable = compile_for_engine(engine, "vector", compile_vector,
+                                        function, kind, walk)
         plan = interp._bind_arguments(function, values)
         counters = ExecutionCounters()
-        runner = _Lockstep(function, counters, engine.max_steps,
-                           per_group=per_group is not None)
-        try:
-            runner.launch(plan, tuple(global_range),
-                          tuple(local_range) if local_range else None,
-                          tuple(group_range) if group_range else None)
-        except (TrapError, TierFallback):
-            raise
-        except OverflowError as error:
-            raise TrapError(
-                f"value exceeds the range of the storage element: "
-                f"{error}") from None
-        except InterpreterError:
-            raise
-        except Exception as error:  # noqa: BLE001 - degradation boundary
-            raise JITExecutionError(
-                f"vectorized execution of '{function.sym_name}' failed: "
-                f"{error!r}") from error
+        run_executable(executable, function,
+                       [None if entry[0] == "item" else entry[1]
+                        for entry in plan], global_range, local_range,
+                       group_range, counters, engine.max_steps)
         _merge_counters(interp.counters, counters)
-        if per_group is not None and local_range is not None:
+        if walk == "group":
             engine._remark(f"vector: per-group walk for "
                            f"'{function.sym_name}': {per_group}")
-        return LaunchResult(function.sym_name, global_range.size(),
+        return LaunchResult(function.sym_name, math.prod(global_range),
                             counters)
 
     def call(self, engine, function, values, interpreter=None):

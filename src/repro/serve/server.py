@@ -3,8 +3,8 @@
 Architecture: a :class:`CompileService` owns the state worth keeping
 alive — one two-tier :class:`~repro.transforms.CompileCache` (optionally
 backed by an on-disk :class:`~repro.transforms.DiskCache`), one
-daemon-wide :class:`~repro.interp.jit.ExecutableCache` serving the
-``execute`` method's JIT tier, one shared
+daemon-wide :class:`~repro.interp.jit_runtime.ExecutableCache` serving the
+``execute`` method's vector and JIT tiers, one shared
 :class:`~repro.analysis.AnalysisManager` (internally locked, so every
 request thread talks to the same instance), and a pool of constructed
 :class:`~repro.transforms.PassManager` instances keyed by canonical
@@ -123,7 +123,7 @@ class CompileService:
         # Daemon-wide executable cache for the "execute" method: keyed
         # by structural fingerprint, so re-executing the same kernel
         # text across requests (and connections) skips Python codegen.
-        from ..interp.jit import ExecutableCache
+        from ..interp.jit_runtime import ExecutableCache
 
         self.executables = ExecutableCache(disk=disk)
         self.analysis_manager = AnalysisManager()

@@ -31,8 +31,9 @@ from repro.interp.engine import (
     register_executor,
     registered_executors,
 )
-from repro.interp.jit import ExecutableCache, _Emitter, compile_executable
-from repro.interp.vectorize import vector_legality
+from repro.interp.jit import _Emitter, compile_executable
+from repro.interp.jit_runtime import ExecutableCache
+from repro.interp.vectorize import compile_vector, vector_legality
 from repro.transforms.disk_cache import DiskCache
 
 from .helpers import (
@@ -204,14 +205,14 @@ class TestExecutableCache:
         """A disk entry holds generated source.  One written under the
         pre-versioning tag (``jit:<mode>``) still compiles, so only the
         key can keep a newer emitter from running it."""
-        from repro.interp.jit import EMITTER_VERSION
+        from repro.interp.jit_runtime import EMITTER_VERSIONS
 
         module, specs = build_gemm_module(size=4, work_group=2)
         function = module.lookup_symbol("gemm")
         disk = DiskCache(str(tmp_path / "cache"))
         cache = ExecutableCache(disk=disk)
         fingerprint, tag = cache.key_for(function, "nd")
-        assert tag == f"jit{EMITTER_VERSION}:nd"
+        assert tag == f"jit{EMITTER_VERSIONS['jit']}:nd"
         stale = ("def _run(_args, _GR, _LR, _PR, _counters, _max_steps):\n"
                  "    return None  # an older emitter's idea of this kernel\n")
         assert disk.store((fingerprint, "jit:nd"), stale)
@@ -267,6 +268,22 @@ class TestFaultDegradation:
         assert execution.tier == "interp"
         assert any("jit" in r for r in engine.remarks)
         compare_executions(baseline, execution)
+
+    def test_corrupt_vector_compile_runs_on_the_jit(self):
+        module, specs = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        resolved = synthesize_spec(function, specs["gemm"])
+        baseline = self._baseline(module, function, resolved)
+        engine = ExecutionEngine(module, tier="auto")
+        with fault_plan("vector.compile=corrupt"):
+            execution = engine.execute(function, resolved)
+        assert execution.tier == "jit"
+        assert any(r.startswith("tier 'vector' degraded for 'gemm'") and
+                   "injected corrupt vector executable" in r
+                   for r in engine.remarks)
+        compare_executions(baseline, execution)
+        # The poisoned executable was never cached: the next run compiles.
+        assert engine.execute(function, resolved).tier == "vector"
 
     def test_transient_exec_falls_back_with_remark(self):
         module, specs = build_gemm_module(size=4, work_group=2)
@@ -1168,6 +1185,27 @@ class TestWholeLaunchLockstep:
         assert messages["interp"] == "division by zero in 'arith.remsi'"
         assert messages["vector"] == messages["jit"] == messages["interp"]
 
+        # One element past the end of a unit-stride access (the vector
+        # tier's slice path): the interpreter's text on every tier, for a
+        # basic and an ND-range launch.
+        from repro.frontend.kernel_builder import AccessorParam, KernelSource
+        from repro.interp import ExecutionSpec
+        from repro.ir import f32
+        from repro.transforms import build_named_pipeline
+
+        for uses_nd_item, local_size in ((False, None), (True, (3,))):
+            source = KernelSource(
+                "past", body=copy, nd_range_dims=1, uses_nd_item=uses_nd_item,
+                accessors=[AccessorParam("a", 1, f32(), "read"),
+                           AccessorParam("out", 1, f32(), "write")])
+            module = wrap_in_module(source.build())
+            build_named_pipeline("sycl-mlir").run(module)
+            messages = _trap_on_every_tier(module, "past", ExecutionSpec(
+                global_size=(9,), local_size=local_size,
+                buffers={"a": (8,), "out": (9,)}))
+            assert set(messages.values()) == {
+                "flat index 8 out of bounds for memref of 8 elements"}
+
         # The step budget: 12 items x 8 iterations cannot fit in 200.
         module = _triangular_kernel(lambda k: 8)
         messages = _trap_on_every_tier(
@@ -1176,20 +1214,16 @@ class TestWholeLaunchLockstep:
             assert messages[tier].startswith(
                 "exceeded the interpreter step budget (200 ops)"), tier
 
-    def test_walk_count_is_independent_of_the_group_count(self, monkeypatch):
-        """Clock-free scaling: with launch-uniform bounds the body is
-        walked once however many work-groups the launch has; a bound on
-        the group id costs one walk per group."""
-        from repro.interp.vectorize import _Lockstep
-
+    def test_walk_count_is_independent_of_the_group_count(self):
+        """Clock-free scaling: with launch-uniform bounds the generated
+        body (its ``_walk`` function) runs once however many work-groups
+        the launch has; a bound on the group id costs one walk per
+        group."""
         calls = []
-        original = _Lockstep._eval_op
 
-        def counting(self, op, env):
-            calls.append(op.name)
-            return original(self, op, env)
-
-        monkeypatch.setattr(_Lockstep, "_eval_op", counting)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "_walk":
+                calls.append(frame.f_code.co_filename)
 
         def tiled(k):
             tile = _local_tile(k, 4)
@@ -1203,9 +1237,15 @@ class TestWholeLaunchLockstep:
 
         def walked(module, name, groups):
             del calls[:]
-            run = ExecutionEngine(module, tier="vector").run(
-                name, _nd_spec(groups, 4, a=None, out=None))
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                run = ExecutionEngine(module, tier="vector").run(
+                    name, _nd_spec(groups, 4, a=None, out=None))
+            finally:
+                sys.setprofile(previous)
             assert run.tier == "vector"
+            assert set(calls) == {f"<repro-jit:{name}>"}
             return len(calls)
 
         module = _nd_kernel("tiled", tiled,
@@ -1231,6 +1271,104 @@ class TestWholeLaunchLockstep:
         after = engine.execute(function, resolved)
         assert after.tier == "jit"
         assert not any("degraded" in remark for remark in engine.remarks)
+
+
+class TestVectorCompiledOnce:
+    """The vector tier's executables: cached like the JIT's, and the
+    unit-stride slice path."""
+
+    def test_a_second_engine_on_an_identical_kernel_hits_memory(self):
+        module, specs = build_gemm_module(size=4, work_group=2)
+        cache = ExecutableCache()
+        engine = ExecutionEngine(module, tier="vector", executable_cache=cache)
+        first = engine.run("gemm", specs["gemm"])
+        assert first.tier == "vector" and engine.remarks == []
+        clone = module.clone({})
+        executable = compile_vector(clone.lookup_symbol("gemm"), "nd",
+                                    "launch", cache)
+        assert executable.origin == "memory"
+        second = ExecutionEngine(clone, tier="vector",
+                                 executable_cache=cache).run(
+            "gemm", specs["gemm"])
+        assert cache.stats["stores"] == 1 and cache.stats["hits"] == 2
+        compare_executions(first, second)
+        assert second.counters == first.counters
+
+    def test_a_disk_cache_rehydrates_vector_source(self, tmp_path):
+        module, specs = build_gemm_module(size=4, work_group=2)
+        warm = ExecutableCache(disk=DiskCache(str(tmp_path / "cache")))
+        baseline = ExecutionEngine(module, tier="vector",
+                                   executable_cache=warm).run(
+            "gemm", specs["gemm"])
+        assert warm.stats["disk_stores"] == 1
+        cold = ExecutableCache(disk=DiskCache(str(tmp_path / "cache")))
+        executable = compile_vector(module.lookup_symbol("gemm"), "nd",
+                                    "launch", cold)
+        assert executable.origin == "disk" and cold.stats["disk_hits"] == 1
+        rerun = ExecutionEngine(module, tier="vector",
+                                executable_cache=cold).run(
+            "gemm", specs["gemm"])
+        assert rerun.tier == "vector"
+        compare_executions(baseline, rerun)
+
+    def test_vector_and_jit_executables_do_not_collide(self):
+        module, specs = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        cache = ExecutableCache()
+        from repro.interp.jit_runtime import EMITTER_VERSIONS
+
+        fingerprint, _ = cache.key_for(function, "nd")
+        assert cache.key_for(function, "nd:launch", "vector") == (
+            fingerprint, f"vector{EMITTER_VERSIONS['vector']}:nd:launch")
+        runs = {}
+        for tier in ("jit", "vector", "jit", "vector"):
+            runs[tier] = ExecutionEngine(
+                module, tier=tier, executable_cache=cache).run(
+                "gemm", specs["gemm"])
+            assert runs[tier].tier == tier
+        assert cache.describe()["entries"] == 2
+        assert cache.stats["stores"] == 2 and cache.stats["hits"] == 2
+        compare_executions(runs["jit"], runs["vector"])
+
+    def test_unit_stride_access_on_a_ranged_accessor(self):
+        """``out[i] = 2 a[i] + i`` with ranged accessors (offsets 3 and
+        1): slices on the vector tier, and the interpreter's buffers and
+        counters."""
+        import numpy as np
+
+        from repro.frontend.kernel_builder import AccessorParam, KernelSource
+        from repro.ir import f32
+        from repro.runtime import Accessor, Buffer
+        from repro.transforms import build_named_pipeline
+
+        def body(k):
+            i = k.global_id(0)
+            k.store("out", [i], k.load("a", [i]) * 2.0 + i.to_float())
+
+        source = KernelSource(
+            "shift", body=body, nd_range_dims=1, uses_nd_item=False,
+            accessors=[AccessorParam("a", 1, f32(), "read"),
+                       AccessorParam("out", 1, f32(), "read_write")])
+        module = wrap_in_module(source.build())
+        build_named_pipeline("sycl-mlir").run(module)
+        executable = compile_vector(module.lookup_symbol("shift"), "basic",
+                                    "launch")
+        assert executable.source.count(" + _L]") == 2  # one load, one store
+        results = {}
+        for tier in TIERS:
+            a = Buffer(np.arange(16, dtype=np.float32) * 0.75)
+            out = Buffer(np.full(16, -1.0, dtype=np.float32))
+            engine = ExecutionEngine(module, tier=tier)
+            launch = engine.launch("shift", [
+                Accessor(a, "read", access_range=(10,), offset=(3,)),
+                Accessor(out, "read_write", access_range=(10,), offset=(1,)),
+            ], (10,))
+            assert engine.remarks == [], tier
+            results[tier] = (out.host_array().tolist(),
+                             launch.counters.as_dict())
+        assert results["vector"] == results["interp"] == results["jit"]
+        assert results["interp"][0][1:11] == [
+            2 * 0.75 * (i + 3) + i for i in range(10)]
 
 
 class TestEngineReuse:

@@ -168,6 +168,19 @@ class TestTiersLoadWhenReached:
         assert self._stdout_without_tier(jit[1]) \
             == self._stdout_without_tier(interp[1])
 
+    def test_the_vector_tier_never_loads_the_jit(self, tmp_path, gemm_path):
+        """The vector tier compiles its own executable: the JIT's emitter,
+        ~1 500 lines a no-bytecode process would compile, stays unread."""
+        argv = ["run", str(gemm_path), *GEMM_ARGS]
+        vector = _probe(tmp_path, *argv, "--tier", "vector")
+        interp = _probe(tmp_path, *argv, "--tier", "interp")
+        assert vector[0] == interp[0] == 0, vector[2] + interp[2]
+        assert "[tier: vector]" in vector[1]
+        assert "repro.interp.vectorize" in vector[3]
+        assert "repro.interp.jit" not in vector[3]
+        assert self._stdout_without_tier(vector[1]) \
+            == self._stdout_without_tier(interp[1])
+
     def test_a_divergent_kernel_reaches_the_jit_at_auto(
             self, tmp_path, divergent_path):
         argv = ["run", str(divergent_path), "--global-size", "4x4",
