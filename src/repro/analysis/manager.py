@@ -10,9 +10,10 @@ Passes request analyses by class —
 — and the manager constructs, caches and invalidates them:
 
 * results are cached per ``(analysis class, anchor op)`` and tagged with
-  the anchor's structural fingerprint at construction time; a lookup whose
-  fingerprint no longer matches is a miss (the safety net under passes
-  that mutate without declaring it);
+  the anchor's version stamp at construction time
+  (:func:`~repro.ir.operations.version_stamp`); a lookup after an edit
+  inside the anchor's function or module is a miss (the safety net under
+  passes that mutate without declaring it);
 * after a pass runs on an anchor, :meth:`invalidate` evicts every cached
   analysis whose anchor is that op, one of its ancestors or one of its
   descendants — *except* the classes the pass declares in
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from ..ir import Operation
-from ..ir.fingerprint import fingerprint
+from ..ir.operations import version_stamp
 
 #: Sentinel for ``Pass.preserves()``: every cached analysis survives.
 ALL_ANALYSES = object()
@@ -44,12 +45,12 @@ ALL_ANALYSES = object()
 class _Entry:
     """One cached analysis result, pinned to its anchor op."""
 
-    __slots__ = ("analysis", "anchor", "fingerprint")
+    __slots__ = ("analysis", "anchor", "stamp")
 
-    def __init__(self, analysis: Any, anchor: Operation, digest: str):
+    def __init__(self, analysis: Any, anchor: Operation, stamp: Optional[int]):
         self.analysis = analysis
         self.anchor = anchor
-        self.fingerprint = digest
+        self.stamp = stamp
 
 
 def _construct(analysis_cls: Type, anchor: Operation) -> Any:
@@ -87,29 +88,29 @@ class AnalysisManager:
     # -- queries -----------------------------------------------------------
     def get(self, analysis_cls: Type, anchor: Operation) -> Any:
         """The (cached) ``analysis_cls`` result anchored at ``anchor``."""
-        key = (analysis_cls, id(anchor))
-        digest = fingerprint(anchor)
+        analysis = self.get_cached(analysis_cls, anchor)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.anchor is anchor \
-                    and entry.fingerprint == digest:
+            if analysis is not None:
                 self.hits += 1
-                return entry.analysis
+                return analysis
             self.misses += 1
+        stamp = version_stamp(anchor)
         analysis = _construct(analysis_cls, anchor)
         with self._lock:
-            self._entries[key] = _Entry(analysis, anchor, digest)
+            self._entries[(analysis_cls, id(anchor))] = _Entry(analysis, anchor, stamp)
         return analysis
 
     def get_cached(self, analysis_cls: Type,
                    anchor: Operation) -> Optional[Any]:
-        """The cached result if present and fresh; never constructs."""
-        key = (analysis_cls, id(anchor))
+        """The cached result if present and fresh — nothing around its
+        anchor edited since, and an anchor no stamp vouches for never
+        is; never constructs."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get((analysis_cls, id(anchor)))
         if entry is None or entry.anchor is not anchor:
             return None
-        if entry.fingerprint != fingerprint(anchor):
+        stamp = version_stamp(anchor)
+        if stamp is None or entry.stamp != stamp:
             return None
         return entry.analysis
 

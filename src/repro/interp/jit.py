@@ -65,7 +65,7 @@ from typing import Dict, List, Optional
 
 from ..faults import TransientFault, fault_point
 from ..ir import MemRefType, is_float
-from ..ir.operations import mutation_clock
+from ..ir.operations import op_memo
 from .engine import Backend, TierFallback, register_executor
 from .jit_runtime import (  # noqa: F401 - the error types are this tier's API
     ExecutableCache,
@@ -1396,23 +1396,13 @@ def compile_executable(function, mode: str,
 # The backend
 # ---------------------------------------------------------------------------
 
-#: ``id(function)`` -> whether its body contains a group barrier (the
-#: walk is per-launch overhead otherwise), valid only for the recorded
-#: mutation clock, as ``vectorize._LEGALITY_MEMO`` is: building a new
-#: function bumps the clock, so neither an in-place edit nor a recycled
-#: ``id`` can be answered from an old entry.
-_BARRIER_MEMO: Dict[str, object] = {"clock": -1, "answers": {}}
-
-
 def _contains_barrier(function) -> bool:
-    clock = mutation_clock()
-    if _BARRIER_MEMO["clock"] != clock:
-        _BARRIER_MEMO["clock"] = clock
-        _BARRIER_MEMO["answers"] = {}
-    answers = _BARRIER_MEMO["answers"]
-    cached = answers.get(id(function))
+    """Whether ``function``'s body holds a group barrier, memoized on it
+    until it is edited (the walk is per-launch overhead otherwise)."""
+    memo = op_memo(function)
+    cached = memo.get("has-barrier")
     if cached is None:
-        cached = answers[id(function)] = any(
+        cached = memo["has-barrier"] = any(
             op.name == "sycl.group_barrier" for op in function.walk())
     return cached
 

@@ -13,7 +13,6 @@ accepts never pays for the JIT.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import TransientFault, fault_point
 from ..ir import IndexType, IntegerType
+from ..ir.operations import op_memo
 from .engine import TierFallback
 from .memory import (
     BARRIER,
@@ -434,8 +434,6 @@ class ExecutableCache:
         self.disk = disk
         self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
             = OrderedDict()
-        self._keys_by_id: Dict[Tuple[int, str],
-                               Tuple["weakref.ref", int, Tuple]] = {}
         self.stats = {"hits": 0, "misses": 0, "stores": 0,
                       "disk_hits": 0, "disk_stores": 0}
 
@@ -443,29 +441,20 @@ class ExecutableCache:
                 tier: str = "jit") -> Tuple[str, str]:
         """The cache key of ``function`` under ``tier`` and ``mode``.
 
-        Memoized per function object until the IR mutates — printing
-        the IR on every launch would cost more than small kernels take
-        to run, and a key that outlived an in-place edit would run the
-        old code.  The memo refers to the function weakly (a dead
-        reference can never be mistaken for the live function that
-        reuses its ``id``): a server parses a new module per request,
-        and a strong reference here kept every one of them alive.
+        Memoized on the function until it is edited (shared by every
+        cache): printing the IR on every launch would cost more than
+        small kernels take to run, and a key that outlived an in-place
+        edit would run the old code.
         """
         from ..ir import Printer
-        from ..ir.operations import mutation_clock
         from ..transforms.compile_cache import text_fingerprint
 
         tag = f"{tier}{EMITTER_VERSIONS[tier]}:{mode}"
-        memo_key = (id(function), tag)
-        memo = self._keys_by_id.get(memo_key)
-        clock = mutation_clock()
-        if memo is not None and memo[0]() is function and memo[1] == clock:
-            return memo[2]
-        printed = Printer().print_op_to_string(function)
-        key = (text_fingerprint(printed), tag)
-        if len(self._keys_by_id) > 4 * self.max_entries:
-            self._keys_by_id.clear()
-        self._keys_by_id[memo_key] = (weakref.ref(function), clock, key)
+        memo = op_memo(function)
+        key = memo.get(tag)
+        if key is None:
+            printed = Printer().print_op_to_string(function)
+            key = memo[tag] = (text_fingerprint(printed), tag)
         return key
 
     def lookup(self, key) -> Optional[CompiledExecutable]:

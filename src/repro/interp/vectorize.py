@@ -37,7 +37,7 @@ from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import MemRefType, Trait, has_trait, is_float
-from ..ir.operations import mutation_clock
+from ..ir.operations import op_memo
 from .engine import Backend, TierFallback, register_executor
 from .jit_runtime import (
     CompiledExecutable,
@@ -152,31 +152,23 @@ _GROUP_ID_OPS = ("sycl.nd_item.get_group_id", "sycl.group.get_group_id")
 #: Loop op -> how many leading operands are its bounds (and step).
 _FOR_BOUNDS = {"scf.for": 3, "affine.for": 2}
 
-#: ``id(function) -> (decline reason, per-group-walk reason)``, valid
-#: only for the recorded mutation clock: any IR mutation flushes it, so
-#: an in-place pass can never leave a stale verdict (or a recycled id).
-_LEGALITY_MEMO: Dict[str, object] = {"clock": -1, "verdicts": {}}
-
 
 def vector_legality(function) -> Optional[str]:
     """``None`` when ``function`` is lockstep-vectorizable, else the
-    human-readable reason it is not (memoized until the IR mutates)."""
+    human-readable reason it is not (memoized until the function is
+    edited)."""
     return _legality(function)[0]
 
 
 def _legality(function) -> Tuple[Optional[str], Optional[str]]:
     """``(decline reason, per-group-walk reason)`` of ``function``: at
     most one is set; both ``None`` selects the one whole-launch walk."""
-    clock = mutation_clock()
-    if _LEGALITY_MEMO["clock"] != clock:
-        _LEGALITY_MEMO["clock"] = clock
-        _LEGALITY_MEMO["verdicts"] = {}
-    verdict = _LEGALITY_MEMO["verdicts"].get(id(function))
+    memo = op_memo(function)
+    verdict = memo.get("vector-legality")
     if verdict is None:
         reason = _compute_legality(function)
-        verdict = (reason, None) if reason is not None \
-            else _walk_verdict(function)
-        _LEGALITY_MEMO["verdicts"][id(function)] = verdict
+        verdict = memo["vector-legality"] = (reason, None) \
+            if reason is not None else _walk_verdict(function)
     return verdict
 
 

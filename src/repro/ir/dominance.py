@@ -7,22 +7,17 @@ ancestor of (or equal to) B's block?".  After ``convert-scf-to-cf``
 function bodies become genuine multi-block CFGs built from ``cf.br`` /
 ``cf.cond_br``; for those, per-region block dominator sets are computed
 with the classic iterative data-flow algorithm (``dom(entry) = {entry}``,
-``dom(b) = {b} ∪ ⋂ dom(preds(b))``) and memoized against the global
-:func:`~repro.ir.operations.mutation_clock`.
+``dom(b) = {b} ∪ ⋂ dom(preds(b))``) and memoized on the region's
+operation (:func:`~repro.ir.operations.op_memo`) until an edit moves the
+enclosing function's version stamp.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from .operations import Block, Operation, Region, mutation_clock
+from .operations import Block, Operation, Region, op_memo
 from .values import BlockArgument, Value
-
-#: Memoized per-region dominator sets: ``id(region) -> {id(block) ->
-#: {id(dominator block)}}``, valid only for the recorded mutation clock.
-#: Any IR mutation bumps the clock and flushes the whole cache, so stale
-#: regions (or recycled ids) can never be consulted.
-_DOM_CACHE: Dict[str, object] = {"clock": -1, "regions": {}}
 
 
 def _dominator_sets(region: Region) -> Dict[int, Set[int]]:
@@ -33,11 +28,10 @@ def _dominator_sets(region: Region) -> Dict[int, Set[int]]:
     queries about them conservatively permissive — the verifier will not
     reject uses in code no execution can reach.
     """
-    clock = mutation_clock()
-    if _DOM_CACHE["clock"] != clock:
-        _DOM_CACHE["clock"] = clock
-        _DOM_CACHE["regions"] = {}
-    cached = _DOM_CACHE["regions"].get(id(region))
+    # The op holds the region, so its id is not reused while memoized.
+    memo = op_memo(region.parent)
+    key = ("dominators", id(region))
+    cached = memo.get(key)
     if cached is not None:
         return cached
 
@@ -70,7 +64,7 @@ def _dominator_sets(region: Region) -> Dict[int, Set[int]]:
                 dom[bid] = new
                 changed = True
 
-    _DOM_CACHE["regions"][id(region)] = dom
+    memo[key] = dom
     return dom
 
 

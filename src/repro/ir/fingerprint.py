@@ -8,11 +8,10 @@ equal fingerprints iff they are structurally identical; SSA *name hints*
 (``%x`` vs ``%0``) and object identities do not participate, so the
 fingerprint is stable across parses, clones and process restarts.
 
-This is the key of the :class:`repro.transforms.compile_cache.CompileCache`:
-``(module fingerprint, pipeline spec)`` identifies a compile, so repeated
-compiles of identical IR short-circuit.  ``ignore_attrs`` lets callers
-widen the equivalence classes — e.g. hashing a function modulo its
-``sym_name`` to recognize bodies duplicated under different names.
+It answers name-insensitive equivalence queries (the compile cache keys
+on the printed form instead, see :func:`module_fingerprint`);
+``ignore_attrs`` widens the classes — e.g. a function modulo its
+``sym_name`` recognizes bodies duplicated under different names.
 """
 
 from __future__ import annotations
@@ -125,30 +124,13 @@ def fingerprint(op: "Operation",
     hashes the SSA name hints, distinguishing textually different
     spellings of structurally identical IR.
 
-    Digests are memoized on the root op against the global structural
-    mutation clock (:func:`repro.ir.operations.mutation_clock`): bursts
-    of fingerprint queries between mutations — the AnalysisManager's hit
-    path validates every ``get`` this way — hash each subtree once.  Any
-    mutation anywhere invalidates every memo, which is conservative but
-    never stale.
+    Not memoized: the compiler validates cached facts on version stamps
+    (:func:`repro.ir.operations.version_stamp`), not on fingerprints.
     """
-    from .operations import mutation_clock
-
-    key = (frozenset(ignore_attrs), include_name_hints)
-    now = mutation_clock()
-    memo = getattr(op, "_fingerprint_memo", None)
-    if memo is not None and memo[0] == now:
-        digest = memo[1].get(key)
-        if digest is not None:
-            return digest
-    encoder = _Encoder(key[0], include_name_hints=include_name_hints)
+    encoder = _Encoder(frozenset(ignore_attrs),
+                       include_name_hints=include_name_hints)
     encoder.encode_op(op)
-    digest = encoder.digest()
-    if memo is None or memo[0] != now:
-        memo = (now, {})
-        op._fingerprint_memo = memo
-    memo[1][key] = digest
-    return digest
+    return encoder.digest()
 
 
 def module_fingerprint(module: "Operation") -> str:

@@ -8,6 +8,7 @@ hold host and device code side by side (paper, Section III).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type as PyType
 
 from . import concurrency
@@ -22,27 +23,61 @@ class IRError(Exception):
     """Raised for malformed IR manipulations."""
 
 
-#: Global structural-mutation clock.  Every mutation that can change a
-#: structural fingerprint — (un)linking an operation, rewiring an operand,
-#: touching attributes, block arguments or region lists — bumps it, so
-#: read-heavy layers (fingerprint memoization, and through it the
-#: AnalysisManager's hit path) can validate cached derived data with one
-#: integer compare instead of an O(n) re-hash.  Like ``_index_cache``,
-#: the contract is "bursts of queries between mutations pay once".  The
-#: counter is monotone; concurrent mutation is already restricted to
-#: disjoint functions by the jobs=N write guard, which keeps the
-#: increment-race window irrelevant for any fingerprint a worker can see.
-_MUTATION_CLOCK = 0
+#: The last version stamp handed out.  Every edit — (un)linking an op,
+#: rewiring an operand, writing attributes, block arguments, region
+#: lists or a name hint — draws the next one and writes it to each
+#: isolated-from-above op around the edit, so a function's or module's
+#: stamp moves exactly when something inside it changes.  Under jobs=N
+#: the write guard keeps workers to disjoint functions; the module stamp
+#: they share moves whichever increment wins a race.
+_LAST_STAMP = 0
 
 
-def mutation_clock() -> int:
-    """Current value of the structural-mutation clock."""
-    return _MUTATION_CLOCK
+def _touch(op: Optional["Operation"]) -> None:
+    """Give ``op`` and each op around it that is isolated from above a
+    fresh version stamp (runs on every edit: no calls inside)."""
+    global _LAST_STAMP
+    _LAST_STAMP += 1
+    stamp = _LAST_STAMP
+    while op is not None:
+        if op._ISOLATED:
+            op._stamp = stamp
+        block = op.parent
+        if block is None:
+            return
+        region = block.parent
+        if region is None:
+            return
+        op = region.parent
 
 
-def _bump_mutation_clock() -> None:
-    global _MUTATION_CLOCK
-    _MUTATION_CLOCK += 1
+def version_stamp(op: Optional["Operation"]) -> Optional[int]:
+    """The stamp of the nearest isolated-from-above op around ``op`` (or
+    ``op`` itself), or ``None`` when none encloses it."""
+    while op is not None and not op._ISOLATED:
+        region = op.parent.parent if op.parent is not None else None
+        op = region.parent if region is not None else None
+    return op._stamp if op is not None else None
+
+
+#: anchor op -> (the version stamp its facts were derived at, facts).
+_MEMOS: "weakref.WeakKeyDictionary[Operation, Tuple[int, Dict]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def op_memo(op: Optional["Operation"]) -> Dict:
+    """The facts memoized on ``op``, a dict each user keys its own way,
+    emptied when :func:`version_stamp` of ``op`` moves and dropped with
+    ``op``.  A fact that reads beyond ``op``'s function (a symbol lookup)
+    belongs on the module.  An op no stamp vouches for gets a fresh
+    dict nothing remembers."""
+    stamp = version_stamp(op)
+    if stamp is None:
+        return {}
+    entry = _MEMOS.get(op)
+    if entry is None or entry[0] != stamp:
+        entry = _MEMOS[op] = (stamp, {})
+    return entry[1]
 
 
 #: The one empty container every operation without operands, results,
@@ -64,14 +99,21 @@ class Operation:
 
     OPERATION_NAME: str = "builtin.unregistered"
     TRAITS: frozenset = frozenset()
+    #: ``Trait.ISOLATED_FROM_ABOVE`` as a plain class attribute (read on
+    #: every edit).
+    _ISOLATED: bool = False
 
     #: The IR fields live in slots; ``__dict__`` stays for state a
     #: subclass (or the parser, naming an unregistered op) adds, and is
     #: only created for an instance that has some.
     __slots__ = ("_operands", "results", "attributes", "regions",
                  "successors", "parent", "_prev", "_next", "_order",
-                 "_location", "_offset",
+                 "_location", "_offset", "_stamp",
                  "__dict__", "__weakref__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._ISOLATED = Trait.ISOLATED_FROM_ABOVE in cls.TRAITS
 
     def __init__(self,
                  operands: Sequence[Value] = (),
@@ -105,6 +147,8 @@ class Operation:
         #: asked for.
         self._location = None
         self._offset = 0
+        #: See :func:`version_stamp` (written on isolated ops only).
+        self._stamp = 0
         for index, value in enumerate(self._operands):
             if not isinstance(value, Value):
                 raise IRError(f"operand of {self.OPERATION_NAME} must be a "
@@ -145,7 +189,7 @@ class Operation:
     def set_operand(self, index: int, value: Value) -> None:
         if concurrency._ACTIVE_GUARD is not None:
             concurrency._ACTIVE_GUARD.check_op(self)
-        _bump_mutation_clock()
+        _touch(self)
         old = self._operands[index]
         old.remove_use(self, index)
         self._operands[index] = value
@@ -157,7 +201,7 @@ class Operation:
                 self.set_operand(i, new)
 
     def drop_all_uses_of_operands(self) -> None:
-        _bump_mutation_clock()
+        _touch(self)
         for i, operand in enumerate(self._operands):
             operand.remove_use(self, i)
         self._operands = _EMPTY
@@ -189,11 +233,11 @@ class Operation:
         return self.attributes.get(name, default)
 
     def set_attr(self, name: str, attr: Attribute) -> None:
-        _bump_mutation_clock()
+        _touch(self)
         self.attributes[name] = attr
 
     def remove_attr(self, name: str) -> None:
-        _bump_mutation_clock()
+        _touch(self)
         self.attributes.pop(name, None)
 
     def get_int_attr(self, name: str, default: Optional[int] = None) -> Optional[int]:
@@ -240,7 +284,7 @@ class Operation:
 
     def add_region(self, region: Optional["Region"] = None) -> "Region":
         """Append ``region`` (default: a new empty one) to this operation."""
-        _bump_mutation_clock()
+        _touch(self)
         if region is None:
             region = Region()
         region.parent = self
@@ -445,13 +489,13 @@ class Block:
 
     # -- arguments ----------------------------------------------------------
     def add_argument(self, type_: Type, name_hint: Optional[str] = None) -> BlockArgument:
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         arg = BlockArgument(self, len(self.arguments), type_, name_hint)
         self.arguments.append(arg)
         return arg
 
     def erase_argument(self, index: int) -> None:
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         arg = self.arguments[index]
         if arg.has_uses():
             raise IRError("cannot erase block argument that still has uses")
@@ -486,7 +530,7 @@ class Block:
     def append(self, op: Operation) -> Operation:
         if concurrency._ACTIVE_GUARD is not None:
             concurrency._ACTIVE_GUARD.check_block(self)
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         op.detach()
         op.parent = self
         op._prev = self._last
@@ -524,7 +568,7 @@ class Block:
             raise IRError("insertion anchor is not in this block")
         if op is anchor:
             return op  # inserting before itself is a no-op
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         op.detach()
         op.parent = self
         prev = anchor._prev
@@ -551,7 +595,7 @@ class Block:
         """Remove ``op`` from the intrusive list (O(1))."""
         if concurrency._ACTIVE_GUARD is not None:
             concurrency._ACTIVE_GUARD.check_block(self)
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         prev, nxt = op._prev, op._next
         if prev is not None:
             prev._next = nxt
@@ -601,7 +645,7 @@ class Block:
 
     def erase_all_ops(self) -> None:
         """Erase all operations, dropping uses (used when erasing regions)."""
-        _bump_mutation_clock()
+        _touch(self.parent.parent if self.parent is not None else None)
         for op in reversed(self.operations):
             for res in op.results:
                 res.drop_all_uses()
@@ -655,7 +699,7 @@ class Region:
         self.blocks: List[Block] = []
 
     def add_block(self, block: Optional[Block] = None) -> Block:
-        _bump_mutation_clock()
+        _touch(self.parent)
         if block is None:
             block = Block()
         block.parent = self

@@ -54,10 +54,9 @@ from .operations import (
     Operation,
     Region,
     lookup_op_class,
-    mutation_clock,
+    op_memo,
     registered_operations,
 )
-from .traits import Trait, has_trait
 from .types import (
     DYNAMIC,
     FloatType,
@@ -559,9 +558,7 @@ class Parser:
     def _parse_region_list(self, op: Operation) -> None:
         self._expect("(")
         while self._peek("{"):
-            self._parse_region_body(
-                op.add_region(), has_trait(op, Trait.ISOLATED_FROM_ABOVE),
-                op.name)
+            self._parse_region_body(op.add_region(), op._ISOLATED, op.name)
         self._expect(")", "after the region list")
 
     def _parse_detached_regions(self, op_name: str) -> List[Region]:
@@ -573,8 +570,7 @@ class Parser:
         instance to ask yet.
         """
         op_class = lookup_op_class(op_name)
-        isolated = op_class is not None and \
-            has_trait(op_class, Trait.ISOLATED_FROM_ABOVE)
+        isolated = op_class is not None and op_class._ISOLATED
         self._expect("(")
         regions: List[Region] = []
         while self._peek("{"):
@@ -937,20 +933,26 @@ def parse_op(text: str, allow_unregistered: bool = False,
     return op
 
 
+#: The :func:`~repro.ir.operations.op_memo` key naming what a module
+#: holds: the digest of its source, or the compile-cache key it was
+#: spliced from.
+CONTENT_TOKEN = "content-token"
+
+
 def parse_module(text: str, allow_unregistered: bool = False,
                  filename: str = "<input>") -> Operation:
     """Parse textual IR holding one top-level op (typically a module).
 
-    The module is stamped with the digest of ``text`` beside the current
-    mutation clock: until the clock moves, its printed form is a function
-    of that digest alone, which lets
+    The digest of ``text`` is memoized on the module as its
+    :data:`CONTENT_TOKEN`: until the module is edited, its printed form
+    is a function of that digest alone, which lets
     :meth:`repro.transforms.CompileCache.memo_key_for` key it without
     printing it.
     """
     module = parse_op(text, allow_unregistered=allow_unregistered,
                       filename=filename)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16)
-    module._content_stamp = (mutation_clock(), digest.hexdigest())
+    op_memo(module)[CONTENT_TOKEN] = digest.hexdigest()
     return module
 
 

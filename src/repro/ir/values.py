@@ -41,11 +41,12 @@ class Value:
 
     def _rename(self, name_hint: Optional[str]) -> None:
         # The hint is part of the printed form, which caches key on: a
-        # rename must end the validity of everything the mutation clock
-        # guards, like any other edit of the IR.
-        from .operations import _bump_mutation_clock
+        # rename moves the version stamps around its owner, like any
+        # other edit of the IR.
+        from .operations import _touch
 
-        _bump_mutation_clock()
+        owner = self.defining_op()
+        _touch(owner if owner is not None else self.owner_block().parent_op())
         self._name_hint = name_hint
 
     # -- use-def chain -----------------------------------------------------
@@ -103,7 +104,7 @@ class Value:
 
 
 #: The preferred SSA name, or ``None``.  Reading goes straight to the
-#: slot; assigning advances the mutation clock (values under construction
+#: slot; assigning moves the version stamps (values under construction
 #: — the parser's, a clone's — write ``_name_hint`` directly).
 Value.name_hint = property(Value._name_hint.__get__, Value._rename)
 

@@ -42,10 +42,10 @@ builds no ``Operation``.  The second level stays because only it makes
 differently spelled inputs that print the same share one compile; every
 front entry names the second-level key it resolved to.  For callers
 that already hold a module, :meth:`CompileCache.memo_key_for` links the
-levels the other way: a module stamped by ``parse_module`` (source
-digest) or by a cache-hit splice (the spliced entry's key) keeps that
-stamp's printed-form fingerprint in a bounded memo while the IR's
-mutation clock stands still, so the same content is printed once.
+levels the other way: the content token ``parse_module`` (source
+digest) or a cache-hit splice (the entry's key) memoizes on a module
+names its printed-form fingerprint in a bounded memo until the module is
+edited, so the same content is printed once.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults import FaultInjected, fault_point
 from ..ir import Operation
-from ..ir.operations import mutation_clock
+from ..ir.operations import op_memo
+from ..ir.parser import CONTENT_TOKEN
 
 #: Cache keys: ``(input fingerprint, canonical pipeline spec)``.
 CacheKey = Tuple[str, str]
@@ -68,8 +69,8 @@ CacheKey = Tuple[str, str]
 #: share: a front key can never address a second-level entry.
 FRONT_PREFIX = "front:"
 
-#: Bound of the stamp -> printed-form-fingerprint memo (a few dozen
-#: bytes an entry; the oldest goes first).
+#: Bound of the content token -> printed-form-fingerprint memo (a few
+#: dozen bytes an entry; the oldest goes first).
 _MEMO_ENTRIES = 4096
 
 
@@ -160,7 +161,7 @@ class CompileCache:
         self.front_stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, CachedCompile]" = OrderedDict()
         self._front: "OrderedDict[str, FrontEntry]" = OrderedDict()
-        #: Content stamp (see :meth:`memo_key_for`) -> fingerprint of
+        #: Content token (see :meth:`memo_key_for`) -> fingerprint of
         #: the printed form of a module carrying it.
         self._printed: "OrderedDict[object, str]" = OrderedDict()
         self._lock = threading.Lock()
@@ -182,20 +183,17 @@ class CompileCache:
     def memo_key_for(self, op: Operation, pipeline_spec: str) -> CacheKey:
         """:meth:`key_for`, printing ``op`` only when it has to.
 
-        ``parse_module`` and the cache-hit splice leave a *content stamp*
-        on the module: ``(mutation clock, token)``, the token naming
-        what the content is (the digest of the parsed source, or the key
-        of the spliced entry).  While the clock has not moved since, the
-        module still prints what every module with that token prints, so
-        the fingerprint is remembered per token.  Any mutation anywhere
-        ends the stamp's validity (operand, attribute, block, region and
-        ``name_hint`` writes all advance the clock) and the module is
-        printed again.
+        ``parse_module`` and the cache-hit splice memoize a *content
+        token* on the module (:data:`repro.ir.parser.CONTENT_TOKEN`):
+        the digest of the parsed source, or the key of the spliced
+        entry.  Until the module is edited — an operand, attribute,
+        block, region or ``name_hint`` write inside it drops the token,
+        edits elsewhere do not — it prints what every module with that
+        token prints, so the fingerprint is remembered per token.
         """
-        stamp = getattr(op, "_content_stamp", None)
-        if stamp is None or stamp[0] != mutation_clock():
+        token = op_memo(op).get(CONTENT_TOKEN)
+        if token is None:
             return self.key_for(op, pipeline_spec)
-        token = stamp[1]
         with self._lock:
             fingerprint = self._printed.get(token)
         if fingerprint is None:

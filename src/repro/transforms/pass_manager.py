@@ -49,7 +49,8 @@ from ..ir.concurrency import (
     guarded_region,
     unregistered_threading_allowed,
 )
-from ..ir.operations import mutation_clock
+from ..ir.operations import op_memo
+from ..ir.parser import CONTENT_TOKEN
 from ..analysis.manager import (
     AnalysisManager,
     analysis_scope,
@@ -995,7 +996,7 @@ class PassManager(OpPassManager):
             target.append(child)
         # What ``op`` holds now is named by the entry it came from: the
         # next pipeline's CompileCache.memo_key_for need not print it.
-        op._content_stamp = (mutation_clock(), cache_key)
+        op_memo(op)[CONTENT_TOKEN] = cache_key
 
     def _slot_positions(self) -> Dict[Tuple[int, int], int]:
         """Pipeline position per ``(id(pipeline), element index)`` slot.

@@ -5,9 +5,9 @@ The load-bearing properties: the two levels never disagree (equal front
 key implies byte-equal output; inputs that only *print* the same share
 the second-level key and nothing else); a front hit is indistinguishable
 from the second-level hit it stands in for, and builds no module; every
-fault on the front path degrades to the slow path; and the
-stamp-validated memo behind ``CompileCache.memo_key_for`` returns exactly
-the key a forced re-print returns, whatever happened to the module.
+fault on the front path degrades to the slow path; and the content
+token behind ``CompileCache.memo_key_for`` returns exactly the key a
+forced re-print returns, whatever happened to the module.
 """
 
 import random
@@ -490,17 +490,28 @@ class TestMemoKeyFor:
         keys.add(cache.memo_key_for(parse_module(_respell(text)), PIPELINE))
         assert len(keys) == 1 and len(prints) == 2
 
-    def test_a_mutation_elsewhere_ends_the_stamp(self, monkeypatch):
+    def test_a_mutation_elsewhere_keeps_the_token(self, monkeypatch):
         cache = CompileCache()
         text = _texts()[0]
         module = parse_module(text)
         key = cache.memo_key_for(module, PIPELINE)
-        other = parse_module(_texts()[1])  # building IR moves the clock
-        del other
+        other = parse_module(_texts()[1])
+        function = other.regions[0].blocks[0].first_op
+        function.set_attr("note", function.attributes["sym_name"])
         prints = []
         real = PrinterClass.print_module
         monkeypatch.setattr(
             PrinterClass, "print_module",
             lambda self, op: prints.append(op) or real(self, op))
         assert cache.memo_key_for(module, PIPELINE) == key
-        assert len(prints) == 1
+        assert prints == []
+
+    def test_a_rename_changes_the_key(self):
+        cache = CompileCache()
+        module = parse_module(_texts()[2])
+        key = cache.memo_key_for(module, PIPELINE)
+        producer = next(op for op in module.walk() if op.results)
+        producer.results[0].name_hint = "renamed"
+        renamed = cache.memo_key_for(module, PIPELINE)
+        assert renamed != key
+        assert renamed == CompileCache.key_for(module, PIPELINE)

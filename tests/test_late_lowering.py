@@ -35,7 +35,7 @@ from repro.ir import (
     parse_module,
     verify,
 )
-from repro.ir.operations import mutation_clock
+from repro.ir.operations import version_stamp
 from repro.runtime import ID, Accessor, Buffer, Range
 from repro.transforms import (
     CompileReport,
@@ -674,12 +674,12 @@ class TestLoweringTouchesOnlySubscripts:
         # pass's to remove (convert-memref-to-llvm drops it, see below).
         module = wrap_in_module(build_listing1_function()[0])
         before = Printer().print_module(module)
-        clock = mutation_clock()
+        stamp = version_stamp(module)
         report = CompileReport()
         manager = PassManager()
         manager.nest("func.func").add(LowerAccessorSubscripts())
         manager.run(module, report=report)
-        assert mutation_clock() == clock
+        assert version_stamp(module) == stamp
         assert Printer().print_module(module) == before
         assert report.get_statistic("lower-sycl-accessors",
                                     "subscripts_lowered") == 0

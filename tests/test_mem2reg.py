@@ -19,7 +19,7 @@ from repro.interp import (
     run_differential,
 )
 from repro.ir import MemRefType, Printer, i32, index, parse_module, verify
-from repro.ir.operations import mutation_clock
+from repro.ir.operations import version_stamp
 from repro.transforms import CompileReport, build_named_pipeline
 from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from repro.transforms.pipelines import parse_pass_pipeline
@@ -264,9 +264,9 @@ class TestForwarding:
 
     def test_function_without_a_scalar_alloca_pays_one_scan(self):
         for module in (_shape_module("gemm")[0], _shape_module("sobel")[0]):
-            before, clock = _text(module), mutation_clock()
+            before, stamp = _text(module), version_stamp(module)
             report = _run(module)
-            assert mutation_clock() == clock
+            assert version_stamp(module) == stamp
             assert _text(module) == before
             assert report.statistics == [] and report.remarks == []
 
@@ -280,9 +280,9 @@ class TestDeclines:
     def test_ir_untouched_and_reason_reported(self, reason):
         body, where = DECLINES[reason]
         module = parse_module(_function_text(body), filename="k.mlir")
-        before, clock = _text(module), mutation_clock()
+        before, stamp = _text(module), version_stamp(module)
         report = _run(module)
-        assert mutation_clock() == clock
+        assert version_stamp(module) == stamp
         assert _text(module) == before
         assert _statistics(report) == {"allocas_declined": 1}
         assert len(report.remarks) == 1
@@ -408,9 +408,9 @@ class TestLeftAlone:
         tiles = [op for op in module.walk() if op.name == "memref.alloc"]
         assert tiles and all(op.results[0].type.memory_space == "local"
                              for op in tiles)
-        before, clock = _text(module), mutation_clock()
+        before, stamp = _text(module), version_stamp(module)
         report = _run(module)
-        assert mutation_clock() == clock
+        assert version_stamp(module) == stamp
         assert _text(module) == before
         assert _statistics(report) == {}
 

@@ -1,7 +1,7 @@
 """The PR-6 static verification layer, end to end.
 
 Covers the :class:`~repro.analysis.manager.AnalysisManager` contract
-(caching, preservation, invalidation, fingerprint safety net, the
+(caching, preservation, invalidation, version-stamp safety net, the
 ``jobs=N`` merge and the compile-cache interplay), the lint rule engine
 that statically catches PR 5's miscompile classes, source locations
 (parser, printer round-trip, kernel builder call-sites), the
@@ -141,13 +141,13 @@ class TestAnalysisManager:
         assert first is second
         assert am.hits == 1 and am.misses == 1
 
-    def test_fingerprint_mismatch_is_a_miss(self):
+    def test_an_edit_of_the_anchor_is_a_miss(self):
         module = _simple_module()
         function = module.regions[0].blocks[0].operations[0]
         am = AnalysisManager()
         first = am.get(DominanceInfo, function)
-        # Mutate without telling the manager: the structural fingerprint
-        # recorded at construction time no longer matches.
+        # Mutate without telling the manager: the version stamp recorded
+        # at construction time no longer matches.
         block = function.body
         block.insert_before(block.operations[-1],
                             arith.ConstantOp.build(3, i32()))
