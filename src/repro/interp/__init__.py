@@ -59,8 +59,6 @@ _LAZY = {
     "DifferentialReport": ("differential", "DifferentialReport"),
     "ExecutionSpec": ("differential", "ExecutionSpec"),
     "FunctionExecution": ("differential", "FunctionExecution"),
-    "execute_function": ("differential", "execute_function"),
-    "execute_module": ("differential", "execute_module"),
     "run_differential": ("differential", "run_differential"),
     "synthesize_spec": ("differential", "synthesize_spec"),
     "Backend": ("engine", "Backend"),
@@ -102,8 +100,7 @@ __all__ = [
     "registered_evaluators",
     "EvalContext", "Interpreter", "LaunchResult",
     "DifferentialError", "DifferentialReport", "ExecutionSpec",
-    "FunctionExecution", "execute_function", "execute_module",
-    "run_differential", "synthesize_spec",
+    "FunctionExecution", "run_differential", "synthesize_spec",
     "Backend", "ExecutionEngine", "ExecutorRegistrationError",
     "TierFallback", "executor_for", "register_executor",
     "registered_executors",

@@ -21,9 +21,8 @@ Entry points:
   execution tier (``"interp"``, ``"jit"``, ``"vector"`` or ``"auto"``)
   both sides run on, so the harness doubles as the jit-vs-interp
   equivalence oracle;
-* :func:`execute_module` / :func:`execute_function` — deprecated shims
-  over :class:`~repro.interp.engine.ExecutionEngine` (``execute_module``
-  / ``execute``), kept for one release.
+* :func:`synthesize_spec` — the input plan
+  :meth:`~repro.interp.engine.ExecutionEngine.execute` runs a function on.
 """
 
 from __future__ import annotations
@@ -352,17 +351,6 @@ def _snapshot(handle) -> _np.ndarray:
 # Execution
 # ---------------------------------------------------------------------------
 
-def execute_function(module: ModuleOp, function: FuncOp,
-                     resolved: _ResolvedSpec,
-                     max_steps: int = 10_000_000) -> FunctionExecution:
-    """Deprecated shim: use ``ExecutionEngine(module).execute``."""
-    from .engine import ExecutionEngine, _warn_deprecated
-
-    _warn_deprecated("execute_function", "ExecutionEngine.execute")
-    engine = ExecutionEngine(module, tier="interp", max_steps=max_steps)
-    return engine.execute(function, resolved)
-
-
 def _executable_functions(module: ModuleOp) -> List[FuncOp]:
     from ..dialects.llvm import LLVMFuncOp
 
@@ -371,22 +359,6 @@ def _executable_functions(module: ModuleOp) -> List[FuncOp]:
                  and not op.is_declaration]
     functions.sort(key=lambda f: f.sym_name)
     return functions
-
-
-def execute_module(module: ModuleOp,
-                   specs: Optional[Dict[str, ExecutionSpec]] = None,
-                   max_steps: int = 10_000_000,
-                   ) -> Tuple[Dict[str, FunctionExecution], Dict[str, str]]:
-    """Deprecated shim: use ``ExecutionEngine(module).execute_module``.
-
-    Returns ``(executions, skipped)``; functions whose inputs cannot be
-    synthesized or that trap are reported in ``skipped`` with the reason.
-    """
-    from .engine import ExecutionEngine, _warn_deprecated
-
-    _warn_deprecated("execute_module", "ExecutionEngine.execute_module")
-    engine = ExecutionEngine(module, tier="interp", max_steps=max_steps)
-    return engine.execute_module(specs)
 
 
 # ---------------------------------------------------------------------------

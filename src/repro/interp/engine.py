@@ -1,12 +1,11 @@
 """The tiered execution engine: one facade over every execution tier.
 
-Before this module, execution was reachable through three inconsistent
-entry points — ``Interpreter.launch`` (kernels, prepared arguments),
-``execute_module`` (whole modules, synthesized arguments) and
-``execute_function`` (one function, a resolved spec).  All three are now
-thin deprecated shims over :class:`ExecutionEngine`, which adds the tier
-abstraction the compile-to-Python JIT and the vectorized launcher hang
-off:
+:class:`ExecutionEngine` is the one way to execute: kernel launches on
+prepared arguments (:meth:`~ExecutionEngine.launch`), plain calls, and
+functions or whole modules on synthesized inputs
+(:meth:`~ExecutionEngine.execute`, :meth:`~ExecutionEngine.execute_module`).
+It adds the tier abstraction the compile-to-Python JIT and the
+vectorized launcher hang off:
 
 * ``tier="interp"`` — the PR 5 tree-walking interpreter (the semantic
   reference; never declines an execution);
@@ -36,8 +35,7 @@ loads none.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .memory import ExecutionCounters, InterpreterError
 
@@ -159,28 +157,6 @@ def executor_for(name: str) -> Backend:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims support
-# ---------------------------------------------------------------------------
-
-_DEPRECATION_SEEN: set = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit one ``DeprecationWarning`` per entry point per process."""
-    if name in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _reset_deprecation_warnings() -> None:
-    """Test hook: make every shim warn again."""
-    _DEPRECATION_SEEN.clear()
-
-
-# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -234,12 +210,12 @@ class ExecutionEngine:
 
         return Interpreter(self.module).lookup_function(function)
 
-    # -- low-level entry points (subsume Interpreter.launch / .call) --------
+    # -- low-level entry points -------------------------------------------
     def launch(self, kernel, args: Sequence[object],
                global_size, local_size=None):
         """Execute ``kernel`` once per work item (tiered).
 
-        Accepts exactly what ``Interpreter.launch`` accepted.  Only
+        Accepts exactly what ``Interpreter.launch`` accepts.  Only
         *pre-execution* failures fall through to the next tier here —
         a tier that failed mid-run on caller-owned buffers raises
         instead of silently re-running on partially written data (use
@@ -280,7 +256,7 @@ class ExecutionEngine:
             f"no execution tier accepted function '{function.sym_name}': "
             f"{last_error}")
 
-    # -- spec-driven execution (subsumes execute_function/execute_module) ---
+    # -- spec-driven execution ------------------------------------------
     def run(self, function, spec=None):
         """Synthesize inputs for ``function`` and execute it.
 
@@ -428,7 +404,7 @@ class InterpreterBackend(Backend):
 
         interp = interpreter or Interpreter(engine.module,
                                             max_steps=engine.max_steps)
-        return interp._launch(function, values, global_size, local_size)
+        return interp.launch(function, values, global_size, local_size)
 
     def call(self, engine, function, values, interpreter=None):
         from .interpreter import Interpreter

@@ -389,21 +389,6 @@ class Interpreter:
                global_size: Union[Range, Sequence[int], int],
                local_size: Union[Range, Sequence[int], int, None] = None,
                ) -> LaunchResult:
-        """Deprecated shim: use ``ExecutionEngine.launch`` instead.
-
-        Kept for one release; delegates to :meth:`_launch` (the
-        interpreter-tier implementation the engine calls directly).
-        """
-        from .engine import _warn_deprecated
-
-        _warn_deprecated("Interpreter.launch", "ExecutionEngine.launch")
-        return self._launch(kernel, args, global_size, local_size)
-
-    def _launch(self, kernel: Union[str, FuncOp],
-                args: Sequence[object],
-                global_size: Union[Range, Sequence[int], int],
-                local_size: Union[Range, Sequence[int], int, None] = None,
-                ) -> LaunchResult:
         """Execute ``kernel`` once per work item.
 
         ``args`` supplies, in order, the values for every non-item kernel

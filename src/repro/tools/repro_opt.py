@@ -100,13 +100,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "N worker threads (default 1 = serial)")
     parser.add_argument(
         "--parallel-tier", default="thread", choices=("thread", "process"),
-        help="worker tier for --jobs N: 'thread' (shared-memory, "
-             "GIL-bound) or 'process' (supervised worker processes; "
-             "batches ship whole segments, otherwise functions are "
-             "shipped as text and spliced back)")
+        help="worker tier for a batch at --jobs N: 'thread' "
+             "(shared-memory, GIL-bound) or 'process' (supervised worker "
+             "processes, each compiling whole segments); a single module "
+             "always compiles in-process on --jobs threads")
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-work-unit wall-clock deadline on the process tier "
+        help="per-segment wall-clock deadline on the process tier "
              "before a worker is presumed hung and the pool restarted "
              "(default 60)")
     parser.add_argument(
@@ -312,9 +312,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: :func:`_main` plus graceful Ctrl-C.
 
     A ``KeyboardInterrupt`` anywhere in the run (including inside a
-    worker-pool wait) unwinds through ``_main``'s ``finally`` — which
-    terminates any process-tier workers, so an interrupt never orphans
-    them — and exits with the conventional 130, no traceback.
+    worker-pool wait) unwinds through the ``finally`` blocks — the
+    process-tier batch terminates its workers there, so an interrupt
+    never orphans them — and exits with the conventional 130, no
+    traceback.
     """
     try:
         return _main(argv)
@@ -367,13 +368,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"repro-opt: {exc}", file=sys.stderr)
         return 2
-    if manager is not None:
-        manager.tier = args.parallel_tier
-        if args.deadline is not None:
-            from ..transforms.executor import ExecutorOptions
-
-            manager.executor_options = ExecutorOptions(
-                jobs=args.jobs, deadline=args.deadline)
 
     cache = None
     lint_each = None
@@ -650,6 +644,8 @@ def _run_batch_process(args, manager, segments, report,
     cannot make progress.
     """
     from ..transforms.executor import (
+        ExecutorOptions,
+        SupervisedExecutor,
         WorkResult,
         WorkUnit,
         validate_segment_result,
@@ -666,27 +662,29 @@ def _run_batch_process(args, manager, segments, report,
             continue
         first_uid[fingerprint] = uid
         units.append(WorkUnit(
-            uid=uid, label=label, kind="segment", text=text, spec=spec,
+            uid=uid, label=label, text=text, spec=spec,
             verify=not args.no_verify,
             print_locations=args.print_locations,
             filename=label.split(" (segment")[0]))
 
     fallback_rcs: dict = {}
-    fallback_texts: dict = {}
 
     def serial_fallback(unit: WorkUnit, attempts: int,
                         events: List[str]) -> WorkResult:
         rc, out = compile_one(unit.label, unit.text)
         fallback_rcs[unit.uid] = rc
-        fallback_texts[unit.uid] = out
         return WorkResult(unit=unit, text=out, attempts=max(1, attempts),
                           degraded=True, events=events)
 
-    executor = manager.process_tier()
-    stats_before = dict(executor.stats)
-    events_before = len(executor.events)
-    results = executor.run_units(units, validate_segment_result,
-                                 serial_fallback)
+    options = ExecutorOptions(jobs=args.jobs)
+    if args.deadline is not None:
+        options.deadline = args.deadline
+    executor = SupervisedExecutor(options)
+    try:
+        results = executor.run_units(units, validate_segment_result,
+                                     serial_fallback)
+    finally:
+        executor.close()
 
     printed: List[str] = []
     exit_code = 0
@@ -722,12 +720,10 @@ def _run_batch_process(args, manager, segments, report,
             report.timings[key] = report.timings.get(key, 0.0) + seconds
         for event in result.events:
             report.remark(f"process-tier: {event}")
-    for event in executor.events[events_before:]:
+    for event in executor.events:
         report.remark(f"process-tier: {event}")
     for name, value in executor.stats.items():
-        delta = value - stats_before.get(name, 0)
-        if delta:
-            report.add_statistic("process-tier", name, delta)
+        report.add_statistic("process-tier", name, value)
     return printed, exit_code
 
 

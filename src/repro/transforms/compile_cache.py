@@ -23,8 +23,8 @@ batch run and every worker of a ``jobs=N`` pool.
 Since PR 8 the in-memory table can sit on top of a persistent
 :class:`~repro.transforms.disk_cache.DiskCache` (``disk=``), forming a
 two-tier read-through/write-through hierarchy: a memory miss consults
-the disk store, re-parses the persisted text into a template (the same
-lossless ``loc``-trailer transport the process tier validates), and
+the disk store, re-parses the persisted text into a template (printed
+with ``loc`` trailers, so the round trip is lossless), and
 promotes it so later lookups hit in memory; stores write through so a
 warm compile survives the process.  Disk entries that fail to re-parse
 are evicted on the spot and the lookup degrades to a cold compile —

@@ -13,8 +13,8 @@ daemon.  The design is a classic content-addressed store:
   A changed input or changed pipeline spec therefore *cannot* hit — it
   addresses a different file.
 * **Entries** — one JSON document per compile: the optimized module
-  printed **with ``loc`` trailers** (the same lossless textual transport
-  the process tier uses), the statistics and remarks the cold run
+  printed **with ``loc`` trailers** (a lossless textual form), the
+  statistics and remarks the cold run
   produced, the preserved-analysis names, and a fingerprint of the
   stored text so torn writes are detectable.
 * **Atomicity** — writes go to a same-directory temp file and land via

@@ -1,24 +1,17 @@
-"""Supervised process-parallel execution tier.
+"""Supervised worker processes for ``repro-opt`` batches.
 
-The thread scheduler is deterministic but GIL-bound: jobs=4 was
-measured at 0.85x of serial.  This module escapes the GIL by
-shipping work units to ``ProcessPoolExecutor`` workers — and treats the
-executor as a first-class *failure domain* rather than a transparent
-speedup: workers can crash, hang, or return garbage, so every dispatch
-runs under a supervisor implementing the full failure matrix.
+The thread scheduler in :class:`~repro.transforms.pass_manager.PassManager`
+is deterministic but GIL-bound.  This module escapes the GIL by shipping
+whole ``--split-input-file`` segments to ``ProcessPoolExecutor`` workers,
+and treats the executor as a first-class *failure domain* rather than a
+transparent speedup: workers can crash, hang, or return garbage, so
+every dispatch runs under a supervisor implementing the full failure
+matrix.
 
-Work units are textual and lossless by construction:
-
-* **function units** — (per-function textual IR, ``dump_pass_pipeline``
-  spec), both round-trip guaranteed (PR 1 parser/printer, PR 3 pipeline
-  grammar).  Results are re-parsed, fingerprint-checked, and spliced
-  back in anchor order, preserving the byte-identical-vs-serial
-  contract.  Function IR travels *with* ``loc(...)`` trailers so source
-  locations survive the process boundary.
-* **segment units** — whole ``--split-input-file`` segments: the worker
-  parses, verifies, compiles and prints the entire module, the parent
-  stitches printed text back in input order.  No splice, no parent-side
-  parse — the ROADMAP's "easy first target" for real speedup.
+A work unit is a segment's text plus the pipeline's canonical spec, both
+lossless by construction.  The worker parses, verifies, compiles and
+prints the whole module; the parent fingerprint-checks the printed text
+and stitches it back in input order.  No splice, no parent-side parse.
 
 Failure matrix (every class injectable via :mod:`repro.faults` and
 exercised by ``tests/test_fault_tolerance.py``):
@@ -30,18 +23,18 @@ crash        ``BrokenProcessPool`` → pool rebuild (bounded), every
              in-flight unit rescheduled with an attempt charged
 hang         per-unit deadline → pool restart, the overdue unit is
              charged an attempt, innocents reschedule free
-corrupt      parent-side fingerprint + re-parse check → treated as
-             a failed attempt (retry, then degrade)
+corrupt      parent-side fingerprint check → treated as a failed
+             attempt (retry, then degrade)
 transient    bounded retry with exponential backoff
 ===========  ====================================================
 
-Exhausted units degrade to an **in-process serial run** (the caller
-supplies the fallback), so a deterministic pass error reproduces with
-native in-process semantics and no fault class can ever fail a compile
-that serial would pass.  When the tier itself cannot make progress
-(pool rebuild budget exhausted, pool unbuildable) a :class:`TierError`
-is raised and the caller drops down the degradation ladder
-(process → thread → serial; see ``docs/robustness.md``).
+Exhausted units degrade to an **in-process run** (the caller supplies
+the fallback), so a deterministic compile error reproduces with native
+in-process semantics and no fault class can ever fail a compile that
+serial would pass.  When the tier itself cannot make progress (pool
+rebuild budget exhausted, pool unbuildable) a :class:`TierError` is
+raised and the caller compiles the batch in-process (see
+``docs/robustness.md``).
 
 Worker exceptions cross the process boundary as payload dicts (via
 :meth:`repro.ir.Diagnostic.to_payload`) carrying the failing pass name
@@ -59,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan, TransientFault, active_fault_plan, fault_point
-from ..ir import Diagnostic, Operation, Severity
+from ..ir import Diagnostic, Severity
 from ..ir.location import location_of
 from .compile_cache import text_fingerprint
 
@@ -70,11 +63,11 @@ _POLL_SECONDS = 0.05
 
 
 class TierError(RuntimeError):
-    """The process tier cannot make progress; degrade to the next tier."""
+    """The process tier cannot make progress; compile in-process."""
 
 
 class CorruptResult(RuntimeError):
-    """A worker result failed validation (fingerprint or re-parse)."""
+    """A worker result failed its fingerprint check."""
 
 
 @dataclass
@@ -96,22 +89,19 @@ class ExecutorOptions:
 
 @dataclass
 class WorkUnit:
-    """One self-contained compile shipped to a worker."""
+    """One batch segment shipped to a worker."""
 
     uid: int
-    #: Stable label (function sym_name, or segment origin) used in
-    #: events, diagnostics and fault-plan keys.
+    #: Stable label (the segment's origin) used in events, diagnostics
+    #: and fault-plan keys.
     label: str
-    #: ``"function"`` (splice mode) or ``"segment"`` (batch mode).
-    kind: str
-    #: Textual IR of the unit (function units carry ``loc`` trailers).
+    #: Textual IR of the segment.
     text: str
-    #: Pipeline spec (``func.func(...)`` for function units, the
-    #: canonical root spec for segment units).
+    #: The pipeline's canonical root spec.
     spec: str
-    #: Verify before/after the pipeline (segment units).
+    #: Verify before and after the pipeline.
     verify: bool = False
-    #: Print ``loc(...)`` trailers on the result (segment units).
+    #: Print ``loc(...)`` trailers on the result.
     print_locations: bool = False
     #: Source file the unit came from (diagnostics).
     filename: str = "<unit>"
@@ -122,25 +112,20 @@ class WorkResult:
     """The supervised outcome of one unit."""
 
     unit: WorkUnit
-    #: Printed result text; ``None`` when the serial fallback already
-    #: applied the result in place.
+    #: Printed result text; ``None`` when the in-process fallback
+    #: failed to compile the segment.
     text: Optional[str]
     #: ``(pass_name, statistic, value)`` triples from the unit's run.
     statistics: List[Tuple[str, str, int]] = field(default_factory=list)
     remarks: List[str] = field(default_factory=list)
-    #: Position-keyed pass timings.  Keys are unit-local positions when
-    #: ``timing_keys_local`` (worker results); the caller shifts them to
-    #: global pipeline positions before merging.
+    #: Position-keyed pass timings.
     timings: Dict[str, float] = field(default_factory=dict)
-    timing_keys_local: bool = True
     #: Total attempts consumed (1 = first try succeeded).
     attempts: int = 1
     #: True when the unit fell back to an in-process serial run.
     degraded: bool = False
     #: Recovery events for this unit, in occurrence order.
     events: List[str] = field(default_factory=list)
-    #: Validator artifact (the re-parsed function op in splice mode).
-    payload: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +207,14 @@ def _compile_work_unit(payload: dict) -> dict:
         op = parse_module(payload["text"], filename=payload["filename"])
         manager = _manager_for_spec(payload["spec"])
         manager.add_instrumentation(tracker)
-        if payload["kind"] == "segment" and payload.get("verify"):
+        if payload.get("verify"):
             verify(op)
         report = manager.run(op)
-        if payload["kind"] == "segment" and payload.get("verify"):
+        if payload.get("verify"):
             verify(op)
-        if payload["kind"] == "function":
-            text = Printer(print_locations=True).print_module(op)
-        else:
-            text = Printer(
-                print_locations=payload.get("print_locations", False)
-            ).print_module(op) + "\n"
+        text = Printer(
+            print_locations=payload.get("print_locations", False)
+        ).print_module(op) + "\n"
         result = {"ok": True, "uid": payload["uid"], "text": text,
                   "fingerprint": text_fingerprint(text)}
         result.update(_report_fields(report))
@@ -253,47 +235,15 @@ def _compile_work_unit(payload: dict) -> dict:
 # Result validation (parent side)
 # ---------------------------------------------------------------------------
 
-def _check_fingerprint(unit: WorkUnit, outcome: dict) -> str:
+def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
+    """Fingerprint-check a segment unit's printed result text; raises
+    :class:`CorruptResult` on any discrepancy."""
     text = outcome.get("text")
     if not isinstance(text, str) or not text.strip():
         raise CorruptResult(f"unit '{unit.label}': empty worker result")
     if text_fingerprint(text) != outcome.get("fingerprint"):
         raise CorruptResult(
             f"unit '{unit.label}': result fingerprint mismatch")
-    return text
-
-
-def validate_function_result(unit: WorkUnit, outcome: dict) -> Operation:
-    """Re-parse and sanity-check a function unit's result.
-
-    Raises :class:`CorruptResult` on any discrepancy; returns the parsed
-    function op ready to splice.
-    """
-    from ..ir import ParseError, parse_module
-
-    text = _check_fingerprint(unit, outcome)
-    if fault_point("executor.splice", key=unit.label) == "corrupt":
-        text = "// corrupted at splice\n" + text[::-1]
-    try:
-        parsed = parse_module(text, filename=unit.filename)
-    except ParseError as exc:
-        raise CorruptResult(
-            f"unit '{unit.label}': result does not re-parse: {exc}")
-    if parsed.name != "func.func":
-        raise CorruptResult(
-            f"unit '{unit.label}': result is a '{parsed.name}', "
-            "expected 'func.func'")
-    sym = getattr(parsed, "sym_name", None)
-    if sym != unit.label:
-        raise CorruptResult(
-            f"unit '{unit.label}': result renames the function to "
-            f"'{sym}'")
-    return parsed
-
-
-def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
-    """Fingerprint-check a segment unit's printed result text."""
-    text = _check_fingerprint(unit, outcome)
     if fault_point("executor.splice", key=unit.label) == "corrupt":
         raise CorruptResult(
             f"unit '{unit.label}': injected corrupt segment result")
@@ -304,8 +254,8 @@ def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
 # Supervisor
 # ---------------------------------------------------------------------------
 
-#: ``validate(unit, outcome_dict) -> payload`` — raises CorruptResult.
-Validator = Callable[[WorkUnit, dict], object]
+#: ``validate(unit, outcome_dict) -> text`` — raises CorruptResult.
+Validator = Callable[[WorkUnit, dict], str]
 #: ``serial_fallback(unit, attempts, events) -> WorkResult`` — runs the
 #: unit in-process with serial semantics (exceptions propagate: a
 #: deterministic compile error must fail the compile exactly as serial
@@ -316,8 +266,7 @@ SerialFallback = Callable[[WorkUnit, int, List[str]], WorkResult]
 class SupervisedExecutor:
     """A ``ProcessPoolExecutor`` wrapped in retry/deadline supervision.
 
-    Persistent across runs (batch drivers reuse the warm pool); every
-    pool teardown is a ``terminate`` — workers are stateless by design,
+    Every pool teardown is a ``terminate`` — workers are stateless by design,
     so killing them never loses anything but in-flight attempts, and it
     is the only way to preempt a hung worker.
     """
@@ -363,7 +312,7 @@ class SupervisedExecutor:
     def _payload(self, unit: WorkUnit, attempt: int) -> dict:
         plan = active_fault_plan()
         return {
-            "uid": unit.uid, "label": unit.label, "kind": unit.kind,
+            "uid": unit.uid, "label": unit.label,
             "text": unit.text, "spec": unit.spec, "verify": unit.verify,
             "print_locations": unit.print_locations,
             "filename": unit.filename, "attempt": attempt,
@@ -543,7 +492,7 @@ class SupervisedExecutor:
             return
         if outcome.get("ok"):
             try:
-                payload = validate(unit, outcome)
+                text = validate(unit, outcome)
             except CorruptResult as exc:
                 self._bump("corrupt_results")
                 charge_attempt(unit, f"corrupt result ({exc})")
@@ -555,13 +504,12 @@ class SupervisedExecutor:
                     f"unit '{unit.label}': recovered after "
                     f"{used - 1} failed attempt(s)")
             results[unit.uid] = WorkResult(
-                unit=unit, text=outcome["text"],
+                unit=unit, text=text,
                 statistics=[tuple(triple)
                             for triple in outcome.get("statistics", [])],
                 remarks=list(outcome.get("remarks", [])),
                 timings=dict(outcome.get("timings", {})),
-                attempts=used, events=unit_events[unit.uid],
-                payload=payload)
+                attempts=used, events=unit_events[unit.uid])
             return
         diagnostic = self._render_worker_error(unit, outcome)
         if outcome.get("transient"):

@@ -784,52 +784,34 @@ class PassManager(OpPassManager):
     pipelines run once per function *concurrently* across a shared
     ``ThreadPoolExecutor`` (functions are isolated from above, so workers
     cannot reach each other's IR; a :class:`~repro.ir.WriteGuard` enforces
-    that).  ``tier="process"`` upgrades that dispatch to the supervised
-    process tier (:mod:`repro.transforms.executor`): per-function textual
-    work units across a ``ProcessPoolExecutor``, with the full
-    crash/hang/corrupt/transient failure matrix supervised and a
-    graceful-degradation ladder process → thread → serial, so no fault
-    class can fail a compile that serial would pass (see
+    that).  A failed dispatch (the ``thread-tier.dispatch`` fault point)
+    degrades to the serial loop on the untouched IR, so it cannot fail a
+    compile that serial would pass.  Worker processes are not a tier of
+    this class: ``repro-opt`` ships whole batch segments to them (see
     ``docs/robustness.md``).  ``cache`` attaches a
     :class:`~repro.transforms.compile_cache.CompileCache`: a run whose
     ``(module fingerprint, pipeline spec)`` key is cached short-circuits
     the whole pipeline.
     """
 
-    #: Parallel dispatch tiers a run may use.
-    TIERS = ("thread", "process")
-
     def __init__(self, passes: Optional[Iterable[Pass]] = None,
                  verify_after_each: bool = False,
                  anchor: str = MODULE_ANCHOR,
                  jobs: int = 1,
-                 cache: Optional["CompileCache"] = None,
-                 tier: str = "thread",
-                 executor_options=None):
+                 cache: Optional["CompileCache"] = None):
         super().__init__(anchor)
-        if tier not in self.TIERS:
-            raise ValueError(
-                f"unknown parallel tier {tier!r}; expected one of "
-                f"{', '.join(self.TIERS)}")
         for pass_ in passes or []:
             self.add(pass_)
         self.instrumentations: List[PassInstrumentation] = []
         self.verify_after_each = verify_after_each
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.tier = tier
-        #: :class:`~repro.transforms.executor.ExecutorOptions` override
-        #: for the process tier (deadline, retry and rebuild budgets);
-        #: ``None`` uses defaults with ``jobs`` worker processes.
-        self.executor_options = executor_options
         #: Persistent across runs so batch drivers and benchmarks can
         #: observe warm-vs-cold analysis costs; fingerprint validation
         #: keeps stale entries from ever being served.
         self.analysis_manager = AnalysisManager()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_jobs = 0
-        self._process_tier = None
-        self._process_tier_jobs = 0
         if verify_after_each:
             self.add_instrumentation(VerifierInstrumentation())
 
@@ -839,37 +821,11 @@ class PassManager(OpPassManager):
         return self
 
     def close(self) -> None:
-        """Shut down the shared worker pools (idempotent).
-
-        The process tier's workers are *terminated*, never waited on —
-        a hung worker must not be able to wedge shutdown (the Ctrl-C
-        path of every CLI runs through here).
-        """
+        """Shut down the shared worker pool (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
             self._executor_jobs = 0
-        if self._process_tier is not None:
-            self._process_tier.close()
-            self._process_tier = None
-            self._process_tier_jobs = 0
-
-    def process_tier(self):
-        """The supervised process executor, created on first use (and
-        recreated when ``jobs`` changed)."""
-        from .executor import ExecutorOptions, SupervisedExecutor
-
-        if self._process_tier is None or self._process_tier_jobs != self.jobs:
-            if self._process_tier is not None:
-                self._process_tier.close()
-            options = self.executor_options
-            if options is None:
-                options = ExecutorOptions(jobs=self.jobs)
-            elif options.jobs != self.jobs:
-                options = dataclasses.replace(options, jobs=self.jobs)
-            self._process_tier = SupervisedExecutor(options)
-            self._process_tier_jobs = self.jobs
-        return self._process_tier
 
     def _ensure_executor(self) -> Optional[ThreadPoolExecutor]:
         """The shared pool for ``jobs>1``, recreated if ``jobs`` changed.
@@ -1028,24 +984,10 @@ class PassManager(OpPassManager):
             if isinstance(element, OpPassManager):
                 anchored_ops = self._anchored_ops(op, element.anchor)
                 if self._should_parallelize(element, anchored_ops, state):
-                    # The graceful-degradation ladder: process tier →
-                    # thread tier → serial.  Each tier failure is
-                    # recorded as a remark and the next tier retried on
-                    # the untouched IR, so no tier-level fault can fail
-                    # a compile serial would pass.
-                    if self._process_eligible(state):
-                        from .executor import TierError
-
-                        try:
-                            self._run_pipeline_process(
-                                element, anchored_ops, report,
-                                positions, state)
-                            continue
-                        except TierError as error:
-                            report.remark("process-tier: degraded to "
-                                          f"thread tier: {error}")
-                            report.add_statistic(
-                                "process-tier", "degraded", 1)
+                    # One degradation rung: a failed dispatch is recorded
+                    # as a remark and the serial loop below runs on the
+                    # untouched IR, so it cannot fail a compile serial
+                    # would pass.
                     try:
                         fault_point("thread-tier.dispatch")
                         self._run_pipeline_parallel(
@@ -1097,155 +1039,6 @@ class PassManager(OpPassManager):
             return False
         passes = pipeline.passes
         return len({id(pass_) for pass_ in passes}) == len(passes)
-
-    def _process_eligible(self, state: Optional[_RunState]) -> bool:
-        """Whether a parallelizable dispatch may use the process tier.
-
-        Requires ``tier="process"`` and no user instrumentations —
-        hooks observe in-process pass executions and cannot see into a
-        worker process, so ``--verify-each`` / ``--print-ir-*`` runs
-        stay on the thread tier (workers verify their own units
-        instead).
-        """
-        return (self.tier == "process"
-                and state is not None and not state.in_worker
-                and not self.instrumentations)
-
-    @staticmethod
-    def _subtree_slots(pipeline: OpPassManager) -> List[Tuple[int, int]]:
-        """Every pass slot key under ``pipeline`` (see
-        :meth:`_slot_positions`)."""
-        slots: List[Tuple[int, int]] = []
-
-        def visit(nested: OpPassManager) -> None:
-            for index, element in enumerate(nested.elements):
-                if isinstance(element, OpPassManager):
-                    visit(element)
-                else:
-                    slots.append((id(nested), index))
-
-        visit(pipeline)
-        return slots
-
-    def _run_pipeline_process(self, pipeline: OpPassManager,
-                              anchored_ops: List[Operation],
-                              report: CompileReport,
-                              positions: Dict[Tuple[int, int], int],
-                              state: _RunState) -> None:
-        """Run ``pipeline`` once per function across worker *processes*.
-
-        Work units are (per-function textual IR with ``loc`` trailers,
-        the pipeline's canonical spec) — both lossless — and validated
-        results are spliced back in anchor order, so output, statistics
-        totals and timing keys are byte-identical to a serial run.
-        Supervision (crash/hang/corrupt/transient) lives in
-        :class:`~repro.transforms.executor.SupervisedExecutor`; units
-        whose retries are exhausted fall back to an in-process serial
-        run, and tier-level failures raise
-        :class:`~repro.transforms.executor.TierError` for the caller's
-        degradation ladder.
-        """
-        from ..ir import Printer
-        from ..ir.location import location_of
-        from .executor import TierError, WorkResult, WorkUnit, \
-            validate_function_result
-        from .pipelines import parse_pass_pipeline
-
-        spec = pipeline.to_spec()
-        root_spec = f"builtin.module({spec})"
-        try:
-            if parse_pass_pipeline(root_spec).to_spec() != root_spec:
-                raise TierError(
-                    "pipeline spec does not round-trip losslessly")
-        except ValueError as exc:
-            raise TierError(f"pipeline spec does not round-trip: {exc}")
-        slots = self._subtree_slots(pipeline)
-        if not slots:
-            return
-        base = min(positions[slot] for slot in slots)
-
-        live = [anchored for anchored in anchored_ops
-                if anchored.parent is not None]
-        printer = Printer(print_locations=True)
-        units = [
-            WorkUnit(uid=index, label=function.sym_name or f"func{index}",
-                     kind="function", text=printer.print_module(function),
-                     spec=spec,
-                     filename=location_of(function).filename or "<module>")
-            for index, function in enumerate(live)
-        ]
-
-        def serial_fallback(unit: WorkUnit, attempts: int,
-                            events: List[str]) -> WorkResult:
-            # Exactly the serial path, in-process and in place: a
-            # deterministic pass error reproduces with native semantics
-            # (it raises out of here), and a successful run needs no
-            # splice.
-            anchored = live[unit.uid]
-            local_report = CompileReport()
-            local_timing = TimingInstrumentation()
-            serial_state = dataclasses.replace(state, in_worker=True)
-            with analysis_scope(state.analysis_manager):
-                self._run_pipeline(pipeline, anchored, local_report,
-                                   [local_timing], positions, serial_state)
-            local_report.merge(
-                CompileReport(timings=dict(local_timing.timings)),
-                renumber_timings=False)
-            return WorkResult(
-                unit=unit, text=None,
-                statistics=[(s.pass_name, s.name, s.value)
-                            for s in local_report.statistics],
-                remarks=list(local_report.remarks),
-                timings=dict(local_report.timings),
-                timing_keys_local=False, attempts=attempts + 1,
-                degraded=True, events=events)
-
-        executor = self.process_tier()
-        stats_before = dict(executor.stats)
-        events_before = len(executor.events)
-        results = executor.run_units(units, validate_function_result,
-                                     serial_fallback)
-
-        # Splice validated results back, preserving anchor order; units
-        # the serial fallback completed are already in place.
-        for unit in units:
-            result = results[unit.uid]
-            if result.text is None:
-                continue
-            old = live[unit.uid]
-            old.parent.insert_before(old, result.payload)
-            old.erase()
-        # Workers mutated (replaced) every function: conservatively
-        # invalidate analyses from the run root down.
-        if state.analysis_manager is not None and live:
-            root = live[0]
-            while root.parent_op() is not None:
-                root = root.parent_op()
-            state.analysis_manager.invalidate(root, ())
-
-        # Merge in anchor order — statistics totals, remark order and
-        # (base-shifted) timing keys come out identical to serial.
-        for unit in units:
-            result = results[unit.uid]
-            for pass_name, name, value in result.statistics:
-                report.add_statistic(pass_name, name, value)
-            report.remarks.extend(result.remarks)
-            for key, value in result.timings.items():
-                if result.timing_keys_local:
-                    match = _TIMING_POSITION_RE.match(key)
-                    if match:
-                        key = f"{int(match.group(1)) + base}: " \
-                              f"{match.group(2)}"
-                report.timings[key] = report.timings.get(key, 0.0) + value
-            for event in result.events:
-                report.remark(f"process-tier: {event}")
-        for event in executor.events[events_before:]:
-            report.remark(f"process-tier: {event}")
-        report.add_statistic("process-tier", "units", len(units))
-        for name in sorted(set(stats_before) | set(executor.stats)):
-            delta = executor.stats.get(name, 0) - stats_before.get(name, 0)
-            if delta:
-                report.add_statistic("process-tier", name, delta)
 
     def _run_pipeline_parallel(self, pipeline: OpPassManager,
                                anchored_ops: List[Operation],

@@ -14,8 +14,8 @@ from repro.frontend.kernel_builder import (
 )
 from repro.interp import (
     DifferentialError,
+    ExecutionEngine,
     ExecutionSpec,
-    execute_module,
     run_differential,
 )
 from repro.ir import Printer, f32, index
@@ -221,7 +221,8 @@ class TestHarnessSensitivity:
         # NDRange validation errors must surface as skip reasons, not
         # escape the harness as raw ValueErrors.
         module, _ = _gemm_module(size=8, work_group=3)
-        executions, skipped = execute_module(module)
+        executions, skipped = ExecutionEngine(
+            module, tier="interp").execute_module()
         assert executions == {}
         assert "divisible" in skipped["gemm"]
         report = run_differential(module, "sycl-mlir",
@@ -271,8 +272,8 @@ class TestHarnessSensitivity:
         size = b.insert(sycl.SYCLAccessorSizeOp.build(f.arguments[0]))
         b.insert(func_dialect.ReturnOp.build([size.result]))
         module = wrap_in_module(f)
-        executions, skipped = execute_module(
-            module, specs={"accsize": ExecutionSpec(
+        executions, skipped = ExecutionEngine(
+            module, tier="interp").execute_module({"accsize": ExecutionSpec(
                 buffers={"acc": (6,)})})
         assert skipped == {}
         assert executions["accsize"].results == [6]
@@ -301,7 +302,8 @@ class TestHarnessSensitivity:
             return module
 
         module = build_module()
-        executions, skipped = execute_module(module)
+        executions, skipped = ExecutionEngine(
+            module, tier="interp").execute_module()
         assert skipped == {}
         assert executions["bump"].memory["global:state"][0] != 0
 
@@ -327,7 +329,8 @@ class TestHarnessSensitivity:
         body_builder = opaque.body
         body_builder.append(func_dialect.ReturnOp.build())
         module.append(opaque)
-        executions, skipped = execute_module(module, specs=LISTING_SPECS)
+        executions, skipped = ExecutionEngine(
+            module, tier="interp").execute_module(LISTING_SPECS)
         assert set(executions) == {"foo", "mem_acc", "non_uniform"}
         assert "opaque" in skipped
 

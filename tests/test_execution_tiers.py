@@ -8,7 +8,6 @@ vectorized ND-range tier — before and after every shipped pipeline.
 
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -16,8 +15,6 @@ from repro.faults import fault_plan
 from repro.interp.differential import (
     DifferentialError,
     compare_executions,
-    execute_function,
-    execute_module,
     run_differential,
     synthesize_spec,
 )
@@ -27,7 +24,6 @@ from repro.interp.engine import (
     ExecutorRegistrationError,
     TierFallback,
     _EXECUTORS,
-    _reset_deprecation_warnings,
     register_executor,
     registered_executors,
 )
@@ -342,55 +338,62 @@ class TestExecutorRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated entry-point shims
+# The scalar tier's own entry point
 # ---------------------------------------------------------------------------
 
-class TestDeprecationShims:
-    def _one_warning(self, invoke):
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            invoke()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            invoke()  # the shim warns once per process, not per call
+class TestInterpreterLaunch:
+    def test_launch_matches_engine(self):
+        import numpy as np
 
-    def test_execute_function_shim(self):
-        module, specs = build_gemm_module(size=4, work_group=2)
-        function = module.lookup_symbol("gemm")
-        resolved = synthesize_spec(function, specs["gemm"])
-        self._one_warning(
-            lambda: execute_function(module, function, resolved))
-
-    def test_execute_module_shim(self):
-        module, specs = build_gemm_module(size=4, work_group=2)
-        self._one_warning(lambda: execute_module(module, specs))
-
-    def test_interpreter_launch_shim(self):
         from repro.interp.interpreter import Interpreter
-        from repro.runtime.accessor import Accessor
-        from repro.runtime.buffer import Buffer
+        from repro.runtime import Accessor, Buffer
 
         module, _ = build_gemm_module(size=4, work_group=2)
 
-        def invoke():
-            interp = Interpreter(module)
-            args = [Accessor(Buffer((4, 4)), "read"),
-                    Accessor(Buffer((4, 4)), "read"),
-                    Accessor(Buffer((4, 4)), "read_write")]
-            interp.launch("gemm", args, (4, 4), (2, 2))
+        def run(launch):
+            a = Buffer(np.arange(16, dtype=np.float32).reshape(4, 4))
+            b = Buffer(np.ones((4, 4), dtype=np.float32))
+            c = Buffer(np.zeros((4, 4), dtype=np.float32))
+            result = launch("gemm", [Accessor(a, "read"), Accessor(b, "read"),
+                                     Accessor(c, "read_write")],
+                            (4, 4), (2, 2))
+            return c.host_array().tolist(), result.counters.as_dict()
 
-        self._one_warning(invoke)
+        direct = run(Interpreter(module).launch)
+        engine = run(ExecutionEngine(module, tier="interp").launch)
+        assert direct == engine
+        assert any(row != [0.0] * 4 for row in direct[0])
 
-    def test_shim_results_match_engine(self):
+    def test_execute_matches_execute_module(self):
         module, specs = build_gemm_module(size=4, work_group=2)
         function = module.lookup_symbol("gemm")
         resolved = synthesize_spec(function, specs["gemm"])
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            shimmed = execute_function(module, function, resolved)
-        direct = ExecutionEngine(module, tier="interp").execute(
-            function, resolved)
-        compare_executions(shimmed, direct)
+        engine = ExecutionEngine(module, tier="interp")
+        direct = engine.execute(function, resolved)
+        executions, skipped = engine.execute_module(specs)
+        assert not skipped, skipped
+        compare_executions(direct, executions["gemm"])
+        assert direct.tier == "interp"
+
+    def test_entry_points_raise_no_deprecation_warning(self):
+        import warnings
+
+        import numpy as np
+
+        from repro.interp.interpreter import Interpreter
+        from repro.runtime import Accessor, Buffer
+
+        module, specs = build_gemm_module(size=4, work_group=2)
+        function = module.lookup_symbol("gemm")
+        args = [Accessor(Buffer(np.ones((4, 4), dtype=np.float32)), mode)
+                for mode in ("read", "read", "read_write")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            Interpreter(module).launch("gemm", args, (4, 4), (2, 2))
+            engine = ExecutionEngine(module, tier="interp")
+            engine.execute(function,
+                           synthesize_spec(function, specs["gemm"]))
+            engine.execute_module(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Chaos suite: the fault-tolerance contract of the process tier.
 
 Every fault class the supervisor claims to survive is injected
-deterministically (:mod:`repro.faults`) at every injection point, under
-``jobs=4``, and the test asserts the *compile still succeeds with output
-byte-identical to a serial run* — recovery by bounded retry, by pool
-rebuild, or by degradation down the ladder (process → thread → serial),
-never by silent corruption and never by failing a compile serial would
-pass.  Batch-mode error isolation and the graceful-Ctrl-C contract of
-the CLIs ride along (see ``docs/robustness.md``).
+deterministically (:mod:`repro.faults`) at every injection point of a
+``repro-opt --jobs 4 --parallel-tier process`` batch, and the test
+asserts the *batch still succeeds with output byte-identical to the
+serial batch* — recovery by bounded retry, by pool rebuild, or by
+degradation to an in-process compile, never by silent corruption and
+never by failing a compile serial would pass.  The thread tier's one
+degradation rung (thread → serial), batch-mode error isolation and the
+graceful-Ctrl-C contract of the CLIs ride along (see
+``docs/robustness.md``).
 """
 
+import multiprocessing
+import re
 import sys
 import time
 from pathlib import Path
@@ -65,16 +69,6 @@ def _serial_print():
     return Printer().print_module(module)
 
 
-def _process_manager(**overrides):
-    manager = parse_pass_pipeline(PIPELINE)
-    manager.jobs = 4
-    manager.tier = "process"
-    options = dict(FAST)
-    options.update(overrides)
-    manager.executor_options = ExecutorOptions(**options)
-    return manager
-
-
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
@@ -87,24 +81,67 @@ def serial_text():
     return _serial_print()
 
 
-def _run_process(serial_text, spec=None, **overrides):
-    """Compile the listing module on the process tier (under ``spec``
-    as the active fault plan) and assert byte-identity with serial."""
-    module = _listing_module()
-    manager = _process_manager(**overrides)
+#: One input file per listing function: a batch labels each segment
+#: with its file name, which is also the segment's fault-plan key.
+_LISTING_FILES = {
+    "foo.mlir": build_listing1_function,
+    "non_uniform.mlir": build_listing2_function,
+    "mem_acc.mlir": build_listing3_function,
+}
+
+
+@pytest.fixture
+def listing_batch(tmp_path, monkeypatch):
+    """The three listing modules as batch inputs in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for name, build in _LISTING_FILES.items():
+        Path(name).write_text(
+            Printer().print_module(wrap_in_module(build()[0])) + "\n",
+            encoding="utf-8")
+    return list(_LISTING_FILES)
+
+
+def _compile_batch(inputs, extra, capsys, out):
+    rc = repro_opt.main(inputs + ["--passes", PIPELINE, "-o", out] + extra)
+    return rc, Path(out).read_text(encoding="utf-8"), \
+        capsys.readouterr().err
+
+
+def _pass_report(err):
+    """The ``--report`` lines a serial batch and a process batch share:
+    pass statistics and remarks, without the tier's and caches' own."""
+    return [line for line in err.splitlines()
+            if not re.search(r"process-tier|cache|analysis manager", line)]
+
+
+def _run_process(inputs, capsys, spec=None, extra=()):
+    """Compile the batch on the process tier (under ``spec`` as the
+    active fault plan), assert byte-identity of the output and the pass
+    report with the serial batch and return the ``--report`` text."""
+    rc, serial, serial_err = _compile_batch(inputs, ["--report"], capsys,
+                                            "serial.mlir")
+    assert rc == 0, serial_err
     try:
         if spec is not None:
             install_fault_plan(FaultPlan.parse(spec))
-        report = manager.run(module)
+        rc, out, err = _compile_batch(
+            inputs, ["--jobs", "4", "--parallel-tier", "process",
+                     "--report", *extra], capsys, "process.mlir")
     finally:
         install_fault_plan(None)
-        manager.close()
-    assert Printer().print_module(module) == serial_text
-    return report
+    assert rc == 0, err
+    assert out == serial
+    assert _pass_report(err) == _pass_report(serial_err)
+    return err
 
 
 def _stat(report, pass_name, name):
-    return report.get_statistic(pass_name, name)
+    """A statistic from a ``CompileReport`` or a ``--report`` text."""
+    if not isinstance(report, str):
+        return report.get_statistic(pass_name, name)
+    match = re.search(rf"^  {re.escape(pass_name)}: {re.escape(name)} "
+                      r"= (\d+)$", report, re.MULTILINE)
+    return int(match.group(1)) if match else 0
 
 
 class TestFaultPlan:
@@ -163,30 +200,27 @@ class TestFaultPlan:
 
 
 class TestProcessTier:
-    def test_byte_identical_to_serial(self, serial_text):
-        report = _run_process(serial_text)
-        assert _stat(report, "process-tier", "units") == 3
+    def test_byte_identical_to_serial(self, listing_batch, capsys):
+        err = _run_process(listing_batch, capsys)
+        assert _stat(err, "process-tier", "segments") == 3
 
-    def test_transient_fault_is_retried(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=transient")
-        assert _stat(report, "process-tier", "transient_retries") == 1
-        assert _stat(report, "process-tier", "recovered_units") == 1
-        assert any("unit 'foo': recovered after 1 failed attempt(s)"
-                   in remark for remark in report.remarks)
-        assert any("retrying (attempt 2)" in remark
-                   for remark in report.remarks)
+    def test_transient_fault_is_retried(self, listing_batch, capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.worker@foo.mlir=transient")
+        assert _stat(err, "process-tier", "transient_retries") == 1
+        assert _stat(err, "process-tier", "recovered_units") == 1
+        assert "unit 'foo.mlir': recovered after 1 failed attempt(s)" in err
+        assert "retrying (attempt 2)" in err
 
-    def test_worker_crash_rebuilds_pool(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=crash")
-        assert _stat(report, "process-tier", "worker_crashes") >= 1
-        assert _stat(report, "process-tier", "pool_rebuilds") == 1
-        assert any("worker pool restarted after worker crash" in remark
-                   for remark in report.remarks)
+    def test_worker_crash_rebuilds_pool(self, listing_batch, capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.worker@foo.mlir=crash")
+        assert _stat(err, "process-tier", "worker_crashes") >= 1
+        assert _stat(err, "process-tier", "pool_rebuilds") == 1
+        assert "worker pool restarted after worker crash" in err
 
     def test_crash_noticed_while_submitting_is_not_a_tier_failure(
-            self, serial_text, monkeypatch):
+            self, listing_batch, capsys, monkeypatch):
         """The crashing worker can break the pool before the rest of the
         batch is submitted; ``submit`` then raises ``BrokenProcessPool``.
         That is the same worker crash, not an unusable tier."""
@@ -219,58 +253,102 @@ class TestProcessTier:
 
         monkeypatch.setattr(SupervisedExecutor, "_ensure_pool",
                             first_pool_is_doomed)
-        module = _listing_module()
-        manager = _process_manager()
-        try:
-            report = manager.run(module)
-        finally:
-            manager.close()
-        assert Printer().print_module(module) == serial_text
-        assert _stat(report, "process-tier", "degraded") == 0
-        assert _stat(report, "process-tier", "worker_crashes") == 1
-        assert _stat(report, "process-tier", "pool_rebuilds") == 1
-        assert _stat(report, "process-tier", "units") == 3
+        err = _run_process(listing_batch, capsys)
+        assert _stat(err, "process-tier", "degraded") == 0
+        assert _stat(err, "process-tier", "worker_crashes") == 1
+        assert _stat(err, "process-tier", "pool_rebuilds") == 1
+        assert _stat(err, "process-tier", "segments") == 3
 
-    def test_hang_is_bounded_by_deadline(self, serial_text):
+    def test_hang_is_bounded_by_deadline(self, listing_batch, capsys):
         start = time.monotonic()
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=hang/60",
-                              deadline=0.75)
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.worker@foo.mlir=hang/60",
+                           extra=["--deadline", "2"])
         elapsed = time.monotonic() - start
         assert elapsed < 30.0  # nowhere near the injected 60s sleep
-        assert _stat(report, "process-tier", "hangs") == 1
-        assert _stat(report, "process-tier", "pool_rebuilds") == 1
-        assert any("deadline exceeded" in remark
-                   for remark in report.remarks)
+        assert _stat(err, "process-tier", "hangs") == 1
+        assert _stat(err, "process-tier", "pool_rebuilds") == 1
+        assert "deadline exceeded" in err
 
-    def test_corrupt_worker_result_is_detected(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker.result@foo=corrupt")
-        assert _stat(report, "process-tier", "corrupt_results") == 1
-        assert _stat(report, "process-tier", "recovered_units") == 1
-        assert any("corrupt result" in remark for remark in report.remarks)
+    def test_corrupt_worker_result_is_detected(self, listing_batch, capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.worker.result@foo.mlir=corrupt")
+        assert _stat(err, "process-tier", "corrupt_results") == 1
+        assert _stat(err, "process-tier", "recovered_units") == 1
+        assert "corrupt result" in err
 
-    def test_corrupt_at_splice_is_detected(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.splice@foo=corrupt")
-        assert _stat(report, "process-tier", "corrupt_results") == 1
+    def test_corrupt_at_splice_is_detected(self, listing_batch, capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.splice@foo.mlir=corrupt")
+        assert _stat(err, "process-tier", "corrupt_results") == 1
+        assert _stat(err, "process-tier", "recovered_units") == 1
 
-    def test_retry_exhaustion_degrades_unit_to_serial(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo:*=transient")
-        assert _stat(report, "process-tier", "degraded_units") == 1
+    def test_retry_exhaustion_degrades_unit_to_serial(self, listing_batch,
+                                                      capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="executor.worker@foo.mlir:*=transient")
+        assert _stat(err, "process-tier", "degraded_units") == 1
         # The retry budget (max_retries=2) bounds the attempts: first
-        # try plus two retries, then the serial fallback.
-        assert _stat(report, "process-tier", "transient_retries") == 3
-        assert any("degraded to in-process serial run" in remark
-                   for remark in report.remarks)
+        # try plus two retries, then the in-process fallback.
+        assert _stat(err, "process-tier", "transient_retries") == 3
+        assert "degraded to in-process serial run" in err
 
-    def test_ladder_process_to_thread(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="process-tier.dispatch=transient")
-        assert _stat(report, "process-tier", "degraded") == 1
-        assert any("process-tier: degraded to thread tier" in remark
-                   for remark in report.remarks)
+    def test_tier_error_compiles_the_batch_in_process(self, listing_batch,
+                                                      capsys):
+        err = _run_process(listing_batch, capsys,
+                           spec="process-tier.dispatch=transient")
+        assert _stat(err, "process-tier", "degraded") == 1
+        assert "process-tier: degraded to in-process batch" in err
+
+    def test_full_ladder_process_batch_to_threads_to_serial(
+            self, tmp_path, monkeypatch, capsys):
+        """Both rungs in order: the process tier fails as a whole, the
+        batch compiles in-process on ``--jobs`` threads, and a failed
+        thread dispatch there runs serially — output still serial's."""
+        monkeypatch.chdir(tmp_path)
+        builds = (build_listing1_function, build_listing2_function,
+                  build_listing3_function)
+        inputs = []
+        for index, pair in enumerate((builds[:2], builds[1:])):
+            name = f"pair{index}.mlir"
+            Path(name).write_text(Printer().print_module(
+                wrap_in_module(*[build()[0] for build in pair])) + "\n",
+                encoding="utf-8")
+            inputs.append(name)
+        rc, serial, serial_err = _compile_batch(inputs, [], capsys,
+                                                "serial.mlir")
+        assert rc == 0, serial_err
+        with fault_plan("process-tier.dispatch=transient;"
+                        "thread-tier.dispatch=transient"):
+            rc, out, err = _compile_batch(
+                inputs, ["--jobs", "4", "--parallel-tier", "process",
+                         "--report"], capsys, "process.mlir")
+        assert rc == 0, err
+        assert out == serial
+        assert _stat(err, "process-tier", "degraded") == 1
+        assert _stat(err, "thread-tier", "degraded") == 1
+        assert err.index("process-tier: degraded to in-process batch") \
+            < err.index("thread-tier: degraded to serial")
+
+    def test_single_input_compiles_in_process_on_threads(
+            self, tmp_path, monkeypatch, capsys, serial_text):
+        """One module never reaches worker processes: ``--parallel-tier
+        process`` compiles it in-process on ``--jobs`` threads."""
+        monkeypatch.chdir(tmp_path)
+        Path("all.mlir").write_text(
+            Printer().print_module(_listing_module()) + "\n",
+            encoding="utf-8")
+        with fault_plan("thread-tier.dispatch=transient") as plan:
+            rc, out, err = _compile_batch(
+                ["all.mlir"], ["--jobs", "4", "--parallel-tier", "process",
+                               "--report"], capsys, "out.mlir")
+        assert rc == 0, err
+        assert out == serial_text + "\n"
+        # The thread tier was dispatched (and its injected fault fired);
+        # the process tier never was.
+        assert [fire.point for fire in plan.fires] == ["thread-tier.dispatch"]
+        assert "process-tier" not in err
+        assert multiprocessing.active_children() == []
 
     def test_ladder_thread_to_serial(self, serial_text):
         module = _listing_module()
@@ -285,17 +363,6 @@ class TestProcessTier:
         assert _stat(report, "thread-tier", "degraded") == 1
         assert any("thread-tier: degraded to serial" in remark
                    for remark in report.remarks)
-
-    def test_full_ladder_process_to_thread_to_serial(self, serial_text):
-        report = _run_process(
-            serial_text,
-            spec="process-tier.dispatch=transient;"
-                 "thread-tier.dispatch=transient")
-        remarks = "\n".join(report.remarks)
-        assert "process-tier: degraded to thread tier" in remarks
-        assert "thread-tier: degraded to serial" in remarks
-        assert remarks.index("process-tier: degraded") \
-            < remarks.index("thread-tier: degraded")
 
 
 class TestCacheSelfHealing:
@@ -450,6 +517,33 @@ class TestGracefulInterrupt:
         assert rc == 130
         assert "repro-opt: interrupted" in capsys.readouterr().err
 
+    def test_interrupted_process_batch_leaves_no_workers(
+            self, listing_batch, capsys, monkeypatch):
+        from repro.transforms import executor
+
+        running = []
+
+        def interrupt(*_args, **_kwargs):
+            running.append(len(multiprocessing.active_children()))
+            raise KeyboardInterrupt
+
+        # The supervisor's wait on in-flight segments is where Ctrl-C
+        # lands.  Every worker hangs: a pool that is only shut down, not
+        # terminated, would wait for them, so this checks the terminate.
+        monkeypatch.setattr(executor, "wait", interrupt)
+        install_fault_plan(FaultPlan.parse("executor.worker:*=hang/60"))
+        rc = repro_opt.main(listing_batch + [
+            "--passes", PIPELINE, "--jobs", "4", "--parallel-tier", "process"])
+        assert rc == 130
+        assert "repro-opt: interrupted" in capsys.readouterr().err
+        assert running and running[0] > 0
+        # Terminated workers are reaped by active_children() itself.
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+
     def test_repro_run_interrupt_exits_130(self, tmp_path, capsys,
                                            monkeypatch):
         path = tmp_path / "in.mlir"
@@ -505,7 +599,7 @@ class TestWorkerErrorRendering:
                               degraded=True, events=events)
 
         try:
-            unit = WorkUnit(uid=0, label="broken", kind="function",
+            unit = WorkUnit(uid=0, label="broken",
                             text="this does not parse", spec="canonicalize")
             results = executor.run_units(
                 [unit], lambda u, o: o["text"], fallback)

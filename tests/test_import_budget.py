@@ -251,7 +251,7 @@ def test_concurrent_first_touch_resolves_to_one_object(tmp_path):
 _WORKER_PAYLOAD = """
 from repro.transforms.executor import _compile_work_unit
 result = _compile_work_unit({
-    "uid": 0, "label": "unit", "attempt": 1, "kind": "segment",
+    "uid": 0, "label": "unit", "attempt": 1,
     "filename": "<unit>", "verify": True, "spec": "canonicalize,cse",
     "text": open(%r, encoding="utf-8").read()})
 assert result["ok"], result

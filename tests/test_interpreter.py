@@ -15,6 +15,7 @@ from repro.frontend.kernel_builder import (
     ScalarParam,
 )
 from repro.interp import (
+    ExecutionEngine,
     Interpreter,
     InterpreterError,
     MemRefStorage,
@@ -42,6 +43,11 @@ from repro.runtime import Accessor, Buffer, LocalAccessor
 from .helpers import build_vecadd_source, wrap_in_module
 
 _vecadd_source = build_vecadd_source
+
+
+def _engine(module):
+    """The scalar tier behind the one execution entry point."""
+    return ExecutionEngine(module, tier="interp")
 
 
 def _function(name, arg_types, result_types=(), arg_names=None):
@@ -315,12 +321,12 @@ class TestKernelLaunch:
         a = Buffer(np.arange(8, dtype=np.float32))
         b = Buffer(np.full(8, 10.0, dtype=np.float32))
         c = Buffer((8,))
-        interp = Interpreter(module)
-        result = interp.launch("vecadd", [Accessor(a, "read"),
-                                          Accessor(b, "read"),
-                                          Accessor(c, "write")], (8,))
+        result = _engine(module).launch("vecadd", [Accessor(a, "read"),
+                                                   Accessor(b, "read"),
+                                                   Accessor(c, "write")],
+                                        (8,))
         assert result.num_work_items == 8
-        assert interp.counters.work_items == 8
+        assert result.counters.work_items == 8
         np.testing.assert_allclose(
             c.host_array(), np.arange(8, dtype=np.float32) + 10.0)
 
@@ -329,7 +335,7 @@ class TestKernelLaunch:
         a = Buffer(np.ones(4, dtype=np.float32))
         b = Buffer(np.ones(4, dtype=np.float32))
         c = Buffer((4,))
-        Interpreter(module).launch(
+        _engine(module).launch(
             "vecadd", [Accessor(a, "read"), Accessor(b, "read"),
                        Accessor(c, "write")], (4,))
         # device_array() transfers were accounted on the buffers.
@@ -344,7 +350,7 @@ class TestKernelLaunch:
         source = KernelSource("bar", body=body, nd_range_dims=1)
         module = wrap_in_module(source.build())
         with pytest.raises(TrapError, match="local range"):
-            Interpreter(module).launch("bar", [], (4,))
+            _engine(module).launch("bar", [], (4,))
 
     def test_barrier_phases_within_group(self):
         # Work item 0 of each group sums the slots its whole group wrote
@@ -367,10 +373,10 @@ class TestKernelLaunch:
         module = wrap_in_module(source.build())
         a = Buffer(np.arange(8, dtype=np.float32))
         c = Buffer((8,))
-        interp = Interpreter(module)
-        interp.launch("groupsum", [Accessor(a, "read"),
-                                   Accessor(c, "read_write")], (8,), (4,))
-        assert interp.counters.barriers == 8
+        result = _engine(module).launch(
+            "groupsum", [Accessor(a, "read"), Accessor(c, "read_write")],
+            (8,), (4,))
+        assert result.counters.barriers == 8
         result = c.host_array()
         assert result[0] == 0 + 1 + 2 + 3
         assert result[4] == 4 + 5 + 6 + 7
@@ -398,7 +404,7 @@ class TestKernelLaunch:
         module = wrap_in_module(source.build())
         a = Buffer(np.arange(4, dtype=np.float32) + 1.0)
         c = Buffer((2,))
-        Interpreter(module).launch(
+        _engine(module).launch(
             "tilesum",
             [Accessor(a, "read"), LocalAccessor(2), Accessor(c, "write")],
             (4,), (2,))
@@ -414,7 +420,7 @@ class TestKernelLaunch:
 
         ranged = Accessor(backing, "read", access_range=Range(4),
                           offset=ID(2))
-        Interpreter(module).launch(
+        _engine(module).launch(
             "vecadd", [ranged, Accessor(ones, "read"),
                        Accessor(out, "write")], (4,))
         np.testing.assert_allclose(out.host_array()[:4], [2, 3, 4, 5])
@@ -434,7 +440,7 @@ class TestKernelLaunch:
             out = Buffer((8,))
             from repro.runtime import ID, Range
 
-            Interpreter(target).launch(
+            _engine(target).launch(
                 "vecadd",
                 [Accessor(backing, "read", access_range=Range(4),
                           offset=ID(2)),
@@ -472,7 +478,7 @@ class TestKernelLaunch:
             scalars=[ScalarParam("factor", f32())])
         module = wrap_in_module(source.build())
         c = Buffer(np.ones(4, dtype=np.float32))
-        Interpreter(module).launch("scale", [Accessor(c), 2.5], (4,))
+        _engine(module).launch("scale", [Accessor(c), 2.5], (4,))
         np.testing.assert_allclose(c.host_array(), np.full(4, 2.5))
 
     def test_powf_negative_base_traps(self):
@@ -496,8 +502,7 @@ class TestKernelLaunch:
                                      target="local")])
         module = wrap_in_module(source.build())
         with pytest.raises(TrapError, match="local_size"):
-            Interpreter(module).launch("needslocal", [LocalAccessor(2)],
-                                       (4,))
+            _engine(module).launch("needslocal", [LocalAccessor(2)], (4,))
 
     def test_dimension_query_out_of_rank_traps(self):
         # Launching a 2-D kernel over a 1-D range: get_global_id(1) must
@@ -509,7 +514,7 @@ class TestKernelLaunch:
 
         buffers = [Acc(Buffer((4, 4))) for _ in range(3)]
         with pytest.raises(TrapError, match="dimension 1 out of range"):
-            Interpreter(module).launch("gemm", buffers, (4,))
+            _engine(module).launch("gemm", buffers, (4,))
 
     def test_item_kernel_local_queries_trap(self):
         def body(k):
@@ -518,7 +523,7 @@ class TestKernelLaunch:
         source = KernelSource("itemk", body=body, nd_range_dims=1)
         module = wrap_in_module(source.build())
         with pytest.raises(TrapError, match="local range"):
-            Interpreter(module).launch("itemk", [], (2,))
+            _engine(module).launch("itemk", [], (2,))
 
     def test_host_ops_are_rejected_with_reason(self):
         f, b = _function("host", [sycl.memref_of(sycl.QueueType())])
