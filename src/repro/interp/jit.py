@@ -519,9 +519,11 @@ class _Emitter(_EmitterBase):
         block but the entry counts its executions at run time, so the
         ``_Stat`` x count flush stays exact whatever path was taken.
         Blocks are laid out in reverse post-order: each block's
-        dominators are emitted (their values bound) before it, the
-        true-successor chain of a loop stays near the top of the
-        ``elif`` ladder, and unreachable blocks are not emitted at all.
+        dominators are emitted (their values bound) before it, a loop's
+        body comes before its exit, and unreachable blocks are not
+        emitted at all.  Lowered loops are rotated (the body block is
+        its own latch), so there is no header to place: an innermost
+        loop's back edge is a self-edge.
         """
         entry = self.fn.body
         order: List = []                       # post-order, reversed below

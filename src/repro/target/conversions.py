@@ -16,7 +16,8 @@ The ``lower-to-llvm`` pipeline (registered in
     where its operands are defined.
 ``convert-scf-to-cf``
     structured ``scf.if`` / ``scf.for`` / ``scf.while`` into a
-    branch-based CFG of ``cf.br`` / ``cf.cond_br`` blocks.
+    branch-based CFG of ``cf.br`` / ``cf.cond_br`` blocks; an
+    ``scf.for`` becomes a rotated loop whose body is its own latch.
 ``convert-arith-to-llvm``
     ``arith.*`` into the mirroring ``llvm.*`` arithmetic.
 ``convert-func-to-llvm``
@@ -292,23 +293,27 @@ class ConvertSCFToCF(FunctionPass):
 
     def _expand_for(self, op: scf.ForOp, block: Block, cont: Block,
                     region: Region) -> None:
-        carried = [value.type for value in op.init_args]
-        header = Block([IndexType(), *carried],
-                       ["iv"] + [f"carried{i}" for i in range(len(carried))])
-        region.add_block(header)
+        """A rotated loop: the body is its own latch, so a trip runs the
+        increment, the compare and one branch.  The preheader enters the
+        body directly when the loop provably runs at least once, and
+        otherwise guards the first trip with ``lb < ub``."""
         body = _move_block(op.body, region)
-        block.append(cf.BranchOp.build(
-            header, [op.lower_bound, *op.init_args]))
-        compare = arith.CmpIOp.build("slt", header.arguments[0],
-                                     op.upper_bound)
-        header.append(compare)
-        header.append(cf.CondBranchOp.build(
-            compare.results[0], body, list(header.arguments),
-            cont, list(header.arguments)[1:]))
+        entry = [op.lower_bound, *op.init_args]
+        if (op.constant_trip_count() or 0) >= 1:
+            block.append(cf.BranchOp.build(body, entry))
+        else:
+            guard = arith.CmpIOp.build("slt", op.lower_bound, op.upper_bound)
+            block.append(guard)
+            block.append(cf.CondBranchOp.build(
+                guard.results[0], body, entry, cont, list(op.init_args)))
         yielded = _pop_terminator(body, scf.YieldOp)
         bump = arith.AddIOp.build(body.arguments[0], op.step)
+        again = arith.CmpIOp.build("slt", bump.results[0], op.upper_bound)
         body.append(bump)
-        body.append(cf.BranchOp.build(header, [bump.results[0], *yielded]))
+        body.append(again)
+        body.append(cf.CondBranchOp.build(
+            again.results[0], body, [bump.results[0], *yielded],
+            cont, yielded))
 
     def _expand_while(self, op: scf.WhileOp, block: Block, cont: Block,
                       region: Region) -> None:

@@ -266,11 +266,18 @@ class VersionedLICM(LoopInvariantCodeMotion):
         upper = loop.upper_bound
         cmp = arith.CmpIOp.build("slt", lower, upper)
         parent_block.insert_before(loop, cmp)
-        if_op = scf_dialect.IfOp.build(cmp.result)
+        # The guard yields the loop's results, or its init args when the
+        # loop would not have run.
+        if_op = scf_dialect.IfOp.build(
+            cmp.result, [result.type for result in loop.results])
         parent_block.insert_after(cmp, if_op)
+        loop.replace_all_uses_with(list(if_op.results))
         loop.detach()
         if_op.then_block.append(loop)
-        if_op.then_block.append(scf_dialect.YieldOp.build())
+        if_op.then_block.append(scf_dialect.YieldOp.build(loop.results))
+        if if_op.else_block is not None:
+            if_op.else_block.append(
+                scf_dialect.YieldOp.build(loop.init_args))
         return loop
 
 

@@ -4,7 +4,9 @@ Covers the lowering subsystem end to end:
 
 * conversion-pass shape tests (``scf.if``/``scf.for``/``scf.while`` →
   ``cf`` CFG, memref accesses → ``llvm.getelementptr``/``load``/
-  ``store``, ``func.func`` → ``llvm.func``);
+  ``store``, ``func.func`` → ``llvm.func``); rotated loops: no header
+  block, a guard only without a constant trip count of at least one,
+  carried values swapped over a self-edge on every tier;
 * address ingredients built once per function, outside the loops that
   do not need them, with the executed-ops count of the lowered GEMM
   pinned; the CFG fallback of the old pass order; ``jobs=N`` output;
@@ -39,8 +41,10 @@ from repro.ir import (
     verify,
 )
 from repro.ir.builder import Builder, InsertionPoint
+from repro.ir.dominance import block_dominates
 from repro.ir.printer import print_op
 from repro.transforms import build_named_pipeline
+from repro.transforms.pipelines import parse_pass_pipeline
 
 from .filecheck import filecheck
 from .helpers import (
@@ -121,7 +125,7 @@ def _build_transpose_add_function():
 
 def _blocks_on_a_cycle(function):
     """The blocks of ``function``'s CFG that reach themselves: the
-    lowered loops' headers and bodies."""
+    lowered loops' bodies."""
     def successors(block):
         terminator = block.terminator
         return terminator.successors if terminator is not None else ()
@@ -138,6 +142,33 @@ def _blocks_on_a_cycle(function):
                 seen.add(current)
                 stack.extend(successors(current))
     return looping
+
+
+def _build_swap_function():
+    """``swap(n)``: ``scf.for 0..n`` carrying ``(1, 2)`` and yielding
+    its two values the other way round, so they swap every trip.  ``n``
+    is a runtime value: the lowered loop keeps its ``lb < ub`` guard."""
+    f = func.FuncOp.build("swap", [index()], [index(), index()])
+    b = Builder(InsertionPoint.at_end(f.body))
+    c0, c1, c2 = (b.insert(arith.ConstantOp.build(v, index())).result
+                  for v in (0, 1, 2))
+    loop = b.insert(scf.ForOp.build(c0, f.arguments[0], c1, [c1, c2]))
+    first, second = loop.region_iter_args
+    loop.body.append(scf.YieldOp.build([second, first]))
+    b.insert(func.ReturnOp.build(list(loop.results)))
+    return f
+
+
+def _back_edges(function):
+    """``(source, target, terminator)`` for every edge of ``function``'s
+    CFG whose target dominates its source."""
+    edges = []
+    for block in function.regions[0].blocks:
+        terminator = block.terminator
+        for target in terminator.successors if terminator is not None else ():
+            if block_dominates(target, block):
+                edges.append((block, target, terminator))
+    return edges
 
 
 def _executions(module, specs):
@@ -190,13 +221,16 @@ class TestConversionShape:
         assert '"memref.store"' not in text
         assert '"memref.load"' not in text
 
-    def test_for_loop_becomes_header_cfg(self):
+    def test_for_loop_becomes_rotated_cfg(self):
         module = wrap_in_module(build_listing3_function()[0])
         _lower(module)
         filecheck(print_op(module), '''
-            CHECK: "cf.br"
-            CHECK: "llvm.icmp"
-            CHECK: "cf.cond_br"
+            CHECK: "cf.br"(%0) : (index) -> () [^bb1]
+            CHECK: ^bb1(%iv: index):
+            CHECK-NEXT: %3 = "llvm.add"(%iv, %2)
+            CHECK-NEXT: %4 = "llvm.icmp"(%3, %1) {predicate = "slt"}
+            CHECK-NEXT: "cf.cond_br"(%4, %3)
+            CHECK-SAME: [^bb1, ^bb2]
         ''')
 
     def test_conversion_statistics_are_reported(self):
@@ -210,6 +244,88 @@ class TestConversionShape:
                  for stat in report.statistics}
         assert stats.get(("convert-scf-to-cf", "expanded"), 0) > 0
         assert stats.get(("convert-memref-to-llvm", "accesses"), 0) > 0
+
+
+#: ``lower-to-llvm`` split around ``convert-scf-to-cf``, so a test can
+#: see the ``scf.for`` ops the CFG conversion receives.
+BEFORE_SCF_TO_CF = ("builtin.module(func.func(lower-sycl-accessors,"
+                    "lower-affine,convert-memref-to-llvm))")
+FROM_SCF_TO_CF = ("builtin.module(func.func(convert-scf-to-cf,"
+                  "convert-arith-to-llvm),convert-func-to-llvm)")
+
+
+class TestRotatedLoops:
+    """Each ``scf.for`` lowers to a body block that is its own latch:
+    no header block, one back edge per loop carried by a ``cf.cond_br``,
+    and an ``lb < ub`` guard only where the trip count is not a constant
+    of at least one."""
+
+    def _modules(self):
+        gemm, _ = _internalized_gemm()
+        gemm.append(_build_transpose_add_function())
+        yield gemm
+        yield _listing_module()
+        yield wrap_in_module(_build_swap_function())
+
+    def test_no_header_blocks_and_guards_only_where_needed(self):
+        guards = 0
+        for module in self._modules():
+            parse_pass_pipeline(BEFORE_SCF_TO_CF).run(module)
+            # Body blocks are moved, not cloned: they keep their identity.
+            loops = {loop.body: (loop.constant_trip_count() or 0) >= 1
+                     for loop in module.walk()
+                     if isinstance(loop, scf.ForOp)}
+            assert loops
+            flat = {body for body in loops
+                    if not any(op.regions for op in body.operations)}
+            parse_pass_pipeline(FROM_SCF_TO_CF).run(module)
+            verify(module)
+            edges = [edge for function in module.body.operations
+                     for edge in _back_edges(function)]
+            assert sorted(id(target) for _, target, _ in edges) == \
+                sorted(id(body) for body in loops)
+            for source, target, terminator in edges:
+                assert isinstance(terminator, cf.CondBranchOp)
+                assert terminator.successors[0] is target
+                if target in flat:
+                    assert source is target
+            for body, runs in loops.items():
+                entries = [op for block in body.parent.blocks
+                           if (op := block.terminator) is not None
+                           and body in op.successors
+                           and not block_dominates(body, block)]
+                assert len(entries) == 1
+                if runs:
+                    assert isinstance(entries[0], cf.BranchOp)
+                else:
+                    assert isinstance(entries[0], cf.CondBranchOp)
+                    assert entries[0].successors[0] is body
+                    guards += 1
+        assert guards == 1  # the swap function's runtime-bounded loop
+
+    @pytest.mark.parametrize("n,expected", [(0, [1, 2]), (1, [2, 1]),
+                                            (7, [2, 1])])
+    def test_carried_values_swap_on_every_tier(self, n, expected):
+        """``n = 0`` leaves through the guard with the init args; a trip
+        swaps the two carried values over the body's self-edge, which
+        the JIT compiles to one parallel assignment."""
+        spec = ExecutionSpec(scalars={"arg0": n})
+        structured = ExecutionEngine(
+            wrap_in_module(_build_swap_function()),
+            tier="interp").run("swap", spec)
+        lowered = _lower(wrap_in_module(_build_swap_function()))
+        runs = {tier: ExecutionEngine(lowered, tier=tier).run("swap", spec)
+                for tier in ("interp", "jit")}
+        assert structured.results == expected
+        assert runs["jit"].tier == "jit"  # compiled, no fallback
+        for run in runs.values():
+            assert run.results == expected
+        assert runs["jit"].counters == runs["interp"].counters
+        assert dict(runs["interp"].counters, ops=0) == \
+            dict(structured.counters, ops=0)
+        # Three constants, the guard's compare and branch, the return:
+        # then three ops a trip.
+        assert runs["interp"].counters["ops"] == 6 + 3 * n
 
 
 class TestDifferential:
@@ -333,7 +449,7 @@ class TestAddressesAreBuiltOnce:
         structured = _executions(module, specs)["gemm"].counters
         lowered = _executions(_lower(module), specs)["gemm"].counters
         assert structured["ops"] == 6_016
-        assert lowered["ops"] == 11_968
+        assert lowered["ops"] == 10_944
         assert dict(lowered, ops=0) == dict(structured, ops=0)
 
 
@@ -476,8 +592,6 @@ class TestCFMechanics:
         verify(wrap_in_module(f))
 
     def test_block_dominates(self):
-        from repro.ir.dominance import block_dominates
-
         f = self._diamond()
         entry, then_block, else_block, exit_block = f.regions[0].blocks
         assert block_dominates(entry, exit_block)
