@@ -9,15 +9,17 @@ Passes request analyses by class —
 
 — and the manager constructs, caches and invalidates them:
 
-* results are cached per ``(analysis class, anchor op)`` and tagged with
-  the anchor's version stamp at construction time
+* results are cached per ``(analysis class, anchor op)``, weakly on the
+  anchor, and tagged with the anchor's version stamp at construction time
   (:func:`~repro.ir.operations.version_stamp`); a lookup after an edit
   inside the anchor's function or module is a miss (the safety net under
   passes that mutate without declaring it);
 * after a pass runs on an anchor, :meth:`invalidate` evicts every cached
   analysis whose anchor is that op, one of its ancestors or one of its
   descendants — *except* the classes the pass declares in
-  ``Pass.preserves()`` (MLIR's ``markAnalysesPreserved``);
+  ``Pass.preserves()`` (MLIR's ``markAnalysesPreserved``) — and every
+  analysis whose anchor left the tree it was cached in (an erased
+  loop), so no entry outlives its anchor's place in the IR;
 * hit/miss/invalidation counts are kept per manager and aggregate across
   the per-worker child managers the ``jobs=N`` scheduler spawns
   (:meth:`child` / :meth:`absorb`).
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import inspect
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
@@ -43,14 +46,24 @@ ALL_ANALYSES = object()
 
 
 class _Entry:
-    """One cached analysis result, pinned to its anchor op."""
+    """One cached analysis result.  Its anchor is the entry's weak key;
+    ``root`` weakly names the tree the anchor was in when cached."""
 
-    __slots__ = ("analysis", "anchor", "stamp")
+    __slots__ = ("analysis", "stamp", "root")
 
-    def __init__(self, analysis: Any, anchor: Operation, stamp: Optional[int]):
+    def __init__(self, analysis: Any, stamp: Optional[int],
+                 root: "weakref.ref[Operation]"):
         self.analysis = analysis
-        self.anchor = anchor
         self.stamp = stamp
+        self.root = root
+
+
+def _root(op: Operation) -> Operation:
+    """The outermost op of the tree ``op`` is in (``op`` when detached)."""
+    parent = op.parent_op()
+    while parent is not None:
+        op, parent = parent, parent.parent_op()
+    return op
 
 
 def _construct(analysis_cls: Type, anchor: Operation) -> Any:
@@ -77,7 +90,13 @@ class AnalysisManager:
     """Constructs, caches and invalidates analyses for pass pipelines."""
 
     def __init__(self):
-        self._entries: Dict[Tuple[Type, int], _Entry] = {}
+        #: ``(analysis class, weak reference to the anchor)`` -> entry.
+        #: Weak, so an entry does not keep an anchor alive by itself;
+        #: and since most analyses do reference their anchor,
+        #: :meth:`invalidate` also drops entries whose anchor left its
+        #: tree (an erased loop), which no lookup can reach any more.
+        self._entries: Dict[Tuple[Type, "weakref.ref[Operation]"],
+                            _Entry] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -97,7 +116,8 @@ class AnalysisManager:
         stamp = version_stamp(anchor)
         analysis = _construct(analysis_cls, anchor)
         with self._lock:
-            self._entries[(analysis_cls, id(anchor))] = _Entry(analysis, anchor, stamp)
+            self._entries[(analysis_cls, weakref.ref(anchor))] = _Entry(
+                analysis, stamp, weakref.ref(_root(anchor)))
         return analysis
 
     def get_cached(self, analysis_cls: Type,
@@ -106,8 +126,8 @@ class AnalysisManager:
         anchor edited since, and an anchor no stamp vouches for never
         is; never constructs."""
         with self._lock:
-            entry = self._entries.get((analysis_cls, id(anchor)))
-        if entry is None or entry.anchor is not anchor:
+            entry = self._entries.get((analysis_cls, weakref.ref(anchor)))
+        if entry is None:
             return None
         stamp = version_stamp(anchor)
         if stamp is None or entry.stamp != stamp:
@@ -121,19 +141,22 @@ class AnalysisManager:
         Evicts entries anchored at ``anchor``, at any of its ancestors
         (their whole-tree view includes the mutated subtree) and at any of
         its descendants.  ``preserved`` is an iterable of analysis classes
-        to keep, or :data:`ALL_ANALYSES` to keep everything.
+        to keep, or :data:`ALL_ANALYSES` to keep everything.  Entries
+        whose anchor is gone or left the tree it was cached in go too,
+        preserved or not: no lookup reaches them, and they would pin
+        their module.
         """
         if preserved is ALL_ANALYSES:
             return 0
         preserved_classes = tuple(preserved)
         evicted = 0
         with self._lock:
-            for key in list(self._entries):
-                analysis_cls, _ = key
-                if analysis_cls in preserved_classes:
-                    continue
-                entry = self._entries[key]
-                if self._related(entry.anchor, anchor):
+            for key, entry in list(self._entries.items()):
+                analysis_cls, ref = key
+                cached = ref()
+                if cached is None or _root(cached) is not entry.root() or (
+                        analysis_cls not in preserved_classes
+                        and self._related(cached, anchor)):
                     del self._entries[key]
                     evicted += 1
             self.invalidations += evicted
@@ -145,10 +168,6 @@ class AnalysisManager:
             return True
         return mutated.is_ancestor_of(cached_anchor) or \
             cached_anchor.is_ancestor_of(mutated)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     # -- parallel scheduling ----------------------------------------------
     def child(self) -> "AnalysisManager":
@@ -183,10 +202,9 @@ class AnalysisManager:
     def preserved_names_for(self, root: Operation) -> List[str]:
         """Class names of cached analyses anchored within ``root``'s tree."""
         with self._lock:
-            return sorted({
-                cls.__name__ for (cls, _), entry in self._entries.items()
-                if entry.anchor is root or root.is_ancestor_of(entry.anchor)
-            })
+            anchored = [(cls, ref()) for cls, ref in self._entries]
+        return sorted({cls.__name__ for cls, anchor in anchored
+                       if anchor is not None and root.is_ancestor_of(anchor)})
 
     # -- reporting ---------------------------------------------------------
     def describe(self) -> Dict[str, int]:

@@ -13,7 +13,6 @@ accepts never pays for the JIT.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -21,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..faults import TransientFault, fault_point
 from ..ir import IndexType, IntegerType
 from ..ir.operations import op_memo
+from ..transforms.compile_cache import ContentTable, text_fingerprint
 from .engine import TierFallback
 from .memory import (
     BARRIER,
@@ -392,7 +392,7 @@ class _EmitterBase:
 
 
 # ---------------------------------------------------------------------------
-# Executable cache (in-memory LRU + optional DiskCache persistence)
+# Executable cache (a ContentTable: memory LRU over an optional DiskCache)
 # ---------------------------------------------------------------------------
 
 #: Generation of each emitter's output format, part of every
@@ -414,8 +414,9 @@ class CompiledExecutable:
     origin: str = "fresh"  # "fresh" | "memory" | "disk"
 
 
-class ExecutableCache:
-    """Fingerprint-keyed cache of :class:`CompiledExecutable`.
+class ExecutableCache(ContentTable):
+    """Fingerprint-keyed :class:`ContentTable` of
+    :class:`CompiledExecutable`.
 
     Keys are ``(text_fingerprint(printed function),
     "<tier><EMITTER_VERSIONS[tier]>:<mode>")`` — the compile-cache key
@@ -428,14 +429,7 @@ class ExecutableCache:
     """
 
     def __init__(self, max_entries: int = 128, disk=None):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.disk = disk
-        self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
-            = OrderedDict()
-        self.stats = {"hits": 0, "misses": 0, "stores": 0,
-                      "disk_hits": 0, "disk_stores": 0}
+        super().__init__(max_entries, disk)
 
     def key_for(self, function, mode: str,
                 tier: str = "jit") -> Tuple[str, str]:
@@ -447,7 +441,6 @@ class ExecutableCache:
         edit would run the old code.
         """
         from ..ir import Printer
-        from ..transforms.compile_cache import text_fingerprint
 
         tag = f"{tier}{EMITTER_VERSIONS[tier]}:{mode}"
         memo = op_memo(function)
@@ -456,29 +449,6 @@ class ExecutableCache:
             printed = Printer().print_op_to_string(function)
             key = memo[tag] = (text_fingerprint(printed), tag)
         return key
-
-    def lookup(self, key) -> Optional[CompiledExecutable]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats["hits"] += 1
-        return entry
-
-    def store(self, key, executable: CompiledExecutable) -> None:
-        self._entries[key] = executable
-        self._entries.move_to_end(key)
-        self.stats["stores"] += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def describe(self) -> Dict[str, object]:
-        info: Dict[str, object] = dict(self.stats)
-        info["entries"] = len(self._entries)
-        if self.disk is not None:
-            info["disk"] = self.disk.describe()
-        return info
 
 
 def compile_cached(function, mode: str, cache: Optional[ExecutableCache],
@@ -493,48 +463,36 @@ def compile_cached(function, mode: str, cache: Optional[ExecutableCache],
     :class:`~repro.faults.TransientFault` from the ``<tier>.compile``
     fault point (``corrupt`` poisons the source instead).
     """
+    def load(source: str, origin: str) -> CompiledExecutable:
+        return CompiledExecutable(
+            function.sym_name, mode, source,
+            _load_source(function, source, namespace), origin=origin)
+
+    def rehydrate(payload: dict) -> CompiledExecutable:
+        # Disk source that no longer compiles (a mangled entry that
+        # passed its fingerprint, an emitter-version skew) raises: the
+        # table recovers it and the function is compiled cold below.
+        rehydrated.append(load(payload["text"], "disk"))
+        return rehydrated[0]
+
     key = None
+    rehydrated: List[CompiledExecutable] = []
     if cache is not None:
         key = cache.key_for(function, mode, tier)
-        hit = cache.lookup(key)
+        hit = cache.get(key, rehydrate)
         if hit is not None:
-            return CompiledExecutable(hit.kernel, hit.mode, hit.source,
-                                      hit.entry, origin="memory")
-    source = None
-    origin = "fresh"
-    if cache is not None and cache.disk is not None:
-        payload = cache.disk.load(key)
-        if payload is not None:
-            source = payload["text"]
-            origin = "disk"
-            cache.stats["disk_hits"] += 1
-    injected = None
-    if source is None:
-        source = emit()
-        injected = fault_point(
-            f"{tier}.compile", key=key[0] if key else function.sym_name)
-        if injected == "corrupt":
-            source = (f"def _run(_args, _GR, _LR, _PR, _counters, "
-                      f"_max_steps):\n    raise RuntimeError('injected "
-                      f"corrupt {tier} executable')\n")
-    try:
-        entry = _load_source(function, source, namespace)
-    except SyntaxError:
-        if origin != "disk":
-            raise
-        # A mangled disk entry that still passed its fingerprint (or an
-        # emitter-version skew): evict it and compile cold.
-        cache.disk.recover(key)
-        source = emit()
-        origin = "fresh"
-        entry = _load_source(function, source, namespace)
-    executable = CompiledExecutable(function.sym_name, mode, source, entry,
-                                    origin=origin)
+            return hit if rehydrated else CompiledExecutable(
+                hit.kernel, hit.mode, hit.source, hit.entry, origin="memory")
+    source = emit()
+    injected = fault_point(
+        f"{tier}.compile", key=key[0] if key else function.sym_name)
+    if injected == "corrupt":
+        source = (f"def _run(_args, _GR, _LR, _PR, _counters, "
+                  f"_max_steps):\n    raise RuntimeError('injected "
+                  f"corrupt {tier} executable')\n")
+    executable = load(source, "fresh")
     if cache is not None and injected is None:
-        cache.store(key, executable)
-        if cache.disk is not None and origin == "fresh":
-            if cache.disk.store(key, source):
-                cache.stats["disk_stores"] += 1
+        cache.put(key, executable, source)
     return executable
 
 

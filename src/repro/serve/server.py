@@ -165,6 +165,10 @@ class CompileService:
     def _new_manager(self, spec: str) -> PassManager:
         manager = parse_pass_pipeline(spec)
         manager.cache = self.cache
+        # One analysis manager for the daemon: its entries are weak on
+        # their anchors and dropped when an anchor leaves its module, so
+        # a finished request's analyses do not pin its module.
+        manager.analysis_manager = self.analysis_manager
         return manager
 
     def _checkout(self, spec: str) -> PassManager:
@@ -180,21 +184,12 @@ class CompileService:
                 manager = idle.pop()
         if manager is None:
             manager = self._new_manager(canonical)
-        # Analyses are cached per anchor *object*, and a request's module
-        # dies with the request: its entries live in a child of the
-        # daemon's manager that is emptied at check-in.
-        manager.analysis_manager = self.analysis_manager.child()
         return manager
 
     def _checkin(self, manager: PassManager) -> None:
         # Per-request instrumentations must not leak into the next
         # request (they would silently disable its cache).
         manager.instrumentations.clear()
-        # Keep the request's analysis counters, not its analyses: they
-        # can never hit again and would pin the dead module (entries
-        # anchored at ops a pass erased are not even found by ancestry).
-        manager.analysis_manager.clear()
-        self.analysis_manager.absorb(manager.analysis_manager)
         with self._pool_lock:
             self._pool.setdefault(manager.to_spec(), []).append(manager)
 

@@ -16,19 +16,23 @@ full region tree) and several times cheaper than re-parsing printed IR.
 The template itself is never handed out, so later mutation of a spliced
 result cannot poison the cache.
 
-The cache is thread-safe (one lock around the LRU table) and is designed
-to be *shared*: one cache serves every segment of a ``repro-opt``
-batch run and every worker of a ``jobs=N`` pool.
+The cache is thread-safe and is designed to be *shared*: one cache
+serves every segment of a ``repro-opt`` batch run and every worker of a
+``jobs=N`` pool.
 
-Since PR 8 the in-memory table can sit on top of a persistent
-:class:`~repro.transforms.disk_cache.DiskCache` (``disk=``), forming a
-two-tier read-through/write-through hierarchy: a memory miss consults
-the disk store, re-parses the persisted text into a template (printed
-with ``loc`` trailers, so the round trip is lossless), and
-promotes it so later lookups hit in memory; stores write through so a
-warm compile survives the process.  Disk entries that fail to re-parse
-are evicted on the spot and the lookup degrades to a cold compile —
-PR 7's recover-don't-fail contract extended to persistent state.
+Every table of compiled artifacts is a :class:`ContentTable`: an LRU in
+memory over an optional persistent
+:class:`~repro.transforms.disk_cache.DiskCache` under the same
+``(digest, tag)`` keys.  A memory miss reads the disk entry through and
+promotes what it decodes to (for templates, the text printed with
+``loc`` trailers, re-parsed losslessly); a store writes through so a
+warm compile survives the process; an entry that fails to decode, or a
+hit its caller finds unusable, is dropped from both tiers and the
+lookup degrades to a cold compile (recover, don't fail).  The templates,
+the front tier below and the executables of
+:class:`~repro.interp.jit_runtime.ExecutableCache` are three instances,
+each with its own bound and one counting rule: a lookup is a hit when
+memory or disk answered it.
 
 Two key levels.  The key above — the *second level* — needs a parsed
 module (it hashes the printed form) and answers with an op graph.  In
@@ -54,12 +58,12 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import FaultInjected, fault_point
 from ..ir import Operation
 from ..ir.operations import op_memo
-from ..ir.parser import CONTENT_TOKEN
+from ..ir.parser import CONTENT_TOKEN, ParseError
 
 #: Cache keys: ``(input fingerprint, canonical pipeline spec)``.
 CacheKey = Tuple[str, str]
@@ -121,13 +125,16 @@ class FrontEntry:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, exposed in reports and ``describe()``."""
+    """Hit/miss counters, exposed in reports and ``describe()``.
+
+    The one counting rule: a lookup is a hit when memory *or* disk
+    answered it; the disk's own tier counts in ``DiskCache.stats``.
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Hits dropped because the entry turned out unusable (front tier;
-    #: the second level reports these per compile, as a statistic).
+    #: Hits dropped because the entry turned out unusable.
     recovered: int = 0
 
     @property
@@ -139,32 +146,166 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-class CompileCache:
-    """An LRU map from ``(fingerprint, pipeline spec)`` to compile results.
+#: What a table's ``decode`` raises for a payload it cannot use: a
+#: missing or mistyped field, text that does not parse or compile.
+_UNDECODABLE = (LookupError, TypeError, ValueError, SyntaxError,
+                RecursionError, ParseError)
 
-    ``max_entries=None`` means unbounded — the right default for a batch
-    driver whose working set is one invocation.  Long-lived services
-    should bound it; eviction is least-recently-used.
+
+class ContentTable:
+    """An LRU in memory over an optional ``DiskCache``, keyed alike.
+
+    Keys are the disk cache's ``(digest, tag)`` pairs, so a memory miss
+    reads the same address through (:meth:`get`), a store writes through
+    (:meth:`put`) and an entry found unusable is dropped from both tiers
+    (:meth:`forget`).  ``max_entries=None`` means unbounded; eviction is
+    least-recently-used.  Thread-safe: one lock around the table, and
+    disk I/O and decoding run outside it, so they never serialize
+    concurrent lookups.
     """
 
     def __init__(self, max_entries: Optional[int] = None, disk=None):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be None or >= 1")
         self.max_entries = max_entries
-        #: Optional :class:`~repro.transforms.disk_cache.DiskCache`
-        #: backing tier (read-through on miss, write-through on store).
+        #: Optional :class:`~repro.transforms.disk_cache.DiskCache`.
         self.disk = disk
         self.stats = CacheStats()
-        #: Front-tier counters; a front hit also counts as one of
-        #: ``stats.hits``, so the top level still counts every request
-        #: exactly once.
-        self.front_stats = CacheStats()
-        self._entries: "OrderedDict[CacheKey, CachedCompile]" = OrderedDict()
-        self._front: "OrderedDict[str, FrontEntry]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: CacheKey, decode: Callable[[dict], object]):
+        """The value for ``key``, or ``None`` (a counted miss).
+
+        A memory miss loads the disk entry and promotes ``decode`` of
+        its payload.  A payload ``decode`` cannot use (it raises) is
+        recovered on the disk and the lookup is a miss, so the caller
+        compiles cold and :meth:`put` heals the entry.
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return value
+        payload = self.disk.load(key) if self.disk is not None else None
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except _UNDECODABLE:
+                # The text passed its fingerprint but is no entry of
+                # this table (a schema drift or a printer/parser bug).
+                self.disk.recover(key)
+        with self._lock:
+            if value is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+                self._install(key, value)
+        return value
+
+    def put(self, key: CacheKey, value, text: Optional[str] = None,
+            **meta) -> None:
+        """Install ``value`` as the most recent entry, writing ``text``
+        and ``meta`` through to the disk when ``text`` is given."""
+        with self._lock:
+            self._install(key, value)
+        if text is not None and self.disk is not None:
+            self.disk.store(key, text, **meta)
+
+    def _install(self, key: CacheKey, value) -> None:
+        # The caller holds the lock.
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+
+    def forget(self, key: CacheKey) -> None:
+        """The caller found a hit on ``key`` unusable after the fact (a
+        failed splice, an injected fault, text that no longer parses):
+        drop it from both tiers and count the hit as one recovered
+        miss, so the slow path answers a request still counted once."""
+        with self._lock:
+            if self._entries.pop(key, None) is not None:
+                self.stats.evictions += 1
+            self.stats.hits -= 1
+            self.stats.misses += 1
+            self.stats.recovered += 1
+        if self.disk is not None:
+            self.disk.recover(key)
+
+    def touch(self, key: CacheKey):
+        """Keep ``key`` recent; its value or ``None``, counting nothing."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __bool__(self) -> bool:
+        # An empty cache is still a cache (``cache or CompileCache()``
+        # would otherwise replace one that has not stored anything yet).
+        return True
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def describe(self, disk: bool = True) -> Dict[str, object]:
+        """JSON-able snapshot for reports and the daemon status: the
+        counters, plus the disk tier's under ``"disk"`` when one is
+        attached and ``disk`` asks for it."""
+        with self._lock:
+            summary: Dict[str, object] = {"entries": len(self._entries),
+                                          **vars(self.stats)}
+        if disk and self.disk is not None:
+            summary["disk"] = self.disk.describe()
+        return summary
+
+
+def _decode_template(payload: dict) -> CachedCompile:
+    from ..ir import parse_module
+
+    return CachedCompile(
+        module=parse_module(payload["text"], filename="<disk-cache>"),
+        statistics=[tuple(triple) for triple in payload["statistics"]],
+        remarks=list(payload["remarks"]),
+        preserved_analyses=tuple(payload["preserved_analyses"]))
+
+
+def _decode_front(payload: dict) -> FrontEntry:
+    fingerprint = payload["resolved_fingerprint"]
+    if not isinstance(fingerprint, str):
+        raise TypeError("a front entry names its second-level key")
+    return FrontEntry(
+        text=payload["text"],
+        statistics=[tuple(triple) for triple in payload["statistics"]],
+        remarks=list(payload["remarks"]),
+        key=(fingerprint, payload["spec"]))
+
+
+class CompileCache(ContentTable):
+    """The table of compile templates, keyed ``(fingerprint, pipeline
+    spec)``, with the front tier as a second table (:attr:`front`).
+
+    ``max_entries`` bounds each table.  ``stats`` counts every compile
+    request once: a front hit stands in for a hit here.
+    """
+
+    def __init__(self, max_entries: Optional[int] = None, disk=None):
+        super().__init__(max_entries, disk)
+        #: ``("front:" + front key, spec)`` -> :class:`FrontEntry`,
+        #: over the same disk.
+        self.front = ContentTable(max_entries, disk)
         #: Content token (see :meth:`memo_key_for`) -> fingerprint of
         #: the printed form of a module carrying it.
         self._printed: "OrderedDict[object, str]" = OrderedDict()
-        self._lock = threading.Lock()
 
     @staticmethod
     def key_for(op: Operation, pipeline_spec: str) -> CacheKey:
@@ -228,71 +369,28 @@ class CompileCache:
         """The recorded reply for ``front_key``, or ``None``.
 
         A hit passes the same ``compile-cache.hit`` fault point as a
-        second-level hit; an injected fault drops the entry and reports
-        a miss, so the caller takes the slow path.
+        second-level hit; an injected fault forgets the entry and
+        reports a miss, so the caller takes the slow path.
         """
-        with self._lock:
-            entry = self._front.get(front_key)
-            if entry is not None:
-                self._front.move_to_end(front_key)
-        if entry is None and self.disk is not None:
-            entry = self._front_read_through(front_key, pipeline_spec)
-        if entry is not None:
-            try:
-                if fault_point("compile-cache.hit",
-                               key=entry.key[0]) == "corrupt":
-                    entry = None
-            except FaultInjected:
-                entry = None
-            if entry is None:
-                with self._lock:
-                    if self._front.pop(front_key, None) is not None:
-                        self.front_stats.evictions += 1
-                    self.front_stats.recovered += 1
-        with self._lock:
-            if entry is None:
-                self.front_stats.misses += 1
-            else:
-                self.front_stats.hits += 1
-                self.stats.hits += 1
-                # The hit stands in for one on the second-level entry:
-                # keep that one as recent, or the callers that need the
-                # module (``execute``) find it evicted by miss traffic.
-                if entry.key in self._entries:
-                    self._entries.move_to_end(entry.key)
-        return entry
-
-    def _front_read_through(self, front_key: str,
-                            pipeline_spec: str) -> Optional[FrontEntry]:
-        disk_key = (FRONT_PREFIX + front_key, pipeline_spec)
-        payload = self.disk.load(disk_key)
-        if payload is None:
+        key = (FRONT_PREFIX + front_key, pipeline_spec)
+        entry = self.front.get(key, _decode_front)
+        if entry is None:
             return None
         try:
-            # A front entry has no module and so no analyses to carry:
-            # that slot holds the second-level fingerprint instead.
-            (fingerprint,) = payload["preserved_analyses"]
-            entry = FrontEntry(
-                text=payload["text"],
-                statistics=[tuple(triple)
-                            for triple in payload["statistics"]],
-                remarks=list(payload["remarks"]),
-                key=(fingerprint, pipeline_spec))
-        except (KeyError, TypeError, ValueError):
-            # Valid JSON around intact text, but not a front entry.
-            self.disk.recover(disk_key)
+            usable = fault_point("compile-cache.hit",
+                                 key=entry.key[0]) != "corrupt"
+        except FaultInjected:
+            usable = False
+        if not usable:
+            self.front.forget(key)
             return None
-        self._front_promote(front_key, entry)
-        return entry
-
-    def _front_promote(self, front_key: str, entry: FrontEntry) -> None:
         with self._lock:
-            self._front[front_key] = entry
-            self._front.move_to_end(front_key)
-            if self.max_entries is not None:
-                while len(self._front) > self.max_entries:
-                    self._front.popitem(last=False)
-                    self.front_stats.evictions += 1
+            self.stats.hits += 1
+        # The hit stands in for one on the second-level entry: keep that
+        # one as recent, or the callers that need the module
+        # (``execute``) find it evicted by miss traffic.
+        self.touch(entry.key)
+        return entry
 
     def front_store(self, front_key: str, text: str, key: CacheKey) -> None:
         """Record ``text`` as the reply for ``front_key``.
@@ -303,151 +401,50 @@ class CompileCache:
         consulted the cache): a front hit must be indistinguishable
         from the second-level hit it stands in for.
         """
-        with self._lock:
-            compiled = self._entries.get(key)
+        compiled = self.touch(key)
         if compiled is None:
             return
         entry = FrontEntry(text=text, statistics=compiled.hit_statistics(),
                            remarks=list(compiled.remarks), key=key)
-        self._front_promote(front_key, entry)
-        if self.disk is not None:
-            self.disk.store(
-                (FRONT_PREFIX + front_key, key[1]), text,
-                statistics=entry.statistics, remarks=entry.remarks,
-                preserved_analyses=(key[0],))
+        self.front.put((FRONT_PREFIX + front_key, key[1]), entry, text,
+                       statistics=entry.statistics, remarks=entry.remarks,
+                       resolved_fingerprint=key[0])
 
     def front_recover(self, front_key: str, pipeline_spec: str) -> None:
         """The caller found a front hit unusable after the fact (its text
-        no longer parses or verifies): drop the entry from both tiers
-        and turn the counted hit into a counted recovery, so the request
-        is still counted once when the slow path answers it."""
+        no longer parses or verifies): forget it at both tiers and take
+        back the hit counted here, so the request is still counted once
+        when the slow path answers it."""
+        self.front.forget((FRONT_PREFIX + front_key, pipeline_spec))
         with self._lock:
-            if self._front.pop(front_key, None) is not None:
-                self.front_stats.evictions += 1
-            self.front_stats.recovered += 1
-            self.front_stats.hits -= 1
-            self.front_stats.misses += 1
             self.stats.hits -= 1
-        if self.disk is not None:
-            self.disk.recover((FRONT_PREFIX + front_key, pipeline_spec))
 
     # -- second level --------------------------------------------------------
     def lookup(self, key: CacheKey) -> Optional[CachedCompile]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            self.stats.misses += 1
-        if self.disk is None:
-            return None
-        # Read-through: parse/promote runs outside the lock — disk I/O
-        # and re-parsing must not serialize concurrent compiles.
-        entry = self._read_through(key)
-        if entry is not None:
-            self._promote(key, entry)
-        return entry
-
-    def _read_through(self, key: CacheKey) -> Optional[CachedCompile]:
-        payload = self.disk.load(key)
-        if payload is None:
-            return None
-        from ..ir import ParseError, parse_module
-
-        try:
-            module = parse_module(payload["text"], filename="<disk-cache>")
-        except (ParseError, RecursionError):
-            # The text passed its fingerprint but no longer parses (a
-            # schema drift or a printer/parser bug): evict and recompile
-            # rather than fail a compile a cold run would pass.
-            self.disk.recover(key)
-            return None
-        return CachedCompile(
-            module=module,
-            statistics=[tuple(triple) for triple in payload["statistics"]],
-            remarks=list(payload["remarks"]),
-            preserved_analyses=tuple(payload["preserved_analyses"]),
-        )
-
-    def _promote(self, key: CacheKey, entry: CachedCompile) -> None:
-        """Install a disk-tier hit in the memory table without touching
-        hit/miss counters (the lookup already counted a memory miss)."""
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
+        return self.get(key, _decode_template)
 
     def store(self, key: CacheKey, entry: CachedCompile) -> None:
-        self._promote(key, entry)
+        text = None
         if self.disk is not None:
-            self._write_through(key, entry)
+            from ..ir import Printer
 
-    def _write_through(self, key: CacheKey, entry: CachedCompile) -> None:
-        from ..ir import Printer
-
-        text = Printer(print_locations=True).print_module(entry.module)
-        self.disk.store(
-            key, text,
-            statistics=entry.statistics,
-            remarks=entry.remarks,
-            preserved_analyses=entry.preserved_analyses,
-        )
-
-    def evict(self, key: CacheKey) -> bool:
-        """Drop one entry (the self-healing path: a hit whose
-        clone/splice failed is evicted so the next compile runs cold
-        instead of re-serving the corrupt template)."""
-        with self._lock:
-            if key not in self._entries:
-                return False
-            del self._entries[key]
-            self.stats.evictions += 1
-            return True
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __bool__(self) -> bool:
-        # An empty cache is still a cache (``cache or CompileCache()``
-        # would otherwise replace one that has not stored anything yet).
-        return True
+            text = Printer(print_locations=True).print_module(entry.module)
+        self.put(key, entry, text, statistics=entry.statistics,
+                 remarks=entry.remarks,
+                 preserved_analyses=entry.preserved_analyses)
 
     def clear(self) -> None:
+        super().clear()
+        self.front.clear()
         with self._lock:
-            self._entries.clear()
-            self._front.clear()
             self._printed.clear()
 
-    def describe(self) -> Dict[str, object]:
-        """JSON-able snapshot for reports and benchmarks.
-
-        Memory-tier counters live at the top level (their historical
-        shape; ``hits`` includes the front tier's, so every request is
-        counted once); the front tier's own counters appear under
-        ``"front"`` and, when a disk tier is attached, its counters
-        under ``"disk"``.
-        """
-        with self._lock:
-            summary: Dict[str, object] = {
-                "entries": len(self._entries),
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "front": {
-                    "entries": len(self._front),
-                    "hits": self.front_stats.hits,
-                    "misses": self.front_stats.misses,
-                    "evictions": self.front_stats.evictions,
-                    "recovered": self.front_stats.recovered,
-                },
-            }
-        if self.disk is not None:
-            summary["disk"] = self.disk.describe()
+    def describe(self, disk: bool = True) -> Dict[str, object]:
+        """:meth:`ContentTable.describe` of the templates, with the front
+        table's counters under ``"front"`` (the disk the two share is
+        reported once)."""
+        summary = super().describe(disk)
+        summary["front"] = self.front.describe(disk=False)
         return summary
 
     def __repr__(self) -> str:

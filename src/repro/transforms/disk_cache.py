@@ -12,10 +12,11 @@ daemon.  The design is a classic content-addressed store:
   (``<root>/ab/abcdef….json``) so no single directory grows unbounded.
   A changed input or changed pipeline spec therefore *cannot* hit — it
   addresses a different file.
-* **Entries** — one JSON document per compile: the optimized module
-  printed **with ``loc`` trailers** (a lossless textual form), the
-  statistics and remarks the cold run
-  produced, the preserved-analysis names, and a fingerprint of the
+* **Entries** — one JSON document per artifact: its text (for a
+  compile, the optimized module printed **with ``loc`` trailers**, a
+  lossless textual form), the statistics and remarks the cold run
+  produced, the preserved-analysis names, any field of the table's own
+  (a front entry's second-level fingerprint), and a fingerprint of the
   stored text so torn writes are detectable.
 * **Atomicity** — writes go to a same-directory temp file and land via
   ``os.replace``; readers can never observe a half-written entry under
@@ -57,8 +58,9 @@ from ..faults import TransientFault, fault_point
 from .compile_cache import CacheKey, text_fingerprint
 
 #: Bump when the entry schema changes; readers treat other versions as
-#: corrupt (evict and recompile) rather than guessing.
-ENTRY_VERSION = 1
+#: corrupt (evict and recompile) rather than guessing.  Version 2: a
+#: front entry names its second-level fingerprint in a field of its own.
+ENTRY_VERSION = 2
 
 #: Default on-disk budget: generous for a developer cache, small enough
 #: that an unattended daemon cannot fill a disk.
@@ -202,8 +204,12 @@ class DiskCache:
     def store(self, key: CacheKey, text: str,
               statistics: Optional[List[Tuple[str, str, int]]] = None,
               remarks: Optional[List[str]] = None,
-              preserved_analyses: Tuple[str, ...] = ()) -> bool:
-        """Persist one compile result; returns ``False`` on I/O failure.
+              preserved_analyses: Tuple[str, ...] = (),
+              **fields) -> bool:
+        """Persist one entry; returns ``False`` on I/O failure.
+
+        ``fields`` are further JSON-able payload fields a table decodes
+        (a front entry's ``resolved_fingerprint``).
 
         The write is atomic (same-directory temp file + ``os.replace``);
         when it takes the running total over ``max_bytes`` an LRU sweep
@@ -212,6 +218,7 @@ class DiskCache:
         fingerprint, spec = key
         path = self.path_for(key)
         payload = {
+            **fields,
             "version": ENTRY_VERSION,
             "fingerprint": fingerprint,
             "spec": spec,

@@ -865,7 +865,7 @@ class PassManager(OpPassManager):
             if hit is not None:
                 # Self-healing: a corrupt entry (failed clone/splice)
                 # must never fail a compile a cold run would pass —
-                # evict it and fall through to the cold path.
+                # forget it and fall through to the cold path.
                 try:
                     materialized = hit.materialize()
                     if fault_point("compile-cache.hit",
@@ -873,7 +873,7 @@ class PassManager(OpPassManager):
                         raise RuntimeError("injected corrupt cache entry")
                     self._splice_cached(op, materialized, cache_key)
                 except Exception as error:  # noqa: BLE001 - self-healing
-                    self.cache.evict(cache_key)
+                    self.cache.forget(cache_key)
                     report.add_statistic("compile-cache", "recovered", 1)
                     report.remark(
                         "compile-cache: recovered from corrupt entry "
@@ -922,6 +922,11 @@ class PassManager(OpPassManager):
             with analysis_scope(self.analysis_manager):
                 self._run_pipeline(self, op, report, instrumentations,
                                    positions, state)
+        except BaseException:
+            # No analysis describes what a failed run left behind, and
+            # the caller may drop the module: keep none anchored in it.
+            self.analysis_manager.invalidate(op)
+            raise
         finally:
             for key, value in timing.timings.items():
                 report.timings[key] = report.timings.get(key, 0.0) + value

@@ -81,9 +81,37 @@ class TestTwoTierReadThrough:
         cache = CompileCache(disk=disk)
         _compile(cache)
         _compile(cache)
-        # Second lookup through the same cache hits memory, not disk.
+        # Second lookup through the same cache hits memory, not disk;
+        # both lookups are hits of the cache (memory or disk answered).
         assert disk.stats.hits == 1
-        assert cache.stats.hits == 1
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+
+    def test_a_disk_hit_is_a_hit_of_the_cache(self, tmp_path, capsys):
+        """One counting rule: a lookup the disk answered is a hit, so the
+        cache's counters agree with the report's ``compile-cache``
+        statistic and the ``--report`` summary line."""
+        from repro.tools.repro_opt import main as repro_opt
+
+        _compile(CompileCache(disk=DiskCache(tmp_path)))
+        cache = CompileCache(disk=DiskCache(tmp_path))
+        manager = parse_pass_pipeline(PIPELINE)
+        manager.cache = cache
+        report = manager.run(_module())
+        assert report.get_statistic("compile-cache", "hits") == 1
+        assert cache.describe()["hits"] == 1
+        assert cache.describe()["misses"] == 0
+        assert cache.stats.hit_rate() == 1.0
+
+        source = tmp_path / "in.mlir"
+        source.write_text(Printer().print_module(_module()) + "\n")
+        argv = [str(source), "--passes", PIPELINE, "--lint", "--report",
+                "--cache-dir", str(tmp_path / "cli"), "-o",
+                str(tmp_path / "out.mlir")]
+        for _ in range(2):
+            assert repro_opt(argv) == 0
+        err = capsys.readouterr().err
+        assert "compile-cache: hits = 1" in err
+        assert err.rstrip().count("compile cache: 1 hits, 0 misses") == 1
 
     def test_hit_carries_statistics_and_remarks(self, tmp_path):
         module = _module()

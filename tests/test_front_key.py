@@ -146,7 +146,7 @@ class TestFrontHitStandsInForASecondLevelHit:
         text = _texts()[1]
         miss = _compile(service, text)
         front_hit = _compile(service, text)
-        service.cache._front.clear()  # force the second level to answer
+        service.cache.front.clear()  # force the second level to answer
         second_level_hit = _compile(service, text)
         assert front_hit == second_level_hit
         assert front_hit["cached"] and not miss["cached"]
@@ -299,8 +299,8 @@ class TestFaultsDegradeToTheSlowPath:
 
     @pytest.mark.parametrize("mangle", [
         lambda raw: raw[: len(raw) // 2],
-        lambda raw: raw.replace('"preserved_analyses": ["',
-                                '"preserved_analyses": ["x", "'),
+        lambda raw: raw.replace('"resolved_fingerprint": "',
+                                '"resolved_fingerprint": 7, "was": "'),
     ], ids=["truncated", "not-a-front-entry"])
     def test_mangled_front_disk_entry_recovers(self, tmp_path, mangle):
         text = _texts()[1]

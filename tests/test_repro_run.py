@@ -289,8 +289,8 @@ class TestFrontTier:
             assert _run(capsys, cached) == reference, (name, "cold")
             assert _run(capsys, cached) == reference, (name, "primed")
             cold, primed = spy_cache
-            assert cold.front_stats.hits == 0
-            assert primed.front_stats.hits == 1, name
+            assert cold.front.stats.hits == 0
+            assert primed.front.stats.hits == 1, name
             assert len(primed) == 0  # no second-level traffic on a hit
 
     @pytest.mark.parametrize("flags", [["--list-functions"],
@@ -344,13 +344,13 @@ class TestFrontTier:
         for extra in ([], ["--no-verify"], ["--allow-unregistered"],
                       ["--no-verify", "--allow-unregistered"]):
             assert _run(capsys, base + extra)[0] == 0
-            assert spy_cache[-1].front_stats.hits == 0, extra
+            assert spy_cache[-1].front.stats.hits == 0, extra
             entries.append(len(DiskCache(root)))
         # One second-level entry, then one front entry per combination.
         assert entries == [2, 3, 4, 5]
         for extra in ([], ["--no-verify"]):
             assert _run(capsys, base + extra)[0] == 0
-            assert spy_cache[-1].front_stats.hits == 1, extra
+            assert spy_cache[-1].front.stats.hits == 1, extra
 
     def test_other_tools_front_entries_are_not_taken(
             self, kernel_module_path, tmp_path, capsys, spy_cache):
@@ -377,7 +377,7 @@ class TestFrontTier:
         (cache,) = spy_cache
         # Same text, same spec, another form tag: a front miss; the
         # second level, which all three share, answers from disk.
-        assert (cache.front_stats.hits, cache.front_stats.misses) == (0, 1)
+        assert (cache.front.stats.hits, cache.front.stats.misses) == (0, 1)
         assert (cache.disk.stats.hits, cache.disk.stats.misses) == (1, 1)
 
     def _prime(self, capsys, argv):
@@ -422,7 +422,8 @@ class TestFrontTier:
         assert disk.store((FRONT_PREFIX + key, spec), bad,
                           statistics=good["statistics"],
                           remarks=good["remarks"],
-                          preserved_analyses=good["preserved_analyses"])
+                          preserved_analyses=good["preserved_analyses"],
+                          resolved_fingerprint=good["resolved_fingerprint"])
         del spy_cache[:]
 
         assert _run(capsys, argv) == reference
@@ -434,7 +435,7 @@ class TestFrontTier:
         healed = CompileCache(disk=DiskCache(root)).front_lookup(key, spec)
         assert healed.text == good["text"]
         assert _run(capsys, argv) == reference
-        assert spy_cache[-1].front_stats.hits == 1
+        assert spy_cache[-1].front.stats.hits == 1
 
     def test_a_corrupt_hit_fault_degrades_heals_and_is_counted(
             self, kernel_module_path, tmp_path, capsys, spy_cache):
@@ -451,7 +452,7 @@ class TestFrontTier:
         front = cache.describe()["front"]
         assert (front["recovered"], front["hits"]) == (1, 0)
         assert _run(capsys, argv) == reference
-        assert spy_cache[-1].front_stats.hits == 1
+        assert spy_cache[-1].front.stats.hits == 1
 
     @pytest.mark.parametrize("source, message", [
         ('"builtin.module"() ({\n  "arith.nope"() : () -> ()\n}) '
@@ -473,7 +474,7 @@ class TestFrontTier:
         assert reference[0] == 1 and message in reference[2]
         for _ in range(2):
             assert _run(capsys, argv + ["--cache-dir", root]) == reference
-            assert spy_cache[-1].front_stats.hits == 0
+            assert spy_cache[-1].front.stats.hits == 0
         assert len(DiskCache(root)) == 0
 
     def test_passes_specs_stay_on_the_second_level(
@@ -486,4 +487,4 @@ class TestFrontTier:
         assert _run(capsys, argv) == reference
         cold, warm = spy_cache
         assert (cold.disk.stats.hits, warm.disk.stats.hits) == (0, 1)
-        assert warm.front_stats.lookups == 0
+        assert warm.front.stats.lookups == 0

@@ -271,6 +271,56 @@ class TestCompile:
         assert described["entries"] == 0 and described["misses"] > 0
 
 
+    def test_request_threads_share_one_analysis_manager(self):
+        """Every pooled manager uses the daemon's analysis manager:
+        concurrent requests lose no counter update, keep no entry and
+        reply as a serial run does."""
+        import sys
+
+        text = Printer().print_module(build_gemm_module()[0])
+        spec = dump_pass_pipeline(build_named_pipeline("sycl-mlir"))
+
+        def request(service, name):
+            return service.handle(
+                {"id": 1, "method": "compile", "passes": spec,
+                 "ir": text.replace("gemm", f"gemm_{name}")},
+                lambda event: None)
+
+        serial = CompileService()
+        expected = {name: request(serial, name)["text"]
+                    for name in range(12)}
+        per_request = serial.analysis_manager.describe()["misses"] // 12
+        assert per_request > 0
+
+        service = CompileService()
+        replies, errors = {}, []
+
+        def worker(names):
+            try:
+                for name in names:
+                    replies[name] = request(service, name)["text"]
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(range(n, 12, 4),))
+                   for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert replies == expected
+        described = service.analysis_manager.describe()
+        assert described["misses"] == 12 * per_request
+        assert described["entries"] == 0
+
+
 class TestExecute:
     def test_gemm_reply_carries_the_engine_buffers_as_lists(self, server):
         from repro.interp import ExecutionEngine

@@ -55,6 +55,7 @@ from repro.transforms import (
 )
 
 from .helpers import (
+    build_gemm_module,
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
@@ -184,6 +185,27 @@ class TestAnalysisManager:
         # the mutated subtree, so both entries go.
         assert am.invalidate(function) == 2
 
+    def test_a_one_shot_compile_holds_no_analysis_for_an_erased_op(self):
+        """Loop Internalization erases a loop an analysis was anchored
+        at; the entry must go with the loop's place in the IR instead
+        of pinning the loop (and the module around it)."""
+        import gc
+        import weakref
+
+        module, _ = build_gemm_module(size=8, work_group=4)
+        loops = [weakref.ref(op) for op in module.walk()
+                 if op.name == "affine.for"]
+        manager = build_named_pipeline("sycl-mlir")
+        manager.run(module)
+        am = manager.analysis_manager
+        assert am.preserved_names() == am.preserved_names_for(module)
+        gc.collect()
+        kept = {id(op) for op in module.walk()}
+        erased = [ref for ref in loops
+                  if ref() is None or id(ref()) not in kept]
+        assert erased, "the pipeline no longer erases a loop"
+        assert all(ref() is None for ref in erased)
+
     def test_analysis_scope_is_thread_local_and_restored(self):
         am = AnalysisManager()
         assert current_analysis_manager() is None
@@ -203,6 +225,26 @@ class TestPassManagerIntegration:
         pm.run(_simple_module())
         assert first.seen[0] is second.seen[0]
         assert pm.analysis_manager.hits >= 1
+
+    def test_a_failed_run_keeps_no_analysis_of_its_module(self):
+        """The caller may drop a module whose compile failed: an entry
+        left behind would pin it in a long-lived manager (the daemon
+        shares one across requests)."""
+
+        class FailingPass(FunctionPass):
+            NAME = "test-failing"
+
+            def run_on_function(self, function, report):
+                raise ValueError("pass failed")
+
+        pm = PassManager()
+        fpm = pm.nest("func.func")
+        fpm.add(RequestingPass(preserve=True))
+        fpm.add(FailingPass())
+        with pytest.raises(ValueError, match="pass failed"):
+            pm.run(_simple_module())
+        assert pm.analysis_manager.misses == 1
+        assert pm.analysis_manager.describe()["entries"] == 0
 
     def test_non_preserving_pass_invalidates(self):
         pm = PassManager()
