@@ -6,14 +6,15 @@ The ``lower-to-llvm`` pipeline (registered in
 ``lower-affine``
     ``affine.for`` / ``affine.load`` / ``affine.store`` /
     ``affine.apply`` / ``affine.min`` to their ``scf`` / ``memref`` /
-    ``arith`` equivalents.
+    ``arith`` equivalents, reusing equal entry-block constants.
 ``convert-memref-to-llvm``
     ``memref.load`` / ``memref.store`` into
     ``llvm.getelementptr`` + ``llvm.load`` / ``llvm.store`` through a
     ``builtin.unrealized_conversion_cast`` pointer bridge, and private
     static allocations into ``llvm.alloca``.  It runs while the control
     flow is still structured, so each address ingredient is built once,
-    where its operands are defined.
+    where its operands are defined, and an address is one
+    ``getelementptr`` per loop level of its terms.
 ``convert-scf-to-cf``
     structured ``scf.if`` / ``scf.for`` / ``scf.while`` into a
     branch-based CFG of ``cf.br`` / ``cf.cond_br`` blocks; an
@@ -44,7 +45,9 @@ from ..dialects.func import CallOp, FuncOp, ReturnOp
 from ..ir import (
     Block,
     IndexType,
+    IntegerAttr,
     MemRefType,
+    OpResult,
     Operation,
     PointerType,
     Region,
@@ -81,6 +84,61 @@ def _pop_terminator(block: Block, op_class) -> List:
     return values
 
 
+#: Ops whose regions repeat: a term defined outside one is loop-invariant
+#: inside it.  An ``scf.if`` region runs at most once and is no level.
+_LOOPS = (scf.ForOp, scf.WhileOp, scf.ParallelOp, affine_d.AffineForOp)
+_ADDS = (arith.AddIOp, llvm_d.LLVMAddOp)
+_CONSTANTS = (arith.ConstantOp, llvm_d.LLVMConstantOp)
+
+
+def _entry_constants(function: FuncOp):
+    """``(constant, reused)`` for a pass that needs ``index`` constants in
+    ``function``, so that it reuses an equal constant of the entry block
+    instead of building another: each one executes once per work-item.
+
+    ``constant(value, user, build)`` is the first ``index`` constant of
+    the entry block equal to ``value`` (``arith`` or ``llvm`` alike),
+    moved up to the entry-block op that holds ``user`` if it is below it
+    (always legal for an op without operands), and appended to
+    ``reused``.
+    Without one it is ``build(value, index)`` inserted right before
+    ``user``.  Closures for the reason :func:`_address_builder` gives.
+    """
+    entry = None
+    # ``index`` value -> op, filled on first use.  Keyed by the int, not
+    # the attribute: hashing a dataclass is a profiled call.
+    table = {}
+    reused = []
+
+    def constant(value, user, build):
+        nonlocal entry
+        if entry is None:
+            entry = function.regions[0].blocks[0]
+            for op in entry.operations:
+                if op.__class__ in _CONSTANTS:
+                    attr = op.attributes.get("value")
+                    if attr.__class__ is IntegerAttr \
+                            and attr.type.__class__ is IndexType:
+                        table.setdefault(attr.value, op)
+        op = table.get(value)
+        if op is not None:
+            holder = user
+            while holder is not None and holder.parent is not entry:
+                holder = holder.parent_op()
+            if holder is not None and holder is not op \
+                    and not op.is_before_in_block(holder):
+                op.move_before(holder)
+            reused.append(op)
+            return op.results[0]
+        op = build(value, IndexType())
+        user.parent.insert_before(user, op)
+        if user.parent is entry:
+            table[value] = op
+        return op.results[0]
+
+    return constant, reused
+
+
 # ---------------------------------------------------------------------------
 # lower-affine
 # ---------------------------------------------------------------------------
@@ -93,7 +151,8 @@ class LowerAffine(FunctionPass):
     coefficients and strength-reducing unit ones), ``affine.min`` a
     ``minsi`` chain, and ``affine.for``'s integer step is materialized
     as an ``arith.constant`` — once, before the outermost enclosing
-    loop — so the loop can become ``scf.for``.  The
+    loop — so the loop can become ``scf.for``.  A step or coefficient
+    constant equal to one already in the entry block is that one.  The
     affine body *block* is moved, not cloned, preserving block-argument
     identities and any nested regions untouched.
     """
@@ -102,10 +161,13 @@ class LowerAffine(FunctionPass):
     DESCRIPTION = "lower affine operations to scf/memref/arith"
     STATISTICS = (
         ("lowered", "affine operations expanded to scf/memref/arith"),
+        ("constants_reused",
+         "equal entry-block constants reused instead of built"),
     )
 
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
+        constant, reused = _entry_constants(function)
         lowered = 0
         while True:
             target = None
@@ -119,15 +181,17 @@ class LowerAffine(FunctionPass):
                     break
             if target is None:
                 break
-            self._lower(target)
+            self._lower(target, constant)
             lowered += 1
         if lowered:
             report.add_statistic(self.NAME, "lowered", lowered)
+        if reused:
+            report.add_statistic(self.NAME, "constants_reused", len(reused))
 
     # ------------------------------------------------------------------
-    def _lower(self, op: Operation) -> None:
+    def _lower(self, op: Operation, constant) -> None:
         if isinstance(op, affine_d.AffineForOp):
-            self._lower_for(op)
+            self._lower_for(op, constant)
         elif isinstance(op, affine_d.AffineLoadOp):
             new = memref.LoadOp.build(op.memref, list(op.indices))
             op.parent.insert_before(op, new)
@@ -138,11 +202,11 @@ class LowerAffine(FunctionPass):
             op.parent.insert_before(op, new)
             op.erase()
         elif isinstance(op, affine_d.AffineApplyOp):
-            self._lower_apply(op)
+            self._lower_apply(op, constant)
         elif isinstance(op, affine_d.AffineMinOp):
             self._lower_min(op)
 
-    def _lower_for(self, op: affine_d.AffineForOp) -> None:
+    def _lower_for(self, op: affine_d.AffineForOp, constant) -> None:
         block = op.parent
         outermost = op
         ancestor = op.parent_op()
@@ -151,10 +215,9 @@ class LowerAffine(FunctionPass):
                                      scf.WhileOp, scf.ParallelOp)):
                 outermost = ancestor
             ancestor = ancestor.parent_op()
-        step = arith.ConstantOp.build(op.step, IndexType())
-        outermost.parent.insert_before(outermost, step)
+        step = constant(op.step, outermost, arith.ConstantOp.build)
         loop = scf.ForOp.build(op.lower_bound, op.upper_bound,
-                               step.results[0], list(op.init_args))
+                               step, list(op.init_args))
         block.insert_before(op, loop)
         old_body, new_body = op.body, loop.body
         for old_arg, new_arg in zip(old_body.arguments, new_body.arguments):
@@ -166,12 +229,12 @@ class LowerAffine(FunctionPass):
         op.replace_all_uses_with(list(loop.results))
         op.erase()
 
-    def _lower_apply(self, op: affine_d.AffineApplyOp) -> None:
+    def _lower_apply(self, op: affine_d.AffineApplyOp, constant) -> None:
         block = op.parent
         coefficients = op.coefficients
         if len(coefficients) != len(op.operands):
             return  # malformed hand-written IR; leave it alone
-        constant = op.get_int_attr("constant", 0)
+        offset = op.get_int_attr("constant", 0)
         total: Optional = None
         for coeff, operand in zip(coefficients, op.operands):
             if coeff == 0:
@@ -179,9 +242,8 @@ class LowerAffine(FunctionPass):
             if coeff == 1:
                 term = operand
             else:
-                c = arith.ConstantOp.build(coeff, IndexType())
-                block.insert_before(op, c)
-                mul = arith.MulIOp.build(operand, c.results[0])
+                mul = arith.MulIOp.build(
+                    operand, constant(coeff, op, arith.ConstantOp.build))
                 block.insert_before(op, mul)
                 term = mul.results[0]
             if total is None:
@@ -190,13 +252,12 @@ class LowerAffine(FunctionPass):
                 add = arith.AddIOp.build(total, term)
                 block.insert_before(op, add)
                 total = add.results[0]
-        if constant != 0 or total is None:
-            c = arith.ConstantOp.build(constant, IndexType())
-            block.insert_before(op, c)
+        if offset != 0 or total is None:
+            c = constant(offset, op, arith.ConstantOp.build)
             if total is None:
-                total = c.results[0]
+                total = c
             else:
-                add = arith.AddIOp.build(total, c.results[0])
+                add = arith.AddIOp.build(total, c)
                 block.insert_before(op, add)
                 total = add.results[0]
         op.replace_all_uses_with([total])
@@ -374,54 +435,78 @@ class ConvertArithToLLVM(FunctionPass):
 # convert-memref-to-llvm
 # ---------------------------------------------------------------------------
 
-def _address_builder(function: FuncOp):
-    """``ingredient(access, key, build, *args)``: the result of
-    ``build(*args)`` for ``key``, needed at ``access`` — each pure op
-    that addresses memory in ``function`` built once.
+def _address_builder(function: FuncOp, entry_constant):
+    """``(ingredient, constant, address)`` for the accesses of
+    ``function``; each pure op that addresses memory built once.
 
-    An ingredient is keyed by its kind and operands.  A new one goes right
-    after the innermost definition among its operands — one without
-    operands at the top of the entry block — so it dominates every access
-    those operands reach and serves all of them.  In structured form the
-    innermost definition is found by walking up from the access through
-    the enclosing blocks, with no dominance query.  When an operand is
+    ``ingredient(access, key, build, *args)`` is the result of
+    ``build(*args)`` for ``key``, needed at ``access``.  An ingredient is
+    keyed by its kind and operands.  A new one goes right after the
+    innermost definition among its operands — one without operands at the
+    top of the entry block — so it dominates every access those operands
+    reach and serves all of them.  In structured form the innermost
+    definition is found by walking up from the access through the
+    enclosing blocks, with no dominance query.  When an operand is
     defined in a block that does not enclose the access (CFG input), the
-    op goes before the access and is not reused.  A closure rather than a
-    class: a class definition costs calls at import, and every tool that
-    loads the pass registry imports this module, lowering or not.
+    op goes before the access and is not reused.
+
+    ``constant(value)`` is the ``index`` constant ``value`` at the top of
+    the entry block, from ``entry_constant`` (see
+    :func:`_entry_constants`).
+
+    ``address(access, bridge, terms)`` is the pointer to the element at
+    the sum of ``terms``, whether it was split, and the index adds it
+    looked through: one ``getelementptr`` per loop level of the terms,
+    outermost first, so the part of the offset that a loop does not
+    change is added outside it.
+
+    Closures rather than a class: a class definition costs calls at
+    import, and every tool that loads the pass registry imports this
+    module, lowering or not.
     """
     entry = function.regions[0].blocks[0]
     built = {}
     # Ops placed at a definition; a later op for the same definition goes
     # after them, so hoisted ops keep their creation order.
     placed = set()
+    # Access block -> {enclosing block: (depth, loops between)}.  Blocks
+    # do not move while the pass runs, only ops are added.
+    ancestries = {}
+
+    def ancestry(block):
+        found = ancestries[block] = {}
+        loops = 0
+        while True:
+            found[block] = (len(found), loops)
+            owner = block.parent.parent
+            if owner is function:
+                break
+            if isinstance(owner, _LOOPS):
+                loops += 1
+            block = owner.parent
+        # The entry block dominates every block of a CFG body.
+        found.setdefault(entry, (len(found), loops))
+        return found
 
     def innermost_definition(access, operands):
         """An op, or a block for its arguments; None if some operand is
         not visible structurally."""
         if not operands:
             return entry
-        depth = {}
         block = access.parent
-        while True:
-            depth[block] = len(depth)
-            owner = block.parent.parent
-            if owner is function:
-                break
-            block = owner.parent
-        # The entry block dominates every block of a CFG body.
-        depth.setdefault(entry, len(depth))
+        depth = ancestries[block] if block in ancestries else ancestry(block)
         best, best_depth = None, 0
         for value in operands:
             block = value.owner_block()
             if block not in depth:
                 return None
+            level = depth[block][0]
             op = value.defining_op()
-            if best is None or depth[block] < best_depth or (
-                    depth[block] == best_depth and op is not None and (
+            if best is None or level < best_depth or (
+                    level == best_depth and op is not None and (
                         isinstance(best, Block)
                         or best.is_before_in_block(op))):
-                best, best_depth = (block if op is None else op), depth[block]
+                best, best_depth = (block if op is None else op), level
         return best
 
     def ingredient(access, key, build, *args):
@@ -444,7 +529,83 @@ def _address_builder(function: FuncOp):
         built[key] = op.results[0]
         return op.results[0]
 
-    return ingredient
+    def constant(value):
+        key = ("constant", value)
+        found = built.get(key)
+        if found is None:
+            top = entry.first_op
+            while top in placed:
+                top = top.next_op()
+            found = built[key] = entry_constant(
+                value, top, llvm_d.LLVMConstantOp.build)
+            placed.add(found.op)
+        return found
+
+    def address(access, bridge, terms):
+        first = terms[0]
+        if len(terms) == 1 and (first.__class__ is not OpResult
+                                or first.op.__class__ not in _ADDS):
+            return ingredient(access, ("gep", bridge, first),
+                              llvm_d.LLVMGEPOp.build, bridge, terms), \
+                False, ()
+        block = access.parent
+        depth = ancestries[block] if block in ancestries else ancestry(block)
+        through = []
+        levels = {}
+        for term in terms:
+            parts = _additive_terms(term, depth, through)
+            if parts is None:  # CFG input: one GEP, as built per access
+                levels = {0: terms}
+                through = []
+                break
+            for value, loops in parts:
+                levels.setdefault(loops, []).append(value)
+        pointer = bridge
+        for loops in sorted(levels, reverse=True):
+            offset, *rest = levels[loops]
+            for value in rest:
+                offset = ingredient(access, ("add", offset, value),
+                                    llvm_d.LLVMAddOp.build, offset, value)
+            pointer = ingredient(access, ("gep", pointer, offset),
+                                 llvm_d.LLVMGEPOp.build, pointer, [offset])
+        return pointer, len(levels) > 1, through
+
+    return ingredient, constant, address
+
+
+def _additive_terms(value, depth, through):
+    """``value`` as ``[(term, loops between its definition and the
+    access)]``, or None when some term is not in ``depth`` (the access's
+    :func:`_address_builder` ancestry).
+
+    An ``arith.addi`` / ``llvm.add`` is looked through (and appended to
+    ``through``) when its terms sit at different loop levels than the add
+    itself; otherwise it stays one term, so an access whose terms share
+    a level keeps its index as it is.
+    """
+    # Attributes rather than defining_op()/owner_block(): this runs for
+    # every term of every access.
+    if value.__class__ is OpResult:
+        op = value.op
+        block = op.parent
+    else:
+        op, block = None, value.block
+    if block not in depth:
+        return None
+    loops = depth[block][1]
+    if op.__class__ not in _ADDS:
+        return [(value, loops)]
+    parts = []
+    for operand in op.operands:
+        inner = _additive_terms(operand, depth, through)
+        if inner is None:
+            return None
+        parts += inner
+    for _, level in parts:
+        if level != loops:
+            through.append(op)
+            return parts
+    return [(value, loops)]
 
 
 @register_pass
@@ -454,18 +615,26 @@ class ConvertMemRefToLLVM(FunctionPass):
     A converted access bridges the memref SSA value into ``!llvm.ptr``
     with a ``builtin.unrealized_conversion_cast`` (the runtime value —
     ``MemRefStorage``/``MemRefView``/accessor binding — passes through
-    unchanged), computes a row-major linear offset, and indexes with a
-    single dynamic ``getelementptr`` operand:
+    unchanged) and computes a row-major linear offset:
 
     * rank-1 accesses (including the dynamic-shaped views
       ``lower-sycl-accessors`` produces) use their index directly;
     * higher-rank static-shape accesses linearize by Horner's rule with
       ``llvm.mul``/``llvm.add``, matching ``MemRefStorage``'s layout.
 
-    The bridge, extent constants, Horner steps and addresses are pure and
-    built once per function (see :func:`_address_builder`), so an
-    access inside a loop reuses what its operands allow to be computed
-    outside it.  Accesses it cannot prove linearizable keep their
+    The offset's additive terms (the ``addi`` chain of the index, the
+    last Horner step's two addends) are grouped by how many loops lie
+    between their definition and the access, and the address is one
+    ``getelementptr`` per group, outermost first: what a loop does not
+    change is added outside it, as LLVM's reassociation and LICM would
+    for either compiler.  Terms all at one level give one
+    ``getelementptr``, and index adds left dead are erased.
+
+    The bridge, extent constants, Horner steps, sums and addresses are
+    pure and built once per function (see :func:`_address_builder`), so
+    an access inside a loop reuses what its operands allow to be
+    computed outside it.  An extent constant reuses an equal constant of
+    the entry block.  Accesses it cannot prove linearizable keep their
     ``memref`` form; a load whose result is unused is erased rather than
     addressed.
     Private static-shape allocations whose every remaining use is such
@@ -479,79 +648,98 @@ class ConvertMemRefToLLVM(FunctionPass):
     DESCRIPTION = "lower memref accesses to llvm pointer arithmetic"
     STATISTICS = (
         ("accesses", "memref loads/stores lowered to getelementptr"),
+        ("split", "addresses built as one getelementptr per loop level"),
+        ("constants_reused",
+         "equal entry-block constants reused instead of built"),
         ("allocations", "private allocations promoted to llvm.alloca"),
     )
 
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
-        # A local, never pass state: pass instances are pooled and shared
+        # Locals, never pass state: pass instances are pooled and shared
         # across functions under jobs=N.
-        ingredient = _address_builder(function)
-        accesses = 0
+        entry_constant, reused = _entry_constants(function)
+        builder = _address_builder(function, entry_constant)
+        accesses = split = 0
         for op in list(function.walk(include_self=False)):
             if isinstance(op, (memref.LoadOp, memref.StoreOp)):
-                accesses += self._convert_access(op, ingredient)
+                converted = self._convert_access(op, *builder)
+                if converted is not None:
+                    accesses += 1
+                    split += converted
         allocations = 0
         for op in list(function.walk(include_self=False)):
             if isinstance(op, (memref.AllocaOp, memref.AllocOp)):
                 allocations += self._promote_allocation(op)
-        if accesses:
-            report.add_statistic(self.NAME, "accesses", accesses)
-        if allocations:
-            report.add_statistic(self.NAME, "allocations", allocations)
+        counts = {"accesses": accesses, "split": split,
+                  "constants_reused": len(reused),
+                  "allocations": allocations}
+        for name, _ in self.STATISTICS:
+            if counts[name]:
+                report.add_statistic(self.NAME, name, counts[name])
 
     # ------------------------------------------------------------------
-    def _linear_index(self, op: Operation, memref_type: MemRefType,
-                      ingredient):
-        """The row-major linear offset of ``op``'s indices, or None."""
+    def _index_terms(self, op: Operation, memref_type: MemRefType,
+                     ingredient, constant):
+        """Values whose sum is the row-major linear offset of ``op``'s
+        indices, or None: the index of a rank-1 access, and the last
+        Horner step's two addends of a static-shape one."""
         indices = list(op.indices)
         if len(indices) == 1:
-            return indices[0]
+            return indices
         if not indices:
-            return ingredient(op, ("constant", 0),
-                              llvm_d.LLVMConstantOp.build, 0, IndexType())
+            return [constant(0)]
         if (not memref_type.has_static_shape()
                 or len(indices) != len(memref_type.shape)):
             return None
         linear = indices[0]
-        for dim, index in zip(memref_type.shape[1:], indices[1:]):
-            extent = ingredient(op, ("constant", dim),
-                                llvm_d.LLVMConstantOp.build, dim, IndexType())
+        for dim, index in zip(memref_type.shape[1:-1], indices[1:-1]):
+            extent = constant(dim)
             scaled = ingredient(op, ("mul", linear, extent),
                                 llvm_d.LLVMMulOp.build, linear, extent)
             linear = ingredient(op, ("add", scaled, index),
                                 llvm_d.LLVMAddOp.build, scaled, index)
-        return linear
+        extent = constant(memref_type.shape[-1])
+        return [ingredient(op, ("mul", linear, extent),
+                           llvm_d.LLVMMulOp.build, linear, extent),
+                indices[-1]]
 
-    def _convert_access(self, op: Operation, ingredient) -> int:
+    def _convert_access(self, op: Operation, ingredient, constant,
+                        address) -> Optional[bool]:
+        """Whether the converted access was split by loop level; None
+        when it was not converted."""
         if isinstance(op, memref.LoadOp) and not op.results[0].has_uses():
             op.erase()  # a dead read: nothing to address
-            return 0
+            return None
         memref_value = op.memref
         memref_type = memref_value.type
         if not isinstance(memref_type, MemRefType):
-            return 0
+            return None
         element = memref_type.element_type
         if not is_scalar(element):
-            return 0
-        linear = self._linear_index(op, memref_type, ingredient)
-        if linear is None:
-            return 0
+            return None
+        terms = self._index_terms(op, memref_type, ingredient, constant)
+        if terms is None:
+            return None
         bridge = ingredient(op, ("bridge", memref_value),
                             UnrealizedConversionCastOp.build,
                             memref_value, PointerType(element))
-        address = ingredient(op, ("gep", bridge, linear),
-                             llvm_d.LLVMGEPOp.build, bridge, [linear])
+        pointer, split, through = address(op, bridge, terms)
         block = op.parent
         if isinstance(op, memref.LoadOp):
-            new = llvm_d.LLVMLoadOp.build(address, element)
+            new = llvm_d.LLVMLoadOp.build(pointer, element)
             block.insert_before(op, new)
             op.replace_all_uses_with(list(new.results))
         else:
             block.insert_before(
-                op, llvm_d.LLVMStoreOp.build(op.value, address))
+                op, llvm_d.LLVMStoreOp.build(op.value, pointer))
         op.erase()
-        return 1
+        # The index adds looked through, outermost first, are dead unless
+        # something else reads them.
+        for add in reversed(through):
+            if add.parent is not None and not add.results[0].has_uses():
+                add.erase()
+        return split
 
     def _promote_allocation(self, op: Operation) -> int:
         memref_type = op.results[0].type

@@ -9,7 +9,11 @@ Covers the lowering subsystem end to end:
   carried values swapped over a self-edge on every tier;
 * address ingredients built once per function, outside the loops that
   do not need them, with the executed-ops count of the lowered GEMM
-  pinned; the CFG fallback of the old pass order; ``jobs=N`` output;
+  pinned; addresses split into one GEP per loop level (no in-loop GEP
+  adds an out-of-loop term, a two-deep nest equal on the interpreter
+  and the JIT, ``scf.if``-only code unchanged) and no entry block
+  repeating a constant; the CFG fallback of the old pass order;
+  ``jobs=N`` output;
 * differential equivalence of the fully lowered module against the
   source — all listings, GEMM, and the internalizing composition
   (``sycl-mlir`` *then* ``lower-to-llvm``) — across all execution tiers;
@@ -26,7 +30,12 @@ import pytest
 
 from repro.dialects import arith, cf, func, memref, scf
 from repro.dialects.builtin import UnrealizedConversionCastOp
-from repro.dialects.llvm import LLVMConstantOp, LLVMFuncOp
+from repro.dialects.llvm import (
+    LLVMAddOp,
+    LLVMConstantOp,
+    LLVMFuncOp,
+    LLVMGEPOp,
+)
 from repro.interp import ExecutionSpec, run_differential
 from repro.interp.engine import ExecutionEngine
 from repro.ir import (
@@ -444,13 +453,177 @@ class TestAddressesAreBuiltOnce:
     def test_lowered_gemm_executes_a_pinned_number_of_ops(self):
         """Exact interpreter counts at the 8x8 / 4x4 launch.  Built per
         access, the addresses made the same kernel execute 15 936 ops;
-        loads and stores are the structured kernel's, one for one."""
+        built once but summed inside the loops, 10 944.  Split by loop
+        level, with each constant once per function, 9 664.  Loads and
+        stores are the structured kernel's, one for one."""
         module, specs = _internalized_gemm()
         structured = _executions(module, specs)["gemm"].counters
         lowered = _executions(_lower(module), specs)["gemm"].counters
         assert structured["ops"] == 6_016
-        assert lowered["ops"] == 10_944
+        assert lowered["ops"] == 9_664
         assert dict(lowered, ops=0) == dict(structured, ops=0)
+
+
+def _build_nest_function():
+    """``dst[i, j + 1] = src[off + 4 * i + j]`` over a 4x4 loop nest:
+    each address sums a term defined outside both loops (``off``, the
+    constant column shift), one of the outer loop (``4 * i``, the Horner
+    row of ``dst``) and the inner induction variable."""
+    dynamic = MemRefType((-1,), f32())
+    f = func.FuncOp.build("nest", [dynamic, MemRefType((4, 8), f32()),
+                                   index()], [],
+                          arg_names=["src", "dst", "off"])
+    src, dst, off = f.arguments
+    b = Builder(InsertionPoint.at_end(f.body))
+    c0, c1, c4 = (b.insert(arith.ConstantOp.build(v, index())).result
+                  for v in (0, 1, 4))
+    outer = b.insert(scf.ForOp.build(c0, c4, c1))
+    ob = Builder(InsertionPoint.at_end(outer.body))
+    i = outer.induction_variable()
+    row = ob.insert(arith.AddIOp.build(
+        off, ob.insert(arith.MulIOp.build(i, c4)).result)).result
+    inner = ob.insert(scf.ForOp.build(c0, c4, c1))
+    ob.insert(scf.YieldOp.build())
+    j = inner.induction_variable()
+    ib = Builder(InsertionPoint.at_end(inner.body))
+    at = ib.insert(arith.AddIOp.build(row, j)).result
+    value = ib.insert(memref.LoadOp.build(src, [at])).result
+    column = ib.insert(arith.AddIOp.build(j, c1)).result
+    ib.insert(memref.StoreOp.build(value, dst, [i, column]))
+    ib.insert(scf.YieldOp.build())
+    b.insert(func.ReturnOp.build())
+    return f
+
+
+def _innermost_loops(function):
+    """Each block of a lowered loop -> the blocks of the innermost
+    natural loop holding it (a back edge's target and every block that
+    reaches its source without passing through the target)."""
+    predecessors = {}
+    for block in function.regions[0].blocks:
+        terminator = block.terminator
+        for successor in terminator.successors if terminator else ():
+            predecessors.setdefault(successor, []).append(block)
+    loops = []
+    for source, header, _ in _back_edges(function):
+        body = {header, source}
+        stack = [source] if source is not header else []
+        while stack:
+            for predecessor in predecessors.get(stack.pop(), ()):
+                if predecessor not in body:
+                    body.add(predecessor)
+                    stack.append(predecessor)
+        loops.append(body)
+    innermost = {}
+    for body in sorted(loops, key=len, reverse=True):
+        for block in body:
+            innermost[block] = body
+    return innermost
+
+
+def _mixed_level_geps(module):
+    """In-loop ``getelementptr``s whose index is an ``llvm.add`` with an
+    operand defined outside the GEP's innermost loop."""
+    found = []
+    for function in module.body.operations:
+        for block, loop in _innermost_loops(function).items():
+            for op in block.operations:
+                if not isinstance(op, LLVMGEPOp):
+                    continue
+                for index in op.operands[1:]:
+                    add = index.defining_op()
+                    if isinstance(add, LLVMAddOp) and any(
+                            operand.owner_block() not in loop
+                            for operand in add.operands):
+                        found.append(op)
+    return found
+
+
+def _duplicate_entry_constants(module):
+    """``(function, value)`` for each repeated constant of an entry
+    block."""
+    duplicates = []
+    for function in module.body.operations:
+        seen = set()
+        for op in function.regions[0].blocks[0].operations:
+            if isinstance(op, (LLVMConstantOp, arith.ConstantOp)):
+                key = op.attributes["value"]
+                if key in seen:
+                    duplicates.append((function.sym_name, str(key)))
+                seen.add(key)
+    return duplicates
+
+
+class TestAddressesSplitByLoopLevel:
+    """``convert-memref-to-llvm`` builds an address as one
+    ``getelementptr`` per loop level of its terms, outermost first, and
+    reuses an equal entry-block constant instead of building another."""
+
+    def test_no_in_loop_gep_adds_an_out_of_loop_term(self):
+        module, _ = _internalized_gemm()
+        module.append(_build_transpose_add_function())
+        module.append(_build_nest_function())
+        report = build_named_pipeline("lower-to-llvm").run(module)
+        assert _mixed_level_geps(module) == []
+        split = {(stat.pass_name, stat.name): stat.value
+                 for stat in report.statistics}
+        # gemm: the prefetches of A and B and both reads of the k-loop;
+        # transpose_add: all four accesses; nest: its load and its store.
+        assert split[("convert-memref-to-llvm", "split")] == 10
+
+    @pytest.mark.parametrize("tier", ("interp", "jit"))
+    def test_a_two_deep_nest_computes_the_same(self, tier):
+        spec = ExecutionSpec(buffers={"src": (24,), "dst": (4, 8)},
+                             scalars={"off": 5})
+        structured = ExecutionEngine(
+            wrap_in_module(_build_nest_function()),
+            tier="interp").run("nest", spec)
+        lowered = _lower(wrap_in_module(_build_nest_function()))
+        # Three levels each: ``off`` / the column shift, the row, ``j``.
+        assert [op.name for op in lowered.walk()].count(
+            "llvm.getelementptr") == 6
+        run = ExecutionEngine(lowered, tier=tier).run("nest", spec)
+        assert run.tier == tier
+        assert not memory_differences(run.memory, structured.memory)
+        assert dict(run.counters, ops=0) == dict(structured.counters, ops=0)
+        # Four constants, two bridges, the two outermost GEPs, the branch
+        # into the outer loop and the return; four outer trips of two
+        # row muls and GEPs, the branch into the inner loop and the
+        # three-op latch; sixteen inner trips of two GEPs, the load, the
+        # store and the latch.
+        assert run.counters["ops"] == 10 + 4 * (4 + 1 + 3) + 16 * (4 + 3)
+        assert run.counters == ExecutionEngine(
+            lowered, tier="interp").run("nest", spec).counters
+
+    def test_straight_line_and_branch_code_keeps_one_gep(self):
+        """``sobel`` addresses everything under an ``scf.if`` and in no
+        loop: nothing to split, and the same count as summed in one
+        index (the compile workload's (16, 4) variant, 4x4 launch)."""
+        from .test_late_lowering import _sobel
+
+        function, spec = _sobel(4)
+        module = wrap_in_module(function)
+        build_named_pipeline("sycl-mlir").run(module)
+        report = build_named_pipeline("lower-to-llvm").run(module)
+        assert "split" not in {stat.name for stat in report.statistics}
+        for tier in ("interp", "jit"):
+            run = ExecutionEngine(module, tier=tier).run("sobel", spec)
+            assert run.tier == tier
+            assert run.counters["ops"] == 568
+
+    def test_no_entry_block_repeats_a_constant(self):
+        module, _ = _internalized_gemm()
+        for build in (build_listing1_function, build_listing2_function,
+                      build_listing3_function):
+            module.append(build()[0])
+        module.append(_build_transpose_add_function())
+        module.append(_build_nest_function())
+        report = build_named_pipeline("lower-to-llvm").run(module)
+        assert _duplicate_entry_constants(module) == []
+        reused = {stat.pass_name: stat.value for stat in report.statistics
+                  if stat.name == "constants_reused"}
+        assert reused["lower-affine"] > 0
+        assert reused["convert-memref-to-llvm"] > 0
 
 
 class TestOldPassOrder:
@@ -484,6 +657,9 @@ class TestOldPassOrder:
                     dict(expected.counters, ops=0), name
         assert old["transpose_add"].counters["ops"] > \
             new["transpose_add"].counters["ops"]
+        # Summed in one index inside the loops: what the split avoids.
+        assert _mixed_level_geps(old_order)
+        assert not _mixed_level_geps(new_order)
 
 
 class TestParallelLowering:
