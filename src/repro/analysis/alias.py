@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..ir import MemRefType, Operation, PointerType, Value
 from ..dialects import memref as memref_dialect
+from ..dialects.sycl import SYCLAccessorGetPointerOp, SYCLAccessorSubscriptOp
 from ..dialects.func import FuncOp
 
 
@@ -40,8 +41,6 @@ def underlying_object(value: Value) -> Value:
     ``memref.cast`` and subscript-style operations produce views of another
     value; for alias purposes the query is about the underlying object.
     """
-    from ..dialects.sycl import SYCLAccessorGetPointerOp, SYCLAccessorSubscriptOp
-
     current = value
     for _ in range(64):  # defensive bound against malformed chains
         defining = current.defining_op()

@@ -31,7 +31,7 @@ from ..dialects.arith import constant_value_of
 from ..dialects.sycl import (
     NON_UNIFORM_QUERY_OPS,
     SYCLAccessorSubscriptOp,
-    SYCLConstructorOp,
+    reaching_constructor,
 )
 
 
@@ -329,7 +329,7 @@ class MemoryAccessAnalysis:
         memref = op.memref
         subscript = memref.defining_op()
         if isinstance(subscript, SYCLAccessorSubscriptOp):
-            constructor = self._constructor_of(subscript.index)
+            constructor = reaching_constructor(subscript, subscript.index)
             if constructor is None:
                 direct = constant_value_of(subscript.index)
                 if direct is not None:
@@ -338,10 +338,3 @@ class MemoryAccessAnalysis:
             return list(constructor.arguments)
         indices = list(op.indices)
         return indices
-
-    @staticmethod
-    def _constructor_of(id_value: Value) -> Optional[SYCLConstructorOp]:
-        for user in id_value.users():
-            if isinstance(user, SYCLConstructorOp) and user.destination is id_value:
-                return user
-        return None

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir import ArrayAttr, BlockArgument, IntegerAttr, MemRefType, Value
+from ..dialects.arith import constant_value_of
 from ..dialects.func import FuncOp
 from ..dialects.sycl import (
     AccessorType,
@@ -32,7 +33,9 @@ from ..dialects.sycl import (
     NDRangeType,
     RangeType,
     SYCLAccessorSubscriptOp,
+    SYCLConstructorOp,
     accessor_type_of,
+    constructors_of,
 )
 from .alias import AliasAnalysis, AliasResult, underlying_object
 
@@ -99,13 +102,13 @@ def sycl_values_definitely_distinct(a: Value, b: Value) -> bool:
     return False
 
 
-def _constructor_of_id(id_value: Value):
-    """The ``sycl.constructor`` initialising ``id_value``, if unique."""
-    from ..dialects.sycl import SYCLConstructorOp
+def _constructor_of_id(id_value: Value) -> Optional[SYCLConstructorOp]:
+    """The ``sycl.constructor`` initialising ``id_value``, if unique.
 
-    constructors = [user for user in id_value.users()
-                    if isinstance(user, SYCLConstructorOp) and
-                    user.destination is id_value]
+    An id constructed more than once holds different values at different
+    points, so nothing is concluded from any one of its constructors.
+    """
+    constructors = constructors_of(id_value)
     return constructors[0] if len(constructors) == 1 else None
 
 
@@ -124,23 +127,22 @@ def _equivalent_subscript_ids(a: SYCLAccessorSubscriptOp,
 
 def _constant_subscript_index(op: SYCLAccessorSubscriptOp) -> Optional[tuple]:
     """If the subscript's id is built from constants only, return them."""
-    from ..dialects.arith import constant_value_of
-    from ..dialects.sycl import SYCLConstructorOp
-
     index_value = op.index
     defining = index_value.defining_op()
     if defining is None:
         return None
     # The id may be constructed into an alloca right before the subscript.
-    for user in index_value.users():
-        if isinstance(user, SYCLConstructorOp) and user.destination is index_value:
-            components = []
-            for arg in user.arguments:
-                const = constant_value_of(arg)
-                if const is None:
-                    return None
-                components.append(int(const))
-            return tuple(components)
+    constructors = constructors_of(index_value)
+    if constructors:
+        if len(constructors) > 1:
+            return None
+        components = []
+        for arg in constructors[0].arguments:
+            const = constant_value_of(arg)
+            if const is None:
+                return None
+            components.append(int(const))
+        return tuple(components)
     const = constant_value_of(index_value)
     if const is not None:
         return (int(const),)
@@ -181,7 +183,8 @@ class SYCLAliasAnalysis(AliasAnalysis):
         acc_a = op_a.accessor
         acc_b = op_b.accessor
         if acc_a is acc_b:
-            if op_a.index is op_b.index:
+            if op_a.index is op_b.index and \
+                    len(constructors_of(op_a.index)) <= 1:
                 return AliasResult.MUST_ALIAS
             if _equivalent_subscript_ids(op_a, op_b):
                 return AliasResult.MUST_ALIAS

@@ -29,7 +29,11 @@ from ..ir import (
     Trait,
     Type,
     TypeAttr,
+    UnitAttr,
     Value,
+    i64,
+    int_array_attr,
+    int_array_values,
     is_scalar,
     register_op,
 )
@@ -221,8 +225,6 @@ class LLVMGEPOp(Operation):
               static_offsets: Sequence[int] = ()) -> "LLVMGEPOp":
         # Offsets are a real attribute so they print, parse, and take part
         # in CSE's structural identity.
-        from ..ir import i64, int_array_attr
-
         return cls(operands=(base, *indices), result_types=(PointerType(),),
                    attributes={"static_offsets": int_array_attr(
                        static_offsets, i64())})
@@ -233,8 +235,6 @@ class LLVMGEPOp(Operation):
 
     @property
     def static_offsets(self) -> List[int]:
-        from ..ir import int_array_values
-
         return int_array_values(self.attributes.get("static_offsets"))
 
 
@@ -262,8 +262,6 @@ class LLVMGlobalOp(Operation):
         if value is not None:
             attrs["value"] = value
         if constant:
-            from ..ir import UnitAttr
-
             attrs["constant"] = UnitAttr()
         return cls(operands=(), result_types=(), attributes=attrs)
 

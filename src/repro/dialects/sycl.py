@@ -226,6 +226,42 @@ class SYCLConstructorOp(Operation, MemoryEffectsInterface):
         return [write(self.destination)]
 
 
+def constructors_of(value: Value) -> List[SYCLConstructorOp]:
+    """The ``sycl.constructor`` ops writing the object ``value``."""
+    return [user for user in value.users()
+            if isinstance(user, SYCLConstructorOp)
+            and user.destination is value]
+
+
+def reaching_constructor(user: Operation,
+                         value: Value) -> Optional[SYCLConstructorOp]:
+    """The ``sycl.constructor`` of ``value`` whose contents ``user`` reads.
+
+    An object may be constructed more than once.  The one that counts is
+    the nearest constructor before ``user`` in its block, or in an
+    enclosing block before the op holding ``user``.  ``None`` when there
+    is none, or when a constructor nested in an op on the way back (a
+    branch before ``user``, or the loop or branch around it) may write
+    the object instead.
+    """
+    constructors = constructors_of(value)
+    op = user
+    while op.parent is not None:
+        previous = op.prev_op()
+        while previous is not None:
+            if previous in constructors:
+                return previous
+            if previous.regions and any(previous.is_ancestor_of(other)
+                                        for other in constructors):
+                return None
+            previous = previous.prev_op()
+        op = op.parent_op()
+        if op is None or any(op.is_ancestor_of(other)
+                             for other in constructors):
+            return None
+    return None
+
+
 class _QueryOpBase(Operation, MemoryEffectsInterface):
     """Base for ``<object>.get_*(obj, dim)`` style query operations.
 

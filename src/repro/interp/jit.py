@@ -1187,8 +1187,7 @@ class _Emitter(_EmitterBase):
                 comps.append(self.expr(value))
             else:
                 comps.append(f"int({self.expr(value)})")
-        self.scopes[-1].add(cell)
-        self.cell_comps[cell] = comps
+        self.construct(cell, comps)
 
     def _cell_is_constructed(self, cell: str) -> bool:
         return any(cell in scope for scope in self.scopes)

@@ -325,6 +325,18 @@ class _EmitterBase:
             raise self.unsup("use of a value the emitter did not bind")
         return kind
 
+    def construct(self, cell: str, comps: list) -> None:
+        """Bind ``cell``'s components until the current block ends.
+
+        A read takes the components bound when it is emitted, so a cell
+        constructed again in a nested block (which the next loop trip, or
+        the code after a branch, may read) is beyond the emitter.
+        """
+        if any(cell in scope for scope in self.scopes[:-1]):
+            raise self.unsup("id constructed again in a nested block")
+        self.scopes[-1].add(cell)
+        self.cell_comps[cell] = comps
+
     def bc(self, bid: int) -> str:
         return f"_bc{bid}"
 
@@ -400,7 +412,7 @@ class _EmitterBase:
 #: which a changed emitter would otherwise keep reusing for as long as it
 #: still compiles.  Bump a tier's entry on any change to what its
 #: emitter generates.
-EMITTER_VERSIONS = {"jit": 2, "vector": 1}
+EMITTER_VERSIONS = {"jit": 3, "vector": 2}
 
 
 @dataclass

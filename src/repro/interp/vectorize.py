@@ -1223,8 +1223,7 @@ class _VectorEmitter(_EmitterBase):
                                      if comp[0] == "a"
                                      else f"int({comp[1]})", comp[0] == "a")
                 comps.append(comp)
-            self.scopes[-1].add(cell[1])
-            self.cell_comps[cell[1]] = comps
+            self.construct(cell[1], comps)
         elif name in ("sycl.id.get", "sycl.range.get"):
             comps = self._components(op.operands[0])
             self._select(result, comps, self._dim(op), "the id"

@@ -54,7 +54,7 @@ def verify_with_diagnostics(
         engine: Optional[DiagnosticEngine] = None) -> List[Diagnostic]:
     """Verify ``op``; return (and optionally emit) located diagnostics."""
     diagnostics: List[Diagnostic] = []
-    _verify_op(op, diagnostics)
+    _verify_op(op, set(), diagnostics)
     if engine is not None:
         for diagnostic in diagnostics:
             engine.emit(diagnostic)
@@ -68,7 +68,8 @@ def _report(diagnostics: List[Diagnostic], op: Operation,
     return diagnostic
 
 
-def _verify_op(op: Operation, diagnostics: List[Diagnostic]) -> None:
+def _verify_op(op: Operation, visible: Set[Value],
+               diagnostics: List[Diagnostic]) -> None:
     try:
         op.verify_op()
     except Exception as exc:  # noqa: BLE001 - collect as diagnostic
@@ -82,11 +83,23 @@ def _verify_op(op: Operation, diagnostics: List[Diagnostic]) -> None:
 
     for region in op.regions:
         for block in region.blocks:
-            _verify_block(op, block, diagnostics)
+            _verify_block(block, visible, diagnostics)
 
 
-def _verify_block(parent: Operation, block: Block,
+def _verify_block(block: Block, visible: Set[Value],
                   diagnostics: List[Diagnostic]) -> None:
+    """Verify ``block``'s ops in order.
+
+    ``visible`` is the scope at the op owning ``block``: the arguments of
+    the enclosing blocks and the results defined before it in each of
+    them.  The block's own arguments and results join it while the block
+    is walked and leave it on exit, so an operand in the set is visible
+    without further work; only the others (a use from another block of a
+    CFG region, or a real violation) take the ancestor and dominance walk
+    of :func:`_value_visible_from`.
+    """
+    added: List[Value] = list(block.arguments)
+    visible.update(added)
     ops = block.operations
     for index, op in enumerate(ops):
         if has_trait(op, Trait.TERMINATOR) and index != len(ops) - 1:
@@ -101,7 +114,8 @@ def _verify_block(parent: Operation, block: Block,
                     f"{op.name}: successor block does not belong to the "
                     f"enclosing region")
         for operand in op.operands:
-            if not _value_visible_from(operand, op):
+            if operand not in visible and \
+                    not _value_visible_from(operand, op):
                 diagnostic = _report(
                     diagnostics, op,
                     f"{op.name}: operand {operand!r} does not dominate its "
@@ -111,7 +125,12 @@ def _verify_block(parent: Operation, block: Block,
                     diagnostic.attach_note(
                         f"operand defined here by '{defining.name}'",
                         location_of(defining))
-        _verify_op(op, diagnostics)
+        _verify_op(op, visible, diagnostics)
+        results = op.results
+        if results:
+            visible.update(results)
+            added.extend(results)
+    visible.difference_update(added)
 
 
 def _value_visible_from(value: Value, user: Operation) -> bool:

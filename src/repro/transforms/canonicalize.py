@@ -169,16 +169,60 @@ def erase_dead_ops(root: Operation) -> int:
 
     An operation is dead when none of its results are used and it has no
     observable effect: it is side-effect free, or its only effects are reads
-    and allocations (a read whose result is unused is unobservable).
+    and allocations (a read whose result is unused is unobservable).  A
+    local allocation that is only ever written is dead together with its
+    writers.
 
     Worklist-based: erasing an operation enqueues the defining operations
-    of its operands, so dead chains are collected in one pass over the
-    module plus O(ops erased).
+    of its operands, so dead chains and groups are collected in one pass
+    over the module plus O(ops erased).
     """
-    worklist: List[Operation] = list(root.walk(include_self=False))
-    seen = {id(op) for op in worklist}
-    erased = _drain_trivially_dead(worklist, seen)
-    return erased + _erase_allocation_groups(root)
+    return _erase_dead(list(root.walk(include_self=False)))
+
+
+def _erase_dead(worklist: List[Optional[Operation]]) -> int:
+    """Erase what is dead among ``worklist`` and what that leaves dead.
+
+    Each op is erased when it is trivially dead, or together with its
+    writers when it is a write-only allocation.  An erasure can only make
+    the ops it used (its feeders) dead, so they are the only ops looked at
+    again: the result is the fixed point a re-walk of the whole function
+    after every erasure would reach, without the re-walks.  ``worklist``
+    must hold every op that may be dead already; it is consumed.
+    """
+    erased = 0
+    while worklist:
+        op = worklist.pop()
+        if op is None or op.parent is None:
+            continue  # a block argument's slot, or erased meanwhile
+        group = _write_only_group(op)
+        if not group:
+            if not _is_trivially_dead(op):
+                if _is_unused_writer(op):
+                    # The allocations it writes may be write-only now.
+                    worklist.extend(_feeders(op))
+                continue
+            group = [op]
+        for dead in group:
+            worklist.extend(_feeders(dead))
+            dead.erase()
+        erased += len(group)
+    return erased
+
+
+def _feeders(op: Operation) -> List[Optional[Operation]]:
+    return [operand.defining_op() for operand in op.operands]
+
+
+def _is_unused_writer(op: Operation) -> bool:
+    """An op with effects and results, none of them used."""
+    results = op.results
+    if not results or not isinstance(op, MemoryEffectsInterface):
+        return False
+    for result in results:
+        if result._uses:
+            return False
+    return True
 
 
 def _drain_trivially_dead(worklist: List[Operation], seen: set) -> int:
@@ -193,7 +237,7 @@ def _drain_trivially_dead(worklist: List[Operation], seen: set) -> int:
         seen.discard(id(op))
         if not _is_trivially_dead(op):
             continue
-        feeders = [operand.defining_op() for operand in op.operands]
+        feeders = _feeders(op)
         op.erase()
         erased += 1
         for feeder in feeders:
@@ -203,68 +247,33 @@ def _drain_trivially_dead(worklist: List[Operation], seen: set) -> int:
     return erased
 
 
-def _erase_allocation_groups(root: Operation) -> int:
-    """Erase write-only allocation groups until none remain.
-
-    Write-only local allocations are dead as a group (the allocation plus
-    its writers) but not *trivially* dead, so they need their own sweep;
-    each group erased can expose newly dead feeders (drained without a
-    full re-seed), and erasing those can in turn make further allocations
-    write-only — hence the loop.  Each round erases at least one op or
-    stops, so this reaches the same fixed point the old while-changed
-    sweep loop guaranteed.
-    """
-    erased = 0
-    worklist: List[Operation] = []
-    seen: set = set()
-    while True:
-        newly_dead = _erase_write_only_allocations(root)
-        if not newly_dead:
-            return erased
-        erased += len(newly_dead)
-        _enqueue_unseen(newly_dead, worklist, seen)
-        erased += _drain_trivially_dead(worklist, seen)
-
-
-def _erase_write_only_allocations(root: Operation) -> List[List[Operation]]:
-    """Erase local allocations that are only ever written, never read.
+def _write_only_group(op: Operation) -> List[Operation]:
+    """``op``'s writers and then ``op``, if it is a local allocation that
+    is only ever written and never read; otherwise empty.
 
     This cleans up the id objects left behind when an accessor subscript is
     rewritten (e.g. by Loop Internalization): the ``memref.alloca`` and the
     ``sycl.constructor`` writing it have no observable effect once nothing
     reads the id.
-
-    Returns, for each erased operation, the defining ops of its operands so
-    the caller can re-check them for deadness.
     """
-    feeders: List[List[Operation]] = []
-    for op in root.walk(include_self=False):
-        # Only an op with a result and declared effects can allocate;
-        # asking every op for its effects was most of a sweep's cost.
-        if op.parent is None or not op.results or \
-                not isinstance(op, MemoryEffectsInterface):
-            continue
-        feeders.extend(_erase_if_write_only_allocation(op))
-    return feeders
-
-
-def _erase_if_write_only_allocation(op: Operation) -> List[List[Operation]]:
-    """Erase ``op`` (which has a result) and its writers if it is a
-    write-only allocation.
-
-    Returns the feeders of what was erased (empty when nothing was).
-    """
-    effects = get_memory_effects(op)
-    if not effects or \
-            not all(e.kind == EffectKind.ALLOCATE for e in effects):
+    # Only an op with a result and declared effects can allocate; asking
+    # every op for its effects was most of a sweep's cost.
+    if not op.results or not isinstance(op, MemoryEffectsInterface):
         return []
     allocation = op.results[0]
     writers = allocation.users()
     if not writers:
         return []
+    # Uses first: most ops asked are loads, whose users are used.
     for user in writers:
-        if user.has_uses():
-            return []
+        for result in user.results:
+            if result._uses:
+                return []
+    effects = get_memory_effects(op)
+    if not effects or \
+            not all(e.kind == EffectKind.ALLOCATE for e in effects):
+        return []
+    for user in writers:
         user_effects = get_memory_effects(user)
         if user_effects is None:
             return []
@@ -274,13 +283,8 @@ def _erase_if_write_only_allocation(op: Operation) -> List[List[Operation]]:
             if effect.kind == EffectKind.WRITE and \
                     effect.value is not allocation:
                 return []
-    feeders: List[List[Operation]] = []
-    for writer in writers:
-        feeders.append([operand.defining_op() for operand in writer.operands])
-        writer.erase()
-    feeders.append([operand.defining_op() for operand in op.operands])
-    op.erase()
-    return feeders
+    writers.append(op)
+    return writers
 
 
 def erase_orphaned_ops(candidates: List[Optional[Operation]]) -> int:
@@ -298,20 +302,17 @@ def erase_orphaned_ops(candidates: List[Optional[Operation]]) -> int:
     for op in candidates:
         if op is None or op.parent is None:
             continue  # no op, or it went with an earlier candidate
-        group = _erase_if_write_only_allocation(op) \
-            if op.results and isinstance(op, MemoryEffectsInterface) else []
+        group = _write_only_group(op)
+        feeders: List[Optional[Operation]] = []
+        for dead in group:
+            feeders.extend(_feeders(dead))
+            dead.erase()
         erased += len(group)
-        _enqueue_unseen(group or [[op]], worklist, seen)
+        for feeder in (feeders if group else [op]):
+            if feeder is not None and id(feeder) not in seen:
+                seen.add(id(feeder))
+                worklist.append(feeder)
     return erased + _drain_trivially_dead(worklist, seen)
-
-
-def _enqueue_unseen(groups: List[List[Operation]],
-                    worklist: List[Operation], seen: set) -> None:
-    for group in groups:
-        for op in group:
-            if op is not None and id(op) not in seen:
-                seen.add(id(op))
-                worklist.append(op)
 
 
 def _effects_are_unobservable(op: Operation) -> bool:
@@ -349,8 +350,10 @@ class CanonicalizePass(FunctionPass):
         # dead ops are pruned during the same drain.  Folding depends only
         # on operands, so no restart loop is needed; afterwards only the
         # write-only allocation groups the trivial-deadness predicate
-        # cannot see are collected (no full-module DCE re-seed).
+        # cannot see are collected, from the driver's seed walk: only a
+        # pattern inserts ops, and they insert constants.
         erased_in_driver = [0]
+        ops = list(function.walk(include_self=False))
 
         def prune(op: Operation) -> bool:
             if _is_trivially_dead(op):
@@ -361,10 +364,13 @@ class CanonicalizePass(FunctionPass):
         apply_patterns_greedily(
             function, patterns,
             max_iterations=self.options.max_iterations,
-            prune_dead=prune if self.options.prune_dead else None)
+            prune_dead=prune if self.options.prune_dead else None,
+            seed=ops)
         if not self.options.prune_dead:
             return
-        erased = erased_in_driver[0] + _erase_allocation_groups(function)
+        erased = erased_in_driver[0] + _erase_dead(
+            [op for op in ops if op.results and op.parent is not None
+             and isinstance(op, MemoryEffectsInterface)])
         if erased:
             report.add_statistic(self.NAME, "dead_ops_erased", erased)
 

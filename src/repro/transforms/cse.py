@@ -29,33 +29,44 @@ class _KeyCache:
     pre-warm hits across unrelated compiles).
     """
 
-    __slots__ = ("type_ids", "attr_ids", "hits")
+    __slots__ = ("type_ids", "attr_ids", "seen", "hits")
 
     def __init__(self):
         self.type_ids: Dict[object, int] = {}
         self.attr_ids: Dict[object, int] = {}
+        #: ``id(value) -> (value, interned id)``: most equal types and
+        #: attributes are one shared instance, and asking by identity
+        #: skips the dataclass ``__hash__`` (and that of every type nested
+        #: in the value).  Holding the value keeps its id from being reused.
+        self.seen: Dict[int, Tuple[object, object]] = {}
         self.hits = 0
 
-    def _intern(self, table: Dict[object, int], key) -> object:
+    def _intern(self, table: Dict[object, int], value,
+                by_text: bool = False) -> object:
+        seen = self.seen.get(id(value))
+        if seen is not None and seen[0] is value:
+            self.hits += 1
+            return seen[1]
+        key = (value.__class__, str(value)) if by_text else value
         try:
             interned = table.get(key)
             if interned is not None:
                 self.hits += 1
-                return interned
-            table[key] = interned = len(table)
-            return interned
+            else:
+                table[key] = interned = len(table)
         except TypeError:  # unhashable (exotic) value: fall back to str
             return str(key)
+        self.seen[id(value)] = (value, interned)
+        return interned
 
     def type_id(self, type_) -> object:
         return self._intern(self.type_ids, type_)
 
     def attr_id(self, attr) -> object:
-        if isinstance(attr, _STR_KEYED_ATTRS):
-            # The printed form distinguishes -0.0 from 0.0 (the old
-            # str()-based key's behaviour, which value equality loses).
-            return self._intern(self.attr_ids, (attr.__class__, str(attr)))
-        return self._intern(self.attr_ids, attr)
+        # The printed form distinguishes -0.0 from 0.0 (the old
+        # str()-based key's behaviour, which value equality loses).
+        return self._intern(self.attr_ids, attr,
+                            isinstance(attr, _STR_KEYED_ATTRS))
 
 
 def _operation_key(op: Operation, cache: _KeyCache) -> Tuple:

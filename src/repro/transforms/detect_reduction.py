@@ -35,6 +35,7 @@ from ..ir import (
 )
 from ..dialects import affine as affine_dialect
 from ..dialects import arith
+from ..dialects import memref as memref_dialect
 from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
 from .licm import ALIAS_CHOICES, make_alias_analysis
@@ -140,8 +141,6 @@ class DetectReduction(FunctionPass):
     # Candidate discovery
     # ------------------------------------------------------------------
     def _find_candidates(self, loop: Operation) -> List[ReductionCandidate]:
-        from ..dialects import memref as memref_dialect
-
         body_ops = loop.loop_body().ops_without_terminator()
         loads = [op for op in body_ops
                  if isinstance(op, (affine_dialect.AffineLoadOp,
@@ -205,8 +204,6 @@ class DetectReduction(FunctionPass):
                       candidates: List[ReductionCandidate]) -> None:
         parent_block = loop.parent
         assert parent_block is not None
-
-        from ..dialects import memref as memref_dialect
 
         # 1. Initial loads of the reduced locations, placed before the loop.
         init_values: List[Value] = []

@@ -21,11 +21,10 @@ description.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..ir import (
     EffectKind,
-    MemoryEffect,
     Operation,
     Trait,
     Value,
@@ -76,6 +75,58 @@ def _loop_trip_count(loop: Operation) -> Optional[int]:
     return None
 
 
+#: The effects a hoisting candidate is checked against.
+_ACCESSES = (EffectKind.READ, EffectKind.WRITE)
+
+
+class _BodyEffects:
+    """What one loop body reads and writes, summarised once per loop.
+
+    ``writes`` and ``reads`` pair each body op with a location it (or an
+    op nested in it) writes or reads, ``None`` meaning anywhere;
+    ``unknown`` lists the body ops with an op of unknown effects in their
+    tree.  Hoisting only moves ops out of the body, so an entry holds for
+    as long as its op is still in it.  ``conflicts`` memoizes the alias
+    verdict of each value pair for the same span.
+    """
+
+    __slots__ = ("body", "writes", "reads", "unknown", "alias", "verdicts")
+
+    def __init__(self, loop: Operation, alias: AliasAnalysis):
+        self.body = loop.loop_body()
+        self.writes: List[Tuple[Operation, Optional[Value]]] = []
+        self.reads: List[Tuple[Operation, Optional[Value]]] = []
+        self.unknown: List[Operation] = []
+        self.alias = alias
+        self.verdicts: Dict[Tuple[Value, Value], bool] = {}
+        for op in self.body.ops_without_terminator():
+            for nested in op.walk():
+                effects = get_memory_effects(nested)
+                if effects is None:
+                    self.unknown.append(op)
+                    break
+                for effect in effects:
+                    if effect.kind == EffectKind.WRITE:
+                        self.writes.append((op, effect.value))
+                    elif effect.kind == EffectKind.READ:
+                        self.reads.append((op, effect.value))
+
+    def conflicts(self, value: Optional[Value],
+                  targets: List[Value]) -> bool:
+        """May ``value`` alias one of ``targets``?"""
+        if value is None:
+            return True
+        verdicts = self.verdicts
+        for target in targets:
+            key = (value, target)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = self.alias.may_alias(value, target)
+            if verdict:
+                return True
+        return False
+
+
 @register_pass
 class LoopInvariantCodeMotion(FunctionPass):
     """Hoists loop-invariant operations, including memory accesses."""
@@ -113,15 +164,13 @@ class LoopInvariantCodeMotion(FunctionPass):
 
     # ------------------------------------------------------------------
     def _process_loop(self, loop: Operation) -> int:
-        alias = self.alias_analysis
         trip_count = _loop_trip_count(loop)
         may_not_execute = trip_count is None or trip_count == 0
         hoisted_total = 0
-        # Effect summary per body op, filled on first use.  Hoisting only
-        # moves ops out of the body, so the summaries of those that stay
-        # hold for the whole call.  A local on purpose: pass instances are
-        # pooled and shared across workers.
-        body_effects: Dict[int, Optional[List[MemoryEffect]]] = {}
+        # Built at the first effectful candidate and kept for the whole
+        # call.  A local on purpose: pass instances are pooled and shared
+        # across workers.
+        summary: Optional[_BodyEffects] = None
         changed = True
         while changed:
             changed = False
@@ -143,7 +192,9 @@ class LoopInvariantCodeMotion(FunctionPass):
                 if not self.options.allow_side_effecting_hoist \
                         or may_not_execute:
                     continue
-                if self._can_hoist_effectful(op, loop, alias, body_effects):
+                if summary is None:
+                    summary = _BodyEffects(loop, self.alias_analysis)
+                if self._can_hoist_effectful(op, summary):
                     self._hoist(op, loop)
                     hoisted_total += 1
                     changed = True
@@ -162,74 +213,49 @@ class LoopInvariantCodeMotion(FunctionPass):
                     return False
         return True
 
-    def _can_hoist_effectful(
-            self, op: Operation, loop: Operation, alias: AliasAnalysis,
-            body_effects: Dict[int, Optional[List[MemoryEffect]]]) -> bool:
+    @staticmethod
+    def _can_hoist_effectful(op: Operation, summary: _BodyEffects) -> bool:
+        """May the effectful ``op`` leave the loop ``summary`` describes?
+
+        A write in the loop kills hoisting of reads of an aliasing
+        location, and of writes to an aliasing location.  A read in the
+        loop prevents hoisting a write that may alias it, unless the read
+        always observes the hoisted write's (invariant) value: the
+        candidate is the only write to that location and precedes the
+        read in the loop body.  So a candidate that only reads is checked
+        against the body's writes alone.
+        """
         effects = get_memory_effects(op)
         if effects is None:
             return False
-        read_targets: List[Value] = []
+        targets: List[Value] = []
         write_targets: List[Value] = []
         for effect in effects:
-            if effect.kind == EffectKind.READ:
-                if effect.value is None:
-                    return False
-                read_targets.append(effect.value)
-            elif effect.kind == EffectKind.WRITE:
-                if effect.value is None:
-                    return False
+            kind = effect.kind
+            if kind == EffectKind.ALLOCATE:
+                continue
+            if effect.value is None or kind not in _ACCESSES:
+                return False
+            targets.append(effect.value)
+            if kind == EffectKind.WRITE:
                 write_targets.append(effect.value)
-            elif effect.kind == EffectKind.ALLOCATE:
-                continue
-            else:
-                return False
 
-        for other in loop.loop_body().ops_without_terminator():
-            if other is op:
-                continue
-            key = id(other)
-            if key not in body_effects:
-                body_effects[key] = self._effects_in_tree(other)
-            other_effects = body_effects[key]
-            if other_effects is None:
+        body = summary.body
+        for other in summary.unknown:
+            if other is not op and other.parent is body:
                 return False
-            for effect in other_effects:
-                if effect.kind == EffectKind.WRITE:
-                    # A write in the loop kills hoisting of reads of an
-                    # aliasing location, and of writes to an aliasing
-                    # location.
-                    if self._conflicts(effect.value, read_targets, alias) or \
-                            self._conflicts(effect.value, write_targets,
-                                            alias):
-                        return False
-                elif effect.kind == EffectKind.READ:
-                    # A read in the loop prevents hoisting a write that may
-                    # alias it, unless the read always observes the hoisted
-                    # write's (invariant) value: the candidate is the only
-                    # write to that location and precedes the read in the
-                    # loop body.
-                    if self._conflicts(effect.value, write_targets, alias) \
-                            and not op.is_before_in_block(other):
-                        return False
+        if targets:
+            for other, value in summary.writes:
+                if other is not op and other.parent is body and \
+                        summary.conflicts(value, targets):
+                    return False
+        if write_targets:
+            for other, value in summary.reads:
+                if other is not op and other.parent is body and \
+                        summary.conflicts(value, write_targets) and \
+                        not op.is_before_in_block(other):
+                    return False
         return True
-
-    def _effects_in_tree(self, op: Operation):
-        """Memory effects of ``op`` and all nested operations (None = unknown)."""
-        all_effects = []
-        for nested in op.walk():
-            effects = get_memory_effects(nested)
-            if effects is None:
-                return None
-            all_effects.extend(effects)
-        return all_effects
-
-    def _conflicts(self, value: Optional[Value], targets: List[Value],
-                   alias: AliasAnalysis) -> bool:
-        if not targets:
-            return False
-        if value is None:
-            return True
-        return any(alias.may_alias(value, target) for target in targets)
 
     @staticmethod
     def _hoist(op: Operation, loop: Operation) -> None:

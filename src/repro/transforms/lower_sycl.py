@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ir import Operation, Value, index
+from ..ir import MemRefType, Operation, Value, index, location_of
 from ..dialects import affine as affine_dialect
 from ..dialects import arith
 from ..dialects import memref as memref_dialect
@@ -38,8 +38,8 @@ from ..dialects.sycl import (
     SYCLAccessorGetMemRangeOp,
     SYCLAccessorGetPointerOp,
     SYCLAccessorSubscriptOp,
-    SYCLConstructorOp,
     accessor_type_of,
+    reaching_constructor,
 )
 from .canonicalize import erase_orphaned_ops
 from .pass_manager import CompileReport, FunctionPass, register_pass
@@ -68,20 +68,27 @@ class LowerAccessorSubscripts(FunctionPass):
         for subscript in subscripts:
             if subscript.parent is None:
                 continue
-            if self._lower_subscript(subscript, pointers, orphans):
+            index_components = _index_components(subscript)
+            if index_components is None:
+                where = location_of(subscript).describe()
+                report.remark(
+                    f"{self.NAME}: no-dominating-constructor: the id of the "
+                    f"subscript at {where} in {function.sym_name} is not "
+                    f"built by one constructor that reaches it")
+                continue
+            if self._lower_subscript(subscript, index_components, pointers,
+                                     orphans):
                 report.add_statistic(self.NAME, "subscripts_lowered")
         erase_orphaned_ops(orphans)
 
     # ------------------------------------------------------------------
     def _lower_subscript(self, subscript: SYCLAccessorSubscriptOp,
+                         index_components: List[Value],
                          pointers: Dict[int, Value],
                          orphans: List[Optional[Operation]]) -> bool:
         accessor = subscript.accessor
         accessor_type = accessor_type_of(accessor)
         if accessor_type is None:
-            return False
-        index_components = self._index_components(subscript)
-        if index_components is None:
             return False
 
         block = subscript.parent
@@ -147,12 +154,17 @@ class LowerAccessorSubscripts(FunctionPass):
         subscript.erase()
         return True
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _index_components(subscript: SYCLAccessorSubscriptOp) -> Optional[List[Value]]:
-        id_value = subscript.index
-        for user in id_value.users():
-            if isinstance(user, SYCLConstructorOp) and user.destination is id_value:
-                return list(user.arguments)
-        # Direct scalar index (1-D accessor subscripted with an index value).
+
+def _index_components(
+        subscript: SYCLAccessorSubscriptOp) -> Optional[List[Value]]:
+    """The components the subscript's index holds where it is read.
+
+    A scalar index is its own component.  An id object may be constructed
+    more than once, so its components come from the constructor that
+    reaches the subscript; ``None`` when no single one does.
+    """
+    id_value = subscript.index
+    if not isinstance(id_value.type, MemRefType):
         return [id_value]
+    constructor = reaching_constructor(subscript, id_value)
+    return list(constructor.arguments) if constructor is not None else None

@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ..faults import TransientFault, fault_point
-from ..ir import Operation, Trait, has_trait
+from ..ir import Operation, Trait, VerificationError, has_trait
 from ..ir.concurrency import (
     WriteGuard,
     guarded_region,
@@ -1122,8 +1122,6 @@ class PassManager(OpPassManager):
     def _run_pass(self, pass_: Pass, op: Operation, report: CompileReport,
                   instrumentations: List[PassInstrumentation],
                   state: Optional[_RunState] = None) -> None:
-        from ..ir import VerificationError
-
         # Hook batches are serialized across workers; the pass body itself
         # runs outside the lock — that is where the parallelism is.
         hook_lock = (state.hook_lock

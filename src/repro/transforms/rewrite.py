@@ -202,16 +202,14 @@ class _WorklistDriver:
         self.worklist = _Worklist()
         self.index = _PatternIndex(patterns)
 
-    def seed(self, root: Operation) -> int:
-        """Enqueue all ops under ``root``; returns how many were enqueued.
+    def seed(self, ops: List[Operation]) -> None:
+        """Enqueue ``ops`` (in pre-order).
 
         Ops are pushed in reverse pre-order so the LIFO pop visits the
         module top-down, matching the old sweep's application order.
         """
-        ops = list(root.walk(include_self=False))
         for op in reversed(ops):
             self.worklist.push(op)
-        return len(ops)
 
     # -- notifications -------------------------------------------------------
     def notify_inserted(self, op: Operation) -> None:
@@ -258,7 +256,8 @@ def apply_patterns_greedily(root: Operation,
                             max_iterations: int = MAX_PATTERN_ITERATIONS,
                             on_nonconvergence: str = "warn",
                             prune_dead: Optional[
-                                Callable[[Operation], bool]] = None) -> bool:
+                                Callable[[Operation], bool]] = None,
+                            seed: Optional[List[Operation]] = None) -> bool:
     """Apply ``patterns`` to all operations nested under ``root``.
 
     Returns True if the IR changed.  The worklist keeps draining until no
@@ -273,6 +272,9 @@ def apply_patterns_greedily(root: Operation,
     greedy driver does the same).  The predicate must only approve
     operations that are safe to erase (no remaining uses).
 
+    ``seed`` (optional) is the pre-order list of every operation under
+    ``root``, for a caller that needs the walk itself afterwards.
+
     A misbehaving pattern set (e.g. two patterns undoing each other) would
     keep the worklist busy forever; after ``max_iterations`` rewrites per
     initially present operation the driver gives up.  Depending on
@@ -286,8 +288,10 @@ def apply_patterns_greedily(root: Operation,
             f"got {on_nonconvergence!r}")
     pattern_list: List[RewritePattern] = list(patterns)
     driver = _WorklistDriver(pattern_list)
-    num_seeded = driver.seed(root)
-    max_rewrites = max(1, num_seeded) * max_iterations
+    if seed is None:
+        seed = list(root.walk(include_self=False))
+    driver.seed(seed)
+    max_rewrites = max(1, len(seed)) * max_iterations
     rewriter = PatternRewriter(driver)
     # One insertion point object re-anchored per visit, instead of a fresh
     # allocation for every (op, pattern) attempt.

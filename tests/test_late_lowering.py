@@ -26,11 +26,13 @@ from repro.dialects.sycl import (
 from repro.frontend.kernel_builder import AccessorParam, KernelSource
 from repro.interp import ExecutionEngine, ExecutionSpec, run_differential
 from repro.ir import (
+    EffectKind,
     IndexType,
     MemRefType,
     PointerType,
     Printer,
     f32,
+    get_memory_effects,
     i64,
     int_array_attr,
     parse_module,
@@ -38,13 +40,17 @@ from repro.ir import (
 )
 from repro.ir.builder import Builder, InsertionPoint
 from repro.ir.operations import version_stamp
+from repro.analysis.sycl_alias import (
+    SYCLAliasAnalysis,
+    _constant_subscript_index,
+)
 from repro.runtime import ID, Accessor, Buffer, Range
 from repro.transforms import (
     CompileReport,
     PassManager,
     build_named_pipeline,
 )
-from repro.transforms.licm import LoopInvariantCodeMotion
+from repro.transforms.licm import ALIAS_CHOICES, LoopInvariantCodeMotion
 from repro.transforms.lower_sycl import LowerAccessorSubscripts
 from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from repro.transforms.pipelines import parse_pass_pipeline
@@ -625,10 +631,49 @@ class TestAblationsEndLowered:
 # ---------------------------------------------------------------------------
 
 class _SummaryFreeLICM(LoopInvariantCodeMotion):
-    """The reference: every query re-walks the loop, as before."""
+    """The reference: every query re-walks the loop body and asks the
+    alias analysis afresh, as before the per-loop summaries."""
 
-    def _can_hoist_effectful(self, op, loop, alias, body_effects):
-        return super()._can_hoist_effectful(op, loop, alias, {})
+    def _can_hoist_effectful(self, op, summary):
+        alias = self.alias_analysis
+        effects = get_memory_effects(op)
+        if effects is None:
+            return False
+        read_targets, write_targets = [], []
+        for effect in effects:
+            if effect.kind in (EffectKind.READ, EffectKind.WRITE):
+                if effect.value is None:
+                    return False
+                (read_targets if effect.kind == EffectKind.READ
+                 else write_targets).append(effect.value)
+            elif effect.kind != EffectKind.ALLOCATE:
+                return False
+
+        def conflicts(value, targets):
+            if not targets:
+                return False
+            return value is None or any(alias.may_alias(value, target)
+                                        for target in targets)
+
+        for other in summary.body.ops_without_terminator():
+            if other is op:
+                continue
+            other_effects = []
+            for nested in other.walk():
+                nested_effects = get_memory_effects(nested)
+                if nested_effects is None:
+                    return False
+                other_effects.extend(nested_effects)
+            for effect in other_effects:
+                if effect.kind == EffectKind.WRITE:
+                    if conflicts(effect.value, read_targets) or \
+                            conflicts(effect.value, write_targets):
+                        return False
+                elif effect.kind == EffectKind.READ:
+                    if conflicts(effect.value, write_targets) and \
+                            not op.is_before_in_block(other):
+                        return False
+        return True
 
 
 def _run_licm(module, licm):
@@ -639,18 +684,46 @@ def _run_licm(module, licm):
     return report.get_statistic("sycl-licm", "ops_hoisted")
 
 
+#: What each LICM instance of ``sycl-mlir`` receives: the structured
+#: IR before the paper passes' round and the lowered IR before the
+#: second round.
+_LICM_INPUTS = {
+    "structured": SYCL_STAGE.replace(",sycl-licm,detect-reduction", ""),
+    "lowered": NAMED_PIPELINE_SPECS["sycl-mlir"].replace(
+        ",sycl-licm,dce))", "))"),
+}
+
+
+def _licm_input(label):
+    """An input module by label: the late-lowering inputs, and the two
+    modules of one id object constructed twice (section (i)), whose
+    constructor after a read in the loop must stay in it."""
+    if label == "id_reconstructed":
+        return _id_module(RECONSTRUCTED)
+    if label == "id_constructed_after_use":
+        return _id_module(CONSTRUCTED_AFTER_USE)
+    return _all_inputs()[label][0]
+
+
 class TestLICMEffectSummaries:
-    @pytest.mark.parametrize("label", INPUT_LABELS)
+    @pytest.mark.parametrize("label", INPUT_LABELS + [
+        "id_reconstructed", "id_constructed_after_use"])
     def test_same_hoists_in_the_same_order(self, label):
-        before_licm = SYCL_STAGE.replace(",sycl-licm,detect-reduction", "")
-        texts, hoisted = [], []
-        for licm_class in (LoopInvariantCodeMotion, _SummaryFreeLICM):
-            module, _ = _all_inputs()[label]
-            parse_pass_pipeline(before_licm).run(module)
-            hoisted.append(_run_licm(module, licm_class()))
-            texts.append(Printer().print_module(module))
-        assert texts[0] == texts[1]
-        assert hoisted[0] == hoisted[1] == SYCL_STAGE_STATISTICS[label][1]
+        for stage, prefix in _LICM_INPUTS.items():
+            for alias in ALIAS_CHOICES:
+                texts, hoisted = [], []
+                for licm_class in (LoopInvariantCodeMotion, _SummaryFreeLICM):
+                    module = _licm_input(label)
+                    parse_pass_pipeline(prefix).run(module)
+                    options = LoopInvariantCodeMotion.Options(alias=alias)
+                    hoisted.append(_run_licm(module, licm_class(options)))
+                    texts.append(Printer().print_module(module))
+                where = (stage, alias)
+                assert texts[0] == texts[1], where
+                assert hoisted[0] == hoisted[1], where
+                if where == ("structured", "sycl") and \
+                        label in SYCL_STAGE_STATISTICS:
+                    assert hoisted[0] == SYCL_STAGE_STATISTICS[label][1]
 
     def test_a_reused_instance_keeps_no_module_alive(self):
         # Pass instances are pooled and shared across workers: the
@@ -799,3 +872,141 @@ class TestPrefetchAddress:
                                     "references_prefetched") == 2
         assert "sycl.nd_item.get_group_id" in _op_names(optimized)
         run_differential(module, "sycl-mlir", specs=specs, tier="vector")
+
+
+# ---------------------------------------------------------------------------
+# (i) an id object constructed more than once
+# ---------------------------------------------------------------------------
+
+def _id_module(body):
+    """A one-work-item kernel over ``A`` with an id object ``%id`` and
+    the constants ``%c0``, ``%c1``, ``%c4`` and ``%one``."""
+    accessor = "memref<?x!sycl_accessor_1_f32_read_write>"
+    return parse_module(f'''
+"builtin.module"() ({{
+  "func.func"() ({{
+   ^bb0(%A: {accessor}, %item: memref<?x!sycl_item_1>):
+    %c0 = "arith.constant"() {{value = 0 : index}} : () -> (index)
+    %c1 = "arith.constant"() {{value = 1 : index}} : () -> (index)
+    %c4 = "arith.constant"() {{value = 4 : index}} : () -> (index)
+    %one = "arith.constant"() {{value = 1.0 : f32}} : () -> (f32)
+    %id = "memref.alloca"() : () -> (memref<1x!sycl_id_1>)
+{body.replace("ACC", accessor)}
+    "func.return"() : () -> ()
+  }}) {{function_type = ({accessor}, memref<?x!sycl_item_1>) -> (), \
+sycl.kernel = unit, sym_name = "multi", sym_visibility = "public"}} \
+: () -> ()
+}}) {{sym_name = "ids"}} : () -> ()
+''')
+
+
+def _construct(component):
+    return (f'    "sycl.constructor"(%id, {component}) {{type = @id}} : '
+            f'(memref<1x!sycl_id_1>, index) -> ()\n')
+
+
+def _subscript(name):
+    return (f'    {name} = "sycl.accessor.subscript"(%A, %id) : '
+            f'(ACC, memref<1x!sycl_id_1>) -> (memref<?xf32>)\n')
+
+
+#: ``A[1] = A[0] + 1``, four times, through two subscripts of one id.
+RECONSTRUCTED = (_construct("%c0") + _subscript("%s0") + _construct("%c1")
+                 + _subscript("%s1") + '''\
+    "affine.for"(%c0, %c4) ({
+     ^bb0(%iv: index):
+      %x = "affine.load"(%s0, %c0) : (memref<?xf32>, index) -> (f32)
+      %y = "arith.addf"(%x, %one) : (f32, f32) -> (f32)
+      "affine.store"(%y, %s1, %c0) : (f32, memref<?xf32>, index) -> ()
+      "affine.yield"() : () -> ()
+    }) {step = 1 : i64} : (index, index) -> ()''')
+
+#: The loop's first trip reads ``A[0]``, the others ``A[1]``.
+CONSTRUCTED_AFTER_USE = (_construct("%c0") + '''\
+    "affine.for"(%c0, %c4) ({
+     ^bb0(%iv: index):
+''' + _subscript("%s") + '''\
+      %x = "affine.load"(%s, %c0) : (memref<?xf32>, index) -> (f32)
+      %y = "arith.addf"(%x, %one) : (f32, f32) -> (f32)
+      "affine.store"(%y, %s, %c0) : (f32, memref<?xf32>, index) -> ()
+''' + _construct("%c1") + '''\
+      "affine.yield"() : () -> ()
+    }) {step = 1 : i64} : (index, index) -> ()''')
+
+
+def _subscripts(module):
+    return [op for op in module.walk()
+            if op.name == "sycl.accessor.subscript"]
+
+
+class TestIdConstructedTwice:
+    @pytest.mark.parametrize("tier", ("interp", "jit"))
+    @pytest.mark.parametrize("pipeline", ("sycl-mlir", "dpcpp",
+                                          "lower-to-llvm"))
+    def test_each_subscript_reads_its_own_constructor(self, pipeline, tier):
+        module = _id_module(RECONSTRUCTED)
+        run_differential(module, pipeline, tier=tier)
+
+    def test_the_reference_result(self):
+        run = ExecutionEngine(_id_module(RECONSTRUCTED), tier="interp").run(
+            "multi", ExecutionSpec(buffers={"A": (2,)},
+                                   global_size=(1,)))
+        first, second = run.memory["A"].tolist()
+        assert second == first + 1.0
+
+    def test_lowering_uses_the_nearest_preceding_constructor(self):
+        module = _id_module(RECONSTRUCTED)
+        parse_pass_pipeline("func.func(lower-sycl-accessors)").run(module)
+        assert _subscripts(module) == []
+        (load,) = [op for op in module.walk() if op.name == "memref.load"]
+        (store,) = [op for op in module.walk() if op.name == "memref.store"]
+        assert arith.constant_value_of(load.operands[1]) == 0
+        assert arith.constant_value_of(store.operands[2]) == 1
+
+    @pytest.mark.parametrize("pipeline", ("sycl-mlir", "dpcpp",
+                                          "lower-to-llvm"))
+    def test_no_reaching_constructor_declines_with_a_remark(self, pipeline):
+        module = _id_module(CONSTRUCTED_AFTER_USE)
+        optimized, report = _optimized(module, pipeline)
+        assert len(_subscripts(optimized)) == 1
+        assert report.get_statistic("lower-sycl-accessors",
+                                    "subscripts_lowered") == 0
+        (remark,) = [r for r in report.remarks
+                     if "lower-sycl-accessors" in r]
+        assert remark.startswith(
+            "lower-sycl-accessors: no-dominating-constructor: ")
+        assert remark.endswith("in multi is not built by one constructor "
+                               "that reaches it")
+        for tier in ("interp", "jit"):
+            run_differential(module, pipeline, tier=tier)
+
+    @pytest.mark.parametrize("tier", ("jit", "vector"))
+    def test_compiled_tiers_decline_a_construction_in_a_nested_block(
+            self, tier):
+        # They bind an id's components where its constructor is emitted,
+        # which the loop's next trip does not see.
+        spec = ExecutionSpec(buffers={"A": (2,)}, global_size=(1,))
+        module = _id_module(CONSTRUCTED_AFTER_USE)
+        reference = ExecutionEngine(module, tier="interp").run("multi", spec)
+        engine = ExecutionEngine(module, tier=tier)
+        run = engine.run("multi", spec)
+        assert run.tier == "interp"
+        assert engine.remarks[0].endswith(
+            "id constructed again in a nested block")
+        assert run.memory["A"].tolist() == reference.memory["A"].tolist()
+        first, second = reference.memory["A"].tolist()
+        # One trip through A[0], three through A[1].
+        assert (first, second) == (-0.5, 3.75)
+
+    def test_alias_analysis_trusts_only_a_single_constructor(self):
+        analysis = SYCLAliasAnalysis()
+        module = _id_module(RECONSTRUCTED)
+        first, second = _subscripts(module)
+        assert not analysis.alias(first.result, second.result).is_must()
+        assert not analysis.no_alias(first.result, second.result)
+        assert _constant_subscript_index(first) is None
+        single = _id_module(_construct("%c1") + _subscript("%s0")
+                            + _subscript("%s1"))
+        first, second = _subscripts(single)
+        assert analysis.must_alias(first.result, second.result)
+        assert _constant_subscript_index(first) == (1,)

@@ -857,3 +857,93 @@ class TestJITWhile:
         _lower(module)  # run_differential compiles a copy
         assert '"scf.while"' not in print_op(module)
         assert '"cf.cond_br"' in print_op(module)
+
+
+#: ``B[i] += A[min(2*i + t + 1, 7)]`` for ``t`` in 0..2: an
+#: ``affine.apply`` with a coefficient equal to an entry-block constant,
+#: a unit and a zero coefficient and an offset, clamped by an
+#: ``affine.min``.
+AFFINE_INDEX_IR = """\
+"builtin.module"() ({
+  "func.func"() ({
+   ^bb0(%A: memref<?x!sycl_accessor_1_f32_read>, \
+%B: memref<?x!sycl_accessor_1_f32_read_write>, %item: memref<?x!sycl_item_1>):
+    %d0 = "arith.constant"() {value = 0 : i32} : () -> (i32)
+    %c0 = "arith.constant"() {value = 0 : index} : () -> (index)
+    %c2 = "arith.constant"() {value = 2 : index} : () -> (index)
+    %c3 = "arith.constant"() {value = 3 : index} : () -> (index)
+    %c7 = "arith.constant"() {value = 7 : index} : () -> (index)
+    %i = "sycl.item.get_id"(%item, %d0) : (memref<?x!sycl_item_1>, i32) \
+-> (index)
+    %out = "sycl.accessor.subscript"(%B, %i) : \
+(memref<?x!sycl_accessor_1_f32_read_write>, index) -> (memref<?xf32>)
+    "affine.for"(%c0, %c3) ({
+     ^bb0(%t: index):
+      %j = "affine.apply"(%i, %t, %c7) {coefficients = [2 : i64, 1 : i64, \
+0 : i64], constant = 1 : i64} : (index, index, index) -> (index)
+      %k = "affine.min"(%j, %c7) : (index, index) -> (index)
+      %in = "sycl.accessor.subscript"(%A, %k) : \
+(memref<?x!sycl_accessor_1_f32_read>, index) -> (memref<?xf32>)
+      %x = "affine.load"(%in, %c0) : (memref<?xf32>, index) -> (f32)
+      %y = "affine.load"(%out, %c0) : (memref<?xf32>, index) -> (f32)
+      %z = "arith.addf"(%x, %y) : (f32, f32) -> (f32)
+      "affine.store"(%z, %out, %c0) : (f32, memref<?xf32>, index) -> ()
+      "affine.yield"() : () -> ()
+    }) {step = 1 : i64} : (index, index) -> ()
+    "func.return"() : () -> ()
+  }) {function_type = (memref<?x!sycl_accessor_1_f32_read>, \
+memref<?x!sycl_accessor_1_f32_read_write>, memref<?x!sycl_item_1>) -> (), \
+sycl.kernel = unit, sym_name = "gather", sym_visibility = "public"} \
+: () -> ()
+}) {sym_name = "affine_index"} : () -> ()
+"""
+
+AFFINE_INDEX_SPECS = {"gather": ExecutionSpec(
+    global_size=(4,), buffers={"A": (8,), "B": (4,)})}
+
+
+class TestAffineApplyAndMin:
+    """``lower-affine``'s ``affine.apply`` / ``affine.min`` path, through
+    the whole ``lower-to-llvm`` pipeline."""
+
+    def test_structured_and_lowered_compute_the_same(self):
+        structured = parse_module(AFFINE_INDEX_IR)
+        lowered = parse_module(AFFINE_INDEX_IR)
+        report = build_named_pipeline("lower-to-llvm").run(lowered)
+        assert report.get_statistic("lower-affine", "lowered") == 3
+        names = [op.name for op in lowered.walk()]
+        assert "affine.apply" not in names and "affine.min" not in names
+        # One multiply: the unit coefficient adds, the zero one drops.
+        assert names.count("llvm.mul") == 1
+        assert names.count("llvm.intr.smin") == 1
+        runs = {}
+        for label, module in (("structured", structured),
+                              ("lowered", lowered)):
+            for tier in ("interp", "jit"):
+                engine = ExecutionEngine(module, tier=tier)
+                executions, skipped = engine.execute_module(
+                    AFFINE_INDEX_SPECS)
+                assert not skipped, skipped
+                runs[label, tier] = executions["gather"]
+                assert runs[label, tier].tier == tier
+        for label in ("structured", "lowered"):
+            assert runs[label, "jit"].counters == \
+                runs[label, "interp"].counters, label
+        reference = runs["structured", "interp"].memory
+        for key, run in runs.items():
+            assert not memory_differences(run.memory, reference), key
+
+    def test_run_differential_on_both_tiers(self):
+        for tier in ("interp", "jit"):
+            report = run_differential(parse_module(AFFINE_INDEX_IR),
+                                      "lower-to-llvm",
+                                      specs=AFFINE_INDEX_SPECS, tier=tier)
+            assert report.executed == ["gather"]
+
+    def test_constants_are_reused(self):
+        # The coefficient 2 is the entry block's %c2, and the offset 1
+        # the constant built for the loop step.
+        module = parse_module(AFFINE_INDEX_IR)
+        report = build_named_pipeline("lower-to-llvm").run(module)
+        assert report.get_statistic("lower-affine", "constants_reused") == 2
+        assert _duplicate_entry_constants(module) == []

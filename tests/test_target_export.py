@@ -107,7 +107,12 @@ class TestGoldenFiles:
         for path in sorted(GOLDEN_DIR.glob("*.mlir")):
             module = parse_module(path.read_text(),
                                   filename=str(path))
-            verify(module)
+            if path.name.endswith("_errors.mlir"):
+                # Broken on purpose; what it must report is pinned by
+                # test_verifier.py through --verify-diagnostics.
+                assert verify(module, raise_on_error=False)
+            else:
+                verify(module)
 
     def test_upstream_clause_order(self):
         """Successors/regions precede the attribute dictionary and the

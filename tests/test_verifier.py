@@ -7,24 +7,36 @@ a test: per-op ``verify_op`` failures, terminator position, SINGLE_BLOCK
 regions and operand dominance (including the attached defining-op note).
 """
 
+import pathlib
+import random
+
 import pytest
 
 from repro.dialects import arith, func, memref, scf, sycl
 from repro.ir import (
     Block,
+    BlockArgument,
     Builder,
+    Diagnostic,
     DiagnosticEngine,
     InsertionPoint,
     Operation,
     Severity,
+    Trait,
     VerificationError,
+    has_trait,
     i1,
     i32,
+    location_of,
     parse_module,
     verify,
     verify_with_diagnostics,
 )
+from repro.ir.dominance import block_dominates
 from repro.ir.types import MemRefType
+from repro.testing.generate import GeneratorConfig, generate_module
+from repro.tools.repro_opt import main as repro_opt_main
+from repro.transforms import build_named_pipeline
 
 from .helpers import wrap_in_module
 
@@ -188,3 +200,192 @@ def _empty_func_with_return():
     f = _empty_func()
     Builder(InsertionPoint.at_end(f.body)).insert(func.ReturnOp.build())
     return f
+
+
+# ---------------------------------------------------------------------------
+# The scoped operand check against the per-operand ancestor walk
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _reference_diagnostics(op):
+    """The verifier as it was before scoping: every operand takes the
+    ancestor walk of :func:`_reference_visible`."""
+    diagnostics = []
+
+    def report(target, message):
+        diagnostic = Diagnostic(Severity.ERROR, message, location_of(target))
+        diagnostics.append(diagnostic)
+        return diagnostic
+
+    def verify_op(target):
+        try:
+            target.verify_op()
+        except Exception as exc:  # noqa: BLE001 - collected
+            report(target, f"{target.name}: {exc}")
+        if has_trait(target, Trait.SINGLE_BLOCK):
+            for region in target.regions:
+                if len(region.blocks) > 1:
+                    report(target, f"{target.name}: expected a single "
+                                   f"block per region")
+        for region in target.regions:
+            for block in region.blocks:
+                ops = block.operations
+                for index, nested in enumerate(ops):
+                    if has_trait(nested, Trait.TERMINATOR) and \
+                            index != len(ops) - 1:
+                        report(nested, f"{nested.name}: terminator must be "
+                                       f"the last operation in its block")
+                    for successor in nested.successors:
+                        if successor.parent is not block.parent:
+                            report(nested, f"{nested.name}: successor block "
+                                           f"does not belong to the "
+                                           f"enclosing region")
+                    for operand in nested.operands:
+                        if _reference_visible(operand, nested):
+                            continue
+                        diagnostic = report(
+                            nested, f"{nested.name}: operand {operand!r} "
+                                    f"does not dominate its use")
+                        defining = operand.defining_op()
+                        if defining is not None:
+                            diagnostic.attach_note(
+                                f"operand defined here by "
+                                f"'{defining.name}'", location_of(defining))
+                    verify_op(nested)
+
+    verify_op(op)
+    return diagnostics
+
+
+def _reference_visible(value, user):
+    owner_block = value.owner_block()
+    if owner_block is None:
+        return True
+    enclosing = []
+    block = user.parent
+    while block is not None:
+        enclosing.append(block)
+        parent_op = block.parent_op()
+        block = parent_op.parent if parent_op is not None else None
+    if owner_block not in enclosing:
+        region = owner_block.parent
+        if region is not None:
+            for candidate in enclosing:
+                if candidate.parent is region:
+                    return block_dominates(owner_block, candidate)
+        return False
+    if isinstance(value, BlockArgument):
+        return True
+    defining = value.defining_op()
+    if defining.parent is user.parent:
+        return defining.is_before_in_block(user)
+    ancestor = user
+    while ancestor.parent is not None and \
+            ancestor.parent is not defining.parent:
+        ancestor = ancestor.parent_op()
+        if ancestor is None:
+            return True
+    if ancestor.parent is defining.parent:
+        return defining.is_before_in_block(ancestor)
+    return True
+
+
+def _payloads(diagnostics):
+    return [diagnostic.to_payload() for diagnostic in diagnostics]
+
+
+def _assert_same_diagnostics(module):
+    expected = _payloads(_reference_diagnostics(module))
+    assert _payloads(verify_with_diagnostics(module)) == expected
+    return expected
+
+
+def _generated(seed):
+    return generate_module(GeneratorConfig(num_ops=120, seed=seed,
+                                           num_kernels=2,
+                                           dead_chain_depth=4))
+
+
+def _misplace(module, rng, count=6):
+    """Move ``count`` random ops before other random ops of the same
+    function: uses before definitions, values escaping their region and
+    uses from blocks their definitions do not dominate."""
+    functions = [op for op in module.walk() if op.name.endswith(".func")
+                 and op.regions and op.regions[0].blocks]
+    for _ in range(count):
+        function = rng.choice(functions)
+        ops = [op for op in function.walk(include_self=False)
+               if not has_trait(op, Trait.TERMINATOR)]
+        mover, target = rng.choice(ops), rng.choice(ops)
+        if mover is target or mover.is_ancestor_of(target):
+            continue
+        mover.move_before(target)
+
+
+class TestScopedOperandCheck:
+    """The in-scope set must give the same diagnostics — messages,
+    locations and notes, in order — as the ancestor walk per operand."""
+
+    @pytest.mark.parametrize("path", sorted(
+        GOLDEN_DIR.rglob("*.mlir")), ids=lambda path: path.name)
+    def test_goldens(self, path):
+        module = parse_module(path.read_text(), filename=str(path))
+        found = _assert_same_diagnostics(module)
+        assert bool(found) == path.name.endswith("_errors.mlir")
+
+    def test_dominance_errors_through_the_cli(self, capsys):
+        path = GOLDEN_DIR / "dominance_errors.mlir"
+        assert repro_opt_main([str(path), "--verify-diagnostics"]) == 0
+        module = parse_module(path.read_text(), filename=str(path))
+        assert [len(d.notes) for d in verify_with_diagnostics(module)] \
+            == [1, 1, 1]
+
+    @pytest.mark.parametrize("seed", range(31))
+    def test_generated_modules(self, seed):
+        module = _generated(seed)
+        assert _assert_same_diagnostics(module) == []
+        build_named_pipeline("lower-to-llvm").run(module)
+        assert any(len(region.blocks) > 1 for op in module.walk()
+                   for region in op.regions)
+        assert _assert_same_diagnostics(module) == []
+
+    @pytest.mark.parametrize("seed", range(31))
+    def test_seeded_violations(self, seed):
+        rng = random.Random(seed)
+        structured = _generated(seed)
+        lowered = _generated(seed)
+        build_named_pipeline("lower-to-llvm").run(lowered)
+        found = 0
+        for module in (structured, lowered):
+            _misplace(module, rng)
+            found += len(_assert_same_diagnostics(module))
+        assert found
+
+    def test_each_seeded_shape(self):
+        # use before def in one block
+        f = _empty_func()
+        body = Builder(InsertionPoint.at_end(f.body))
+        c = body.insert(arith.ConstantOp.build(1, i32()))
+        add = body.insert(arith.AddIOp.build(c.result, c.result))
+        body.insert(func.ReturnOp.build())
+        add.move_before(c)
+        assert len(_assert_same_diagnostics(f)) == 2
+        # a value escaping its region into the enclosing block
+        f = _empty_func("k", [i1(), i32()])
+        cond, v = f.arguments
+        body = Builder(InsertionPoint.at_end(f.body))
+        if_op = body.insert(scf.IfOp.build(cond))
+        inner = arith.AddIOp.build(v, v)
+        if_op.then_block.append(inner)
+        if_op.then_block.append(scf.YieldOp.build())
+        body.insert(arith.AddIOp.build(inner.result, v))
+        body.insert(func.ReturnOp.build())
+        (escape,) = _assert_same_diagnostics(f)
+        assert escape["notes"][0]["message"] == \
+            "operand defined here by 'arith.addi'"
+        # a CFG use from a block its definition does not dominate
+        module = parse_module((GOLDEN_DIR / "dominance_errors.mlir")
+                              .read_text())
+        assert len(_assert_same_diagnostics(module)) == 3

@@ -13,12 +13,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.dialects import arith, builtin
-from repro.ir import IntegerAttr, Printer, i64, parse_module, verify
+from repro.dialects import arith, builtin, memref
+from repro.dialects.func import FuncOp, ReturnOp
+from repro.ir import (
+    EffectKind,
+    IndexType,
+    IntegerAttr,
+    MemoryEffectsInterface,
+    MemRefType,
+    Operation,
+    Printer,
+    get_memory_effects,
+    i64,
+    parse_module,
+    verify,
+)
+from repro.ir.builder import Builder, InsertionPoint
+from repro.ir.interfaces import write
 from repro.testing.generate import GeneratorConfig, generate_module
-from repro.transforms.canonicalize import CanonicalizePass
+from repro.transforms import build_named_pipeline, canonicalize
+from repro.transforms.canonicalize import CanonicalizePass, DCEPass
 from repro.transforms.cse import CSEPass
-from repro.transforms.pass_manager import PassManager
+from repro.transforms.pass_manager import CompileReport, PassManager
 from repro.transforms.rewrite import RewritePattern, apply_patterns_greedily
 
 from .helpers import (
@@ -270,3 +286,141 @@ class TestReenqueueRules:
         module = build()
         apply_patterns_greedily(module, [_FoldAddPattern()])
         assert _print(module) == expected
+
+
+# ---------------------------------------------------------------------------
+# Write-only allocations: seed walk + feeders vs. re-walking the function
+# ---------------------------------------------------------------------------
+
+def _reference_group(op):
+    """``op``'s writers and ``op`` when it is a write-only allocation."""
+    if not op.results or not isinstance(op, MemoryEffectsInterface):
+        return []
+    effects = get_memory_effects(op)
+    if not effects or any(e.kind != EffectKind.ALLOCATE for e in effects):
+        return []
+    allocation = op.results[0]
+    writers = allocation.users()
+    if not writers:
+        return []
+    for user in writers:
+        effects = get_memory_effects(user)
+        if user.has_uses() or effects is None or any(
+                (e.kind == EffectKind.READ and e.value is allocation)
+                or (e.kind == EffectKind.WRITE and e.value is not allocation)
+                for e in effects):
+            return []
+    return writers + [op]
+
+
+def _reference_cleanup(root):
+    """Sweep the whole function, erasing dead ops and write-only groups,
+    until a sweep erases nothing."""
+    erased = 0
+    while True:
+        before = erased
+        for op in list(root.walk(include_self=False)):
+            if op.parent is None:
+                continue
+            group = [op] if canonicalize._is_trivially_dead(op) \
+                else _reference_group(op)
+            for dead in group:
+                dead.erase()
+            erased += len(group)
+        if erased == before:
+            return erased
+
+
+def _walking_canonicalize(self, function, report):
+    erased = [0]
+
+    def prune(op):
+        if canonicalize._is_trivially_dead(op):
+            erased[0] += 1
+            return True
+        return False
+
+    apply_patterns_greedily(
+        function, [canonicalize._CanonicalizePattern(report, self.NAME)],
+        max_iterations=self.options.max_iterations,
+        prune_dead=prune if self.options.prune_dead else None)
+    if self.options.prune_dead:
+        total = erased[0] + _reference_cleanup(function)
+        if total:
+            report.add_statistic(self.NAME, "dead_ops_erased", total)
+
+
+def _walking_dce(self, function, report):
+    erased = _reference_cleanup(function)
+    if erased:
+        report.add_statistic(self.NAME, "dead_ops_erased", erased)
+
+
+def _cleanup_inputs():
+    from .test_late_lowering import _all_inputs
+
+    inputs = {label: module for label, (module, _) in _all_inputs().items()}
+    for seed in range(6):
+        inputs[f"generated{seed}"] = generate_module(GeneratorConfig(
+            num_ops=200, nesting_depth=2, dead_chain_depth=8, num_kernels=2,
+            seed=seed))
+    return inputs
+
+
+class _WriteAndReturn(Operation, MemoryEffectsInterface):
+    """Test-only op that writes its operand and returns a value."""
+
+    OPERATION_NAME = "test.write_and_return"
+
+    def memory_effects(self):
+        return [write(self.operands[0])]
+
+
+def _group_behind_a_used_writer():
+    """``%a`` is written by an op whose result feeds the only writer of
+    ``%b``: ``%b``'s group goes first, and only then is ``%a``'s."""
+    function = FuncOp.build("f", [])
+    body = Builder(InsertionPoint.at_end(function.body))
+    b = body.insert(memref.AllocaOp.build(MemRefType((), IndexType())))
+    a = body.insert(memref.AllocaOp.build(MemRefType((), i64())))
+    value = body.insert(_WriteAndReturn(operands=(a.result,),
+                                        result_types=(IndexType(),)))
+    body.insert(memref.StoreOp.build(value.result, b.result, []))
+    body.insert(ReturnOp.build())
+    return wrap_in_module(function)
+
+
+class TestCleanupWithoutRewalks:
+    @pytest.mark.parametrize("pipeline", ["sycl-mlir", "dpcpp",
+                                          "adaptivecpp-jit"])
+    def test_same_ir_and_statistics_as_rewalking(self, pipeline,
+                                                 monkeypatch):
+        inputs = _cleanup_inputs()
+        outputs = {}
+        for side in ("seeded", "rewalked"):
+            if side == "rewalked":
+                monkeypatch.setattr(CanonicalizePass, "run_on_function",
+                                    _walking_canonicalize)
+                monkeypatch.setattr(DCEPass, "run_on_function", _walking_dce)
+            for label, module in inputs.items():
+                clone = module.clone({})
+                report = CompileReport()
+                build_named_pipeline(pipeline).run(clone, report=report)
+                stats = sorted((s.pass_name, s.name, s.value)
+                               for s in report.statistics)
+                outputs[side, label] = (_print(clone), stats)
+        for label in inputs:
+            seeded, rewalked = outputs["seeded", label], outputs["rewalked",
+                                                                 label]
+            assert seeded[0] == rewalked[0], label
+            assert seeded[1] == rewalked[1], label
+
+    @pytest.mark.parametrize("cleanup", ["canonicalize", "dce"])
+    def test_a_group_freed_by_another_group(self, cleanup):
+        module = _group_behind_a_used_writer()
+        report = CompileReport()
+        PassManager([CanonicalizePass() if cleanup == "canonicalize"
+                     else DCEPass()]).run(module, report=report)
+        assert report.get_statistic(cleanup, "dead_ops_erased") == 4
+        assert [op.name for op in module.walk()] == [
+            "builtin.module", "func.func", "func.return"]
