@@ -13,9 +13,10 @@ the Listing 3 example of the paper:
     [ 0 1 2 ]   [   i   ]   [ 2 ]
 
 The matrix is split into the *inter–work-item* part (columns of work-item
-ids) and the *intra–work-item* part (columns of loop induction variables) to
-classify coalescing and temporal reuse following Kaeli et al. [14]; Loop
-Internalization uses this classification to pick prefetch candidates.
+ids) and the *intra–work-item* part (columns of loop induction variables),
+following Kaeli et al. [14]; Loop Internalization picks as prefetch
+candidates the accesses with temporal reuse (a non-zero intra–work-item
+part).
 """
 
 from __future__ import annotations
@@ -212,52 +213,6 @@ class MemoryAccess:
         """The intra–work-item matrix is not the zero matrix."""
         return any(any(entry != 0 for entry in row)
                    for row in self.intra_work_item_matrix())
-
-    def classify_inter_work_item(self) -> str:
-        """Classify the inter–work-item pattern (Linear / ReverseLinear / ...).
-
-        Following [14]: *Linear* means the fastest-varying subscript (last
-        row) depends with unit stride on the fastest-varying work-item id
-        (last work-item column) and slower subscripts do not depend on it;
-        *ReverseLinear* is the transposed situation.
-        """
-        matrix = self.inter_work_item_matrix()
-        if not matrix or not matrix[0]:
-            return "None"
-        if all(all(entry == 0 for entry in row) for row in matrix):
-            return "Zero"
-        last_row = matrix[-1]
-        fastest_col = len(matrix[0]) - 1
-        if last_row[fastest_col] == 1 and \
-                all(matrix[r][fastest_col] == 0 for r in range(len(matrix) - 1)):
-            return "Linear"
-        first_col_last_row = last_row[0] if last_row else 0
-        if len(matrix[0]) > 1 and first_col_last_row == 1 and \
-                all(matrix[r][0] == 0 for r in range(len(matrix) - 1)):
-            return "ReverseLinear"
-        return "NonLinear"
-
-    def can_be_coalesced(self) -> bool:
-        return self.classify_inter_work_item() in ("Linear", "ReverseLinear")
-
-    def work_item_stride_elements(self, row_extent: int = 1024) -> int:
-        """Approximate element stride between adjacent work-items.
-
-        Used by the GPU cost model when it has no simulation-observed
-        addresses: the stride of the linearized (row-major) address with
-        respect to the fastest-varying work-item id, assuming each row of
-        the accessed array has ``row_extent`` elements.
-        """
-        matrix = self.inter_work_item_matrix()
-        if not matrix or not matrix[0]:
-            return 0
-        fastest_col = len(matrix[0]) - 1
-        stride = 0
-        multiplier = 1
-        for row in reversed(matrix):
-            stride += row[fastest_col] * multiplier
-            multiplier *= row_extent
-        return stride
 
     def __repr__(self) -> str:
         return (f"<MemoryAccess {self.access_op.OPERATION_NAME} matrix={self.matrix} "

@@ -25,7 +25,7 @@ access in the loop may alias the reduced location.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..ir import (
     EffectKind,
@@ -95,6 +95,79 @@ def _depends_on(value: Value, source: Value, limit: int = 64) -> bool:
                for operand in defining.operands)
 
 
+def find_reductions(loop: Operation, alias_analysis,
+                    invariant: Callable[[Value], bool],
+                    ignore: Collection[Operation] = ()
+                    ) -> List[ReductionCandidate]:
+    """The array reductions of ``loop`` that can live in a register.
+
+    A reduction is a load and a later store of one location that is
+    fixed for the whole loop (``invariant`` holds for its memref and
+    indices), where the stored value depends on the loaded one, and no
+    other access in the loop may touch that location.  Accesses in
+    ``ignore`` are left out of that check: Loop Internalization asks
+    which pairs would qualify once its candidate loads read local memory
+    instead.
+    """
+    body_ops = loop.loop_body().ops_without_terminator()
+    loads = [op for op in body_ops
+             if isinstance(op, (affine_dialect.AffineLoadOp,
+                                memref_dialect.LoadOp))]
+    stores = [op for op in body_ops
+              if isinstance(op, (affine_dialect.AffineStoreOp,
+                                 memref_dialect.StoreOp))]
+    skipped = set(ignore)
+    candidates: List[ReductionCandidate] = []
+    used_stores: set = set()
+    for load in loads:
+        if load in skipped or not invariant(load.memref) or \
+                not all(invariant(i) for i in load.indices):
+            continue
+        match = None
+        for store in stores:
+            if id(store) in used_stores:
+                continue
+            if store.memref is not load.memref and \
+                    not alias_analysis.alias(store.memref,
+                                             load.memref).is_must():
+                continue
+            if not _same_indices(_access_indices(load), _access_indices(store)):
+                continue
+            if not load.is_before_in_block(store):
+                continue
+            if not _depends_on(store.value, load.result):
+                continue
+            match = store
+            break
+        if match is None:
+            continue
+        candidate = ReductionCandidate(load, match, load.memref,
+                                       _access_indices(load))
+        if _is_safe(loop, candidate, alias_analysis, skipped):
+            used_stores.add(id(match))
+            candidates.append(candidate)
+    return candidates
+
+
+def _is_safe(loop: Operation, candidate: ReductionCandidate, alias_analysis,
+             skipped: Collection[Operation]) -> bool:
+    """No other access in the loop may touch the reduced location."""
+    for op in loop.walk(include_self=False):
+        if op is candidate.load or op is candidate.store or op in skipped:
+            continue
+        effects = get_memory_effects(op)
+        if effects is None:
+            return False
+        for effect in effects:
+            if effect.kind not in (EffectKind.READ, EffectKind.WRITE):
+                continue
+            if effect.value is None:
+                return False
+            if alias_analysis.may_alias(effect.value, candidate.memref):
+                return False
+    return True
+
+
 @register_pass
 class DetectReduction(FunctionPass):
     """Turns array reductions into loop-carried scalar reductions."""
@@ -128,7 +201,9 @@ class DetectReduction(FunctionPass):
         for loop in loops:
             if loop.parent is None:
                 continue
-            candidates = self._find_candidates(loop)
+            candidates = find_reductions(
+                loop, self.alias_analysis,
+                lambda value: _value_defined_outside(value, loop))
             if not candidates:
                 continue
             self._rewrite_loop(loop, candidates)
@@ -136,66 +211,6 @@ class DetectReduction(FunctionPass):
             report.remark(
                 f"{self.NAME}: converted {len(candidates)} array reduction(s) "
                 f"in {function.sym_name}")
-
-    # ------------------------------------------------------------------
-    # Candidate discovery
-    # ------------------------------------------------------------------
-    def _find_candidates(self, loop: Operation) -> List[ReductionCandidate]:
-        body_ops = loop.loop_body().ops_without_terminator()
-        loads = [op for op in body_ops
-                 if isinstance(op, (affine_dialect.AffineLoadOp,
-                                    memref_dialect.LoadOp))]
-        stores = [op for op in body_ops
-                  if isinstance(op, (affine_dialect.AffineStoreOp,
-                                     memref_dialect.StoreOp))]
-        candidates: List[ReductionCandidate] = []
-        used_stores: set = set()
-        for load in loads:
-            if not _value_defined_outside(load.memref, loop):
-                continue
-            if not all(_value_defined_outside(i, loop) for i in load.indices):
-                continue
-            match = None
-            for store in stores:
-                if id(store) in used_stores:
-                    continue
-                if store.memref is not load.memref and \
-                        not self.alias_analysis.alias(store.memref,
-                                                      load.memref).is_must():
-                    continue
-                if not _same_indices(_access_indices(load), _access_indices(store)):
-                    continue
-                if not load.is_before_in_block(store):
-                    continue
-                if not _depends_on(store.value, load.result):
-                    continue
-                match = store
-                break
-            if match is None:
-                continue
-            candidate = ReductionCandidate(load, match, load.memref,
-                                           _access_indices(load))
-            if self._is_safe(loop, candidate):
-                used_stores.add(id(match))
-                candidates.append(candidate)
-        return candidates
-
-    def _is_safe(self, loop: Operation, candidate: ReductionCandidate) -> bool:
-        """No other access in the loop may touch the reduced location."""
-        for op in loop.walk(include_self=False):
-            if op is candidate.load or op is candidate.store:
-                continue
-            effects = get_memory_effects(op)
-            if effects is None:
-                return False
-            for effect in effects:
-                if effect.kind not in (EffectKind.READ, EffectKind.WRITE):
-                    continue
-                if effect.value is None:
-                    return False
-                if self.alias_analysis.may_alias(effect.value, candidate.memref):
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # Rewrite

@@ -57,10 +57,13 @@ from typing import Dict, List, Optional, Tuple
 from ..faults import TransientFault, fault_point
 from .compile_cache import CacheKey, text_fingerprint
 
-#: Bump when the entry schema changes; readers treat other versions as
-#: corrupt (evict and recompile) rather than guessing.  Version 2: a
-#: front entry names its second-level fingerprint in a field of its own.
-ENTRY_VERSION = 2
+#: Bump when the entry schema changes, or when a shipped pipeline's
+#: output changes: keys name the input and the pipeline spec, not what
+#: the passes do with them.  Readers treat other versions as corrupt
+#: (evict and recompile) rather than guessing.  Version 2: a front entry
+#: names its second-level fingerprint in a field of its own.  Version 3:
+#: Loop Internalization declines tiles that do not pay.
+ENTRY_VERSION = 3
 
 #: Default on-disk budget: generous for a developer cache, small enough
 #: that an unattended daemon cannot fill a disk.

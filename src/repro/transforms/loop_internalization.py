@@ -16,6 +16,16 @@ the Uniformity Analysis (Section V-C) rejects loops inside divergent
 regions, where the injected barriers would deadlock; stores are not
 considered candidates (an explicitly stated limitation of the paper's
 implementation).
+
+The paper prefetches *when that pays*.  Before it tiles a loop the pass
+estimates, per work-item, the ops executed and the bytes moved with and
+without the tile (:meth:`LoopInternalization._estimate`), and tiles only
+when the tile lowers one of the two; otherwise it declines with a remark
+naming both estimates.  The tile's bytes pay off through Detect
+Reduction: once the candidates read local memory, a load/store pair of
+one location (``C[i, j]`` of a GEMM) stays in a register for a whole
+tile, so with ``c`` candidates, ``r`` such pairs and tile ``T`` the tile
+moves fewer bytes iff ``T > 1 + c / r``.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from ..dialects.func import FuncOp
 from ..dialects.sycl import (
     NDItemType,
     SYCLAccessorSubscriptOp,
+    SYCLConstructorOp,
     SYCLGroupBarrierOp,
     SYCLNDItemGetGlobalIDOp,
     SYCLNDItemGetGroupIDOp,
@@ -47,7 +58,10 @@ from ..dialects.sycl import (
     accessor_type_of,
 )
 from ..analysis.memory_access import BasisKind, MemoryAccess, MemoryAccessAnalysis
+from ..analysis.sycl_alias import SYCLAliasAnalysis
 from ..analysis.uniformity import UniformityAnalysis
+from .detect_reduction import find_reductions
+from .lower_sycl import linearization_ops, subscript_components
 from .pass_manager import CompileReport, FunctionPass, register_pass
 
 
@@ -67,6 +81,83 @@ class InternalizationCandidate:
     subscript: SYCLAccessorSubscriptOp
     access: MemoryAccess
     rows: List[_RowPlan]
+
+
+@dataclass(frozen=True)
+class LoopCost:
+    """What one work-item executes in a loop: ops and bytes moved."""
+
+    ops: int
+    bytes: int
+
+
+@dataclass(frozen=True)
+class _WorkItemRows:
+    """The work-item dimensions a tiling queries: every tile row's local
+    id, the global id of a row addressed by its own dimension, and the
+    group id of a transposed one."""
+
+    needed: Tuple[int, ...]
+    own: frozenset
+    transposed: frozenset
+
+    @classmethod
+    def of(cls, candidates: Sequence["InternalizationCandidate"]):
+        thread_rows = [(row_index, row.thread_dim)
+                       for c in candidates
+                       for row_index, row in enumerate(c.rows)
+                       if row.kind == "thread"]
+        needed = {dim for _, dim in thread_rows} | \
+            {dim for c in candidates for dim in range(len(c.rows))}
+        return cls(tuple(sorted(needed)),
+                   frozenset(d for row, d in thread_rows if d == row),
+                   frozenset(d for row, d in thread_rows if d != row))
+
+
+def _element_bytes(memref: Value) -> int:
+    element = memref.type.element_type
+    return max(1, getattr(element, "width", 64) // 8)
+
+
+_ACCESSES = (affine_dialect.AffineLoadOp, memref_dialect.LoadOp,
+             affine_dialect.AffineStoreOp, memref_dialect.StoreOp)
+
+
+#: Free once the pipeline is done: constants are hoisted, and the id
+#: objects fold into the addresses their subscripts lower to.
+_FREE = (arith.ConstantOp, memref_dialect.AllocaOp, SYCLConstructorOp)
+
+
+def _trip_costs(body: Sequence[Operation], iv: Value):
+    """``(op, ops, bytes, reads_iv)`` per op of ``body``: what the op
+    costs on one trip as the rest of the pipeline leaves it, and whether
+    it computes with ``iv``.
+
+    Ops that do not vary with ``iv`` are hoisted by SYCL-LICM and run
+    once either way, so they cost nothing here; allocas, constructors
+    and constants are free; a subscript costs the linearization ops
+    ``lower-sycl-accessors`` gives it that vary; every access counts.
+    """
+    varying = {iv}
+    costs = []
+    for op in body:
+        if isinstance(op, _FREE):
+            continue  # nothing they define varies
+        subscript = isinstance(op, SYCLAccessorSubscriptOp)
+        operands = (subscript_components(op) or op.operands) if subscript \
+            else op.operands
+        access = isinstance(op, _ACCESSES)
+        varies = access or any(v in varying for v in operands)
+        if varies:
+            varying.update(op.results)
+        if access:
+            costs.append((op, 1, _element_bytes(op.memref), iv in operands))
+        elif subscript:
+            costs.append((op, linearization_ops(
+                [v in varying for v in operands]), 0, iv in operands))
+        else:
+            costs.append((op, int(varies), 0, iv in operands))
+    return costs
 
 
 def work_group_size_of(function: FuncOp) -> Optional[Tuple[int, ...]]:
@@ -91,6 +182,9 @@ class LoopInternalization(FunctionPass):
         ("references_prefetched", "global-memory references prefetched"),
         ("divergent_loops_skipped", "loops skipped due to divergence"),
     )
+
+    #: Decides which load/store pairs Detect Reduction keeps in a register.
+    _ALIAS = SYCLAliasAnalysis()
 
     def __init__(self, uniformity: Optional[UniformityAnalysis] = None,
                  options=None):
@@ -128,13 +222,22 @@ class LoopInternalization(FunctionPass):
             candidates, tile = self._find_candidates(function, loop, wg_size)
             if not candidates or tile is None:
                 continue
+            tiled, untiled = self._estimate(loop, candidates, tile)
+            estimates = (f"ops with/without {tiled.ops}/{untiled.ops}, "
+                         f"bytes with/without {tiled.bytes}/{untiled.bytes} "
+                         f"per work-item")
+            if tiled.ops >= untiled.ops and tiled.bytes >= untiled.bytes:
+                report.remark(
+                    f"{self.NAME}: a tile of {tile} lowers neither ops nor "
+                    f"bytes in {function.sym_name}: {estimates}")
+                continue
             self._transform(function, loop, candidates, nd_item, tile, wg_size)
             report.add_statistic(self.NAME, "loops_internalized")
             report.add_statistic(self.NAME, "references_prefetched",
                                  len(candidates))
             report.remark(
                 f"{self.NAME}: prefetched {len(candidates)} array reference(s) "
-                f"to local memory in {function.sym_name}")
+                f"to local memory in {function.sym_name}: {estimates}")
 
     # ------------------------------------------------------------------
     # Candidate discovery
@@ -235,6 +338,90 @@ class LoopInternalization(FunctionPass):
         return int(dim) if dim is not None else None
 
     # ------------------------------------------------------------------
+    # Cost estimate
+    # ------------------------------------------------------------------
+    def _estimate(self, loop: affine_dialect.AffineForOp,
+                  candidates: List[InternalizationCandidate],
+                  tile: int) -> Tuple[LoopCost, LoopCost]:
+        """Per-work-item ``(with, without)`` the tile, for the whole loop.
+
+        Without the tile every trip runs the body.  With it every trip of
+        the inner loop runs the cloned body, a local load in place of
+        each candidate, and every tile runs what :meth:`_transform` emits
+        into the outer loop: per candidate a global load and a local
+        store plus the address ops that vary with the tile, two barriers,
+        the inner loop and its yield.  The work-item queries and tiles
+        it emits before the loop run once.  A reduction pair (see
+        :func:`find_reductions`) leaves every loop Detect Reduction
+        rewrites: it then costs a load before and a store after the loop
+        instead of both on every trip.  Detect Reduction rewrites the
+        tiled inner loop when nothing but the candidates may alias the
+        pair's location.
+        """
+        trips = loop.constant_trip_count()
+        tiles = trips // tile
+        costs = _trip_costs(loop.body.ops_without_terminator(),
+                            loop.induction_variable())
+
+        def trip(skip: set) -> Tuple[int, int, bool]:
+            # The yield, then every op the trip still runs.
+            left = [c for c in costs if c[0] not in skip]
+            return (1 + sum(c[1] for c in left), sum(c[2] for c in left),
+                    any(c[3] for c in left))
+
+        def fixed(value: Value) -> bool:
+            # Defined outside, or a subscript SYCL-LICM hoists out of it.
+            if loop.is_defined_outside(value):
+                return True
+            subscript = value.defining_op()
+            if not isinstance(subscript, SYCLAccessorSubscriptOp):
+                return False
+            components = subscript_components(subscript)
+            return components is not None and all(
+                loop.is_defined_outside(v)
+                for v in [subscript.accessor] + components)
+
+        def pair_cost(pairs) -> Tuple[set, int]:
+            # Out of the loop, each pair is one load and one store.
+            return ({op for p in pairs for op in (p.load, p.store)},
+                    sum(2 * _element_bytes(p.memref) for p in pairs))
+
+        # The pairs of the tiled loop; those no candidate may alias stay
+        # in a register without the tile as well.
+        pairs = find_reductions(loop, self._ALIAS, fixed,
+                                ignore=[c.load for c in candidates])
+        kept, kept_bytes = pair_cost([
+            p for p in pairs
+            if not any(self._ALIAS.may_alias(c.load.memref, p.memref)
+                       for c in candidates)])
+        ops, moved, _ = trip(kept)
+        without = LoopCost(1 + trips * ops + len(kept),
+                           trips * moved + kept_bytes)
+
+        reduced, reduced_bytes = pair_cost(pairs)
+        ops, moved, reads_iv = trip(reduced | {
+            op for c in candidates for op in (c.load, c.subscript)})
+        # A local load per candidate, and ``t + k'`` if the body uses it.
+        inner_ops = ops + len(candidates) + reads_iv
+        inner_bytes = moved + sum(_element_bytes(c.access.memref)
+                                  for c in candidates)
+        tile_ops, tile_bytes = 4 + len(reduced), reduced_bytes
+        for candidate in candidates:
+            # The global load, the local store, ``t + local_id`` of the
+            # loop row and the address ops it feeds.
+            is_loop = [row.kind == "loop" for row in candidate.rows]
+            tile_ops += 2 + sum(is_loop) + linearization_ops(is_loop)
+            tile_bytes += 2 * _element_bytes(candidate.access.memref)
+        # Before the loop: the outer loop, the group, the tiles, the
+        # work-item queries.
+        rows = _WorkItemRows.of(candidates)
+        once = (2 + len(candidates) + len(rows.needed) + len(rows.own)
+                + len(rows.transposed))
+        tiled = LoopCost(once + tiles * tile_ops + trips * inner_ops,
+                         tiles * tile_bytes + trips * inner_bytes)
+        return tiled, without
+
+    # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
     def _transform(self, function: FuncOp, loop: affine_dialect.AffineForOp,
@@ -257,24 +444,15 @@ class LoopInternalization(FunctionPass):
         local_ids: Dict[int, Value] = {}
         group_ids: Dict[int, Value] = {}
         global_ids: Dict[int, Value] = {}
-        thread_rows = [(row_index, row.thread_dim)
-                       for c in candidates
-                       for row_index, row in enumerate(c.rows)
-                       if row.kind == "thread"]
-        own_dims = {dim for row_index, dim in thread_rows if dim == row_index}
-        transposed_dims = {dim for row_index, dim in thread_rows
-                           if dim != row_index}
-        needed_dims = sorted(
-            {dim for _, dim in thread_rows} |
-            {dim for c in candidates for dim in range(len(c.rows))})
-        for dim in needed_dims:
+        rows = _WorkItemRows.of(candidates)
+        for dim in rows.needed:
             dim_const = insert(arith.ConstantOp.build(dim, i32())).result
             local_ids[dim] = insert(
                 SYCLNDItemGetLocalIDOp.build(nd_item, dim_const)).result
-            if dim in own_dims:
+            if dim in rows.own:
                 global_ids[dim] = insert(
                     SYCLNDItemGetGlobalIDOp.build(nd_item, dim_const)).result
-            if dim in transposed_dims:
+            if dim in rows.transposed:
                 group_ids[dim] = insert(
                     SYCLNDItemGetGroupIDOp.build(nd_item, dim_const)).result
 
@@ -364,16 +542,14 @@ class LoopInternalization(FunctionPass):
         outer_body.append(SYCLGroupBarrierOp.build(group.result))
         outer_body.append(affine_dialect.AffineYieldOp.build())
 
-        # The original loop is no longer referenced.
-        for result in loop.results:
-            if result.has_uses():
-                return  # loops with results are rejected earlier; be safe
+        # The original loop is no longer referenced (loops with results
+        # are no candidates).
         loop.erase()
 
     def _build_accessor_load(self, candidate: InternalizationCandidate,
                              indices: Sequence[Value], append) -> Operation:
         """Build ``sycl.constructor`` + ``subscript`` + load for the prefetch."""
-        from ..dialects.sycl import IDType, SYCLConstructorOp
+        from ..dialects.sycl import IDType
 
         rank = len(indices)
         id_alloca = append(memref_dialect.AllocaOp.build(

@@ -27,7 +27,7 @@ by the simulator); what is lost is exactly what the paper says is lost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..ir import MemRefType, Operation, Value, index, location_of
 from ..dialects import affine as affine_dialect
@@ -68,7 +68,7 @@ class LowerAccessorSubscripts(FunctionPass):
         for subscript in subscripts:
             if subscript.parent is None:
                 continue
-            index_components = _index_components(subscript)
+            index_components = subscript_components(subscript)
             if index_components is None:
                 where = location_of(subscript).describe()
                 report.remark(
@@ -155,7 +155,7 @@ class LowerAccessorSubscripts(FunctionPass):
         return True
 
 
-def _index_components(
+def subscript_components(
         subscript: SYCLAccessorSubscriptOp) -> Optional[List[Value]]:
     """The components the subscript's index holds where it is read.
 
@@ -168,3 +168,17 @@ def _index_components(
         return [id_value]
     constructor = reaching_constructor(subscript, id_value)
     return list(constructor.arguments) if constructor is not None else None
+
+
+
+def linearization_ops(varies: Sequence[bool]) -> int:
+    """How many of the ops :meth:`LowerAccessorSubscripts._lower_subscript`
+    emits vary, given which index components do: each dimension after the
+    first adds a ``muli`` of the running offset and an ``addi`` of its
+    component."""
+    count, linear = 0, False
+    for position, component in enumerate(varies):
+        if position:
+            count += linear + (linear or component)
+        linear = linear or component
+    return count

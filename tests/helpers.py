@@ -184,8 +184,13 @@ def build_vecadd_source():
 
 
 def build_gemm_module(size=8, work_group=4):
-    """An nd_item GEMM whose ``sycl.work_group_size`` attribute makes
-    Loop Internalization fire; returns ``(module, {"gemm": spec})``."""
+    """An nd_item GEMM carrying its ``sycl.work_group_size`` attribute;
+    returns ``(module, {"gemm": spec})``.
+
+    ``sycl-mlir`` tiles its k-loop through local memory (with barriers)
+    when the tile pays: at the default 8 x 8 with work-groups of 4, not
+    with work-groups of 2, where Loop Internalization declines.
+    """
     from repro.interp import ExecutionSpec
 
     def body(k):

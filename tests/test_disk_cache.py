@@ -27,6 +27,7 @@ from repro.transforms import (
 from repro.transforms.disk_cache import ENTRY_VERSION
 
 from .helpers import (
+    build_gemm_module,
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
@@ -396,3 +397,32 @@ class TestCrossProcess:
         assert "disk cache: 0 hits, 2 misses" in first.stderr
         assert "disk cache: 1 hits, 0 misses" in second.stderr
         assert "front cache: 1 hits, 0 misses" in second.stderr
+
+
+class TestEntryVersion:
+    def test_an_entry_of_an_older_pipeline_output_is_recompiled(
+            self, tmp_path, monkeypatch, capsys):
+        # Version 2 was written while Loop Internalization tiled every
+        # loop it legally could, the tile-2 GEMM included.
+        from repro.tools.repro_opt import main
+        from repro.transforms import disk_cache
+        from repro.transforms.loop_internalization import (
+            LoopCost,
+            LoopInternalization,
+        )
+
+        module, _ = build_gemm_module(size=4, work_group=2)
+        path = tmp_path / "gemm.mlir"
+        path.write_text(Printer().print_module(module) + "\n",
+                        encoding="utf-8")
+        argv = [str(path), "--pipeline", "sycl-mlir",
+                "--cache-dir", str(tmp_path / "cache")]
+        with monkeypatch.context() as older:
+            older.setattr(disk_cache, "ENTRY_VERSION", 2)
+            older.setattr(LoopInternalization, "_estimate",
+                          lambda self, loop, candidates, tile:
+                          (LoopCost(0, 0), LoopCost(1, 1)))
+            assert main(argv) == 0
+            assert "sycl.group_barrier" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "sycl.group_barrier" not in capsys.readouterr().out

@@ -1,9 +1,10 @@
 """Tests for the tiered execution engine (interp / jit / vector).
 
 The heart of the file is the tier-equivalence matrix: every paper
-listing kernel and the internalizing GEMM must produce identical
-results on the scalar interpreter, the compile-to-Python JIT and the
-vectorized ND-range tier — before and after every shipped pipeline.
+listing kernel and the internalizing GEMM (:func:`_tiled_gemm`) must
+produce identical results on the scalar interpreter, the
+compile-to-Python JIT and the vectorized ND-range tier — before and
+after every shipped pipeline.
 """
 
 import subprocess
@@ -30,6 +31,8 @@ from repro.interp.engine import (
 from repro.interp.jit import _Emitter, compile_executable
 from repro.interp.jit_runtime import ExecutableCache
 from repro.interp.vectorize import compile_vector, vector_legality
+from repro.ir import Printer
+from repro.transforms import build_named_pipeline
 from repro.transforms.disk_cache import DiskCache
 
 from .helpers import (
@@ -44,6 +47,12 @@ from .helpers import (
 
 TIERS = ("interp", "jit", "vector")
 PIPELINES = ("sycl-mlir", "dpcpp", "adaptivecpp-aot", "adaptivecpp-jit")
+
+
+def _tiled_gemm():
+    """The internalizing GEMM: ``sycl-mlir`` tiles its k-loop by 4
+    through local memory, so its output runs barriers on every tier."""
+    return build_gemm_module(size=8, work_group=4)
 
 
 def _listing_module():
@@ -76,7 +85,7 @@ class TestTierEquivalence:
 
     @pytest.mark.parametrize("tier", ("jit", "vector", "auto"))
     def test_gemm_matches_interpreter(self, tier):
-        module, specs = build_gemm_module(size=4, work_group=2)
+        module, specs = _tiled_gemm()
         baseline, _ = _execute_all(module, specs, "interp")
         tiered, _ = _execute_all(module, specs, tier)
         compare_executions(baseline["gemm"], tiered["gemm"])
@@ -84,7 +93,7 @@ class TestTierEquivalence:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     @pytest.mark.parametrize("tier", TIERS)
     def test_gemm_differential_per_pipeline(self, pipeline, tier):
-        module, specs = build_gemm_module(size=4, work_group=2)
+        module, specs = _tiled_gemm()
         report = run_differential(module, pipeline, specs=specs, tier=tier)
         assert "gemm" in report.executed
 
@@ -96,8 +105,29 @@ class TestTierEquivalence:
         report = run_differential(module, pipeline, specs=specs, tier=tier)
         assert report.executed  # at least one listing executed both sides
 
-    def test_explicit_tier_is_reported(self):
+    def test_sycl_mlir_tiles_the_fixture(self):
+        # Guard: the matrix above covers tiled, barrier execution only
+        # while sycl-mlir internalizes this GEMM.
+        module, _ = _tiled_gemm()
+        build_named_pipeline("sycl-mlir").run(module)
+        assert "sycl.group_barrier" in Printer().print_module(module)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_declined_tile_runs_untiled(self, tier):
+        # Work-groups of 2 do not pay for a tile: no barrier, a remark.
         module, specs = build_gemm_module(size=4, work_group=2)
+        report = run_differential(module, "sycl-mlir", specs=specs,
+                                  tier=tier)
+        assert report.executed == ["gemm"]
+        optimized = module.clone({})
+        compile_report = build_named_pipeline("sycl-mlir").run(optimized)
+        assert "sycl.group_barrier" not in Printer().print_module(optimized)
+        assert any(remark.startswith(
+            "loop-internalization: a tile of 2 lowers neither ops nor bytes")
+            for remark in compile_report.remarks)
+
+    def test_explicit_tier_is_reported(self):
+        module, specs = _tiled_gemm()
         for tier in TIERS:
             executions, _ = _execute_all(module, specs, tier)
             assert executions["gemm"].tier == tier
@@ -423,8 +453,6 @@ class TestLazyImport:
 class TestReproRunTiers:
     @pytest.fixture
     def gemm_path(self, tmp_path):
-        from repro.ir import Printer
-
         module, _ = build_gemm_module(size=4, work_group=2)
         path = tmp_path / "gemm.mlir"
         path.write_text(Printer().print_module(module) + "\n",
@@ -591,8 +619,6 @@ _POINTER_LOAD = '''
 
 
 def _lowered(module):
-    from repro.transforms import build_named_pipeline
-
     for pipeline in ("sycl-mlir", "lower-to-llvm"):
         build_named_pipeline(pipeline).run(module)
     return module
@@ -840,7 +866,6 @@ class TestMathOnEveryTier:
         import math
 
         from repro.ir import f32
-        from repro.transforms import build_named_pipeline
 
         module = _math_kernel(
             "math.absf", f32(),
@@ -1197,7 +1222,6 @@ class TestWholeLaunchLockstep:
         from repro.frontend.kernel_builder import AccessorParam, KernelSource
         from repro.interp import ExecutionSpec
         from repro.ir import f32
-        from repro.transforms import build_named_pipeline
 
         for uses_nd_item, local_size in ((False, None), (True, (3,))):
             source = KernelSource(
@@ -1347,7 +1371,6 @@ class TestVectorCompiledOnce:
         from repro.frontend.kernel_builder import AccessorParam, KernelSource
         from repro.ir import f32
         from repro.runtime import Accessor, Buffer
-        from repro.transforms import build_named_pipeline
 
         def body(k):
             i = k.global_id(0)

@@ -66,9 +66,9 @@ FRONT_HIT_TRANSFORMS = {
 #: before the layering, 13 077 when this was written).
 FRONT_HIT_LINE_BUDGET = 14_000
 
-GEMM_ARGS = ["--entry", "gemm", "--global-size", "4x4",
-             "--local-size", "2x2", "--buffer", "A=4x4",
-             "--buffer", "B=4x4", "--buffer", "C=4x4",
+GEMM_ARGS = ["--entry", "gemm", "--global-size", "8x8",
+             "--local-size", "4x4", "--buffer", "A=8x8",
+             "--buffer", "B=8x8", "--buffer", "C=8x8",
              "--print-buffers", "--cost-report"]
 
 
@@ -88,7 +88,7 @@ def _probe(tmp_path, *argv):
 
 @pytest.fixture
 def gemm_path(tmp_path):
-    module, _ = build_gemm_module(size=4, work_group=2)
+    module, _ = build_gemm_module(size=8, work_group=4)
     path = tmp_path / "gemm.mlir"
     path.write_text(Printer().print_module(module) + "\n", encoding="utf-8")
     return path

@@ -10,7 +10,9 @@ structured program.
 """
 
 import gc
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +49,12 @@ from repro.analysis.sycl_alias import (
 from repro.runtime import ID, Accessor, Buffer, Range
 from repro.transforms import (
     CompileReport,
+    OpPassManager,
     PassManager,
     build_named_pipeline,
 )
 from repro.transforms.licm import ALIAS_CHOICES, LoopInvariantCodeMotion
+from repro.transforms.loop_internalization import LoopInternalization
 from repro.transforms.lower_sycl import LowerAccessorSubscripts
 from repro.transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from repro.transforms.pipelines import parse_pass_pipeline
@@ -132,6 +136,41 @@ def _syrk(n=8, depth=16, wg=4):
             ExecutionSpec(global_size=(n, n), local_size=(wg, wg),
                           buffers={"A": (n, depth), "C": (n, n)}))
 
+
+def _gemm3(n=8, depth=16, wg=4):
+    """``C += A @ B * D``: three candidate loads, one reduction."""
+    def body(k):
+        i = k.global_id(0)
+        j = k.global_id(1)
+        with k.loop(0, depth) as kk:
+            value = k.load("C", [i, j]) + k.load("A", [i, kk]) \
+                * k.load("B", [kk, j]) * k.load("D", [i, kk])
+            k.store("C", [i, j], value)
+
+    return (_kernel("gemm3", body, 2,
+                    [_acc("A", 2, "read"), _acc("B", 2, "read"),
+                     _acc("D", 2, "read"), _acc("C", 2, "read_write")],
+                    nd_item=True, work_group=(wg, wg)),
+            ExecutionSpec(global_size=(n, n), local_size=(wg, wg),
+                          buffers={"A": (n, depth), "B": (depth, n),
+                                   "D": (n, depth), "C": (n, n)}))
+
+
+def _product(n=8, depth=16, wg=4):
+    """``O[i, j] = A[i, k] * B[k, j]`` on every trip: no reduction."""
+    def body(k):
+        i = k.global_id(0)
+        j = k.global_id(1)
+        with k.loop(0, depth) as kk:
+            k.store("O", [i, j], k.load("A", [i, kk]) * k.load("B", [kk, j]))
+
+    return (_kernel("product", body, 2,
+                    [_acc("A", 2, "read"), _acc("B", 2, "read"),
+                     _acc("O", 2, "write")],
+                    nd_item=True, work_group=(wg, wg)),
+            ExecutionSpec(global_size=(n, n), local_size=(wg, wg),
+                          buffers={"A": (n, depth), "B": (depth, n),
+                                   "O": (n, n)}))
 
 def _mvt(n=8, depth=8):
     def body(k):
@@ -280,8 +319,8 @@ def _listings_module():
 
 def _host_device_module():
     """A GEMM launched from LLVM-dialect host code: the work-group size
-    reaches Loop Internalization only through host raising and
-    host->device propagation (the kernel carries no attribute)."""
+    and the disjoint accessors reach the kernel only through host raising
+    and host->device propagation (the kernel carries no attribute)."""
     n, wg = 8, 4
     kernel, spec = _gemm(n, n, wg, name="gemm_k")
     del kernel.attributes["sycl.work_group_size"]
@@ -443,9 +482,12 @@ SYCL_STAGE = ("builtin.module(func.func(canonicalize,cse,mem2reg),"
 #: lowered, except ``ops_hoisted`` of the internalized kernels: 14 -> 10
 #: (GEMM) and 16 -> 14 (SYRK) are the ``group_id * tile + local_id``
 #: pairs Loop Internalization no longer emits for a row's own dimension.
+#: ``host_device`` is not internalized: the host proves ``C`` disjoint
+#: from ``A``/``B``, so Detect Reduction keeps ``C[i, j]`` in a register
+#: without the tile, and the tile would only add ops and bytes.
 SYCL_STAGE_STATISTICS = {
     "listings": (0, 0, 0), "gemm_helper": (1, 10, 1),
-    "host_device": (1, 10, 1), "vec_add": (0, 0, 0), "gemm": (1, 10, 1),
+    "host_device": (0, 8, 1), "vec_add": (0, 0, 0), "gemm": (1, 10, 1),
     "syrk": (1, 14, 1), "mvt": (0, 8, 0), "nbody": (0, 12, 0),
     "kmeans": (0, 14, 0), "median": (0, 0, 0), "sobel": (0, 0, 0),
 }
@@ -1010,3 +1052,98 @@ class TestIdConstructedTwice:
         first, second = _subscripts(single)
         assert analysis.must_alias(first.result, second.result)
         assert _constant_subscript_index(first) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# (j) Loop Internalization tiles a loop only where the tile pays
+# ---------------------------------------------------------------------------
+
+#: ``(depth, work-group size)`` of the compile workloads' GEMM and SYRK
+#: variants (``COMPILE_SHAPES`` of ``benchmarks/e2e/programs.py``).
+COMPILE_SHAPES = ((16, 4), (8, 2), (8, 4), (16, 2),
+                  (16, 8), (24, 2), (24, 4), (32, 8))
+
+DECISION_BUILDERS = {"gemm": _gemm, "syrk": _syrk, "gemm3": _gemm3,
+                     "product": _product}
+
+#: ``(kernel, launch extent, depth, tile)``: the compile shapes at the
+#: workloads' launch extent, ``exec_heavy``'s ``gemm_cfg`` and its
+#: GEMM/SYRK sizes, then three loads per trip and no reduction at all.
+DECISIONS = (
+    [(kernel, max(4, tile), depth, tile) for kernel in ("gemm", "syrk")
+     for depth, tile in COMPILE_SHAPES]
+    + [("gemm", 16, 16, 4), ("gemm", 48, 48, 8), ("syrk", 48, 48, 8)]
+    + [(kernel, max(4, tile), 16, tile) for kernel in ("gemm3", "product")
+       for tile in (2, 4, 8)])
+
+_ESTIMATES = re.compile(r"ops with/without (\d+)/(\d+), "
+                        r"bytes with/without (\d+)/(\d+) per work-item$")
+
+
+class _AlwaysTile(LoopInternalization):
+    """Loop Internalization without its decision: it tiles every loop it
+    legally can, as the pass did before it priced the tile."""
+
+    def _estimate(self, loop, candidates, tile):
+        tiled, untiled = super()._estimate(loop, candidates, tile)
+        return tiled, replace(untiled, bytes=tiled.bytes + 1)
+
+
+def _sycl_mlir_with(replacement):
+    """``sycl-mlir`` with ``replacement`` for its Loop Internalization."""
+    manager = build_named_pipeline("sycl-mlir")
+    nests = [manager]
+    while nests:
+        nest = nests.pop()
+        for index, element in enumerate(nest.elements):
+            if isinstance(element, OpPassManager):
+                nests.append(element)
+            elif element.NAME == LoopInternalization.NAME:
+                nest.elements[index] = replacement
+    return manager
+
+
+class TestInternalizationDecision:
+    """The pass tiles iff the tiled code, run structured, executes fewer
+    ops or moves fewer bytes than the same pipeline without the pass."""
+
+    @pytest.mark.parametrize("kernel,extent,depth,tile", DECISIONS)
+    def test_tiles_iff_the_tile_lowers_ops_or_bytes(self, kernel, extent,
+                                                   depth, tile):
+        function, spec = DECISION_BUILDERS[kernel](extent, depth, tile)
+        self._check(wrap_in_module(function), kernel, spec)
+
+    def test_host_facts_keep_the_reduction_without_the_tile(self):
+        # The host proves C disjoint from A and B, so Detect Reduction
+        # keeps C[i, j] in a register untiled: a tile of 4 only adds.
+        module, specs = _host_device_module()
+        assert not self._check(module, "gemm_k", specs["gemm_k"])
+
+    @staticmethod
+    def _check(module, entry, spec):
+        counts = {}
+        for label, manager in (
+                ("tiled", _sycl_mlir_with(_AlwaysTile())),
+                ("untiled", ablated("sycl-mlir", {"loop-internalization"})),
+                ("decided", None)):
+            optimized, report = _optimized(module, manager=manager)
+            counters = ExecutionEngine(optimized, tier="vector").run(
+                entry, spec).counters
+            counts[label] = (counters["ops"], counters["bytes_read"]
+                             + counters["bytes_written"])
+        tiled, untiled = counts["tiled"], counts["untiled"]
+        pays = tiled[0] < untiled[0] or tiled[1] < untiled[1]
+        assert report.get_statistic("loop-internalization",
+                                    "loops_internalized") == pays, counts
+        assert counts["decided"] == (tiled if pays else untiled)
+        (remark,) = [r for r in report.remarks
+                     if r.startswith("loop-internalization: ")]
+        assert ("prefetched" in remark) == pays, remark
+        # The bytes estimate is exact: all of these kernels' accesses
+        # are in the loop.
+        work_items = spec.global_size[0] * spec.global_size[1]
+        _, _, bytes_with, bytes_without = map(
+            int, _ESTIMATES.search(remark).groups())
+        assert (bytes_with * work_items, bytes_without * work_items) == \
+            (tiled[1], untiled[1])
+        return pays

@@ -50,7 +50,8 @@ def scalar_module_path(tmp_path):
 
 @pytest.fixture
 def kernel_module_path(tmp_path):
-    module, _ = build_gemm_module(size=4, work_group=2)
+    """The internalizing GEMM: ``sycl-mlir`` tiles it (barriers)."""
+    module, _ = build_gemm_module(size=8, work_group=4)
     path = tmp_path / "gemm.mlir"
     path.write_text(Printer().print_module(module) + "\n",
                     encoding="utf-8")
@@ -104,16 +105,16 @@ class TestScalarExecution:
 
 
 class TestKernelExecution:
-    ARGS = ["--entry", "gemm", "--global-size", "4x4",
-            "--local-size", "2x2", "--buffer", "A=4x4",
-            "--buffer", "B=4x4", "--buffer", "C=4x4"]
+    ARGS = ["--entry", "gemm", "--global-size", "8x8",
+            "--local-size", "4x4", "--buffer", "A=8x8",
+            "--buffer", "B=8x8", "--buffer", "C=8x8"]
 
     def test_launch_and_print_buffers(self, kernel_module_path, capsys):
         rc = repro_run([str(kernel_module_path), *self.ARGS,
                         "--print-buffers"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "@gemm launched over 4x4 (local: 2x2)" in out
+        assert "@gemm launched over 8x8 (local: 4x4)" in out
         assert "C = [" in out
 
     def test_pipeline_then_execute(self, kernel_module_path, capsys):
@@ -157,8 +158,8 @@ class TestKernelExecution:
                                                 capsys):
         # A typo'd name must not silently fall back to synthesized data.
         rc = repro_run([str(kernel_module_path), "--entry", "gemm",
-                        "--global-size", "4x4", "--local-size", "2x2",
-                        "--buffer", "a=4x4"])
+                        "--global-size", "8x8", "--local-size", "4x4",
+                        "--buffer", "a=8x8"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "unknown argument" in err
@@ -167,7 +168,7 @@ class TestKernelExecution:
     def test_scalar_arg_for_memory_argument_is_rejected(
             self, kernel_module_path, capsys):
         rc = repro_run([str(kernel_module_path), "--entry", "gemm",
-                        "--global-size", "4x4", "--local-size", "2x2",
+                        "--global-size", "8x8", "--local-size", "4x4",
                         "--arg", "A=3"])
         assert rc == 1
         assert "buffer shape" in capsys.readouterr().err
@@ -175,7 +176,7 @@ class TestKernelExecution:
     def test_rank_mismatched_local_size_exits_one(self, kernel_module_path,
                                                   capsys):
         rc = repro_run([str(kernel_module_path), "--entry", "gemm",
-                        "--global-size", "4x4", "--local-size", "2"])
+                        "--global-size", "8x8", "--local-size", "4"])
         assert rc == 1
         assert "execution failed" in capsys.readouterr().err
 
@@ -233,7 +234,7 @@ def _listing_path(tmp_path, name, *functions):
 def _front_tier_inputs(tmp_path):
     """``name -> (path, execution flags)``: the three paper listings and
     the internalizing GEMM."""
-    gemm, _ = build_gemm_module(size=4, work_group=2)
+    gemm, _ = build_gemm_module(size=8, work_group=4)
     gemm_path = tmp_path / "gemm.mlir"
     gemm_path.write_text(Printer().print_module(gemm) + "\n",
                          encoding="utf-8")

@@ -135,7 +135,7 @@ class TestWarmExecuteAfterAnUnrelatedCompile:
         engine = ExecutionEngine(module, tier="auto")
         first = engine.execute(function, resolved)
         assert first.tier == tier
-        gemm, _ = build_gemm_module(size=4, work_group=2)
+        gemm, _ = build_gemm_module(size=8, work_group=4)
         build_named_pipeline("sycl-mlir").run(
             parse_module(Printer().print_module(gemm)))
         prints, analyses = [], []
