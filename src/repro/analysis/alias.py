@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from ..ir import MemRefType, Operation, PointerType, Value
+from ..ir import MemRefType, PointerType, Value
 from ..dialects import memref as memref_dialect
 from ..dialects.sycl import SYCLAccessorGetPointerOp, SYCLAccessorSubscriptOp
 from ..dialects.func import FuncOp
@@ -128,27 +128,3 @@ class AliasAnalysis:
 
     def no_alias(self, a: Value, b: Value) -> bool:
         return self.alias(a, b).is_no()
-
-    def get_mod_ref(self, op: Operation, location: Value) -> str:
-        """Classic Mod/Ref interface: how may ``op`` affect ``location``."""
-        from ..ir import EffectKind, get_memory_effects
-
-        effects = get_memory_effects(op)
-        if effects is None:
-            return "modref"
-        mods = False
-        refs = False
-        for effect in effects:
-            if effect.value is not None and self.no_alias(effect.value, location):
-                continue
-            if effect.kind == EffectKind.WRITE:
-                mods = True
-            elif effect.kind == EffectKind.READ:
-                refs = True
-        if mods and refs:
-            return "modref"
-        if mods:
-            return "mod"
-        if refs:
-            return "ref"
-        return "noeffect"

@@ -9,7 +9,7 @@ device kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..ir import CallOpInterface, Operation
 from ..dialects.builtin import ModuleOp
@@ -94,27 +94,3 @@ class CallGraph:
         """Kernel entry points / public functions may be called externally."""
         visibility = function.get_str_attr("sym_visibility", "public")
         return visibility != "private"
-
-    def post_order(self) -> List[Operation]:
-        """Callee-before-caller ordering (cycles broken arbitrarily)."""
-        visited: Set[str] = set()
-        order: List[Operation] = []
-
-        def visit(name: str) -> None:
-            if name in visited:
-                return
-            visited.add(name)
-            node = self.nodes.get(name)
-            if node is None:
-                return
-            for site in node.call_sites:
-                callee_name = site.callee.get_str_attr("sym_name", "")
-                visit(callee_name)
-            order.append(node.function)
-
-        for name in self.nodes:
-            visit(name)
-        return order
-
-    def reverse_post_order(self) -> List[Operation]:
-        return list(reversed(self.post_order()))

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .traits import Trait, has_trait
+from .traits import Trait
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .values import Value
@@ -145,14 +145,21 @@ class BranchOpInterface:
         raise NotImplementedError
 
 
+#: The traits that mean "no memory effects" for an op without declared
+#: effects.
+EFFECT_FREE_TRAITS = Trait.PURE.bit | Trait.CONSTANT_LIKE.bit
+
+
 def get_memory_effects(op) -> Optional[List[MemoryEffect]]:
     """Return the memory effects of ``op`` or ``None`` if unknown.
 
     Pure operations (carrying :data:`Trait.PURE`) trivially have no effects.
+    ``op._HAS_EFFECTS`` is ``isinstance(op, MemoryEffectsInterface)``,
+    fixed per class.
     """
-    if isinstance(op, MemoryEffectsInterface):
+    if op._HAS_EFFECTS:
         return op.memory_effects()
-    if has_trait(op, Trait.PURE) or has_trait(op, Trait.CONSTANT_LIKE):
+    if op._trait_mask_ & EFFECT_FREE_TRAITS:
         return []
     return None
 

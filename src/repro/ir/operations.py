@@ -13,8 +13,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type as PyTy
 
 from . import concurrency
 from .attributes import Attribute, IntegerAttr, BoolAttr, StringAttr
+from .interfaces import MemoryEffectsInterface
 from .location import LineTable
-from .traits import Trait, has_trait
+from .traits import Trait
 from .types import Type
 from .values import BlockArgument, OpResult, Use, Value
 
@@ -99,9 +100,17 @@ class Operation:
 
     OPERATION_NAME: str = "builtin.unregistered"
     TRAITS: frozenset = frozenset()
-    #: ``Trait.ISOLATED_FROM_ABOVE`` as a plain class attribute (read on
-    #: every edit).
+    #: Facts fixed per class, set once by ``__init_subclass__`` so hot
+    #: loops read an attribute instead of asking: the OR of the
+    #: ``Trait.bit``\ s of ``TRAITS`` (what :func:`has_trait` reads);
+    #: ``Trait.ISOLATED_FROM_ABOVE`` (read on every edit); whether the
+    #: class declares its effects (:class:`MemoryEffectsInterface`); and
+    #: whether it overrides :meth:`verify_op`.  ``TRAITS`` is therefore
+    #: never assigned after class creation.
+    _trait_mask_: int = 0
     _ISOLATED: bool = False
+    _HAS_EFFECTS: bool = False
+    _HAS_VERIFIER: bool = False
 
     #: The IR fields live in slots; ``__dict__`` stays for state a
     #: subclass (or the parser, naming an unregistered op) adds, and is
@@ -113,7 +122,13 @@ class Operation:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._ISOLATED = Trait.ISOLATED_FROM_ABOVE in cls.TRAITS
+        mask = 0
+        for trait in cls.TRAITS:
+            mask |= trait.bit
+        cls._trait_mask_ = mask
+        cls._ISOLATED = bool(mask & Trait.ISOLATED_FROM_ABOVE.bit)
+        cls._HAS_EFFECTS = issubclass(cls, MemoryEffectsInterface)
+        cls._HAS_VERIFIER = cls.verify_op is not Operation.verify_op
 
     def __init__(self,
                  operands: Sequence[Value] = (),
@@ -301,29 +316,28 @@ class Operation:
     def walk(self, include_self: bool = True) -> Iterator["Operation"]:
         """Pre-order traversal of this operation and all nested operations.
 
-        The traversal snapshots each block before descending into it, so
-        erasing the operation just yielded — or any operation nested inside
-        it — is safe while iterating.  Iterative (explicit stack) rather
-        than recursive: walks seed every worklist in the compiler, and
-        nested generator resumption dominated their cost.
+        Each block is snapshotted when its parent operation is expanded,
+        so erasing the operation just yielded — or any operation nested
+        inside it — is safe while iterating.  Iterative (explicit stack)
+        rather than recursive: walks seed every worklist in the compiler,
+        and nested generator resumption dominated their cost.  The
+        snapshot is the block's cached reversed tuple of its operations
+        (:meth:`Block._reversed_ops`), so an unedited block costs one
+        ``extend``.
         """
-        stack: List[Operation] = []
-
-        def push_children(op: "Operation") -> None:
-            for region in reversed(op.regions):
-                for block in reversed(region.blocks):
-                    ops = block.operations
-                    ops.reverse()
-                    stack.extend(ops)
-
-        if include_self:
-            stack.append(self)
-        else:
-            push_children(self)
+        stack: List[Operation] = [self]
         while stack:
             op = stack.pop()
-            yield op
-            push_children(op)
+            if include_self:
+                yield op
+            include_self = True
+            if op.regions:
+                for region in reversed(op.regions):
+                    for block in reversed(region.blocks):
+                        ops = block._reversed
+                        if ops is None:
+                            ops = block._reversed_ops()
+                        stack.extend(ops)
 
     def walk_type(self, op_class) -> Iterator["Operation"]:
         for op in self.walk():
@@ -472,7 +486,7 @@ class Block:
     """
 
     __slots__ = ("arguments", "parent", "_first", "_last", "_num_ops",
-                 "_index_cache")
+                 "_index_cache", "_reversed")
 
     def __init__(self, arg_types: Sequence[Type] = (),
                  arg_names: Optional[Sequence[str]] = None):
@@ -481,8 +495,11 @@ class Block:
         self._first: Optional[Operation] = None
         self._last: Optional[Operation] = None
         self._num_ops: int = 0
-        #: Lazily rebuilt ``id(op) -> position`` map for ``block_index``.
+        #: Lazily rebuilt ``id(op) -> position`` map for ``block_index``,
+        #: and the operations as a reversed tuple (what ``walk`` pushes);
+        #: every structural edit drops both.
         self._index_cache: Optional[Dict[int, int]] = None
+        self._reversed: Optional[Tuple[Operation, ...]] = None
         for i, type_ in enumerate(arg_types):
             name = arg_names[i] if arg_names else None
             self.arguments.append(BlockArgument(self, i, type_, name))
@@ -544,6 +561,7 @@ class Block:
         self._last = op
         self._num_ops += 1
         self._index_cache = None
+        self._reversed = None
         return op
 
     def insert(self, index: int, op: Operation) -> Operation:
@@ -581,6 +599,7 @@ class Block:
             self._first = op
         self._num_ops += 1
         self._index_cache = None
+        self._reversed = None
         self._assign_order_between(op, prev, anchor)
         return op
 
@@ -610,6 +629,7 @@ class Block:
         op.parent = None
         self._num_ops -= 1
         self._index_cache = None
+        self._reversed = None
 
     def _assign_order_between(self, op: Operation,
                               prev: Optional[Operation],
@@ -643,6 +663,12 @@ class Block:
         except KeyError:
             raise IRError("operation is not in this block") from None
 
+    def _reversed_ops(self) -> Tuple[Operation, ...]:
+        ops = self.operations
+        ops.reverse()
+        self._reversed = snapshot = tuple(ops)
+        return snapshot
+
     def erase_all_ops(self) -> None:
         """Erase all operations, dropping uses (used when erasing regions)."""
         _touch(self.parent.parent if self.parent is not None else None)
@@ -660,11 +686,12 @@ class Block:
         self._last = None
         self._num_ops = 0
         self._index_cache = None
+        self._reversed = None
 
     @property
     def terminator(self) -> Optional[Operation]:
         last = self._last
-        if last is not None and has_trait(last, Trait.TERMINATOR):
+        if last is not None and last._trait_mask_ & Trait.TERMINATOR.bit:
             return last
         return None
 

@@ -50,21 +50,19 @@ class Trait(enum.Enum):
     MAY_TRAP = "may_trap"
 
 
-# Each trait gets a bit so per-class trait sets collapse into an int mask;
-# trait queries are then a cached integer AND instead of a frozenset lookup
-# that would hash the enum member on every call (has_trait is one of the
-# hottest functions in the rewrite/DCE inner loops).
+# Each trait gets a bit, so a class's trait set collapses into the int
+# mask ``Operation.__init_subclass__`` stores as ``_trait_mask_``; a
+# trait query is then an integer AND instead of a frozenset lookup that
+# would hash the enum member on every call.
 for _index, _trait in enumerate(Trait):
     _trait.bit = 1 << _index
 
 
 def has_trait(op_or_class, trait: Trait) -> bool:
-    """Return True if the operation (or operation class) carries ``trait``."""
-    cls = op_or_class if isinstance(op_or_class, type) else op_or_class.__class__
-    mask = cls.__dict__.get("_trait_mask_")
-    if mask is None:
-        mask = 0
-        for member in getattr(cls, "TRAITS", ()):
-            mask |= member.bit
-        cls._trait_mask_ = mask
-    return bool(mask & trait.bit)
+    """Return True if the operation (or operation class) carries ``trait``.
+
+    For code off the hot path: a hot loop reads ``op._trait_mask_``
+    against ``trait.bit`` itself (docs/performance.md, "Per-op questions
+    are attribute reads").
+    """
+    return bool(op_or_class._trait_mask_ & trait.bit)

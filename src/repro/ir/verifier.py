@@ -26,6 +26,9 @@ from .operations import Block, Operation
 from .traits import Trait, has_trait
 from .values import BlockArgument, OpResult, Value
 
+_SINGLE_BLOCK = Trait.SINGLE_BLOCK.bit
+_TERMINATOR = Trait.TERMINATOR.bit
+
 
 class VerificationError(Exception):
     """Raised when the IR violates a structural invariant.
@@ -70,12 +73,13 @@ def _report(diagnostics: List[Diagnostic], op: Operation,
 
 def _verify_op(op: Operation, visible: Set[Value],
                diagnostics: List[Diagnostic]) -> None:
-    try:
-        op.verify_op()
-    except Exception as exc:  # noqa: BLE001 - collect as diagnostic
-        _report(diagnostics, op, f"{op.name}: {exc}")
+    if op._HAS_VERIFIER:
+        try:
+            op.verify_op()
+        except Exception as exc:  # noqa: BLE001 - collect as diagnostic
+            _report(diagnostics, op, f"{op.name}: {exc}")
 
-    if has_trait(op, Trait.SINGLE_BLOCK):
+    if op._trait_mask_ & _SINGLE_BLOCK:
         for region in op.regions:
             if len(region.blocks) > 1:
                 _report(diagnostics, op,
@@ -102,7 +106,7 @@ def _verify_block(block: Block, visible: Set[Value],
     visible.update(added)
     ops = block.operations
     for index, op in enumerate(ops):
-        if has_trait(op, Trait.TERMINATOR) and index != len(ops) - 1:
+        if op._trait_mask_ & _TERMINATOR and index != len(ops) - 1:
             _report(
                 diagnostics, op,
                 f"{op.name}: terminator must be the last operation in its "
@@ -113,7 +117,7 @@ def _verify_block(block: Block, visible: Set[Value],
                     diagnostics, op,
                     f"{op.name}: successor block does not belong to the "
                     f"enclosing region")
-        for operand in op.operands:
+        for operand in op._operands:
             if operand not in visible and \
                     not _value_visible_from(operand, op):
                 diagnostic = _report(

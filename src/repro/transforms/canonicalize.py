@@ -18,14 +18,13 @@ from ..ir import (
     EffectKind,
     FloatAttr,
     IntegerAttr,
-    MemoryEffectsInterface,
     Operation,
     Trait,
     Value,
     get_memory_effects,
     has_trait,
-    is_side_effect_free,
 )
+from ..ir.interfaces import EFFECT_FREE_TRAITS
 from ..dialects import arith
 from ..dialects.func import FuncOp
 from .pass_manager import (
@@ -135,6 +134,16 @@ class _CanonicalizePattern(RewritePattern):
         self.report = report
         self.pass_name = pass_name
 
+    def can_rewrite(self, op_class: type) -> bool:
+        """Whether :func:`fold_operation` or :func:`_simplify_identities`
+        can rewrite some op of ``op_class``: not a constant, and a
+        ``fold`` override, an ``IDENTITY`` or a select."""
+        if issubclass(op_class, arith.ConstantOp):
+            return False
+        return op_class.fold is not Operation.fold \
+            or getattr(op_class, "IDENTITY", None) is not None \
+            or issubclass(op_class, arith.SelectOp)
+
     def match_and_rewrite(self, op: Operation,
                           rewriter: PatternRewriter) -> bool:
         if fold_operation(op, rewriter):
@@ -149,6 +158,10 @@ class _CanonicalizePattern(RewritePattern):
         return False
 
 
+#: Ops with one of these traits are never trivially dead.
+_KEPT_TRAITS = Trait.TERMINATOR.bit | Trait.SYMBOL.bit
+
+
 def _is_trivially_dead(op: Operation) -> bool:
     # Cheapest checks first: most visited ops are live, so the common exit
     # is "a result has uses" — reached without any trait/effect queries.
@@ -158,10 +171,14 @@ def _is_trivially_dead(op: Operation) -> bool:
     for result in results:
         if result._uses:
             return False
-    if op.regions or has_trait(op, Trait.TERMINATOR) or \
-            has_trait(op, Trait.SYMBOL):
+    if op.regions or op._trait_mask_ & _KEPT_TRAITS:
         return False
-    return is_side_effect_free(op) or _effects_are_unobservable(op)
+    if not op._HAS_EFFECTS:
+        return bool(op._trait_mask_ & EFFECT_FREE_TRAITS)
+    # Only reads and allocations: unobservable when the results are unused.
+    effects = op.memory_effects()
+    return effects is not None and all(
+        e.kind in (EffectKind.READ, EffectKind.ALLOCATE) for e in effects)
 
 
 def erase_dead_ops(root: Operation) -> int:
@@ -217,7 +234,7 @@ def _feeders(op: Operation) -> List[Optional[Operation]]:
 def _is_unused_writer(op: Operation) -> bool:
     """An op with effects and results, none of them used."""
     results = op.results
-    if not results or not isinstance(op, MemoryEffectsInterface):
+    if not results or not op._HAS_EFFECTS:
         return False
     for result in results:
         if result._uses:
@@ -258,7 +275,7 @@ def _write_only_group(op: Operation) -> List[Operation]:
     """
     # Only an op with a result and declared effects can allocate; asking
     # every op for its effects was most of a sweep's cost.
-    if not op.results or not isinstance(op, MemoryEffectsInterface):
+    if not op.results or not op._HAS_EFFECTS:
         return []
     allocation = op.results[0]
     writers = allocation.users()
@@ -315,15 +332,6 @@ def erase_orphaned_ops(candidates: List[Optional[Operation]]) -> int:
     return erased + _drain_trivially_dead(worklist, seen)
 
 
-def _effects_are_unobservable(op: Operation) -> bool:
-    """Only reads / allocations: removable when the results are unused."""
-    effects = get_memory_effects(op)
-    if effects is None:
-        return False
-    return bool(effects) and all(
-        e.kind in (EffectKind.READ, EffectKind.ALLOCATE) for e in effects)
-
-
 @register_pass
 class CanonicalizePass(FunctionPass):
     """Fold constants, simplify identities and erase dead pure operations."""
@@ -370,7 +378,7 @@ class CanonicalizePass(FunctionPass):
             return
         erased = erased_in_driver[0] + _erase_dead(
             [op for op in ops if op.results and op.parent is not None
-             and isinstance(op, MemoryEffectsInterface)])
+             and op._HAS_EFFECTS])
         if erased:
             report.add_statistic(self.NAME, "dead_ops_erased", erased)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..ir import Block, Operation, Trait, has_trait, is_side_effect_free
+from ..ir import Block, Operation, Trait, is_side_effect_free
+from ..ir.interfaces import EFFECT_FREE_TRAITS
 from ..ir.attributes import ArrayAttr, DenseElementsAttr, DictAttr, FloatAttr
 from ..dialects.func import FuncOp
 from .pass_manager import CompileReport, FunctionPass, register_pass
@@ -14,6 +15,8 @@ from .pass_manager import CompileReport, FunctionPass, register_pass
 #: such floats; these are interned by their printed string instead of by
 #: value equality so CSE never merges semantically distinct constants.
 _STR_KEYED_ATTRS = (FloatAttr, ArrayAttr, DenseElementsAttr, DictAttr)
+
+_TERMINATOR = Trait.TERMINATOR.bit
 
 
 class _KeyCache:
@@ -83,7 +86,7 @@ def _operation_key(op: Operation, cache: _KeyCache) -> Tuple:
             (name, cache.attr_id(attr)) for name, attr in attrs.items()))
     else:
         attr_key = ()
-    return (op.name, tuple(id(v) for v in op._operands), attr_key,
+    return (op.OPERATION_NAME, tuple(id(v) for v in op._operands), attr_key,
             tuple(cache.type_id(r.type) for r in op.results))
 
 
@@ -122,9 +125,10 @@ class CSEPass(FunctionPass):
                     for nested in region.blocks:
                         self._process_block(nested, scope, report, cache)
                 continue
-            if not op.results or not is_side_effect_free(op):
+            if not op.results or op._trait_mask_ & _TERMINATOR:
                 continue
-            if has_trait(op, Trait.TERMINATOR):
+            if not (is_side_effect_free(op) if op._HAS_EFFECTS
+                    else op._trait_mask_ & EFFECT_FREE_TRAITS):
                 continue
             key = _operation_key(op, cache)
             existing = scope.get(key)

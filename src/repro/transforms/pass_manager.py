@@ -67,6 +67,7 @@ if TYPE_CHECKING:  # the pool is imported where a ``jobs > 1`` run builds it
 MODULE_ANCHOR = "builtin.module"
 FUNCTION_ANCHOR = "func.func"
 ANCHOR_OPS = (MODULE_ANCHOR, FUNCTION_ANCHOR)
+_SYMBOL_TABLE = Trait.SYMBOL_TABLE.bit
 
 
 # ---------------------------------------------------------------------------
@@ -1019,10 +1020,25 @@ class PassManager(OpPassManager):
 
     @staticmethod
     def _anchored_ops(root: Operation, anchor: str) -> List[Operation]:
-        if root.name == anchor:
+        """``root`` when it is an ``anchor`` op, else the ``anchor`` ops
+        under it in pre-order.  Anchors are symbols (a function, a nested
+        module), so only ``root`` and the symbol tables in it are looked
+        into, never a function body."""
+        if root.OPERATION_NAME == anchor:
             return [root]
-        return [op for op in root.walk(include_self=False)
-                if op.name == anchor]
+        found: List[Operation] = []
+
+        def collect(table: Operation) -> None:
+            for region in table.regions:
+                for block in region.blocks:
+                    for op in block.operations:
+                        if op.OPERATION_NAME == anchor:
+                            found.append(op)
+                        if op._trait_mask_ & _SYMBOL_TABLE:
+                            collect(op)
+
+        collect(root)
+        return found
 
     def _should_parallelize(self, pipeline: OpPassManager,
                             anchored_ops: List[Operation],

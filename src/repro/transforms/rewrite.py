@@ -15,77 +15,67 @@ the change could affect are re-enqueued:
 * newly inserted operations (never matched before).
 
 Cost per change is therefore O(affected ops), not O(module).  Patterns are
-indexed by ``ROOT_OP`` so each visit tries only the patterns that can match
-that operation name, in the order the patterns were supplied.
+filtered once per op class, by ``ROOT_OP`` and by
+:meth:`RewritePattern.can_rewrite`, so each visit tries only the patterns
+that can match that operation, in the order the patterns were supplied; an
+op no pattern can rewrite costs no dispatch at all.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..ir import Builder, InsertionPoint, IRError, Operation, Value
 
 
 class _Worklist:
-    """LIFO worklist with O(1) push, pop, membership and removal.
+    """LIFO worklist with O(1) push, membership and removal.
 
-    Removal is lazy: entries are dropped from the membership map and their
-    stale stack slots are skipped on pop.
+    Removal is lazy: an op leaves the membership set and its stale stack
+    slot is skipped when popped.  The driver loop pops inline.
     """
 
     __slots__ = ("_stack", "_live")
 
     def __init__(self):
         self._stack: List[Operation] = []
-        self._live: Dict[int, Operation] = {}
+        self._live: Set[Operation] = set()
 
     def push(self, op: Operation) -> None:
-        key = id(op)
-        if key in self._live:
+        if op in self._live:
             return
-        self._live[key] = op
+        self._live.add(op)
         self._stack.append(op)
 
-    def pop(self) -> Optional[Operation]:
-        while self._stack:
-            op = self._stack.pop()
-            if self._live.pop(id(op), None) is not None:
-                return op
-        return None
-
     def remove(self, op: Operation) -> None:
-        self._live.pop(id(op), None)
-
-    def __bool__(self) -> bool:
-        return bool(self._live)
-
-    def __len__(self) -> int:
-        return len(self._live)
+        self._live.discard(op)
 
 
 class _PatternIndex:
-    """Patterns bucketed by ``ROOT_OP``, preserving supplied order."""
+    """The patterns that may rewrite an op, in supplied order, filtered
+    once per op class: by ``ROOT_OP`` and by :meth:`RewritePattern.
+    can_rewrite`.  Unregistered ops share the base class, so theirs are
+    filtered once per name."""
 
     def __init__(self, patterns: Sequence["RewritePattern"]):
-        self._rooted: Dict[str, List[Tuple[int, RewritePattern]]] = {}
-        self._generic: List[Tuple[int, RewritePattern]] = []
-        self._merged: Dict[str, List[RewritePattern]] = {}
-        for position, pattern in enumerate(patterns):
-            if pattern.ROOT_OP is None:
-                self._generic.append((position, pattern))
-            else:
-                self._rooted.setdefault(pattern.ROOT_OP, []).append(
-                    (position, pattern))
+        self._patterns = list(patterns)
+        #: op class -> its patterns (read inline by the driver loop).
+        self.by_class: Dict[type, List[RewritePattern]] = {}
+        self._by_name: Dict[str, List[RewritePattern]] = {}
 
-    def for_name(self, name: str) -> List["RewritePattern"]:
-        merged = self._merged.get(name)
-        if merged is None:
-            entries = self._rooted.get(name, []) + self._generic
-            entries.sort(key=lambda entry: entry[0])
-            merged = [pattern for _, pattern in entries]
-            self._merged[name] = merged
-        return merged
+    def for_op(self, op: Operation) -> List["RewritePattern"]:
+        op_class = op.__class__
+        name = op.OPERATION_NAME
+        table, key = (self._by_name, name) if op_class is Operation \
+            else (self.by_class, op_class)
+        found = table.get(key)
+        if found is None:
+            found = table[key] = [
+                pattern for pattern in self._patterns
+                if pattern.ROOT_OP in (None, name)
+                and pattern.can_rewrite(op_class)]
+        return found
 
 
 class PatternRewriter(Builder):
@@ -179,6 +169,15 @@ class RewritePattern:
     #: Optional operation name filter; None means "try on every operation".
     ROOT_OP: Optional[str] = None
 
+    def can_rewrite(self, op_class: type) -> bool:
+        """Whether this pattern may apply to some op of ``op_class``.
+
+        Asked once per class (per name for unregistered ops); an op whose
+        class no pattern may rewrite costs the driver neither a dispatch
+        nor an insertion-point move.
+        """
+        return True
+
     def match_and_rewrite(self, op: Operation,
                           rewriter: PatternRewriter) -> bool:  # pragma: no cover
         """Return True if the pattern applied."""
@@ -201,15 +200,6 @@ class _WorklistDriver:
     def __init__(self, patterns: Sequence[RewritePattern]):
         self.worklist = _Worklist()
         self.index = _PatternIndex(patterns)
-
-    def seed(self, ops: List[Operation]) -> None:
-        """Enqueue ``ops`` (in pre-order).
-
-        Ops are pushed in reverse pre-order so the LIFO pop visits the
-        module top-down, matching the old sweep's application order.
-        """
-        for op in reversed(ops):
-            self.worklist.push(op)
 
     # -- notifications -------------------------------------------------------
     def notify_inserted(self, op: Operation) -> None:
@@ -265,15 +255,19 @@ def apply_patterns_greedily(root: Operation,
     exactly like the old restart-sweep driver, at O(changes) instead of
     O(module) re-matching cost per change.
 
-    ``prune_dead`` (optional) is a predicate called on every visited
-    operation before pattern matching; when it returns True the driver
-    erases the operation and re-enqueues the defining ops of its operands,
-    folding dead-code elimination into the same worklist drain (MLIR's
-    greedy driver does the same).  The predicate must only approve
-    operations that are safe to erase (no remaining uses).
+    ``prune_dead`` (optional) is a predicate asked, before pattern
+    matching, about each visited operation that has at least one result
+    and no used result (an op with no result, or a used one, is never
+    dead); when it returns True the driver erases the operation and
+    re-enqueues the defining ops of its operands, folding dead-code
+    elimination into the same worklist drain (MLIR's greedy driver does
+    the same).  The predicate must only approve operations that are safe
+    to erase.
 
     ``seed`` (optional) is the pre-order list of every operation under
-    ``root``, for a caller that needs the walk itself afterwards.
+    ``root``, for a caller that needs the walk itself afterwards.  It
+    enters the worklist reversed, so the LIFO pops visit the module
+    top-down, matching the old sweep's application order.
 
     A misbehaving pattern set (e.g. two patterns undoing each other) would
     keep the worklist busy forever; after ``max_iterations`` rewrites per
@@ -290,7 +284,11 @@ def apply_patterns_greedily(root: Operation,
     driver = _WorklistDriver(pattern_list)
     if seed is None:
         seed = list(root.walk(include_self=False))
-    driver.seed(seed)
+    stack = driver.worklist._stack
+    live = driver.worklist._live
+    stack.extend(reversed(seed))
+    live.update(stack)
+    by_class = driver.index.by_class
     max_rewrites = max(1, len(seed)) * max_iterations
     rewriter = PatternRewriter(driver)
     # One insertion point object re-anchored per visit, instead of a fresh
@@ -299,18 +297,26 @@ def apply_patterns_greedily(root: Operation,
     changed_any = False
     num_rewrites = 0
     converged = True
-    while True:
-        op = driver.worklist.pop()
-        if op is None:
-            break
+    while stack:
+        op = stack.pop()
+        if op not in live:
+            continue  # removed, or its live slot is higher up
+        live.discard(op)
         if op.parent is None:
             continue  # erased after being enqueued
-        if prune_dead is not None and prune_dead(op):
-            driver.notify_erasing(op)
-            op.erase()
-            changed_any = True
-            continue
-        candidates = driver.index.for_name(op.name)
+        if prune_dead is not None and op.results:
+            for result in op.results:
+                if result._uses:
+                    break
+            else:
+                if prune_dead(op):
+                    driver.notify_erasing(op)
+                    op.erase()
+                    changed_any = True
+                    continue
+        candidates = by_class.get(op.__class__)
+        if candidates is None:
+            candidates = driver.index.for_op(op)
         if not candidates:
             continue
         if point is None:

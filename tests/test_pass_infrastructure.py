@@ -402,6 +402,79 @@ class TestAnchoring:
         assert len(pm) == 3
 
 
+def _walked_anchors(root, anchor):
+    """The anchors a walk over every op under ``root`` finds."""
+    if root.name == anchor:
+        return [root]
+    return [op for op in root.walk(include_self=False) if op.name == anchor]
+
+
+class TestAnchorsInSymbolTables:
+    """Anchors are found in ``root`` and its symbol tables only; a
+    function body is never looked into."""
+
+    def _host_module(self):
+        from .test_late_lowering import _host_device_module
+
+        return _host_device_module()[0]
+
+    def test_nested_module_kernels_are_anchored(self):
+        module = self._host_module()
+        anchors = PassManager._anchored_ops(module, "func.func")
+        assert [op.sym_name for op in anchors] == ["gemm_k"]
+        assert anchors[0].parent_op().name == "builtin.module"
+        assert anchors[0].parent_op() is not module
+        assert anchors == _walked_anchors(module, "func.func")
+        nested = PassManager._anchored_ops(module, "builtin.module")
+        assert nested == _walked_anchors(module, "builtin.module")
+        assert len(nested) == 1
+
+    def test_a_nested_pipeline_runs_on_the_nested_kernels(self):
+        module = wrap_in_module(build_listing1_function()[0])
+        kernels = builtin.ModuleOp.build("kernels")
+        kernels.append(build_listing3_function()[0])
+        module.append(kernels)
+        spy = _SpyPass()
+        pm = PassManager()
+        pm.nest("func.func").add(spy)
+        pm.run(module)
+        assert [name for name, _ in spy.seen_functions] == [
+            op.sym_name for op in _walked_anchors(module, "func.func")]
+        assert len(spy.seen_functions) == 2
+
+    def test_only_symbol_tables_are_listed(self, monkeypatch):
+        from repro.ir import Block
+
+        listed = []
+        operations = Block.operations.fget
+
+        def recording(block):
+            listed.append(block.parent_op().name)
+            return operations(block)
+
+        module = self._host_module()
+        monkeypatch.setattr(Block, "operations", property(recording))
+        PassManager._anchored_ops(module, "func.func")
+        assert listed == ["builtin.module", "builtin.module"]
+
+    @pytest.mark.parametrize("pipeline", ["sycl-mlir", "dpcpp"])
+    def test_outputs_match_anchoring_by_walk(self, pipeline, monkeypatch):
+        outputs = []
+        for by_walk in (False, True):
+            if by_walk:
+                monkeypatch.setattr(PassManager, "_anchored_ops",
+                                    staticmethod(_walked_anchors))
+            module = self._host_module()
+            report = CompileReport()
+            build_named_pipeline(pipeline).run(module, report=report)
+            build_named_pipeline("lower-to-llvm").run(module, report=report)
+            outputs.append((Printer().print_module(module),
+                            sorted((s.pass_name, s.name, s.value)
+                                   for s in report.statistics),
+                            report.remarks))
+        assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # Instrumentation
 # ---------------------------------------------------------------------------

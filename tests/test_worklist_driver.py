@@ -9,6 +9,7 @@ driver prints them checks the same fixed point on the same inputs.  The
 file also checks the driver's re-enqueue rules directly.
 """
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.ir import (
     EffectKind,
     IndexType,
     IntegerAttr,
+    IRError,
     MemoryEffectsInterface,
     MemRefType,
     Operation,
@@ -31,7 +33,7 @@ from repro.ir import (
 from repro.ir.builder import Builder, InsertionPoint
 from repro.ir.interfaces import write
 from repro.testing.generate import GeneratorConfig, generate_module
-from repro.transforms import build_named_pipeline, canonicalize
+from repro.transforms import build_named_pipeline, canonicalize, rewrite
 from repro.transforms.canonicalize import CanonicalizePass, DCEPass
 from repro.transforms.cse import CSEPass
 from repro.transforms.pass_manager import CompileReport, PassManager
@@ -424,3 +426,199 @@ class TestCleanupWithoutRewalks:
         assert report.get_statistic(cleanup, "dead_ops_erased") == 4
         assert [op.name for op in module.walk()] == [
             "builtin.module", "func.func", "func.return"]
+
+
+# ---------------------------------------------------------------------------
+# The inlined driver loop vs. the loop before it
+# ---------------------------------------------------------------------------
+
+class _ReferenceWorklist:
+    """The worklist before the driver popped inline: keyed by ``id``."""
+
+    def __init__(self):
+        self._stack = []
+        self._live = {}
+
+    def push(self, op):
+        if id(op) not in self._live:
+            self._live[id(op)] = op
+            self._stack.append(op)
+
+    def pop(self):
+        while self._stack:
+            op = self._stack.pop()
+            if self._live.pop(id(op), None) is not None:
+                return op
+        return None
+
+    def remove(self, op):
+        self._live.pop(id(op), None)
+
+
+def _reference_apply_patterns_greedily(
+        root, patterns, max_iterations=rewrite.MAX_PATTERN_ITERATIONS,
+        on_nonconvergence="warn", prune_dead=None, seed=None):
+    """``apply_patterns_greedily`` before the bulk seed, the inline pops,
+    the ``prune_dead`` contract and the per-class pattern filter: every
+    popped op is offered to ``prune_dead`` and dispatched to the patterns
+    its name selects."""
+    if on_nonconvergence not in ("warn", "error"):
+        raise ValueError(on_nonconvergence)
+    pattern_list = list(patterns)
+    driver = rewrite._WorklistDriver(pattern_list)
+    driver.worklist = _ReferenceWorklist()
+    if seed is None:
+        seed = list(root.walk(include_self=False))
+    for op in reversed(seed):
+        driver.worklist.push(op)
+    max_rewrites = max(1, len(seed)) * max_iterations
+    rewriter = rewrite.PatternRewriter(driver)
+    point = None
+    changed_any = False
+    num_rewrites = 0
+    converged = True
+    while True:
+        op = driver.worklist.pop()
+        if op is None:
+            break
+        if op.parent is None:
+            continue
+        if prune_dead is not None and prune_dead(op):
+            driver.notify_erasing(op)
+            op.erase()
+            changed_any = True
+            continue
+        candidates = [pattern for pattern in pattern_list
+                      if pattern.ROOT_OP in (None, op.name)]
+        if not candidates:
+            continue
+        if point is None:
+            point = InsertionPoint.before(op)
+        else:
+            point.move_before(op)
+        rewriter.insertion_point = point
+        for pattern in candidates:
+            try:
+                applied = pattern.match_and_rewrite(op, rewriter)
+            except IRError:
+                applied = False
+            if applied:
+                changed_any = True
+                num_rewrites += 1
+                if op.parent is not None:
+                    driver.push_root_and_users(op)
+                break
+        if num_rewrites > max_rewrites:
+            converged = False
+            break
+    if not converged:
+        names = ", ".join(sorted({type(p).__name__ for p in pattern_list}))
+        message = (
+            f"greedy pattern application on '{root.name}' did not converge "
+            f"within {max_rewrites} rewrites ({max_iterations} per "
+            f"initially-seeded op); the IR may not be fully "
+            f"normalized (patterns: {names})")
+        if on_nonconvergence == "error":
+            raise IRError(message)
+        warnings.warn(message, rewrite.NonConvergenceWarning, stacklevel=2)
+    return changed_any
+
+
+def _driver_inputs():
+    """``label -> module builder``: the worklist_fixed_point inputs, the
+    goldens and generated modules with seeds 0-30."""
+    inputs = {name: lambda build=build: wrap_in_module(build()[0])
+              for name, build in LISTING_BUILDERS.items()}
+    for seed in range(3):
+        inputs[f"synthetic_seed{seed}"] = lambda seed=seed: generate_module(
+            GeneratorConfig(num_ops=150, nesting_depth=1,
+                            dead_chain_depth=16, num_kernels=1, seed=seed))
+    for path in sorted(GOLDEN_DIR.parent.glob("*.mlir")):
+        if not path.name.endswith("_errors.mlir"):
+            inputs[path.name] = lambda path=path: parse_module(
+                path.read_text())
+    for seed in range(31):
+        inputs[f"generated{seed}"] = lambda seed=seed: generate_module(
+            GeneratorConfig(num_ops=200, nesting_depth=2,
+                            dead_chain_depth=8, num_kernels=2, seed=seed))
+    return inputs
+
+
+DRIVER_INPUTS = _driver_inputs()
+
+
+def _through(driver, monkeypatch, module, manager):
+    """``(printed IR, statistics, warnings)`` of ``manager`` on
+    ``module`` with canonicalize driven by ``driver``."""
+    monkeypatch.setattr(canonicalize, "apply_patterns_greedily", driver)
+    report = CompileReport()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        manager.run(module, report=report)
+    stats = sorted((s.pass_name, s.name, s.value) for s in report.statistics)
+    return (_print(module), stats,
+            [(w.category, str(w.message)) for w in caught])
+
+
+class TestSameFixedPointAsTheReferenceLoop:
+    @pytest.mark.parametrize("label", sorted(DRIVER_INPUTS))
+    @pytest.mark.parametrize("passes", ["canonicalize", "canonicalize,cse",
+                                        "sycl-mlir"])
+    def test_same_ir_statistics_and_warnings(self, label, passes,
+                                             monkeypatch):
+        def manager():
+            if passes == "sycl-mlir":
+                return build_named_pipeline(passes)
+            return PassManager([CanonicalizePass()] + (
+                [CSEPass()] if passes.endswith("cse") else []))
+
+        build = DRIVER_INPUTS[label]
+        expected = _through(_reference_apply_patterns_greedily, monkeypatch,
+                            build(), manager())
+        actual = _through(apply_patterns_greedily, monkeypatch, build(),
+                          manager())
+        assert actual == expected
+        if passes == "canonicalize,cse" and \
+                (GOLDEN_DIR / f"{label}.mlir").exists():
+            assert actual[0] == _golden(label)
+
+    @pytest.mark.parametrize("label", ["synthetic_seed1", "generated4",
+                                       "generated15"])
+    def test_same_nonconvergence(self, label, monkeypatch):
+        # No rewrite budget: both drivers give up after their first
+        # rewrite, with the same warning and the same partial IR.
+        manager = PassManager([CanonicalizePass(max_iterations=0)])
+        build = DRIVER_INPUTS[label]
+        expected = _through(_reference_apply_patterns_greedily, monkeypatch,
+                            build(), manager)
+        actual = _through(apply_patterns_greedily, monkeypatch, build(),
+                          manager)
+        assert actual == expected
+        assert actual[2] and all(category is rewrite.NonConvergenceWarning
+                                 for category, _ in actual[2])
+
+    @pytest.mark.parametrize("on_nonconvergence", ["warn", "error"])
+    def test_same_nonconvergence_of_ping_pong_patterns(self,
+                                                       on_nonconvergence):
+        from .test_rewrite_convergence import (
+            _ClearFlag,
+            _module_with_constant,
+            _SetFlag,
+        )
+
+        outcomes = []
+        for driver in (_reference_apply_patterns_greedily,
+                       apply_patterns_greedily):
+            module = _module_with_constant()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = driver(module, [_SetFlag(), _ClearFlag()],
+                                    max_iterations=3,
+                                    on_nonconvergence=on_nonconvergence)
+                except IRError as error:
+                    result = f"IRError: {error}"
+            outcomes.append((result, _print(module),
+                             [str(w.message) for w in caught]))
+        assert outcomes[0] == outcomes[1]
+        assert "did not converge" in str(outcomes[1])
