@@ -20,14 +20,12 @@ Passes request analyses by class —
   ``Pass.preserves()`` (MLIR's ``markAnalysesPreserved``) — and every
   analysis whose anchor left the tree it was cached in (an erased
   loop), so no entry outlives its anchor's place in the IR;
-* hit/miss/invalidation counts are kept per manager and aggregate across
-  the per-worker child managers the ``jobs=N`` scheduler spawns
-  (:meth:`child` / :meth:`absorb`).
+* hit/miss/invalidation counts are kept per manager.
 
 The *current* manager is tracked per thread
 (:func:`current_analysis_manager` / :func:`analysis_scope`) rather than
-stored on pass instances: the parallel scheduler runs one pass instance
-concurrently across functions, so instance state would race.
+stored on pass instances: ``repro-served`` request threads share one
+manager and may run the same pipeline at once, each in its own scope.
 """
 
 from __future__ import annotations
@@ -168,25 +166,6 @@ class AnalysisManager:
             return True
         return mutated.is_ancestor_of(cached_anchor) or \
             cached_anchor.is_ancestor_of(mutated)
-
-    # -- parallel scheduling ----------------------------------------------
-    def child(self) -> "AnalysisManager":
-        """A fresh manager for one worker of the ``jobs=N`` scheduler.
-
-        Workers run on disjoint isolated functions, so children start
-        empty (module-anchored entries cannot be shared safely while
-        sibling workers mutate the module's functions) and their stats
-        are folded back with :meth:`absorb`.
-        """
-        return AnalysisManager()
-
-    def absorb(self, worker: "AnalysisManager") -> None:
-        """Fold a worker manager's stats (and live entries) back in."""
-        with self._lock:
-            self.hits += worker.hits
-            self.misses += worker.misses
-            self.invalidations += worker.invalidations
-            self._entries.update(worker._entries)
 
     # -- compile-cache interplay ------------------------------------------
     def note_carried(self, analysis_names) -> None:

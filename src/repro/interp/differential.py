@@ -451,7 +451,7 @@ def run_differential(module: ModuleOp,
     ``pipeline`` may be a :class:`~repro.transforms.pass_manager.PassManager`,
     a named pipeline (``"sycl-mlir"``) or a pipeline spec string.  Pass
     ``manager`` to run the (already resolved) pipeline through a specific
-    pass manager — e.g. one with ``jobs=4`` or a warm
+    pass manager — e.g. one with a warm
     :class:`~repro.transforms.compile_cache.CompileCache` — while
     ``pipeline`` still provides the display name.
 

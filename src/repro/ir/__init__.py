@@ -27,13 +27,6 @@ from .attributes import (
     symbol_ref,
 )
 from .builder import Builder, InsertionPoint
-from .concurrency import (
-    ConcurrentWriteError,
-    WriteGuard,
-    allow_unregistered_threading,
-    guarded_region,
-    unregistered_threading_allowed,
-)
 from .context import Context, Dialect, default_context
 from .diagnostics import (
     Diagnostic,
@@ -118,8 +111,6 @@ __all__ = [
     "UnitAttr", "array_attr", "bool_attr", "float_attr", "int_array_attr",
     "int_array_values", "int_attr", "str_attr", "symbol_ref",
     "Builder", "InsertionPoint",
-    "ConcurrentWriteError", "WriteGuard", "allow_unregistered_threading",
-    "guarded_region", "unregistered_threading_allowed",
     "Context", "Dialect", "default_context",
     "Diagnostic", "DiagnosticEngine", "Severity",
     "DominanceInfo", "properly_dominates",

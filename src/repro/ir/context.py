@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Type as PyType
 
-from . import concurrency
 from .operations import Operation, lookup_op_class, registered_operations
 
 
@@ -41,21 +40,6 @@ class Context:
         self._dialects: Dict[str, Dialect] = {}
         for dialect in dialects or ():
             self.load_dialect(dialect)
-
-    @staticmethod
-    def allow_unregistered_threading(allowed: bool = True) -> None:
-        """Permit IR mutation from threads the pass scheduler does not
-        manage.
-
-        By default, ``PassManager(jobs=N)`` installs a write guard so a
-        function pipeline that mutates IR outside its own anchored
-        function raises
-        :class:`repro.ir.concurrency.ConcurrentWriteError` instead of
-        silently corrupting ``Value`` use lists or ``Block`` order
-        indexes.  Callers that synchronize IR access themselves can opt
-        out with this switch (see ``docs/concurrency.md``).
-        """
-        concurrency.allow_unregistered_threading(allowed)
 
     def load_dialect(self, dialect: Dialect) -> Dialect:
         existing = self._dialects.get(dialect.NAME)

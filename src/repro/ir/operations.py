@@ -11,7 +11,6 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type as PyType
 
-from . import concurrency
 from .attributes import Attribute, IntegerAttr, BoolAttr, StringAttr
 from .interfaces import MemoryEffectsInterface
 from .location import LineTable
@@ -28,9 +27,9 @@ class IRError(Exception):
 #: rewiring an operand, writing attributes, block arguments, region
 #: lists or a name hint — draws the next one and writes it to each
 #: isolated-from-above op around the edit, so a function's or module's
-#: stamp moves exactly when something inside it changes.  Under jobs=N
-#: the write guard keeps workers to disjoint functions; the module stamp
-#: they share moves whichever increment wins a race.
+#: stamp moves exactly when something inside it changes.  A module is
+#: edited by one thread at a time: ``repro-served`` request threads each
+#: compile a module of their own and share only this counter.
 _LAST_STAMP = 0
 
 
@@ -202,8 +201,6 @@ class Operation:
         return tuple(self._operands)
 
     def set_operand(self, index: int, value: Value) -> None:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_op(self)
         _touch(self)
         old = self._operands[index]
         old.remove_use(self, index)
@@ -545,8 +542,6 @@ class Block:
         return self._last
 
     def append(self, op: Operation) -> Operation:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         _touch(self.parent.parent if self.parent is not None else None)
         op.detach()
         op.parent = self
@@ -580,8 +575,6 @@ class Block:
         return self.insert_before(anchor, op)
 
     def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         if anchor.parent is not self:
             raise IRError("insertion anchor is not in this block")
         if op is anchor:
@@ -612,8 +605,6 @@ class Block:
 
     def _unlink(self, op: Operation) -> None:
         """Remove ``op`` from the intrusive list (O(1))."""
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         _touch(self.parent.parent if self.parent is not None else None)
         prev, nxt = op._prev, op._next
         if prev is not None:

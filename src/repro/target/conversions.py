@@ -656,8 +656,8 @@ class ConvertMemRefToLLVM(FunctionPass):
 
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
-        # Locals, never pass state: pass instances are pooled and shared
-        # across functions under jobs=N.
+        # Locals, never pass state: one pass instance runs on every
+        # function, and pooled managers reuse it across requests.
         entry_constant, reused = _entry_constants(function)
         builder = _address_builder(function, entry_constant)
         accesses = split = 0

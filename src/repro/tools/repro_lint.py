@@ -58,9 +58,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--pipeline", default=None, choices=sorted(NAMED_PIPELINE_SPECS),
         help="run a full compiler-model pipeline before linting")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for the optional pipeline run (default 1)")
-    parser.add_argument(
         "--no-verify", action="store_true",
         help="skip IR verification before linting")
     parser.add_argument(
@@ -79,7 +76,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: :func:`_main` plus graceful Ctrl-C (exit 130,
-    no traceback, no orphaned workers)."""
+    no traceback)."""
     try:
         return _main(argv)
     except KeyboardInterrupt:
@@ -96,9 +93,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.passes and args.pipeline:
         print("repro-lint: --passes and --pipeline are mutually exclusive",
               file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("repro-lint: --jobs must be >= 1", file=sys.stderr)
         return 2
     rules = [name.strip() for name in args.rules.split(",") if name.strip()] \
         if args.rules is not None else None
@@ -134,10 +128,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.pipeline or args.passes:
         try:
             if args.pipeline:
-                manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+                manager = build_named_pipeline(args.pipeline)
             else:
                 manager = parse_pass_pipeline(args.passes)
-                manager.jobs = args.jobs
         except ValueError as exc:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2
@@ -151,31 +144,27 @@ def _main(argv: Optional[List[str]] = None) -> int:
     # (and repeated modules sharing anchors) hit warm caches.
     am = AnalysisManager()
     findings_total = 0
-    try:
-        for (label, _), module in zip(segments, modules):
-            try:
-                if not args.no_verify:
-                    verify(module)
-                if manager is not None:
-                    manager.run(module)
-            except VerificationError as exc:
-                print(f"repro-lint: {label}: verification failed: {exc}",
-                      file=sys.stderr)
-                return 1
-            except ValueError as exc:
-                print(f"repro-lint: {label}: {exc}", file=sys.stderr)
-                return 2
-            try:
-                findings = run_lint(module, rules=rules, am=am)
-            except ValueError as exc:
-                print(f"repro-lint: {exc}", file=sys.stderr)
-                return 2
-            for diagnostic in findings:
-                print(diagnostic.render(), file=sys.stderr)
-            findings_total += len(findings)
-    finally:
-        if manager is not None:
-            manager.close()
+    for (label, _), module in zip(segments, modules):
+        try:
+            if not args.no_verify:
+                verify(module)
+            if manager is not None:
+                manager.run(module)
+        except VerificationError as exc:
+            print(f"repro-lint: {label}: verification failed: {exc}",
+                  file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"repro-lint: {label}: {exc}", file=sys.stderr)
+            return 2
+        try:
+            findings = run_lint(module, rules=rules, am=am)
+        except ValueError as exc:
+            print(f"repro-lint: {exc}", file=sys.stderr)
+            return 2
+        for diagnostic in findings:
+            print(diagnostic.render(), file=sys.stderr)
+        findings_total += len(findings)
 
     if args.analysis_stats:
         print(f"analysis manager: {am.describe()}", file=sys.stderr)

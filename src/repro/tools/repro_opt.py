@@ -28,11 +28,14 @@ Pass-instrumentation backed debugging flags mirror mlir-opt:
 
 Batch mode: several input paths and/or ``--split-input-file`` (segments
 separated by ``// -----`` lines, the mlir-opt convention) compile every
-module through *one* pass manager — one fingerprint-keyed
+module through *one* pass manager and one fingerprint-keyed
 :class:`~repro.transforms.compile_cache.CompileCache` (disable with
-``--no-cache``) and, with ``--jobs N``, one shared worker pool that runs
-``func.func``-anchored pipelines once per function concurrently.
-Optimized modules are printed in input order, joined by ``// -----``.
+``--no-cache``).  With ``--jobs N`` a batch runs on N supervised worker
+processes instead, each compiling whole segments; a single module, or a
+batch that needs the parent to observe its modules (instrumentation,
+``--lint``, ``--verify-diagnostics``, ``--emit=mlir``), compiles
+serially in-process.  Optimized modules are printed in input order,
+joined by ``// -----``.
 
 This is the workflow MLIR passes are developed against: every transform
 gets textual before/after test cases runnable through this driver (see
@@ -86,7 +89,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "inputs", nargs="*", default=["-"], metavar="input",
         help="input IR files, or '-' for stdin (default); several files "
-             "form a batch compiled through one shared cache and pool")
+             "form a batch compiled through one shared cache")
     parser.add_argument(
         "-o", "--output", default="-",
         help="output file, or '-' for stdout (default)")
@@ -96,17 +99,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "segment as its own module (batch mode)")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="run func.func-anchored pipelines once per function across "
-             "N worker threads (default 1 = serial)")
-    parser.add_argument(
-        "--parallel-tier", default="thread", choices=("thread", "process"),
-        help="worker tier for a batch at --jobs N: 'thread' "
-             "(shared-memory, GIL-bound) or 'process' (supervised worker "
-             "processes, each compiling whole segments); a single module "
-             "always compiles in-process on --jobs threads")
+        help="compile a batch on N supervised worker processes, each "
+             "compiling whole segments (default 1 = serial); a single "
+             "module always compiles serially in-process")
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-segment wall-clock deadline on the process tier "
+        help="per-segment wall-clock deadline on a worker process "
              "before a worker is presumed hung and the pool restarted "
              "(default 60)")
     parser.add_argument(
@@ -359,10 +357,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.pipeline:
-            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+            manager = build_named_pipeline(args.pipeline)
         elif args.passes:
             manager = parse_pass_pipeline(args.passes)
-            manager.jobs = args.jobs
         else:
             manager = None
     except ValueError as exc:
@@ -398,9 +395,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # verification, no parent-side lint — workers parse, verify,
         # compile and print, the parent only stitches text.
         use_batch_process = (
-            args.parallel_tier == "process" and args.jobs > 1
-            and len(segments) > 1 and engine is None and not args.lint
-            and not manager.instrumentations
+            args.jobs > 1 and len(segments) > 1 and engine is None
+            and not args.lint and not manager.instrumentations
             # Workers print the classic form; exported syntax must go
             # through the in-process printer.
             and args.emit == "generic")
@@ -583,8 +579,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
     finally:
         if gc_timing is not None:
             gc_timing.stop(report)
-        if manager is not None:
-            manager.close()
 
     if lint_each is not None and engine is None:
         for pass_name, diagnostic in lint_each.findings:

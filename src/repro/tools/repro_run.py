@@ -78,9 +78,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--pipeline", default=None, choices=sorted(NAMED_PIPELINE_SPECS),
         help="run a full compiler-model pipeline before executing")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for func.func-anchored pipelines (default 1)")
-    parser.add_argument(
         "--arg", action="append", default=[], metavar="NAME=VALUE",
         help="scalar argument value by name (repeatable); unnamed "
              "arguments are addressable as arg0, arg1, ...")
@@ -282,12 +279,11 @@ def _compile(text: str, args, cache, front_key: Optional[str]):
         if args.pipeline:
             from ..transforms.pipelines import build_named_pipeline
 
-            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+            manager = build_named_pipeline(args.pipeline)
         elif args.passes:
             from ..transforms.pipelines import parse_pass_pipeline
 
             manager = parse_pass_pipeline(args.passes)
-            manager.jobs = args.jobs
         else:
             manager = None
     except ValueError as exc:
@@ -303,10 +299,7 @@ def _compile(text: str, args, cache, front_key: Optional[str]):
         if not args.no_verify:
             verify(module)
         if manager is not None:
-            try:
-                report = manager.run(module)
-            finally:
-                manager.close()
+            report = manager.run(module)
             if not args.no_verify:
                 verify(module)
     except VerificationError as exc:

@@ -17,8 +17,8 @@ The template itself is never handed out, so later mutation of a spliced
 result cannot poison the cache.
 
 The cache is thread-safe and is designed to be *shared*: one cache
-serves every segment of a ``repro-opt`` batch run and every worker of a
-``jobs=N`` pool.
+serves every segment of a ``repro-opt`` batch run and every request
+thread of ``repro-served``.
 
 Every table of compiled artifacts is a :class:`ContentTable`: an LRU in
 memory over an optional persistent

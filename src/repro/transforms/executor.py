@@ -1,9 +1,9 @@
 """Supervised worker processes for ``repro-opt`` batches.
 
-The thread scheduler in :class:`~repro.transforms.pass_manager.PassManager`
-is deterministic but GIL-bound.  This module escapes the GIL by shipping
-whole ``--split-input-file`` segments to ``ProcessPoolExecutor`` workers,
-and treats the executor as a first-class *failure domain* rather than a
+A :class:`~repro.transforms.pass_manager.PassManager` run is serial and
+GIL-bound.  ``repro-opt --jobs N`` escapes the GIL by shipping whole
+batch segments to N ``ProcessPoolExecutor`` workers.  This module
+treats the executor as a first-class *failure domain* rather than a
 transparent speedup: workers can crash, hang, or return garbage, so
 every dispatch runs under a supervisor implementing the full failure
 matrix.

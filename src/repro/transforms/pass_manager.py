@@ -8,8 +8,7 @@ Mirrors MLIR's pass infrastructure at the granularity this project needs:
   report;
 * a :class:`PassManager` is a tree of :class:`OpPassManager`\\ s —
   ``pm.nest("func.func").add(...)`` — where function-anchored pipelines run
-  once per isolated :class:`~repro.dialects.func.FuncOp` (the enabler for
-  per-function parallel scheduling);
+  once per isolated :class:`~repro.dialects.func.FuncOp`;
 * :class:`PassInstrumentation` hooks observe every pass execution; timing,
   IR printing and verification ship as the first three clients;
 * passes self-register with the :func:`register_pass` decorator, which
@@ -24,14 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import re
 import sys
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -42,13 +37,8 @@ from typing import (
     Union,
 )
 
-from ..faults import TransientFault, fault_point
-from ..ir import Operation, Trait, VerificationError, has_trait
-from ..ir.concurrency import (
-    WriteGuard,
-    guarded_region,
-    unregistered_threading_allowed,
-)
+from ..faults import fault_point
+from ..ir import Operation, Trait, VerificationError
 from ..ir.operations import op_memo
 from ..ir.parser import CONTENT_TOKEN
 from ..analysis.manager import (
@@ -57,9 +47,6 @@ from ..analysis.manager import (
     current_analysis_manager,
 )
 from ..dialects.func import FuncOp
-
-if TYPE_CHECKING:  # the pool is imported where a ``jobs > 1`` run builds it
-    from concurrent.futures import ThreadPoolExecutor
 
 #: Operation names a pipeline may anchor on.  ``builtin.module`` pipelines
 #: may nest ``func.func`` pipelines, never the other way around (a function
@@ -81,11 +68,6 @@ class PassStatistic:
     pass_name: str
     name: str
     value: int = 0
-
-
-#: Timing keys are ``"<pipeline position>: <pass name>"`` so two instances
-#: of the same pass in one pipeline never share a bucket.
-_TIMING_POSITION_RE = re.compile(r"^(\d+): (.*)$")
 
 
 @dataclass
@@ -146,31 +128,13 @@ class CompileReport:
         self.timings["compile-cache: hit"] = \
             self.timings.get("compile-cache: hit", 0.0) + elapsed
 
-    def merge(self, other: "CompileReport",
-              renumber_timings: bool = True) -> None:
+    def merge(self, other: "CompileReport") -> None:
+        """Fold in a report of the *same* pipeline: statistics and
+        same-key timing buckets sum, remarks append."""
         for stat in other.statistics:
             self.add_statistic(stat.pass_name, stat.name, stat.value)
         self.remarks.extend(other.remarks)
-        if not renumber_timings:
-            # ``other`` describes the *same* pipeline (e.g. a per-function
-            # worker report from the parallel scheduler): its position keys
-            # already match ours, so buckets must sum, not shift.
-            for key, value in other.timings.items():
-                self.timings[key] = self.timings.get(key, 0.0) + value
-            return
-        # Position-keyed timings from another report describe a *different*
-        # pipeline run; renumber them past this report's positions so two
-        # "0: canonicalize" buckets from unrelated pipelines stay distinct
-        # instead of silently summing.
-        shift = 0
-        for key in self.timings:
-            match = _TIMING_POSITION_RE.match(key)
-            if match:
-                shift = max(shift, int(match.group(1)) + 1)
         for key, value in other.timings.items():
-            match = _TIMING_POSITION_RE.match(key)
-            if match:
-                key = f"{int(match.group(1)) + shift}: {match.group(2)}"
             self.timings[key] = self.timings.get(key, 0.0) + value
 
     def summary(self) -> str:
@@ -752,26 +716,6 @@ class OpPassManager:
         return f"<OpPassManager {self.to_spec()}>"
 
 
-@dataclass
-class _RunState:
-    """Per-``run`` scheduling context threaded through pipeline execution."""
-
-    #: Serializes instrumentation hook batches across workers (the PR 3
-    #: ordering contract: before-hooks in registration order, after-hooks
-    #: reversed, never interleaved within one pass execution).
-    hook_lock: Optional[threading.Lock] = None
-    #: The shared worker pool; ``None`` disables parallel dispatch.
-    executor: Optional[ThreadPoolExecutor] = None
-    #: The root run's timing instrumentation (replaced by a per-worker
-    #: instance inside workers — its start/stop stack is not thread-safe).
-    timing: Optional[TimingInstrumentation] = None
-    #: True inside a worker thread: nested dispatch stays serial.
-    in_worker: bool = False
-    #: The run's root analysis manager; workers get children and fold
-    #: their stats/entries back in (:meth:`AnalysisManager.absorb`).
-    analysis_manager: Optional[AnalysisManager] = None
-
-
 class PassManager(OpPassManager):
     """The root pipeline: runs the pass tree and collects a report.
 
@@ -781,15 +725,9 @@ class PassManager(OpPassManager):
     timing is always recorded into ``report.timings`` keyed by pipeline
     position.
 
-    ``jobs=N`` enables the parallel scheduler: nested ``func.func``
-    pipelines run once per function *concurrently* across a shared
-    ``ThreadPoolExecutor`` (functions are isolated from above, so workers
-    cannot reach each other's IR; a :class:`~repro.ir.WriteGuard` enforces
-    that).  A failed dispatch (the ``thread-tier.dispatch`` fault point)
-    degrades to the serial loop on the untouched IR, so it cannot fail a
-    compile that serial would pass.  Worker processes are not a tier of
-    this class: ``repro-opt`` ships whole batch segments to them (see
-    ``docs/robustness.md``).  ``cache`` attaches a
+    A run is serial and in-process.  Worker processes are not a tier of
+    this class: ``repro-opt --jobs N`` ships whole batch segments to them
+    (see ``docs/robustness.md``).  ``cache`` attaches a
     :class:`~repro.transforms.compile_cache.CompileCache`: a run whose
     ``(module fingerprint, pipeline spec)`` key is cached short-circuits
     the whole pipeline.
@@ -798,21 +736,17 @@ class PassManager(OpPassManager):
     def __init__(self, passes: Optional[Iterable[Pass]] = None,
                  verify_after_each: bool = False,
                  anchor: str = MODULE_ANCHOR,
-                 jobs: int = 1,
                  cache: Optional["CompileCache"] = None):
         super().__init__(anchor)
         for pass_ in passes or []:
             self.add(pass_)
         self.instrumentations: List[PassInstrumentation] = []
         self.verify_after_each = verify_after_each
-        self.jobs = max(1, int(jobs))
         self.cache = cache
         #: Persistent across runs so batch drivers and benchmarks can
         #: observe warm-vs-cold analysis costs; fingerprint validation
         #: keeps stale entries from ever being served.
         self.analysis_manager = AnalysisManager()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_jobs = 0
         if verify_after_each:
             self.add_instrumentation(VerifierInstrumentation())
 
@@ -820,32 +754,6 @@ class PassManager(OpPassManager):
             self, instrumentation: PassInstrumentation) -> "PassManager":
         self.instrumentations.append(instrumentation)
         return self
-
-    def close(self) -> None:
-        """Shut down the shared worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_jobs = 0
-
-    def _ensure_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The shared pool for ``jobs>1``, recreated if ``jobs`` changed.
-
-        One pool serves every ``run`` of this manager — batch drivers
-        compile many modules through the same warm pool.
-        """
-        if self.jobs <= 1:
-            self.close()
-            return None
-        if self._executor is None or self._executor_jobs != self.jobs:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.close()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.jobs,
-                thread_name_prefix="repro-pass-worker")
-            self._executor_jobs = self.jobs
-        return self._executor
 
     # -- execution -----------------------------------------------------------
     def run(self, op: Operation,
@@ -902,7 +810,7 @@ class PassManager(OpPassManager):
                 remarks=list(fresh.remarks),
                 preserved_analyses=tuple(
                     self.analysis_manager.preserved_names_for(op))))
-            report.merge(fresh, renumber_timings=False)
+            report.merge(fresh)
             report.add_statistic("compile-cache", "misses", 1)
         return report
 
@@ -913,16 +821,12 @@ class PassManager(OpPassManager):
         timing = TimingInstrumentation()
         instrumentations = list(self.instrumentations) + [timing]
         positions = self._slot_positions()
-        state = _RunState(hook_lock=threading.Lock(),
-                          executor=self._ensure_executor(),
-                          timing=timing,
-                          analysis_manager=self.analysis_manager)
         for instrumentation in instrumentations:
             instrumentation.run_before_pipeline(op)
         try:
             with analysis_scope(self.analysis_manager):
                 self._run_pipeline(self, op, report, instrumentations,
-                                   positions, state)
+                                   positions)
         except BaseException:
             # No analysis describes what a failed run left behind, and
             # the caller may drop the module: keep none anchored in it.
@@ -984,39 +888,21 @@ class PassManager(OpPassManager):
     def _run_pipeline(self, pipeline: OpPassManager, op: Operation,
                       report: CompileReport,
                       instrumentations: List[PassInstrumentation],
-                      positions: Dict[Tuple[int, int], int],
-                      state: Optional[_RunState] = None) -> None:
+                      positions: Dict[Tuple[int, int], int]) -> None:
         for index, element in enumerate(pipeline.elements):
             if isinstance(element, OpPassManager):
-                anchored_ops = self._anchored_ops(op, element.anchor)
-                if self._should_parallelize(element, anchored_ops, state):
-                    # One degradation rung: a failed dispatch is recorded
-                    # as a remark and the serial loop below runs on the
-                    # untouched IR, so it cannot fail a compile serial
-                    # would pass.
-                    try:
-                        fault_point("thread-tier.dispatch")
-                        self._run_pipeline_parallel(
-                            element, anchored_ops, report,
-                            instrumentations, positions, state)
-                        continue
-                    except TransientFault as error:
-                        report.remark(
-                            f"thread-tier: degraded to serial: {error}")
-                        report.add_statistic(
-                            "thread-tier", "degraded", 1)
-                for anchored in anchored_ops:
+                for anchored in self._anchored_ops(op, element.anchor):
                     if anchored.parent is None and anchored is not op:
                         continue  # erased by an earlier sibling run
                     self._run_pipeline(element, anchored, report,
-                                       instrumentations, positions, state)
+                                       instrumentations, positions)
             else:
                 # (Re-)label the pass with this slot's position right
                 # before the hooks fire; a shared instance is thus always
                 # reported under the slot it is currently running in.
                 element.pipeline_position = \
                     positions[(id(pipeline), index)]
-                self._run_pass(element, op, report, instrumentations, state)
+                self._run_pass(element, op, report, instrumentations)
 
     @staticmethod
     def _anchored_ops(root: Operation, anchor: str) -> List[Operation]:
@@ -1040,112 +926,10 @@ class PassManager(OpPassManager):
         collect(root)
         return found
 
-    def _should_parallelize(self, pipeline: OpPassManager,
-                            anchored_ops: List[Operation],
-                            state: Optional[_RunState]) -> bool:
-        """Whether this nested pipeline dispatch may fan out to the pool.
-
-        Requires: an active pool, not already inside a worker, at least
-        two anchors, every anchor isolated from above (so workers cannot
-        reach each other's IR through SSA uses), and a distinct pass
-        instance per slot (a shared instance would race on its
-        ``pipeline_position`` label).
-        """
-        if state is None or state.executor is None or state.in_worker:
-            return False
-        if pipeline.anchor != FUNCTION_ANCHOR or len(anchored_ops) < 2:
-            return False
-        if not all(has_trait(anchored, Trait.ISOLATED_FROM_ABOVE)
-                   for anchored in anchored_ops):
-            return False
-        passes = pipeline.passes
-        return len({id(pass_) for pass_ in passes}) == len(passes)
-
-    def _run_pipeline_parallel(self, pipeline: OpPassManager,
-                               anchored_ops: List[Operation],
-                               report: CompileReport,
-                               instrumentations: List[PassInstrumentation],
-                               positions: Dict[Tuple[int, int], int],
-                               state: _RunState) -> None:
-        """Run ``pipeline`` once per anchored function, across the pool.
-
-        Each worker compiles one function into a private
-        :class:`CompileReport` with a private timing instrumentation (the
-        shared one's start/stop stack is not thread-safe); user hooks are
-        shared but serialized through ``state.hook_lock``.  Worker reports
-        merge into ``report`` in anchor order, so statistics totals, list
-        order and timing keys are identical to a serial run.
-        """
-        guard = None if unregistered_threading_allowed() else WriteGuard()
-        if guard is not None:
-            # Protect the attached run root (the module): shared IR under
-            # it is read-only for workers, while detached subtrees (clones,
-            # builder fragments) remain freely mutable.
-            root = anchored_ops[0]
-            while root.parent_op() is not None:
-                root = root.parent_op()
-            guard.protect(root)
-        shared_hooks = [instr for instr in instrumentations
-                        if instr is not state.timing]
-
-        def compile_function(anchored: Operation) -> CompileReport:
-            if guard is not None:
-                guard.claim(anchored)
-            try:
-                local_report = CompileReport()
-                local_timing = TimingInstrumentation()
-                # A fresh per-worker manager: workers mutate disjoint
-                # functions, so entries cannot be shared while in flight;
-                # stats and surviving entries fold back in afterwards.
-                parent_manager = state.analysis_manager
-                worker_manager = parent_manager.child() \
-                    if parent_manager is not None else None
-                worker_state = dataclasses.replace(
-                    state, in_worker=True, analysis_manager=worker_manager)
-                with analysis_scope(worker_manager):
-                    self._run_pipeline(pipeline, anchored, local_report,
-                                       shared_hooks + [local_timing],
-                                       positions, worker_state)
-                if parent_manager is not None:
-                    parent_manager.absorb(worker_manager)
-                local_report.merge(
-                    CompileReport(timings=dict(local_timing.timings)),
-                    renumber_timings=False)
-                return local_report
-            finally:
-                if guard is not None:
-                    guard.release(anchored)
-
-        with guarded_region(guard):
-            futures = [state.executor.submit(compile_function, anchored)
-                       for anchored in anchored_ops
-                       if anchored.parent is not None]
-            local_reports: List[Optional[CompileReport]] = []
-            first_error: Optional[BaseException] = None
-            for future in futures:
-                try:
-                    local_reports.append(future.result())
-                except BaseException as error:  # noqa: BLE001 - re-raised
-                    local_reports.append(None)
-                    if first_error is None:
-                        first_error = error
-            if first_error is not None:
-                raise first_error
-        for local_report in local_reports:
-            if local_report is not None:
-                report.merge(local_report, renumber_timings=False)
-
     def _run_pass(self, pass_: Pass, op: Operation, report: CompileReport,
-                  instrumentations: List[PassInstrumentation],
-                  state: Optional[_RunState] = None) -> None:
-        # Hook batches are serialized across workers; the pass body itself
-        # runs outside the lock — that is where the parallelism is.
-        hook_lock = (state.hook_lock
-                     if state is not None and state.in_worker
-                     and state.hook_lock is not None else nullcontext())
-        with hook_lock:
-            for instrumentation in instrumentations:
-                instrumentation.run_before_pass(pass_, op)
+                  instrumentations: List[PassInstrumentation]) -> None:
+        for instrumentation in instrumentations:
+            instrumentation.run_before_pass(pass_, op)
         pass_.run(op, report)
         # The pass may have mutated the anchor (and anything below it):
         # evict stale analyses unless the pass declared them preserved.
@@ -1153,13 +937,11 @@ class PassManager(OpPassManager):
         if manager is not None:
             manager.invalidate(op, pass_.preserves())
         try:
-            with hook_lock:
-                for instrumentation in reversed(instrumentations):
-                    instrumentation.run_after_pass(pass_, op)
+            for instrumentation in reversed(instrumentations):
+                instrumentation.run_after_pass(pass_, op)
         except VerificationError as error:
-            with hook_lock:
-                for instrumentation in instrumentations:
-                    instrumentation.run_after_failed_verify(pass_, op, error)
+            for instrumentation in instrumentations:
+                instrumentation.run_after_failed_verify(pass_, op, error)
             raise
 
     def __repr__(self) -> str:

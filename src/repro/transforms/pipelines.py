@@ -348,7 +348,7 @@ def check_pass_pipeline(spec: str, filename: str = "<pipeline>"):
     from ..ir import Diagnostic, Location, Severity, UNKNOWN
 
     try:
-        _PipelineParser(spec).parse().close()
+        _PipelineParser(spec).parse()
     except PipelineParseError as exc:
         location = Location(filename, 1, exc.offset + 1) \
             if exc.offset is not None else UNKNOWN
@@ -399,12 +399,11 @@ def _copy_passes(template: OpPassManager, target: OpPassManager) -> None:
                 type(element)(options=type(options)(**vars(options))))
 
 
-def build_named_pipeline(name: str, jobs: int = 1) -> PassManager:
+def build_named_pipeline(name: str) -> PassManager:
     """A fresh :class:`PassManager` running ``NAMED_PIPELINE_SPECS[name]``.
 
     The spec is parsed once per process; every call instantiates its own
-    passes, so no two returned managers share a pass.  ``jobs`` sizes the
-    per-function parallel scheduler (1 = serial).
+    passes, so no two returned managers share a pass.
     """
     template = _TEMPLATES.get(name)
     if template is None:
@@ -414,6 +413,6 @@ def build_named_pipeline(name: str, jobs: int = 1) -> PassManager:
                 f"unknown pipeline {name!r}; available pipelines: "
                 f"{', '.join(shipped_pipeline_names())}")
         template = _TEMPLATES[name] = parse_pass_pipeline(spec)
-    manager = PassManager(jobs=jobs)
+    manager = PassManager()
     _copy_passes(template, manager)
     return manager

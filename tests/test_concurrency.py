@@ -1,36 +1,38 @@
-"""Determinism and safety of the parallel scheduler and the compile cache.
+"""The compile cache and the batch driver (see ``docs/concurrency.md``).
 
-The contract under test (see ``docs/concurrency.md``):
+The contract under test:
 
-* compiling with ``jobs=1`` and ``jobs=4`` produces byte-identical
-  printed IR, identical statistics totals (and list order) and the same
-  position-keyed timing buckets;
 * a cache hit splices IR structurally equal to a cold compile and
   replays the cold run's statistics;
-* a function pipeline that mutates IR outside its own anchored function
-  raises :class:`ConcurrentWriteError` under ``jobs>1`` instead of
-  silently corrupting use lists / order indexes, and
-  ``Context.allow_unregistered_threading`` opts out of the guard.
+* ``repro-opt --jobs N`` compiles a batch on worker processes, and its
+  output, statistics and timing rows are those of the serial batch;
+* a batch the parent must watch (lint, instrumentation, diagnostics
+  verification, exported syntax) compiles serially under any ``--jobs``;
+* a merged report sums the same pipeline's statistics and timing
+  buckets;
+* ``repro-served`` request threads share one analysis manager, each in
+  its own per-thread scope.
 """
+
+import multiprocessing
+import re
+import threading
 
 import pytest
 
-from repro.dialects import arith
-from repro.dialects.func import FuncOp
-from repro.ir import (
-    ConcurrentWriteError,
-    Context,
-    Printer,
-    i64,
-    verify,
+from repro.analysis import (
+    AnalysisManager,
+    analysis_scope,
+    current_analysis_manager,
 )
+from repro.faults import fault_plan
+from repro.ir import DominanceInfo, Printer, parse_module, verify
 from repro.testing.generate import GeneratorConfig, generate_module
+from repro.tools import repro_lint, repro_run
 from repro.transforms import (
     CompileCache,
     CompileReport,
     FunctionPass,
-    PassManager,
-    build_named_pipeline,
     parse_pass_pipeline,
 )
 
@@ -57,61 +59,10 @@ def _synthetic_module():
                                            seed=11))
 
 
-def _run(module, jobs, cache=None):
+def _run(module, cache=None):
     manager = parse_pass_pipeline(PIPELINE)
-    manager.jobs = jobs
     manager.cache = cache
-    try:
-        report = manager.run(module)
-    finally:
-        manager.close()
-    return report
-
-
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("build_module",
-                             [_listing_module, _synthetic_module])
-    def test_jobs4_output_byte_identical_to_serial(self, build_module):
-        serial, parallel = build_module(), build_module()
-        _run(serial, jobs=1)
-        _run(parallel, jobs=4)
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
-        verify(parallel)
-
-    def test_statistics_totals_and_order_identical(self):
-        serial_report = _run(_synthetic_module(), jobs=1)
-        parallel_report = _run(_synthetic_module(), jobs=4)
-        assert [(s.pass_name, s.name, s.value)
-                for s in serial_report.statistics] == \
-            [(s.pass_name, s.name, s.value)
-             for s in parallel_report.statistics]
-
-    def test_timing_keys_stable_across_job_counts(self):
-        serial_report = _run(_synthetic_module(), jobs=1)
-        parallel_report = _run(_synthetic_module(), jobs=4)
-        assert set(serial_report.timings) == set(parallel_report.timings)
-        # Position-keyed: one bucket per scheduled slot, "N: name".
-        assert all(": " in key for key in parallel_report.timings)
-
-    def test_named_pipeline_parallel_matches_serial(self):
-        serial, parallel = _synthetic_module(), _synthetic_module()
-        build_named_pipeline("dpcpp").run(serial)
-        manager = build_named_pipeline("dpcpp", jobs=4)
-        try:
-            manager.run(parallel)
-        finally:
-            manager.close()
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
-
-    def test_single_function_module_stays_serial(self):
-        module = wrap_in_module(build_listing1_function()[0])
-        reference = wrap_in_module(build_listing1_function()[0])
-        _run(reference, jobs=1)
-        _run(module, jobs=4)
-        assert Printer().print_module(module) == \
-            Printer().print_module(reference)
+    return manager.run(module)
 
 
 class TestCompileCache:
@@ -119,9 +70,9 @@ class TestCompileCache:
         cache = CompileCache()
         cold, warm, reference = (_synthetic_module(), _synthetic_module(),
                                  _synthetic_module())
-        _run(reference, jobs=1)
-        _run(cold, jobs=1, cache=cache)
-        _run(warm, jobs=1, cache=cache)
+        _run(reference)
+        _run(cold, cache=cache)
+        _run(warm, cache=cache)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
         assert Printer().print_module(warm) == \
@@ -132,8 +83,8 @@ class TestCompileCache:
 
     def test_hit_replays_cold_statistics(self):
         cache = CompileCache()
-        cold_report = _run(_synthetic_module(), jobs=1, cache=cache)
-        warm_report = _run(_synthetic_module(), jobs=1, cache=cache)
+        cold_report = _run(_synthetic_module(), cache=cache)
+        warm_report = _run(_synthetic_module(), cache=cache)
         cold = {(s.pass_name, s.name): s.value
                 for s in cold_report.statistics
                 if s.pass_name != "compile-cache"}
@@ -146,8 +97,8 @@ class TestCompileCache:
 
     def test_hit_records_its_own_timing_bucket(self):
         cache = CompileCache()
-        _run(_synthetic_module(), jobs=1, cache=cache)
-        warm_report = _run(_synthetic_module(), jobs=1, cache=cache)
+        _run(_synthetic_module(), cache=cache)
+        warm_report = _run(_synthetic_module(), cache=cache)
         # Statistics replay the cold compile; the timing table accounts
         # for the warm segment through the dedicated hit bucket.
         assert "compile-cache: hit" in warm_report.timings
@@ -172,127 +123,6 @@ class TestCompileCache:
         manager.run(_listing_module())
         assert len(cache) == 1
         assert cache.stats.evictions == 1
-
-    def test_parallel_and_cached_runs_compose(self):
-        cache = CompileCache()
-        cold, warm, reference = (_synthetic_module(), _synthetic_module(),
-                                 _synthetic_module())
-        _run(reference, jobs=1)
-        _run(cold, jobs=4, cache=cache)
-        _run(warm, jobs=4, cache=cache)
-        assert cache.stats.hits == 1
-        assert Printer().print_module(warm) == \
-            Printer().print_module(reference)
-
-
-class _SiblingMutatingPass(FunctionPass):
-    """Deliberately broken: mutates a *sibling* function's body."""
-
-    NAME = "mutate-sibling"
-
-    def run_on_function(self, function, report):
-        module = function.parent_op()
-        for sibling in module.walk(include_self=False):
-            if isinstance(sibling, FuncOp) and sibling is not function:
-                sibling.body.append(arith.ConstantOp.build(1, i64()))
-                return
-
-
-class _ModuleMutatingPass(FunctionPass):
-    """Deliberately broken: appends to the module block from a worker."""
-
-    NAME = "mutate-module"
-
-    def run_on_function(self, function, report):
-        module = function.parent_op()
-        module.regions[0].blocks[0].append(
-            FuncOp.build("injected", [i64()]))
-
-
-def _rogue_manager(rogue_pass, jobs):
-    manager = PassManager(jobs=jobs)
-    manager.nest("func.func").add(rogue_pass)
-    return manager
-
-
-class TestWriteGuard:
-    def _run_rogue(self, rogue_pass, jobs):
-        manager = _rogue_manager(rogue_pass, jobs)
-        try:
-            manager.run(_listing_module())
-        finally:
-            manager.close()
-
-    def test_sibling_mutation_raises_under_jobs(self):
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-
-    def test_module_mutation_raises_under_jobs(self):
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_ModuleMutatingPass(), jobs=2)
-
-    def test_serial_run_is_unguarded(self):
-        # jobs=1 keeps the legacy single-writer behaviour: no guard, no
-        # error — cross-function mutation is legal in a serial pipeline.
-        self._run_rogue(_SiblingMutatingPass(), jobs=1)
-
-    def test_allow_unregistered_threading_opts_out(self):
-        Context.allow_unregistered_threading(True)
-        try:
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-        finally:
-            Context.allow_unregistered_threading(False)
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-
-    def test_own_function_mutation_is_allowed(self):
-        module = _listing_module()
-        reference = _listing_module()
-        _run(reference, jobs=1)
-        _run(module, jobs=4)  # canonicalize/cse/dce mutate freely
-        assert Printer().print_module(module) == \
-            Printer().print_module(reference)
-
-
-class _CloningPass(FunctionPass):
-    """Clones a region-holding op inside its own function (the
-    DetectReduction / LoopInternalization pattern): building the clone
-    mutates *detached* IR, which the write guard must permit."""
-
-    NAME = "clone-own-loop"
-
-    def run_on_function(self, function, report):
-        for op in function.walk(include_self=False):
-            if op.regions and op.parent is not None:
-                clone = op.clone({})
-                op.parent.insert_after(op, clone)
-                clone.erase()
-                return
-
-
-class TestWorkerLocalCloning:
-    def test_cloning_region_ops_is_legal_under_jobs(self):
-        # Regression: WriteGuard used to reject all mutation of detached
-        # IR, so Region.clone_into inside a worker raised.
-        manager = PassManager(jobs=2)
-        manager.nest("func.func").add(_CloningPass())
-        try:
-            manager.run(_synthetic_module())
-        finally:
-            manager.close()
-
-    def test_sycl_mlir_pipeline_with_reduction_listings(self):
-        # The paper listing modules exercise the cloning passes
-        # (DetectReduction rewrites reduction loops).
-        serial, parallel = _listing_module(), _listing_module()
-        build_named_pipeline("sycl-mlir").run(serial)
-        manager = build_named_pipeline("sycl-mlir", jobs=4)
-        try:
-            manager.run(parallel)
-        finally:
-            manager.close()
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
 
 
 class TestCacheInstrumentationBypass:
@@ -381,7 +211,7 @@ class TestBatchDriver:
         batch = tmp_path / "batch.mlir"
         batch.write_text(text + "// -----\n" + text, encoding="utf-8")
         out = tmp_path / "out.mlir"
-        rc = repro_opt([str(batch), "--split-input-file", "--jobs", "2",
+        rc = repro_opt([str(batch), "--split-input-file",
                         "--passes", "canonicalize,cse", "-o", str(out),
                         "--report"])
         assert rc == 0
@@ -429,6 +259,27 @@ class TestBatchDriver:
         assert rc == 0
         assert "compile cache" not in capsys.readouterr().err
 
+    def test_jobs_compiles_the_batch_on_worker_processes(self, tmp_path,
+                                                         capsys):
+        from repro.tools.repro_opt import main as repro_opt
+
+        batch = tmp_path / "batch.mlir"
+        batch.write_text("// -----\n".join(
+            Printer().print_module(wrap_in_module(build()[0])) + "\n"
+            for build in (build_listing1_function,
+                          build_listing2_function)), encoding="utf-8")
+        outputs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.mlir"
+            rc = repro_opt([str(batch), "--split-input-file",
+                            "--jobs", jobs, "--passes", "canonicalize,cse",
+                            "--report", "-o", str(out)])
+            assert rc == 0
+            outputs[jobs] = (out.read_bytes(), capsys.readouterr().err)
+        assert outputs["2"][0] == outputs["1"][0]
+        assert "process-tier: segments = 2" in outputs["2"][1]
+        assert "process-tier" not in outputs["1"][1]
+
     def test_jobs_rejects_nonpositive(self, capsys):
         from repro.tools.repro_opt import main as repro_opt
 
@@ -437,15 +288,285 @@ class TestBatchDriver:
 
 
 class TestReportMerge:
-    def test_merge_without_renumbering_sums_same_buckets(self):
-        target = CompileReport(timings={"0: canonicalize": 1.0})
-        other = CompileReport(timings={"0: canonicalize": 2.0})
-        target.merge(other, renumber_timings=False)
-        assert target.timings == {"0: canonicalize": 3.0}
-
-    def test_merge_default_still_renumbers(self):
+    def test_merge_sums_same_buckets(self):
         target = CompileReport(timings={"0: canonicalize": 1.0})
         other = CompileReport(timings={"0: canonicalize": 2.0})
         target.merge(other)
-        assert target.timings == {"0: canonicalize": 1.0,
-                                  "1: canonicalize": 2.0}
+        assert target.timings == {"0: canonicalize": 3.0}
+
+
+def _batch_file(tmp_path, modules, name="batch.mlir"):
+    """One ``--split-input-file`` batch holding ``modules`` in order."""
+    path = tmp_path / name
+    path.write_text("// -----\n".join(
+        Printer().print_module(module) + "\n" for module in modules),
+        encoding="utf-8")
+    return path
+
+
+def _listing_segments():
+    return [wrap_in_module(build()[0]) for build in (
+        build_listing1_function, build_listing2_function,
+        build_listing3_function)]
+
+
+def _synthetic_segments():
+    return [generate_module(GeneratorConfig(num_ops=300, num_kernels=3,
+                                            seed=seed))
+            for seed in (11, 12)]
+
+
+def _compile_cli(tmp_path, capsys, inputs, jobs, extra=()):
+    """Run ``repro-opt`` on ``inputs`` with ``--jobs jobs``; returns the
+    exit code, the output bytes (``None`` when nothing was written) and
+    stderr."""
+    from repro.tools.repro_opt import main as repro_opt
+
+    out = tmp_path / f"out-jobs{jobs}.mlir"
+    rc = repro_opt([str(path) for path in inputs]
+                   + ["--jobs", str(jobs), "-o", str(out), *extra])
+    written = out.read_bytes() if out.exists() else None
+    return rc, written, capsys.readouterr().err
+
+
+def _pass_lines(err):
+    """``--report`` lines a serial and a process batch share: the pass
+    statistics and remarks, without the tier's and caches' own."""
+    return [line for line in err.splitlines()
+            if not re.search(r"process-tier|cache|analysis manager", line)]
+
+
+def _timing_rows(err):
+    """Row names of a ``--timing`` table (the ``gc:`` row only counts the
+    parent's collector, so it is left out)."""
+    return [line.split(")  ", 1)[1] for line in err.splitlines()
+            if re.match(r"^\s+\d+\.\d+ \(\s*[\d.]+%\)  ", line)
+            and not line.split(")  ", 1)[1].startswith("gc:")]
+
+
+class TestProcessBatchDeterminism:
+    """``--jobs N`` moves a batch onto worker processes without changing
+    a byte of what the serial batch prints or reports."""
+
+    @pytest.mark.parametrize("build_segments",
+                             [_listing_segments, _synthetic_segments])
+    def test_output_byte_identical_to_serial(self, tmp_path, capsys,
+                                             build_segments):
+        batch = _batch_file(tmp_path, build_segments())
+        extra = ("--split-input-file", "--passes", PIPELINE, "--report")
+        rc, serial, serial_err = _compile_cli(tmp_path, capsys, [batch], 1,
+                                              extra)
+        assert rc == 0, serial_err
+        rc, parallel, err = _compile_cli(tmp_path, capsys, [batch], 2,
+                                         extra)
+        assert rc == 0, err
+        assert parallel == serial
+        segments = len(build_segments())
+        assert f"process-tier: segments = {segments}" in err
+        for text in parallel.decode("utf-8").split("// -----\n"):
+            verify(parse_module(text))
+
+    def test_statistics_totals_and_order_identical(self, tmp_path, capsys):
+        batch = _batch_file(tmp_path, _synthetic_segments())
+        extra = ("--split-input-file", "--passes", PIPELINE, "--report")
+        _, _, serial_err = _compile_cli(tmp_path, capsys, [batch], 1, extra)
+        _, _, err = _compile_cli(tmp_path, capsys, [batch], 2, extra)
+        serial_lines = _pass_lines(serial_err)
+        assert any(" = " in line for line in serial_lines)
+        assert _pass_lines(err) == serial_lines
+
+    def test_timing_rows_identical_to_serial(self, tmp_path, capsys):
+        batch = _batch_file(tmp_path, _listing_segments())
+        extra = ("--split-input-file", "--passes", PIPELINE, "--timing")
+        _, _, serial_err = _compile_cli(tmp_path, capsys, [batch], 1, extra)
+        _, _, err = _compile_cli(tmp_path, capsys, [batch], 2, extra)
+        rows = _timing_rows(serial_err)
+        # Position-keyed: one row per scheduled slot, "N: name".
+        assert rows and all(": " in row for row in rows[:-1])
+        assert rows[-1] == "Total"
+        assert _timing_rows(err) == rows
+
+    @pytest.mark.parametrize("pipeline", ["dpcpp", "sycl-mlir"])
+    def test_named_pipeline_matches_serial(self, tmp_path, capsys,
+                                           pipeline):
+        batch = _batch_file(tmp_path, _listing_segments())
+        extra = ("--split-input-file", "--pipeline", pipeline, "--report")
+        rc, serial, serial_err = _compile_cli(tmp_path, capsys, [batch], 1,
+                                              extra)
+        assert rc == 0, serial_err
+        rc, parallel, err = _compile_cli(tmp_path, capsys, [batch], 2,
+                                         extra)
+        assert rc == 0, err
+        assert parallel == serial
+        assert "process-tier: segments = 3" in err
+
+    def test_several_input_files_keep_input_order(self, tmp_path, capsys):
+        inputs = []
+        for index, module in enumerate(_listing_segments()):
+            inputs.append(_batch_file(tmp_path, [module],
+                                      name=f"in{index}.mlir"))
+        extra = ("--passes", PIPELINE, "--report")
+        rc, serial, _ = _compile_cli(tmp_path, capsys, inputs, 1, extra)
+        assert rc == 0
+        rc, parallel, err = _compile_cli(tmp_path, capsys, inputs, 2, extra)
+        assert rc == 0, err
+        assert parallel == serial
+        assert "process-tier: segments = 3" in err
+        text = parallel.decode("utf-8")
+        assert text.index('"foo"') < text.index('"non_uniform"') \
+            < text.index('"mem_acc"')
+
+
+class TestSerialBatchConditions:
+    """A batch that something in the parent must watch, or that prints
+    through the in-process printer, compiles serially even under
+    ``--jobs N``: the process tier is never dispatched."""
+
+    def _serial_and_jobs(self, tmp_path, capsys, extra):
+        batch = _batch_file(tmp_path, _listing_segments())
+        runs = {}
+        for jobs in (1, 2):
+            with fault_plan("process-tier.dispatch=transient") as plan:
+                runs[jobs] = _compile_cli(
+                    tmp_path, capsys, [batch], jobs,
+                    ("--split-input-file", *extra))
+            assert plan.fires == []
+        assert multiprocessing.active_children() == []
+        return runs
+
+    @pytest.mark.parametrize("extra", [
+        ("--passes", PIPELINE, "--lint"),
+        ("--passes", PIPELINE, "--lint-each"),
+        ("--passes", PIPELINE, "--verify-each"),
+        ("--passes", PIPELINE, "--print-ir-after-all"),
+        ("--passes", PIPELINE, "--print-ir-after", "cse"),
+        ("--passes", PIPELINE, "--emit", "mlir"),
+        (),
+    ], ids=["lint", "lint-each", "verify-each", "print-ir-after-all",
+            "print-ir-after", "emit-mlir", "no-pipeline"])
+    def test_batch_compiles_in_process(self, tmp_path, capsys, extra):
+        runs = self._serial_and_jobs(tmp_path, capsys, (*extra, "--report"))
+        assert runs[2] == runs[1]
+        assert "process-tier" not in runs[2][2]
+
+    def test_verify_diagnostics_checks_in_process(self, tmp_path, capsys):
+        runs = self._serial_and_jobs(
+            tmp_path, capsys,
+            ("--passes", PIPELINE, "--verify-diagnostics"))
+        assert runs[2] == runs[1] == (0, None, "")
+
+
+class TestRemovedJobOptions:
+    """Only ``repro-opt`` fans out, and only a batch: the other CLIs
+    have no ``--jobs``."""
+
+    @pytest.mark.parametrize("tool", [repro_lint, repro_run],
+                             ids=["repro-lint", "repro-run"])
+    def test_jobs_is_a_usage_error(self, tool, tmp_path, capsys):
+        source = _batch_file(tmp_path, _listing_segments()[:1])
+        with pytest.raises(SystemExit) as exc:
+            tool.main([str(source), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestReportMergeContract:
+    def test_merge_sums_statistics_in_first_seen_order(self):
+        target = CompileReport()
+        target.add_statistic("cse", "erased", 2)
+        other = CompileReport()
+        other.add_statistic("dce", "erased", 1)
+        other.add_statistic("cse", "erased", 3)
+        target.merge(other)
+        assert [(s.pass_name, s.name, s.value)
+                for s in target.statistics] == [("cse", "erased", 5),
+                                                ("dce", "erased", 1)]
+        assert target.get_statistic("cse", "erased") == 5
+
+    def test_merge_appends_remarks_and_keeps_distinct_buckets(self):
+        target = CompileReport(timings={"0: canonicalize": 1.0},
+                               remarks=["first"])
+        other = CompileReport(timings={"1: cse": 2.0}, remarks=["second"])
+        target.merge(other)
+        assert target.remarks == ["first", "second"]
+        assert target.timings == {"0: canonicalize": 1.0, "1: cse": 2.0}
+
+    def test_cache_miss_report_matches_an_uncached_run(self):
+        uncached = _run(_synthetic_module())
+        cached = _run(_synthetic_module(), cache=CompileCache())
+        assert set(cached.timings) == set(uncached.timings)
+        assert [(s.pass_name, s.name, s.value)
+                for s in cached.statistics
+                if s.pass_name != "compile-cache"] == \
+            [(s.pass_name, s.name, s.value) for s in uncached.statistics]
+
+
+class _DominanceRequest(FunctionPass):
+    """Requests DominanceInfo per function through the current manager."""
+
+    NAME = "test-dominance-request"
+
+    def run_on_function(self, function, report):
+        self.get_analysis(DominanceInfo, function)
+
+
+class TestSharedAnalysisManager:
+    """The locks kept for ``repro-served``: request threads each run a
+    pass manager of their own against one shared analysis manager."""
+
+    def test_each_thread_sees_only_its_own_scope(self):
+        managers = [AnalysisManager(), AnalysisManager()]
+        inside = threading.Barrier(2)
+        seen = {}
+
+        def worker(index):
+            with analysis_scope(managers[index]):
+                inside.wait(timeout=10)
+                seen[index] = current_analysis_manager()
+                inside.wait(timeout=10)
+            seen[index, "after"] = current_analysis_manager()
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert seen == {0: managers[0], 1: managers[1],
+                        (0, "after"): None, (1, "after"): None}
+        assert current_analysis_manager() is None
+
+    def test_request_threads_share_one_manager(self):
+        def request_manager():
+            manager = parse_pass_pipeline(PIPELINE)
+            manager.nest("func.func").add(_DominanceRequest())
+            return manager
+
+        reference = _listing_module()
+        request_manager().run(reference)
+        expected = Printer().print_module(reference)
+        shared = AnalysisManager()
+        printed = [None] * 4
+        errors = []
+
+        def request(index):
+            try:
+                manager = request_manager()
+                manager.analysis_manager = shared
+                module = _listing_module()
+                manager.run(module)
+                printed[index] = Printer().print_module(module)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request, args=(index,))
+                   for index in range(len(printed))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert errors == []
+        assert printed == [expected] * len(printed)
+        # Every request built the dominance of its own three functions
+        # through the one shared manager.
+        assert shared.misses == len(printed) * 3

@@ -1,8 +1,8 @@
 """Differential-execution tests: every shipped pipeline must preserve
 the observable semantics of every listing module, and of generated
 kernels that trigger the heavyweight transforms (Loop Internalization
-with barriers + local tiles, Detect Reduction) — including under
-``jobs=4`` and a warm CompileCache."""
+with barriers + local tiles, Detect Reduction) — including through an
+explicit pass manager and a warm CompileCache."""
 
 import pytest
 
@@ -108,15 +108,11 @@ class TestGeneratedKernels:
         assert report.executed == ["guarded"]
 
 
-class TestConcurrentCompilation:
-    def test_jobs4_pipeline_preserves_semantics(self):
+class TestExplicitManager:
+    def test_explicit_manager_preserves_semantics(self):
         module, specs = _gemm_module()
-        manager = build_named_pipeline("sycl-mlir", jobs=4)
-        try:
-            report = run_differential(module, "sycl-mlir", specs=specs,
-                                      manager=manager)
-        finally:
-            manager.close()
+        report = run_differential(module, "sycl-mlir", specs=specs,
+                                  manager=build_named_pipeline("sycl-mlir"))
         assert report.executed == ["gemm"]
 
     def test_warm_compile_cache_preserves_semantics(self):
@@ -132,28 +128,20 @@ class TestConcurrentCompilation:
 
         warm = build_named_pipeline("sycl-mlir")
         warm.cache = cache
-        try:
-            report = run_differential(module, "sycl-mlir", specs=specs,
-                                      manager=warm)
-        finally:
-            warm.close()
-            primer.close()
+        report = run_differential(module, "sycl-mlir", specs=specs,
+                                  manager=warm)
         assert report.executed == ["gemm"]
         assert cache.describe()["hits"] >= 1
 
-    def test_jobs4_and_warm_cache_on_listings(self):
+    def test_warm_cache_on_listings(self):
         cache = CompileCache()
-        primer = build_named_pipeline("sycl-mlir", jobs=4)
+        primer = build_named_pipeline("sycl-mlir")
         primer.cache = cache
         primer.run(_listing_module(), report=CompileReport())
-        warm = build_named_pipeline("sycl-mlir", jobs=4)
+        warm = build_named_pipeline("sycl-mlir")
         warm.cache = cache
-        try:
-            report = run_differential(_listing_module(), "sycl-mlir",
-                                      specs=LISTING_SPECS, manager=warm)
-        finally:
-            warm.close()
-            primer.close()
+        report = run_differential(_listing_module(), "sycl-mlir",
+                                  specs=LISTING_SPECS, manager=warm)
         assert report.executed == ["foo", "mem_acc", "non_uniform"]
         assert cache.describe()["hits"] >= 1
 

@@ -2,14 +2,12 @@
 
 Every fault class the supervisor claims to survive is injected
 deterministically (:mod:`repro.faults`) at every injection point of a
-``repro-opt --jobs 4 --parallel-tier process`` batch, and the test
-asserts the *batch still succeeds with output byte-identical to the
-serial batch* — recovery by bounded retry, by pool rebuild, or by
-degradation to an in-process compile, never by silent corruption and
-never by failing a compile serial would pass.  The thread tier's one
-degradation rung (thread → serial), batch-mode error isolation and the
-graceful-Ctrl-C contract of the CLIs ride along (see
-``docs/robustness.md``).
+``repro-opt --jobs 4`` batch, and the test asserts the *batch still
+succeeds with output byte-identical to the serial batch* — recovery by
+bounded retry, by pool rebuild, or by degradation to an in-process
+compile, never by silent corruption and never by failing a compile
+serial would pass.  Batch-mode error isolation and the graceful-Ctrl-C
+contract of the CLIs ride along (see ``docs/robustness.md``).
 """
 
 import multiprocessing
@@ -61,11 +59,7 @@ def _listing_module():
 
 def _serial_print():
     module = _listing_module()
-    manager = parse_pass_pipeline(PIPELINE)
-    try:
-        manager.run(module)
-    finally:
-        manager.close()
+    parse_pass_pipeline(PIPELINE).run(module)
     return Printer().print_module(module)
 
 
@@ -125,8 +119,8 @@ def _run_process(inputs, capsys, spec=None, extra=()):
         if spec is not None:
             install_fault_plan(FaultPlan.parse(spec))
         rc, out, err = _compile_batch(
-            inputs, ["--jobs", "4", "--parallel-tier", "process",
-                     "--report", *extra], capsys, "process.mlir")
+            inputs, ["--jobs", "4", "--report", *extra], capsys,
+            "process.mlir")
     finally:
         install_fault_plan(None)
     assert rc == 0, err
@@ -300,11 +294,11 @@ class TestProcessTier:
         assert _stat(err, "process-tier", "degraded") == 1
         assert "process-tier: degraded to in-process batch" in err
 
-    def test_full_ladder_process_batch_to_threads_to_serial(
+    def test_full_ladder_process_batch_to_serial(
             self, tmp_path, monkeypatch, capsys):
-        """Both rungs in order: the process tier fails as a whole, the
-        batch compiles in-process on ``--jobs`` threads, and a failed
-        thread dispatch there runs serially — output still serial's."""
+        """The one rung: the process tier fails as a whole and the batch
+        of multi-function modules compiles serially in-process — output
+        still serial's."""
         monkeypatch.chdir(tmp_path)
         builds = (build_listing1_function, build_listing2_function,
                   build_listing3_function)
@@ -318,65 +312,43 @@ class TestProcessTier:
         rc, serial, serial_err = _compile_batch(inputs, [], capsys,
                                                 "serial.mlir")
         assert rc == 0, serial_err
-        with fault_plan("process-tier.dispatch=transient;"
-                        "thread-tier.dispatch=transient"):
+        with fault_plan("process-tier.dispatch=transient"):
             rc, out, err = _compile_batch(
-                inputs, ["--jobs", "4", "--parallel-tier", "process",
-                         "--report"], capsys, "process.mlir")
+                inputs, ["--jobs", "4", "--report"], capsys, "process.mlir")
         assert rc == 0, err
         assert out == serial
         assert _stat(err, "process-tier", "degraded") == 1
-        assert _stat(err, "thread-tier", "degraded") == 1
-        assert err.index("process-tier: degraded to in-process batch") \
-            < err.index("thread-tier: degraded to serial")
+        assert "process-tier: degraded to in-process batch" in err
 
-    def test_single_input_compiles_in_process_on_threads(
+    def test_single_input_compiles_serially_in_process(
             self, tmp_path, monkeypatch, capsys, serial_text):
-        """One module never reaches worker processes: ``--parallel-tier
-        process`` compiles it in-process on ``--jobs`` threads."""
+        """One module never reaches worker processes: ``--jobs 4``
+        compiles it serially in-process."""
         monkeypatch.chdir(tmp_path)
         Path("all.mlir").write_text(
             Printer().print_module(_listing_module()) + "\n",
             encoding="utf-8")
-        with fault_plan("thread-tier.dispatch=transient") as plan:
+        with fault_plan("process-tier.dispatch=transient") as plan:
             rc, out, err = _compile_batch(
-                ["all.mlir"], ["--jobs", "4", "--parallel-tier", "process",
-                               "--report"], capsys, "out.mlir")
+                ["all.mlir"], ["--jobs", "4", "--report"], capsys,
+                "out.mlir")
         assert rc == 0, err
         assert out == serial_text + "\n"
-        # The thread tier was dispatched (and its injected fault fired);
-        # the process tier never was.
-        assert [fire.point for fire in plan.fires] == ["thread-tier.dispatch"]
+        # The process tier was never dispatched, so its fault never fired.
+        assert plan.fires == []
         assert "process-tier" not in err
         assert multiprocessing.active_children() == []
-
-    def test_ladder_thread_to_serial(self, serial_text):
-        module = _listing_module()
-        manager = parse_pass_pipeline(PIPELINE)
-        manager.jobs = 4
-        try:
-            with fault_plan("thread-tier.dispatch=transient"):
-                report = manager.run(module)
-        finally:
-            manager.close()
-        assert Printer().print_module(module) == serial_text
-        assert _stat(report, "thread-tier", "degraded") == 1
-        assert any("thread-tier: degraded to serial" in remark
-                   for remark in report.remarks)
 
 
 class TestCacheSelfHealing:
     def test_corrupt_hit_evicts_and_recompiles(self, serial_text):
         manager = parse_pass_pipeline(PIPELINE)
         manager.cache = CompileCache()
-        try:
-            manager.run(_listing_module())  # cold: populates the cache
-            assert manager.cache.stats.misses == 1
-            module = _listing_module()
-            with fault_plan("compile-cache.hit=corrupt"):
-                report = manager.run(module)
-        finally:
-            manager.close()
+        manager.run(_listing_module())  # cold: populates the cache
+        assert manager.cache.stats.misses == 1
+        module = _listing_module()
+        with fault_plan("compile-cache.hit=corrupt"):
+            report = manager.run(module)
         assert Printer().print_module(module) == serial_text
         assert _stat(report, "compile-cache", "recovered") == 1
         assert any("compile-cache: recovered from corrupt entry" in remark
@@ -387,11 +359,8 @@ class TestCacheSelfHealing:
         assert len(manager.cache) == 1
         manager2 = parse_pass_pipeline(PIPELINE)
         manager2.cache = manager.cache
-        try:
-            module = _listing_module()
-            clean = manager2.run(module)
-        finally:
-            manager2.close()
+        module = _listing_module()
+        clean = manager2.run(module)
         assert Printer().print_module(module) == serial_text
         assert _stat(clean, "compile-cache", "hits") == 1
         assert _stat(clean, "compile-cache", "recovered") == 0
@@ -426,7 +395,7 @@ def _broken_verify_segment():
 
 class TestBatchIsolation:
     @pytest.mark.parametrize("tier_args", [
-        [], ["--jobs", "4", "--parallel-tier", "process"],
+        [], ["--jobs", "4"],
     ], ids=["serial", "process"])
     def test_parse_error_does_not_abort_batch(self, tmp_path, capsys,
                                               tier_args):
@@ -485,8 +454,7 @@ class TestProcessBatchCLI:
         assert rc == 0
         rc, process_out, err = self._compile(
             tmp_path, capsys,
-            ["--jobs", "4", "--parallel-tier", "process", "--report"],
-            name="process.mlir")
+            ["--jobs", "4", "--report"], name="process.mlir")
         assert rc == 0
         assert process_out == serial_out
         assert "process-tier: segments = 2" in err
@@ -497,7 +465,7 @@ class TestProcessBatchCLI:
         monkeypatch.setenv(FAULT_PLAN_ENV, "executor.worker=transient")
         rc, _out, err = self._compile(
             tmp_path, capsys,
-            ["--jobs", "4", "--parallel-tier", "process", "--report"])
+            ["--jobs", "4", "--report"])
         assert rc == 0
         assert "transient_retries" in err
         assert "recovered after 1 failed attempt(s)" in err
@@ -533,7 +501,7 @@ class TestGracefulInterrupt:
         monkeypatch.setattr(executor, "wait", interrupt)
         install_fault_plan(FaultPlan.parse("executor.worker:*=hang/60"))
         rc = repro_opt.main(listing_batch + [
-            "--passes", PIPELINE, "--jobs", "4", "--parallel-tier", "process"])
+            "--passes", PIPELINE, "--jobs", "4"])
         assert rc == 130
         assert "repro-opt: interrupted" in capsys.readouterr().err
         assert running and running[0] > 0

@@ -13,7 +13,7 @@ Covers the lowering subsystem end to end:
   adds an out-of-loop term, a two-deep nest equal on the interpreter
   and the JIT, ``scf.if``-only code unchanged) and no entry block
   repeating a constant; the CFG fallback of the old pass order;
-  ``jobs=N`` output;
+  one manager's repeated runs;
 * differential equivalence of the fully lowered module against the
   source — all listings, GEMM, and the internalizing composition
   (``sycl-mlir`` *then* ``lower-to-llvm``) — across all execution tiers;
@@ -662,10 +662,10 @@ class TestOldPassOrder:
         assert not _mixed_level_geps(new_order)
 
 
-class TestParallelLowering:
-    def test_jobs_give_byte_identical_output(self):
+class TestRepeatedLowering:
+    def test_runs_give_byte_identical_output(self):
         """The ingredient memo is per run of the pass on a function, so
-        pooled pass instances shared by three workers change nothing."""
+        a pooled manager's pass instances, reused, change nothing."""
         module, _ = _internalized_gemm()
         for build in (build_listing1_function, build_listing2_function,
                       build_listing3_function):
@@ -673,13 +673,10 @@ class TestParallelLowering:
         module.append(_build_transpose_add_function())
         text = print_op(module)
         lowered = []
-        for jobs in (1, 3):
+        manager = build_named_pipeline("lower-to-llvm")
+        for _ in range(2):
             copy = parse_module(text)
-            manager = build_named_pipeline("lower-to-llvm", jobs=jobs)
-            try:
-                manager.run(copy)
-            finally:
-                manager.close()
+            manager.run(copy)
             lowered.append(print_op(copy))
         assert lowered[0] == lowered[1]
         assert '"builtin.unrealized_conversion_cast"' in lowered[0]

@@ -1,8 +1,8 @@
 """The PR-6 static verification layer, end to end.
 
 Covers the :class:`~repro.analysis.manager.AnalysisManager` contract
-(caching, preservation, invalidation, version-stamp safety net, the
-``jobs=N`` merge and the compile-cache interplay), the lint rule engine
+(caching, preservation, invalidation, version-stamp safety net, one
+entry per function and the compile-cache interplay), the lint rule engine
 that statically catches PR 5's miscompile classes, source locations
 (parser, printer round-trip, kernel builder call-sites), the
 ``repro-lint`` / ``repro-opt --lint`` drivers and the
@@ -282,19 +282,16 @@ class TestPassManagerIntegration:
         warm = pm.analysis_manager.describe()
         assert warm["hits"] > cold["hits"]
 
-    def test_jobs4_merges_worker_stats_and_entries(self):
+    def test_function_pipeline_caches_one_entry_per_function(self):
         functions = [build_listing1_function()[0] for _ in range(4)]
         for i, f in enumerate(functions):
             f.set_attr("sym_name", StringAttr(f"f{i}"))
         module = wrap_in_module(*functions)
-        pm = PassManager(jobs=4)
+        pm = PassManager()
         fpm = pm.nest("func.func")
         requesting = RequestingPass(preserve=True)
         fpm.add(requesting)
-        try:
-            pm.run(module)
-        finally:
-            pm.close()
+        pm.run(module)
         stats = pm.analysis_manager.describe()
         assert len(requesting.seen) == 4
         assert stats["misses"] >= 4
