@@ -31,9 +31,6 @@ class AliasResult(enum.Enum):
     def is_must(self) -> bool:
         return self is AliasResult.MUST_ALIAS
 
-    def is_may(self) -> bool:
-        return self in (AliasResult.MAY_ALIAS, AliasResult.PARTIAL_ALIAS)
-
 
 def underlying_object(value: Value) -> Value:
     """Chase view-like operations back to the underlying allocation/argument.

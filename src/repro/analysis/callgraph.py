@@ -72,23 +72,12 @@ class CallGraph:
                 node.call_sites.append(site)
                 self.nodes[callee_name].callers.append(site)
 
-    # ------------------------------------------------------------------
-    def lookup(self, name: str) -> Optional[Operation]:
-        return self._functions_by_name.get(name)
-
     def node(self, function: Operation) -> Optional[CallGraphNode]:
         return self.nodes.get(function.get_str_attr("sym_name", ""))
 
     def callers_of(self, function: Operation) -> List[CallSite]:
         node = self.node(function)
         return list(node.callers) if node else []
-
-    def callees_of(self, function: Operation) -> List[CallSite]:
-        node = self.node(function)
-        return list(node.call_sites) if node else []
-
-    def functions(self) -> List[Operation]:
-        return [node.function for node in self.nodes.values()]
 
     def has_external_callers(self, function: Operation) -> bool:
         """Kernel entry points / public functions may be called externally."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Generic, Optional, TypeVar
 
-from ..ir import DiagnosticEngine, Operation, location_of
+from ..ir import Operation
 from ..dialects import affine as affine_dialect
 from ..dialects import scf as scf_dialect
 
@@ -30,20 +30,6 @@ LOOP_FIXPOINT_LIMIT = 64
 class NonConvergenceWarning(UserWarning):
     """A loop-body fixpoint hit :data:`LOOP_FIXPOINT_LIMIT` while still
     changing; facts derived below that loop may be unsound."""
-
-
-class AbstractState:
-    """Interface for analysis states."""
-
-    def copy(self) -> "AbstractState":  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def join(self, other: "AbstractState") -> bool:
-        """Merge ``other`` into self; return True if self changed."""
-        raise NotImplementedError
-
-    def __eq__(self, other) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 class StructuredDataFlowAnalysis(Generic[StateT]):
@@ -66,9 +52,6 @@ class StructuredDataFlowAnalysis(Generic[StateT]):
 
     def __init__(self):
         self._before: Dict[int, StateT] = {}
-        #: Optional sink for non-convergence diagnostics; falls back to
-        #: ``warnings.warn(NonConvergenceWarning)`` when unset.
-        self.diagnostics_engine: Optional[DiagnosticEngine] = None
         #: False once any loop fixpoint hit the iteration cap.
         self.converged = True
 
@@ -97,10 +80,7 @@ class StructuredDataFlowAnalysis(Generic[StateT]):
             f"data-flow fixpoint for '{loop.name}' did not converge within "
             f"{LOOP_FIXPOINT_LIMIT} iterations; facts below this loop are "
             f"conservative")
-        if self.diagnostics_engine is not None:
-            self.diagnostics_engine.warning(message, location_of(loop))
-        else:
-            warnings.warn(message, NonConvergenceWarning, stacklevel=3)
+        warnings.warn(message, NonConvergenceWarning, stacklevel=3)
 
     def _record(self, op: Operation, state: StateT) -> None:
         self._before[id(op)] = state.copy()
@@ -123,7 +103,7 @@ class StructuredDataFlowAnalysis(Generic[StateT]):
             return
 
         if isinstance(op, (scf_dialect.ForOp, affine_dialect.AffineForOp,
-                           scf_dialect.WhileOp, scf_dialect.ParallelOp)):
+                           scf_dialect.WhileOp)):
             before_loop = state.copy()
             changed = True
             for _ in range(LOOP_FIXPOINT_LIMIT):

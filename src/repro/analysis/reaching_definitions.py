@@ -34,9 +34,6 @@ class ReachingDefs:
     def all_definitions(self) -> FrozenSet[Operation]:
         return self.mods | self.pmods
 
-    def is_empty(self) -> bool:
-        return not self.mods and not self.pmods
-
 
 class _DefinitionState:
     """Per-object sets of reaching writes plus "unknown" writes."""
@@ -127,9 +124,3 @@ class ReachingDefinitionAnalysis(StructuredDataFlowAnalysis[_DefinitionState]):
             else:
                 pmods |= ops
         return ReachingDefs(frozenset(mods), frozenset(pmods))
-
-    def definite_modifiers(self, at: Operation, value: Value) -> FrozenSet[Operation]:
-        return self.reaching_definitions(at, value).mods
-
-    def potential_modifiers(self, at: Operation, value: Value) -> FrozenSet[Operation]:
-        return self.reaching_definitions(at, value).pmods

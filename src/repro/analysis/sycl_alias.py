@@ -54,10 +54,6 @@ def _is_index_like(value: Value) -> bool:
     return isinstance(_element_kind(value), _INDEX_LIKE)
 
 
-def _is_accessor(value: Value) -> bool:
-    return isinstance(_element_kind(value), AccessorType)
-
-
 def _noalias_arg_indices(func: FuncOp) -> Sequence[int]:
     attr = func.attributes.get("sycl.noalias_args")
     if isinstance(attr, ArrayAttr):

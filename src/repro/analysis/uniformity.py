@@ -88,12 +88,6 @@ class UniformityAnalysis:
     def uniformity_of(self, value: Value) -> Uniformity:
         return self._uniformity.get(id(value), Uniformity.UNKNOWN)
 
-    def is_uniform(self, value: Value) -> bool:
-        return self.uniformity_of(value) is Uniformity.UNIFORM
-
-    def is_non_uniform(self, value: Value) -> bool:
-        return self.uniformity_of(value) is Uniformity.NON_UNIFORM
-
     def is_divergent_branch(self, op: Operation) -> bool:
         """An ``scf.if`` whose condition is not known to be uniform."""
         if not isinstance(op, scf_dialect.IfOp):
@@ -126,15 +120,6 @@ class UniformityAnalysis:
         scope = root if root is not None else self.root
         return [op for op in scope.walk()
                 if self.is_divergent_branch(op)]
-
-    def is_work_item_scalar(self, value: Value) -> bool:
-        """True when ``value`` varies per work-item (the vectorizer's
-        "lane-varying" lattice point, complementing :meth:`is_uniform`).
-
-        ``UNKNOWN`` values answer ``False`` for both queries: a vectorizer
-        must treat them as illegal to vectorize rather than guess.
-        """
-        return self.uniformity_of(value) is Uniformity.NON_UNIFORM
 
     # ------------------------------------------------------------------
     # Driver

@@ -1,6 +1,6 @@
 """Dialect definitions used by the SYCL-MLIR reproduction.
 
-Besides the dialect descriptors, importing this module fills the
+Importing this module registers every dialect's operations and fills the
 **dialect type parser registry** :mod:`repro.ir.parser` resolves
 ``!``-prefixed types through (``!sycl_id_2``, ``!llvm.ptr<i32>``, ...);
 the registry's functions are re-exported here.  Each dialect registers a
@@ -20,43 +20,15 @@ from ..ir.parser import (
     registered_type_parsers,
 )
 from . import affine, arith, builtin, cf, func, llvm, math, memref, scf, sycl
-from .affine import AffineDialect
-from .arith import ArithDialect
-from .builtin import BuiltinDialect, ModuleOp
-from .cf import CFDialect
-from .func import FuncDialect, FuncOp
-from .llvm import LLVMDialect
-from .math import MathDialect
-from .memref import MemRefDialect
-from .scf import SCFDialect
-from .sycl import SYCLDialect
+from .builtin import ModuleOp
+from .func import FuncOp
 
 register_type_parser("sycl", sycl.parse_sycl_type)
 register_type_parser("llvm", llvm.parse_llvm_type)
 
-
-def all_dialects():
-    """Instantiate every dialect shipped with the project."""
-    return [
-        BuiltinDialect(),
-        FuncDialect(),
-        ArithDialect(),
-        MathDialect(),
-        MemRefDialect(),
-        SCFDialect(),
-        AffineDialect(),
-        CFDialect(),
-        LLVMDialect(),
-        SYCLDialect(),
-    ]
-
-
 __all__ = [
     "affine", "arith", "builtin", "cf", "func", "llvm", "math", "memref",
-    "scf", "sycl", "AffineDialect", "ArithDialect", "BuiltinDialect",
-    "CFDialect", "FuncDialect",
-    "LLVMDialect", "MathDialect", "MemRefDialect", "SCFDialect",
-    "SYCLDialect", "ModuleOp", "FuncOp", "all_dialects",
+    "scf", "sycl", "ModuleOp", "FuncOp",
     "TypeParser", "register_type_parser", "lookup_type_parser",
     "registered_type_parsers",
 ]

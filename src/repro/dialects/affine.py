@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 from ..ir import (
     Block,
-    Dialect,
     IndexType,
     IntegerAttr,
     LoopLikeInterface,
@@ -97,9 +96,6 @@ class AffineForOp(Operation, LoopLikeInterface):
 
     def loop_body(self) -> Block:
         return self.body
-
-    def loop_bounds(self):
-        return (self.lower_bound, self.upper_bound, self.step)
 
     def constant_bounds(self) -> Optional[tuple]:
         lb = constant_value_of(self.lower_bound)
@@ -214,41 +210,11 @@ class AffineMinOp(Operation):
     OPERATION_NAME = "affine.min"
     TRAITS = frozenset({Trait.PURE})
 
-    @classmethod
-    def build(cls, operands: Sequence[Value]) -> "AffineMinOp":
-        return cls(operands=tuple(operands), result_types=(IndexType(),))
-
     def fold(self):
         values = [constant_value_of(v) for v in self.operands]
         if any(v is None for v in values):
             return None
         return [IntegerAttr(min(int(v) for v in values), i64())]
-
-
-def is_affine_access(op: Operation) -> bool:
-    return isinstance(op, (AffineLoadOp, AffineStoreOp))
-
-
-def enclosing_affine_loops(op: Operation) -> List[AffineForOp]:
-    """Affine loops enclosing ``op``, outermost first."""
-    loops: List[AffineForOp] = []
-    parent = op.parent_op()
-    while parent is not None:
-        if isinstance(parent, AffineForOp):
-            loops.append(parent)
-        parent = parent.parent_op()
-    loops.reverse()
-    return loops
-
-
-def is_perfectly_nested(outer: AffineForOp, inner: AffineForOp) -> bool:
-    """True if ``inner`` is the only non-terminator operation in ``outer``."""
-    body_ops = outer.body.ops_without_terminator()
-    return len(body_ops) == 1 and body_ops[0] is inner
-
-
-class AffineDialect(Dialect):
-    NAME = "affine"
 
 
 # ---------------------------------------------------------------------------

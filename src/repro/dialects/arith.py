@@ -13,10 +13,8 @@ from typing import Optional
 from ..ir import (
     Attribute,
     BoolAttr,
-    Dialect,
     FloatAttr,
     FloatType,
-    IndexType,
     IntegerAttr,
     IntegerType,
     Operation,
@@ -66,9 +64,6 @@ class ConstantOp(Operation):
             return attr.value
         raise TypeError(f"unexpected constant attribute {attr!r}")
 
-    def fold(self):
-        return [self.attributes["value"]]
-
 
 class _BinaryOp(Operation):
     """Shared implementation for binary element-wise arithmetic."""
@@ -81,14 +76,6 @@ class _BinaryOp(Operation):
               result_type: Optional[Type] = None) -> "_BinaryOp":
         return cls(operands=(lhs, rhs),
                    result_types=(result_type or lhs.type,))
-
-    @property
-    def lhs(self) -> Value:
-        return self.operands[0]
-
-    @property
-    def rhs(self) -> Value:
-        return self.operands[1]
 
     def _compute(self, a, b):
         raise NotImplementedError
@@ -388,30 +375,9 @@ class NegFOp(Operation):
         return [FloatAttr(-float(value), self.results[0].type)]
 
 
-def constant_int(value: int, type_: Optional[Type] = None) -> ConstantOp:
-    """Convenience builder for integer constants (defaults to ``index``)."""
-    return ConstantOp.build(value, type_ or IndexType())
-
-
-def constant_float(value: float, type_: Optional[Type] = None) -> ConstantOp:
-    return ConstantOp.build(value, type_ or FloatType(32))
-
-
-def constant_bool(value: bool) -> ConstantOp:
-    return ConstantOp.build(bool(value), i1())
-
-
-def is_constant(value: Value) -> bool:
-    return _const_value(value) is not None
-
-
 def constant_value_of(value: Value):
     """Python constant behind ``value`` or None."""
     return _const_value(value)
-
-
-class ArithDialect(Dialect):
-    NAME = "arith"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from typing import Iterator, Optional
 
 from ..ir import (
     Block,
-    Dialect,
     Operation,
     StringAttr,
     Trait,
@@ -41,21 +40,8 @@ class ModuleOp(Operation):
     def body(self) -> Block:
         return self.regions[0].front
 
-    @property
-    def sym_name(self) -> Optional[str]:
-        return self.get_str_attr("sym_name")
-
     def append(self, op: Operation) -> Operation:
         return self.body.append(op)
-
-    def functions(self) -> Iterator[Operation]:
-        """Yield all function-like symbol operations directly in this module."""
-        from .func import FuncOp
-        from .llvm import LLVMFuncOp
-
-        for op in self.body.operations:
-            if isinstance(op, (FuncOp, LLVMFuncOp)):
-                yield op
 
     def submodules(self) -> Iterator["ModuleOp"]:
         for op in self.body.operations:
@@ -87,25 +73,13 @@ class UnrealizedConversionCastOp(Operation):
         return cls(operands=(value,), result_types=(result_type,))
 
 
-class BuiltinDialect(Dialect):
-    NAME = "builtin"
-
-
 # ---------------------------------------------------------------------------
 # Interpreter evaluators (see repro.interp)
 # ---------------------------------------------------------------------------
 
-from ..interp.memory import InterpreterError  # noqa: E402
 from ..interp.registry import register_evaluator  # noqa: E402
 
 
 @register_evaluator("builtin.unrealized_conversion_cast")
 def _eval_unrealized_cast(ctx, op, args):
     return [args[0]]
-
-
-@register_evaluator("builtin.module")
-def _eval_module(ctx, op, args):
-    raise InterpreterError(
-        "builtin.module is a container, not an executable operation; "
-        "use Interpreter.call(<function name>) instead")

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from ..ir import (
     Block,
-    Dialect,
     IntegerAttr,
     Operation,
     Trait,
@@ -40,10 +39,6 @@ class BranchOp(Operation):
     @property
     def dest(self) -> Block:
         return self.successors[0]
-
-    @property
-    def dest_operands(self) -> Sequence[Value]:
-        return self.operands
 
     def verify_op(self) -> None:
         if len(self.successors) != 1:
@@ -111,10 +106,6 @@ class CondBranchOp(Operation):
             raise ValueError(
                 "cf.cond_br destination operand counts do not match the "
                 "successor block arguments")
-
-
-class CFDialect(Dialect):
-    NAME = "cf"
 
 
 # ---------------------------------------------------------------------------

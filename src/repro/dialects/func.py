@@ -7,7 +7,6 @@ from typing import Optional, Sequence
 from ..ir import (
     Block,
     CallOpInterface,
-    Dialect,
     FunctionType,
     Operation,
     StringAttr,
@@ -73,10 +72,6 @@ class FuncOp(Operation):
         return self.regions[0].front
 
     @property
-    def entry_block(self) -> Block:
-        return self.body
-
-    @property
     def arguments(self):
         return self.body.arguments
 
@@ -86,19 +81,6 @@ class FuncOp(Operation):
 
     def is_kernel(self) -> bool:
         return "sycl.kernel" in self.attributes
-
-    def set_function_type(self, arg_types: Sequence[Type],
-                          result_types: Sequence[Type]) -> None:
-        self.set_attr("function_type", TypeAttr(
-            FunctionType(tuple(arg_types), tuple(result_types))))
-
-    def erase_argument(self, index: int) -> None:
-        """Remove argument ``index`` from the signature and entry block."""
-        self.body.erase_argument(index)
-        ftype = self.function_type
-        new_inputs = tuple(t for i, t in enumerate(ftype.inputs) if i != index)
-        self.set_attr("function_type", TypeAttr(
-            FunctionType(new_inputs, ftype.results)))
 
 
 @register_op
@@ -132,10 +114,6 @@ class CallOp(Operation, CallOpInterface):
 
     def call_arguments(self) -> Sequence[Value]:
         return self.operands
-
-
-class FuncDialect(Dialect):
-    NAME = "func"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 from ..ir import (
     Block,
     CallOpInterface,
-    Dialect,
     FloatAttr,
     FloatType,
     FunctionType,
@@ -29,7 +28,6 @@ from ..ir import (
     Trait,
     Type,
     TypeAttr,
-    UnitAttr,
     Value,
     i64,
     int_array_attr,
@@ -37,7 +35,6 @@ from ..ir import (
     is_scalar,
     register_op,
 )
-from ..ir.attributes import DenseElementsAttr
 from ..ir.interfaces import allocate, read, write
 
 
@@ -144,18 +141,11 @@ class LLVMConstantOp(Operation):
         attr = self.attributes["value"]
         return attr.value
 
-    def fold(self):
-        return [self.attributes["value"]]
-
 
 @register_op
 class LLVMUndefOp(Operation):
     OPERATION_NAME = "llvm.mlir.undef"
     TRAITS = frozenset({Trait.PURE})
-
-    @classmethod
-    def build(cls, type_: Type) -> "LLVMUndefOp":
-        return cls(operands=(), result_types=(type_,))
 
 
 @register_op
@@ -202,10 +192,6 @@ class LLVMStoreOp(Operation, MemoryEffectsInterface):
         return cls(operands=(value, pointer))
 
     @property
-    def value(self) -> Value:
-        return self.operands[0]
-
-    @property
     def pointer(self) -> Value:
         return self.operands[1]
 
@@ -230,10 +216,6 @@ class LLVMGEPOp(Operation):
                        static_offsets, i64())})
 
     @property
-    def base(self) -> Value:
-        return self.operands[0]
-
-    @property
     def static_offsets(self) -> List[int]:
         return int_array_values(self.attributes.get("static_offsets"))
 
@@ -243,10 +225,6 @@ class LLVMBitcastOp(Operation):
     OPERATION_NAME = "llvm.bitcast"
     TRAITS = frozenset({Trait.PURE})
 
-    @classmethod
-    def build(cls, value: Value, result_type: Type) -> "LLVMBitcastOp":
-        return cls(operands=(value,), result_types=(result_type,))
-
 
 @register_op
 class LLVMGlobalOp(Operation):
@@ -255,26 +233,11 @@ class LLVMGlobalOp(Operation):
     OPERATION_NAME = "llvm.mlir.global"
     TRAITS = frozenset({Trait.SYMBOL})
 
-    @classmethod
-    def build(cls, name: str, value: Optional[DenseElementsAttr] = None,
-              constant: bool = True) -> "LLVMGlobalOp":
-        attrs = {"sym_name": StringAttr(name)}
-        if value is not None:
-            attrs["value"] = value
-        if constant:
-            attrs["constant"] = UnitAttr()
-        return cls(operands=(), result_types=(), attributes=attrs)
-
 
 @register_op
 class LLVMAddressOfOp(Operation):
     OPERATION_NAME = "llvm.mlir.addressof"
     TRAITS = frozenset({Trait.PURE})
-
-    @classmethod
-    def build(cls, global_name: str) -> "LLVMAddressOfOp":
-        return cls(operands=(), result_types=(PointerType(),),
-                   attributes={"global_name": StringAttr(global_name)})
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +310,8 @@ class LLVMFNegOp(_arith.NegFOp):
 
 
 @register_op
-class LLVMSExtOp(_arith._CastOp):
+class LLVMSExtOp(_arith.ExtSIOp):
     OPERATION_NAME = "llvm.sext"
-
-    def _convert(self, value):
-        return int(value)
 
 
 @register_op
@@ -359,48 +319,33 @@ class LLVMZExtOp(_arith._CastOp):
     OPERATION_NAME = "llvm.zext"
 
     def _convert(self, value):
-        return int(value)
-
-
-@register_op
-class LLVMTruncOp(_arith._CastOp):
-    OPERATION_NAME = "llvm.trunc"
-
-    def _convert(self, value):
-        width = self.results[0].type.width
+        width = self.operands[0].type.width
         return int(value) & ((1 << width) - 1)
 
 
 @register_op
-class LLVMSIToFPOp(_arith._CastOp):
+class LLVMTruncOp(_arith.TruncIOp):
+    OPERATION_NAME = "llvm.trunc"
+
+
+@register_op
+class LLVMSIToFPOp(_arith.SIToFPOp):
     OPERATION_NAME = "llvm.sitofp"
 
-    def _convert(self, value):
-        return float(value)
-
 
 @register_op
-class LLVMFPToSIOp(_arith._CastOp):
+class LLVMFPToSIOp(_arith.FPToSIOp):
     OPERATION_NAME = "llvm.fptosi"
 
-    def _convert(self, value):
-        return int(value)
-
 
 @register_op
-class LLVMFPExtOp(_arith._CastOp):
+class LLVMFPExtOp(_arith.ExtFOp):
     OPERATION_NAME = "llvm.fpext"
 
-    def _convert(self, value):
-        return float(value)
-
 
 @register_op
-class LLVMFPTruncOp(_arith._CastOp):
+class LLVMFPTruncOp(_arith.TruncFOp):
     OPERATION_NAME = "llvm.fptrunc"
-
-    def _convert(self, value):
-        return float(value)
 
 
 #: ``arith`` operation name -> mirroring ``llvm`` operation class: the
@@ -608,7 +553,3 @@ def _eval_llvm_unsupported(ctx, op, args):
 
 for _name in ("llvm.mlir.global", "llvm.mlir.addressof"):
     register_evaluator(_name, _eval_llvm_unsupported)
-
-
-class LLVMDialect(Dialect):
-    NAME = "llvm"

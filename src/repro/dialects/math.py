@@ -6,7 +6,6 @@ import math
 from typing import Callable
 
 from ..ir import (
-    Dialect,
     FloatAttr,
     InterpretableOpInterface,
     Operation,
@@ -144,7 +143,3 @@ def _eval_powf(ctx, op, args):
 @register_evaluator("math.fma")
 def _eval_fma(ctx, op, args):
     return [float(args[0]) * float(args[1]) + float(args[2])]
-
-
-class MathDialect(Dialect):
-    NAME = "math"

@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence
 
 from ..ir import (
     DenseElementsAttr,
-    Dialect,
     IndexType,
     MemoryEffect,
     MemoryEffectsInterface,
@@ -181,10 +180,6 @@ class CopyOp(Operation, MemoryEffectsInterface):
 
     def memory_effects(self) -> List[MemoryEffect]:
         return [read(self.operands[0]), write(self.operands[1])]
-
-
-class MemRefDialect(Dialect):
-    NAME = "memref"
 
 
 # ---------------------------------------------------------------------------

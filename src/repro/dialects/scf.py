@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..ir import (
     Block,
-    Dialect,
     IndexType,
     LoopLikeInterface,
     Operation,
@@ -78,9 +77,6 @@ class ForOp(Operation, LoopLikeInterface):
 
     def loop_body(self) -> Block:
         return self.body
-
-    def loop_bounds(self):
-        return (self.lower_bound, self.upper_bound, self.step)
 
     def constant_trip_count(self) -> Optional[int]:
         lb = constant_value_of(self.lower_bound)
@@ -167,56 +163,11 @@ class ConditionOp(Operation):
         return cls(operands=(condition, *args))
 
 
-@register_op
-class ParallelOp(Operation, LoopLikeInterface):
-    """Parallel loop nest (used when lowering ND-range execution)."""
-
-    OPERATION_NAME = "scf.parallel"
-    TRAITS = frozenset({Trait.SINGLE_BLOCK, Trait.LOOP_LIKE})
-
-    @classmethod
-    def build(cls, lowers: Sequence[Value], uppers: Sequence[Value],
-              steps: Sequence[Value]) -> "ParallelOp":
-        rank = len(lowers)
-        op = cls(operands=(*lowers, *uppers, *steps), regions=1)
-        op.regions[0].add_block(
-            Block([IndexType()] * rank, [f"iv{i}" for i in range(rank)]))
-        op.rank = rank
-        return op
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].front
-
-    def loop_body(self) -> Block:
-        return self.body
-
-    def induction_variable(self) -> Value:
-        return self.body.arguments[0]
-
-    def loop_bounds(self):
-        rank = getattr(self, "rank", len(self.body.arguments))
-        return (self.operands[:rank], self.operands[rank:2 * rank],
-                self.operands[2 * rank:3 * rank])
-
-
-def loop_ops() -> List[str]:
-    """Names of loop-like scf operations (used by generic analyses)."""
-    return [ForOp.OPERATION_NAME, WhileOp.OPERATION_NAME,
-            ParallelOp.OPERATION_NAME]
-
-
-class SCFDialect(Dialect):
-    NAME = "scf"
-
-
 # ---------------------------------------------------------------------------
 # Interpreter evaluators (see repro.interp).  Region-executing evaluators
 # are generator functions delegating with ``yield from`` so work-group
 # barriers nested inside loop/if bodies can suspend the work item.
 # ---------------------------------------------------------------------------
-
-import itertools  # noqa: E402
 
 from ..interp.memory import BlockResult, TrapError  # noqa: E402
 from ..interp.registry import register_evaluator  # noqa: E402
@@ -270,17 +221,3 @@ def _eval_while(ctx, op, args):
         after = yield from ctx.exec_block(op.after_block,
                                           list(outcome.values[1:]))
         carried = list(after.values)
-
-
-@register_evaluator("scf.parallel")
-def _eval_parallel(ctx, op, args):
-    rank = len(op.body.arguments)
-    lowers = [int(v) for v in args[:rank]]
-    uppers = [int(v) for v in args[rank:2 * rank]]
-    steps = [int(v) for v in args[2 * rank:3 * rank]]
-    if any(step <= 0 for step in steps):
-        raise TrapError("scf.parallel with non-positive step")
-    spaces = [range(lo, up, st) for lo, up, st in zip(lowers, uppers, steps)]
-    for point in itertools.product(*spaces):
-        yield from ctx.exec_block(op.body, list(point))
-    return []

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..ir import (
-    Dialect,
     DYNAMIC,
     IndexType,
     IntegerAttr,
@@ -151,15 +150,6 @@ class AccessorType(Type):
     def is_read_only(self) -> bool:
         return self.access_mode == "read"
 
-    @property
-    def is_write_only(self) -> bool:
-        return self.access_mode == "write"
-
-
-def local_accessor_type(dimensions: int, element_type: Type) -> AccessorType:
-    """``sycl::local_accessor<T, D>`` (an accessor targeting local memory)."""
-    return AccessorType(dimensions, element_type, "read_write", "local")
-
 
 @dataclass(frozen=True)
 class BufferType(Type):
@@ -216,12 +206,6 @@ class SYCLConstructorOp(Operation, MemoryEffectsInterface):
     def arguments(self) -> Sequence[Value]:
         return self.operands[1:]
 
-    @property
-    def constructed_type(self) -> str:
-        attr = self.attributes["type"]
-        assert isinstance(attr, SymbolRefAttr)
-        return attr.root
-
     def memory_effects(self) -> List[MemoryEffect]:
         return [write(self.destination)]
 
@@ -277,10 +261,6 @@ class _QueryOpBase(Operation, MemoryEffectsInterface):
     def build(cls, source: Value, dimension: Optional[Value] = None):
         operands = (source,) if dimension is None else (source, dimension)
         return cls(operands=operands, result_types=(cls.RESULT_TYPE,))
-
-    @property
-    def source(self) -> Value:
-        return self.operands[0]
 
     @property
     def dimension(self) -> Optional[Value]:
@@ -359,10 +339,6 @@ class SYCLNDItemGetGroupOp(Operation, MemoryEffectsInterface):
         return cls(operands=(nd_item,),
                    result_types=(GroupType(dimensions),),
                    attributes={"dimensions": IntegerAttr(dimensions, i64())})
-
-    @property
-    def nd_item(self) -> Value:
-        return self.operands[0]
 
     def memory_effects(self) -> List[MemoryEffect]:
         return []
@@ -644,12 +620,6 @@ def _accessor_type_of(value: Value) -> Optional[AccessorType]:
 
 def accessor_type_of(value: Value) -> Optional[AccessorType]:
     return _accessor_type_of(value)
-
-
-def is_sycl_type(type_: Type) -> bool:
-    return isinstance(type_, (IDType, RangeType, ItemType, NDItemType, GroupType,
-                              NDRangeType, AccessorType, BufferType, QueueType,
-                              HandlerType))
 
 
 #: Maps the printed suffix of simple dimensioned SYCL types to their class.
@@ -951,20 +921,3 @@ def _eval_host_op(ctx, op, args):
 register_evaluator("sycl.host.constructor", _eval_host_op)
 register_evaluator("sycl.host.schedule_kernel", _eval_host_op)
 register_evaluator("sycl.host.submit", _eval_host_op)
-
-
-class SYCLDialect(Dialect):
-    """Dialect descriptor; also exposes the SYCL alias-analysis hooks."""
-
-    NAME = "sycl"
-
-    @staticmethod
-    def values_definitely_distinct(a: Value, b: Value) -> bool:
-        """Dialect hook used by the SYCL-specific alias analysis.
-
-        Returns True when the dialect can prove two values never reference
-        overlapping memory (see ``repro.analysis.sycl_alias``).
-        """
-        from ..analysis.sycl_alias import sycl_values_definitely_distinct
-
-        return sycl_values_definitely_distinct(a, b)

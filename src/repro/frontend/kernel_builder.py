@@ -86,9 +86,6 @@ class KernelSource:
     accessors: Sequence[AccessorParam] = field(default_factory=tuple)
     scalars: Sequence[ScalarParam] = field(default_factory=tuple)
 
-    def parameter_names(self) -> List[str]:
-        return [p.name for p in self.accessors] + [p.name for p in self.scalars]
-
     def build(self) -> FuncOp:
         """Emit the kernel as a ``func.func`` carrying SYCL dialect types."""
         builder = KernelBuilder(self)

@@ -125,14 +125,6 @@ class DifferentialReport:
     executed: List[str] = field(default_factory=list)
     skipped: Dict[str, str] = field(default_factory=dict)
 
-    def summary(self) -> str:
-        lines = [f"differential check against pipeline: {self.pipeline}"]
-        for name in self.executed:
-            lines.append(f"  ok      {name}")
-        for name, reason in sorted(self.skipped.items()):
-            lines.append(f"  skipped {name}: {reason}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Deterministic synthesis

@@ -98,9 +98,6 @@ class Backend:
         raise TierFallback(
             f"tier '{self.NAME}' does not implement plain calls")
 
-    def describe(self) -> Dict[str, object]:
-        return {"name": self.NAME, "doc": (self.__doc__ or "").strip()}
-
 
 def register_executor(name: str, backend: Optional[Backend] = None):
     """Register an execution tier under ``name``.
@@ -374,15 +371,6 @@ class ExecutionEngine:
             except (InterpreterError, TrapError, ValueError) as error:
                 skipped[name] = str(error)
         return executions, skipped
-
-    # -- introspection ------------------------------------------------------
-    def describe(self) -> Dict[str, object]:
-        return {
-            "tier": self.tier,
-            "plan": list(self.tier_plan()),
-            "tiers": list(registered_executors()),
-            "remarks": list(self.remarks),
-        }
 
     def __repr__(self) -> str:
         return f"<ExecutionEngine tier={self.tier!r}>"

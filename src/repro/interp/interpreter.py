@@ -120,16 +120,9 @@ class EvalContext:
                 f"use of undefined SSA value {value!r} (verifier should "
                 "have rejected this module)") from None
 
-    def bind(self, value, result) -> None:
-        self.env[id(value)] = result
-
     @property
     def counters(self) -> ExecutionCounters:
         return self.interpreter.counters
-
-    @property
-    def module(self) -> Optional[ModuleOp]:
-        return self.interpreter.module
 
     # -- execution -----------------------------------------------------------
     def _dispatch(self, op: Operation):

@@ -1048,13 +1048,20 @@ class _Emitter(_EmitterBase):
     def _emit_dim(self, op) -> None:
         kind = self.kind_of(op.operands[0])
         dim_kind = self.kind_of(op.operands[1])
-        if kind[0] != "stor" or kind[1].shape is None \
-                or dim_kind[0] != "const":
+        if kind[0] != "stor" or kind[1].shape is None:
             self.line("raise _TrapError('memref.dim out of range')")
             self._assign(op.results[0], "0")
             return
-        dim = int(dim_kind[1])
         shape = kind[1].shape
+        if dim_kind[0] != "const":
+            dim = self.fresh()
+            self.line(f"{dim} = int({self.expr(op.operands[1])})")
+            self.line(f"if not 0 <= {dim} < {len(shape)}: raise _TrapError("
+                      f"'memref.dim ' + str({dim}) + ' out of range')")
+            extents = "".join(f"{extent}, " for extent in shape)
+            self._assign(op.results[0], f"int(({extents})[{dim}])")
+            return
+        dim = int(dim_kind[1])
         if not 0 <= dim < len(shape):
             self.line(f"raise _TrapError('memref.dim {dim} out of range')")
             self._assign(op.results[0], "0")

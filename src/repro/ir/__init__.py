@@ -17,28 +17,20 @@ from .attributes import (
     SymbolRefAttr,
     TypeAttr,
     UnitAttr,
-    array_attr,
-    bool_attr,
-    float_attr,
     int_array_attr,
     int_array_values,
-    int_attr,
-    str_attr,
-    symbol_ref,
 )
 from .builder import Builder, InsertionPoint
-from .context import Context, Dialect, default_context
 from .diagnostics import (
     Diagnostic,
     DiagnosticEngine,
     Severity,
 )
-from .dominance import DominanceInfo, properly_dominates
+from .dominance import DominanceInfo
 from .fingerprint import fingerprint, function_fingerprint, module_fingerprint
 from .location import (
     UNKNOWN,
     Location,
-    caller_location,
     location_of,
     user_code_location,
 )
@@ -88,7 +80,6 @@ from .types import (
     f64,
     function_type,
     i1,
-    i8,
     i32,
     i64,
     index,
@@ -100,7 +91,6 @@ from .types import (
 from .values import BlockArgument, OpResult, Use, Value
 from .verifier import (
     VerificationError,
-    collect_symbols,
     verify,
     verify_with_diagnostics,
 )
@@ -108,13 +98,11 @@ from .verifier import (
 __all__ = [
     "ArrayAttr", "Attribute", "BoolAttr", "DenseElementsAttr", "DictAttr",
     "FloatAttr", "IntegerAttr", "StringAttr", "SymbolRefAttr", "TypeAttr",
-    "UnitAttr", "array_attr", "bool_attr", "float_attr", "int_array_attr",
-    "int_array_values", "int_attr", "str_attr", "symbol_ref",
+    "UnitAttr", "int_array_attr", "int_array_values",
     "Builder", "InsertionPoint",
-    "Context", "Dialect", "default_context",
     "Diagnostic", "DiagnosticEngine", "Severity",
-    "DominanceInfo", "properly_dominates",
-    "Location", "UNKNOWN", "caller_location", "location_of",
+    "DominanceInfo",
+    "Location", "UNKNOWN", "location_of",
     "user_code_location",
     "fingerprint", "function_fingerprint", "module_fingerprint",
     "BranchOpInterface", "CallOpInterface", "EffectKind",
@@ -129,9 +117,9 @@ __all__ = [
     "Trait", "has_trait",
     "DYNAMIC", "FloatType", "FunctionType", "IndexType", "IntegerType",
     "MemRefType", "NoneType", "PointerType", "StructType", "Type",
-    "VectorType", "f32", "f64", "function_type", "i1", "i8", "i32", "i64",
+    "VectorType", "f32", "f64", "function_type", "i1", "i32", "i64",
     "index", "is_float", "is_integer", "is_scalar", "memref",
     "BlockArgument", "OpResult", "Use", "Value",
-    "VerificationError", "collect_symbols", "verify",
+    "VerificationError", "verify",
     "verify_with_diagnostics",
 ]

@@ -83,14 +83,8 @@ class ArrayAttr(Attribute):
     def __str__(self) -> str:
         return "[" + ", ".join(str(a) for a in self.value) + "]"
 
-    def __len__(self) -> int:
-        return len(self.value)
-
     def __iter__(self):
         return iter(self.value)
-
-    def __getitem__(self, idx: int) -> Attribute:
-        return self.value[idx]
 
 
 @dataclass(frozen=True)
@@ -128,36 +122,6 @@ class DictAttr(Attribute):
     def __str__(self) -> str:
         inner = ", ".join(f"{k} = {v}" for k, v in self.value)
         return "{" + inner + "}"
-
-    def get(self, key: str, default=None):
-        for name, attr in self.value:
-            if name == key:
-                return attr
-        return default
-
-
-def int_attr(value: int, type_: Type) -> IntegerAttr:
-    return IntegerAttr(int(value), type_)
-
-
-def float_attr(value: float, type_: Type) -> FloatAttr:
-    return FloatAttr(float(value), type_)
-
-
-def str_attr(value: str) -> StringAttr:
-    return StringAttr(value)
-
-
-def bool_attr(value: bool) -> BoolAttr:
-    return BoolAttr(bool(value))
-
-
-def symbol_ref(root: str, *nested: str) -> SymbolRefAttr:
-    return SymbolRefAttr(root, tuple(nested))
-
-
-def array_attr(values) -> ArrayAttr:
-    return ArrayAttr(tuple(values))
 
 
 def int_array_attr(values, type_: Type) -> ArrayAttr:

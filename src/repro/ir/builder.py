@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional, Sequence
+from typing import Optional
 
 from .operations import Block, IRError, Operation
 
@@ -52,14 +51,6 @@ class InsertionPoint:
         point._before = op
         return point
 
-    @classmethod
-    def after(cls, op: Operation) -> "InsertionPoint":
-        if op.parent is None:
-            raise IRError("operation has no parent block")
-        point = cls(op.parent)
-        point._before = op.next_op()
-        return point
-
     def move_before(self, op: Operation) -> "InsertionPoint":
         """Re-anchor this point before ``op`` (O(1), reuses the object)."""
         if op.parent is None:
@@ -100,45 +91,8 @@ class Builder:
     def set_insertion_point_to_end(self, block: Block) -> None:
         self.insertion_point = InsertionPoint.at_end(block)
 
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self.insertion_point = InsertionPoint.at_start(block)
-
-    def set_insertion_point_before(self, op: Operation) -> None:
-        self.insertion_point = InsertionPoint.before(op)
-
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self.insertion_point = InsertionPoint.after(op)
-
-    @contextmanager
-    def at_end_of(self, block: Block):
-        """Temporarily redirect insertion to the end of ``block``."""
-        saved = self.insertion_point
-        self.set_insertion_point_to_end(block)
-        try:
-            yield self
-        finally:
-            self.insertion_point = saved
-
-    @contextmanager
-    def at(self, insertion_point: InsertionPoint):
-        saved = self.insertion_point
-        self.insertion_point = insertion_point
-        try:
-            yield self
-        finally:
-            self.insertion_point = saved
-
     # -- creation --------------------------------------------------------------
     def insert(self, op: Operation) -> Operation:
         if self.insertion_point is None:
             raise IRError("builder has no insertion point")
         return self.insertion_point.insert(op)
-
-    def create(self, op_class, *args, **kwargs) -> Operation:
-        """Build an operation via its ``build`` class method and insert it."""
-        op = op_class.build(*args, **kwargs)
-        return self.insert(op)
-
-
-def create_block_with_args(arg_types: Sequence, arg_names=None) -> Block:
-    return Block(arg_types, arg_names)

@@ -4,9 +4,8 @@ Verifier checks, lint rules and analyses report findings as
 :class:`Diagnostic` objects — a severity, a message, the
 :class:`~repro.ir.location.Location` of the offending operation and any
 number of attached notes — instead of bare strings.  A
-:class:`DiagnosticEngine` routes emitted diagnostics to registered
-handlers; the default handler prints to stderr, and tests/drivers capture
-into a list instead (``engine.capture()``).
+:class:`DiagnosticEngine` collects emitted diagnostics into a list
+(``engine.capture()`` scopes one).
 
 ``repro-opt --verify-diagnostics`` builds on this: expected diagnostics
 are written as ``// expected-error {{...}}`` comments in the input and
@@ -16,12 +15,11 @@ matched against what the engine actually captured (see
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from enum import Enum
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
-from .location import Location, location_of
+from .location import Location
 
 
 class Severity(Enum):
@@ -91,61 +89,22 @@ class Diagnostic:
         return f"<Diagnostic {self.severity}: {self.message!r}>"
 
 
-DiagnosticHandler = Callable[[Diagnostic], None]
-
-
-def _print_handler(diagnostic: Diagnostic) -> None:
-    print(diagnostic.render(), file=sys.stderr)
-
-
 class DiagnosticEngine:
-    """Routes diagnostics to handlers and keeps severity counts.
+    """Collects emitted diagnostics and keeps severity counts.
 
-    With no handler registered, diagnostics print to stderr (the MLIR
-    default).  ``capture()`` temporarily swaps handlers for a list sink —
-    the mode every test and the ``--verify-diagnostics`` driver use.
+    Diagnostics land in ``captured``; ``capture()`` temporarily swaps in
+    a fresh list sink — the mode every test and the
+    ``--verify-diagnostics`` driver use.
     """
 
     def __init__(self):
-        self.handlers: List[DiagnosticHandler] = []
         self.captured: List[Diagnostic] = []
-        self._capturing = 0
         self.counts = {severity: 0 for severity in Severity}
 
-    # -- emission ----------------------------------------------------------
     def emit(self, diagnostic: Diagnostic) -> Diagnostic:
         self.counts[diagnostic.severity] += 1
-        if self._capturing:
-            self.captured.append(diagnostic)
-            return diagnostic
-        if self.handlers:
-            for handler in self.handlers:
-                handler(diagnostic)
-        else:
-            _print_handler(diagnostic)
+        self.captured.append(diagnostic)
         return diagnostic
-
-    def _emit(self, severity: Severity, message: str,
-              location: Optional[Location], op) -> Diagnostic:
-        if location is None and op is not None:
-            location = location_of(op)
-        return self.emit(Diagnostic(severity, message, location))
-
-    def error(self, message: str, location: Optional[Location] = None,
-              op=None) -> Diagnostic:
-        return self._emit(Severity.ERROR, message, location, op)
-
-    def warning(self, message: str, location: Optional[Location] = None,
-                op=None) -> Diagnostic:
-        return self._emit(Severity.WARNING, message, location, op)
-
-    def remark(self, message: str, location: Optional[Location] = None,
-               op=None) -> Diagnostic:
-        return self._emit(Severity.REMARK, message, location, op)
-
-    # -- handlers ----------------------------------------------------------
-    def register_handler(self, handler: DiagnosticHandler) -> None:
-        self.handlers.append(handler)
 
     @contextmanager
     def capture(self) -> Iterator[List[Diagnostic]]:
@@ -153,11 +112,9 @@ class DiagnosticEngine:
         sink: List[Diagnostic] = []
         outer = self.captured
         self.captured = sink
-        self._capturing += 1
         try:
             yield sink
         finally:
-            self._capturing -= 1
             self.captured = outer
 
     @property

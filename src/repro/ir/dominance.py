@@ -126,9 +126,6 @@ class DominanceInfo:
             ancestor = ancestor.parent_op()
         return False
 
-    def dominates(self, a: Operation, b: Operation) -> bool:
-        return a is b or self.properly_dominates(a, b)
-
     def value_dominates(self, value: Value, op: Operation) -> bool:
         """True if ``value`` is usable at ``op``."""
         if isinstance(value, BlockArgument):
@@ -146,7 +143,3 @@ class DominanceInfo:
         if defining is None:
             return True
         return self.properly_dominates(defining, op)
-
-
-def properly_dominates(a: Operation, b: Operation) -> bool:
-    return DominanceInfo(a).properly_dominates(a, b)

@@ -70,10 +70,6 @@ class MemoryEffectsInterface:
     def memory_effects(self) -> List[MemoryEffect]:  # pragma: no cover
         raise NotImplementedError
 
-    @classmethod
-    def implements_memory_effects(cls) -> bool:
-        return True
-
 
 class LoopLikeInterface:
     """Mixin for structured loop operations (``scf.for``, ``affine.for``)."""
@@ -84,10 +80,6 @@ class LoopLikeInterface:
 
     def induction_variable(self):  # pragma: no cover - overridden
         """Return the induction variable block argument, if any."""
-        raise NotImplementedError
-
-    def loop_bounds(self):  # pragma: no cover - overridden
-        """Return ``(lower, upper, step)`` as values or constants."""
         raise NotImplementedError
 
     def is_defined_outside(self, value) -> bool:
@@ -122,10 +114,6 @@ class InterpretableOpInterface:
 
     def interpret(self, args: Sequence[object], ctx) -> Sequence[object]:  # pragma: no cover
         raise NotImplementedError
-
-    @classmethod
-    def implements_interpret(cls) -> bool:
-        return True
 
 
 class CallOpInterface:

@@ -102,19 +102,6 @@ def location_of(op) -> Location:
     return loc if isinstance(loc, Location) else UNKNOWN
 
 
-def caller_location(depth: int = 1) -> Location:
-    """Location of the Python call-site ``depth`` frames up.
-
-    Used by :class:`~repro.frontend.kernel_builder.KernelBuilder` so ops
-    emitted from embedded-DSL kernels point at the user's Python source.
-    """
-    import sys
-
-    frame = sys._getframe(depth + 1)
-    code = frame.f_code
-    return Location(code.co_filename, frame.f_lineno, 1)
-
-
 def user_code_location() -> Location:
     """Location of the nearest enclosing call-site *outside* ``repro``.
 

@@ -177,10 +177,6 @@ class Operation:
         return self.OPERATION_NAME
 
     @property
-    def dialect(self) -> str:
-        return self.OPERATION_NAME.split(".", 1)[0]
-
-    @property
     def location(self):
         """Where this operation came from (a
         :class:`repro.ir.location.Location`), or ``None`` when unknown."""
@@ -206,11 +202,6 @@ class Operation:
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(Use(self, index))
-
-    def replace_operand(self, old: Value, new: Value) -> None:
-        for i, operand in enumerate(self._operands):
-            if operand is old:
-                self.set_operand(i, new)
 
     def drop_all_uses_of_operands(self) -> None:
         _touch(self)
@@ -248,10 +239,6 @@ class Operation:
         _touch(self)
         self.attributes[name] = attr
 
-    def remove_attr(self, name: str) -> None:
-        _touch(self)
-        self.attributes.pop(name, None)
-
     def get_int_attr(self, name: str, default: Optional[int] = None) -> Optional[int]:
         attr = self.attributes.get(name)
         if isinstance(attr, IntegerAttr):
@@ -275,14 +262,6 @@ class Operation:
         region = self.parent.parent
         return region.parent if region is not None else None
 
-    def parent_of_type(self, op_class) -> Optional["Operation"]:
-        ancestor = self.parent_op()
-        while ancestor is not None:
-            if isinstance(ancestor, op_class):
-                return ancestor
-            ancestor = ancestor.parent_op()
-        return None
-
     def is_ancestor_of(self, other: "Operation") -> bool:
         ancestor = other
         while ancestor is not None:
@@ -290,9 +269,6 @@ class Operation:
                 return True
             ancestor = ancestor.parent_op()
         return False
-
-    def is_proper_ancestor_of(self, other: "Operation") -> bool:
-        return self is not other and self.is_ancestor_of(other)
 
     def add_region(self, region: Optional["Region"] = None) -> "Region":
         """Append ``region`` (default: a new empty one) to this operation."""
@@ -507,15 +483,6 @@ class Block:
         arg = BlockArgument(self, len(self.arguments), type_, name_hint)
         self.arguments.append(arg)
         return arg
-
-    def erase_argument(self, index: int) -> None:
-        _touch(self.parent.parent if self.parent is not None else None)
-        arg = self.arguments[index]
-        if arg.has_uses():
-            raise IRError("cannot erase block argument that still has uses")
-        del self.arguments[index]
-        for i, remaining in enumerate(self.arguments):
-            remaining.arg_index = i
 
     # -- operations ----------------------------------------------------------
     @property
@@ -754,9 +721,6 @@ class Region:
                                          for s in cloned.successors]
                 new_block.append(cloned)
         return new_region
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
 
     def __repr__(self) -> str:
         return f"<Region with {len(self.blocks)} blocks>"

@@ -157,10 +157,6 @@ def i1() -> IntegerType:
     return IntegerType(1)
 
 
-def i8() -> IntegerType:
-    return IntegerType(8)
-
-
 def i32() -> IntegerType:
     return IntegerType(32)
 

@@ -23,7 +23,7 @@ from .diagnostics import Diagnostic, DiagnosticEngine, Severity
 from .dominance import block_dominates
 from .location import location_of
 from .operations import Block, Operation
-from .traits import Trait, has_trait
+from .traits import Trait
 from .values import BlockArgument, OpResult, Value
 
 _SINGLE_BLOCK = Trait.SINGLE_BLOCK.bit
@@ -188,18 +188,3 @@ def _value_visible_from(value: Value, user: Operation) -> bool:
     if ancestor.parent is defining.parent:
         return defining.is_before_in_block(ancestor)
     return True
-
-
-def collect_symbols(module: Operation) -> Set[str]:
-    """Return the set of symbol names defined directly under ``module``."""
-    from .attributes import StringAttr
-
-    symbols: Set[str] = set()
-    for region in module.regions:
-        for block in region.blocks:
-            for op in block.operations:
-                if has_trait(op, Trait.SYMBOL):
-                    name_attr = op.attributes.get("sym_name")
-                    if isinstance(name_attr, StringAttr):
-                        symbols.add(name_attr.value)
-    return symbols

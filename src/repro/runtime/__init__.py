@@ -13,12 +13,9 @@ from .accessor import (
     Accessor,
     KernelArgument,
     LocalAccessor,
-    is_accessor,
-    is_scalar_argument,
 )
 from .buffer import Buffer, USMAllocation, USMAllocator
 from .device import (
-    Device,
     DeviceSpec,
     intel_data_center_gpu_max_1100,
     small_test_device,
@@ -27,9 +24,8 @@ from .ndrange import ID, NDRange, Range, delinearize, linearize
 
 __all__ = [
     "ACCESS_MODES", "Accessor", "KernelArgument", "LocalAccessor",
-    "is_accessor", "is_scalar_argument",
     "Buffer", "USMAllocation", "USMAllocator",
-    "Device", "DeviceSpec", "intel_data_center_gpu_max_1100",
+    "DeviceSpec", "intel_data_center_gpu_max_1100",
     "small_test_device",
     "ID", "NDRange", "Range", "delinearize", "linearize",
 ]

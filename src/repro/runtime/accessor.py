@@ -116,11 +116,3 @@ class LocalAccessor:
 #: Kernel arguments may be accessors, local accessors, USM allocations or
 #: plain scalars.
 KernelArgument = Union[Accessor, LocalAccessor, USMAllocation, int, float, bool]
-
-
-def is_accessor(value) -> bool:
-    return isinstance(value, Accessor)
-
-
-def is_scalar_argument(value) -> bool:
-    return isinstance(value, (int, float, bool, np.integer, np.floating))

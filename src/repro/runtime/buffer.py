@@ -120,19 +120,8 @@ class USMAllocation:
         self.name = name or f"usm{next(_buffer_ids)}"
         self.freed = False
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(self.data.shape)
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def size_bytes(self) -> int:
-        return int(self.data.nbytes)
-
     def __repr__(self) -> str:
-        return f"<USMAllocation {self.name} kind={self.kind} shape={self.shape}>"
+        return f"<USMAllocation {self.name} kind={self.kind} shape={self.data.shape}>"
 
 
 class USMAllocator:

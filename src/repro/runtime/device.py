@@ -9,7 +9,7 @@ counts into modelled kernel times using these parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -89,17 +89,3 @@ def small_test_device() -> DeviceSpec:
         local_bandwidth_gib=128.0,
         launch_overhead_us=1.0,
     )
-
-
-@dataclass
-class Device:
-    """A runtime device handle (wraps the spec, tracks accumulated stats)."""
-
-    spec: DeviceSpec = field(default_factory=intel_data_center_gpu_max_1100)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def is_gpu(self) -> bool:
-        return True

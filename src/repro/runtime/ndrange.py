@@ -76,18 +76,11 @@ class ID:
             raise ValueError("ID must have between 1 and 3 dimensions")
         object.__setattr__(self, "indices", values)
 
-    @property
-    def dimensions(self) -> int:
-        return len(self.indices)
-
     def get(self, dim: int) -> int:
         return self.indices[dim]
 
     def __getitem__(self, dim: int) -> int:
         return self.indices[dim]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
 
     def __str__(self) -> str:
         return f"id<{self.dimensions}>{self.indices}"
@@ -113,10 +106,6 @@ class NDRange:
                     f"global range {g} is not divisible by local range {l}")
         object.__setattr__(self, "global_range", global_r)
         object.__setattr__(self, "local_range", local_r)
-
-    @property
-    def dimensions(self) -> int:
-        return self.global_range.dimensions
 
     @property
     def group_range(self) -> Range:

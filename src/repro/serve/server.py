@@ -95,15 +95,6 @@ class StreamingInstrumentation(PassInstrumentation):
     def run_after_pass(self, pass_, op) -> None:
         self._event("pass-end", pass_)
 
-    def run_after_failed_verify(self, pass_, op, error) -> None:
-        self.emit({
-            "id": self.request_id,
-            "event": "progress",
-            "phase": "verify-failed",
-            "pass": pass_.NAME,
-            "error": str(error),
-        })
-
 
 class CompileService:
     """The daemon's shared brain: cache, analyses, and a manager pool."""

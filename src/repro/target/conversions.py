@@ -86,7 +86,7 @@ def _pop_terminator(block: Block, op_class) -> List:
 
 #: Ops whose regions repeat: a term defined outside one is loop-invariant
 #: inside it.  An ``scf.if`` region runs at most once and is no level.
-_LOOPS = (scf.ForOp, scf.WhileOp, scf.ParallelOp, affine_d.AffineForOp)
+_LOOPS = (scf.ForOp, scf.WhileOp, affine_d.AffineForOp)
 _ADDS = (arith.AddIOp, llvm_d.LLVMAddOp)
 _CONSTANTS = (arith.ConstantOp, llvm_d.LLVMConstantOp)
 
@@ -212,7 +212,7 @@ class LowerAffine(FunctionPass):
         ancestor = op.parent_op()
         while ancestor is not None:
             if isinstance(ancestor, (affine_d.AffineForOp, scf.ForOp,
-                                     scf.WhileOp, scf.ParallelOp)):
+                                     scf.WhileOp)):
                 outermost = ancestor
             ancestor = ancestor.parent_op()
         step = constant(op.step, outermost, arith.ConstantOp.build)
@@ -284,9 +284,9 @@ class ConvertSCFToCF(FunctionPass):
 
     Only operations whose parent block lives directly in the function
     region are expanded: ``scf`` nested inside a ``SINGLE_BLOCK``
-    structured region (an ``affine.for`` body, an ``scf.parallel``
-    band) stays structured, so the pass is safe standalone — run
-    ``lower-affine`` first for a full lowering.  Expansion is
+    structured region (an ``affine.for`` body) stays structured, so the
+    pass is safe standalone — run ``lower-affine`` first for a full
+    lowering.  Expansion is
     outermost-first; inner ``scf`` becomes eligible once its block is
     moved into the function region.
 

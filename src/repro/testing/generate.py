@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.dialects import all_dialects  # noqa: F401 - registers ops/types
 from repro.dialects import arith
 from repro.dialects import memref as memref_dialect
 from repro.dialects import scf as scf_dialect

@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..dialects import all_dialects  # noqa: F401 - registers ops and types
+from .. import dialects  # noqa: F401 - registers ops and types
 from ..ir import ParseError, VerificationError, parse_module, verify
 from ..analysis.lint import describe_lint_rules, run_lint
 from ..analysis.manager import AnalysisManager

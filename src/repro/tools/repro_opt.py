@@ -50,7 +50,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from ..dialects import all_dialects  # noqa: F401 - registers ops and types
+from .. import dialects  # noqa: F401 - registers ops and types
 from ..ir import (
     DiagnosticEngine,
     ParseError,

@@ -345,7 +345,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-run: cannot read input: {exc}", file=sys.stderr)
         return 1
 
-    from ..dialects import all_dialects  # noqa: F401 - registers ops, types
+    from .. import dialects  # noqa: F401 - registers ops, types
 
     cache = front_key = module = None
     if args.pipeline or args.passes:

@@ -25,7 +25,7 @@ import signal
 import sys
 from typing import List, Optional
 
-from ..dialects import all_dialects  # noqa: F401 - registers ops and types
+from .. import dialects  # noqa: F401 - registers ops and types
 from ..serve import DEFAULT_HOST, DEFAULT_PORT, CompileService, ReproServer
 from ..transforms.disk_cache import CACHE_DIR_ENV, cache_dir_from_env
 

@@ -17,6 +17,7 @@ from ..ir import (
     BoolAttr,
     EffectKind,
     FloatAttr,
+    InsertionPoint,
     IntegerAttr,
     Operation,
     Trait,
@@ -51,15 +52,13 @@ def _materialize_constant(attr: Attribute, type_) -> Optional[Operation]:
 
 def _standalone_rewriter(op: Operation) -> PatternRewriter:
     rewriter = PatternRewriter()
-    rewriter.set_insertion_point_before(op)
+    rewriter.insertion_point = InsertionPoint.before(op)
     return rewriter
 
 
 def fold_operation(op: Operation,
                    rewriter: Optional[PatternRewriter] = None) -> bool:
     """Try to fold ``op``; returns True if it was replaced."""
-    if isinstance(op, arith.ConstantOp):
-        return False
     folded = op.fold()
     if folded is None:
         return False
@@ -136,10 +135,9 @@ class _CanonicalizePattern(RewritePattern):
 
     def can_rewrite(self, op_class: type) -> bool:
         """Whether :func:`fold_operation` or :func:`_simplify_identities`
-        can rewrite some op of ``op_class``: not a constant, and a
-        ``fold`` override, an ``IDENTITY`` or a select."""
-        if issubclass(op_class, arith.ConstantOp):
-            return False
+        can rewrite some op of ``op_class``: a ``fold`` override, an
+        ``IDENTITY`` or a select.  Constants have no ``fold``: they are
+        folded already."""
         return op_class.fold is not Operation.fold \
             or getattr(op_class, "IDENTITY", None) is not None \
             or issubclass(op_class, arith.SelectOp)

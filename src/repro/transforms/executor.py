@@ -192,7 +192,7 @@ def _compile_work_unit(payload: dict) -> dict:
     Never raises — genuine failures come back as ``ok=False`` payloads
     (crash/hang faults bypass Python entirely, which is the point).
     """
-    from ..dialects import all_dialects  # noqa: F401 - registers ops
+    from .. import dialects  # noqa: F401 - registers ops
     from ..faults import install_fault_plan
     from ..ir import Printer, parse_module, verify
 

@@ -85,18 +85,21 @@ class _BodyEffects:
     ``writes`` and ``reads`` pair each body op with a location it (or an
     op nested in it) writes or reads, ``None`` meaning anywhere;
     ``unknown`` lists the body ops with an op of unknown effects in their
-    tree.  Hoisting only moves ops out of the body, so an entry holds for
-    as long as its op is still in it.  ``conflicts`` memoizes the alias
-    verdict of each value pair for the same span.
+    tree; ``freed`` the allocations the body frees.  Hoisting only moves
+    ops out of the body, so an entry holds for as long as its op is still
+    in it.  ``conflicts`` memoizes the alias verdict of each value pair
+    for the same span.
     """
 
-    __slots__ = ("body", "writes", "reads", "unknown", "alias", "verdicts")
+    __slots__ = ("body", "writes", "reads", "unknown", "freed", "alias",
+                 "verdicts")
 
     def __init__(self, loop: Operation, alias: AliasAnalysis):
         self.body = loop.loop_body()
         self.writes: List[Tuple[Operation, Optional[Value]]] = []
         self.reads: List[Tuple[Operation, Optional[Value]]] = []
         self.unknown: List[Operation] = []
+        self.freed: List[Value] = []
         self.alias = alias
         self.verdicts: Dict[Tuple[Value, Value], bool] = {}
         for op in self.body.ops_without_terminator():
@@ -110,6 +113,8 @@ class _BodyEffects:
                         self.writes.append((op, effect.value))
                     elif effect.kind == EffectKind.READ:
                         self.reads.append((op, effect.value))
+                    elif effect.kind == EffectKind.FREE:
+                        self.freed.append(effect.value)
 
     def conflicts(self, value: Optional[Value],
                   targets: List[Value]) -> bool:
@@ -223,7 +228,8 @@ class LoopInvariantCodeMotion(FunctionPass):
         always observes the hoisted write's (invariant) value: the
         candidate is the only write to that location and precedes the
         read in the loop body.  So a candidate that only reads is checked
-        against the body's writes alone.
+        against the body's writes alone.  An allocation stays when the
+        loop frees it.
         """
         effects = get_memory_effects(op)
         if effects is None:
@@ -233,6 +239,9 @@ class LoopInvariantCodeMotion(FunctionPass):
         for effect in effects:
             kind = effect.kind
             if kind == EffectKind.ALLOCATE:
+                if summary.freed and any(value is effect.value
+                                         for value in summary.freed):
+                    return False
                 continue
             if effect.value is None or kind not in _ACCESSES:
                 return False

@@ -209,20 +209,6 @@ class PassOptions:
                 f"got {text!r}")
         return text
 
-    @classmethod
-    def from_spec_dict(cls, options: Dict[str, str]) -> "PassOptions":
-        """Build from textual ``{spec-key: text-value}`` pairs."""
-        fields_by_key = cls.spec_fields()
-        values: Dict[str, object] = {}
-        for key, text in options.items():
-            option_field = fields_by_key.get(key)
-            if option_field is None:
-                known = ", ".join(fields_by_key) or "none"
-                raise ValueError(
-                    f"unknown option '{key}' (available options: {known})")
-            values[option_field.name] = cls.coerce(option_field, text)
-        return cls(**values)
-
     def to_spec(self) -> str:
         """Non-default options as ``{k=v,...}``; empty string if none."""
         parts = []

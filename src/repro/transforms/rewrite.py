@@ -131,13 +131,6 @@ class PatternRewriter(Builder):
         op.erase()
         self.changed = True
 
-    def replace_op_with(self, op: Operation, new_op: Operation) -> Operation:
-        new_op.detach()
-        op.parent.insert_before(op, new_op)
-        self._notify_inserted(new_op)
-        self.replace_op(op, new_op.results)
-        return new_op
-
     def erase_op(self, op: Operation) -> None:
         self._notify_erasing(op)
         self._retarget_point_past(op)

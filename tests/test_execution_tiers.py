@@ -1550,3 +1550,413 @@ class TestMemoryContract:
         assert memory["ptr1"].shape == (1,)  # a 0-d memref<i32>
         assert memory["global:state"][0] == 0
         assert memory["global:state"][1] != 0
+
+
+# ---------------------------------------------------------------------------
+# Op semantics on every tier: one kernel per op group
+# ---------------------------------------------------------------------------
+
+def _kernel(name, body, arrays, dims=1, nd_item=True):
+    """A kernel over ``arrays`` (name -> (access mode, element type))."""
+    from repro.frontend.kernel_builder import AccessorParam, KernelSource
+
+    source = KernelSource(
+        name, body=body, nd_range_dims=dims, uses_nd_item=nd_item,
+        accessors=[AccessorParam(array, dims, element, mode)
+                   for array, (mode, element) in arrays.items()])
+    return wrap_in_module(source.build())
+
+
+def _emit(k, op):
+    """Insert ``op`` through the builder; its result as an ``Expr``."""
+    from repro.frontend.kernel_builder import Expr
+
+    return Expr(k, k._insert(op).result)
+
+
+def _query(k, op_class, source, dim=None):
+    """A SYCL query on ``source``; ``dim`` is an int (a constant
+    operand), an ``Expr`` (a dynamic one) or None (no operand)."""
+    if isinstance(dim, int):
+        dim = k._dim_constant(dim)
+    elif dim is not None:
+        dim = dim.value
+    return _emit(k, op_class.build(source, dim))
+
+
+def _dynamic_dims(k, rank):
+    """Yields an ``i32`` dimension operand no emitter can fold: the
+    induction variable of a loop over the ``rank`` dimensions."""
+    from repro.dialects import arith
+    from repro.ir import i32
+
+    with k.loop(0, rank) as d:
+        yield _emit(k, arith.IndexCastOp.build(d.value, i32()))
+
+
+def _nd_queries(k):
+    """``out[i, j]``: every ``nd_item`` range and linear-id query."""
+    from repro.dialects import sycl
+
+    i, j = k.global_id(0), k.global_id(1)
+    value = (k.global_range(0) * 1000 + k.global_range(1) * 100
+             + k.local_range(1) * 10 + k.group_range(0)
+             + _query(k, sycl.SYCLNDItemGetGlobalLinearIDOp, k.item) * 10000
+             + _query(k, sycl.SYCLNDItemGetLocalLinearIDOp, k.item)
+             * 1000000)
+    k.store("out", [i, j], value.to_float())
+    for dim in _dynamic_dims(k, 2):
+        k.store("out", [i, j], k.load("out", [i, j]) + (
+            _query(k, sycl.SYCLNDItemGetGlobalRangeOp, k.item, dim) * 7
+            + _query(k, sycl.SYCLNDItemGetLocalRangeOp, k.item, dim) * 3
+            + _query(k, sycl.SYCLNDItemGetGroupRangeOp, k.item, dim)
+        ).to_float())
+
+
+def _item_queries(k):
+    """``out[i]``: ``item.get_range`` / ``get_linear_id`` on a launch
+    without a local range."""
+    from repro.dialects import sycl
+
+    i = k.global_id(0)
+    value = (k.global_range(0) * 100
+             + _query(k, sycl.SYCLItemGetLinearIDOp, k.item) * 10)
+    k.store("out", [i], value.to_float())
+    for dim in _dynamic_dims(k, 1):
+        k.store("out", [i], k.load("out", [i]) + _query(
+            k, sycl.SYCLItemGetRangeOp, k.item, dim).to_float())
+
+
+def _range_objects(k):
+    """``out[i]``: ``range.get`` / ``range.size`` of a constructed range
+    and ``accessor.get_range`` / ``get_offset`` of ``a``."""
+    from repro.dialects import memref, sycl
+    from repro.ir import MemRefType
+
+    i = k.global_id(0)
+    cell = k._insert(memref.AllocaOp.build(
+        MemRefType((1,), sycl.RangeType(2)))).result
+    k._insert(sycl.SYCLConstructorOp.build(
+        "range", cell, [k.global_range(0).value, k.local_range(0).value]))
+    value = (_query(k, sycl.SYCLRangeGetOp, cell, 0) * 1000
+             + _query(k, sycl.SYCLRangeGetOp, cell, 1) * 100
+             + _query(k, sycl.SYCLRangeSizeOp, cell) * 10
+             + k.accessor_range("a")
+             + _query(k, sycl.SYCLAccessorGetOffsetOp, k._params["a"], 0))
+    k.store("out", [i], value.to_float() + k.load("a", [i]))
+    for dim in _dynamic_dims(k, 2):
+        k.store("out", [i], k.load("out", [i]) + _query(
+            k, sycl.SYCLRangeGetOp, cell, dim).to_float())
+
+
+def _memref_ops(k):
+    """``out[i]``: a work-item buffer read through ``memref.cast`` and
+    sized by ``memref.dim``, then freed by ``memref.dealloc``."""
+    from repro.dialects import memref
+    from repro.ir import DYNAMIC, MemRefType, f32
+
+    i = k.global_id(0)
+    scratch = k._insert(memref.AllocOp.build(MemRefType((3,), f32()))).result
+    k.private_store(scratch, 0, k.load("a", [i]))
+    k.private_store(scratch, 1, 2.0)
+    k.private_store(scratch, 2, 0.5)
+    widened = k._insert(memref.CastOp.build(
+        scratch, MemRefType((DYNAMIC,), f32()))).result
+    extent = _emit(k, memref.DimOp.build(widened, k.index_constant(0).value))
+    value = (k.private_load(widened, 0) * k.private_load(scratch, 1)
+             + k.private_load(widened, 2) + extent.to_float())
+    k.store("out", [i], value)
+    with k.loop(0, 1) as d:
+        dynamic = _emit(k, memref.DimOp.build(widened, d.value))
+        k.store("out", [i], k.load("out", [i]) + dynamic.to_float())
+    k._insert(memref.DeallocOp.build(scratch))
+
+
+def _dim_out_of_range(k):
+    """``memref.dim`` of dimension 1 of a rank-1 buffer."""
+    from repro.dialects import memref
+    from repro.ir import MemRefType, f32
+
+    scratch = k._insert(memref.AllocOp.build(MemRefType((3,), f32()))).result
+    extent = _emit(k, memref.DimOp.build(scratch, k.index_constant(1).value))
+    k.store("out", [k.global_id(0)], extent.to_float())
+
+
+def _carried_sum(k):
+    """``out[i] = a[i] + sum(a[0:4])``: an ``scf.for`` carrying a
+    work-group-uniform sum."""
+    from repro.dialects import scf
+    from repro.frontend.kernel_builder import Expr
+
+    i = k.global_id(0)
+    loop = k._insert(scf.ForOp.build(
+        k._as_index(0), k._as_index(4), k._as_index(1),
+        [k.constant(0.0).value]))
+    saved = k._builder.insertion_point
+    k._builder.set_insertion_point_to_end(loop.body)
+    j, total = (Expr(k, arg) for arg in loop.body.arguments)
+    k._insert(scf.YieldOp.build([(total + k.load("a", [j])).value]))
+    k._builder.insertion_point = saved
+    k.store("out", [i], Expr(k, loop.results[0]) + k.load("a", [i]))
+
+
+def _int_and_float_ops(k):
+    """``iout[i]`` / ``out[i]``: shifts, unsigned division, ``remf``,
+    ``negf``, the width casts and an unordered ``cmpf``."""
+    from repro.dialects import arith
+    from repro.ir import f32, f64, i32, i64
+
+    i = k.global_id(0)
+    x = k.load("a", [i])
+    n = _emit(k, arith.FPToSIOp.build((x * 4.0).value, i32()))
+    square = n * n + 1
+    c = {v: k.constant(v, i32()) for v in (1, 2, 3, 5)}
+    shifted = _emit(k, arith.ShRSIOp.build(
+        _emit(k, arith.ShLIOp.build(n.value, c[2].value)).value,
+        c[1].value))
+    quotient = _emit(k, arith.DivUIOp.build(square.value, c[3].value))
+    remainder = _emit(k, arith.RemUIOp.build(square.value, c[5].value))
+    wide = _emit(k, arith.ExtSIOp.build(shifted.value, i64())) * 3
+    narrow = _emit(k, arith.TruncIOp.build(wide.value, i32()))
+    k.store("iout", [i], narrow * 10000 + quotient * 100 + remainder)
+
+    double = _emit(k, arith.ExtFOp.build(x.value, f64())) * 2.0
+    back = _emit(k, arith.TruncFOp.build(double.value, f32()))
+    rem = _emit(k, arith.RemFOp.build(x.value, k.constant(1.5).value))
+    unordered = _emit(k, arith.CmpFOp.build("ult", x.value,
+                                            k.constant(0.5).value))
+    k.store("out", [i], unordered.select(-back, rem))
+
+
+def _builder_math(k):
+    """``out[i]``: the builder's math helpers, reflected operators,
+    comparisons, boolean combinators, casts and ``select``."""
+    i = k.global_id(0)
+    x = k.load("a", [i])
+    positive = k.fabs(x) + 1.0
+    value = (k.exp(x * 0.25) + k.log(positive) + k.sin(x) * k.cos(x)
+             + k.floor(x) + k.pow(positive, 0.5))
+    value = 3.0 * (2.0 - (1.0 + value)) + 1.0 / positive
+    value = value + (x * 2.0).to_int().to_index().to_float()
+    keep = (x <= 0.5) | ~x.ne(1.5)
+    k.store("out", [i], k.select(keep, value, -value))
+
+
+def _uniform_branch(k):
+    """``out[i]``: an ``if_then_else`` on the group id."""
+    i = k.global_id(0)
+    x = k.load("a", [i])
+    with k.if_then_else(k.group_id(0) < 1) as (then_branch, else_branch):
+        with then_branch:
+            k.store("out", [i], x + 1.0)
+        with else_branch:
+            k.store("out", [i], x * 0.5)
+
+
+def _spec(global_size, local_size=None, **buffers):
+    from repro.interp import ExecutionSpec
+
+    return ExecutionSpec(global_size=global_size, local_size=local_size,
+                         buffers=buffers)
+
+
+class TestOpSemanticsOnEveryTier:
+    """One kernel per op group runs on the interpreter, the JIT and the
+    vector tier: no tier falls back, and buffers and counters agree."""
+
+    def test_nd_item_range_and_linear_id_queries(self):
+        from repro.ir import f32
+
+        module = _kernel("nd", _nd_queries,
+                         {"out": ("write", f32())}, dims=2)
+        runs = _run_on_every_tier(module, "nd", _spec(
+            (4, 6), (2, 3), out=(4, 6)))
+        out = runs["interp"][0].memory["out"]
+        # item (1, 2): ranges 4x6 / 2x3, groups 2x2, global linear id 8,
+        # local linear id 5; per dimension 7g + 3l + p summed over both.
+        assert out[8] == 4632 + 80000 + 5000000 + (28 + 6 + 2) + (42 + 9 + 2)
+
+    def test_item_range_and_linear_id_queries(self):
+        from repro.ir import f32
+
+        module = _kernel("item", _item_queries,
+                         {"out": ("write", f32())}, nd_item=False)
+        runs = _run_on_every_tier(module, "item", _spec((6,), out=(6,)))
+        assert runs["interp"][0].memory["out"].tolist() == [
+            606.0 + 10 * i for i in range(6)]
+
+    def test_range_objects_and_accessor_ranges(self):
+        from repro.ir import f32
+
+        module = _kernel("ranges", _range_objects,
+                         {"a": ("read", f32()), "out": ("write", f32())})
+        _run_on_every_tier(module, "ranges", _spec((8,), (4,), a=(8,),
+                                                   out=(8,)))
+
+    def test_memref_dim_cast_and_dealloc(self):
+        from repro.ir import f32
+
+        module = _kernel("scratch", _memref_ops,
+                         {"a": ("read", f32()), "out": ("write", f32())})
+        _run_on_every_tier(module, "scratch", _spec((8,), (4,), a=(8,),
+                                                    out=(8,)))
+
+    def test_scf_for_reduction_is_detected_and_runs_alike(self):
+        """``detect-reduction`` carries ``out[i]`` through an ``scf.for``
+        (the builder's ``loop`` is ``affine.for``)."""
+        from repro.transforms.pass_manager import CompileReport
+
+        def body(k):
+            i = k.global_id(0)
+            _scf_loop(k, 0, 4, lambda j: k.store(
+                "out", [i], k.load("out", [i]) + j.to_float()))
+
+        module = _nd_kernel("acc", body, {"out": "read_write"})
+        spec = _nd_spec(2, 4, out=None)
+        run_differential(module, "sycl-mlir", specs={"acc": spec})
+        report = CompileReport()
+        build_named_pipeline("sycl-mlir").run(module, report=report)
+        assert report.get_statistic("detect-reduction",
+                                    "reductions_detected") == 1
+        _run_on_every_tier(module, "acc", spec)
+
+    def test_memref_dim_out_of_range_traps_alike(self):
+        from repro.ir import f32
+
+        module = _kernel("baddim", _dim_out_of_range,
+                         {"out": ("write", f32())})
+        messages = _trap_on_every_tier(module, "baddim",
+                                       _spec((4,), (2,), out=(4,)))
+        assert set(messages.values()) == {"memref.dim 1 out of range"}
+
+    def test_loop_carried_uniform_value(self):
+        from repro.ir import f32
+
+        module = _kernel("carried", _carried_sum,
+                         {"a": ("read", f32()), "out": ("write", f32())})
+        runs = _run_on_every_tier(module, "carried", _spec(
+            (8,), (4,), a=(8,), out=(8,)))
+        memory = runs["interp"][0].memory
+        total = sum(memory["a"][:4].tolist())
+        assert memory["out"].tolist() == pytest.approx(
+            [total + v for v in memory["a"].tolist()])
+
+    def test_shifts_unsigned_division_and_width_casts(self):
+        from repro.ir import f32, i32
+
+        module = _kernel("casts", _int_and_float_ops,
+                         {"a": ("read", f32()), "out": ("write", f32()),
+                          "iout": ("write", i32())})
+        spec = _spec((16,), (4,), a=(16,), out=(16,), iout=(16,))
+        runs = _run_on_every_tier(module, "casts", spec)
+        # Lowered, the casts are llvm.sext / trunc / fpext / fptrunc /
+        # fptosi, which the interpreter and the JIT's CFG mode run.
+        lowered = _lowered(module)
+        names = {op.name for op in lowered.walk()}
+        assert {"llvm.sext", "llvm.trunc", "llvm.fpext", "llvm.fptrunc",
+                "llvm.fptosi"} <= names
+        run = _on_both_tiers(lowered, "casts", spec)
+        assert not memory_differences(run.memory,
+                                      runs["interp"][0].memory)
+
+    def test_builder_math_reflected_operators_and_select(self):
+        from repro.ir import f32
+
+        module = _kernel("mathy", _builder_math,
+                         {"a": ("read", f32()), "out": ("write", f32())})
+        _run_on_every_tier(module, "mathy", _spec((8,), (4,), a=(8,),
+                                                  out=(8,)))
+
+    def test_if_then_else_runs_on_the_jit_and_declines_the_vector_tier(self):
+        from repro.ir import f32
+
+        module = _kernel("branchy", _uniform_branch,
+                         {"a": ("read", f32()), "out": ("write", f32())})
+        spec = _spec((8,), (4,), a=(8,), out=(8,))
+        run = _on_both_tiers(module, "branchy", spec)
+        a, out = run.memory["a"], run.memory["out"]
+        assert out.tolist() == [v + 1.0 for v in a[:4]] + [
+            v * 0.5 for v in a[4:]]
+        engine = ExecutionEngine(module, tier="vector")
+        assert engine.run("branchy", spec).tier == "interp"
+        assert engine.remarks == ["tier 'vector' fell back for 'branchy': "
+                                  "uniform control flow ('scf.if') is not "
+                                  "vectorized"]
+
+
+_LLVM_CALLS = '''
+  "func.func"() {function_type = (f32) -> (f32), sym_name = "twice", sym_visibility = "private"} : () -> () ({
+   ^bb0(%x: f32):
+    %y = "arith.addf"(%x, %x) : (f32, f32) -> (f32)
+    "func.return"(%y) : (f32) -> ()
+  })
+  "func.func"() {function_type = (f32, i1, i32) -> (f32, i64, i64, i64), sym_name = "caller"} : () -> () ({
+   ^bb0(%x: f32, %flag: i1, %n: i32):
+    %u = "llvm.mlir.undef"() : () -> (i64)
+    %c = "llvm.call"(%x) {callee = "twice"} : (f32) -> (f32)
+    %b = "llvm.bitcast"(%c) : (f32) -> (f32)
+    %z = "llvm.zext"(%flag) : (i1) -> (i64)
+    %w = "llvm.zext"(%n) : (i32) -> (i64)
+    "func.return"(%b, %u, %z, %w) : (f32, i64, i64, i64) -> ()
+  })
+  "llvm.mlir.global"() {sym_name = "g", constant = unit} : () -> ()
+  "func.func"() {function_type = () -> (!llvm.ptr), sym_name = "addr"} : () -> () ({
+    %p = "llvm.mlir.addressof"() {global_name = "g"} : () -> (!llvm.ptr)
+    "func.return"(%p) : (!llvm.ptr) -> ()
+  })
+'''
+
+
+class TestInterpreterOnlyLLVMOps:
+    """``llvm.call`` / ``llvm.mlir.undef`` / ``llvm.bitcast`` /
+    ``llvm.zext`` run on the interpreter only: the JIT and the vector
+    tier decline them with a ``TierFallback`` remark."""
+
+    def test_call_undef_bitcast_and_zext(self):
+        from repro.interp import ExecutionSpec
+
+        module = _cfg_module(_LLVM_CALLS)
+        spec = ExecutionSpec(scalars={"x": 1.5, "flag": True, "n": -2})
+        run = ExecutionEngine(module, tier="interp").run("caller", spec)
+        assert run.tier == "interp"
+        assert run.results == [3.0, 0, 1, 2 ** 32 - 2]
+        assert run.counters["calls"] == 1
+        for tier, reason in (
+                ("jit", "'caller' is not jit-compilable: operation "
+                        "'llvm.mlir.undef'"),
+                ("vector", "vector tier executes kernels only")):
+            engine = ExecutionEngine(module, tier=tier)
+            fallback = engine.run("caller", spec)
+            assert fallback.tier == "interp"
+            assert fallback.results == run.results
+            assert engine.remarks == [
+                f"tier '{tier}' fell back for 'caller': {reason}"]
+
+    def test_a_kernel_holding_one_declines_both_compiled_tiers(self):
+        from repro.dialects import llvm
+        from repro.ir import i64
+
+        def body(k):
+            _emit(k, llvm.LLVMUndefOp(operands=(), result_types=(i64(),)))
+            k.store("out", [k.global_id(0)], 1.0)
+
+        module = _nd_kernel("undef", body, {"out": "write"})
+        for tier, reason in (
+                ("jit", "'undef' is not jit-compilable: operation "
+                        "'llvm.mlir.undef'"),
+                ("vector", "operation 'llvm.mlir.undef' is not "
+                           "vectorized")):
+            engine = ExecutionEngine(module, tier=tier)
+            run = engine.run("undef", _nd_spec(1, 4, out=None))
+            assert run.tier == "interp"
+            assert run.memory["out"].tolist() == [1.0] * 4
+            assert engine.remarks == [
+                f"tier '{tier}' fell back for 'undef': {reason}"]
+
+    def test_global_address_traps_on_the_interpreter(self):
+        from repro.interp.memory import TrapError
+
+        engine = ExecutionEngine(_cfg_module(_LLVM_CALLS), tier="interp")
+        with pytest.raises(TrapError, match="'llvm.mlir.addressof' models "
+                                            "opaque host LLVM IR"):
+            engine.run("addr")

@@ -1,6 +1,5 @@
 """Structural fingerprint tests: stability, sensitivity, cache keys."""
 
-from repro.dialects import all_dialects  # noqa: F401 - registers ops/types
 from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp

@@ -34,8 +34,8 @@ from repro.ir import (
     f32,
     i32,
     index,
+    SymbolRefAttr,
     register_op,
-    symbol_ref,
     verify,
 )
 from repro.runtime import Accessor, Buffer, LocalAccessor
@@ -528,7 +528,7 @@ class TestKernelLaunch:
     def test_host_ops_are_rejected_with_reason(self):
         f, b = _function("host", [sycl.memref_of(sycl.QueueType())])
         b.insert(sycl.SYCLHostSubmitOp.build(f.arguments[0],
-                                             symbol_ref("cgf")))
+                                             SymbolRefAttr("cgf")))
         b.insert(func.ReturnOp.build())
         interp = Interpreter(wrap_in_module(f))
         with pytest.raises(TrapError, match="host-side"):

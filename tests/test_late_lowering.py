@@ -781,6 +781,63 @@ class TestLICMEffectSummaries:
         assert probe() is None
 
 
+#: One loop holding an op of every effect kind the dialects declare:
+#: allocations, LLVM pointer accesses, a copy, a free, a global's
+#: address and the host-side SYCL runtime calls.
+_EFFECTS = '''
+"builtin.module"() ({
+  "func.func"() {function_type = (memref<4xf32>, memref<4xf32>, memref<4xf32>, !llvm.ptr, i64) -> (), sym_name = "effects"} : () -> () ({
+   ^bb0(%src: memref<4xf32>, %dst: memref<4xf32>, %out: memref<4xf32>, %handler: !llvm.ptr, %n: i64):
+    %c0 = "arith.constant"() {value = 0 : index} : () -> (index)
+    %c1 = "arith.constant"() {value = 1 : index} : () -> (index)
+    %c4 = "arith.constant"() {value = 4 : index} : () -> (index)
+    %one = "llvm.mlir.constant"() {value = 1 : i64} : () -> (i64)
+    "scf.for"(%c0, %c4, %c1) ({
+     ^bb0(%i: index):
+      %cell = "llvm.alloca"(%one) : (i64) -> (!llvm.ptr<f32>)
+      %x = "memref.load"(%src, %i) : (memref<4xf32>, index) -> (f32)
+      "llvm.store"(%x, %cell) : (f32, !llvm.ptr<f32>) -> ()
+      %y = "llvm.load"(%cell) : (!llvm.ptr<f32>) -> (f32)
+      "memref.store"(%y, %out, %i) : (f32, memref<4xf32>, index) -> ()
+      "memref.copy"(%src, %dst) : (memref<4xf32>, memref<4xf32>) -> ()
+      %tmp = "memref.alloc"() : () -> (memref<4xf32>)
+      "memref.dealloc"(%tmp) : (memref<4xf32>) -> ()
+      %g = "memref.get_global"() {name = "state"} : () -> (memref<2xindex>)
+      %r = "llvm.alloca"(%one) : (i64) -> (!llvm.ptr<!sycl_range_1>)
+      "sycl.host.constructor"(%r, %n) {type = "range"} : (!llvm.ptr<!sycl_range_1>, i64) -> ()
+      "sycl.host.schedule_kernel"(%handler, %r) {kernel = @k, num_range_operands = 1 : i64} : (!llvm.ptr, !llvm.ptr<!sycl_range_1>) -> ()
+      "sycl.host.submit"(%handler) {cgf = @cgf} : (!llvm.ptr) -> ()
+      "scf.yield"() : () -> ()
+    }) : (index, index, index) -> ()
+    "func.return"() : () -> ()
+  })
+}) : () -> ()
+'''
+
+
+class TestLICMMemoryEffects:
+    def test_each_effect_kind_decides_what_leaves_the_loop(self):
+        """Allocations and the global's address are invariant; every
+        access stays behind a write it may alias (``sycl.host.submit``
+        writes anywhere); an allocation the loop frees stays with its
+        ``memref.dealloc``."""
+        module = parse_module(_EFFECTS)
+        report = CompileReport()
+        parse_pass_pipeline("func.func(sycl-licm)").run(module, report=report)
+        verify(module)
+        assert report.get_statistic("sycl-licm", "ops_hoisted") == 3
+        loop = next(op for op in module.walk() if op.name == "scf.for")
+        hoisted = [op.name for op in loop.parent.operations
+                   if op.is_before_in_block(loop)]
+        assert hoisted[-3:] == ["llvm.alloca", "memref.get_global",
+                                "llvm.alloca"]
+        assert [op.name for op in loop.body.operations] == [
+            "memref.load", "llvm.store", "llvm.load", "memref.store",
+            "memref.copy", "memref.alloc", "memref.dealloc",
+            "sycl.host.constructor", "sycl.host.schedule_kernel",
+            "sycl.host.submit", "scf.yield"]
+
+
 def _build_sum_to_function():
     """``sum_to(n)``: ``0 + 1 + ... + (n - 1)``, a loop with a result
     and a runtime trip count."""

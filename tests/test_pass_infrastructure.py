@@ -551,6 +551,21 @@ class TestInstrumentation:
         # run_before_pipeline are not leaked.
         assert "A.after_pipeline" in log
 
+    def test_ir_printing_dumps_the_ir_a_pass_broke(self):
+        import io
+
+        from repro.transforms import IRPrintingInstrumentation
+
+        stream = io.StringIO()
+        pm = PassManager([_BreakIRPass()], verify_after_each=True)
+        pm.add_instrumentation(IRPrintingInstrumentation(stream=stream))
+        with pytest.raises(VerificationError):
+            pm.run(_two_function_module())
+        dump = stream.getvalue()
+        assert dump.startswith("// -----// IR Dump After Failed Verify of "
+                               "break-ir")
+        assert dump.count('"func.return"') >= 2
+
     def test_ir_printing_selectors_accept_false(self):
         from repro.transforms import IRPrintingInstrumentation
 

@@ -314,6 +314,30 @@ class TestPassManagerIntegration:
 # Lint rules
 # ---------------------------------------------------------------------------
 
+CALLED_BARRIER_IR = '''"builtin.module"() ({{
+  "func.func"() {{function_type = (index, memref<?x!sycl_nd_item_1>) -> (), sym_name = "helper", sym_visibility = "private"}} : () -> () ({{
+   ^bb0(%x: index, %item: memref<?x!sycl_nd_item_1>):
+    %c4 = "arith.constant"() {{value = 4 : index}} : () -> (index)
+    %lt = "arith.cmpi"(%x, %c4) {{predicate = "slt"}} : (index, index) -> (i1)
+    "scf.if"(%lt) : (i1) -> () ({{
+      %grp = "sycl.nd_item.get_group"(%item) {{dimensions = 1 : i64}} : (memref<?x!sycl_nd_item_1>) -> (!sycl_group_1)
+      "sycl.group_barrier"(%grp) : (!sycl_group_1) -> ()
+      "scf.yield"() : () -> ()
+    }})
+    "func.return"() : () -> ()
+  }})
+  "func.func"() {{function_type = (memref<?x!sycl_nd_item_1>) -> (), sycl.kernel = unit, sym_name = "k"}} : () -> () ({{
+   ^bb0(%item: memref<?x!sycl_nd_item_1>):
+    %d0 = "arith.constant"() {{value = 0 : i32}} : () -> (i32)
+    %gid = "sycl.nd_item.get_global_id"(%item, %d0) : (memref<?x!sycl_nd_item_1>, i32) -> (index)
+    %c2 = "arith.constant"() {{value = 2 : index}} : () -> (index)
+    "{call}"({argument}, %item) {{callee = {callee}}} : (index, memref<?x!sycl_nd_item_1>) -> ()
+    "func.return"() : () -> ()
+  }})
+}}) : () -> ()
+'''
+
+
 class TestLintRules:
     def test_all_shipped_rules_registered(self):
         assert set(LINT_RULES) == {
@@ -381,6 +405,22 @@ class TestLintRules:
         body.insert(func.ReturnOp.build())
         assert run_lint(wrap_in_module(f),
                         rules=["barrier-divergence"]) == []
+
+    @pytest.mark.parametrize("call", ("func.call", "llvm.call"))
+    @pytest.mark.parametrize("argument,findings", (("%c2", 0), ("%gid", 1)))
+    def test_barrier_divergence_follows_call_arguments(self, call, argument,
+                                                       findings):
+        """A private helper branching on its argument around a barrier
+        diverges exactly when some call site passes a per-work-item
+        value."""
+        callee = "@helper" if call == "func.call" else '"helper"'
+        module = parse_module(CALLED_BARRIER_IR.format(
+            call=call, callee=callee, argument=argument))
+        verify(module)
+        found = run_lint(module, rules=["barrier-divergence"])
+        assert len(found) == findings
+        if findings:
+            assert "work-group deadlock" in found[0].message
 
     def test_readonly_accessor_write_flagged(self):
         acc_type = sycl.AccessorType(1, i32(), access_mode="read")
@@ -466,6 +506,14 @@ class TestLocations:
         clone = module.clone()
         ops = {op.name: op for op in clone.walk()}
         assert location_of(ops["arith.divsi"]).describe() == "trap.mlir:4:5"
+
+    def test_locations_are_immutable_hash_keys(self):
+        module = parse_module(TRAP_HOIST_IR, filename="trap.mlir")
+        divsi = next(op for op in module.walk() if op.name == "arith.divsi")
+        findings = {location_of(divsi): "divsi"}
+        with pytest.raises(AttributeError, match="immutable"):
+            location_of(divsi).line = 1
+        assert findings[Location("trap.mlir", 4, 5)] == "divsi"
 
     def test_unknown_location_prints_as_unknown(self):
         assert str(UNKNOWN) == "loc(unknown)"
