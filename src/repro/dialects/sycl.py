@@ -622,6 +622,18 @@ def accessor_type_of(value: Value) -> Optional[AccessorType]:
     return _accessor_type_of(value)
 
 
+def work_group_size_of(function: Operation) -> Optional[Tuple[int, ...]]:
+    """The work-group size a kernel requires (``sycl.work_group_size``,
+    SYCL's ``reqd_work_group_size``), or ``None``."""
+    attr = function.attributes.get("sycl.work_group_size")
+    if attr is None:
+        return None
+    try:
+        return tuple(int(a.value) for a in attr)
+    except (TypeError, AttributeError):
+        return None
+
+
 #: Maps the printed suffix of simple dimensioned SYCL types to their class.
 _DIMENSIONED_TYPES = {
     "id": IDType,

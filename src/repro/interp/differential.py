@@ -43,7 +43,12 @@ from ..ir import (
 )
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from ..dialects.sycl import AccessorType, ItemType, NDItemType
+from ..dialects.sycl import (
+    AccessorType,
+    ItemType,
+    NDItemType,
+    work_group_size_of,
+)
 from ..runtime.accessor import Accessor
 from ..runtime.buffer import Buffer
 from .interpreter import _item_argument_type
@@ -172,16 +177,6 @@ def _default_global(dims: int) -> Tuple[int, ...]:
     return {1: (4,), 2: (4, 4)}.get(dims, (2,) * dims)
 
 
-def _work_group_size_attr(function: FuncOp) -> Optional[Tuple[int, ...]]:
-    attr = function.attributes.get("sycl.work_group_size")
-    if attr is None:
-        return None
-    try:
-        return tuple(int(a.value) for a in attr)
-    except (TypeError, AttributeError):
-        return None
-
-
 def synthesize_spec(function: FuncOp,
                     spec: Optional[ExecutionSpec] = None) -> _ResolvedSpec:
     """Resolve a materializable input plan for ``function``.
@@ -200,7 +195,7 @@ def synthesize_spec(function: FuncOp,
     if resolved.kind == "kernel":
         resolved.global_size = tuple(spec.global_size) if spec.global_size \
             else _default_global(item_dims)
-        local = spec.local_size or _work_group_size_attr(function)
+        local = spec.local_size or work_group_size_of(function)
         resolved.local_size = tuple(local) if local else None
         default_extent = max(resolved.global_size)
     else:

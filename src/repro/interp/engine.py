@@ -197,6 +197,25 @@ class ExecutionEngine:
         if text not in self.remarks:
             self.remarks.append(text)
 
+    @staticmethod
+    def _check_work_group_size(function, local_size) -> None:
+        """Reject a launch at a local size other than the one the kernel
+        requires (``sycl.work_group_size``, SYCL's
+        ``reqd_work_group_size``): code compiled for it, local tiles
+        included, is wrong at any other size, on every tier."""
+        from ..dialects.sycl import work_group_size_of
+
+        required = work_group_size_of(function)
+        if required is None or local_size is None:
+            return
+        given = (local_size,) if isinstance(local_size, int) \
+            else tuple(local_size)
+        if given != required:
+            raise InterpreterError(
+                f"kernel '{function.sym_name}' requires work-group size "
+                f"{'x'.join(map(str, required))} (sycl.work_group_size), "
+                f"launched with local size {'x'.join(map(str, given))}")
+
     # -- lookup -------------------------------------------------------------
     def lookup_function(self, function):
         from ..dialects.func import FuncOp
@@ -220,6 +239,7 @@ class ExecutionEngine:
         degradation ladder).
         """
         function = self.lookup_function(kernel)
+        self._check_work_group_size(function, local_size)
         last_error: Optional[Exception] = None
         for name in self.tier_plan():
             backend = executor_for(name)
@@ -287,6 +307,7 @@ class ExecutionEngine:
         from ..runtime.accessor import Accessor
 
         function = self.lookup_function(function)
+        self._check_work_group_size(function, resolved.local_size)
         last_error: Optional[Exception] = None
         for name in self.tier_plan():
             backend = executor_for(name)

@@ -62,8 +62,9 @@ from .compile_cache import CacheKey, text_fingerprint
 #: the passes do with them.  Readers treat other versions as corrupt
 #: (evict and recompile) rather than guessing.  Version 2: a front entry
 #: names its second-level fingerprint in a field of its own.  Version 3:
-#: Loop Internalization declines tiles that do not pay.
-ENTRY_VERSION = 3
+#: Loop Internalization declines tiles that do not pay.  Version 4: it
+#: keeps reduction pairs in a register across the tile loop.
+ENTRY_VERSION = 4
 
 #: Default on-disk budget: generous for a developer cache, small enough
 #: that an unattended daemon cannot fill a disk.

@@ -15,17 +15,35 @@ Candidates are identified with the Memory Access Analysis (Section V-D);
 the Uniformity Analysis (Section V-C) rejects loops inside divergent
 regions, where the injected barriers would deadlock; stores are not
 considered candidates (an explicitly stated limitation of the paper's
-implementation).
+implementation).  Each tile is stored with its loop-mapped row last, so
+the inner loop reads every tile unit-stride.
+
+Once the candidates read local memory, a load/store pair of one location
+(``C[i, j]`` of a GEMM, see :func:`find_reductions`) can stay in a
+register for the whole loop: the pass loads it before the tile loop,
+carries it through both tiled loops as an ``iter_arg`` and stores it
+after them.  That is legal although the pair may alias a candidate and
+crosses the barriers:
+
+* the pair may alias only the candidates — every other access of the
+  loop is proven disjoint from it;
+* each candidate location is read by at least ``M`` work-items of the
+  group in the original loop, so a write to it there (through the pair)
+  would already be a data race;
+* the barriers are the pass's own, inserted into a loop that had none
+  (a barrier in the loop leaves :func:`find_reductions` no pair).
 
 The paper prefetches *when that pays*.  Before it tiles a loop the pass
 estimates, per work-item, the ops executed and the bytes moved with and
 without the tile (:meth:`LoopInternalization._estimate`), and tiles only
 when the tile lowers one of the two; otherwise it declines with a remark
-naming both estimates.  The tile's bytes pay off through Detect
-Reduction: once the candidates read local memory, a load/store pair of
-one location (``C[i, j]`` of a GEMM) stays in a register for a whole
-tile, so with ``c`` candidates, ``r`` such pairs and tile ``T`` the tile
-moves fewer bytes iff ``T > 1 + c / r``.
+naming both estimates.  With ``c`` candidates, ``r`` pairs, ``N`` trips
+and tile ``T``, both loops read the candidates ``c N`` times; the tile
+adds a global load and a local store per candidate and tile, ``2 c N /
+T``, and ``2 r`` for the pairs, where the untiled loop moves its pairs
+``2 r N`` times (they may alias a candidate, so Detect Reduction keeps
+them in memory): the tile moves fewer bytes iff ``T > (c / r) N / (N -
+1)``.
 """
 
 from __future__ import annotations
@@ -56,11 +74,12 @@ from ..dialects.sycl import (
     SYCLNDItemGetGroupOp,
     SYCLNDItemGetLocalIDOp,
     accessor_type_of,
+    work_group_size_of,
 )
 from ..analysis.memory_access import BasisKind, MemoryAccess, MemoryAccessAnalysis
 from ..analysis.sycl_alias import SYCLAliasAnalysis
 from ..analysis.uniformity import UniformityAnalysis
-from .detect_reduction import find_reductions
+from .detect_reduction import ReductionCandidate, find_reductions
 from .lower_sycl import linearization_ops, subscript_components
 from .pass_manager import CompileReport, FunctionPass, register_pass
 
@@ -82,13 +101,22 @@ class InternalizationCandidate:
     access: MemoryAccess
     rows: List[_RowPlan]
 
+    def tile_order(self) -> List[int]:
+        """The rows in the order the tile stores them: the loop-mapped
+        row last, so the tiled loop reads the tile unit-stride."""
+        return sorted(range(len(self.rows)),
+                      key=lambda row: self.rows[row].kind == "loop")
+
 
 @dataclass(frozen=True)
 class LoopCost:
-    """What one work-item executes in a loop: ops and bytes moved."""
+    """What one work-item executes in a loop: ops and bytes moved, and
+    the load/store pairs (:func:`find_reductions`) a tiling keeps in a
+    register across the whole loop."""
 
     ops: int
     bytes: int
+    pairs: Tuple[ReductionCandidate, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,15 +188,12 @@ def _trip_costs(body: Sequence[Operation], iv: Value):
     return costs
 
 
-def work_group_size_of(function: FuncOp) -> Optional[Tuple[int, ...]]:
-    """Work-group size propagated from the host (``sycl.work_group_size``)."""
-    attr = function.attributes.get("sycl.work_group_size")
-    if attr is None:
-        return None
-    try:
-        return tuple(int(a.value) for a in attr)
-    except (TypeError, AttributeError):
-        return None
+def _accessed(memref: Value) -> str:
+    """What ``memref`` addresses, by name: the accessor of a subscript."""
+    subscript = memref.defining_op()
+    if isinstance(subscript, SYCLAccessorSubscriptOp):
+        memref = subscript.accessor
+    return memref.name_hint or "a location"
 
 
 @register_pass
@@ -180,10 +205,12 @@ class LoopInternalization(FunctionPass):
     STATISTICS = (
         ("loops_internalized", "loops tiled through SYCL local memory"),
         ("references_prefetched", "global-memory references prefetched"),
+        ("reductions_kept", "load/store pairs kept in a register across "
+                            "the tile loop"),
         ("divergent_loops_skipped", "loops skipped due to divergence"),
     )
 
-    #: Decides which load/store pairs Detect Reduction keeps in a register.
+    #: Decides which load/store pairs stay in a register.
     _ALIAS = SYCLAliasAnalysis()
 
     def __init__(self, uniformity: Optional[UniformityAnalysis] = None,
@@ -231,13 +258,18 @@ class LoopInternalization(FunctionPass):
                     f"{self.NAME}: a tile of {tile} lowers neither ops nor "
                     f"bytes in {function.sym_name}: {estimates}")
                 continue
-            self._transform(function, loop, candidates, nd_item, tile, wg_size)
+            kept = "".join(f", kept {_accessed(pair.memref)} in a register"
+                           for pair in tiled.pairs)
+            self._transform(loop, candidates, tiled.pairs, nd_item, tile,
+                            wg_size)
             report.add_statistic(self.NAME, "loops_internalized")
             report.add_statistic(self.NAME, "references_prefetched",
                                  len(candidates))
+            report.add_statistic(self.NAME, "reductions_kept",
+                                 len(tiled.pairs))
             report.remark(
                 f"{self.NAME}: prefetched {len(candidates)} array reference(s) "
-                f"to local memory in {function.sym_name}: {estimates}")
+                f"to local memory{kept} in {function.sym_name}: {estimates}")
 
     # ------------------------------------------------------------------
     # Candidate discovery
@@ -350,13 +382,13 @@ class LoopInternalization(FunctionPass):
         each candidate, and every tile runs what :meth:`_transform` emits
         into the outer loop: per candidate a global load and a local
         store plus the address ops that vary with the tile, two barriers,
-        the inner loop and its yield.  The work-item queries and tiles
-        it emits before the loop run once.  A reduction pair (see
-        :func:`find_reductions`) leaves every loop Detect Reduction
-        rewrites: it then costs a load before and a store after the loop
-        instead of both on every trip.  Detect Reduction rewrites the
-        tiled inner loop when nothing but the candidates may alias the
-        pair's location.
+        the inner loop and its yield.  The work-item queries, tiles and
+        reduction pairs it emits around the loop run once.  A reduction
+        pair (see :func:`find_reductions`) then costs a load before and a
+        store after the loop instead of both on every trip; without the
+        tile Detect Reduction keeps only the pairs no candidate may
+        alias.  The tiled cost carries the pairs :meth:`_transform`
+        keeps.
         """
         trips = loop.constant_trip_count()
         tiles = trips // tile
@@ -405,27 +437,29 @@ class LoopInternalization(FunctionPass):
         inner_ops = ops + len(candidates) + reads_iv
         inner_bytes = moved + sum(_element_bytes(c.access.memref)
                                   for c in candidates)
-        tile_ops, tile_bytes = 4 + len(reduced), reduced_bytes
+        tile_ops, tile_bytes = 4, 0
         for candidate in candidates:
             # The global load, the local store, ``t + local_id`` of the
             # loop row and the address ops it feeds.
             is_loop = [row.kind == "loop" for row in candidate.rows]
             tile_ops += 2 + sum(is_loop) + linearization_ops(is_loop)
             tile_bytes += 2 * _element_bytes(candidate.access.memref)
-        # Before the loop: the outer loop, the group, the tiles, the
-        # work-item queries.
+        # Around the loop: the outer loop, the group, the tiles, the
+        # work-item queries and the pairs.
         rows = _WorkItemRows.of(candidates)
         once = (2 + len(candidates) + len(rows.needed) + len(rows.own)
-                + len(rows.transposed))
+                + len(rows.transposed) + len(reduced))
         tiled = LoopCost(once + tiles * tile_ops + trips * inner_ops,
-                         tiles * tile_bytes + trips * inner_bytes)
+                         reduced_bytes + tiles * tile_bytes
+                         + trips * inner_bytes, tuple(pairs))
         return tiled, without
 
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
-    def _transform(self, function: FuncOp, loop: affine_dialect.AffineForOp,
-                   candidates: List[InternalizationCandidate], nd_item: Value,
+    def _transform(self, loop: affine_dialect.AffineForOp,
+                   candidates: List[InternalizationCandidate],
+                   pairs: Sequence[ReductionCandidate], nd_item: Value,
                    tile: int, wg_size: Tuple[int, ...]) -> None:
         parent_block = loop.parent
         bounds = loop.constant_bounds()
@@ -471,9 +505,16 @@ class LoopInternalization(FunctionPass):
             tile_alloc.set_attr("sycl.local_tile", IntegerAttr(tile, i64()))
             tiles.append(tile_alloc.result)
 
+        # Each pair's address and value before the tile loop: the value
+        # is carried through both tiled loops and stored after them.
+        addresses = [self._address_before(loop, pair.memref, insert)
+                     for pair in pairs]
+        initial = [insert(pair.load.clone({pair.memref: address})).result
+                   for pair, address in zip(pairs, addresses)]
+
         # Outer tiled loop: for t = 0 .. N step M (Listing 7, l. 13).
-        outer = affine_dialect.AffineForOp.build(zero.result, upper_const.result,
-                                                 step=tile)
+        outer = affine_dialect.AffineForOp.build(
+            zero.result, upper_const.result, step=tile, iter_args=initial)
         parent_block.insert_before(loop, outer)
         outer_body = outer.body
         t_value = outer.induction_variable()
@@ -496,18 +537,21 @@ class LoopInternalization(FunctionPass):
                         group_ids[row.thread_dim], tile_const.result)).result
                 global_indices.append(append_outer(
                     arith.AddIOp.build(base, local_ids[row_index])).result)
-            prefetch_load = append_outer(self._build_accessor_load(
-                candidate, global_indices, append_outer))
-            tile_indices = [local_ids[row_index]
-                            for row_index in range(len(candidate.rows))]
+            subscript = self._subscript(candidate.subscript.accessor,
+                                        global_indices, append_outer)
+            prefetch_load = append_outer(affine_dialect.AffineLoadOp.build(
+                subscript, [append_outer(
+                    arith.ConstantOp.build(0, index())).result]))
             append_outer(memref_dialect.StoreOp.build(
-                prefetch_load.result, tile_memref, tile_indices))
+                prefetch_load.result, tile_memref,
+                [local_ids[row] for row in candidate.tile_order()]))
 
         append_outer(SYCLGroupBarrierOp.build(group.result))
 
         # Inner tiled loop over the local tiles (Listing 7, l. 17-18).
-        inner = affine_dialect.AffineForOp.build(zero.result, tile_const.result,
-                                                 step=1)
+        inner = affine_dialect.AffineForOp.build(
+            zero.result, tile_const.result, step=1,
+            iter_args=outer_body.arguments[1:])
         outer_body.append(inner)
         inner_body = inner.body
         k_prime = inner.induction_variable()
@@ -517,46 +561,63 @@ class LoopInternalization(FunctionPass):
         inner_body.append(global_k)
 
         mapping: Dict[Value, Value] = {loop.induction_variable(): global_k.result}
+        for pair, carried in zip(pairs, inner_body.arguments[1:]):
+            mapping[pair.load.result] = carried
         candidate_loads = {id(c.load): (c, tile_memref)
                            for c, tile_memref in zip(candidates, tiles)}
+        skipped = {id(op) for pair in pairs for op in (pair.load, pair.store)}
         old_terminator = loop.body.terminator
         for op in loop.body.operations:
-            if op is old_terminator:
+            if op is old_terminator or id(op) in skipped:
                 continue
             if id(op) in candidate_loads:
                 candidate, tile_memref = candidate_loads[id(op)]
-                tile_indices = []
-                for row in candidate.rows:
-                    if row.kind == "loop":
-                        tile_indices.append(k_prime)
-                    else:
-                        tile_indices.append(local_ids[row.thread_dim])
+                tile_indices = [
+                    k_prime if candidate.rows[row].kind == "loop"
+                    else local_ids[candidate.rows[row].thread_dim]
+                    for row in candidate.tile_order()]
                 replacement = memref_dialect.LoadOp.build(tile_memref, tile_indices)
                 inner_body.append(replacement)
                 mapping[op.results[0]] = replacement.result
                 continue
             cloned = op.clone(mapping)
             inner_body.append(cloned)
-        inner_body.append(affine_dialect.AffineYieldOp.build())
+        inner_body.append(affine_dialect.AffineYieldOp.build(
+            [mapping.get(pair.store.value, pair.store.value)
+             for pair in pairs]))
 
         outer_body.append(SYCLGroupBarrierOp.build(group.result))
-        outer_body.append(affine_dialect.AffineYieldOp.build())
+        outer_body.append(affine_dialect.AffineYieldOp.build(inner.results))
+
+        # The pairs' final values go to memory once, after the loop.
+        for pair, address, result in zip(pairs, addresses, outer.results):
+            parent_block.insert_before(loop, type(pair.store).build(
+                result, address, list(pair.indices)))
 
         # The original loop is no longer referenced (loops with results
         # are no candidates).
         loop.erase()
 
-    def _build_accessor_load(self, candidate: InternalizationCandidate,
-                             indices: Sequence[Value], append) -> Operation:
-        """Build ``sycl.constructor`` + ``subscript`` + load for the prefetch."""
+    @staticmethod
+    def _address_before(loop: affine_dialect.AffineForOp, memref: Value,
+                        insert) -> Value:
+        """``memref`` where it is defined before ``loop``: a subscript in
+        the loop is rebuilt from its components, all defined outside."""
+        if loop.is_defined_outside(memref):
+            return memref
+        subscript = memref.defining_op()
+        return LoopInternalization._subscript(
+            subscript.accessor, subscript_components(subscript), insert)
+
+    @staticmethod
+    def _subscript(accessor: Value, indices: Sequence[Value],
+                   append) -> Value:
+        """An id of ``indices`` (``sycl.constructor``) and ``accessor``
+        subscripted with it."""
         from ..dialects.sycl import IDType
 
-        rank = len(indices)
         id_alloca = append(memref_dialect.AllocaOp.build(
-            MemRefType((1,), IDType(rank))))
+            MemRefType((1,), IDType(len(indices)))))
         append(SYCLConstructorOp.build("id", id_alloca.result, list(indices)))
-        subscript = append(SYCLAccessorSubscriptOp.build(
-            candidate.subscript.accessor, id_alloca.result))
-        zero = append(arith.ConstantOp.build(0, index()))
-        load = affine_dialect.AffineLoadOp.build(subscript.result, [zero.result])
-        return load
+        return append(SYCLAccessorSubscriptOp.build(
+            accessor, id_alloca.result)).result

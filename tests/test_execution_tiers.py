@@ -430,6 +430,53 @@ class TestInterpreterLaunch:
 
 
 # ---------------------------------------------------------------------------
+# The required work-group size
+# ---------------------------------------------------------------------------
+
+class TestRequiredWorkGroupSize:
+    """A kernel carrying ``sycl.work_group_size`` runs at that local size
+    only: ``sycl-mlir`` tiles the GEMM by it, so at 2x2 every tier would
+    compute a wrong ``C`` and at 8x8 index past the 4x4 tiles."""
+
+    @staticmethod
+    def _rejection(local):
+        return (r"kernel 'gemm' requires work-group size 4x4 "
+                r"\(sycl.work_group_size\), launched with local size "
+                + "x".join(map(str, local)))
+
+    @pytest.mark.parametrize("local", [(2, 2), (8, 8)])
+    @pytest.mark.parametrize("tier", TIERS + ("auto",))
+    def test_another_local_size_fails_before_any_tier(self, tier, local):
+        from dataclasses import replace
+
+        from repro.interp import InterpreterError
+
+        module, specs = _tiled_gemm()
+        build_named_pipeline("sycl-mlir").run(module)
+        engine = ExecutionEngine(module, tier=tier)
+        with pytest.raises(InterpreterError, match=self._rejection(local)):
+            engine.run("gemm", replace(specs["gemm"], local_size=local))
+        assert engine.remarks == []
+        assert engine.run("gemm", specs["gemm"]).tier == \
+            ("vector" if tier == "auto" else tier)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_direct_launch_is_checked_alike(self, tier):
+        import numpy as np
+
+        from repro.interp import InterpreterError
+        from repro.runtime import Accessor, Buffer
+
+        module, _ = _tiled_gemm()
+        args = [Accessor(Buffer(np.ones((8, 8), dtype=np.float32)), mode)
+                for mode in ("read", "read", "read_write")]
+        engine = ExecutionEngine(module, tier=tier)
+        with pytest.raises(InterpreterError, match=self._rejection((2, 2))):
+            engine.launch("gemm", args, (8, 8), (2, 2))
+        assert engine.launch("gemm", args, (8, 8), (4, 4)).counters.ops > 0
+
+
+# ---------------------------------------------------------------------------
 # Lazy imports
 # ---------------------------------------------------------------------------
 

@@ -180,6 +180,17 @@ class TestKernelExecution:
         assert rc == 1
         assert "execution failed" in capsys.readouterr().err
 
+    def test_another_local_size_than_the_required_one_exits_one(
+            self, kernel_module_path, capsys):
+        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+                        "--global-size", "8x8", "--local-size", "2x2",
+                        "--pipeline", "sycl-mlir"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "repro-run: execution failed: kernel 'gemm' requires "
+            "work-group size 4x4 (sycl.work_group_size), launched with "
+            "local size 2x2"]
+
     def test_step_budget_flag(self, kernel_module_path, capsys):
         rc = repro_run([str(kernel_module_path), *self.ARGS,
                         "--max-steps", "10"])
