@@ -49,6 +49,7 @@ from ..ir import (
     location_of,
 )
 from ..dialects import affine as affine_dialect
+from ..dialects import memref as memref_dialect
 from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
 from ..dialects.memref import AllocaOp
@@ -56,7 +57,6 @@ from ..dialects.sycl import SYCLGroupBarrierOp, accessor_type_of
 from .alias import underlying_object
 from .callgraph import CallGraph
 from .manager import AnalysisManager
-from .memory_access import MemoryAccessAnalysis
 from .private_slots import forward_private_slots
 from .uniformity import UniformityAnalysis
 
@@ -236,21 +236,19 @@ def _lint_barrier_divergence(ctx: LintContext) -> None:
     "readonly-accessor-write",
     "stores must not target a view of a read-only accessor")
 def _lint_readonly_accessor_write(ctx: LintContext) -> None:
-    for function in ctx.module.walk():
-        if not isinstance(function, FuncOp):
+    # Every store, whatever its index: the access matrices leave out the
+    # non-affine ones.
+    for store in ctx.module.walk():
+        if not isinstance(store, (affine_dialect.AffineStoreOp,
+                                  memref_dialect.StoreOp)):
             continue
-        accesses = ctx.am.get(MemoryAccessAnalysis, function)
-        for access in accesses.accesses:
-            if not access.is_store:
-                continue
-            base = underlying_object(access.memref)
-            accessor_type = accessor_type_of(base) if base is not None \
-                else None
-            if accessor_type is not None and accessor_type.is_read_only:
-                ctx.error(
-                    f"store through read-only accessor "
-                    f"(access mode '{accessor_type.access_mode}')",
-                    access.access_op)
+        base = underlying_object(store.memref)
+        accessor_type = accessor_type_of(base) if base is not None \
+            else None
+        if accessor_type is not None and accessor_type.is_read_only:
+            ctx.error(
+                f"store through read-only accessor "
+                f"(access mode '{accessor_type.access_mode}')", store)
 
 
 @register_lint_rule(

@@ -63,8 +63,10 @@ from .compile_cache import CacheKey, text_fingerprint
 #: (evict and recompile) rather than guessing.  Version 2: a front entry
 #: names its second-level fingerprint in a field of its own.  Version 3:
 #: Loop Internalization declines tiles that do not pay.  Version 4: it
-#: keeps reduction pairs in a register across the tile loop.
-ENTRY_VERSION = 4
+#: keeps reduction pairs in a register across the tile loop.  Version 5:
+#: Detect Reduction leaves out reads the work-group shares, so a tile of
+#: 4 declines.
+ENTRY_VERSION = 5
 
 #: Default on-disk budget: generous for a developer cache, small enough
 #: that an unattended daemon cannot fill a disk.

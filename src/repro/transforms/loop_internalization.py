@@ -23,27 +23,22 @@ Once the candidates read local memory, a load/store pair of one location
 register for the whole loop: the pass loads it before the tile loop,
 carries it through both tiled loops as an ``iter_arg`` and stores it
 after them.  That is legal although the pair may alias a candidate and
-crosses the barriers:
-
-* the pair may alias only the candidates — every other access of the
-  loop is proven disjoint from it;
-* each candidate location is read by at least ``M`` work-items of the
-  group in the original loop, so a write to it there (through the pair)
-  would already be a data race;
-* the barriers are the pass's own, inserted into a loop that had none
-  (a barrier in the loop leaves :func:`find_reductions` no pair).
+crosses the barriers, by the rule Detect Reduction applies untiled
+(:class:`~repro.transforms.detect_reduction.SharedReads`): a candidate
+is a read other work-items of the group share, and the barriers are the
+pass's own.
 
 The paper prefetches *when that pays*.  Before it tiles a loop the pass
 estimates, per work-item, the ops executed and the bytes moved with and
 without the tile (:meth:`LoopInternalization._estimate`), and tiles only
 when the tile lowers one of the two; otherwise it declines with a remark
-naming both estimates.  With ``c`` candidates, ``r`` pairs, ``N`` trips
-and tile ``T``, both loops read the candidates ``c N`` times; the tile
-adds a global load and a local store per candidate and tile, ``2 c N /
-T``, and ``2 r`` for the pairs, where the untiled loop moves its pairs
-``2 r N`` times (they may alias a candidate, so Detect Reduction keeps
-them in memory): the tile moves fewer bytes iff ``T > (c / r) N / (N -
-1)``.
+naming both estimates.  With ``c`` candidates, ``N`` trips and tile
+``T``, both loops read the candidates ``c N`` times and keep the same
+pairs in a register; the tile adds a global load and a local store per
+candidate and tile, ``2 c N / T``, so it never moves fewer bytes (local
+bytes count like global ones) and pays only when the ops it saves —
+the address arithmetic of the candidates — outweigh the ops each tile
+adds.
 """
 
 from __future__ import annotations
@@ -79,7 +74,8 @@ from ..dialects.sycl import (
 from ..analysis.memory_access import BasisKind, MemoryAccess, MemoryAccessAnalysis
 from ..analysis.sycl_alias import SYCLAliasAnalysis
 from ..analysis.uniformity import UniformityAnalysis
-from .detect_reduction import ReductionCandidate, find_reductions
+from .detect_reduction import (ReductionCandidate, SharedReads,
+                               find_reductions)
 from .lower_sycl import linearization_ops, subscript_components
 from .pass_manager import CompileReport, FunctionPass, register_pass
 
@@ -213,11 +209,6 @@ class LoopInternalization(FunctionPass):
     #: Decides which load/store pairs stay in a register.
     _ALIAS = SYCLAliasAnalysis()
 
-    def __init__(self, uniformity: Optional[UniformityAnalysis] = None,
-                 options=None):
-        super().__init__(options=options)
-        self._uniformity = uniformity
-
     # ------------------------------------------------------------------
     def run_on_function(self, function: FuncOp, report: CompileReport) -> None:
         if not function.is_kernel():
@@ -229,8 +220,8 @@ class LoopInternalization(FunctionPass):
         if nd_item is None:
             return
 
-        uniformity = self._uniformity or \
-            self.get_analysis(UniformityAnalysis, function)
+        uniformity = self.get_analysis(UniformityAnalysis, function)
+        shared = SharedReads.of_kernel(function, self.get_analysis)
         loops = [op for op in function.walk()
                  if isinstance(op, affine_dialect.AffineForOp)]
         for loop in loops:
@@ -246,10 +237,11 @@ class LoopInternalization(FunctionPass):
                     f"in {function.sym_name}")
                 report.add_statistic(self.NAME, "divergent_loops_skipped")
                 continue
-            candidates, tile = self._find_candidates(function, loop, wg_size)
+            candidates, tile = self._find_candidates(function, loop, wg_size,
+                                                     report)
             if not candidates or tile is None:
                 continue
-            tiled, untiled = self._estimate(loop, candidates, tile)
+            tiled, untiled = self._estimate(loop, candidates, tile, shared)
             estimates = (f"ops with/without {tiled.ops}/{untiled.ops}, "
                          f"bytes with/without {tiled.bytes}/{untiled.bytes} "
                          f"per work-item")
@@ -284,7 +276,7 @@ class LoopInternalization(FunctionPass):
         return None
 
     def _find_candidates(self, function: FuncOp, loop: affine_dialect.AffineForOp,
-                         wg_size: Tuple[int, ...]):
+                         wg_size: Tuple[int, ...], report: CompileReport):
         trip_count = loop.constant_trip_count()
         bounds = loop.constant_bounds()
         if trip_count is None or bounds is None or bounds[0] != 0 or \
@@ -316,7 +308,17 @@ class LoopInternalization(FunctionPass):
             rows = self._plan_rows(access, iv)
             if rows is None:
                 continue
-            candidates.append(InternalizationCandidate(op, subscript, access, rows))
+            candidate = InternalizationCandidate(op, subscript, access, rows)
+            highest = max(_WorkItemRows.of([candidate]).needed)
+            if highest >= len(wg_size):
+                # Its tile would query a work-item dimension the
+                # ND-range does not have.
+                report.remark(
+                    f"{self.NAME}: a tile of {_accessed(op.memref)} needs "
+                    f"work-item dimension {highest}, which a work-group of "
+                    f"rank {len(wg_size)} lacks, in {function.sym_name}")
+                continue
+            candidates.append(candidate)
         return candidates, tile
 
     @staticmethod
@@ -374,7 +376,8 @@ class LoopInternalization(FunctionPass):
     # ------------------------------------------------------------------
     def _estimate(self, loop: affine_dialect.AffineForOp,
                   candidates: List[InternalizationCandidate],
-                  tile: int) -> Tuple[LoopCost, LoopCost]:
+                  tile: int, shared: Optional[SharedReads]
+                  ) -> Tuple[LoopCost, LoopCost]:
         """Per-work-item ``(with, without)`` the tile, for the whole loop.
 
         Without the tile every trip runs the body.  With it every trip of
@@ -382,13 +385,11 @@ class LoopInternalization(FunctionPass):
         each candidate, and every tile runs what :meth:`_transform` emits
         into the outer loop: per candidate a global load and a local
         store plus the address ops that vary with the tile, two barriers,
-        the inner loop and its yield.  The work-item queries, tiles and
-        reduction pairs it emits around the loop run once.  A reduction
-        pair (see :func:`find_reductions`) then costs a load before and a
-        store after the loop instead of both on every trip; without the
-        tile Detect Reduction keeps only the pairs no candidate may
-        alias.  The tiled cost carries the pairs :meth:`_transform`
-        keeps.
+        the inner loop and its yield.  The work-item queries and tiles it
+        emits around the loop run once.  Either way a reduction pair (see
+        :func:`find_reductions`) costs a load before and a store after
+        the loop instead of both on every trip: the pass keeps the pairs
+        Detect Reduction would keep untiled.  The tiled cost carries them.
         """
         trips = loop.constant_trip_count()
         tiles = trips // tile
@@ -413,24 +414,14 @@ class LoopInternalization(FunctionPass):
                 loop.is_defined_outside(v)
                 for v in [subscript.accessor] + components)
 
-        def pair_cost(pairs) -> Tuple[set, int]:
-            # Out of the loop, each pair is one load and one store.
-            return ({op for p in pairs for op in (p.load, p.store)},
-                    sum(2 * _element_bytes(p.memref) for p in pairs))
+        pairs = find_reductions(loop, self._ALIAS, fixed, shared)
+        # Out of the loop, each pair is one load and one store.
+        reduced = {op for p in pairs for op in (p.load, p.store)}
+        reduced_bytes = sum(2 * _element_bytes(p.memref) for p in pairs)
+        ops, moved, _ = trip(reduced)
+        without = LoopCost(1 + trips * ops + len(reduced),
+                           trips * moved + reduced_bytes)
 
-        # The pairs of the tiled loop; those no candidate may alias stay
-        # in a register without the tile as well.
-        pairs = find_reductions(loop, self._ALIAS, fixed,
-                                ignore=[c.load for c in candidates])
-        kept, kept_bytes = pair_cost([
-            p for p in pairs
-            if not any(self._ALIAS.may_alias(c.load.memref, p.memref)
-                       for c in candidates)])
-        ops, moved, _ = trip(kept)
-        without = LoopCost(1 + trips * ops + len(kept),
-                           trips * moved + kept_bytes)
-
-        reduced, reduced_bytes = pair_cost(pairs)
         ops, moved, reads_iv = trip(reduced | {
             op for c in candidates for op in (c.load, c.subscript)})
         # A local load per candidate, and ``t + k'`` if the body uses it.

@@ -33,7 +33,7 @@ from tests.helpers import (
 )
 
 #: Total calls of one counted round over the four units (CPython 3.11.7).
-BUDGET = 46_595
+BUDGET = 38_662
 TOLERANCE = 0.05
 STAGES = ("parse", "verify", "sycl-mlir", "lower-to-llvm", "emit")
 

@@ -188,8 +188,9 @@ def build_gemm_module(size=8, work_group=4):
     returns ``(module, {"gemm": spec})``.
 
     ``sycl-mlir`` tiles its k-loop through local memory (with barriers)
-    when the tile pays: at the default 8 x 8 with work-groups of 4, not
-    with work-groups of 2, where Loop Internalization declines.
+    when the tile pays: with work-groups of 8, not with work-groups of 2
+    or 4, where Loop Internalization declines and Detect Reduction keeps
+    ``C[i, j]`` in a register untiled.
     """
     from repro.interp import ExecutionSpec
 

@@ -40,7 +40,9 @@ SHIPPED_PIPELINES = shipped_pipeline_names()
 
 LISTING_SPECS = listing_execution_specs()
 
-_gemm_module = build_gemm_module
+def _gemm_module():
+    """A GEMM ``sycl-mlir`` tiles by 8 (a tile of 4 declines)."""
+    return build_gemm_module(size=8, work_group=8)
 
 
 def _listing_module():
@@ -208,7 +210,7 @@ class TestHarnessSensitivity:
     def test_indivisible_work_group_size_is_a_skip_not_a_crash(self):
         # NDRange validation errors must surface as skip reasons, not
         # escape the harness as raw ValueErrors.
-        module, _ = _gemm_module(size=8, work_group=3)
+        module, _ = build_gemm_module(size=8, work_group=3)
         executions, skipped = ExecutionEngine(
             module, tier="interp").execute_module()
         assert executions == {}

@@ -420,7 +420,7 @@ class TestEntryVersion:
         with monkeypatch.context() as older:
             older.setattr(disk_cache, "ENTRY_VERSION", 2)
             older.setattr(LoopInternalization, "_estimate",
-                          lambda self, loop, candidates, tile:
+                          lambda self, loop, candidates, tile, shared:
                           (LoopCost(0, 0), LoopCost(1, 1)))
             assert main(argv) == 0
             assert "sycl.group_barrier" in capsys.readouterr().out

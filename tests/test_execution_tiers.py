@@ -50,9 +50,10 @@ PIPELINES = ("sycl-mlir", "dpcpp", "adaptivecpp-aot", "adaptivecpp-jit")
 
 
 def _tiled_gemm():
-    """The internalizing GEMM: ``sycl-mlir`` tiles its k-loop by 4
-    through local memory, so its output runs barriers on every tier."""
-    return build_gemm_module(size=8, work_group=4)
+    """The internalizing GEMM: ``sycl-mlir`` tiles its k-loop by 8
+    through local memory, so its output runs barriers on every tier (a
+    tile of 4 keeps ``C`` in a register untiled and declines)."""
+    return build_gemm_module(size=8, work_group=8)
 
 
 def _listing_module():
@@ -435,8 +436,10 @@ class TestInterpreterLaunch:
 
 class TestRequiredWorkGroupSize:
     """A kernel carrying ``sycl.work_group_size`` runs at that local size
-    only: ``sycl-mlir`` tiles the GEMM by it, so at 2x2 every tier would
-    compute a wrong ``C`` and at 8x8 index past the 4x4 tiles."""
+    only: ``sycl-mlir``'s decisions assume it (a GEMM tiled by 4 would
+    compute a wrong ``C`` at 2x2 and index past its tiles at 8x8; the
+    untiled one keeps ``C`` in a register because the group shares the
+    reads of ``A`` and ``B``)."""
 
     @staticmethod
     def _rejection(local):
@@ -451,7 +454,7 @@ class TestRequiredWorkGroupSize:
 
         from repro.interp import InterpreterError
 
-        module, specs = _tiled_gemm()
+        module, specs = build_gemm_module(size=8, work_group=4)
         build_named_pipeline("sycl-mlir").run(module)
         engine = ExecutionEngine(module, tier=tier)
         with pytest.raises(InterpreterError, match=self._rejection(local)):
@@ -467,7 +470,7 @@ class TestRequiredWorkGroupSize:
         from repro.interp import InterpreterError
         from repro.runtime import Accessor, Buffer
 
-        module, _ = _tiled_gemm()
+        module, _ = build_gemm_module(size=8, work_group=4)
         args = [Accessor(Buffer(np.ones((8, 8), dtype=np.float32)), mode)
                 for mode in ("read", "read", "read_write")]
         engine = ExecutionEngine(module, tier=tier)

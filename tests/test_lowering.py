@@ -93,7 +93,8 @@ def _dialect_histogram(module):
 
 
 def _internalized_gemm():
-    module, specs = build_gemm_module()
+    """The 8x8 GEMM ``sycl-mlir`` tiles by 8 (a tile of 4 declines)."""
+    module, specs = build_gemm_module(work_group=8)
     build_named_pipeline("sycl-mlir").run(module)
     return module, specs
 
@@ -352,10 +353,10 @@ class TestDifferential:
     def test_internalized_gemm_survives_lowering(self):
         """The paper pipeline first, then the lowering — the lowered
         module must still compute what the *original* source did."""
-        module, specs = build_gemm_module()
-        reference = print_op(module)
-        build_named_pipeline("sycl-mlir").run(module)
-        assert print_op(module) != reference  # internalization fired
+        module, specs = build_gemm_module(work_group=8)
+        compiled = build_named_pipeline("sycl-mlir").run(module)
+        assert compiled.get_statistic("loop-internalization",
+                                      "loops_internalized") == 1
         report = run_differential(module, "lower-to-llvm", specs=specs)
         assert report.executed == ["gemm"]
         histogram = _dialect_histogram(module)
@@ -381,7 +382,7 @@ class TestLoweredCodeRunsOnTheJIT:
         vecadd = wrap_in_module(build_vecadd_source().build())
         yield vecadd, {"vecadd": ExecutionSpec(
             global_size=(16,), buffers={name: (16,) for name in "abc"})}
-        yield build_gemm_module()
+        yield build_gemm_module(work_group=8)  # tiled: local tiles, barriers
 
     def test_lowered_modules_match_the_interpreter_exactly(self):
         executed = []
@@ -406,8 +407,7 @@ class TestLoweredCodeRunsOnTheJIT:
                                     "vecadd"]
 
     def test_internalized_gemm_keeps_its_barriers_in_the_cfg(self):
-        module, specs = build_gemm_module()
-        build_named_pipeline("sycl-mlir").run(module)
+        module, specs = _internalized_gemm()
         _lower(module)
         engine = ExecutionEngine(module, tier="auto")
         executions, _ = engine.execute_module(specs)
@@ -451,18 +451,19 @@ class TestAddressesAreBuiltOnce:
                         (function.sym_name, op.name)
 
     def test_lowered_gemm_executes_a_pinned_number_of_ops(self):
-        """Exact interpreter counts at the 8x8 / 4x4 launch.  Built per
-        access, the addresses made the same kernel execute 15 936 ops;
+        """Exact interpreter counts.  At the 8x8 / 4x4 launch, built per
+        access, the addresses made the tiled kernel execute 15 936 ops;
         built once but summed inside the loops, 10 944.  Split by loop
         level, with each constant once per function, 9 664; with ``C``
         in a register across the tile loop and every tile read
-        unit-stride, 9 152.  Loads and stores are the structured
-        kernel's, one for one."""
+        unit-stride, 9 152.  A tile of 4 now declines (``C`` stays in a
+        register untiled), so the pin is the 8x8 / 8x8 launch, tiled by
+        8.  Loads and stores are the structured kernel's, one for one."""
         module, specs = _internalized_gemm()
         structured = _executions(module, specs)["gemm"].counters
         lowered = _executions(_lower(module), specs)["gemm"].counters
-        assert structured["ops"] == 5_888
-        assert lowered["ops"] == 9_152
+        assert structured["ops"] == 4_992
+        assert lowered["ops"] == 8_192
         assert dict(lowered, ops=0) == dict(structured, ops=0)
 
 

@@ -403,7 +403,7 @@ class TestLeftAlone:
                 ExecutionEngine(module, tier=tier).run("oob")
 
     def test_local_tiles_of_loop_internalization_are_never_touched(self):
-        module, _ = _shape_module("gemm")
+        module, _ = _shape_module("gemm_tiled")
         parse_pass_pipeline(SYCL_STAGE).run(module)
         tiles = [op for op in module.walk() if op.name == "memref.alloc"]
         assert tiles and all(op.results[0].type.memory_space == "local"

@@ -48,14 +48,25 @@ def scalar_module_path(tmp_path):
     return path
 
 
-@pytest.fixture
-def kernel_module_path(tmp_path):
-    """The internalizing GEMM: ``sycl-mlir`` tiles it (barriers)."""
-    module, _ = build_gemm_module(size=8, work_group=4)
-    path = tmp_path / "gemm.mlir"
+def _gemm_path(tmp_path, work_group):
+    module, _ = build_gemm_module(size=8, work_group=work_group)
+    path = tmp_path / f"gemm{work_group}.mlir"
     path.write_text(Printer().print_module(module) + "\n",
                     encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def kernel_module_path(tmp_path):
+    """The internalizing GEMM: ``sycl-mlir`` tiles it by 8 (local tiles,
+    barriers)."""
+    return _gemm_path(tmp_path, 8)
+
+
+@pytest.fixture
+def wg4_module_path(tmp_path):
+    """The GEMM with work-groups of 4, for the launch-rejection tests."""
+    return _gemm_path(tmp_path, 4)
 
 
 class TestScalarExecution:
@@ -106,7 +117,7 @@ class TestScalarExecution:
 
 class TestKernelExecution:
     ARGS = ["--entry", "gemm", "--global-size", "8x8",
-            "--local-size", "4x4", "--buffer", "A=8x8",
+            "--local-size", "8x8", "--buffer", "A=8x8",
             "--buffer", "B=8x8", "--buffer", "C=8x8"]
 
     def test_launch_and_print_buffers(self, kernel_module_path, capsys):
@@ -114,7 +125,7 @@ class TestKernelExecution:
                         "--print-buffers"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "@gemm launched over 8x8 (local: 4x4)" in out
+        assert "@gemm launched over 8x8 (local: 8x8)" in out
         assert "C = [" in out
 
     def test_pipeline_then_execute(self, kernel_module_path, capsys):
@@ -147,17 +158,17 @@ class TestKernelExecution:
         optimized = capsys.readouterr().out
         assert plain == optimized
 
-    def test_malformed_size_is_usage_error(self, kernel_module_path,
+    def test_malformed_size_is_usage_error(self, wg4_module_path,
                                            capsys):
-        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+        rc = repro_run([str(wg4_module_path), "--entry", "gemm",
                         "--global-size", "4xtwo"])
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
-    def test_misspelled_buffer_name_is_rejected(self, kernel_module_path,
+    def test_misspelled_buffer_name_is_rejected(self, wg4_module_path,
                                                 capsys):
         # A typo'd name must not silently fall back to synthesized data.
-        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+        rc = repro_run([str(wg4_module_path), "--entry", "gemm",
                         "--global-size", "8x8", "--local-size", "4x4",
                         "--buffer", "a=8x8"])
         assert rc == 1
@@ -166,23 +177,23 @@ class TestKernelExecution:
         assert "A, B, C" in err  # lists the real argument names
 
     def test_scalar_arg_for_memory_argument_is_rejected(
-            self, kernel_module_path, capsys):
-        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+            self, wg4_module_path, capsys):
+        rc = repro_run([str(wg4_module_path), "--entry", "gemm",
                         "--global-size", "8x8", "--local-size", "4x4",
                         "--arg", "A=3"])
         assert rc == 1
         assert "buffer shape" in capsys.readouterr().err
 
-    def test_rank_mismatched_local_size_exits_one(self, kernel_module_path,
+    def test_rank_mismatched_local_size_exits_one(self, wg4_module_path,
                                                   capsys):
-        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+        rc = repro_run([str(wg4_module_path), "--entry", "gemm",
                         "--global-size", "8x8", "--local-size", "4"])
         assert rc == 1
         assert "execution failed" in capsys.readouterr().err
 
     def test_another_local_size_than_the_required_one_exits_one(
-            self, kernel_module_path, capsys):
-        rc = repro_run([str(kernel_module_path), "--entry", "gemm",
+            self, wg4_module_path, capsys):
+        rc = repro_run([str(wg4_module_path), "--entry", "gemm",
                         "--global-size", "8x8", "--local-size", "2x2",
                         "--pipeline", "sycl-mlir"])
         assert rc == 1
@@ -245,10 +256,7 @@ def _listing_path(tmp_path, name, *functions):
 def _front_tier_inputs(tmp_path):
     """``name -> (path, execution flags)``: the three paper listings and
     the internalizing GEMM."""
-    gemm, _ = build_gemm_module(size=8, work_group=4)
-    gemm_path = tmp_path / "gemm.mlir"
-    gemm_path.write_text(Printer().print_module(gemm) + "\n",
-                         encoding="utf-8")
+    gemm_path = _gemm_path(tmp_path, 8)
     return {
         "listing1": (_listing_path(tmp_path, "l1",
                                    build_listing1_function()[0]),
@@ -344,6 +352,7 @@ class TestFrontTier:
         (recorded,) = parsed
         assert recorded != kernel_module_path.read_text(encoding="utf-8")
         assert "sycl.work_group_size" in recorded
+        assert "sycl.group_barrier" in recorded  # the tiled module
 
     def test_verify_and_unregistered_flags_never_share_an_entry(
             self, kernel_module_path, tmp_path, capsys, spy_cache):

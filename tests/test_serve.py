@@ -254,9 +254,10 @@ class TestCompile:
             return module
 
         monkeypatch.setattr(server_module, "parse_module", tracking)
-        # The paper's pipeline on a GEMM: Loop Internalization erases
-        # loops that analyses were anchored at, which eviction by
-        # ancestry (all the shared manager had) cannot find any more.
+        # The paper's pipeline on a GEMM: Detect Reduction rebuilds the
+        # k-loop with ``C`` as an ``iter_arg``, erasing a loop that
+        # analyses were anchored at, which eviction by ancestry (all the
+        # shared manager had) cannot find any more.
         text = Printer().print_module(build_gemm_module()[0])
         spec = dump_pass_pipeline(build_named_pipeline("sycl-mlir"))
         for name in ("a", "b", "c"):

@@ -186,9 +186,10 @@ class TestAnalysisManager:
         assert am.invalidate(function) == 2
 
     def test_a_one_shot_compile_holds_no_analysis_for_an_erased_op(self):
-        """Loop Internalization erases a loop an analysis was anchored
-        at; the entry must go with the loop's place in the IR instead
-        of pinning the loop (and the module around it)."""
+        """Detect Reduction erases a loop an analysis was anchored at
+        (it rebuilds the k-loop with ``C`` as an ``iter_arg``); the
+        entry must go with the loop's place in the IR instead of
+        pinning the loop (and the module around it)."""
         import gc
         import weakref
 
@@ -422,19 +423,32 @@ class TestLintRules:
         if findings:
             assert "work-group deadlock" in found[0].message
 
-    def test_readonly_accessor_write_flagged(self):
+    @staticmethod
+    def _readonly_accessor_store(index_of):
+        """``acc[index_of(i)] = v`` through a ``read`` accessor."""
         acc_type = sycl.AccessorType(1, i32(), access_mode="read")
         f = func.FuncOp.build(
             "k", [sycl.memref_of(acc_type), index(), i32()],
             arg_names=["acc", "i", "v"])
         acc, i, v = f.arguments
         body = Builder(InsertionPoint.at_end(f.body))
-        view = body.insert(sycl.SYCLAccessorSubscriptOp.build(acc, i))
+        view = body.insert(sycl.SYCLAccessorSubscriptOp.build(
+            acc, index_of(body, i)))
         zero = body.insert(arith.ConstantOp.build(0, index()))
         body.insert(memref.StoreOp.build(v, view.result, [zero.result]))
         body.insert(func.ReturnOp.build())
-        findings = run_lint(wrap_in_module(f),
-                            rules=["readonly-accessor-write"])
+        return run_lint(wrap_in_module(f),
+                        rules=["readonly-accessor-write"])
+
+    def test_readonly_accessor_write_flagged(self):
+        findings = self._readonly_accessor_store(lambda body, i: i)
+        assert len(findings) == 1
+        assert "read-only accessor" in findings[0].message
+
+    def test_readonly_accessor_write_at_a_non_affine_index_flagged(self):
+        # acc[i * i]: no access matrix, still a store through the view.
+        findings = self._readonly_accessor_store(
+            lambda body, i: body.insert(arith.MulIOp.build(i, i)).result)
         assert len(findings) == 1
         assert "read-only accessor" in findings[0].message
 
