@@ -174,7 +174,8 @@ class _ExpressionBuilder:
             dim = None
             if defining.dimension is not None:
                 dim = constant_value_of(defining.dimension)
-            suffix = "xyz"[int(dim)] if dim is not None and int(dim) < 3 else "?"
+            suffix = "xyz"[dim] if isinstance(dim, int) and 0 <= dim < 3 \
+                else "?"
             return f"gid_{suffix}"
         if kind is BasisKind.LOOP:
             return "iv"

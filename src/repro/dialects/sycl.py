@@ -39,6 +39,7 @@ from ..ir import (
     Type,
     Value,
     i64,
+    location_of,
     register_op,
 )
 from ..ir.interfaces import read, write
@@ -265,6 +266,29 @@ class _QueryOpBase(Operation, MemoryEffectsInterface):
     @property
     def dimension(self) -> Optional[Value]:
         return self.operands[1] if len(self.operands) > 1 else None
+
+    def verify_op(self) -> None:
+        # A constant dimension must name one of the queried object's
+        # dimensions: the analyses label work-item ids by it, and no
+        # launch can give an id a component outside its rank.
+        operands = self._operands
+        defining = operands[1].defining_op() if operands[1:] else None
+        if defining is None or defining.OPERATION_NAME != "arith.constant":
+            return
+        value = defining.attributes.get("value")
+        if not isinstance(value, IntegerAttr):
+            return
+        source = operands[0].type
+        queried = source.element_type if isinstance(source, MemRefType) \
+            else source
+        rank = getattr(queried, "dimensions", None)
+        if value.value < 0 or (rank is not None and value.value >= rank):
+            bound = f"[0, {rank})" if rank is not None else "[0, rank)"
+            location = location_of(self)
+            where = f" at {location.describe()}" if location.is_known else ""
+            raise ValueError(
+                f"constant dimension {value.value} is outside {bound} of "
+                f"the queried {queried}{where}")
 
     def memory_effects(self) -> List[MemoryEffect]:
         return []

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from .types import Type
 
 
 class Attribute:
     """Base class for all attributes."""
+
+    #: The printed form, kept on the object by
+    #: :func:`repro.ir.types.spelling` (not a dataclass field).
+    _spelling: Optional[str] = None
 
     def __repr__(self) -> str:
         return f"Attr({self})"

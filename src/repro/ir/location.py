@@ -67,6 +67,8 @@ class Location:
 UNKNOWN = Location()
 
 _NEWLINE_RE = re.compile(r"\n")
+#: ``Match.end`` unbound, so the line table is built by C-level calls.
+_MATCH_END = re.Match.end
 
 
 class LineTable:
@@ -85,7 +87,7 @@ class LineTable:
         self.filename = filename
         #: Offset of the first character of every line.
         self.starts = [0]
-        self.starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
+        self.starts.extend(map(_MATCH_END, _NEWLINE_RE.finditer(text)))
 
     def line_column(self, pos: int) -> Tuple[int, int]:
         """1-based line and column of character ``pos``."""

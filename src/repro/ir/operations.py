@@ -16,7 +16,7 @@ from .interfaces import MemoryEffectsInterface
 from .location import LineTable
 from .traits import Trait
 from .types import Type
-from .values import BlockArgument, OpResult, Use, Value
+from .values import BlockArgument, OpResult, Value
 
 
 class IRError(Exception):
@@ -137,9 +137,20 @@ class Operation:
                  successors: Sequence["Block"] = ()):
         self._operands: Sequence[Value] = \
             list(operands) if operands else _EMPTY
-        self.results: Tuple[OpResult, ...] = tuple(
-            [OpResult(self, i, t) for i, t in enumerate(result_types)]
-        ) if result_types else _EMPTY
+        # Results and uses are made inline, without a call per result or
+        # operand: the parser and every clone come through here.
+        results: Tuple[OpResult, ...] = _EMPTY
+        index = 0
+        for type_ in result_types:
+            result = OpResult()
+            result.type = type_
+            result._name_hint = None
+            result._uses = {}
+            result.op = self
+            result.result_index = index
+            results += (result,)
+            index += 1
+        self.results = results
         self.attributes: Dict[str, Attribute] = dict(attributes or {})
         self.regions: Sequence[Region] = \
             [Region(self) for _ in range(regions)] if regions else _EMPTY
@@ -163,11 +174,14 @@ class Operation:
         self._offset = 0
         #: See :func:`version_stamp` (written on isolated ops only).
         self._stamp = 0
-        for index, value in enumerate(self._operands):
-            if not isinstance(value, Value):
+        index = 0
+        for value in self._operands:
+            try:
+                value._uses[(self, index)] = None
+            except AttributeError:
                 raise IRError(f"operand of {self.OPERATION_NAME} must be a "
-                              f"Value, got {value!r}")
-            value.add_use(Use(self, index))
+                              f"Value, got {value!r}") from None
+            index += 1
 
     # ------------------------------------------------------------------
     # Identity / naming
@@ -201,7 +215,7 @@ class Operation:
         old = self._operands[index]
         old.remove_use(self, index)
         self._operands[index] = value
-        value.add_use(Use(self, index))
+        value._uses[(self, index)] = None
 
     def drop_all_uses_of_operands(self) -> None:
         _touch(self)
@@ -526,6 +540,24 @@ class Block:
         self._reversed = None
         return op
 
+    def _adopt(self, op: Operation) -> None:
+        """Append ``op``, which is in no block, to a block of a tree no
+        one holds yet (the parser's, a clone's): the list is linked as
+        :meth:`append` links it, but no version stamp moves, since
+        nothing can have been derived from the tree."""
+        last = self._last
+        op.parent = self
+        op._prev = last
+        if last is not None:
+            op._order = last._order + _ORDER_STRIDE
+            last._next = op
+        else:
+            self._first = op
+        self._last = op
+        self._num_ops += 1
+        self._index_cache = None
+        self._reversed = None
+
     def insert(self, index: int, op: Operation) -> Operation:
         """Insert ``op`` at ``index`` (O(index); prefer the anchored forms).
 
@@ -719,7 +751,7 @@ class Region:
                 if cloned.successors:
                     cloned.successors = [block_map.get(s, s)
                                          for s in cloned.successors]
-                new_block.append(cloned)
+                new_block._adopt(cloned)
         return new_region
 
     def __repr__(self) -> str:

@@ -15,16 +15,19 @@ layer: for any module ``m`` built programmatically,
 whitespace-insensitive and supports ``//`` line comments so textual test
 cases can be annotated.
 
-Operation classes are resolved through the operation registry
-(:func:`repro.ir.operations.lookup_op_class`); parsing an op name that is
-not registered is an error unless ``allow_unregistered`` is set.
+Operation classes are resolved through the operation registry (what
+:func:`repro.ir.operations.lookup_op_class` reads); parsing an op name
+that is not registered is an error unless ``allow_unregistered`` is set.
 
 Parsing is linear in the size of the input: whitespace, the
 ``%r, ... = "op.name"(%a, ...)`` head of an operation and quoted strings
 are each consumed by one compiled regular expression, source positions
-come from a line-start table built once per input, and type spellings are
-interned process-wide (see "Parser cost model and interning contract" in
-``docs/textual_ir.md``).
+come from a line-start table built once per input, and type, attribute
+and attribute-dictionary spellings are interned process-wide, so a
+typical operation is one match for its head and one for its attribute
+dictionary and signature (see "Parser cost model and interning contract"
+in ``docs/textual_ir.md``).  Regions nest at most
+:data:`MAX_NESTING_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from .attributes import (
 )
 from .location import UNKNOWN, LineTable, Location
 from .operations import (
+    _OPERATION_REGISTRY,
     Block,
     Operation,
     Region,
-    lookup_op_class,
     op_memo,
     registered_operations,
 )
@@ -108,12 +111,30 @@ _INTERNED_TYPES: Dict[str, Type] = {}
 #: collector never has to walk.
 _INTERNED_ATTRS: Dict[str, Attribute] = {}
 
-#: Bounds on each of the two tables (entries, and characters of one
+#: Flat attribute-dictionary spelling (``{value = 0 : index}``: no
+#: nested ``{ }``, no comment and no string) -> the attributes it parses
+#: to.  The values are frozen attributes; the dict itself is never
+#: handed out, since every operation copies the dictionary it is built
+#: with.  A string value is where a name of one program lives (a symbol,
+#: a kernel name, a tag), so a dictionary holding one seldom repeats
+#: except in a re-parse of the same text, and a server compiling new
+#: programs would fill the table with entries nothing hits again.  A
+#: dictionary can hold ``!``-types, so registering a type hook forgets
+#: these too.
+_INTERNED_DICTS: Dict[str, Dict[str, Attribute]] = {}
+
+#: Bounds on each of the three tables (entries, and characters of one
 #: spelling) so a long-lived process cannot grow on adversarial
 #: spellings.  The real vocabulary is a few hundred short spellings, so
 #: dropping everything at the limit costs one re-parse of each.
 _MAX_INTERNED_TYPES = 4096
 _MAX_INTERNED_SPELLING = 512
+
+#: How deep regions may nest.  Parsing, verifying, printing and the
+#: pipelines recurse once or more per level, so a deeper module would
+#: end in a ``RecursionError`` somewhere; the parser rejects it up front
+#: at the operation that opens the region one level too deep.
+MAX_NESTING_DEPTH = 200
 
 
 def register_type_parser(dialect_name: str, parser: TypeParser) -> None:
@@ -125,10 +146,12 @@ def register_type_parser(dialect_name: str, parser: TypeParser) -> None:
     function of its spelling**: results are interned by spelling and
     shared between parses, so a hook that answers from mutable state
     would be shadowed by its own earlier answers.  Registering a hook
-    (again) forgets every interned type spelling.
+    (again) forgets every interned type and attribute-dictionary
+    spelling.
     """
     _TYPE_PARSERS[dialect_name] = parser
     _INTERNED_TYPES.clear()
+    _INTERNED_DICTS.clear()
 
 
 def lookup_type_parser(dialect_name: str) -> Optional[TypeParser]:
@@ -184,6 +207,8 @@ _OP_HEAD_RE = re.compile(
     rf"\({_WS}({_VALUE_LIST})?{_WS}\){_WS}", re.DOTALL)
 #: The values of a matched list; a ``%name`` inside a comment is not one.
 _VALUE_OR_COMMENT_RE = re.compile(rf"//[^\n]*|%([{_ID_CHARS}]+)")
+#: Characters whitespace or a comment can start with.
+_WS_START = frozenset(" \t\r\n/")
 
 #: Spellings the intern table is keyed on.  Each alternative delimits
 #: itself (closing bracket, or a lookahead past the last identifier
@@ -196,6 +221,15 @@ _TYPE_SPELLING_RE = re.compile(
     rf"|![A-Za-z$](?:[{_ID_CHARS}!]|<[^<>/]*>)*(?![{_ID_CHARS}!<])"
     rf"|{_IDENT}")
 _SIGNATURE_RE = re.compile(rf"{_WS}:{_WS}({_FUNCTION_TYPE})")
+#: A flat attribute dictionary without strings: no ``{ }``, no ``"`` and
+#: no ``/``, so it ends at its first ``}`` and holds no comment.
+_ATTR_DICT = r'\{[^{}"/]*\}'
+_ATTR_DICT_RE = re.compile(_ATTR_DICT)
+#: What follows an operation's operand list (or its upstream-order
+#: regions): an optional flat dictionary, the signature and the
+#: whitespace after it.  Both spellings are keys of the intern tables.
+_OP_TAIL_RE = re.compile(
+    rf"(?:({_ATTR_DICT}){_WS})?:{_WS}({_FUNCTION_TYPE}){_WS}")
 #: Attribute spellings the intern table is keyed on, delimited likewise:
 #: a keyword, or a number typed by a bare identifier (``0 : index``).
 _ATTR_SPELLING_RE = re.compile(
@@ -220,6 +254,26 @@ _VALUE_ID_RE = _token_pattern(rf"%([{_ID_CHARS}]+)")
 _NUMBER_RE = _token_pattern(rf"({_NUMBER})")
 _SUCCESSOR_RE = _token_pattern(r"\^bb(\d+)")
 _DIM_RE = _token_pattern(r"(\?|\d+)x")
+
+
+#: What an operation without attributes is built from (it copies it).
+_NO_ATTRIBUTES: Dict[str, Attribute] = {}
+
+
+def _signature_end(tail: Optional["re.Match[str]"], pos: int) -> int:
+    """Where the signature of the operation being parsed ends: in its
+    tail match, or at ``pos`` when it was parsed piece by piece (looked
+    up only to locate an error)."""
+    return pos if tail is None else tail.end(2)
+
+
+def _attach_regions(op: Operation, regions: List[Region]) -> None:
+    """Give ``op`` the parsed ``regions`` (no stamp moves: nothing holds
+    the tree yet).  An empty list leaves the shared empty container."""
+    if regions:
+        for region in regions:
+            region.parent = op
+        op.regions = regions
 
 
 def _keepable_hint(name: str) -> Optional[str]:
@@ -260,6 +314,8 @@ class Parser:
         #: Where the lines of ``text`` start, built on the first position
         #: lookup; shared with every operation parsed at a position.
         self._line_starts: Optional[LineTable] = None
+        #: Regions open around the cursor (see MAX_NESTING_DEPTH).
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Low-level scanning
@@ -368,98 +424,210 @@ class Parser:
             self,
             successor_sink: Optional[List[Tuple[Operation, List[int]]]] = None,
     ) -> Operation:
+        """Parse one operation and leave the cursor on the next
+        significant character.
+
+        A typical operation costs one match for its head and one for its
+        attribute dictionary and signature, both looked up in the intern
+        tables; everything after the signature is found by branching on
+        the one character that follows it.
+        """
         text = self.text
-        op_start = self._skip_ws()
+        op_start = self.pos
+        if text[op_start:op_start + 1] in _WS_START:
+            op_start = _WS_RE.match(text, op_start).end()
         head = _OP_HEAD_RE.match(text, op_start)
         if head is None:
+            self.pos = op_start
             self._fail_op_head()
-        self.pos = head.end()
-        op_name = _unescape(head.group(2))
-        result_names = self._values_of(head, 1)
-        operand_names = self._values_of(head, 3)
+        result_list, op_name, operand_list = head.groups()
+        pos = head.end()  # the head pattern took the whitespace after it
+        if "\\" in op_name:
+            op_name = _unescape(op_name)
+        # A value list without a comma holds one value and no comment;
+        # in one with commas, a `%name` inside a comment is not a value.
+        if result_list is None:
+            result_names: Sequence[str] = ()
+        elif "," in result_list:
+            result_names = _VALUE_OR_COMMENT_RE.findall(result_list)
+            if "" in result_names:
+                result_names = [name for name in result_names if name]
+        else:
+            result_names = (result_list[1:],)
+        if operand_list is None:
+            operand_names: Sequence[str] = ()
+        elif "," in operand_list:
+            operand_names = _VALUE_OR_COMMENT_RE.findall(operand_list)
+            if "" in operand_names:
+                operand_names = [name for name in operand_names if name]
+        else:
+            operand_names = (operand_list[1:],)
+        op_class = _OPERATION_REGISTRY[op_name] \
+            if op_name in _OPERATION_REGISTRY else None
 
         # Upstream-MLIR generic order (the `--emit=mlir` exporter):
         # successor list and region list come directly after the operand
         # list, with the attribute dictionary after the regions.  The
         # classic order printed by repro.ir.printer puts both after the
         # signature instead; a '[' or '(' here is unambiguous because
-        # the classic order always continues with '{' or ':'.  (The head
-        # pattern took the whitespace before it.)
-        ch = text[self.pos:self.pos + 1]
+        # the classic order always continues with '{' or ':'.
+        ch = text[pos:pos + 1]
         successor_indices: Optional[List[int]] = None
-        if ch == "[":
-            successor_indices = self._parse_successor_indices()
-            ch = self._peek_char()
         early_regions: Optional[List[Region]] = None
-        if ch == "(":
-            early_regions = self._parse_detached_regions(op_name)
-            ch = self._peek_char()
+        if ch == "[" or ch == "(":
+            self.pos = pos
+            if ch == "[":
+                successor_indices = self._parse_successor_indices()
+                ch = self._peek_char()
+            if ch == "(":
+                early_regions = self._parse_regions(
+                    op_name, op_class is not None and op_class._ISOLATED,
+                    op_start)
+                ch = self._peek_char()
+            pos = self.pos
 
-        attributes = self._parse_attr_dict() if ch == "{" else {}
-        in_types, out_types = self._parse_signature()
+        tail = _OP_TAIL_RE.match(text, pos)
+        signature = attributes = None
+        if tail is not None:
+            dictionary, spelled = tail.group(1, 2)
+            signature = _INTERNED_TYPES.get(spelled)
+            attributes = _NO_ATTRIBUTES if dictionary is None \
+                else _INTERNED_DICTS.get(dictionary)
+        if signature is None or attributes is None:
+            tail = None
+            self.pos = pos
+            attributes, signature = self._parse_op_tail(ch)
+            pos = _WS_RE.match(text, self.pos).end()
+        else:
+            pos = tail.end()
+        in_types = signature.inputs
+        out_types = signature.results
 
-        if len(operand_names) != len(in_types):
-            self.error(
-                f"'{op_name}' has {len(operand_names)} operands but its "
-                f"signature lists {len(in_types)} operand types")
-        operands = []
-        for index, (name, declared) in enumerate(
-                zip(operand_names, in_types)):
-            value = self._lookup_value(name)
+        scope = self._scopes[-1]
+        values = scope.values
+        if operand_names or in_types:
+            if len(operand_names) != len(in_types):
+                self.error(
+                    f"'{op_name}' has {len(operand_names)} operands but its "
+                    f"signature lists {len(in_types)} operand types",
+                    _signature_end(tail, self.pos))
+            operands = [values[name] if name in values
+                        else self._lookup_value(name)
+                        for name in operand_names]
+            for value, declared in zip(operands, in_types):
+                if value is None or (value.type is not declared
+                                     and value.type != declared):
+                    self._resolve_operands(
+                        head, op_name, operands, operand_names, in_types,
+                        _signature_end(tail, self.pos))
+                    break
+        else:
+            operands = []
+        if result_names or out_types:
+            if len(result_names) != len(out_types):
+                self.error(
+                    f"'{op_name}' binds {len(result_names)} results but its "
+                    f"signature lists {len(out_types)} result types",
+                    _signature_end(tail, self.pos))
+
+        if op_class is not None:
+            op = op_class.__new__(op_class)
+            Operation.__init__(op, operands=operands, result_types=out_types,
+                               attributes=attributes)
+        else:
+            op = self._unregistered_operation(
+                op_name, operands, out_types, attributes,
+                _signature_end(tail, self.pos))
+        if early_regions:
+            _attach_regions(op, early_regions)
+        if result_names:
+            forward = scope.forward
+            for result, name in zip(op.results, result_names):
+                if name in values or (forward and name in forward):
+                    self.pos = _signature_end(tail, self.pos)
+                    self._define_value(name, result)
+                else:
+                    values[name] = result
+                if not name.isdigit():  # see _keepable_hint
+                    result._name_hint = name
+        if successor_indices is not None and successor_sink is None:
+            self.error(f"'{op_name}' lists successors outside of a region",
+                       _signature_end(tail, self.pos))
+
+        # The one trailing scan: the signature took the whitespace after
+        # it, so the next character says which clause follows, if any.
+        ch = text[pos:pos + 1]
+        if ch == "[" and successor_indices is None:
+            self.pos = pos
+            successor_indices = self._parse_successor_indices()
+            if successor_sink is None:
+                self.error(
+                    f"'{op_name}' lists successors outside of a region")
+            pos = _WS_RE.match(text, self.pos).end()
+            ch = text[pos:pos + 1]
+        if successor_indices is not None:
+            successor_sink.append((op, successor_indices))
+        if ch == "(" and early_regions is None:
+            self.pos = pos
+            _attach_regions(op, self._parse_regions(op_name, op._ISOLATED,
+                                                    op_start))
+            pos = _WS_RE.match(text, self.pos).end()
+            ch = text[pos:pos + 1]
+        # Trailing `loc(...)` (printed under print_locations) wins over the
+        # textual position the op was parsed at, for which no line table
+        # is then built.  The position stays an offset into that table
+        # (see Operation.location): no Location object per parsed op.
+        if ch == "l" and text.startswith("loc(", pos):
+            self.pos = pos + 4
+            op._location = self._parse_location_body()
+            pos = _WS_RE.match(text, self.pos).end()
+        else:
+            op._location = self._line_starts or self._line_table()
+            op._offset = op_start
+        self.pos = pos
+        return op
+
+    def _parse_op_tail(self, ch: str) -> Tuple[Dict[str, Attribute],
+                                                FunctionType]:
+        """Attribute dictionary (if ``ch`` opens one) and signature, piece
+        by piece; each spelling a piece consumed exactly is interned."""
+        text = self.text
+        attributes: Dict[str, Attribute] = _NO_ATTRIBUTES
+        if ch == "{":
+            spelled = _ATTR_DICT_RE.match(text, self.pos)
+            attributes = self._parse_attr_dict()
+            if spelled is not None and self.pos == spelled.end():
+                _intern(_INTERNED_DICTS, spelled.group(), attributes)
+        # `: (operand types) -> (result types)` is spelled like a
+        # function type, and interned as one.
+        m = _SIGNATURE_RE.match(text, self.pos)
+        if m is not None:
+            signature = _INTERNED_TYPES.get(m.group(1))
+            if signature is not None:
+                self.pos = m.end()
+                return attributes, signature
+        self._expect(":", "before the operation signature")
+        signature = self._parse_function_type("in the operation signature")
+        if m is not None and self.pos == m.end():
+            _intern(_INTERNED_TYPES, m.group(1), signature)
+        return attributes, signature
+
+    def _resolve_operands(self, head: "re.Match[str]", op_name: str,
+                          operands: List[Optional[Value]],
+                          names: Sequence[str], types: Sequence[Type],
+                          signature_end: int) -> None:
+        """Give each operand no definition reached a forward reference,
+        and report the first whose type is not the declared one."""
+        for index, (name, declared) in enumerate(zip(names, types)):
+            value = operands[index]
             if value is None:
-                value = self._forward_reference(
+                value = operands[index] = self._forward_reference(
                     name, declared, self._value_position(head, 3, index))
             if value.type is not declared and value.type != declared:
                 self.error(
                     f"type mismatch for operand %{name} of '{op_name}': "
                     f"value has type {value.type} but the signature "
-                    f"declares {declared}")
-            operands.append(value)
-        if len(result_names) != len(out_types):
-            self.error(
-                f"'{op_name}' binds {len(result_names)} results but its "
-                f"signature lists {len(out_types)} result types")
-
-        op = self._create_operation(op_name, operands, out_types, attributes)
-        if early_regions is not None:
-            for region in early_regions:
-                op.add_region(region)
-        for res, name in zip(op.results, result_names):
-            res._name_hint = _keepable_hint(name)
-            self._define_value(name, res)
-
-        if successor_indices is None and self._peek("["):
-            successor_indices = self._parse_successor_indices()
-        if successor_indices is not None:
-            if successor_sink is None:
-                self.error(
-                    f"'{op_name}' lists successors outside of a region")
-            successor_sink.append((op, successor_indices))
-
-        if early_regions is None and self._peek("("):
-            self._parse_region_list(op)
-
-        # Trailing `loc(...)` (printed under print_locations) wins over the
-        # textual position the op was parsed at, for which no line table
-        # is then built.  The position stays an offset into that table
-        # (see Operation.location): no Location object per parsed op.
-        explicit = self._parse_location_trailer()
-        if explicit is not None:
-            op._location = explicit
-        else:
-            op._location = self._line_starts or self._line_table()
-            op._offset = op_start
-        return op
-
-    def _values_of(self, head: "re.Match[str]", group: int) -> List[str]:
-        """The value names in a list group of the op head."""
-        start, end = head.span(group)
-        if start < 0:
-            return []
-        names = _VALUE_OR_COMMENT_RE.findall(self.text, start, end)
-        if "" in names:  # comments between the values
-            names = [name for name in names if name]
-        return names
+                    f"declares {declared}", signature_end)
 
     def _value_position(self, head: "re.Match[str]", group: int,
                         index: int) -> int:
@@ -515,10 +683,8 @@ class Parser:
         self._expect("]", "after the successor list")
         return indices
 
-    def _parse_location_trailer(self) -> Optional[Location]:
-        """Parse an optional trailing ``loc("file":line:col)`` clause."""
-        if not self._consume("loc("):
-            return None
+    def _parse_location_body(self) -> Location:
+        """The rest of a ``loc("file":line:col)`` clause after ``loc(``."""
         if self._consume("unknown"):
             self._expect(")", "after 'loc(unknown'")
             return UNKNOWN
@@ -534,61 +700,62 @@ class Parser:
         self._expect(")", "after the location")
         return Location(filename, int(line), int(column))
 
-    def _create_operation(self, name: str, operands: Sequence[Value],
-                          result_types: Sequence[Type],
-                          attributes: Dict[str, Attribute]) -> Operation:
-        op_class = lookup_op_class(name)
-        if op_class is None:
-            if self.allow_unregistered:
-                op = Operation(operands=operands, result_types=result_types,
-                               attributes=attributes)
-                op.OPERATION_NAME = name
-                return op
+    def _unregistered_operation(self, name: str, operands: Sequence[Value],
+                                result_types: Sequence[Type],
+                                attributes: Dict[str, Attribute],
+                                signature_end: int) -> Operation:
+        """A generic operation named ``name`` under ``allow_unregistered``;
+        otherwise an error with the closest registered name."""
+        if not self.allow_unregistered:
             close = difflib.get_close_matches(name, registered_operations(), 1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            self.error(f"unknown operation {name!r}{hint}")
-        op = op_class.__new__(op_class)
-        Operation.__init__(op, operands=operands, result_types=result_types,
-                           attributes=attributes)
+            self.error(f"unknown operation {name!r}{hint}", signature_end)
+        op = Operation(operands=operands, result_types=result_types,
+                       attributes=attributes)
+        op.OPERATION_NAME = name
         return op
 
     # ------------------------------------------------------------------
     # Regions and blocks
     # ------------------------------------------------------------------
-    def _parse_region_list(self, op: Operation) -> None:
-        self._expect("(")
-        while self._peek("{"):
-            self._parse_region_body(op.add_region(), op._ISOLATED, op.name)
-        self._expect(")", "after the region list")
-
-    def _parse_detached_regions(self, op_name: str) -> List[Region]:
-        """Region list parsed before its operation exists (upstream order).
-
-        The regions are attached to the operation once the signature has
-        been read and the operation created; isolation for SSA scoping
-        comes from the registered operation class, since there is no
-        instance to ask yet.
-        """
-        op_class = lookup_op_class(op_name)
-        isolated = op_class is not None and op_class._ISOLATED
-        self._expect("(")
+    def _parse_regions(self, op_name: str, isolated: bool,
+                       op_start: int) -> List[Region]:
+        """The region list whose ``(`` is at the cursor, parsed before its
+        regions are attached (in upstream order the operation does not
+        exist yet); isolation for SSA scoping comes from the operation
+        class."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            self.error(f"'{op_name}' opens a region nested deeper than "
+                       f"{MAX_NESTING_DEPTH} levels", op_start)
+        self._depth += 1
+        text = self.text
         regions: List[Region] = []
-        while self._peek("{"):
+        pos = _WS_RE.match(text, self.pos + 1).end()
+        while text[pos:pos + 1] == "{":
+            self.pos = pos + 1
             region = Region()
             regions.append(region)
             self._parse_region_body(region, isolated, op_name)
-        self._expect(")", "after the region list")
+            pos = _WS_RE.match(text, self.pos).end()
+        self.pos = pos
+        if text[pos:pos + 1] != ")":
+            self._expect(")", "after the region list")
+        self.pos = pos + 1
+        self._depth -= 1
         return regions
 
     def _parse_region_body(self, region: Region, isolated: bool,
                            op_name: str) -> None:
-        self._expect("{")
+        """The body of a region whose ``{`` the cursor is just past."""
+        text = self.text
         self._scopes.append(_Scope(isolated))
         label_map: Dict[int, Block] = {}
         fixups: List[Tuple[Operation, List[int]]] = []
         current: Optional[Block] = None
+        pos = _WS_RE.match(text, self.pos).end()
         while True:
-            ch = self._peek_char()
+            ch = text[pos:pos + 1]
+            self.pos = pos
             if ch == "}":
                 self.pos += 1
                 break
@@ -597,21 +764,28 @@ class Parser:
                     f"unbalanced region in '{op_name}': missing '}}' before "
                     "end of input")
             if ch == "^":
-                label, block = self._parse_block_header()
+                label, current = self._parse_block_header()
                 if label in label_map:
                     self.error(f"duplicate block label ^bb{label}")
-                region.add_block(block)
-                label_map[label] = block
-                current = block
-            else:
-                if current is None:
-                    current = region.add_block(Block())
-                    label_map.setdefault(0, current)
-                current.append(self.parse_operation(fixups))
+                current.parent = region
+                region.blocks.append(current)
+                label_map[label] = current
+                pos = _WS_RE.match(text, self.pos).end()
+                continue
+            if current is None:
+                current = Block()
+                current.parent = region
+                region.blocks.append(current)
+                label_map.setdefault(0, current)
+            # Nothing holds the tree yet: linked without moving stamps.
+            current._adopt(self.parse_operation(fixups))
+            pos = self.pos
         if not region.blocks:
             # An empty region body stands for one empty block (builders always
             # materialize entry blocks, and `region.front` relies on it).
-            region.add_block(Block())
+            current = Block()
+            current.parent = region
+            region.blocks.append(current)
         for branch, indices in fixups:
             successors = []
             for index in indices:
@@ -648,21 +822,6 @@ class Parser:
     # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------
-    def _parse_signature(self) -> Tuple[Sequence[Type], Sequence[Type]]:
-        """``: (operand types) -> (result types)`` — spelled like a
-        function type, and interned as one."""
-        m = _SIGNATURE_RE.match(self.text, self.pos)
-        if m is not None:
-            signature = _INTERNED_TYPES.get(m.group(1))
-            if signature is not None:
-                self.pos = m.end()
-                return signature.inputs, signature.results
-        self._expect(":", "before the operation signature")
-        signature = self._parse_function_type("in the operation signature")
-        if m is not None and self.pos == m.end():
-            _intern(_INTERNED_TYPES, m.group(1), signature)
-        return signature.inputs, signature.results
-
     def _parse_function_type(self, arrow_context: str) -> FunctionType:
         inputs = self._parse_paren_type_list()
         self._expect("->", arrow_context)

@@ -13,9 +13,10 @@ serialization layer rather than a debug aid only.
 from __future__ import annotations
 
 from io import StringIO
-from typing import Dict, Set
+from typing import Dict
 
 from .operations import Block, Operation, Region
+from .types import spelling
 from .values import BlockArgument, Value
 
 
@@ -27,30 +28,48 @@ class Printer:
     the canonical textual form — and everything keyed on it: the
     round-trip guarantee, fingerprints, the compile cache — is unaffected
     by where the IR happened to come from.
+
+    Each operation line is built in one pass over its results, operands
+    and attributes: a value's name comes from a dict keyed by the value,
+    and a type's or attribute's spelling is worked out once per object
+    (:func:`repro.ir.types.spelling`), not once per operand or result.
     """
+
+    #: Clause order on an operation line: classic (``{attrs} : sig
+    #: [successors] (regions)``), or upstream MLIR's (``[successors]
+    #: (regions) {attrs} : sig``, :class:`repro.target.MLIRPrinter`).
+    UPSTREAM_ORDER = False
 
     def __init__(self, indent_width: int = 2, print_locations: bool = False):
         self.indent_width = indent_width
         self.print_locations = print_locations
-        self._names: Dict[int, str] = {}
-        self._used: Set[str] = set()
+        #: value -> its printed name.
+        self._names: Dict[Value, str] = {}
+        #: Every name handed out (the dict is used as an ordered set).
+        self._used: Dict[str, None] = {}
         self._next_id = 0
         #: ``id(block)`` -> label, filled a whole region at a time.
         self._block_labels: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def value_name(self, value: Value) -> str:
-        key = id(value)
-        if key not in self._names:
-            if value.name_hint:
-                name = self._uniqued(f"%{value.name_hint}")
-            elif isinstance(value, BlockArgument):
-                name = self._uniqued(f"%arg{value.arg_index}")
-            else:
-                name = self._next_anonymous()
-            self._names[key] = name
-            self._used.add(name)
-        return self._names[key]
+        names = self._names
+        if value in names:
+            return names[value]
+        used = self._used
+        if value._name_hint:
+            name = self._uniqued(f"%{value._name_hint}")
+        elif type(value) is BlockArgument:
+            name = self._uniqued(f"%arg{value.arg_index}")
+        else:
+            while True:
+                name = f"%{self._next_id}"
+                self._next_id += 1
+                if name not in used:
+                    break
+        names[value] = name
+        used[name] = None
+        return name
 
     def _uniqued(self, base: str) -> str:
         # Collision suffixes draw on a per-base counter, not the shared
@@ -63,13 +82,6 @@ class Printer:
             name = f"{base}_{suffix}"
             suffix += 1
         return name
-
-    def _next_anonymous(self) -> str:
-        while True:
-            name = f"%{self._next_id}"
-            self._next_id += 1
-            if name not in self._used:
-                return name
 
     # ------------------------------------------------------------------
     def print_module(self, module: Operation) -> str:
@@ -94,44 +106,78 @@ class Printer:
         return label or "^bb?"
 
     def _print_op(self, op: Operation, out: StringIO, indent: int) -> None:
+        names = self._names
+        result_names = result_types = ""
+        for result in op.results:
+            name = names[result] if result in names \
+                else self.value_name(result)
+            type_ = result.type
+            if result_names:
+                result_names += ", "
+                result_types += ", "
+            result_names += name
+            result_types += type_._spelling or spelling(type_)
+        operand_names = operand_types = ""
+        for value in op._operands:
+            name = names[value] if value in names else self.value_name(value)
+            type_ = value.type
+            if operand_names:
+                operand_names += ", "
+                operand_types += ", "
+            operand_names += name
+            operand_types += type_._spelling or spelling(type_)
         pad = " " * (indent * self.indent_width)
-        results = ", ".join(self.value_name(res) for res in op.results)
-        prefix = f"{results} = " if results else ""
-        operands = ", ".join(self.value_name(v) for v in op.operands)
-        attrs = ""
-        if op.attributes:
-            inner = ", ".join(
-                f"{key} = {value}" for key, value in sorted(op.attributes.items()))
-            attrs = f" {{{inner}}}"
-        in_types = ", ".join(str(v.type) for v in op.operands)
-        out_types = ", ".join(str(res.type) for res in op.results)
-        signature = f" : ({in_types}) -> ({out_types})"
-        out.write(f"{pad}{prefix}\"{op.name}\"({operands}){attrs}{signature}")
+        line = f'{pad}{result_names} = "' if result_names else f'{pad}"'
+        line += f"{op.OPERATION_NAME}\"({operand_names})"
+        # The dictionary and the signature follow the operand list in the
+        # classic order and the regions in upstream MLIR's.
+        attributes = op.attributes
+        tail = ""
+        if attributes:
+            for key in sorted(attributes):
+                attr = attributes[key]
+                tail += f", {key} = " if tail else f" {{{key} = "
+                tail += attr._spelling or spelling(attr)
+            tail += "}"
+        tail += f" : ({operand_types}) -> ({result_types})"
+        successors = ""
         if op.successors:
-            names = ", ".join(self._block_label(s) for s in op.successors)
-            out.write(f" [{names}]")
+            successors = ", ".join(self._block_label(s) for s in op.successors)
+        if self.UPSTREAM_ORDER:
+            if successors:
+                line += f"[{successors}]"
+        else:
+            line += tail
+            tail = ""
+            if successors:
+                line += f" [{successors}]"
         if op.regions:
-            out.write(" (")
+            out.write(line + " (")
             for region in op.regions:
                 out.write("{\n")
                 self._print_region(region, out, indent + 1)
-                out.write(f"{pad}}}")
-            out.write(")")
+                out.write(pad + "}")
+            line = ")"
+        line += tail
         if self.print_locations:
             from .location import location_of
 
-            out.write(f" {location_of(op)}")
-        out.write("\n")
+            line += f" {location_of(op)}"
+        out.write(line + "\n")
 
     def _print_region(self, region: Region, out: StringIO, indent: int) -> None:
+        several = len(region.blocks) > 1
         for block_idx, block in enumerate(region.blocks):
-            if block.arguments or len(region.blocks) > 1:
+            if block.arguments or several:
                 pad = " " * ((indent - 1) * self.indent_width + 1)
                 args = ", ".join(
-                    f"{self.value_name(a)}: {a.type}" for a in block.arguments)
+                    f"{self.value_name(a)}: {spelling(a.type)}"
+                    for a in block.arguments)
                 out.write(f"{pad}^bb{block_idx}({args}):\n")
-            for op in block.operations:
+            op = block.first_op
+            while op is not None:
                 self._print_op(op, out, indent)
+                op = op._next
 
 
 def print_op(op: Operation) -> str:

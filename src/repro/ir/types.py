@@ -14,6 +14,11 @@ from typing import Optional, Sequence, Tuple
 class Type:
     """Base class for all IR types."""
 
+    #: The printed form, kept on the object by :func:`spelling` the
+    #: first time it is printed (not a dataclass field: it takes no part
+    #: in equality or hashing).
+    _spelling: Optional[str] = None
+
     def __str__(self) -> str:  # pragma: no cover - overridden by subclasses
         return self.__class__.__name__
 
@@ -69,6 +74,19 @@ class FunctionType(Type):
         ins = ", ".join(str(t) for t in self.inputs)
         outs = ", ".join(str(t) for t in self.results)
         return f"({ins}) -> ({outs})"
+
+
+def spelling(obj) -> str:
+    """``str(obj)`` of an immutable type or attribute, worked out once per
+    object and kept on it, so a printer reads ``obj._spelling`` instead
+    of calling ``__str__`` for every operand and result it spells."""
+    text = obj._spelling
+    if text is None:
+        text = str(obj)
+        # Past the frozen dataclass's __setattr__, without materializing
+        # an instance __dict__ (the value joins the inline attributes).
+        object.__setattr__(obj, "_spelling", text)
+    return text
 
 
 #: Sentinel used for dynamic dimensions in shaped types, mirroring MLIR's `?`.

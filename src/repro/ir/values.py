@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .types import Type
 
@@ -22,14 +23,19 @@ class Use(NamedTuple):
     index: int
 
 
+#: ``(owner, index)`` pair -> :class:`Use`, without a Python-level call.
+_as_use = partial(tuple.__new__, Use)
+
+
 class Value:
     """Base class of all SSA values.
 
     The use-def chain is an order-preserving dict whose keys are the
-    uses themselves (one :class:`Use` per operand), so ``add_use``/
-    ``remove_use`` are O(1) and ``users()`` is O(uses) even for values
-    with many uses (dicts keep insertion order, preserving use order for
-    deterministic traversals).
+    uses as plain ``(owner, index)`` pairs, which hash and compare like
+    the :class:`Use` they stand for.  An operation registers an operand
+    with one dict store, ``remove_use`` is O(1) and ``users()`` is
+    O(uses) even for values with many uses (dicts keep insertion order,
+    preserving use order for deterministic traversals).
     """
 
     __slots__ = ("type", "_name_hint", "_uses")
@@ -37,7 +43,7 @@ class Value:
     def __init__(self, type_: Type, name_hint: Optional[str] = None):
         self.type = type_
         self._name_hint = name_hint
-        self._uses: Dict[Use, None] = {}
+        self._uses: Dict[Tuple["Operation", int], None] = {}
 
     def _rename(self, name_hint: Optional[str]) -> None:
         # The hint is part of the printed form, which caches key on: a
@@ -53,10 +59,7 @@ class Value:
     @property
     def uses(self) -> List[Use]:
         """List view of the uses, in insertion order."""
-        return list(self._uses)
-
-    def add_use(self, use: Use) -> None:
-        self._uses[use] = None
+        return list(map(_as_use, self._uses))
 
     def remove_use(self, owner: "Operation", index: int) -> None:
         self._uses.pop((owner, index), None)
@@ -110,14 +113,17 @@ Value.name_hint = property(Value._name_hint.__get__, Value._rename)
 
 
 class OpResult(Value):
-    """A result produced by an operation."""
+    """A result produced by an operation.
+
+    Only :class:`~repro.ir.operations.Operation` makes results, and it
+    fills the slots itself (``type``, ``_name_hint``, ``_uses``, ``op``,
+    ``result_index``): ``OpResult()`` takes no arguments and runs no
+    Python code, so an operation costs no call per result.
+    """
 
     __slots__ = ("op", "result_index")
 
-    def __init__(self, op: "Operation", index: int, type_: Type):
-        super().__init__(type_)
-        self.op = op
-        self.result_index = index
+    __init__ = object.__init__
 
     def defining_op(self) -> Optional["Operation"]:
         return self.op

@@ -24,8 +24,6 @@ location syntax.
 
 from __future__ import annotations
 
-from io import StringIO
-
 from ..ir.operations import Operation
 from ..ir.printer import Printer
 
@@ -40,35 +38,7 @@ class MLIRPrinter(Printer):
     the clauses on each operation line changes.
     """
 
-    def _print_op(self, op: Operation, out: StringIO, indent: int) -> None:
-        pad = " " * (indent * self.indent_width)
-        results = ", ".join(self.value_name(res) for res in op.results)
-        prefix = f"{results} = " if results else ""
-        operands = ", ".join(self.value_name(v) for v in op.operands)
-        out.write(f"{pad}{prefix}\"{op.name}\"({operands})")
-        if op.successors:
-            names = ", ".join(self._block_label(s) for s in op.successors)
-            out.write(f"[{names}]")
-        if op.regions:
-            out.write(" (")
-            for region in op.regions:
-                out.write("{\n")
-                self._print_region(region, out, indent + 1)
-                out.write(f"{pad}}}")
-            out.write(")")
-        if op.attributes:
-            inner = ", ".join(
-                f"{key} = {value}"
-                for key, value in sorted(op.attributes.items()))
-            out.write(f" {{{inner}}}")
-        in_types = ", ".join(str(v.type) for v in op.operands)
-        out_types = ", ".join(str(res.type) for res in op.results)
-        out.write(f" : ({in_types}) -> ({out_types})")
-        if self.print_locations:
-            from ..ir.location import location_of
-
-            out.write(f" {location_of(op)}")
-        out.write("\n")
+    UPSTREAM_ORDER = True
 
 
 def emit_mlir(module: Operation, print_locations: bool = False) -> str:

@@ -10,9 +10,10 @@ fails when the total exceeds :data:`BUDGET` by more than
     PYTHONPATH=src:. python tests/call_budget.py
 
 The count depends on the Python version (3.12 inlines comprehensions, so
-each one stops being a call), which is why CI runs this on one pinned
-version instead of in the tier-1 matrix.  When a change moves the count
-on purpose, set :data:`BUDGET` to the new total it prints.
+each one stops being a call), which is why CI runs this in a job of its
+own on the version :data:`BUDGET` was measured on (CPython 3.11.7)
+instead of in the tier-1 matrix.  When a change moves the count on
+purpose, set :data:`BUDGET` to the new total it prints.
 """
 
 import cProfile
@@ -33,7 +34,7 @@ from tests.helpers import (
 )
 
 #: Total calls of one counted round over the four units (CPython 3.11.7).
-BUDGET = 38_662
+BUDGET = 29_819
 TOLERANCE = 0.05
 STAGES = ("parse", "verify", "sycl-mlir", "lower-to-llvm", "emit")
 

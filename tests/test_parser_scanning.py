@@ -8,12 +8,17 @@
   replaced);
 * interned type spellings are shared safely: no aliasing between
   operations, nothing left behind by a failed parse, forgotten when a
-  type hook is registered, bounded in size.
+  type hook is registered, bounded in size; attribute dictionaries the
+  same way;
+* interning never changes what is parsed: every benchmark program and
+  golden file re-prints byte for byte with the tables warm and cold.
 """
 
+import importlib.util
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -22,6 +27,8 @@ from repro.ir import (
     IntegerAttr,
     ParseError,
     Printer,
+    SymbolRefAttr,
+    UnitAttr,
     f32,
     i32,
     i64,
@@ -41,6 +48,7 @@ from .helpers import (
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+E2E_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e"
 
 
 def _listing_modules():
@@ -176,6 +184,16 @@ class TestRobustness:
             except ParseError as error:
                 assert error.line >= 1 and error.column >= 1
 
+    def test_a_comment_inside_a_value_list_names_no_value(self):
+        module = parse_op(
+            '"test.r"() : () -> () ({\n'
+            '  %a, // %x, %y\n %b = "test.a"() : () -> (i32, i32)\n'
+            '  "test.use"(%b, // %a,\n %a) : (i32, i32) -> ()\n'
+            '})', allow_unregistered=True)
+        define, use = module.regions[0].blocks[0].operations
+        assert [r.name_hint for r in define.results] == ["a", "b"]
+        assert list(use.operands) == [define.results[1], define.results[0]]
+
     def test_dialect_type_without_a_namespace_is_a_diagnostic(self):
         # `!_x` starts like an identifier but names no dialect; this used
         # to escape as an AttributeError.
@@ -196,9 +214,16 @@ class TestRobustness:
                 parse_op(text, allow_unregistered=True)
 
 
+def _clear_intern_tables():
+    for table in (parser_module._INTERNED_TYPES,
+                  parser_module._INTERNED_ATTRS,
+                  parser_module._INTERNED_DICTS):
+        table.clear()
+
+
 class TestInterning:
     def setup_method(self):
-        parser_module._INTERNED_TYPES.clear()
+        _clear_intern_tables()
 
     def test_equal_attribute_text_gives_distinct_dicts(self):
         module = parse_op(
@@ -260,6 +285,52 @@ class TestInterning:
             register_type_parser("sycl", original)
         assert parse_type("memref<?x!sycl_id_2>") == before
 
+    def test_one_dictionary_spelling_gives_private_dicts(self):
+        text = ('"test.r"() : () -> () ({\n'
+                '  %a = "test.c"() {value = 1 : i32, to = @f} : () -> (i32)\n'
+                '  %b = "test.c"() {value = 1 : i32, to = @f} : () -> (i32)\n'
+                '})')
+        expected = {"value": IntegerAttr(1, i32()), "to": SymbolRefAttr("f")}
+        first, second = parse_op(text, allow_unregistered=True) \
+            .regions[0].blocks[0].operations
+        assert "{value = 1 : i32, to = @f}" in parser_module._INTERNED_DICTS
+        first.set_attr("value", IntegerAttr(2, i64()))
+        first.set_attr("extra", UnitAttr())
+        assert second.attributes == expected
+        again = parse_op(text, allow_unregistered=True) \
+            .regions[0].blocks[0].operations
+        assert [op.attributes for op in again] == [expected, expected]
+
+    def test_only_flat_exactly_parsed_dictionaries_are_entered(self):
+        # Nested, commented, holding a string (a name of one program,
+        # seldom seen again), or failing: none is entered.
+        parse_op('"test.op"() {d = {x = unit}} : () -> ()',
+                 allow_unregistered=True)
+        parse_op('"test.op"() {a = unit // c\n} : () -> ()',
+                 allow_unregistered=True)
+        parse_op('"test.op"() {sym_name = "k", a = unit} : () -> ()',
+                 allow_unregistered=True)
+        with pytest.raises(ParseError):
+            parse_op('"test.op"() {a = 1.5 : i32} : () -> ()',
+                     allow_unregistered=True)
+        assert not parser_module._INTERNED_DICTS
+
+    def test_registering_a_hook_forgets_interned_dictionaries(self):
+        original = registered_type_parsers()["sycl"]
+        text = '"test.op"() {t = !sycl_id_2} : () -> ()'
+        before = parse_op(text, allow_unregistered=True).attributes
+        assert parser_module._INTERNED_DICTS
+        try:
+            register_type_parser(
+                "sycl", lambda text, parse: i32() if text == "sycl_id_2"
+                else original(text, parse))
+            assert not parser_module._INTERNED_DICTS
+            assert str(parse_op(text, allow_unregistered=True)
+                       .attributes["t"]) == "i32"
+        finally:
+            register_type_parser("sycl", original)
+        assert parse_op(text, allow_unregistered=True).attributes == before
+
     def test_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(parser_module, "_MAX_INTERNED_TYPES", 16)
         for width in range(1, 200):
@@ -270,3 +341,51 @@ class TestInterning:
         huge = "(" + ", ".join(["i32"] * 400) + ") -> ()"
         assert len(parse_type(huge).inputs) == 400
         assert huge not in parser_module._INTERNED_TYPES
+        for value in range(40):
+            parse_op(f'"test.op"() {{v = {value} : i32}} : () -> ()',
+                     allow_unregistered=True)
+            assert len(parser_module._INTERNED_DICTS) <= 16
+
+
+def _corpus():
+    """``(name, text)`` of every program the benchmark compiles, runs and
+    serves at seed 101, and of every IR file under ``tests/golden``."""
+    programs = sys.modules.get("e2e_programs")
+    if programs is None:
+        spec = importlib.util.spec_from_file_location(
+            "e2e_programs", E2E_DIR / "programs.py")
+        programs = sys.modules["e2e_programs"] = \
+            importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(programs)
+    for source in (programs.compile_variants, programs.exec_programs,
+                   programs.serve_programs):
+        for program in source(101):
+            yield program.name, programs.module_text([program])
+    for path in sorted(GOLDEN_DIR.rglob("*.mlir")):
+        yield str(path.relative_to(GOLDEN_DIR)), path.read_text()
+
+
+class TestCorpusRoundTrip:
+    """Interning changes no parse: every corpus text re-prints byte for
+    byte through both printers, from cleared tables and from warm ones."""
+
+    def _reprinted(self, text):
+        module = parse_module(text)
+        classic = Printer().print_module(module)
+        upstream = emit_mlir(module)
+        assert Printer().print_module(parse_module(classic)) == classic
+        assert emit_mlir(parse_module(upstream)) == upstream
+        assert Printer().print_module(parse_module(upstream)) == classic
+        if "//" not in text:  # a commented file is not in printed form
+            assert text.rstrip("\n") in (classic, upstream)
+        return classic, upstream
+
+    def test_cold_and_warm_tables_print_alike(self):
+        corpus = list(_corpus())
+        assert len(corpus) >= 90
+        _clear_intern_tables()
+        cold = [self._reprinted(text) for _, text in corpus]
+        assert parser_module._INTERNED_DICTS
+        warm = [self._reprinted(text) for _, text in corpus]
+        for (name, _), first, second in zip(corpus, cold, warm):
+            assert first == second, name

@@ -20,7 +20,9 @@ from repro.ir import (
     Diagnostic,
     DiagnosticEngine,
     InsertionPoint,
+    IntegerAttr,
     Operation,
+    Printer,
     Severity,
     Trait,
     VerificationError,
@@ -389,3 +391,56 @@ class TestScopedOperandCheck:
         module = parse_module((GOLDEN_DIR / "dominance_errors.mlir")
                               .read_text())
         assert len(_assert_same_diagnostics(module)) == 3
+
+
+class TestQueryDimensions:
+    """A constant dimension of a SYCL id or range query must lie in
+    ``[0, rank)`` of the queried object.  Out of it, ``sycl-mlir`` used
+    to die in the Memory Access Analysis with an ``IndexError`` (or, for
+    ``-1``, silently label the id ``gid_z``)."""
+
+    def _with_first_dimension(self, tmp_path, dimension):
+        from .helpers import build_gemm_module
+
+        module, _ = build_gemm_module(8, 4)
+        query = next(op for op in module.walk()
+                     if op.name == "sycl.nd_item.get_global_id")
+        constant = query.operands[1].defining_op()
+        constant.set_attr("value", IntegerAttr(
+            dimension, constant.results[0].type))
+        path = tmp_path / "gemm.mlir"
+        path.write_text(Printer().print_module(module))
+        return path
+
+    @pytest.mark.parametrize("dimension", [-7, -1, 2])
+    def test_out_of_rank_is_a_located_verifier_error(self, tmp_path, capsys,
+                                                      dimension):
+        path = self._with_first_dimension(tmp_path, dimension)
+        line = next(number for number, text in enumerate(
+            path.read_text().splitlines(), 1)
+            if "sycl.nd_item.get_global_id" in text)
+        assert repro_opt_main([str(path), "--pipeline", "sycl-mlir"]) == 1
+        err = capsys.readouterr().err
+        assert (f"verification failed: sycl.nd_item.get_global_id: constant "
+                f"dimension {dimension} is outside [0, 2) of the queried "
+                f"!sycl_nd_item_2 at {path}:{line}:") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dimension", [0, 1])
+    def test_in_rank_dimensions_verify(self, tmp_path, capsys, dimension):
+        path = self._with_first_dimension(tmp_path, dimension)
+        assert repro_opt_main([str(path), "--pipeline", "sycl-mlir"]) == 0
+
+    def test_the_analysis_labels_an_unchecked_dimension_unknown(self):
+        from repro.analysis.memory_access import BasisKind, _ExpressionBuilder
+        from .helpers import build_gemm_module
+
+        module, _ = build_gemm_module(8, 4)
+        query = next(op for op in module.walk()
+                     if op.name == "sycl.nd_item.get_global_id")
+        constant = query.operands[1].defining_op()
+        for dimension, label in ((-1, "gid_?"), (7, "gid_?"), (1, "gid_y")):
+            constant.set_attr("value", IntegerAttr(
+                dimension, constant.results[0].type))
+            assert _ExpressionBuilder._label_for(
+                query.results[0], BasisKind.WORK_ITEM) == label
