@@ -170,10 +170,7 @@ class LLVMAllocaOp(Operation, MemoryEffectsInterface):
 @register_op
 class LLVMLoadOp(Operation, MemoryEffectsInterface):
     OPERATION_NAME = "llvm.load"
-
-    @classmethod
-    def build(cls, pointer: Value, result_type: Type) -> "LLVMLoadOp":
-        return cls(operands=(pointer,), result_types=(result_type,))
+    RESULTS = 1
 
     @property
     def pointer(self) -> Value:
@@ -186,10 +183,7 @@ class LLVMLoadOp(Operation, MemoryEffectsInterface):
 @register_op
 class LLVMStoreOp(Operation, MemoryEffectsInterface):
     OPERATION_NAME = "llvm.store"
-
-    @classmethod
-    def build(cls, value: Value, pointer: Value) -> "LLVMStoreOp":
-        return cls(operands=(value, pointer))
+    RESULTS = 0
 
     @property
     def pointer(self) -> Value:

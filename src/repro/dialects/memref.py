@@ -62,6 +62,7 @@ class DeallocOp(Operation, MemoryEffectsInterface):
 @register_op
 class LoadOp(Operation, MemoryEffectsInterface):
     OPERATION_NAME = "memref.load"
+    RESULTS = 1
 
     @classmethod
     def build(cls, memref: Value, indices: Sequence[Value] = ()) -> "LoadOp":
@@ -86,6 +87,7 @@ class LoadOp(Operation, MemoryEffectsInterface):
 @register_op
 class StoreOp(Operation, MemoryEffectsInterface):
     OPERATION_NAME = "memref.store"
+    RESULTS = 0
 
     @classmethod
     def build(cls, value: Value, memref: Value,

@@ -39,7 +39,6 @@ from ..ir import (
     Type,
     Value,
     i64,
-    location_of,
     register_op,
 )
 from ..ir.interfaces import read, write
@@ -284,11 +283,9 @@ class _QueryOpBase(Operation, MemoryEffectsInterface):
         rank = getattr(queried, "dimensions", None)
         if value.value < 0 or (rank is not None and value.value >= rank):
             bound = f"[0, {rank})" if rank is not None else "[0, rank)"
-            location = location_of(self)
-            where = f" at {location.describe()}" if location.is_known else ""
             raise ValueError(
                 f"constant dimension {value.value} is outside {bound} of "
-                f"the queried {queried}{where}")
+                f"the queried {queried}")
 
     def memory_effects(self) -> List[MemoryEffect]:
         return []
@@ -507,22 +504,11 @@ class SYCLHostConstructorOp(Operation, MemoryEffectsInterface):
     mirrors Listing 9.  The ``type`` attribute names the constructed SYCL
     class; additional attributes record statically-known construction
     parameters (dimensions, access mode, whether the accessor is ranged).
+    ``host-raising`` turns the runtime call into one in place.
     """
 
     OPERATION_NAME = "sycl.host.constructor"
-
-    @classmethod
-    def build(cls, type_name: str, destination: Value, args: Sequence[Value],
-              **extra_attrs) -> "SYCLHostConstructorOp":
-        attrs = {"type": StringAttr(type_name)}
-        for key, value in extra_attrs.items():
-            if isinstance(value, int):
-                attrs[key] = IntegerAttr(value, i64())
-            elif isinstance(value, str):
-                attrs[key] = StringAttr(value)
-            else:
-                attrs[key] = value
-        return cls(operands=(destination, *args), attributes=attrs)
+    RESULTS = 0
 
     @property
     def destination(self) -> Value:

@@ -110,6 +110,13 @@ class Operation:
     _ISOLATED: bool = False
     _HAS_EFFECTS: bool = False
     _HAS_VERIFIER: bool = False
+    #: Whether :meth:`retype` may turn an op of this class into another
+    #: class or back: no slots of its own and not isolated from above.
+    _PLAIN: bool = True
+    #: The number of results every op of the class has, where the class
+    #: declares it (``None``: it varies, or is not declared); what
+    #: :meth:`retype` checks an op's results against.
+    RESULTS: Optional[int] = None
 
     #: The IR fields live in slots; ``__dict__`` stays for state a
     #: subclass (or the parser, naming an unregistered op) adds, and is
@@ -128,6 +135,8 @@ class Operation:
         cls._ISOLATED = bool(mask & Trait.ISOLATED_FROM_ABOVE.bit)
         cls._HAS_EFFECTS = issubclass(cls, MemoryEffectsInterface)
         cls._HAS_VERIFIER = cls.verify_op is not Operation.verify_op
+        cls._PLAIN = (cls.__basicsize__ == Operation.__basicsize__
+                      and not cls._ISOLATED)
 
     def __init__(self,
                  operands: Sequence[Value] = (),
@@ -212,15 +221,16 @@ class Operation:
 
     def set_operand(self, index: int, value: Value) -> None:
         _touch(self)
-        old = self._operands[index]
-        old.remove_use(self, index)
+        self._operands[index]._uses.pop((self, index), None)
         self._operands[index] = value
         value._uses[(self, index)] = None
 
     def drop_all_uses_of_operands(self) -> None:
         _touch(self)
-        for i, operand in enumerate(self._operands):
-            operand.remove_use(self, i)
+        index = 0
+        for operand in self._operands:
+            operand._uses.pop((self, index), None)
+            index += 1
         self._operands = _EMPTY
 
     # ------------------------------------------------------------------
@@ -368,16 +378,57 @@ class Operation:
     def erase(self) -> None:
         """Erase this operation (and its regions) from the IR.
 
-        The operation must not have remaining uses of its results.
+        The operation must not have remaining uses of its results.  The
+        use checks and edits are inline: every pass erases through here.
         """
-        if self.has_uses():
-            raise IRError(
-                f"cannot erase {self.OPERATION_NAME}: results still have uses")
+        for result in self.results:
+            if result._uses:
+                raise IRError(f"cannot erase {self.OPERATION_NAME}: "
+                              "results still have uses")
         for region in self.regions:
             for block in list(region.blocks):
                 block.erase_all_ops()
-        self.drop_all_uses_of_operands()
-        self.detach()
+        index = 0
+        for operand in self._operands:
+            try:
+                del operand._uses[(self, index)]
+            except KeyError:
+                pass
+            index += 1
+        self._operands = _EMPTY
+        if self.parent is not None:
+            self.parent._unlink(self)
+
+    def retype(self, cls: PyType["Operation"],
+               operands: Optional[Sequence[Value]] = None,
+               attributes: Optional[Dict[str, Attribute]] = None
+               ) -> "Operation":
+        """Turn this op into a ``cls`` in place (MLIR's ``modifyOpInPlace``
+        for a 1:1 conversion; docs/pass_infrastructure.md).
+
+        It keeps its identity, place, results (types, uses, name hints),
+        regions and location; ``operands`` and ``attributes`` (a dict it
+        takes over), when given, replace the old ones.  Raises
+        :class:`IRError` unless both classes are ``_PLAIN`` and ``cls``
+        allows this op's number of results (``RESULTS``).
+        """
+        expected = cls.RESULTS
+        if not (self._PLAIN and cls._PLAIN) or (
+                expected is not None and expected != len(self.results)):
+            raise IRError(f"cannot retype {self.OPERATION_NAME} to "
+                          f"{cls.OPERATION_NAME} in place")
+        if operands is None:
+            _touch(self)
+        else:
+            self.drop_all_uses_of_operands()
+            if operands:
+                self._operands = operands = list(operands)
+                for index, value in enumerate(operands):
+                    value._uses[(self, index)] = None
+        if attributes is not None:
+            self.attributes = attributes
+        self.__class__ = cls
+        return self
 
     def move_before(self, other: "Operation") -> None:
         if other is self:

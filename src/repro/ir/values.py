@@ -33,7 +33,7 @@ class Value:
     The use-def chain is an order-preserving dict whose keys are the
     uses as plain ``(owner, index)`` pairs, which hash and compare like
     the :class:`Use` they stand for.  An operation registers an operand
-    with one dict store, ``remove_use`` is O(1) and ``users()`` is
+    with one dict store, dropping one is O(1) and ``users()`` is
     O(uses) even for values with many uses (dicts keep insertion order,
     preserving use order for deterministic traversals).
     """
@@ -49,10 +49,9 @@ class Value:
         # The hint is part of the printed form, which caches key on: a
         # rename moves the version stamps around its owner, like any
         # other edit of the IR.
-        from .operations import _touch
-
         owner = self.defining_op()
-        _touch(owner if owner is not None else self.owner_block().parent_op())
+        _operations._touch(
+            owner if owner is not None else self.owner_block().parent_op())
         self._name_hint = name_hint
 
     # -- use-def chain -----------------------------------------------------
@@ -60,9 +59,6 @@ class Value:
     def uses(self) -> List[Use]:
         """List view of the uses, in insertion order."""
         return list(map(_as_use, self._uses))
-
-    def remove_use(self, owner: "Operation", index: int) -> None:
-        self._uses.pop((owner, index), None)
 
     def drop_all_uses(self) -> None:
         """Forget every use without rewriting the owners' operand lists."""
@@ -79,11 +75,18 @@ class Value:
         return list(dict.fromkeys(owner for owner, _ in self._uses))
 
     def replace_all_uses_with(self, other: "Value") -> None:
-        """Replace every use of this value with ``other``."""
-        if other is self:
+        """Replace every use of this value with ``other``; one stamp
+        move serves all the owners, which share their isolated ops."""
+        uses = self._uses
+        if other is self or not uses:
             return
-        for owner, index in list(self._uses):
-            owner.set_operand(index, other)
+        moved = other._uses
+        for key in uses:
+            owner, index = key
+            owner._operands[index] = other
+            moved[key] = None
+        self._uses = {}
+        _operations._touch(owner)
 
     def replace_uses_in(self, other: "Value", ops) -> None:
         """Replace uses of this value with ``other`` only inside ``ops``."""
@@ -151,3 +154,6 @@ class BlockArgument(Value):
 
     def __repr__(self) -> str:
         return f"<BlockArgument #{self.arg_index} : {self.type}>"
+
+
+from . import operations as _operations  # noqa: E402  (imports this module)

@@ -42,6 +42,15 @@ class VerificationError(Exception):
         super().__init__(message)
         self.diagnostics: List[Diagnostic] = list(diagnostics or [])
 
+    def render(self) -> str:
+        """Each diagnostic as ``file:line:col: error: message`` (plus its
+        notes), one per line: what the tools print.  The bare message
+        when no diagnostic was recorded."""
+        if not self.diagnostics:
+            return str(self)
+        return "\n".join(diagnostic.render()
+                         for diagnostic in self.diagnostics)
+
 
 def verify(op: Operation, raise_on_error: bool = True) -> List[str]:
     """Verify ``op`` and all nested operations; return diagnostics."""

@@ -293,7 +293,8 @@ class CompileService:
             text = Printer(print_locations=print_locations
                            ).print_module(module) + "\n"
         except VerificationError as exc:
-            return self._error(request_id, f"verification failed: {exc}",
+            return self._error(request_id,
+                               f"verification failed:\n{exc.render()}",
                                kind="verify-error")
         except ValueError as exc:
             return self._error(request_id, str(exc), kind="compile-error")
@@ -350,7 +351,8 @@ class CompileService:
                 finally:
                     self._checkin(manager)
         except VerificationError as exc:
-            return self._error(request_id, f"verification failed: {exc}",
+            return self._error(request_id,
+                               f"verification failed:\n{exc.render()}",
                                kind="verify-error")
         except ValueError as exc:
             return self._error(request_id, str(exc), kind="pipeline-error")

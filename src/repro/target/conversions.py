@@ -51,6 +51,7 @@ from ..ir import (
     Operation,
     PointerType,
     Region,
+    StringAttr,
     is_scalar,
 )
 from ..transforms.pass_manager import (
@@ -169,20 +170,17 @@ class LowerAffine(FunctionPass):
                         report: CompileReport) -> None:
         constant, reused = _entry_constants(function)
         lowered = 0
-        while True:
-            target = None
-            for op in function.walk(include_self=False):
-                if isinstance(op, (affine_d.AffineForOp,
-                                   affine_d.AffineLoadOp,
-                                   affine_d.AffineStoreOp,
-                                   affine_d.AffineApplyOp,
-                                   affine_d.AffineMinOp)):
-                    target = op
-                    break
-            if target is None:
-                break
-            self._lower(target, constant)
-            lowered += 1
+        # One pre-order snapshot: a lowered loop's body ops move into the
+        # new loop as they are, so they come in the order a fresh walk
+        # would find them, and lowering erases no affine op but its own.
+        for op in list(function.walk(include_self=False)):
+            if isinstance(op, (affine_d.AffineForOp,
+                               affine_d.AffineLoadOp,
+                               affine_d.AffineStoreOp,
+                               affine_d.AffineApplyOp,
+                               affine_d.AffineMinOp)):
+                self._lower(op, constant)
+                lowered += 1
         if lowered:
             report.add_statistic(self.NAME, "lowered", lowered)
         if reused:
@@ -193,14 +191,9 @@ class LowerAffine(FunctionPass):
         if isinstance(op, affine_d.AffineForOp):
             self._lower_for(op, constant)
         elif isinstance(op, affine_d.AffineLoadOp):
-            new = memref.LoadOp.build(op.memref, list(op.indices))
-            op.parent.insert_before(op, new)
-            op.replace_all_uses_with(list(new.results))
-            op.erase()
+            op.retype(memref.LoadOp, attributes={})
         elif isinstance(op, affine_d.AffineStoreOp):
-            new = memref.StoreOp.build(op.value, op.memref, list(op.indices))
-            op.parent.insert_before(op, new)
-            op.erase()
+            op.retype(memref.StoreOp, attributes={})
         elif isinstance(op, affine_d.AffineApplyOp):
             self._lower_apply(op, constant)
         elif isinstance(op, affine_d.AffineMinOp):
@@ -402,8 +395,9 @@ class ConvertArithToLLVM(FunctionPass):
 
     Types are left untouched (``index`` stays ``index``; the project's
     LLVM dialect is value-typed the same way ``arith`` is), so the
-    rewrite is a name-and-class change with identical operands, results
-    and attributes.  Unmapped ``arith`` operations are left in place.
+    rewrite is a class change in place (:meth:`Operation.retype`) with
+    identical operands, results and attributes.  Unmapped ``arith``
+    operations are left in place.
     """
 
     NAME = "convert-arith-to-llvm"
@@ -415,18 +409,12 @@ class ConvertArithToLLVM(FunctionPass):
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
         converted = 0
+        targets = llvm_d.ARITH_TO_LLVM
         for op in list(function.walk(include_self=False)):
-            target = llvm_d.ARITH_TO_LLVM.get(op.name)
-            if target is None:
-                continue
-            new = target(
-                operands=tuple(op.operands),
-                result_types=tuple(result.type for result in op.results),
-                attributes=dict(op.attributes))
-            op.parent.insert_before(op, new)
-            op.replace_all_uses_with(list(new.results))
-            op.erase()
-            converted += 1
+            target = targets.get(op.OPERATION_NAME)
+            if target is not None:
+                op.retype(target)
+                converted += 1
         if converted:
             report.add_statistic(self.NAME, "converted", converted)
 
@@ -725,15 +713,10 @@ class ConvertMemRefToLLVM(FunctionPass):
                             UnrealizedConversionCastOp.build,
                             memref_value, PointerType(element))
         pointer, split, through = address(op, bridge, terms)
-        block = op.parent
         if isinstance(op, memref.LoadOp):
-            new = llvm_d.LLVMLoadOp.build(pointer, element)
-            block.insert_before(op, new)
-            op.replace_all_uses_with(list(new.results))
+            op.retype(llvm_d.LLVMLoadOp, (pointer,), {})
         else:
-            block.insert_before(
-                op, llvm_d.LLVMStoreOp.build(op.value, pointer))
-        op.erase()
+            op.retype(llvm_d.LLVMStoreOp, (op.value, pointer), {})
         # The index adds looked through, outermost first, are dead unless
         # something else reads them.
         for add in reversed(through):
@@ -812,17 +795,9 @@ class ConvertFuncToLLVM(ModulePass):
         op.erase()
         for body_op in list(new.walk(include_self=False)):
             if isinstance(body_op, ReturnOp):
-                replacement = llvm_d.LLVMReturnOp.build(
-                    list(body_op.operands))
-                body_op.parent.insert_before(body_op, replacement)
-                body_op.erase()
+                body_op.retype(llvm_d.LLVMReturnOp, attributes={})
             elif isinstance(body_op, CallOp):
                 callee = body_op.callee_name()
-                if callee is None:
-                    continue
-                replacement = llvm_d.LLVMCallOp.build(
-                    callee, list(body_op.operands),
-                    [result.type for result in body_op.results])
-                body_op.parent.insert_before(body_op, replacement)
-                body_op.replace_all_uses_with(list(replacement.results))
-                body_op.erase()
+                if callee is not None:
+                    body_op.retype(llvm_d.LLVMCallOp, attributes={
+                        "callee": StringAttr(callee)})

@@ -151,8 +151,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
             if manager is not None:
                 manager.run(module)
         except VerificationError as exc:
-            print(f"repro-lint: {label}: verification failed: {exc}",
-                  file=sys.stderr)
+            print(f"repro-lint: {label}: verification failed:\n"
+                  f"{exc.render()}", file=sys.stderr)
             return 1
         except ValueError as exc:
             print(f"repro-lint: {label}: {exc}", file=sys.stderr)

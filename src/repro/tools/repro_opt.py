@@ -476,8 +476,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
             if not args.no_verify:
                 verify(module)
         except VerificationError as exc:
-            print(f"repro-opt: {label}: verification failed: {exc}",
-                  file=sys.stderr)
+            print(f"repro-opt: {label}: verification failed:\n"
+                  f"{exc.render()}", file=sys.stderr)
             return 1, None
         except ValueError as exc:
             print(f"repro-opt: {label}: {exc}", file=sys.stderr)

@@ -269,8 +269,9 @@ def _compile(text: str, args, cache, front_key: Optional[str]):
     from ..ir import ParseError, VerificationError, parse_module, verify
 
     try:
-        module = parse_module(text,
-                              allow_unregistered=args.allow_unregistered)
+        module = parse_module(
+            text, allow_unregistered=args.allow_unregistered,
+            filename="<stdin>" if args.input == "-" else args.input)
     except ParseError as exc:
         print(f"repro-run: parse error: {exc}", file=sys.stderr)
         return None, 1
@@ -303,7 +304,8 @@ def _compile(text: str, args, cache, front_key: Optional[str]):
             if not args.no_verify:
                 verify(module)
     except VerificationError as exc:
-        print(f"repro-run: verification failed: {exc}", file=sys.stderr)
+        print(f"repro-run: verification failed:\n{exc.render()}",
+              file=sys.stderr)
         return None, 1
     except ValueError as exc:
         # Pass misconfiguration surfaced at run time (same contract as

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from operator import attrgetter
+from typing import Dict, List, Tuple
 
 from ..ir import Block, Operation, Trait, is_side_effect_free
 from ..ir.interfaces import EFFECT_FREE_TRAITS
@@ -32,24 +33,25 @@ class _KeyCache:
     pre-warm hits across unrelated compiles).
     """
 
-    __slots__ = ("type_ids", "attr_ids", "seen", "hits")
+    __slots__ = ("type_ids", "attr_ids", "seen", "held", "hits")
 
     def __init__(self):
         self.type_ids: Dict[object, int] = {}
         self.attr_ids: Dict[object, int] = {}
-        #: ``id(value) -> (value, interned id)``: most equal types and
-        #: attributes are one shared instance, and asking by identity
-        #: skips the dataclass ``__hash__`` (and that of every type nested
-        #: in the value).  Holding the value keeps its id from being reused.
-        self.seen: Dict[int, Tuple[object, object]] = {}
+        #: ``id(value) -> interned id``: most equal types and attributes
+        #: are one shared instance, and asking by identity skips the
+        #: dataclass ``__hash__`` (and that of every type nested in the
+        #: value).  ``held`` keeps each value, so its id is not reused.
+        self.seen: Dict[int, object] = {}
+        self.held: List[object] = []
         self.hits = 0
 
     def _intern(self, table: Dict[object, int], value,
                 by_text: bool = False) -> object:
         seen = self.seen.get(id(value))
-        if seen is not None and seen[0] is value:
+        if seen is not None:
             self.hits += 1
-            return seen[1]
+            return seen
         key = (value.__class__, str(value)) if by_text else value
         try:
             interned = table.get(key)
@@ -59,7 +61,8 @@ class _KeyCache:
                 table[key] = interned = len(table)
         except TypeError:  # unhashable (exotic) value: fall back to str
             return str(key)
-        self.seen[id(value)] = (value, interned)
+        self.seen[id(value)] = interned
+        self.held.append(value)
         return interned
 
     def type_id(self, type_) -> object:
@@ -72,22 +75,39 @@ class _KeyCache:
                             isinstance(attr, _STR_KEYED_ATTRS))
 
 
+_TYPE = attrgetter("type")
+
+
 def _operation_key(op: Operation, cache: _KeyCache) -> Tuple:
     """Structural identity of a side-effect free operation.
 
     Semantics-bearing state (e.g. affine.apply coefficients, GEP static
     offsets) lives in ``op.attributes`` and is covered by the attribute
     component.  Equal types/attributes compare equal as value objects, so
-    interned ids (see :class:`_KeyCache`) preserve key equality.
+    interned ids (see :class:`_KeyCache`) preserve key equality.  The
+    ids are looked up by identity inside ``map``, which makes no
+    Python-level call; only a value seen for the first time goes
+    through :meth:`_KeyCache._intern`.
     """
+    seen = cache.seen.get
+    types = tuple(map(seen, map(id, map(_TYPE, op.results))))
+    if None in types:
+        types = tuple([cache.type_id(result.type) for result in op.results])
+    else:
+        cache.hits += len(types)
     attrs = op.attributes
     if attrs:
-        attr_key = tuple(sorted(
-            (name, cache.attr_id(attr)) for name, attr in attrs.items()))
+        ids = tuple(map(seen, map(id, attrs.values())))
+        if None in ids:
+            ids = tuple([cache.attr_id(attr) for attr in attrs.values()])
+        else:
+            cache.hits += len(ids)
+        attr_key = tuple(zip(attrs, ids))
+        if attr_key[1:]:
+            attr_key = tuple(sorted(attr_key))
     else:
         attr_key = ()
-    return (op.OPERATION_NAME, tuple(id(v) for v in op._operands), attr_key,
-            tuple(cache.type_id(r.type) for r in op.results))
+    return (op.OPERATION_NAME, tuple(map(id, op._operands)), attr_key, types)
 
 
 @register_pass

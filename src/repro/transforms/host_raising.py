@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from ..ir import Operation, SymbolRefAttr
+from ..ir import Operation, StringAttr, SymbolRefAttr
 from ..dialects.llvm import LLVMCallOp, LLVMFuncOp
 from ..dialects.sycl import SYCLHostConstructorOp, SYCLHostScheduleKernelOp
 from .pass_manager import CompileReport, ModulePass, register_pass
@@ -102,19 +102,14 @@ class HostRaisingPass(ModulePass):
 
     # ------------------------------------------------------------------
     def _raise_constructor(self, call: LLVMCallOp, kind: str) -> None:
-        destination = call.operands[0]
-        args = list(call.operands[1:])
-        raised = SYCLHostConstructorOp.build(kind, destination, args)
-        # Preserve attributes the host frontend attached to the call (e.g.
-        # access mode, dimensionality, constant initializer provenance).
+        # The call's operands are the constructor's (destination first),
+        # so the call becomes one in place.  Preserve attributes the host
+        # frontend attached to the call (e.g. access mode, dimensionality,
+        # constant initializer provenance).
+        attributes = {"type": StringAttr(kind)}
         for name, attr in call.attributes.items():
-            if name == "callee":
-                raised.set_attr("runtime_callee", attr)
-            else:
-                raised.set_attr(name, attr)
-        call.parent.insert_before(call, raised)
-        call.replace_all_uses_with(list(raised.results))
-        call.erase()
+            attributes["runtime_callee" if name == "callee" else name] = attr
+        call.retype(SYCLHostConstructorOp, attributes=attributes)
 
     def _raise_parallel_for(self, call: LLVMCallOp, callee: str) -> bool:
         kernel_name = extract_kernel_name(callee) or \

@@ -133,23 +133,22 @@ class LowerAccessorSubscripts(FunctionPass):
             pointer = pointer_op.results[0]
             pointers[id(accessor)] = pointer
 
-        # Rewrite every load/store going through the subscript result.
+        # Rewrite every load/store going through the subscript result,
+        # in place.
         for user in subscript.results[0].users():
             if isinstance(user, (affine_dialect.AffineLoadOp,
                                  memref_dialect.LoadOp)):
-                replacement = memref_dialect.LoadOp.build(pointer, [linear])
-                user.parent.insert_before(user, replacement)
-                user.replace_all_uses_with([replacement.result])
-                orphans.append(replacement)  # dead if the old load was
+                fed = [index.defining_op() for index in user.indices]
+                user.retype(memref_dialect.LoadOp, (pointer, linear), {})
+                orphans.append(user)  # dead if nothing reads it
             elif isinstance(user, (affine_dialect.AffineStoreOp,
                                    memref_dialect.StoreOp)):
-                replacement = memref_dialect.StoreOp.build(
-                    user.value, pointer, [linear])
-                user.parent.insert_before(user, replacement)
+                fed = [index.defining_op() for index in user.indices]
+                user.retype(memref_dialect.StoreOp,
+                            (user.value, pointer, linear), {})
             else:
                 return False
-            orphans.extend(index.defining_op() for index in user.indices)
-            user.erase()
+            orphans.extend(fed)
         orphans.append(subscript.index.defining_op())
         subscript.erase()
         return True

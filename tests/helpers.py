@@ -19,6 +19,7 @@ from repro.ir import (
     memref as memref_type,
     verify,
 )
+from repro.transforms import PassInstrumentation
 
 
 def build_listing1_function():
@@ -274,3 +275,71 @@ def ablated(name, drop):
     manager = build_named_pipeline(name)
     prune(manager)
     return manager
+
+
+def e2e_programs():
+    """``benchmarks/e2e/programs.py`` (the benchmark's seeded program
+    sets) as a module, loaded once per process."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    programs = sys.modules.get("e2e_programs")
+    if programs is None:
+        path = (pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e"
+                / "programs.py")
+        spec = importlib.util.spec_from_file_location("e2e_programs", path)
+        programs = sys.modules["e2e_programs"] = \
+            importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(programs)
+    return programs
+
+
+def use_list_errors(root):
+    """How the use lists under ``root`` disagree with the operands, as
+    messages (empty when they agree): operand ``i`` of every op must be
+    the key ``(op, i)`` of its value's ``_uses``, and every key of the
+    ``_uses`` of a value defined or used under ``root`` must name an op
+    still in the tree whose operand ``i`` is that value."""
+    live = set()
+    values = {}
+    errors = []
+    for op in root.walk():
+        live.add(id(op))
+        for region in op.regions:
+            for block in region.blocks:
+                for argument in block.arguments:
+                    values[id(argument)] = argument
+        for result in op.results:
+            values[id(result)] = result
+        for index, operand in enumerate(op._operands):
+            values[id(operand)] = operand
+            if (op, index) not in operand._uses:
+                errors.append(f"{op.name} operand {index} is not a use of "
+                              f"{operand!r}")
+    for value in values.values():
+        for owner, index in value._uses:
+            operands = owner._operands
+            if id(owner) not in live:
+                errors.append(f"{value!r} is used by {owner.name}, which is "
+                              f"no longer in the IR")
+            elif index >= len(operands) or operands[index] is not value:
+                errors.append(f"{value!r} lists operand {index} of "
+                              f"{owner.name}, which is another value")
+    return errors
+
+
+class UseListCheck(PassInstrumentation):
+    """Asserts :func:`use_list_errors` is empty before a pipeline and
+    after every pass; ``passes`` counts the passes it checked."""
+
+    passes = 0
+
+    def run_before_pipeline(self, op):
+        errors = use_list_errors(op)
+        assert not errors, f"before the pipeline: {errors}"
+
+    def run_after_pass(self, pass_, op):
+        errors = use_list_errors(op)
+        assert not errors, f"after {pass_.NAME}: {errors}"
+        self.passes += 1

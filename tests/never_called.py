@@ -16,6 +16,10 @@ re-arms it before and after every test in case a test switched it off.
 Work done in child processes (CLI tests that spawn ``python -m ...``,
 pool workers) is not seen.
 
+The sources are read before the suite runs, so a function is keyed by
+the first line it had when it was imported: an edit under ``src/``
+during the run moves no function.
+
 Every listed function must be named in ``never_called_allowlist.txt``
 with the reason it stays; the script exits 1 when a function outside
 the allowlist is listed, when an allowlist entry has no reason, or when
@@ -78,11 +82,13 @@ def _key(code):
             code.co_name)
 
 
-def defined_functions():
-    """``{key: qualified name}`` of every function under ``src/repro``."""
+def defined_functions(package=PACKAGE):
+    """``{key: qualified name}`` of every function under ``package``
+    (default ``src/repro``), as its sources read now."""
     found = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(
+            path.relative_to(package.parent).with_suffix("").parts)
         if module.endswith(".__init__"):
             module = module[:-len(".__init__")]
         code = compile(path.read_text(), str(path.resolve()), "exec")
@@ -103,17 +109,26 @@ def read_allowlist(path=ALLOWLIST):
     return entries
 
 
-def main(argv):
+def traced_run(args, package=PACKAGE):
+    """Run pytest on ``args`` under the hook; ``(exit status, {key:
+    qualified name} of the functions under ``package``, the keys of the
+    functions that ran)``.  The functions are read before the run."""
     import pytest
 
-    sys.path[0] = str(ROOT)  # as under ``python -m pytest`` from the root
+    defined = defined_functions(package)
     _arm()
-    status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT)])],
-                         plugins=[RearmPlugin()])
-    sys.setprofile(None)
-    threading.setprofile(None)
-    ran = {_key(code) for code in _seen.values()}
-    defined = defined_functions()
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *args],
+                             plugins=[RearmPlugin()])
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return status, defined, {_key(code) for code in _seen.values()}
+
+
+def main(argv):
+    sys.path[0] = str(ROOT)  # as under ``python -m pytest`` from the root
+    status, defined, ran = traced_run(argv or [str(ROOT)])
     never = sorted(name for key, name in defined.items() if key not in ran)
     print(f"\n{len(never)} of {len(defined)} functions in src/ never called:")
     for name in never:

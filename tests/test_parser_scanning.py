@@ -14,11 +14,9 @@
   golden file re-prints byte for byte with the tables warm and cold.
 """
 
-import importlib.util
 import json
 import pathlib
 import random
-import sys
 
 import pytest
 
@@ -44,11 +42,11 @@ from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
+    e2e_programs,
     wrap_in_module,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-E2E_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e"
 
 
 def _listing_modules():
@@ -350,13 +348,7 @@ class TestInterning:
 def _corpus():
     """``(name, text)`` of every program the benchmark compiles, runs and
     serves at seed 101, and of every IR file under ``tests/golden``."""
-    programs = sys.modules.get("e2e_programs")
-    if programs is None:
-        spec = importlib.util.spec_from_file_location(
-            "e2e_programs", E2E_DIR / "programs.py")
-        programs = sys.modules["e2e_programs"] = \
-            importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(programs)
+    programs = e2e_programs()
     for source in (programs.compile_variants, programs.exec_programs,
                    programs.serve_programs):
         for program in source(101):

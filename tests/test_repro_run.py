@@ -481,7 +481,7 @@ class TestFrontTier:
         ('"builtin.module"() ({\n  "func.func"() {function_type = () -> (),'
          ' sym_name = "f"} : () -> () ({\n    "func.return"() : () -> ()\n'
          '    "func.return"() : () -> ()\n  })\n}) : () -> ()\n',
-         "verification failed: func.return: terminator must be the last"),
+         ":3:5: error: func.return: terminator must be the last"),
     ], ids=["parse-error", "verification-error"])
     def test_a_broken_source_is_never_recorded(
             self, tmp_path, capsys, spy_cache, source, message):
