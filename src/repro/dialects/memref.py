@@ -153,9 +153,7 @@ class GlobalOp(Operation):
             from ..ir import UnitAttr
 
             attrs["constant"] = UnitAttr()
-        op = cls(operands=(), result_types=(), attributes=attrs)
-        op.memref_type = memref_type
-        return op
+        return cls(operands=(), result_types=(), attributes=attrs)
 
 
 @register_op

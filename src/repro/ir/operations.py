@@ -118,9 +118,10 @@ class Operation:
     #: :meth:`retype` checks an op's results against.
     RESULTS: Optional[int] = None
 
-    #: The IR fields live in slots; ``__dict__`` stays for state a
-    #: subclass (or the parser, naming an unregistered op) adds, and is
-    #: only created for an instance that has some.
+    #: The IR fields live in slots; ``__dict__`` stays for the name the
+    #: parser gives an unregistered op (the one instance state
+    #: :meth:`clone` copies), and is only created for an instance that
+    #: has some.
     __slots__ = ("_operands", "results", "attributes", "regions",
                  "successors", "parent", "_prev", "_next", "_order",
                  "_location", "_offset", "_stamp",
@@ -472,9 +473,11 @@ class Operation:
         )
         clone._location = self._location
         clone._offset = self._offset
-        # Copy any extra (non-IR) instance state set by subclasses.
-        if self.__dict__:
-            clone.__dict__.update(self.__dict__)
+        # The one instance state outside the slots: the name the parser
+        # gives an unregistered op.  Reading ``__dict__`` would create a
+        # dict on every op cloned.
+        if type(self) is Operation:
+            clone.OPERATION_NAME = self.OPERATION_NAME
         for old_res, new_res in zip(self.results, clone.results):
             new_res._name_hint = old_res._name_hint
             mapping[old_res] = new_res

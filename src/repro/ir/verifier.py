@@ -52,9 +52,11 @@ class VerificationError(Exception):
                          for diagnostic in self.diagnostics)
 
 
-def verify(op: Operation, raise_on_error: bool = True) -> List[str]:
-    """Verify ``op`` and all nested operations; return diagnostics."""
-    diagnostics = verify_with_diagnostics(op)
+def verify(op: Operation, raise_on_error: bool = True,
+           engine: Optional[DiagnosticEngine] = None) -> List[str]:
+    """Verify ``op`` and all nested operations; return diagnostics
+    (emitted to ``engine`` too, when one is given)."""
+    diagnostics = verify_with_diagnostics(op, engine)
     errors = [diag.message for diag in diagnostics]
     if errors and raise_on_error:
         raise VerificationError("; ".join(errors), diagnostics)

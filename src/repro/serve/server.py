@@ -20,12 +20,15 @@ pipeline spec it has seen before — in any spelling: requests are
 resolved to the canonical spec once (a bounded memo) and the pool, the
 compile cache and its front tier are all keyed on that.
 
-A ``compile`` request first asks the cache's *front tier*
-(:meth:`~repro.transforms.CompileCache.front_lookup`): the key hashes
-the request's IR text, canonical spec, ``verify`` and
-``print_locations``, the value is a recorded reply.  A front hit never
-parses, checks out a manager or builds an operation; a miss takes the
-path below and, when the reply is a success, records it.
+Both ``compile`` and ``execute`` run one
+:class:`~repro.transforms.compile_cache.CompileSession` over a
+checked-out manager, so they verify, and name their errors, alike
+(``parse-error``, ``pipeline-error``, ``verify-error``,
+``compile-error``).  A ``compile`` request first asks the cache's *front
+tier*: the key hashes the request's IR text, canonical spec, ``verify``
+and ``print_locations``, the value is a recorded reply.  A front hit
+never parses, checks out a manager or builds an operation; a miss
+compiles and, when the reply is a success, records it.
 
 Progress streaming attaches a per-request
 :class:`StreamingInstrumentation` to the checked-out manager.  An
@@ -51,15 +54,16 @@ from typing import Callable, Dict, List, Optional
 
 from ..analysis import AnalysisManager
 from ..faults import TransientFault, fault_point
-from ..ir import ParseError, Printer, VerificationError, parse_module, verify
 from ..transforms import (
     CompileCache,
+    CompileReport,
     DiskCache,
     PassInstrumentation,
     PassManager,
     check_pass_pipeline,
     parse_pass_pipeline,
 )
+from ..transforms.compile_cache import CompileOutcome, CompileSession
 from .protocol import (
     METHODS,
     PROTOCOL_VERSION,
@@ -246,6 +250,34 @@ class CompileService:
         }
 
     # -- compile -------------------------------------------------------------
+    def _session_compile(self, request_id, ir: str, spec: Optional[str],
+                         emit: Optional[Emit] = None,
+                         form: Optional[tuple] = None,
+                         **flags) -> CompileOutcome:
+        """One request's compile through a checked-out manager, returned
+        to the pool whatever happened.  ``emit`` streams its progress."""
+
+        def checkout() -> PassManager:
+            manager = self._checkout(spec)
+            if emit is not None:
+                manager.add_instrumentation(
+                    StreamingInstrumentation(request_id, emit))
+            return manager
+
+        session = CompileSession(
+            checkout if spec is not None else None,
+            spec=self._canonical_spec(spec) if form is not None else None,
+            cache=self.cache, **flags)
+        try:
+            return session.compile(ir, "<request>", form)
+        finally:
+            if session.manager is not None:
+                self._checkin(session.manager)
+
+    def _failed(self, request_id, outcome: CompileOutcome) -> dict:
+        return self._error(request_id, outcome.message,
+                           kind=f"{outcome.kind}-error")
+
     def _compile(self, request_id, request: dict, emit: Emit) -> dict:
         ir = request.get("ir")
         if not isinstance(ir, str) or not ir.strip():
@@ -258,68 +290,30 @@ class CompileService:
         run_verify = bool(request.get("verify", True))
         print_locations = bool(request.get("print_locations"))
         # The front tier: a recorded reply for these very bytes.  An
-        # invalid spec has no canonical form and is reported below, after
-        # the parse, as it always was; a progress request wants the
-        # events of a real run (the instrumented-manager rule).
-        front_key = None
-        canonical = self._canonical_spec(spec)
-        if canonical is not None and not request.get("progress"):
-            front_key = CompileCache.front_key(
-                ir, canonical, "served", run_verify, print_locations)
-            recorded = self.cache.front_lookup(front_key, canonical)
-            if recorded is not None:
-                return self._compiled(
-                    request_id, recorded.text,
-                    [list(triple) for triple in recorded.statistics],
-                    recorded.remarks, cached=True)
-        try:
-            module = parse_module(ir, filename="<request>")
-        except ParseError as exc:
-            return self._error(request_id, f"parse error: {exc}",
-                               kind="parse-error")
-        try:
-            manager = self._checkout(spec)
-        except ValueError as exc:
-            return self._error(request_id, str(exc), kind="pipeline-error")
-        try:
-            if request.get("progress"):
-                manager.add_instrumentation(
-                    StreamingInstrumentation(request_id, emit))
-            if run_verify:
-                verify(module)
-            report = manager.run(module)
-            if run_verify:
-                verify(module)
-            text = Printer(print_locations=print_locations
-                           ).print_module(module) + "\n"
-        except VerificationError as exc:
-            return self._error(request_id,
-                               f"verification failed:\n{exc.render()}",
-                               kind="verify-error")
-        except ValueError as exc:
-            return self._error(request_id, str(exc), kind="compile-error")
-        finally:
-            self._checkin(manager)
-        if front_key is not None and report.cache_key is not None:
-            self.cache.front_store(front_key, text, report.cache_key)
-        return self._compiled(
-            request_id, text,
-            [[s.pass_name, s.name, s.value] for s in report.statistics],
-            report.remarks,
-            cached=report.get_statistic("compile-cache", "hits") > 0)
-
-    def _compiled(self, request_id, text: str, statistics: List[list],
-                  remarks: List[str], cached: bool) -> dict:
+        # invalid spec has no canonical form and is reported after the
+        # parse; a progress request wants the events of a real run (the
+        # instrumented-manager rule).
+        progress = bool(request.get("progress"))
+        outcome = self._session_compile(
+            request_id, ir, spec, emit=emit if progress else None,
+            form=None if progress else ("served", run_verify,
+                                        print_locations),
+            verify=run_verify, print_locations=print_locations,
+            report=CompileReport())
+        if outcome.kind is not None:
+            return self._failed(request_id, outcome)
         with self._stats_lock:
             self.compiles += 1
+        report = outcome.report
         return {
             "id": request_id,
             "event": "done",
             "ok": True,
-            "text": text,
-            "statistics": statistics,
-            "remarks": list(remarks),
-            "cached": cached,
+            "text": outcome.text,
+            "statistics": [[s.pass_name, s.name, s.value]
+                           for s in report.statistics],
+            "remarks": list(report.remarks),
+            "cached": outcome.cached,
         }
 
     # -- execute -------------------------------------------------------------
@@ -335,27 +329,15 @@ class CompileService:
         ir = request.get("ir")
         if not isinstance(ir, str) or not ir.strip():
             return self._error(request_id, "execute request carries no IR")
-        try:
-            module = parse_module(ir, filename="<request>")
-        except ParseError as exc:
-            return self._error(request_id, f"parse error: {exc}",
-                               kind="parse-error")
-        spec_text = request.get("passes") or request.get("pipeline")
-        try:
-            if request.get("verify", True):
-                verify(module)
-            if isinstance(spec_text, str) and spec_text.strip():
-                manager = self._checkout(spec_text)
-                try:
-                    manager.run(module)
-                finally:
-                    self._checkin(manager)
-        except VerificationError as exc:
-            return self._error(request_id,
-                               f"verification failed:\n{exc.render()}",
-                               kind="verify-error")
-        except ValueError as exc:
-            return self._error(request_id, str(exc), kind="pipeline-error")
+        pipeline = request.get("passes") or request.get("pipeline")
+        outcome = self._session_compile(
+            request_id, ir,
+            pipeline if isinstance(pipeline, str) and pipeline.strip()
+            else None,
+            verify=bool(request.get("verify", True)), want_module=True)
+        if outcome.kind is not None:
+            return self._failed(request_id, outcome)
+        module = outcome.module
 
         functions = _executable_functions(module)
         entry_name = request.get("entry")

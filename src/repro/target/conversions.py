@@ -271,6 +271,10 @@ class LowerAffine(FunctionPass):
 # convert-scf-to-cf
 # ---------------------------------------------------------------------------
 
+#: The ``scf`` operations :class:`ConvertSCFToCF` expands.
+_STRUCTURED = (scf.IfOp, scf.ForOp, scf.WhileOp)
+
+
 @register_pass
 class ConvertSCFToCF(FunctionPass):
     """Expand structured ``scf`` control flow into a ``cf`` CFG.
@@ -296,20 +300,19 @@ class ConvertSCFToCF(FunctionPass):
     def run_on_function(self, function: FuncOp,
                         report: CompileReport) -> None:
         region = function.regions[0]
-        expanded = 0
-        while True:
-            target = None
-            for block in region.blocks:
-                for op in block.operations:
-                    if isinstance(op, (scf.IfOp, scf.ForOp, scf.WhileOp)):
-                        target = op
-                        break
-                if target is not None:
+        blocks = region.blocks
+        expanded = index = 0
+        # Blocks before ``index`` hold no ``scf``: an expansion only
+        # appends blocks (the moved regions, the continuation), so the
+        # scan resumes at the expanded op's block, not the first one.
+        while index < len(blocks):
+            for op in blocks[index].operations:
+                if isinstance(op, _STRUCTURED):
+                    self._expand(op, region)
+                    expanded += 1
                     break
-            if target is None:
-                break
-            self._expand(target, region)
-            expanded += 1
+            else:
+                index += 1
         if expanded:
             report.add_statistic(self.NAME, "expanded", expanded)
 

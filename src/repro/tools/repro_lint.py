@@ -23,17 +23,12 @@ import sys
 from typing import List, Optional
 
 from .. import dialects  # noqa: F401 - registers ops and types
-from ..ir import ParseError, VerificationError, parse_module, verify
 from ..analysis.lint import describe_lint_rules, run_lint
 from ..analysis.manager import AnalysisManager
-from ..transforms.compile_cache import CompileCache
+from ..transforms.compile_cache import CompileCache, CompileSession
 from ..transforms.disk_cache import DiskCache, cache_dir_from_env
 from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
-from ..transforms.pipelines import (
-    build_named_pipeline,
-    check_pass_pipeline,
-    parse_pass_pipeline,
-)
+from . import pipeline_usage_error, requested_pipeline
 from .repro_opt import _collect_segments
 
 
@@ -90,21 +85,10 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         print(describe_lint_rules())
         return 0
-    if args.passes and args.pipeline:
-        print("repro-lint: --passes and --pipeline are mutually exclusive",
-              file=sys.stderr)
+    if pipeline_usage_error(args, "repro-lint"):
         return 2
     rules = [name.strip() for name in args.rules.split(",") if name.strip()] \
         if args.rules is not None else None
-
-    if args.passes:
-        # Static spec check first: a malformed spec is reported with its
-        # character offset before any input is read or parsed.
-        problems = check_pass_pipeline(args.passes)
-        if problems:
-            for diagnostic in problems:
-                print(f"repro-lint: {diagnostic.render()}", file=sys.stderr)
-            return 2
 
     try:
         segments = _collect_segments(args)
@@ -112,53 +96,28 @@ def _main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: cannot read input: {exc}", file=sys.stderr)
         return 1
 
-    modules = []
-    for label, text in segments:
-        try:
-            # Parse under the real file name so findings carry
-            # file:line:col locations pointing into the input.
-            filename = label.split(" (segment")[0]
-            modules.append(parse_module(text, filename=filename))
-        except ParseError as exc:
-            print(f"repro-lint: {label}: parse error: {exc}",
-                  file=sys.stderr)
-            return 1
-
-    manager = None
-    if args.pipeline or args.passes:
-        try:
-            if args.pipeline:
-                manager = build_named_pipeline(args.pipeline)
-            else:
-                manager = parse_pass_pipeline(args.passes)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
+    pipeline, cache = requested_pipeline(args), None
     # CI lints the same pipelines over the same listings repeatedly —
     # a disk-backed cache turns those re-runs warm.
     cache_dir = args.cache_dir or cache_dir_from_env()
-    if manager is not None and cache_dir:
-        manager.cache = CompileCache(disk=DiskCache(cache_dir))
+    if pipeline is not None and cache_dir:
+        cache = CompileCache(disk=DiskCache(cache_dir))
+    session = CompileSession(pipeline, verify=not args.no_verify,
+                             cache=cache, want_module=True)
 
     # One analysis manager across every module and rule: repeated rules
     # (and repeated modules sharing anchors) hit warm caches.
     am = AnalysisManager()
     findings_total = 0
-    for (label, _), module in zip(segments, modules):
+    for label, filename, text in segments:
+        # Parsed under the real file name, so findings carry
+        # file:line:col locations pointing into the input.
+        outcome = session.compile(text, filename)
+        if outcome.kind is not None:
+            print(f"repro-lint: {label}: {outcome.message}", file=sys.stderr)
+            return outcome.exit_code
         try:
-            if not args.no_verify:
-                verify(module)
-            if manager is not None:
-                manager.run(module)
-        except VerificationError as exc:
-            print(f"repro-lint: {label}: verification failed:\n"
-                  f"{exc.render()}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"repro-lint: {label}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            findings = run_lint(module, rules=rules, am=am)
+            findings = run_lint(outcome.module, rules=rules, am=am)
         except ValueError as exc:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2

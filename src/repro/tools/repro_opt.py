@@ -47,21 +47,15 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 from typing import List, Optional, Tuple
 
 from .. import dialects  # noqa: F401 - registers ops and types
-from ..ir import (
-    DiagnosticEngine,
-    ParseError,
-    Printer,
-    Severity,
-    VerificationError,
-    parse_module,
-    verify,
-    verify_with_diagnostics,
+from ..ir import DiagnosticEngine, Severity
+from ..transforms.compile_cache import (
+    CompileCache,
+    CompileSession,
+    text_fingerprint,
 )
-from ..transforms.compile_cache import CompileCache, text_fingerprint
 from ..transforms.disk_cache import DiskCache, cache_dir_from_env
 from ..transforms.pass_manager import (
     CompileReport,
@@ -72,14 +66,13 @@ from ..transforms.pass_manager import (
 )
 from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
 from ..transforms.pipelines import (
-    check_pass_pipeline,
     describe_registered_passes,
     build_named_pipeline,
     dump_pass_pipeline,
     parse_pass_pipeline,
     resolve_pass_name,
 )
-from . import read_input
+from . import pipeline_usage_error, read_input
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -243,18 +236,19 @@ def _split_segments(text: str) -> List[str]:
 
 
 def _collect_segments(args) -> List[tuple]:
-    """``(origin label, IR text)`` per module to compile, in input order."""
+    """``(origin label, file name, IR text)`` per module to compile, in
+    input order."""
     segments: List[tuple] = []
     for path in args.inputs:
         text = read_input(path)
-        label = "<stdin>" if path == "-" else path
+        filename = "<stdin>" if path == "-" else path
         if args.split_input_file:
             parts = _split_segments(text)
             for index, part in enumerate(parts):
                 suffix = f" (segment {index + 1})" if len(parts) > 1 else ""
-                segments.append((label + suffix, part))
+                segments.append((filename + suffix, filename, part))
         else:
-            segments.append((label, text))
+            segments.append((filename, filename, text))
     return segments
 
 
@@ -328,24 +322,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.list_passes:
         print(describe_registered_passes())
         return 0
-    if args.passes and args.pipeline:
-        print("repro-opt: --passes and --pipeline are mutually exclusive",
-              file=sys.stderr)
+    if pipeline_usage_error(args, "repro-opt"):
         return 2
-
     if args.jobs < 1:
         print("repro-opt: --jobs must be >= 1", file=sys.stderr)
         return 2
-
-    if args.passes:
-        # Static spec validation (the pipeline checker): malformed specs
-        # are reported with their character offset before any input IR
-        # is read or parsed.
-        problems = check_pass_pipeline(args.passes)
-        if problems:
-            for diagnostic in problems:
-                print(f"repro-opt: {diagnostic.render()}", file=sys.stderr)
-            return 2
 
     try:
         segments = _collect_segments(args)
@@ -414,17 +395,20 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 and (len(segments) > 1 or cache_dir):
             disk = DiskCache(cache_dir) if cache_dir else None
             cache = CompileCache(disk=disk)
-            manager.cache = cache
     else:
         use_batch_process = False
     # A plain compile (text in, text out, nothing observing the module)
     # is asked of the cache's front tier first.
-    front_spec = manager.to_spec() \
-        if cache is not None and not args.lint and engine is None else None
+    front = cache is not None and not args.lint and engine is None
 
     # One report aggregates the whole batch: every segment runs the same
     # pipeline, so position-keyed timing buckets sum across segments.
     report = CompileReport() if manager is not None else None
+    session = CompileSession(
+        manager, verify=not args.no_verify,
+        allow_unregistered=args.allow_unregistered, cache=cache,
+        engine=engine, print_locations=args.print_locations,
+        emit=args.emit, want_module=engine is not None, report=report)
     printed: List[str] = []
     #: Worst per-segment exit code (batch isolation: one broken segment
     #: fails the invocation, not the batch).
@@ -433,75 +417,38 @@ def _main(argv: Optional[List[str]] = None) -> int:
     expectation_problems: List[str] = []
     batch = len(segments) > 1
 
-    def compile_one(label: str,
+    def compile_one(label: str, filename: str,
                     text: str) -> Tuple[int, Optional[str]]:
-        """Parse, verify, compile and print one segment in-process.
+        """Compile and print one segment in-process.
 
         Returns ``(exit code, printed text or None)``; failures are
         reported to stderr with their location, never raised — the
         caller decides whether a bad segment aborts (single input) or
-        is isolated (batch).
+        is isolated (batch).  Under --verify-diagnostics the verifier's
+        findings are the expected case: the engine captured them.
         """
         nonlocal lint_findings
-        filename = label.split(" (segment")[0]
-        front_key = None
-        if front_spec is not None:
-            # Everything the printed text depends on besides the input
-            # and the pipeline (the file name shows only in locations).
-            start = time.perf_counter()
-            front_key = CompileCache.front_key(
-                text, front_spec, "repro-opt", args.emit,
-                args.print_locations and filename, args.no_verify,
-                args.allow_unregistered)
-            recorded = cache.front_lookup(front_key, front_spec)
-            if recorded is not None:
-                report.add_cache_hit(recorded.statistics, recorded.remarks,
-                                     time.perf_counter() - start)
-                return 0, recorded.text
-        try:
-            # Parse under the real file name so every op carries a
-            # file:line:col location diagnostics can point at.
-            module = parse_module(
-                text, allow_unregistered=args.allow_unregistered,
-                filename=filename)
-        except ParseError as exc:
-            print(f"repro-opt: {label}: parse error: {exc}",
-                  file=sys.stderr)
-            return 1, None
-        try:
-            if not args.no_verify:
-                verify(module)
-            if manager is not None:
-                manager.run(module, report=report)
-            if not args.no_verify:
-                verify(module)
-        except VerificationError as exc:
-            print(f"repro-opt: {label}: verification failed:\n"
-                  f"{exc.render()}", file=sys.stderr)
-            return 1, None
-        except ValueError as exc:
-            print(f"repro-opt: {label}: {exc}", file=sys.stderr)
-            return 2, None
+        # Everything the printed text depends on besides the input and
+        # the pipeline (the file name shows only in locations).
+        form = ("repro-opt", args.emit, args.print_locations and filename,
+                args.no_verify, args.allow_unregistered) if front else None
+        outcome = session.compile(text, filename, form)
+        if outcome.kind == "verify" and engine is not None:
+            return 0, None
+        if outcome.kind is not None:
+            print(f"repro-opt: {label}: {outcome.message}", file=sys.stderr)
+            return outcome.exit_code, None
         if args.lint:
             from ..analysis.lint import run_lint
 
-            findings = run_lint(module,
-                                am=_analysis_manager_of(manager))
-            for diagnostic in findings:
-                print(f"repro-opt: {label}: {diagnostic.render()}",
-                      file=sys.stderr)
-            lint_findings += len(findings)
-        if args.emit == "mlir":
-            from ..target import emit_mlir
-
-            out = emit_mlir(
-                module, print_locations=args.print_locations) + "\n"
-        else:
-            out = Printer(print_locations=args.print_locations
-                          ).print_module(module) + "\n"
-        if front_key is not None and report.cache_key is not None:
-            cache.front_store(front_key, out, report.cache_key)
-        return 0, out
+            findings = run_lint(outcome.module, engine=engine, am=(
+                manager.analysis_manager if manager is not None else None))
+            if engine is None:
+                for diagnostic in findings:
+                    print(f"repro-opt: {label}: {diagnostic.render()}",
+                          file=sys.stderr)
+                lint_findings += len(findings)
+        return 0, outcome.text
 
     # The collector is only watched when --timing asks (and only in this
     # process: process-tier workers collect on their own).
@@ -525,47 +472,21 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 printed = []
                 exit_code = 0
         if not use_batch_process:
-            for label, text in segments:
+            for label, filename, text in segments:
                 if engine is not None:
                     # --verify-diagnostics: capture everything the
                     # segment emits (verifier, lint) and check it
-                    # against the expected-* comments; broken IR is the
-                    # expected case here, so verification failures do
+                    # against the expected-* comments; broken IR does
                     # not abort the batch.
-                    try:
-                        module = parse_module(
-                            text,
-                            allow_unregistered=args.allow_unregistered,
-                            filename=label.split(" (segment")[0])
-                    except ParseError as exc:
-                        print(f"repro-opt: {label}: parse error: {exc}",
-                              file=sys.stderr)
-                        return 1
                     with engine.capture() as captured:
-                        broken = False
-                        if not args.no_verify:
-                            broken = bool(
-                                verify_with_diagnostics(module, engine))
-                        if manager is not None and not broken:
-                            try:
-                                manager.run(module, report=report)
-                            except ValueError as exc:
-                                print(f"repro-opt: {label}: {exc}",
-                                      file=sys.stderr)
-                                return 2
-                            if not args.no_verify:
-                                verify_with_diagnostics(module, engine)
-                        if args.lint and not broken:
-                            from ..analysis.lint import run_lint
-
-                            run_lint(module,
-                                     am=_analysis_manager_of(manager),
-                                     engine=engine)
+                        rc, _ = compile_one(label, filename, text)
+                    if rc:
+                        return rc
                     expectation_problems.extend(
                         f"{label}: {problem}" for problem in
                         _match_expected(_collect_expected(text), captured))
                     continue
-                rc, out = compile_one(label, text)
+                rc, out = compile_one(label, filename, text)
                 if rc and not batch:
                     return rc
                 if out is None:
@@ -599,11 +520,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
             print(f"compile cache: {stats['hits']} hits, "
                   f"{stats['misses']} misses, {stats['entries']} entries",
                   file=sys.stderr)
-            if front_spec is not None:
-                front = stats["front"]
-                print(f"front cache: {front['hits']} hits, "
-                      f"{front['misses']} misses, "
-                      f"{front['entries']} entries", file=sys.stderr)
+            if front:
+                front_stats = stats["front"]
+                print(f"front cache: {front_stats['hits']} hits, "
+                      f"{front_stats['misses']} misses, "
+                      f"{front_stats['entries']} entries", file=sys.stderr)
             disk_stats = stats.get("disk")
             if disk_stats is not None:
                 print(f"disk cache: {disk_stats['hits']} hits, "
@@ -649,7 +570,7 @@ def _run_batch_process(args, manager, segments, report,
     units: List[WorkUnit] = []
     first_uid: dict = {}
     alias: dict = {}
-    for uid, (label, text) in enumerate(segments):
+    for uid, (label, filename, text) in enumerate(segments):
         fingerprint = text_fingerprint(text)
         if fingerprint in first_uid:
             alias[uid] = first_uid[fingerprint]
@@ -658,14 +579,13 @@ def _run_batch_process(args, manager, segments, report,
         units.append(WorkUnit(
             uid=uid, label=label, text=text, spec=spec,
             verify=not args.no_verify,
-            print_locations=args.print_locations,
-            filename=label.split(" (segment")[0]))
+            print_locations=args.print_locations, filename=filename))
 
     fallback_rcs: dict = {}
 
     def serial_fallback(unit: WorkUnit, attempts: int,
                         events: List[str]) -> WorkResult:
-        rc, out = compile_one(unit.label, unit.text)
+        rc, out = compile_one(unit.label, unit.filename, unit.text)
         fallback_rcs[unit.uid] = rc
         return WorkResult(unit=unit, text=out, attempts=max(1, attempts),
                           degraded=True, events=events)
@@ -682,19 +602,12 @@ def _run_batch_process(args, manager, segments, report,
 
     printed: List[str] = []
     exit_code = 0
-    for uid, (label, text) in enumerate(segments):
-        result = results.get(alias.get(uid, uid))
-        if result is None:  # pragma: no cover - run_units returns all
-            printed.append(f"// {label}: FAILED\n")
-            exit_code = max(exit_code, 1)
-            continue
-        rc = fallback_rcs.get(result.unit.uid, 0)
-        if result.text is None:
-            printed.append(f"// {label}: FAILED\n")
-            exit_code = max(exit_code, rc if rc else 1)
-        else:
-            printed.append(result.text)
-            exit_code = max(exit_code, rc)
+    for uid, (label, _, _) in enumerate(segments):
+        # ``run_units`` answers every unit; only a fallback fails one.
+        result = results[alias.get(uid, uid)]
+        exit_code = max(exit_code, fallback_rcs.get(result.unit.uid, 0))
+        printed.append(f"// {label}: FAILED\n" if result.text is None
+                       else result.text)
 
     # Fold the workers' reports and the supervision record into the
     # batch report, in input order, so --report reads like a serial run
@@ -719,11 +632,6 @@ def _run_batch_process(args, manager, segments, report,
     for name, value in executor.stats.items():
         report.add_statistic("process-tier", name, value)
     return printed, exit_code
-
-
-def _analysis_manager_of(manager):
-    """The pass manager's analysis manager (None without a pipeline)."""
-    return manager.analysis_manager if manager is not None else None
 
 
 if __name__ == "__main__":  # pragma: no cover

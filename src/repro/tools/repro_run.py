@@ -38,7 +38,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..transforms.pipeline_specs import NAMED_PIPELINE_SPECS
-from . import read_input
+from . import read_input, requested_pipeline
 
 if TYPE_CHECKING:
     from ..dialects.func import FuncOp
@@ -235,91 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
 
 
-def _recorded_module(cache, front_key: str, spec: str, args):
-    """The optimized module the cache's front tier recorded, or ``None``.
-
-    A hit hands back *text*; it becomes a module the way the input does
-    (parsed, then verified under the same flags).  A recorded text that
-    does neither is dropped from the cache and the caller compiles the
-    source — a stale or damaged entry costs time, never the run.
-    """
-    from ..ir import ParseError, VerificationError, parse_module, verify
-
-    recorded = cache.front_lookup(front_key, spec)
-    if recorded is None:
-        return None
-    try:
-        module = parse_module(recorded.text,
-                              allow_unregistered=args.allow_unregistered)
-        if not args.no_verify:
-            verify(module)
-    except (ParseError, VerificationError, RecursionError):
-        cache.front_recover(front_key, spec)
-        return None
-    return module
-
-
-def _compile(text: str, args, cache, front_key: Optional[str]):
-    """Parse ``text`` and run the requested pipeline over it.
-
-    Returns ``(module, 0)``, or ``(None, exit code)`` after reporting on
-    stderr.  With a ``front_key`` the optimized module is recorded in
-    ``cache``'s front tier — only here, after the post-pipeline verify.
-    """
-    from ..ir import ParseError, VerificationError, parse_module, verify
-
-    try:
-        module = parse_module(
-            text, allow_unregistered=args.allow_unregistered,
-            filename="<stdin>" if args.input == "-" else args.input)
-    except ParseError as exc:
-        print(f"repro-run: parse error: {exc}", file=sys.stderr)
-        return None, 1
-
-    try:
-        if args.pipeline:
-            from ..transforms.pipelines import build_named_pipeline
-
-            manager = build_named_pipeline(args.pipeline)
-        elif args.passes:
-            from ..transforms.pipelines import parse_pass_pipeline
-
-            manager = parse_pass_pipeline(args.passes)
-        else:
-            manager = None
-    except ValueError as exc:
-        print(f"repro-run: {exc}", file=sys.stderr)
-        return None, 2
-    # Optimize-before-execute pays disk-cache dividends: the pipeline
-    # cost of a hot kernel is skipped entirely on the second run.
-    if manager is not None and cache is not None:
-        manager.cache = cache
-
-    report = None
-    try:
-        if not args.no_verify:
-            verify(module)
-        if manager is not None:
-            report = manager.run(module)
-            if not args.no_verify:
-                verify(module)
-    except VerificationError as exc:
-        print(f"repro-run: verification failed:\n{exc.render()}",
-              file=sys.stderr)
-        return None, 1
-    except ValueError as exc:
-        # Pass misconfiguration surfaced at run time (same contract as
-        # repro-opt's pipeline stage): usage error.
-        print(f"repro-run: {exc}", file=sys.stderr)
-        return None, 2
-    if front_key is not None and report.cache_key is not None:
-        from ..ir import Printer
-
-        cache.front_store(front_key, Printer().print_module(module),
-                          report.cache_key)
-    return module, 0
-
-
 def _main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
@@ -348,30 +263,29 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     from .. import dialects  # noqa: F401 - registers ops, types
+    from ..transforms import compile_cache
+    from ..transforms.disk_cache import DiskCache, cache_dir_from_env
 
-    cache = front_key = module = None
-    if args.pipeline or args.passes:
-        from ..transforms.disk_cache import DiskCache, cache_dir_from_env
-
-        cache_dir = args.cache_dir or cache_dir_from_env()
-        if cache_dir:
-            from ..transforms.compile_cache import CompileCache
-
-            cache = CompileCache(disk=DiskCache(cache_dir))
-            # A named pipeline's canonical spec is known without building
-            # it, so the front tier is asked before any pass is imported.
-            # (Canonicalising a free-form --passes spec needs the pass
-            # registry: those runs start at the second level.)
-            if args.pipeline:
-                front_spec = NAMED_PIPELINE_SPECS[args.pipeline]
-                front_key = CompileCache.front_key(
-                    text, front_spec, "repro-run", args.no_verify,
-                    args.allow_unregistered)
-                module = _recorded_module(cache, front_key, front_spec, args)
-    if module is None:
-        module, exit_code = _compile(text, args, cache, front_key)
-        if module is None:
-            return exit_code
+    # Optimize-before-execute pays disk-cache dividends: the pipeline
+    # cost of a hot kernel is skipped entirely on the second run.  A
+    # named pipeline's canonical spec is known without building it, so
+    # the front tier is asked before any pass is imported.
+    # (Canonicalising a free-form --passes spec needs the pass registry:
+    # those runs start at the second level.)
+    pipeline = requested_pipeline(args)
+    cache_dir = args.cache_dir or cache_dir_from_env()
+    session = compile_cache.CompileSession(
+        pipeline, spec=NAMED_PIPELINE_SPECS.get(args.pipeline),
+        verify=not args.no_verify, allow_unregistered=args.allow_unregistered,
+        cache=compile_cache.CompileCache(disk=DiskCache(cache_dir))
+        if pipeline and cache_dir else None, want_module=True)
+    outcome = session.compile(
+        text, "<stdin>" if args.input == "-" else args.input,
+        ("repro-run", args.no_verify, args.allow_unregistered))
+    if outcome.kind is not None:
+        print(f"repro-run: {outcome.message}", file=sys.stderr)
+        return outcome.exit_code
+    module = outcome.module
 
     from ..interp.differential import _executable_functions, synthesize_spec
     from ..interp.engine import ExecutionEngine

@@ -50,18 +50,26 @@ levels the other way: the content token ``parse_module`` (source
 digest) or a cache-hit splice (the entry's key) memoizes on a module
 names its printed-form fingerprint in a bounded memo until the module is
 edited, so the same content is printed once.
+
+Every front door — ``repro-opt``, ``repro-run``, ``repro-lint``,
+``repro-served`` and the ``--jobs`` worker — compiles through one
+:class:`CompileSession`: front lookup → parse → verify → pipeline
+(through this cache) → verify → print → front store, with one typed
+:class:`CompileOutcome` that the door only formats.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import ir
 from ..faults import FaultInjected, fault_point
-from ..ir import Operation
+from ..ir import Location, Operation, VerificationError, location_of
 from ..ir.operations import op_memo
 from ..ir.parser import CONTENT_TOKEN, ParseError
 
@@ -270,10 +278,8 @@ class ContentTable:
 
 
 def _decode_template(payload: dict) -> CachedCompile:
-    from ..ir import parse_module
-
     return CachedCompile(
-        module=parse_module(payload["text"], filename="<disk-cache>"),
+        module=ir.parse_module(payload["text"], filename="<disk-cache>"),
         statistics=[tuple(triple) for triple in payload["statistics"]],
         remarks=list(payload["remarks"]),
         preserved_analyses=tuple(payload["preserved_analyses"]))
@@ -450,3 +456,165 @@ class CompileCache(ContentTable):
     def __repr__(self) -> str:
         return (f"<CompileCache entries={len(self)} "
                 f"hits={self.stats.hits} misses={self.stats.misses}>")
+
+
+# ---------------------------------------------------------------------------
+# The compile session: the one text-in, outcome-out sequence
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CompileOutcome:
+    """What one :meth:`CompileSession.compile` answered.
+
+    ``kind`` is ``None`` for a success, else ``parse`` (the text is no
+    module), ``pipeline`` (the pipeline cannot be built), ``verify`` (the
+    input or the pipeline's output fails the verifier) or ``compile`` (a
+    pass rejected its run), with the ``error`` raised and its
+    ``location``.  ``module`` is the compiled module (the parsed one on
+    an error; on a front hit only for a session that wants modules),
+    ``text`` the printed one, ``report`` the ``CompileReport`` the compile
+    added to, ``cached`` whether the cache answered.
+    """
+
+    kind: Optional[str] = None
+    error: Optional[Exception] = None
+    location: Optional[Location] = None
+    module: Optional[Operation] = None
+    text: Optional[str] = None
+    report: object = None
+    cached: bool = False
+
+    @property
+    def message(self) -> str:
+        """The error as every door prints it, after its own prefix."""
+        if self.kind == "parse":
+            return f"parse error: {self.error}"
+        if self.kind == "verify":
+            return f"verification failed:\n{self.error.render()}"
+        return str(self.error)
+
+    @property
+    def exit_code(self) -> int:
+        """The CLI status: 1 for input that does not parse or verify,
+        2 for a pipeline that cannot be built or run."""
+        return 1 if self.kind in ("parse", "verify") else 2
+
+
+@dataclass
+class CompileSession:
+    """Text in, one :class:`CompileOutcome` out.
+
+    ``pipeline`` is a pass manager, a zero-argument callable building one
+    when a compile gets past the parse (its ``ValueError`` is a
+    ``pipeline`` error), or ``None`` (parse, verify, print).  ``cache`` is
+    attached to the manager; the front tier is asked when a compile names
+    a key ``form`` (what the reply depends on besides the text and the
+    pipeline) and the canonical ``spec`` is known, given or the given
+    manager's.  A front hit builds no pass manager.  ``want_module``: the
+    door needs a module, not text, so a front hit's text is parsed (and
+    verified) back, and one that no longer does either is recovered and
+    the source compiled.  ``engine`` (``repro-opt --verify-diagnostics``)
+    receives the verifier's findings; ``report`` accumulates every
+    compile's statistics (without one, each run makes its own).  The
+    built manager stays in :attr:`manager`, for a pool to take back.
+    """
+
+    pipeline: object = None
+    spec: Optional[str] = None
+    verify: bool = True
+    allow_unregistered: bool = False
+    cache: Optional[CompileCache] = None
+    engine: object = None
+    print_locations: bool = False
+    emit: str = "generic"
+    want_module: bool = False
+    report: object = None
+
+    def __post_init__(self) -> None:
+        pipeline = self.pipeline
+        self.manager = None if callable(pipeline) else pipeline
+        if pipeline is None:
+            self.spec = None  # no pipeline, no front tier
+        elif self.manager is not None and self.cache is not None:
+            self.manager.cache = self.cache
+            self.spec = self.spec or self.manager.to_spec()
+
+    def compile(self, text: str, filename: str,
+                form: Optional[tuple] = None) -> CompileOutcome:
+        front_key = None
+        if form is not None and self.cache is not None and self.spec:
+            start = time.perf_counter()
+            front_key = CompileCache.front_key(text, self.spec, *form)
+            outcome = self._recorded(front_key, start)
+            if outcome is not None:
+                return outcome
+        try:
+            module = ir.parse_module(
+                text, allow_unregistered=self.allow_unregistered,
+                filename=filename)
+        except ParseError as exc:
+            return CompileOutcome("parse", exc, Location(
+                filename, exc.line or 0, exc.column or 0))
+        if self.manager is None and self.pipeline is not None:
+            try:
+                self.manager = self.pipeline()
+            except ValueError as exc:
+                return CompileOutcome("pipeline", exc, location_of(module),
+                                      module)
+            if self.cache is not None:
+                self.manager.cache = self.cache
+        manager, report, cached = self.manager, self.report, False
+        try:
+            if self.verify:
+                ir.verify(module, engine=self.engine)
+            if manager is not None:
+                hits = report.get_statistic("compile-cache", "hits") \
+                    if report is not None else 0
+                report = manager.run(module, report=report)
+                cached = report.get_statistic("compile-cache", "hits") > hits
+                if self.verify:
+                    ir.verify(module, engine=self.engine)
+        except VerificationError as exc:
+            return CompileOutcome("verify", exc, exc.diagnostics[0].location
+                                  if exc.diagnostics else None, module)
+        except ValueError as exc:
+            return CompileOutcome("compile", exc, location_of(module), module)
+        printed = None
+        if not self.want_module or front_key is not None:
+            printed = self._print(module)
+        if front_key is not None and report.cache_key is not None:
+            self.cache.front_store(front_key, printed, report.cache_key)
+        return CompileOutcome(module=module, text=printed, report=report,
+                              cached=cached)
+
+    def _recorded(self, front_key: str, start: float
+                  ) -> Optional[CompileOutcome]:
+        """The front tier's answer, or ``None`` to compile the source."""
+        recorded = self.cache.front_lookup(front_key, self.spec)
+        if recorded is None:
+            return None
+        module = None
+        if self.want_module:
+            try:
+                module = ir.parse_module(
+                    recorded.text, allow_unregistered=self.allow_unregistered)
+                if self.verify:
+                    ir.verify(module)
+            except (ParseError, VerificationError, RecursionError):
+                # A stale or damaged entry costs time, never the run.
+                self.cache.front_recover(front_key, self.spec)
+                return None
+        if self.report is not None:
+            self.report.add_cache_hit(recorded.statistics, recorded.remarks,
+                                      time.perf_counter() - start)
+        return CompileOutcome(module=module, text=recorded.text,
+                              report=self.report, cached=True)
+
+    def _print(self, module: Operation) -> str:
+        if self.emit == "mlir":
+            from ..target import emit_mlir
+
+            return emit_mlir(module,
+                             print_locations=self.print_locations) + "\n"
+        return ir.Printer(print_locations=self.print_locations
+                          ).print_module(module) + "\n"

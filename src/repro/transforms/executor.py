@@ -53,8 +53,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan, TransientFault, active_fault_plan, fault_point
 from ..ir import Diagnostic, Severity
-from ..ir.location import location_of
 from .compile_cache import text_fingerprint
+from .pass_manager import PassInstrumentation
 
 #: How long one ``wait`` poll blocks while watching in-flight futures.
 #: Completed futures wake the wait immediately; the poll only bounds how
@@ -132,7 +132,7 @@ class WorkResult:
 # Worker side
 # ---------------------------------------------------------------------------
 
-class _PassTracker:
+class _PassTracker(PassInstrumentation):
     """Instrumentation recording the pass currently executing, so a
     worker exception can name the pass and pipeline position it
     happened in."""
@@ -140,29 +140,8 @@ class _PassTracker:
     def __init__(self):
         self.current: Optional[Tuple[str, Optional[int]]] = None
 
-    def run_before_pipeline(self, op) -> None:
-        pass
-
-    def run_after_pipeline(self, op) -> None:
-        pass
-
     def run_before_pass(self, pass_, op) -> None:
         self.current = (pass_.NAME, pass_.pipeline_position)
-
-    def run_after_pass(self, pass_, op) -> None:
-        pass
-
-    def run_after_failed_verify(self, pass_, op, error) -> None:
-        pass
-
-
-def _manager_for_spec(spec: str):
-    """Build the worker-side pass manager for a unit spec."""
-    from .pipelines import parse_pass_pipeline
-
-    if not spec.startswith("builtin.module("):
-        spec = f"builtin.module({spec})"
-    return parse_pass_pipeline(spec)
 
 
 def _report_fields(report) -> dict:
@@ -174,9 +153,8 @@ def _report_fields(report) -> dict:
     }
 
 
-def _error_fields(exc: BaseException, op=None,
+def _error_fields(exc: BaseException, location=None,
                   tracker: Optional[_PassTracker] = None) -> dict:
-    location = location_of(op) if op is not None else None
     diagnostic = Diagnostic(Severity.ERROR,
                             f"{type(exc).__name__}: {exc}", location)
     fields = {"diagnostic": diagnostic.to_payload(),
@@ -194,30 +172,28 @@ def _compile_work_unit(payload: dict) -> dict:
     """
     from .. import dialects  # noqa: F401 - registers ops
     from ..faults import install_fault_plan
-    from ..ir import Printer, parse_module, verify
+    from .compile_cache import CompileSession
+    from .pipelines import parse_pass_pipeline
 
     if payload.get("fault_plan"):
         install_fault_plan(FaultPlan.parse(payload["fault_plan"]))
     label = payload["label"]
     attempt = payload["attempt"]
     tracker = _PassTracker()
-    op = None
     try:
         fault_point("executor.worker", key=label, occurrence=attempt)
-        op = parse_module(payload["text"], filename=payload["filename"])
-        manager = _manager_for_spec(payload["spec"])
-        manager.add_instrumentation(tracker)
-        if payload.get("verify"):
-            verify(op)
-        report = manager.run(op)
-        if payload.get("verify"):
-            verify(op)
-        text = Printer(
-            print_locations=payload.get("print_locations", False)
-        ).print_module(op) + "\n"
-        result = {"ok": True, "uid": payload["uid"], "text": text,
-                  "fingerprint": text_fingerprint(text)}
-        result.update(_report_fields(report))
+        outcome = CompileSession(
+            parse_pass_pipeline(payload["spec"]).add_instrumentation(tracker),
+            verify=bool(payload.get("verify")),
+            print_locations=payload.get("print_locations", False),
+        ).compile(payload["text"], payload["filename"])
+        if outcome.kind is not None:
+            return {"ok": False, "uid": payload["uid"], "transient": False,
+                    **_error_fields(outcome.error, outcome.location,
+                                    tracker)}
+        result = {"ok": True, "uid": payload["uid"], "text": outcome.text,
+                  "fingerprint": text_fingerprint(outcome.text)}
+        result.update(_report_fields(outcome.report))
         if fault_point("executor.worker.result", key=label,
                        occurrence=attempt) == "corrupt":
             result["text"] = ("// corrupted worker result\n"
@@ -225,10 +201,10 @@ def _compile_work_unit(payload: dict) -> dict:
         return result
     except TransientFault as exc:
         return {"ok": False, "uid": payload["uid"], "transient": True,
-                **_error_fields(exc, op, tracker)}
+                **_error_fields(exc, None, tracker)}
     except BaseException as exc:  # noqa: BLE001 - shipped to supervisor
         return {"ok": False, "uid": payload["uid"], "transient": False,
-                **_error_fields(exc, op, tracker)}
+                **_error_fields(exc, None, tracker)}
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ class TestGracefulInterrupt:
         def boom(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(repro_opt, "parse_module", boom)
+        monkeypatch.setattr("repro.ir.parse_module", boom)
         rc = repro_opt.main([str(path), "--passes", PIPELINE])
         assert rc == 130
         assert "repro-opt: interrupted" in capsys.readouterr().err
@@ -535,7 +535,7 @@ class TestGracefulInterrupt:
         def boom(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(repro_lint, "parse_module", boom)
+        monkeypatch.setattr("repro.ir.parse_module", boom)
         rc = repro_lint.main([str(path)])
         assert rc == 130
         assert "repro-lint: interrupted" in capsys.readouterr().err

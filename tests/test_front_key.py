@@ -165,7 +165,7 @@ class TestFrontHitStandsInForASecondLevelHit:
         def no_parse(*args, **kwargs):
             raise AssertionError("a front hit never parses")
 
-        monkeypatch.setattr("repro.serve.server.parse_module", no_parse)
+        monkeypatch.setattr("repro.ir.parse_module", no_parse)
         assert _compile(service, text)["text"] == expected
         assert service.pool_sizes() == {PIPELINE: 1}
 
@@ -253,7 +253,7 @@ class TestRestart:
         def no_parse(*args, **kwargs):
             raise AssertionError("the front tier answers without parsing")
 
-        monkeypatch.setattr("repro.serve.server.parse_module", no_parse)
+        monkeypatch.setattr("repro.ir.parse_module", no_parse)
         # A re-spelled spec resolves to the same front key.
         reply = _compile(restarted, text, spec=RESPELLED_PIPELINE)
         assert reply["cached"] and reply["text"] == expected

@@ -293,7 +293,7 @@ class TestFrontTier:
         def no_parse(*args, **kwargs):
             raise AssertionError("a front hit never parses")
 
-        monkeypatch.setattr("repro.tools.repro_opt.parse_module", no_parse)
+        monkeypatch.setattr("repro.ir.parse_module", no_parse)
         assert self._run(capsys, argv) == reference
         # Another file name only shows in locations: still a hit
         # without them, a different entry with them.

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.ir
 from repro.faults import fault_plan, install_fault_plan
 from repro.ir import Printer
 from repro.serve import server as server_module
@@ -246,14 +247,14 @@ class TestCompile:
 
         service = CompileService()
         seen = []
-        real = server_module.parse_module
+        real = repro.ir.parse_module
 
         def tracking(text, **kwargs):
             module = real(text, **kwargs)
             seen.append(weakref.ref(module))
             return module
 
-        monkeypatch.setattr(server_module, "parse_module", tracking)
+        monkeypatch.setattr("repro.ir.parse_module", tracking)
         # The paper's pipeline on a GEMM: Detect Reduction rebuilds the
         # k-loop with ``C`` as an ``iter_arg``, erasing a loop that
         # analyses were anchored at, which eviction by ancestry (all the
