@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from ..ir import (
     Block,
@@ -47,6 +47,16 @@ class ModuleOp(Operation):
         for op in self.body.operations:
             if isinstance(op, ModuleOp):
                 yield op
+
+    def symbol_ops(self) -> List[Operation]:
+        """The ops of this module's body and, recursively, of its nested
+        modules' bodies: every function and global, without descending
+        into one."""
+        ops = self.body.operations
+        for op in ops:  # a nested module's ops join the end of the list
+            if isinstance(op, ModuleOp):
+                ops.extend(op.body.operations)
+        return ops
 
     def lookup_symbol(self, name: str) -> Optional[Operation]:
         """Find a symbol operation by name in this module or submodules."""

@@ -158,14 +158,21 @@ def _fill_array(element_type, seed: int, total: int):
     ``(seed + 13·index) % 17 − 8`` for other integers and ``index``.
 
     All intermediates are non-negative, so NumPy's ``%`` agrees with
-    Python's and the values equal the scalar formula's.
+    Python's and the values equal the scalar formula's.  Each formula
+    repeats with its modulus, so one period is computed and tiled.
     """
-    index = _np.arange(total, dtype=_np.int64)
     if is_float(element_type):
-        return (((seed + index * 29) % 23) - 11) * 0.375
-    if isinstance(element_type, IntegerType) and element_type.width == 1:
-        return (seed + index) % 2
-    return ((seed + index * 13) % 17) - 8
+        modulus = 23
+        index = _np.arange(modulus, dtype=_np.int64)
+        period = (((seed + index * 29) % 23) - 11) * 0.375
+    elif isinstance(element_type, IntegerType) and element_type.width == 1:
+        modulus = 2
+        period = (seed + _np.arange(modulus, dtype=_np.int64)) % 2
+    else:
+        modulus = 17
+        index = _np.arange(modulus, dtype=_np.int64)
+        period = ((seed + index * 13) % 17) - 8
+    return _np.tile(period, -(-total // modulus))[:total]
 
 
 # One element-type -> dtype policy for the whole subsystem: buffers the

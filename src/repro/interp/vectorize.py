@@ -33,6 +33,7 @@ argument and the fallback rules.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
@@ -448,6 +449,61 @@ _Store = namedtuple("_Store", "flat size shape is_float elem_bytes varies",
                     defaults=(_UNIFORM,))
 
 
+#: One token of a walk body: a top-level statement's start, with the
+#: names a plain ``a = ...`` / ``a, b = ...`` binds there, or an
+#: identifier the statement mentions.
+_WALK_TOKEN = re.compile(r"(?:^|\n)(?=        \S)(?:        "
+                         r"([A-Za-z_]\w*(?:, [A-Za-z_]\w*)*) = )?"
+                         r"|([A-Za-z_]\w*)")
+#: Where a walk body splits into its top-level statements, as
+#: :data:`_WALK_TOKEN` counts them.
+_STATEMENT_START = re.compile(r"\n(?=        \S)")
+#: A read of the lane numbers ``_lane``.
+_LANE = re.compile(r"\b_lane\b")
+
+
+def _release_dead(body: str) -> str:
+    """``body`` (the ``_walk`` statements, top level at 8 spaces) with a
+    ``del`` after the last top-level statement that mentions each name a
+    top-level statement binds.
+
+    Every operation binds a fresh local, so without this each lane array
+    of a straight-line walk stays referenced until the walk returns: the
+    peak is one array per operation instead of the live set.  A name
+    bound inside a loop body is rebound on every trip and stays.  A
+    mention is any identifier token of the statement's lines (nested
+    lines and string literals included), so a spurious one can only
+    delay a ``del``, never move it before a read.
+    """
+    last: Dict[str, int] = {}
+    bound: Dict[str, None] = {}  # ordered, so the output is deterministic
+    statement = -1
+    for targets, name in _WALK_TOKEN.findall(body):
+        if name:
+            last[name] = statement
+            continue
+        statement += 1
+        if targets:
+            for target in targets.split(", "):
+                bound[target] = None
+                last[target] = statement
+    dels: Dict[int, str] = {}
+    for name in bound:
+        index = last[name]
+        if index == statement:  # returning frees it anyway
+            continue
+        if index in dels:
+            dels[index] += ", " + name
+        else:
+            dels[index] = "\n        del " + name
+    if not dels:
+        return body
+    statements = _STATEMENT_START.split(body)
+    for index, text in dels.items():
+        statements[index] += text
+    return "\n".join(statements)
+
+
 _LOCAL_QUERY_TRAP = ("work-group query on a kernel launched without a "
                      "local range")
 
@@ -493,15 +549,19 @@ class _VectorEmitter(_EmitterBase):
         counts = [self.bc(bid) for _, _, bid, _ in self.patches]
         groups = [f"p{d}" for d in range(self.rank)] \
             if self.walk == "group" else []
+        walk = _release_dead("\n".join(
+            ["        " + text for text in self.walk_pro] + self.out))
+        lanes = self._lane_lines()
+        if _LANE.search("\n".join(lanes + [walk])):  # else never built
+            lanes.insert(0, "    _lane = _np.arange(_L, dtype=_np.int64)")
         lines = ["def _run(_args, _GR, _LR, _PR, _counters, _max_steps):"]
-        lines += self.pro + self._lane_lines()
+        lines += self.pro + lanes
         lines += self._static_budget_lines()
         lines += [f"    {count} = 0" for count in counts]
         lines.append(f"    def _walk({', '.join(groups)}):")
         if counts:
             lines.append(f"        nonlocal {', '.join(counts)}")
-        lines += ["        " + text for text in self.walk_pro]
-        lines += [text for text in self.out if text is not None]
+        lines.append(walk)
         lines += ["    try:", "        with _np.errstate(divide='ignore', "
                   "invalid='ignore'):"]
         pad = " " * 12
@@ -537,12 +597,14 @@ class _VectorEmitter(_EmitterBase):
         p(f"    _L = {'_T' if self.walk == 'launch' else '_S'}")
 
     def _lane_lines(self) -> List[str]:
-        """Lane index arrays, in group-major lane order (lane ``n`` of
-        an ND-range walk over every group belongs to group ``n // S``)."""
+        """Lane index arrays derived from ``_lane`` (the lane numbers,
+        prepended by :meth:`emit` when read), in group-major lane order
+        (lane ``n`` of an ND-range walk over every group belongs to
+        group ``n // S``)."""
         used, r = self.used, self.rank
         names = ", ".join(f"{{0}}{d}" for d in range(r)) \
             + ("," if r == 1 else "")
-        lines = ["    _lane = _np.arange(_L, dtype=_np.int64)"]
+        lines: List[str] = []
         launch = self.walk == "launch"
         if self.kind == "basic":
             if "g" in used and r > 1:

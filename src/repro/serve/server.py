@@ -220,9 +220,17 @@ class CompileService:
         if method == "shutdown":
             return {"id": request_id, "event": "done", "ok": True,
                     "shutdown": True}
-        if method == "execute":
-            return self._execute(request_id, request)
-        return self._compile(request_id, request, emit)
+        try:
+            if method == "execute":
+                return self._execute(request_id, request)
+            return self._compile(request_id, request, emit)
+        except Exception as exc:  # a compiler bug: answer it, keep serving
+            import traceback
+
+            traceback.print_exc()  # the daemon's log keeps where it was
+            return self._error(
+                request_id, f"internal error: {type(exc).__name__}: {exc}",
+                kind="internal-error")
 
     def _error(self, request_id, message: str, kind: str = "request-error",
                retryable: bool = False) -> dict:

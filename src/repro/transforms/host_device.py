@@ -174,13 +174,19 @@ class HostDeviceOptimizationPass(ModulePass):
     # Collection
     # ------------------------------------------------------------------
     def _collect_launches(self, module: ModuleOp) -> List[KernelLaunchInfo]:
+        """The kernel launches of the host functions (a launch cannot
+        sit in a kernel, so kernels are not searched)."""
         launches: List[KernelLaunchInfo] = []
-        for op in module.walk():
-            if not isinstance(op, SYCLHostScheduleKernelOp):
+        for function in module.symbol_ops():
+            if isinstance(function, ModuleOp) or \
+                    isinstance(function, FuncOp) and function.is_kernel():
                 continue
-            kernel = module.lookup_symbol(op.kernel_name)
-            if isinstance(kernel, FuncOp):
-                launches.append(KernelLaunchInfo(op, kernel))
+            for op in function.walk():
+                if not isinstance(op, SYCLHostScheduleKernelOp):
+                    continue
+                kernel = module.lookup_symbol(op.kernel_name)
+                if isinstance(kernel, FuncOp):
+                    launches.append(KernelLaunchInfo(op, kernel))
         return launches
 
     def _analyze_launch(self, launch: KernelLaunchInfo) -> None:

@@ -75,7 +75,7 @@ class HostRaisingPass(ModulePass):
          for _, kind in RUNTIME_PATTERNS])
 
     def run_on_module(self, module: Operation, report: CompileReport) -> None:
-        for function in list(module.walk()):
+        for function in module.symbol_ops():
             if isinstance(function, LLVMFuncOp) and not function.is_declaration:
                 self._raise_function(function, report)
 

@@ -184,6 +184,16 @@ def _trip_costs(body: Sequence[Operation], iv: Value):
     return costs
 
 
+def _under_branch(op: Operation) -> bool:
+    """Whether an ``scf.if`` encloses ``op``."""
+    ancestor = op.parent_op()
+    while ancestor is not None:
+        if ancestor.name == "scf.if":
+            return True
+        ancestor = ancestor.parent_op()
+    return False
+
+
 def _accessed(memref: Value) -> str:
     """What ``memref`` addresses, by name: the accessor of a subscript."""
     subscript = memref.defining_op()
@@ -220,7 +230,6 @@ class LoopInternalization(FunctionPass):
         if nd_item is None:
             return
 
-        uniformity = self.get_analysis(UniformityAnalysis, function)
         shared = SharedReads.of_kernel(function, self.get_analysis)
         loops = [op for op in function.walk()
                  if isinstance(op, affine_dialect.AffineForOp)]
@@ -231,7 +240,10 @@ class LoopInternalization(FunctionPass):
             if any(nested.regions for nested
                    in loop.body.ops_without_terminator()):
                 continue
-            if uniformity.is_in_divergent_region(loop):
+            # Only a branch can diverge: the analysis is built for the
+            # kernels that have one above a candidate loop.
+            if _under_branch(loop) and self.get_analysis(
+                    UniformityAnalysis, function).is_in_divergent_region(loop):
                 report.remark(
                     f"{self.NAME}: loop in divergent region not internalized "
                     f"in {function.sym_name}")

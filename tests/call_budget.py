@@ -34,7 +34,7 @@ from tests.helpers import (
 )
 
 #: Total calls of one counted round over the four units (CPython 3.11.7).
-BUDGET = 27_622
+BUDGET = 25_081
 TOLERANCE = 0.05
 STAGES = ("parse", "verify", "sycl-mlir", "lower-to-llvm", "emit")
 

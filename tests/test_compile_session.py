@@ -11,11 +11,12 @@ NDJSON ``kind`` — so the doors cannot drift apart again.
 """
 
 import gc
+import threading
 
 import pytest
 
 from repro.ir import Printer, parse_module
-from repro.serve import CompileService
+from repro.serve import CompileService, ReproServer, ServeClient, ServeError
 from repro.tools import repro_lint, repro_opt, repro_run
 from repro.transforms import (
     CompileCache,
@@ -71,10 +72,19 @@ class BreakingPass(ModulePass):
                 block.append(block.terminator.clone({}))
 
 
+class CrashingPass(ModulePass):
+    """A pass bug: a ``KeyError`` from inside the pipeline."""
+
+    NAME = "test-crash"
+
+    def run_on_module(self, module, report):
+        raise KeyError("no-such-key")
+
+
 @pytest.fixture(autouse=True)
 def test_passes(monkeypatch):
     lookup_pass("cse")  # the built-in registry first
-    for cls in (RaisingPass, BreakingPass):
+    for cls in (RaisingPass, BreakingPass, CrashingPass):
         monkeypatch.setitem(_REGISTRATIONS, cls.NAME,
                             PassRegistration(cls.NAME, cls, cls.Options))
 
@@ -192,6 +202,38 @@ class TestErrorsAtEveryDoor:
         assert (result["ok"], result["transient"]) == (False, False)
         assert result["diagnostic"]["message"].startswith(message)
         assert result["pass_name"] == pass_name
+
+
+@pytest.mark.parametrize("method", ["compile", "execute"])
+def test_a_pass_bug_costs_the_daemon_one_reply(method):
+    """Anything but a ``ValueError`` from a pass is answered as an
+    ``internal-error`` naming its type; the connection serves the next
+    request and the crashed request's manager is back in the pool."""
+    server = ReproServer(("127.0.0.1", 0), CompileService())
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    crash = "builtin.module(canonicalize,test-crash)"
+    try:
+        with ServeClient(host=server.host, port=server.port,
+                         timeout=30.0) as client:
+            pools = []
+            for _ in range(2):
+                with pytest.raises(ServeError) as excinfo:
+                    client.request(method, ir=GOOD, passes=crash,
+                                   entry="foo")
+                assert excinfo.value.kind == "internal-error"
+                assert str(excinfo.value) == \
+                    "internal error: KeyError: 'no-such-key'"
+                pools.append(client.status()["pool"])
+            assert pools[0] == pools[1] and pools[0][crash] == 1
+            assert client.request(method, ir=GOOD, passes="canonicalize",
+                                  entry="foo")["ok"]
+            assert client.status()["errors"] == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 SYCL_MLIR = NAMED_PIPELINE_SPECS["sycl-mlir"]

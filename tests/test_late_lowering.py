@@ -24,6 +24,7 @@ from repro.dialects.sycl import (
     IDType,
     NDRangeType,
     RangeType,
+    SYCLHostScheduleKernelOp,
 )
 from repro.frontend.kernel_builder import AccessorParam, KernelSource
 from repro.interp import ExecutionEngine, ExecutionSpec, run_differential
@@ -49,10 +50,14 @@ from repro.analysis.sycl_alias import (
 from repro.runtime import ID, Accessor, Buffer, Range
 from repro.transforms import (
     CompileReport,
+    HostDeviceOptimizationPass,
+    HostRaisingPass,
+    KernelLaunchInfo,
     OpPassManager,
     PassManager,
     build_named_pipeline,
 )
+from repro.transforms import loop_internalization
 from repro.transforms.licm import ALIAS_CHOICES, LoopInvariantCodeMotion
 from repro.transforms.loop_internalization import LoopInternalization
 from repro.transforms.lower_sycl import LowerAccessorSubscripts
@@ -66,6 +71,7 @@ from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
+    e2e_programs,
     listing_execution_specs,
     wrap_in_module,
 )
@@ -1541,3 +1547,77 @@ class TestSharedReadsCannotAliasAReduction:
         assert not report.get_statistic("loop-internalization",
                                         "loops_internalized")
         assert "sycl.nd_item.get_local_id" not in _op_names(optimized)
+
+
+# ---------------------------------------------------------------------------
+# (g) host raising, host->device propagation and Loop Internalization
+#     search only where what they look for can be
+# ---------------------------------------------------------------------------
+
+def _raise_every_walked_function(self, module, report):
+    for function in list(module.walk()):
+        if isinstance(function, llvm.LLVMFuncOp) \
+                and not function.is_declaration:
+            self._raise_function(function, report)
+
+
+def _collect_walked_launches(self, module):
+    launches = []
+    for op in module.walk():
+        if isinstance(op, SYCLHostScheduleKernelOp):
+            kernel = module.lookup_symbol(op.kernel_name)
+            if isinstance(kernel, func.FuncOp):
+                launches.append(KernelLaunchInfo(op, kernel))
+    return launches
+
+
+def _search_corpus():
+    """``(label, text)`` of the benchmark's seed-101 compile and
+    execution programs, its host program, and a GEMM whose loop sits in
+    a divergent branch."""
+    programs = e2e_programs()
+    units = [(p.name, programs.module_text([p]))
+             for p in programs.compile_variants(101)
+             + programs.exec_programs(101)]
+    host_kernel = programs.gemm("gemm_host_k", 8, 16, 4)
+    units.append(("host", programs.host_program(host_kernel,
+                                                "main_host")[0]))
+    guarded, _ = _gemm_variant("guarded_gemm", guarded=True)
+    units.append(("guarded", Printer().print_module(
+        wrap_in_module(guarded))))
+    return units
+
+
+def _compiled(text):
+    module = parse_module(text)
+    report = build_named_pipeline("sycl-mlir").run(module)
+    return (Printer().print_module(module),
+            [(s.pass_name, s.name, s.value) for s in report.statistics],
+            report.remarks)
+
+
+class TestPassesSearchOnlyWhereTheirOpsLive:
+    """``host-raising`` visits the module's symbols, not every kernel's
+    ops; ``host-device-propagation`` searches only host functions for
+    launches; Loop Internalization builds the Uniformity Analysis only
+    for a loop under an ``scf.if``.  Each compiles the corpus exactly as
+    the exhaustive search does: same text, statistics and remarks."""
+
+    def test_the_corpus_compiles_as_with_the_full_search(self, monkeypatch):
+        # ``sycl-mlir`` is the one pipeline running the three passes.
+        units = _search_corpus()
+        searched = [_compiled(text) for _, text in units]
+        monkeypatch.setattr(HostRaisingPass, "run_on_module",
+                            _raise_every_walked_function)
+        monkeypatch.setattr(HostDeviceOptimizationPass, "_collect_launches",
+                            _collect_walked_launches)
+        monkeypatch.setattr(loop_internalization, "_under_branch",
+                            lambda op: True)
+        for (label, text), result in zip(units, searched):
+            assert _compiled(text) == result, label
+        # The corpus reaches every search: a raised launch, a propagated
+        # host fact and a loop in a divergent branch.
+        fired = {name for _, statistics, _ in searched
+                 for _, name, value in statistics if value}
+        assert {"kernels_raised", "noalias_accessors",
+                "divergent_loops_skipped"} <= fired
