@@ -50,6 +50,7 @@ from .operations import (
     IRError,
     Operation,
     Region,
+    UnregisteredOp,
     lookup_op_class,
     register_op,
     registered_operations,
@@ -109,8 +110,8 @@ __all__ = [
     "InterpretableOpInterface", "LoopLikeInterface",
     "MemoryEffect", "MemoryEffectsInterface", "get_memory_effects",
     "is_side_effect_free",
-    "Block", "IRError", "Operation", "Region", "lookup_op_class",
-    "register_op", "registered_operations",
+    "Block", "IRError", "Operation", "Region", "UnregisteredOp",
+    "lookup_op_class", "register_op", "registered_operations",
     "ParseError", "Parser", "parse_attribute", "parse_module", "parse_op",
     "parse_type",
     "Printer", "print_op",

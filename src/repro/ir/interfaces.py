@@ -67,12 +67,16 @@ class MemoryEffectsInterface:
     interface have *unknown* effects, which analyses treat conservatively.
     """
 
+    __slots__ = ()
+
     def memory_effects(self) -> List[MemoryEffect]:  # pragma: no cover
         raise NotImplementedError
 
 
 class LoopLikeInterface:
     """Mixin for structured loop operations (``scf.for``, ``affine.for``)."""
+
+    __slots__ = ()
 
     def loop_body(self):  # pragma: no cover - overridden
         """Return the :class:`Block` forming the loop body."""
@@ -112,12 +116,16 @@ class InterpretableOpInterface:
     Python value per op result.
     """
 
+    __slots__ = ()
+
     def interpret(self, args: Sequence[object], ctx) -> Sequence[object]:  # pragma: no cover
         raise NotImplementedError
 
 
 class CallOpInterface:
     """Mixin for call-like operations."""
+
+    __slots__ = ()
 
     def callee_name(self) -> Optional[str]:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -128,6 +136,8 @@ class CallOpInterface:
 
 class BranchOpInterface:
     """Mixin for terminators transferring control to successor blocks."""
+
+    __slots__ = ()
 
     def successor_operands(self, index: int) -> Sequence["Value"]:  # pragma: no cover
         raise NotImplementedError

@@ -89,7 +89,17 @@ def op_memo(op: Optional["Operation"]) -> Dict:
 _EMPTY: Tuple = ()
 
 
-class Operation:
+class _OpClass(type):
+    """The metaclass of :class:`Operation`: a class that declares no
+    ``__slots__`` gets empty ones, so no operation carries an instance
+    ``__dict__`` (the interface mixins declare empty slots too)."""
+
+    def __new__(mcs, name, bases, namespace, **kwargs):
+        namespace.setdefault("__slots__", ())
+        return super().__new__(mcs, name, bases, namespace, **kwargs)
+
+
+class Operation(metaclass=_OpClass):
     """A generic operation.
 
     Concrete operations subclass this and set ``OPERATION_NAME`` plus
@@ -118,14 +128,10 @@ class Operation:
     #: :meth:`retype` checks an op's results against.
     RESULTS: Optional[int] = None
 
-    #: The IR fields live in slots; ``__dict__`` stays for the name the
-    #: parser gives an unregistered op (the one instance state
-    #: :meth:`clone` copies), and is only created for an instance that
-    #: has some.
+    #: The IR fields live in slots, and nothing else does.
     __slots__ = ("_operands", "results", "attributes", "regions",
                  "successors", "parent", "_prev", "_next", "_order",
-                 "_location", "_offset", "_stamp",
-                 "__dict__", "__weakref__")
+                 "_location", "_offset", "_stamp", "__weakref__")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -473,10 +479,7 @@ class Operation:
         )
         clone._location = self._location
         clone._offset = self._offset
-        # The one instance state outside the slots: the name the parser
-        # gives an unregistered op.  Reading ``__dict__`` would create a
-        # dict on every op cloned.
-        if type(self) is Operation:
+        if type(self) is UnregisteredOp:
             clone.OPERATION_NAME = self.OPERATION_NAME
         for old_res, new_res in zip(self.results, clone.results):
             new_res._name_hint = old_res._name_hint
@@ -507,6 +510,17 @@ class Operation:
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} {self.OPERATION_NAME}>"
+
+
+class UnregisteredOp(Operation):
+    """An operation of no registered class (what the parser builds under
+    ``allow_unregistered``): the one kind whose name is per instance."""
+
+    __slots__ = ("OPERATION_NAME",)
+
+    def __init__(self, name: str, *args, **kwargs):
+        self.OPERATION_NAME = name
+        super().__init__(*args, **kwargs)
 
 
 #: Gap left between the order keys of neighbouring operations.  Inserting

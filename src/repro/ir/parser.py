@@ -57,6 +57,7 @@ from .operations import (
     Block,
     Operation,
     Region,
+    UnregisteredOp,
     op_memo,
     registered_operations,
 )
@@ -325,11 +326,6 @@ class Parser:
         self.pos = pos = _WS_RE.match(self.text, self.pos).end()
         return pos
 
-    def _peek_char(self) -> str:
-        """The next significant character, ``""`` at the end of input."""
-        pos = self._skip_ws()
-        return self.text[pos:pos + 1]
-
     def _at_end(self) -> bool:
         return self._skip_ws() >= len(self.text)
 
@@ -465,10 +461,10 @@ class Parser:
         op_class = _OPERATION_REGISTRY[op_name] \
             if op_name in _OPERATION_REGISTRY else None
 
-        # Upstream-MLIR generic order (the `--emit=mlir` exporter):
+        # Upstream-MLIR generic order (what repro.ir.printer prints):
         # successor list and region list come directly after the operand
         # list, with the attribute dictionary after the regions.  The
-        # classic order printed by repro.ir.printer puts both after the
+        # classic order, still read as input, puts both after the
         # signature instead; a '[' or '(' here is unambiguous because
         # the classic order always continues with '{' or ':'.
         ch = text[pos:pos + 1]
@@ -478,13 +474,14 @@ class Parser:
             self.pos = pos
             if ch == "[":
                 successor_indices = self._parse_successor_indices()
-                ch = self._peek_char()
+                self.pos = pos = _WS_RE.match(text, self.pos).end()
+                ch = text[pos:pos + 1]
             if ch == "(":
                 early_regions = self._parse_regions(
                     op_name, op_class is not None and op_class._ISOLATED,
                     op_start)
-                ch = self._peek_char()
-            pos = self.pos
+                self.pos = pos = _WS_RE.match(text, self.pos).end()
+                ch = text[pos:pos + 1]
 
         tail = _OP_TAIL_RE.match(text, pos)
         signature = attributes = None
@@ -710,10 +707,9 @@ class Parser:
             close = difflib.get_close_matches(name, registered_operations(), 1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             self.error(f"unknown operation {name!r}{hint}", signature_end)
-        op = Operation(operands=operands, result_types=result_types,
-                       attributes=attributes)
-        op.OPERATION_NAME = name
-        return op
+        return UnregisteredOp(name, operands=operands,
+                              result_types=result_types,
+                              attributes=attributes)
 
     # ------------------------------------------------------------------
     # Regions and blocks

@@ -1,13 +1,19 @@
 """Textual printer for the IR.
 
-Produces MLIR-flavoured generic syntax such as::
+Produces upstream MLIR's generic syntax, the one printed form: successors
+and regions follow the operand list, and the attribute dictionary and the
+signature close the operation::
 
     %0 = "arith.addi"(%arg0, %c1) : (i64, i64) -> i64
+    "scf.if"(%cond) ({...}, {...}) {attrs} : (i1) -> ()
 
-The printer is deterministic and round-trips through
-:mod:`repro.ir.parser`: ``parse_module(print(m))`` rebuilds the module and
-re-prints to the identical text, which makes the printed form a verified
-serialization layer rather than a debug aid only.
+so the text can be fed to ``mlir-opt -allow-unregistered-dialect``.  The
+printer is deterministic and round-trips through :mod:`repro.ir.parser`:
+``parse_module(print(m))`` rebuilds the module and re-prints to the
+identical text, which makes the printed form a verified serialization
+layer rather than a debug aid only.  (The parser also reads the older
+"classic" order, attributes and signature before the regions and
+successors after them, as input only.)
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ class Printer:
     """Prints operation trees.
 
     ``print_locations`` (mlir-opt's ``-mlir-print-debuginfo`` analogue)
-    appends each operation's ``loc(...)`` trailer.  It defaults to off so
-    the canonical textual form — and everything keyed on it: the
+    appends each operation's ``loc(...)`` trailer, only ever in the plain
+    ``loc("file":line:col)`` / ``loc(unknown)`` forms.  It defaults to off
+    so the canonical textual form — and everything keyed on it: the
     round-trip guarantee, fingerprints, the compile cache — is unaffected
     by where the IR happened to come from.
 
@@ -34,11 +41,6 @@ class Printer:
     and a type's or attribute's spelling is worked out once per object
     (:func:`repro.ir.types.spelling`), not once per operand or result.
     """
-
-    #: Clause order on an operation line: classic (``{attrs} : sig
-    #: [successors] (regions)``), or upstream MLIR's (``[successors]
-    #: (regions) {attrs} : sig``, :class:`repro.target.MLIRPrinter`).
-    UPSTREAM_ORDER = False
 
     def __init__(self, indent_width: int = 2, print_locations: bool = False):
         self.indent_width = indent_width
@@ -129,28 +131,9 @@ class Printer:
         pad = " " * (indent * self.indent_width)
         line = f'{pad}{result_names} = "' if result_names else f'{pad}"'
         line += f"{op.OPERATION_NAME}\"({operand_names})"
-        # The dictionary and the signature follow the operand list in the
-        # classic order and the regions in upstream MLIR's.
-        attributes = op.attributes
-        tail = ""
-        if attributes:
-            for key in sorted(attributes):
-                attr = attributes[key]
-                tail += f", {key} = " if tail else f" {{{key} = "
-                tail += attr._spelling or spelling(attr)
-            tail += "}"
-        tail += f" : ({operand_types}) -> ({result_types})"
-        successors = ""
         if op.successors:
-            successors = ", ".join(self._block_label(s) for s in op.successors)
-        if self.UPSTREAM_ORDER:
-            if successors:
-                line += f"[{successors}]"
-        else:
-            line += tail
-            tail = ""
-            if successors:
-                line += f" [{successors}]"
+            line += "[" + ", ".join(
+                self._block_label(s) for s in op.successors) + "]"
         if op.regions:
             out.write(line + " (")
             for region in op.regions:
@@ -158,7 +141,16 @@ class Printer:
                 self._print_region(region, out, indent + 1)
                 out.write(pad + "}")
             line = ")"
-        line += tail
+        attributes = op.attributes
+        if attributes:
+            separator = " {"
+            for key in sorted(attributes):
+                attr = attributes[key]
+                line += f"{separator}{key} = "
+                line += attr._spelling or spelling(attr)
+                separator = ", "
+            line += "}"
+        line += f" : ({operand_types}) -> ({result_types})"
         if self.print_locations:
             from .location import location_of
 

@@ -24,9 +24,10 @@ Both ``compile`` and ``execute`` run one
 :class:`~repro.transforms.compile_cache.CompileSession` over a
 checked-out manager, so they verify, and name their errors, alike
 (``parse-error``, ``pipeline-error``, ``verify-error``,
-``compile-error``).  A ``compile`` request first asks the cache's *front
-tier*: the key hashes the request's IR text, canonical spec, ``verify``
-and ``print_locations``, the value is a recorded reply.  A front hit
+``compile-error``, and ``internal-error`` for a pass that crashed).  A
+``compile`` request first asks the cache's *front tier*: the key hashes
+the request's IR text, canonical spec, ``verify`` and
+``print_locations``, the value is a recorded reply.  A front hit
 never parses, checks out a manager or builds an operation; a miss
 compiles and, when the reply is a success, records it.
 
@@ -283,6 +284,10 @@ class CompileService:
                 self._checkin(session.manager)
 
     def _failed(self, request_id, outcome: CompileOutcome) -> dict:
+        if outcome.kind == "internal":  # the daemon's log keeps where
+            import traceback
+
+            traceback.print_exception(outcome.error)
         return self._error(request_id, outcome.message,
                            kind=f"{outcome.kind}-error")
 

@@ -2,15 +2,15 @@
 
 Home of everything that takes the project's structured IR *down and
 out*: the conversion passes behind the ``lower-to-llvm`` pipeline
-(:mod:`repro.target.conversions`) and the upstream-MLIR-compatible
-textual exporter behind ``repro-opt --emit=mlir``
-(:mod:`repro.target.export`).
+(:mod:`repro.target.conversions`) and :func:`emit_mlir`, the module as
+upstream-MLIR generic text (what :class:`repro.ir.Printer` prints).
 
 Importing this package registers the conversion passes with the pass
 registry; :mod:`repro.transforms.pipelines` does so when it registers
 the ``lower-to-llvm`` named pipeline.
 """
 
+from ..ir.printer import Printer
 from . import conversions
 from .conversions import (
     ConvertArithToLLVM,
@@ -19,7 +19,6 @@ from .conversions import (
     ConvertSCFToCF,
     LowerAffine,
 )
-from .export import MLIRPrinter, emit_mlir
 
 __all__ = [
     "ConvertArithToLLVM",
@@ -27,7 +26,11 @@ __all__ = [
     "ConvertMemRefToLLVM",
     "ConvertSCFToCF",
     "LowerAffine",
-    "MLIRPrinter",
     "conversions",
     "emit_mlir",
 ]
+
+
+def emit_mlir(module, print_locations: bool = False) -> str:
+    """``module`` as upstream-MLIR generic text, without a final newline."""
+    return Printer(print_locations=print_locations).print_op_to_string(module)

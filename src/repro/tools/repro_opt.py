@@ -4,8 +4,9 @@ Reads textual IR (file or stdin), verifies it, runs either a pass pipeline
 spec (``--passes 'builtin.module(cse,func.func(canonicalize))'``, flat
 ``--passes canonicalize,cse`` also accepted) or one of the paper's full
 compiler-model pipelines (``--pipeline sycl-mlir``), verifies the result,
-and prints the optimized IR.  The compile report (statistics and remarks
-collected by the passes) can be dumped with ``--report``.
+and prints the optimized IR in upstream MLIR's generic form.  The compile
+report (statistics and remarks collected by the passes) can be dumped
+with ``--report``.
 
 Pass-instrumentation backed debugging flags mirror mlir-opt:
 
@@ -33,9 +34,8 @@ module through *one* pass manager and one fingerprint-keyed
 ``--no-cache``).  With ``--jobs N`` a batch runs on N supervised worker
 processes instead, each compiling whole segments; a single module, or a
 batch that needs the parent to observe its modules (instrumentation,
-``--lint``, ``--verify-diagnostics``, ``--emit=mlir``), compiles
-serially in-process.  Optimized modules are printed in input order,
-joined by ``// -----``.
+``--lint``, ``--verify-diagnostics``), compiles serially in-process.
+Optimized modules are printed in input order, joined by ``// -----``.
 
 This is the workflow MLIR passes are developed against: every transform
 gets textual before/after test cases runnable through this driver (see
@@ -140,12 +140,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--print-locations", action="store_true",
         help="print loc(...) trailers on every operation "
              "(-mlir-print-debuginfo analogue)")
-    parser.add_argument(
-        "--emit", default="generic", choices=("generic", "mlir"),
-        help="output syntax: 'generic' (the classic printer order, "
-             "default) or 'mlir' (upstream-MLIR generic form: regions "
-             "and successors before the attribute dictionary, suitable "
-             "for mlir-opt -allow-unregistered-dialect)")
     parser.add_argument(
         "--report", action="store_true",
         help="print the compile report (statistics, remarks) to stderr")
@@ -377,10 +371,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # compile and print, the parent only stitches text.
         use_batch_process = (
             args.jobs > 1 and len(segments) > 1 and engine is None
-            and not args.lint and not manager.instrumentations
-            # Workers print the classic form; exported syntax must go
-            # through the in-process printer.
-            and args.emit == "generic")
+            and not args.lint and not manager.instrumentations)
         # An in-memory cache can only hit across segments of one
         # invocation, and an instrumented manager never consults any
         # cache (hits would swallow --verify-each / --print-ir output)
@@ -408,7 +399,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         manager, verify=not args.no_verify,
         allow_unregistered=args.allow_unregistered, cache=cache,
         engine=engine, print_locations=args.print_locations,
-        emit=args.emit, want_module=engine is not None, report=report)
+        want_module=engine is not None, report=report)
     printed: List[str] = []
     #: Worst per-segment exit code (batch isolation: one broken segment
     #: fails the invocation, not the batch).
@@ -430,7 +421,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         nonlocal lint_findings
         # Everything the printed text depends on besides the input and
         # the pipeline (the file name shows only in locations).
-        form = ("repro-opt", args.emit, args.print_locations and filename,
+        form = ("repro-opt", args.print_locations and filename,
                 args.no_verify, args.allow_unregistered) if front else None
         outcome = session.compile(text, filename, form)
         if outcome.kind == "verify" and engine is not None:

@@ -24,7 +24,7 @@ _LAZY = {
     "DEVICE_MODULE_NAME": "host_raising", "HostRaisingPass": "host_raising",
     "classify_runtime_call": "host_raising",
     "extract_kernel_name": "host_raising",
-    "LoopInvariantCodeMotion": "licm", "VersionedLICM": "licm",
+    "LoopInvariantCodeMotion": "licm",
     "LoopInternalization": "loop_internalization",
     "work_group_size_of": "loop_internalization",
     "LowerAccessorSubscripts": "lower_sycl",

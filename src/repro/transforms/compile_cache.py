@@ -468,12 +468,14 @@ class CompileOutcome:
 
     ``kind`` is ``None`` for a success, else ``parse`` (the text is no
     module), ``pipeline`` (the pipeline cannot be built), ``verify`` (the
-    input or the pipeline's output fails the verifier) or ``compile`` (a
-    pass rejected its run), with the ``error`` raised and its
-    ``location``.  ``module`` is the compiled module (the parsed one on
-    an error; on a front hit only for a session that wants modules),
-    ``text`` the printed one, ``report`` the ``CompileReport`` the compile
-    added to, ``cached`` whether the cache answered.
+    input or the pipeline's output fails the verifier), ``compile`` (a
+    pass rejected its run) or ``internal`` (a pass crashed: the error is
+    a :class:`~repro.transforms.pass_manager.PassCrash` naming it), with
+    the ``error`` raised and its ``location``.  ``module`` is the
+    compiled module (the parsed one on an error; on a front hit only for
+    a session that wants modules), ``text`` the printed one, ``report``
+    the ``CompileReport`` the compile added to, ``cached`` whether the
+    cache answered.
     """
 
     kind: Optional[str] = None
@@ -496,7 +498,7 @@ class CompileOutcome:
     @property
     def exit_code(self) -> int:
         """The CLI status: 1 for input that does not parse or verify,
-        2 for a pipeline that cannot be built or run."""
+        2 for a pipeline that cannot be built or run, or that crashed."""
         return 1 if self.kind in ("parse", "verify") else 2
 
 
@@ -526,7 +528,6 @@ class CompileSession:
     cache: Optional[CompileCache] = None
     engine: object = None
     print_locations: bool = False
-    emit: str = "generic"
     want_module: bool = False
     report: object = None
 
@@ -579,9 +580,17 @@ class CompileSession:
                                   if exc.diagnostics else None, module)
         except ValueError as exc:
             return CompileOutcome("compile", exc, location_of(module), module)
+        except Exception as exc:
+            from .pass_manager import PassCrash  # loaded: a manager ran
+
+            if type(exc) is not PassCrash:
+                raise
+            return CompileOutcome("internal", exc, location_of(module),
+                                  module)
         printed = None
         if not self.want_module or front_key is not None:
-            printed = self._print(module)
+            printed = ir.Printer(print_locations=self.print_locations
+                                 ).print_module(module) + "\n"
         if front_key is not None and report.cache_key is not None:
             self.cache.front_store(front_key, printed, report.cache_key)
         return CompileOutcome(module=module, text=printed, report=report,
@@ -609,12 +618,3 @@ class CompileSession:
                                       time.perf_counter() - start)
         return CompileOutcome(module=module, text=recorded.text,
                               report=self.report, cached=True)
-
-    def _print(self, module: Operation) -> str:
-        if self.emit == "mlir":
-            from ..target import emit_mlir
-
-            return emit_mlir(module,
-                             print_locations=self.print_locations) + "\n"
-        return ir.Printer(print_locations=self.print_locations
-                          ).print_module(module) + "\n"

@@ -65,8 +65,9 @@ from .compile_cache import CacheKey, text_fingerprint
 #: Loop Internalization declines tiles that do not pay.  Version 4: it
 #: keeps reduction pairs in a register across the tile loop.  Version 5:
 #: Detect Reduction leaves out reads the work-group shares, so a tile of
-#: 4 declines.
-ENTRY_VERSION = 5
+#: 4 declines.  Version 6: replies are printed in upstream MLIR's clause
+#: order.
+ENTRY_VERSION = 6
 
 #: Default on-disk budget: generous for a developer cache, small enough
 #: that an unattended daemon cannot fill a disk.

@@ -188,9 +188,11 @@ def _compile_work_unit(payload: dict) -> dict:
             print_locations=payload.get("print_locations", False),
         ).compile(payload["text"], payload["filename"])
         if outcome.kind is not None:
+            # A crashed pass is named by the tracker; report what it raised.
+            error = outcome.error.error if outcome.kind == "internal" \
+                else outcome.error
             return {"ok": False, "uid": payload["uid"], "transient": False,
-                    **_error_fields(outcome.error, outcome.location,
-                                    tracker)}
+                    **_error_fields(error, outcome.location, tracker)}
         result = {"ok": True, "uid": payload["uid"], "text": outcome.text,
                   "fingerprint": text_fingerprint(outcome.text)}
         result.update(_report_fields(outcome.report))

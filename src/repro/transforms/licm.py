@@ -13,9 +13,9 @@ contains no conflicting access:
   location that may alias the written one.
 
 Hoisting side-effecting operations out of a loop is only sound when the loop
-executes at least once; the pass either proves this from constant bounds or
-versions the loop with a guard (``scf.if lb < ub``), matching the paper's
-description.
+executes at least once, so the pass hoists them only out of a loop whose
+constant bounds prove it; a loop that may run zero times keeps them, and
+keeps the pure operations that may trap.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..ir import (
     is_side_effect_free,
 )
 from ..dialects import affine as affine_dialect
-from ..dialects import arith
 from ..dialects import scf as scf_dialect
 from ..dialects.func import FuncOp
 from ..analysis.alias import AliasAnalysis
@@ -147,8 +146,6 @@ class LoopInvariantCodeMotion(FunctionPass):
         #: Alias analysis consulted when hoisting memory accesses.
         alias: str = field(default="sycl",
                            metadata={"choices": ALIAS_CHOICES})
-        #: Hoist side-effecting ops when the analysis proves it safe.
-        allow_side_effecting_hoist: bool = True
 
     def __init__(self, options: Optional[PassOptions] = None):
         super().__init__(options)
@@ -194,8 +191,7 @@ class LoopInvariantCodeMotion(FunctionPass):
                     hoisted_total += 1
                     changed = True
                     continue
-                if not self.options.allow_side_effecting_hoist \
-                        or may_not_execute:
+                if may_not_execute:
                     continue
                 if summary is None:
                     summary = _BodyEffects(loop, self.alias_analysis)
@@ -269,51 +265,6 @@ class LoopInvariantCodeMotion(FunctionPass):
     @staticmethod
     def _hoist(op: Operation, loop: Operation) -> None:
         op.move_before(loop)
-
-
-@register_pass
-class VersionedLICM(LoopInvariantCodeMotion):
-    """LICM variant that versions loops when bounds are not known constant.
-
-    When the loop may execute zero times, side-effecting hoists are wrapped
-    together with the loop in a guard ``scf.if (lb < ub)``, preserving the
-    original semantics.  Used when kernels have runtime trip counts.
-    """
-
-    NAME = "sycl-licm-versioned"
-
-    def _process_loop(self, loop: Operation) -> int:
-        trip_count = _loop_trip_count(loop)
-        if trip_count is not None:
-            return super()._process_loop(loop)
-        if not isinstance(loop, (affine_dialect.AffineForOp, scf_dialect.ForOp)):
-            return 0
-        guarded = self._guard_loop(loop)
-        if guarded is None:
-            return 0
-        return super()._process_loop(guarded)
-
-    def _guard_loop(self, loop: Operation) -> Optional[Operation]:
-        parent_block = loop.parent
-        if parent_block is None:
-            return None
-        lower = loop.lower_bound
-        upper = loop.upper_bound
-        cmp = arith.CmpIOp.build("slt", lower, upper)
-        parent_block.insert_before(loop, cmp)
-        # The guard yields the loop's results, or its init args when the
-        # loop would not have run.
-        if_op = scf_dialect.IfOp.build(
-            cmp.result, [result.type for result in loop.results])
-        parent_block.insert_after(cmp, if_op)
-        loop.replace_all_uses_with(list(if_op.results))
-        loop.detach()
-        if_op.then_block.append(loop)
-        if_op.then_block.append(scf_dialect.YieldOp.build(loop.results))
-        if if_op.else_block is not None:
-            if_op.else_block.append(
-                scf_dialect.YieldOp.build(loop.init_args))
-        return loop
 
 
 register_pass_alias(

@@ -237,6 +237,18 @@ class PassOptions:
 # Pass base classes
 # ---------------------------------------------------------------------------
 
+class PassCrash(Exception):
+    """A pass raised something other than the ``ValueError`` with which a
+    pass refuses its input: a bug in the pass named ``pass_name``.
+    ``error`` is what it raised (also the ``__cause__``)."""
+
+    def __init__(self, pass_name: str, error: Exception):
+        super().__init__(f"internal error in pass {pass_name}: "
+                         f"{type(error).__name__}: {error}")
+        self.pass_name = pass_name
+        self.error = error
+
+
 class Pass:
     """Base class of all passes."""
 
@@ -916,7 +928,12 @@ class PassManager(OpPassManager):
                   instrumentations: List[PassInstrumentation]) -> None:
         for instrumentation in instrumentations:
             instrumentation.run_before_pass(pass_, op)
-        pass_.run(op, report)
+        try:
+            pass_.run(op, report)
+        except (ValueError, PassCrash):
+            raise
+        except Exception as error:
+            raise PassCrash(pass_.NAME, error) from error
         # The pass may have mutated the anchor (and anything below it):
         # evict stale analyses unless the pass declared them preserved.
         manager = current_analysis_manager()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.dialects import affine, arith, builtin, func, memref, scf, sycl
 from repro.frontend.kernel_builder import AccessorParam, KernelSource
 from repro.ir import (
@@ -275,6 +277,31 @@ def ablated(name, drop):
     manager = build_named_pipeline(name)
     prune(manager)
     return manager
+
+
+#: An op line's head and its successor list, in the printed order.
+_SUCCESSORS_RE = re.compile(
+    r'^(\s*(?:%[^"]* = )?"[^"]+"\([^)]*\))\[([^\]]*)\](.*)$')
+
+
+def classic_order(text):
+    """``text`` as the printer prints it (without locations), re-spelled
+    in the classic clause order the parser still reads: each op's
+    attribute dictionary and signature before its regions, and its
+    successors after the signature."""
+    lines = text.split("\n")
+    opened = []  # lines whose op opens a region list, innermost last
+    for index, line in enumerate(lines):
+        body = line.lstrip()
+        if body.startswith("})"):
+            head = opened.pop()
+            lines[head] = lines[head][:-len(" ({")] + body[2:] + " ({"
+            lines[index] = line[:len(line) - len(body)] + "})"
+        elif line.endswith(" ({"):
+            opened.append(index)
+        else:
+            lines[index] = _SUCCESSORS_RE.sub(r"\1\3 [\2]", line)
+    return "\n".join(lines)
 
 
 def e2e_programs():

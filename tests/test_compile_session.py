@@ -6,12 +6,16 @@ and ``execute`` and the ``--jobs`` worker all compile through
 its outcome.  A table of inputs goes through every door: a parse error,
 a verify error, a bad spec, a pass that raises, a pass that breaks the
 IR, a front hit, a damaged front entry and an instrumented manager.
-Each row pins what the door answers — stderr text and exit code, or the
-NDJSON ``kind`` — so the doors cannot drift apart again.
+A pass that crashes (raises anything but ``ValueError``) is one row per
+exception type.  Each row pins what the door answers — stderr text and
+exit code, or the NDJSON ``kind`` — so the doors cannot drift apart
+again.
 """
 
+import builtins
 import gc
 import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.transforms import (
     DiskCache,
     ModulePass,
     PassInstrumentation,
+    PassOptions,
     parse_pass_pipeline,
 )
 from repro.transforms.compile_cache import FRONT_PREFIX, CompileSession
@@ -73,12 +78,17 @@ class BreakingPass(ModulePass):
 
 
 class CrashingPass(ModulePass):
-    """A pass bug: a ``KeyError`` from inside the pipeline."""
+    """A pass bug: a ``KeyError`` (or the ``error=`` type) from inside
+    the pipeline."""
 
     NAME = "test-crash"
 
+    @dataclass
+    class Options(PassOptions):
+        error: str = "KeyError"
+
     def run_on_module(self, module, report):
-        raise KeyError("no-such-key")
+        raise getattr(builtins, self.options.error)("no-such-key")
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +108,17 @@ ERROR_ROWS = {
     "pass-breaks-ir": (GOOD, "test-break"),
 }
 
+#: row -> what the crashing pass raised, as the doors quote it.
+CRASHES = {
+    f"pass-crashes-{error.__name__}":
+        f"internal error in pass test-crash: {error.__name__}: "
+        f"{error('no-such-key')}"
+    for error in (KeyError, AttributeError, IndexError, AssertionError,
+                  RecursionError)}
+for row in CRASHES:
+    ERROR_ROWS[row] = (GOOD, "canonicalize,test-crash{error=%s}"
+                       % row.rsplit("-", 1)[1])
+
 #: row -> (exit code, stderr start) of ``repro-opt`` and ``repro-lint``;
 #: ``{tool}`` and ``{file}`` are filled in.  A bad spec is found before
 #: the input is read, by the static checker.
@@ -108,6 +129,8 @@ CLI_ROWS = {
     "bad-spec": (2, "{tool}: <pipeline>:1:14: error: " + UNKNOWN_PASS),
     "pass-raises": (2, "{tool}: {file}: " + REFUSED),
     "pass-breaks-ir": (1, "{tool}: {file}: verification failed:\n{file}:"),
+    **{row: (2, "{tool}: {file}: " + message)
+       for row, message in CRASHES.items()},
 }
 
 #: row -> (exit code, stderr start) of ``repro-run``: no file label, and
@@ -118,6 +141,7 @@ RUN_ROWS = {
     "bad-spec": (2, "repro-run: " + UNKNOWN_PASS),
     "pass-raises": (2, "repro-run: " + REFUSED),
     "pass-breaks-ir": (1, "repro-run: verification failed:\n{file}:"),
+    **{row: (2, "repro-run: " + message) for row, message in CRASHES.items()},
 }
 
 #: row -> (NDJSON kind, error start) of the daemon's compile and execute.
@@ -129,6 +153,7 @@ SERVED_ROWS = {
                  + UNKNOWN_PASS),
     "pass-raises": ("compile-error", REFUSED),
     "pass-breaks-ir": ("verify-error", "verification failed:\n<request>:"),
+    **{row: ("internal-error", message) for row, message in CRASHES.items()},
 }
 
 #: row -> start of the worker's error diagnostic, and the pass it names.
@@ -139,6 +164,8 @@ WORKER_ROWS = {
     "pass-raises": ("ValueError: " + REFUSED, "test-raise"),
     "pass-breaks-ir": ("VerificationError: func.return: terminator",
                        "test-break"),
+    **{row: (message.split(": ", 1)[1], "test-crash")
+       for row, message in CRASHES.items()},
 }
 
 
@@ -172,6 +199,8 @@ class TestErrorsAtEveryDoor:
         code, start = CLI_ROWS[row]
         assert (rc, out) == (code, "")
         assert err.startswith(start.format(tool=tool, file=path)), err
+        if row in CRASHES:  # one line, no traceback
+            assert err == start.format(tool=tool, file=path) + "\n"
 
     def test_repro_run(self, tmp_path, capsys, row):
         text, spec = ERROR_ROWS[row]
@@ -181,6 +210,8 @@ class TestErrorsAtEveryDoor:
         code, start = RUN_ROWS[row]
         assert (rc, out) == (code, "")
         assert err.startswith(start.format(file=path)), err
+        if row in CRASHES:
+            assert err == start.format(file=path) + "\n"
 
     @pytest.mark.parametrize("method", ["compile", "execute"])
     def test_daemon(self, row, method):
@@ -207,8 +238,9 @@ class TestErrorsAtEveryDoor:
 @pytest.mark.parametrize("method", ["compile", "execute"])
 def test_a_pass_bug_costs_the_daemon_one_reply(method):
     """Anything but a ``ValueError`` from a pass is answered as an
-    ``internal-error`` naming its type; the connection serves the next
-    request and the crashed request's manager is back in the pool."""
+    ``internal-error`` naming the pass and the type; the connection
+    serves the next request and the crashed request's manager is back
+    in the pool."""
     server = ReproServer(("127.0.0.1", 0), CompileService())
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -224,7 +256,7 @@ def test_a_pass_bug_costs_the_daemon_one_reply(method):
                                    entry="foo")
                 assert excinfo.value.kind == "internal-error"
                 assert str(excinfo.value) == \
-                    "internal error: KeyError: 'no-such-key'"
+                    CRASHES["pass-crashes-KeyError"]
                 pools.append(client.status()["pool"])
             assert pools[0] == pools[1] and pools[0][crash] == 1
             assert client.request(method, ir=GOOD, passes="canonicalize",
@@ -236,11 +268,29 @@ def test_a_pass_bug_costs_the_daemon_one_reply(method):
         thread.join(timeout=5)
 
 
+def test_a_pass_bug_in_a_jobs_batch_is_named_in_the_remark(tmp_path, capsys):
+    """Each segment a worker crashed on fails on one line, and the
+    worker's remark names the pass and where the module came from."""
+    path = tmp_path / "batch.mlir"
+    path.write_text(GOOD + "// -----\n" + GOOD.replace('"foo"', '"bar"'),
+                    encoding="utf-8")
+    rc, out, err = _cli(capsys, repro_opt.main, [
+        path, "--split-input-file", "--jobs", "2", "--report",
+        "--passes", "canonicalize,test-crash"])
+    assert rc == 2 and out.count("FAILED") == 2
+    crashed = sorted(line for line in err.splitlines()
+                     if line.startswith("repro-opt: "))
+    assert crashed == [f"repro-opt: {path} (segment {n}): "
+                       + CRASHES["pass-crashes-KeyError"] for n in (1, 2)]
+    assert f"worker error: {path}:1:1: error: KeyError: 'no-such-key' " \
+        "(in pass 'test-crash' at pipeline position 1)" in err
+
+
 SYCL_MLIR = NAMED_PIPELINE_SPECS["sycl-mlir"]
-#: The front-key form of each door, computed by hand: a disk cache
-#: written before the doors shared one session must still hit.
+#: The front-key form of each door, computed by hand: what the printed
+#: text depends on besides the input and the pipeline.
 FORMS = {
-    "repro-opt": ("repro-opt", "generic", False, False, False),
+    "repro-opt": ("repro-opt", False, False, False),
     "repro-run": ("repro-run", False, False),
     "served": ("served", True, False),
 }

@@ -440,10 +440,9 @@ class TestSerialBatchConditions:
         ("--passes", PIPELINE, "--verify-each"),
         ("--passes", PIPELINE, "--print-ir-after-all"),
         ("--passes", PIPELINE, "--print-ir-after", "cse"),
-        ("--passes", PIPELINE, "--emit", "mlir"),
         (),
     ], ids=["lint", "lint-each", "verify-each", "print-ir-after-all",
-            "print-ir-after", "emit-mlir", "no-pipeline"])
+            "print-ir-after", "no-pipeline"])
     def test_batch_compiles_in_process(self, tmp_path, capsys, extra):
         runs = self._serial_and_jobs(tmp_path, capsys, (*extra, "--report"))
         assert runs[2] == runs[1]

@@ -12,7 +12,9 @@ module is made of, so the number per operation is a budget
 * a dropped module is collectable and pins neither its parser nor its
   source text — cold, after a compile-cache miss and after a hit;
 * a cache hit (children spliced in, the old body only unlinked) leaves
-  the module a cold compile would have produced.
+  the module a cold compile would have produced;
+* no operation carries an instance ``__dict__``: not after a parse, a
+  clone or an in-place retype, and not an unregistered one.
 """
 
 import gc
@@ -24,7 +26,9 @@ import pytest
 from repro.dialects import arith, func
 from repro.ir import (
     Location,
+    Operation,
     Printer,
+    UnregisteredOp,
     i64,
     location_of,
     parse_module,
@@ -125,6 +129,32 @@ class TestObjectBudget:
             str(parser_module.parse_attribute("-0.0 : f32"))
         assert parser_module.parse_attribute("true") \
             is not parser_module.parse_attribute("1 : i1")
+
+
+class TestNoInstanceDict:
+    def test_no_op_class_makes_a_dict(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = [Operation, *subclasses(Operation)]
+        assert len(classes) > 150 and UnregisteredOp in classes
+        assert [cls for cls in classes if cls.__dictoffset__] == []
+
+    def test_parsed_cloned_and_retyped_ops_have_no_dict(self):
+        module = parse_module(_module_text(1))
+        clone = module.clone({})
+        # lower-to-llvm retypes each 1:1 conversion in place.
+        build_named_pipeline("lower-to-llvm").run(clone)
+        names = {op.name for op in clone.walk()}
+        assert {"llvm.load", "llvm.store", "llvm.add"} <= names
+        unregistered = parse_module(
+            '"builtin.module"() ({\n  "test.widget"() : () -> ()\n})'
+            " : () -> ()", allow_unregistered=True).clone({})
+        ops = [*module.walk(), *clone.walk(), *unregistered.walk()]
+        assert [op for op in ops if hasattr(op, "__dict__")] == []
+        assert unregistered.body.first_op.name == "test.widget"
 
 
 class TestLazyLocations:

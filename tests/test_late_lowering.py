@@ -30,7 +30,6 @@ from repro.frontend.kernel_builder import AccessorParam, KernelSource
 from repro.interp import ExecutionEngine, ExecutionSpec, run_differential
 from repro.ir import (
     EffectKind,
-    IndexType,
     MemRefType,
     PointerType,
     Printer,
@@ -41,7 +40,6 @@ from repro.ir import (
     parse_module,
     verify,
 )
-from repro.ir.builder import Builder, InsertionPoint
 from repro.ir.operations import version_stamp
 from repro.analysis.sycl_alias import (
     SYCLAliasAnalysis,
@@ -857,37 +855,6 @@ class TestLICMMemoryEffects:
             "memref.copy", "memref.alloc", "memref.dealloc",
             "sycl.host.constructor", "sycl.host.schedule_kernel",
             "sycl.host.submit", "scf.yield"]
-
-
-def _build_sum_to_function():
-    """``sum_to(n)``: ``0 + 1 + ... + (n - 1)``, a loop with a result
-    and a runtime trip count."""
-    f = func.FuncOp.build("sum_to", [IndexType()], [IndexType()])
-    b = Builder(InsertionPoint.at_end(f.body))
-    c0, c1 = (b.insert(arith.ConstantOp.build(v, IndexType())).result
-              for v in (0, 1))
-    loop = b.insert(scf.ForOp.build(c0, f.arguments[0], c1, [c0]))
-    total = arith.AddIOp.build(loop.region_iter_args[0],
-                               loop.induction_variable())
-    loop.body.append(total)
-    loop.body.append(scf.YieldOp.build([total.result]))
-    b.insert(func.ReturnOp.build(list(loop.results)))
-    return f
-
-
-class TestVersionedLICM:
-    @pytest.mark.parametrize("n,expected", [(5, 10), (0, 0)])
-    def test_guard_yields_the_loop_results(self, n, expected):
-        """The guard ``scf.if`` yields the loop's results when it runs
-        and its init args when it does not."""
-        module = wrap_in_module(_build_sum_to_function())
-        parse_pass_pipeline(
-            "builtin.module(func.func(sycl-licm-versioned))").run(module)
-        verify(module)
-        assert '"scf.if"' in Printer().print_module(module)
-        run = ExecutionEngine(module, tier="interp").run(
-            "sum_to", ExecutionSpec(scalars={"arg0": n}))
-        assert run.results == [expected]
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ class TestConversionShape:
         module = wrap_in_module(build_listing3_function()[0])
         _lower(module)
         filecheck(print_op(module), '''
-            CHECK: "cf.br"(%0) : (index) -> () [^bb1]
+            CHECK: "cf.br"(%0)[^bb1] : (index) -> ()
             CHECK: ^bb1(%iv: index):
             CHECK-NEXT: %3 = "llvm.add"(%iv, %2)
             CHECK-NEXT: %4 = "llvm.icmp"(%3, %1) {predicate = "slt"}

@@ -21,6 +21,7 @@ from repro.ir import (
     Operation,
     Printer,
     Trait,
+    UnregisteredOp,
     has_trait,
     parse_module,
     registered_operations,
@@ -45,7 +46,7 @@ UNREGISTERED = '''"builtin.module"() : () -> () ({
 def _unregistered_op():
     module = parse_module(UNREGISTERED, allow_unregistered=True)
     op = module.body.first_op
-    assert type(op) is Operation and op.name == "test.opaque"
+    assert type(op) is UnregisteredOp and op.name == "test.opaque"
     return op
 
 

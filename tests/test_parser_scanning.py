@@ -35,13 +35,13 @@ from repro.ir import (
     parse_type,
 )
 from repro.ir import parser as parser_module
-from repro.target import emit_mlir
 
 from .helpers import (
     build_gemm_module,
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
+    classic_order,
     e2e_programs,
     wrap_in_module,
 )
@@ -120,13 +120,13 @@ class TestPositionGoldens:
         text = _replicated_module(70)  # ~4000 operations
         lines = text.split("\n")
         assert len(lines) > 4000
-        lines[-2] = lines[-2].replace("})", "}) oops")
+        lines[-2] += " oops"  # where the module's next op would start
         with pytest.raises(ParseError) as info:
             parse_module("\n".join(lines))
         column = lines[-2].index("oops") + 1
         assert str(info.value) == (
             f"line {len(lines) - 1}:{column}: expected operation name in "
-            f"double quotes, found 'oops\\n}})'")
+            f"double quotes, found 'oops\\n}}) {{sym'")
 
     def test_error_position_after_crlf_tabs_and_comments(self):
         text = ('"test.r"() : () -> () ({\r\n'
@@ -144,9 +144,9 @@ class TestPositionGoldens:
             text = (GOLDEN_DIR / key[len("golden/"):]).read_text()
         else:
             name, form = key.split(".")
-            module = _listing_modules()[name]
-            text = emit_mlir(module) if form == "upstream" \
-                else Printer().print_module(module)
+            text = Printer().print_module(_listing_modules()[name])
+            if form == "classic":
+                text = classic_order(text)
         parsed = parse_module(text, filename="in.mlir")
         assert [[op.location.line, op.location.column]
                 for op in parsed.walk()] == self.LOCATIONS[key]
@@ -358,19 +358,19 @@ def _corpus():
 
 
 class TestCorpusRoundTrip:
-    """Interning changes no parse: every corpus text re-prints byte for
-    byte through both printers, from cleared tables and from warm ones."""
+    """Interning changes no parse, and the classic clause order is still
+    read: every corpus text and its classic-order twin parse to modules
+    that print the same text, from cleared tables and from warm ones."""
 
     def _reprinted(self, text):
-        module = parse_module(text)
-        classic = Printer().print_module(module)
-        upstream = emit_mlir(module)
-        assert Printer().print_module(parse_module(classic)) == classic
-        assert emit_mlir(parse_module(upstream)) == upstream
-        assert Printer().print_module(parse_module(upstream)) == classic
+        printed = Printer().print_module(parse_module(text))
+        classic = classic_order(printed)
+        assert classic != printed
+        assert Printer().print_module(parse_module(printed)) == printed
+        assert Printer().print_module(parse_module(classic)) == printed
         if "//" not in text:  # a commented file is not in printed form
-            assert text.rstrip("\n") in (classic, upstream)
-        return classic, upstream
+            assert text.rstrip("\n") == printed
+        return printed
 
     def test_cold_and_warm_tables_print_alike(self):
         corpus = list(_corpus())

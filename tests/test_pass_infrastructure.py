@@ -79,8 +79,8 @@ ROUND_TRIP_SPECS = [
     "canonicalize,cse",
     "builtin.module(cse,func.func(canonicalize{max-iterations=10},licm))",
     "func.func(canonicalize{prune-dead=false},cse)",
-    "builtin.module(host-raising,host-device-propagation,"
-    "func.func(licm{alias=generic,allow-side-effecting-hoist=false}))",
+    "builtin.module(host-raising,host-device-propagation"
+    "{propagate-scalars=false},func.func(licm{alias=generic}))",
     "detect-reduction-generic",
     "builtin.module(func.func(canonicalize,cse,dce),host-raising)",
     "canonicalize{max-iterations=10,prune-dead=false}",

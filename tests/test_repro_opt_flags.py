@@ -214,8 +214,6 @@ class TestFrontTier:
     FLAG_SETS = [
         [],
         ["--print-locations"],
-        ["--emit", "mlir"],
-        ["--emit", "mlir", "--print-locations"],
         ["--no-verify"],
         ["--allow-unregistered"],
     ]

@@ -34,6 +34,7 @@ from repro.transforms import (
     dump_pass_pipeline,
     parse_pass_pipeline,
 )
+from repro.transforms.compile_cache import FRONT_PREFIX
 
 from .helpers import (
     build_gemm_module,
@@ -483,10 +484,13 @@ class TestFaults:
         try:
             with ServeClient(host=server.host, port=server.port) as client:
                 client.compile(text, PIPELINE)
-            # Mangle the persisted entry behind the daemon's back, then
-            # defeat the in-memory tier so the next compile reads disk.
-            victim = next(Path(tmp_path).glob("*/*.json"))
-            payload = json.loads(victim.read_text())
+            # Mangle the persisted front entry (the one the next compile
+            # reads first) behind the daemon's back, then defeat the
+            # in-memory tier so the next compile reads disk.
+            victim, payload = next(
+                (path, payload) for path in Path(tmp_path).glob("*/*.json")
+                for payload in [json.loads(path.read_text())]
+                if payload["fingerprint"].startswith(FRONT_PREFIX))
             payload["text"] = payload["text"][:-10]
             victim.write_text(json.dumps(payload))
             service.cache.clear()

@@ -1,17 +1,17 @@
-"""Tests for the upstream-MLIR textual exporter (``--emit=mlir``).
+"""Tests for the one printed form: upstream MLIR's generic clause order.
 
-The export contract has three parts:
+The contract has three parts:
 
-* **Round trip** — the exported text parses back through our own parser
-  and re-prints (classic form) identically to the source module, and
-  re-exports byte-identically (``emit_mlir(parse(emit_mlir(m))) ==
-  emit_mlir(m)``), so the exported form is a lossless serialization.
-* **Golden stability** — exports of the paper listings match committed
-  golden files byte for byte; a printer change that alters the exported
-  syntax must update the goldens consciously.
-* **Location policy** — with ``print_locations`` the exported text only
-  ever contains the plain ``loc("file":line:col)`` / ``loc(unknown)``
-  forms, never extended (fused/callsite/named) location syntax.
+* **Round trip** — the printed text parses back through our own parser
+  and re-prints byte-identically (``emit_mlir(parse(emit_mlir(m))) ==
+  emit_mlir(m)``), so the printed form is a lossless serialization; the
+  classic clause order is still read, as input only.
+* **Golden stability** — the paper listings print exactly as the
+  committed golden files; a printer change that alters the syntax must
+  update the goldens consciously.
+* **Location policy** — with ``print_locations`` the text only ever
+  contains the plain ``loc("file":line:col)`` / ``loc(unknown)`` forms,
+  never extended (fused/callsite/named) location syntax.
 """
 
 import pathlib
@@ -20,10 +20,10 @@ import sys
 
 import pytest
 
-from repro.ir import Printer, parse_module
+from repro.ir import parse_module
 from repro.ir.printer import print_op
 from repro.ir.verifier import verify
-from repro.target import MLIRPrinter, emit_mlir
+from repro.target import emit_mlir
 from repro.transforms import build_named_pipeline, shipped_pipeline_names
 
 from .filecheck import filecheck
@@ -32,6 +32,7 @@ from .helpers import (
     build_listing1_function,
     build_listing2_function,
     build_listing3_function,
+    classic_order,
     wrap_in_module,
 )
 
@@ -78,12 +79,13 @@ class TestRoundTrip:
         assert emit_mlir(back) == text
 
     def test_parser_accepts_both_orders(self):
-        module = _listing_module("listing1")
-        classic = print_op(module)
-        upstream = emit_mlir(module)
+        """A module spelled in the classic order and its upstream twin
+        parse to modules that print the same text."""
+        upstream = emit_mlir(_listing_module("listing1"))
+        classic = classic_order(upstream)
         assert classic != upstream  # genuinely different syntaxes
-        assert print_op(parse_module(upstream)) == classic
         assert emit_mlir(parse_module(classic)) == upstream
+        assert emit_mlir(parse_module(upstream)) == upstream
 
 
 class TestGoldenFiles:
@@ -171,45 +173,23 @@ class TestCLI:
             input=stdin_text, capture_output=True, text=True,
             cwd=str(pathlib.Path(__file__).parent.parent))
 
-    def test_emit_mlir_flag(self):
-        source = print_op(_listing_module("listing1"))
-        result = self._run(["--emit=mlir"], source)
+    def test_output_is_upstream_and_byte_stable(self):
+        source = classic_order(print_op(_listing_module("listing1")))
+        result = self._run([], source)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith('"builtin.module"() ({')
+        assert result.stdout.rstrip("\n") == \
+            print_op(_listing_module("listing1"))
         # Byte-stable under a second pass through the tool.
-        again = self._run(["--emit=mlir"], result.stdout)
+        again = self._run([], result.stdout)
         assert again.returncode == 0, again.stderr
         assert again.stdout == result.stdout
 
-    def test_emit_mlir_with_pipeline(self):
+    def test_lowered_output(self):
         source = print_op(_listing_module("listing2"))
-        result = self._run(
-            ["--emit=mlir", "--pipeline", "lower-to-llvm"], source)
+        result = self._run(["--pipeline", "lower-to-llvm"], source)
         assert result.returncode == 0, result.stderr
         filecheck(result.stdout, '''
             CHECK: "llvm.func"
             CHECK: "cf.cond_br"
             CHECK-NOT: "scf.if"
         ''')
-
-    def test_emit_defaults_to_classic_form(self):
-        source = print_op(_listing_module("listing1"))
-        result = self._run([], source)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.rstrip("\n") == source
-
-
-class TestMLIRPrinterClass:
-    def test_value_naming_matches_classic_printer(self):
-        """Both printers unique names the same way, so diffs between the
-        two forms of one module differ only in clause order."""
-        module = _listing_module("listing3")
-        classic = Printer().print_module(module)
-        upstream = MLIRPrinter().print_op_to_string(module)
-        classic_names = set(
-            tok for tok in classic.replace(",", " ").split()
-            if tok.startswith("%"))
-        upstream_names = set(
-            tok for tok in upstream.replace(",", " ").split()
-            if tok.startswith("%"))
-        assert classic_names == upstream_names

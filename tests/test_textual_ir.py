@@ -198,14 +198,14 @@ class TestRoundTrip:
 
     def test_successors_roundtrip(self):
         text = (
-            '"test.graph"() : () -> () ({\n'
+            '"test.graph"() ({\n'
             ' ^bb0():\n'
-            '  "test.br"() : () -> () [^bb2]\n'
+            '  "test.br"()[^bb2] : () -> ()\n'
             ' ^bb1():\n'
-            '  "test.br"() : () -> () [^bb0, ^bb2]\n'
+            '  "test.br"()[^bb0, ^bb2] : () -> ()\n'
             ' ^bb2():\n'
             '  "test.done"() : () -> ()\n'
-            '})')
+            '}) : () -> ()')
         op = parse_module(text, allow_unregistered=True)
         region = op.regions[0]
         branch = region.blocks[0].operations[0]
@@ -397,8 +397,9 @@ class TestReproOptDriver:
         verify(optimized)
         filecheck(out.read_text(encoding="utf-8"), """
             CHECK: "func.func"
-            CHECK-SAME: non_uniform
             CHECK: "func.return"
+            CHECK-NEXT: }) {
+            CHECK-SAME: non_uniform
         """)
 
     def test_cse_deduplicates_constants_textually(self, tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ir import Block, Operation, parse_module
+from repro.ir import Block, Operation, UnregisteredOp, parse_module
 from repro.ir.attributes import IntegerAttr
 from repro.ir.types import i64
 from repro.testing.generate import GeneratorConfig, generate_module
@@ -45,10 +45,9 @@ def reference_walk(root, include_self=True):
 
 
 def _op(tag, regions=0):
-    op = Operation(attributes={"tag": IntegerAttr(tag, i64())},
-                   regions=regions)
-    op.OPERATION_NAME = "test.op"
-    return op
+    return UnregisteredOp("test.op",
+                          attributes={"tag": IntegerAttr(tag, i64())},
+                          regions=regions)
 
 
 def _tree():

@@ -279,12 +279,12 @@ class TestReenqueueRules:
 
         # The restart-sweep driver's output on this module.
         expected = (
-            '"builtin.module"() : () -> () ({\n'
+            '"builtin.module"() ({\n'
             '  %0 = "arith.constant"() {value = 3 : i64} : () -> (i64)\n'
             '  %1 = "arith.constant"() {value = 4 : i64} : () -> (i64)\n'
             '  %2 = "arith.constant"() {value = 7 : i64} : () -> (i64)\n'
             '  %3 = "arith.constant"() {value = 11 : i64} : () -> (i64)\n'
-            '})')
+            '}) : () -> ()')
         module = build()
         apply_patterns_greedily(module, [_FoldAddPattern()])
         assert _print(module) == expected
