@@ -97,10 +97,10 @@ class _ResolvedSpec:
     arg_names: List[str] = field(default_factory=list)
     global_size: Optional[Tuple[int, ...]] = None
     local_size: Optional[Tuple[int, ...]] = None
-    #: Filled, typed initial contents per ``"buffer"`` / ``"storage"``
-    #: plan (keyed by the plan tuple's id, which the held plan keeps
-    #: stable): synthesized on first materialization, copied from on
-    #: every later one.
+    #: Filled, typed, read-only initial contents per ``"buffer"`` /
+    #: ``"storage"`` plan (keyed by the plan tuple's id, which the held
+    #: plan keeps stable): synthesized on first materialization, shared
+    #: by every later one (a written argument copies it once).
     templates: Dict[int, object] = field(default_factory=dict, repr=False,
                                          compare=False)
 
@@ -113,8 +113,9 @@ class FunctionExecution:
     kind: str
     results: List[object]
     #: Final contents by argument name (``global:<sym>`` for globals): a
-    #: read-only 1-D array in the element's dtype, a view of storage
-    #: this execution owns alone.
+    #: read-only 1-D array in the element's dtype.  A written argument's
+    #: is a view of storage this execution made; a ``read`` accessor's
+    #: is a view of the spec's shared, write-protected template.
     memory: Dict[str, _np.ndarray]
     counters: Dict[str, int]
     #: The execution tier that actually ran (``"interp"``, ``"jit"``,
@@ -292,13 +293,15 @@ def _template(plan: _ArgPlan, templates: Dict[int, object]):
     ``"storage"`` plan.
 
     ``templates`` (the :class:`_ResolvedSpec`'s) keeps them so the fill
-    formula runs once per spec, not once per execution; callers copy."""
+    formula runs once per spec, not once per execution.  A template is
+    write-protected: what writes to it copies it first."""
     cached = templates.get(id(plan))
     if cached is None or cached[0] is not plan:
         shape, element_type, seed = plan[1], plan[2], plan[-1]
-        values = _fill_array(element_type, seed, math.prod(shape))
-        cached = templates[id(plan)] = (plan, values.astype(
-            _dtype_for(element_type)).reshape(shape))
+        values = _fill_array(element_type, seed, math.prod(shape)).astype(
+            _dtype_for(element_type)).reshape(shape)
+        values.flags.writeable = False
+        cached = templates[id(plan)] = (plan, values)
     return cached[1]
 
 
@@ -319,7 +322,8 @@ def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
         # Work-group scratch: fresh per group, nothing to snapshot.
         return LocalAccessor(shape, dtype=dtype), None
     if kind == "buffer":
-        # Buffer copies an ndarray argument: the template stays pristine.
+        # The Buffer shares the read-only template and copies it on its
+        # first writable access: a ``read`` argument costs no copy.
         buffer = Buffer(_template(plan, templates))
         accessor = Accessor(buffer, plan[3])
         return accessor, buffer
@@ -329,9 +333,9 @@ def _materialize(plan: _ArgPlan, templates: Dict[int, object]):
 def _snapshot(handle) -> _np.ndarray:
     """Read-only flat view of an argument's final contents.
 
-    Every execution materializes fresh handles, so the view aliases
-    storage nothing else will write: no copy, no per-element
-    conversion."""
+    No copy, no per-element conversion: the view aliases either storage
+    this execution made (nothing else writes it) or, for a ``read``
+    argument, the write-protected template."""
     if isinstance(handle, Buffer):
         view = handle.host_array().reshape(-1)
         view.flags.writeable = False

@@ -422,6 +422,14 @@ class Interpreter:
     def _bind_arguments(self, function: FuncOp,
                         args: Sequence[object]) -> List[Tuple]:
         provided = list(args)
+        # Writers take their buffer's array first: a read-only array a
+        # Buffer shares is copied then, so every accessor of one buffer
+        # binds the same array (the transfer is counted once, as before).
+        for value in provided:
+            if isinstance(value, Accessor) and value.writes:
+                value = value.buffer
+            if isinstance(value, Buffer):
+                value.device_array(writable=True)
         plan: List[Tuple] = []
         for argument in function.arguments:
             if _item_argument_type(argument.type) is not None:

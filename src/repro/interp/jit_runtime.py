@@ -24,6 +24,7 @@ from ..transforms.compile_cache import ContentTable, text_fingerprint
 from .engine import TierFallback
 from .memory import (
     BARRIER,
+    READ_ONLY_STORE,
     AccessorBinding,
     InterpreterError,
     MemRefStorage,
@@ -412,7 +413,7 @@ class _EmitterBase:
 #: which a changed emitter would otherwise keep reusing for as long as it
 #: still compiles.  Bump a tier's entry on any change to what its
 #: emitter generates.
-EMITTER_VERSIONS = {"jit": 3, "vector": 3}
+EMITTER_VERSIONS = {"jit": 3, "vector": 4}
 
 
 @dataclass
@@ -565,6 +566,9 @@ def run_executable(executable: CompiledExecutable, function, *args):
     except InterpreterError:
         raise
     except Exception as error:  # noqa: BLE001 - degradation boundary
+        if isinstance(error, ValueError) and "read-only" in str(error):
+            # NumPy refused a store into a ``read`` accessor's array.
+            raise TrapError(READ_ONLY_STORE) from None
         raise JITExecutionError(
             f"generated executable for '{function.sym_name}' failed: "
             f"{error!r}") from error

@@ -78,6 +78,11 @@ class TrapError(InterpreterError):
     (out-of-bounds access, division by zero, exceeded step budget)."""
 
 
+#: What a store through a ``read`` accessor traps with, on every tier:
+#: the accessor's storage is a read-only array, so NumPy refuses it.
+READ_ONLY_STORE = "store through read-only accessor"
+
+
 # ---------------------------------------------------------------------------
 # Control-flow signals
 # ---------------------------------------------------------------------------
@@ -175,7 +180,8 @@ class MemRefStorage:
         # Flat *view* cached once: element accesses are the interpreter's
         # hottest path, and reshape(-1) per access allocates a fresh view
         # object.  Backing arrays are freshly allocated (or Buffer device
-        # arrays), hence contiguous, so this is a view, never a copy.
+        # arrays, or read-only views of them), hence contiguous, so this is
+        # a view, never a copy.
         self._flat = self._array.reshape(-1) if self._array is not None \
             else None
 
@@ -229,6 +235,10 @@ class MemRefStorage:
                 raise TrapError(
                     f"value {value!r} exceeds the range of the "
                     f"{self.element_type} storage element") from None
+            except ValueError:
+                if self._flat.flags.writeable:
+                    raise
+                raise TrapError(READ_ONLY_STORE) from None
         else:
             self._list[linear] = value
 
@@ -311,7 +321,9 @@ class AccessorBinding:
 
     The storage is the buffer's *device* array (obtained through
     ``Buffer.device_array``), so interpreted kernel launches feed the
-    same host<->device transfer accounting the runtime models.
+    same host<->device transfer accounting the runtime models.  A
+    ``read`` accessor binds a read-only view of it: a store through one
+    traps with :data:`READ_ONLY_STORE` instead of writing.
     """
 
     def __init__(self, accessor, element_type: Optional[Type] = None):
@@ -323,6 +335,9 @@ class AccessorBinding:
                 f"{accessor!r}")
         self.accessor = accessor
         array = accessor.buffer.device_array(writable=accessor.writes)
+        if not accessor.writes and array.flags.writeable:
+            array = array.view()
+            array.flags.writeable = False
         elem = element_type or FloatType(32)
         self.storage = MemRefStorage(array.shape, elem, "global", array=array)
         self.mem_range = tuple(int(d) for d in accessor.buffer.shape)

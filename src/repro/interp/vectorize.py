@@ -449,59 +449,93 @@ _Store = namedtuple("_Store", "flat size shape is_float elem_bytes varies",
                     defaults=(_UNIFORM,))
 
 
-#: One token of a walk body: a top-level statement's start, with the
-#: names a plain ``a = ...`` / ``a, b = ...`` binds there, or an
-#: identifier the statement mentions.
-_WALK_TOKEN = re.compile(r"(?:^|\n)(?=        \S)(?:        "
-                         r"([A-Za-z_]\w*(?:, [A-Za-z_]\w*)*) = )?"
-                         r"|([A-Za-z_]\w*)")
-#: Where a walk body splits into its top-level statements, as
-#: :data:`_WALK_TOKEN` counts them.
-_STATEMENT_START = re.compile(r"\n(?=        \S)")
+#: One token of a walk body: a line's start, with its indentation and
+#: the names a plain ``a = ...`` / ``a, b = ...`` binds there, or an
+#: identifier the line mentions.
+_WALK_TOKEN = re.compile(r"^( *)(?:([A-Za-z_]\w*(?:, [A-Za-z_]\w*)*) = )?"
+                         r"|([A-Za-z_]\w*)", re.M)
 #: A read of the lane numbers ``_lane``.
 _LANE = re.compile(r"\b_lane\b")
 
 
 def _release_dead(body: str) -> str:
     """``body`` (the ``_walk`` statements, top level at 8 spaces) with a
-    ``del`` after the last top-level statement that mentions each name a
-    top-level statement binds.
+    ``del`` after the last statement of each block that mentions a name
+    the block binds.
 
     Every operation binds a fresh local, so without this each lane array
-    of a straight-line walk stays referenced until the walk returns: the
-    peak is one array per operation instead of the live set.  A name
-    bound inside a loop body is rebound on every trip and stays.  A
-    mention is any identifier token of the statement's lines (nested
-    lines and string literals included), so a spurious one can only
-    delay a ``del``, never move it before a read.
+    stays referenced until the walk returns (or, in a loop body, until
+    the next trip rebinds it): the peak is one array per operation
+    instead of the live set.  The only compound statements are ``for``
+    loops.  A name a loop body binds is deleted inside the body when
+    every mention of it lies in the body and the body binds it before
+    any read, so no trip reads the previous trip's value (a carried
+    value is bound before the loop too, and stays).  A mention is any
+    identifier token of a line (string literals included), so a
+    spurious one can only keep a name longer, never delete it before a
+    read.  The scan makes a handful of calls per block, none per name:
+    the vector tier runs it on every kernel it compiles.
     """
-    last: Dict[str, int] = {}
-    bound: Dict[str, None] = {}  # ordered, so the output is deterministic
-    statement = -1
-    for targets, name in _WALK_TOKEN.findall(body):
+    lines = body.count("\n") + 1
+    indents: List[str] = [""] * lines
+    binds: List[tuple] = [()] * lines
+    first: Dict[str, int] = {}  # name -> the first line mentioning it
+    last: Dict[str, int] = {}   # name -> the last line mentioning it
+    read_where_bound = set()
+    line, bound = -1, ()
+    for indent, targets, name in _WALK_TOKEN.findall(body):
         if name:
-            last[name] = statement
+            if name in bound:
+                read_where_bound.add(name)
+            elif name not in first:
+                first[name] = line
+            last[name] = line
             continue
-        statement += 1
+        line += 1
+        indents[line] = indent
+        bound = ()
         if targets:
-            for target in targets.split(", "):
-                bound[target] = None
-                last[target] = statement
-    dels: Dict[int, str] = {}
-    for name in bound:
-        index = last[name]
-        if index == statement:  # returning frees it anyway
-            continue
-        if index in dels:
-            dels[index] += ", " + name
-        else:
-            dels[index] = "\n        del " + name
+            bound = binds[line] = tuple(targets.split(", ")) \
+                if ", " in targets else (targets,)
+            for target in bound:
+                if target not in first:
+                    first[target] = line
+                last[target] = line
+    #: Line -> the last line of the statement holding it, in the block
+    #: :func:`release` is looking at.
+    owner = [0] * lines
+    dels: Dict[Tuple[int, str], str] = {}  # (line, indent) -> "a, b"
+
+    def release(begin: int, stop: int, loop: bool) -> None:
+        """The block of lines ``begin`` to ``stop`` (a loop body when
+        ``loop``); its statements start at its first line's indent."""
+        indent = indents[begin]
+        starts = [index for index in range(begin, stop)
+                  if indents[index] == indent]
+        for start, end in zip(starts, starts[1:] + [stop]):
+            if end - start > 1:
+                release(start + 1, end, True)
+            owner[start:end] = [end - 1] * (end - start)
+        for start in starts:
+            for name in binds[start]:
+                if loop and (first[name] != start or last[name] >= stop
+                             or name in read_where_bound):
+                    continue
+                end = owner[last[name]]
+                if not loop and end == stop - 1:
+                    continue  # returning frees it anyway
+                key = (end, indent)
+                dels[key] = dels[key] + ", " + name if key in dels \
+                    else name
+
+    release(0, lines, False)
     if not dels:
         return body
-    statements = _STATEMENT_START.split(body)
-    for index, text in dels.items():
-        statements[index] += text
-    return "\n".join(statements)
+    texts = body.split("\n")
+    # Deepest first: a loop body's dels come before the loop's own.
+    for (end, indent), names in sorted(dels.items(), reverse=True):
+        texts[end] += "\n" + indent + "del " + names
+    return "\n".join(texts)
 
 
 _LOCAL_QUERY_TRAP = ("work-group query on a kernel launched without a "

@@ -78,21 +78,23 @@ class LineTable:
     character offset, to each operation it creates; the operation's
     :class:`Location` is worked out from the two when somebody asks
     (diagnostics, ``--print-locations``), not allocated per operation.
-    The table does not keep the text.
+    The table does not keep the text.  ``first_line`` is the line of the
+    file the text starts on (a ``--split-input-file`` segment's).
     """
 
-    __slots__ = ("filename", "starts")
+    __slots__ = ("filename", "starts", "first_line")
 
-    def __init__(self, filename: str, text: str):
+    def __init__(self, filename: str, text: str, first_line: int = 1):
         self.filename = filename
+        self.first_line = first_line
         #: Offset of the first character of every line.
         self.starts = [0]
         self.starts.extend(map(_MATCH_END, _NEWLINE_RE.finditer(text)))
 
     def line_column(self, pos: int) -> Tuple[int, int]:
-        """1-based line and column of character ``pos``."""
+        """1-based line (of the file) and column of character ``pos``."""
         line = bisect_right(self.starts, pos)
-        return line, pos - self.starts[line - 1] + 1
+        return line + self.first_line - 1, pos - self.starts[line - 1] + 1
 
     def location(self, pos: int) -> Location:
         return Location(self.filename, *self.line_column(pos))

@@ -306,11 +306,13 @@ class Parser:
     """Recursive-descent parser over the printed generic syntax."""
 
     def __init__(self, text: str, allow_unregistered: bool = False,
-                 filename: str = "<input>"):
+                 filename: str = "<input>", first_line: int = 1):
         self.text = text
         self.pos = 0
         self.allow_unregistered = allow_unregistered
         self.filename = filename
+        #: The line of ``filename`` that ``text`` starts on.
+        self.first_line = first_line
         self._scopes: List[_Scope] = [_Scope(isolated=True)]
         #: Where the lines of ``text`` start, built on the first position
         #: lookup; shared with every operation parsed at a position.
@@ -361,7 +363,8 @@ class Parser:
     def _line_table(self) -> LineTable:
         table = self._line_starts
         if table is None:
-            table = self._line_starts = LineTable(self.filename, self.text)
+            table = self._line_starts = LineTable(
+                self.filename, self.text, self.first_line)
         return table
 
     def error(self, message: str, pos: Optional[int] = None) -> None:
@@ -1075,10 +1078,13 @@ def _unescape(body: str) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_op(text: str, allow_unregistered: bool = False,
-             filename: str = "<input>") -> Operation:
-    """Parse a single top-level operation; the whole input must be used."""
+             filename: str = "<input>", first_line: int = 1) -> Operation:
+    """Parse a single top-level operation; the whole input must be used.
+
+    ``first_line`` is the line of ``filename`` that ``text`` starts on:
+    locations and errors count the file's lines."""
     parser = Parser(text, allow_unregistered=allow_unregistered,
-                    filename=filename)
+                    filename=filename, first_line=first_line)
     if parser._at_end():
         parser.error("empty input: expected an operation")
     op = parser.parse_operation()
@@ -1095,7 +1101,7 @@ CONTENT_TOKEN = "content-token"
 
 
 def parse_module(text: str, allow_unregistered: bool = False,
-                 filename: str = "<input>") -> Operation:
+                 filename: str = "<input>", first_line: int = 1) -> Operation:
     """Parse textual IR holding one top-level op (typically a module).
 
     The digest of ``text`` is memoized on the module as its
@@ -1105,7 +1111,7 @@ def parse_module(text: str, allow_unregistered: bool = False,
     printing it.
     """
     module = parse_op(text, allow_unregistered=allow_unregistered,
-                      filename=filename)
+                      filename=filename, first_line=first_line)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16)
     op_memo(module)[CONTENT_TOKEN] = digest.hexdigest()
     return module

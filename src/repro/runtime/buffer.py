@@ -1,8 +1,12 @@
 """SYCL buffers and USM allocations (host side).
 
-A :class:`Buffer` owns a multi-dimensional array and tracks where the valid
+A :class:`Buffer` holds a multi-dimensional array and tracks where the valid
 copy lives (host or device) so the scheduler can insert data movement, just
 like the buffer/accessor model described in Section II-A of the paper.
+
+The host and the device are modelled, not separate memories: a buffer has
+one array, and the transfers are counted (``bytes_to_device``,
+``bytes_to_host``) where a real runtime would copy.
 """
 
 from __future__ import annotations
@@ -18,19 +22,25 @@ _buffer_ids = itertools.count()
 
 
 class Buffer:
-    """A multi-dimensional data container managed by the SYCL runtime."""
+    """A multi-dimensional data container managed by the SYCL runtime.
+
+    A writable ndarray is copied; a read-only one is shared until the
+    first write (a writable device access or :meth:`write_host`), which
+    copies it once.  Read-only data therefore costs no copy at all."""
 
     def __init__(self, data: Union[np.ndarray, Sequence[int], Range],
                  dtype=np.float32, name: Optional[str] = None):
         if isinstance(data, np.ndarray):
-            self._host_data = np.array(data, copy=True)
+            self._data = data if not data.flags.writeable \
+                else np.array(data, copy=True)
         else:
             shape = tuple(data) if not isinstance(data, Range) else data.sizes
-            self._host_data = np.zeros(shape, dtype=dtype)
+            self._data = np.zeros(shape, dtype=dtype)
         self.buffer_id = next(_buffer_ids)
         self.name = name or f"buffer{self.buffer_id}"
-        #: Device-side copy (lazily created by the scheduler).
-        self._device_data: Optional[np.ndarray] = None
+        #: Whether the device allocation exists (made by the first
+        #: device access, which counts as a transfer).
+        self._on_device = False
         #: Which copy is up to date: "host", "device" or "both".
         self._valid_on = "host"
         #: Bytes moved host<->device, tracked for the transfer model.
@@ -43,26 +53,32 @@ class Buffer:
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
-        return tuple(self._host_data.shape)
+        return tuple(self._data.shape)
 
     @property
     def dtype(self):
-        return self._host_data.dtype
+        return self._data.dtype
 
     @property
     def range(self) -> Range:
         return Range(self.shape)
 
     def size(self) -> int:
-        return int(self._host_data.size)
+        return int(self._data.size)
 
     def size_bytes(self) -> int:
-        return int(self._host_data.nbytes)
+        return int(self._data.nbytes)
 
     def mark_constant(self) -> "Buffer":
         """Declare the buffer contents immutable (e.g. ``const`` filter data)."""
         self.is_constant = True
         return self
+
+    def _writable(self) -> np.ndarray:
+        """The array, copied first if it is still a shared read-only one."""
+        if not self._data.flags.writeable:
+            self._data = self._data.copy()
+        return self._data
 
     # ------------------------------------------------------------------
     # Host access
@@ -70,30 +86,28 @@ class Buffer:
     def host_array(self) -> np.ndarray:
         """Host view of the data, synchronizing from the device if needed."""
         self.sync_to_host()
-        return self._host_data
+        return self._data
 
     def write_host(self, values: np.ndarray) -> None:
-        array = np.asarray(values, dtype=self._host_data.dtype)
-        self._host_data[...] = array.reshape(self._host_data.shape)
+        array = np.asarray(values, dtype=self._data.dtype)
+        self._writable()[...] = array.reshape(self._data.shape)
         self._valid_on = "host"
 
     # ------------------------------------------------------------------
     # Device access (used by the scheduler / simulator)
     # ------------------------------------------------------------------
     def device_array(self, writable: bool) -> np.ndarray:
-        """Device view of the data, transferring from the host if needed."""
-        if self._device_data is None:
-            self._device_data = np.array(self._host_data, copy=True)
-            self.bytes_to_device += self.size_bytes()
-        elif self._valid_on == "host":
-            self._device_data[...] = self._host_data
+        """Device view of the data, transferring from the host if needed.
+
+        It is the host array itself; a writable access gets it writable."""
+        if not self._on_device or self._valid_on == "host":
+            self._on_device = True
             self.bytes_to_device += self.size_bytes()
         self._valid_on = "device" if writable else "both"
-        return self._device_data
+        return self._writable() if writable else self._data
 
     def sync_to_host(self) -> None:
-        if self._valid_on == "device" and self._device_data is not None:
-            self._host_data[...] = self._device_data
+        if self._valid_on == "device":
             self.bytes_to_host += self.size_bytes()
             self._valid_on = "both"
 

@@ -109,10 +109,10 @@ def _main(argv: Optional[List[str]] = None) -> int:
     # (and repeated modules sharing anchors) hit warm caches.
     am = AnalysisManager()
     findings_total = 0
-    for label, filename, text in segments:
-        # Parsed under the real file name, so findings carry
-        # file:line:col locations pointing into the input.
-        outcome = session.compile(text, filename)
+    for label, filename, text, first_line in segments:
+        # Parsed under the real file name and from the segment's first
+        # line, so findings carry file:line:col locations into the input.
+        outcome = session.compile(text, filename, first_line=first_line)
         if outcome.kind is not None:
             print(f"repro-lint: {label}: {outcome.message}", file=sys.stderr)
             return outcome.exit_code

@@ -215,34 +215,39 @@ def _write_output(path: str, text: str) -> None:
 SPLIT_MARKER = "// -----"
 
 
-def _split_segments(text: str) -> List[str]:
-    """Split ``text`` on ``// -----`` separator lines."""
-    segments: List[str] = []
+def _split_segments(text: str) -> List[Tuple[int, str]]:
+    """Split ``text`` on ``// -----`` separator lines: ``(line of the
+    file the segment starts on, segment text)`` per non-blank segment."""
+    segments: List[Tuple[int, str]] = []
     current: List[str] = []
-    for line in text.splitlines(keepends=True):
+    first_line = 1
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
         if line.strip() == SPLIT_MARKER:
-            segments.append("".join(current))
+            segments.append((first_line, "".join(current)))
             current = []
+            first_line = lineno + 1
         else:
             current.append(line)
-    segments.append("".join(current))
-    return [segment for segment in segments if segment.strip()]
+    segments.append((first_line, "".join(current)))
+    return [segment for segment in segments if segment[1].strip()]
 
 
 def _collect_segments(args) -> List[tuple]:
-    """``(origin label, file name, IR text)`` per module to compile, in
-    input order."""
+    """``(origin label, file name, IR text, first line)`` per module to
+    compile, in input order; the first line is the line of the file the
+    text starts on, so diagnostics name the file's lines."""
     segments: List[tuple] = []
     for path in args.inputs:
         text = read_input(path)
         filename = "<stdin>" if path == "-" else path
         if args.split_input_file:
             parts = _split_segments(text)
-            for index, part in enumerate(parts):
+            for index, (first_line, part) in enumerate(parts):
                 suffix = f" (segment {index + 1})" if len(parts) > 1 else ""
-                segments.append((filename + suffix, filename, part))
+                segments.append((filename + suffix, filename, part,
+                                 first_line))
         else:
-            segments.append((filename, filename, text))
+            segments.append((filename, filename, text, 1))
     return segments
 
 
@@ -254,14 +259,16 @@ _SEVERITIES = {"error": Severity.ERROR, "warning": Severity.WARNING,
                "remark": Severity.REMARK}
 
 
-def _collect_expected(text: str) -> List[Tuple[Severity, int, str]]:
-    """``(severity, line, substring)`` per expected-* comment in ``text``.
+def _collect_expected(text: str, first_line: int
+                      ) -> List[Tuple[Severity, int, str]]:
+    """``(severity, line, substring)`` per expected-* comment in ``text``
+    (which starts on line ``first_line`` of its file).
 
     ``@+N`` / ``@-N`` anchor the expectation N lines below/above the
     comment; the default is the comment's own line.
     """
     expected: List[Tuple[Severity, int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
         for match in _EXPECTED_RE.finditer(line):
             offset = int(match.group(2)) if match.group(2) else 0
             expected.append((_SEVERITIES[match.group(1)],
@@ -380,9 +387,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # $REPRO_CACHE_DIR) changes the calculus: it hits across
         # *invocations*, so it pays even for a single segment.
         # (The process batch path dedupes identical segments itself.)
+        # Printed locations name the file and line a segment came from,
+        # which no cache key holds: a hit would print another's.
         cache_dir = args.cache_dir or cache_dir_from_env()
         if not args.no_cache and not manager.instrumentations \
-                and not use_batch_process \
+                and not use_batch_process and not args.print_locations \
                 and (len(segments) > 1 or cache_dir):
             disk = DiskCache(cache_dir) if cache_dir else None
             cache = CompileCache(disk=disk)
@@ -408,8 +417,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     expectation_problems: List[str] = []
     batch = len(segments) > 1
 
-    def compile_one(label: str, filename: str,
-                    text: str) -> Tuple[int, Optional[str]]:
+    def compile_one(label: str, filename: str, text: str,
+                    first_line: int) -> Tuple[int, Optional[str]]:
         """Compile and print one segment in-process.
 
         Returns ``(exit code, printed text or None)``; failures are
@@ -423,7 +432,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # the pipeline (the file name shows only in locations).
         form = ("repro-opt", args.print_locations and filename,
                 args.no_verify, args.allow_unregistered) if front else None
-        outcome = session.compile(text, filename, form)
+        outcome = session.compile(text, filename, form, first_line)
         if outcome.kind == "verify" and engine is not None:
             return 0, None
         if outcome.kind is not None:
@@ -463,21 +472,23 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 printed = []
                 exit_code = 0
         if not use_batch_process:
-            for label, filename, text in segments:
+            for label, filename, text, first_line in segments:
                 if engine is not None:
                     # --verify-diagnostics: capture everything the
                     # segment emits (verifier, lint) and check it
                     # against the expected-* comments; broken IR does
                     # not abort the batch.
                     with engine.capture() as captured:
-                        rc, _ = compile_one(label, filename, text)
+                        rc, _ = compile_one(label, filename, text,
+                                            first_line)
                     if rc:
                         return rc
                     expectation_problems.extend(
                         f"{label}: {problem}" for problem in
-                        _match_expected(_collect_expected(text), captured))
+                        _match_expected(_collect_expected(text, first_line),
+                                        captured))
                     continue
-                rc, out = compile_one(label, filename, text)
+                rc, out = compile_one(label, filename, text, first_line)
                 if rc and not batch:
                     return rc
                 if out is None:
@@ -561,8 +572,11 @@ def _run_batch_process(args, manager, segments, report,
     units: List[WorkUnit] = []
     first_uid: dict = {}
     alias: dict = {}
-    for uid, (label, filename, text) in enumerate(segments):
-        fingerprint = text_fingerprint(text)
+    for uid, (label, filename, text, first_line) in enumerate(segments):
+        # Printed locations name the segment's lines: only a segment
+        # printed without them is the same unit wherever it starts.
+        fingerprint = (text_fingerprint(text),
+                       args.print_locations and first_line)
         if fingerprint in first_uid:
             alias[uid] = first_uid[fingerprint]
             continue
@@ -570,13 +584,15 @@ def _run_batch_process(args, manager, segments, report,
         units.append(WorkUnit(
             uid=uid, label=label, text=text, spec=spec,
             verify=not args.no_verify,
-            print_locations=args.print_locations, filename=filename))
+            print_locations=args.print_locations, filename=filename,
+            first_line=first_line))
 
     fallback_rcs: dict = {}
 
     def serial_fallback(unit: WorkUnit, attempts: int,
                         events: List[str]) -> WorkResult:
-        rc, out = compile_one(unit.label, unit.filename, unit.text)
+        rc, out = compile_one(unit.label, unit.filename, unit.text,
+                              unit.first_line)
         fallback_rcs[unit.uid] = rc
         return WorkResult(unit=unit, text=out, attempts=max(1, attempts),
                           degraded=True, events=events)
@@ -593,7 +609,7 @@ def _run_batch_process(args, manager, segments, report,
 
     printed: List[str] = []
     exit_code = 0
-    for uid, (label, _, _) in enumerate(segments):
+    for uid, (label, *_) in enumerate(segments):
         # ``run_units`` answers every unit; only a fallback fails one.
         result = results[alias.get(uid, uid)]
         exit_code = max(exit_code, fallback_rcs.get(result.unit.uid, 0))

@@ -541,7 +541,10 @@ class CompileSession:
             self.spec = self.spec or self.manager.to_spec()
 
     def compile(self, text: str, filename: str,
-                form: Optional[tuple] = None) -> CompileOutcome:
+                form: Optional[tuple] = None,
+                first_line: int = 1) -> CompileOutcome:
+        """Compile ``text``, which starts on line ``first_line`` of
+        ``filename`` (locations count the file's lines)."""
         front_key = None
         if form is not None and self.cache is not None and self.spec:
             start = time.perf_counter()
@@ -552,7 +555,7 @@ class CompileSession:
         try:
             module = ir.parse_module(
                 text, allow_unregistered=self.allow_unregistered,
-                filename=filename)
+                filename=filename, first_line=first_line)
         except ParseError as exc:
             return CompileOutcome("parse", exc, Location(
                 filename, exc.line or 0, exc.column or 0))

@@ -105,6 +105,8 @@ class WorkUnit:
     print_locations: bool = False
     #: Source file the unit came from (diagnostics).
     filename: str = "<unit>"
+    #: The line of ``filename`` the unit's text starts on.
+    first_line: int = 1
 
 
 @dataclass
@@ -186,7 +188,8 @@ def _compile_work_unit(payload: dict) -> dict:
             parse_pass_pipeline(payload["spec"]).add_instrumentation(tracker),
             verify=bool(payload.get("verify")),
             print_locations=payload.get("print_locations", False),
-        ).compile(payload["text"], payload["filename"])
+        ).compile(payload["text"], payload["filename"],
+                  first_line=payload.get("first_line", 1))
         if outcome.kind is not None:
             # A crashed pass is named by the tracker; report what it raised.
             error = outcome.error.error if outcome.kind == "internal" \
@@ -293,7 +296,8 @@ class SupervisedExecutor:
             "uid": unit.uid, "label": unit.label,
             "text": unit.text, "spec": unit.spec, "verify": unit.verify,
             "print_locations": unit.print_locations,
-            "filename": unit.filename, "attempt": attempt,
+            "filename": unit.filename, "first_line": unit.first_line,
+            "attempt": attempt,
             # The plan travels inside the payload so occurrence-indexed
             # worker rules keep firing deterministically even after a
             # crashed worker (whose counters died with it) is replaced.

@@ -286,6 +286,25 @@ def test_a_pass_bug_in_a_jobs_batch_is_named_in_the_remark(tmp_path, capsys):
         "(in pass 'test-crash' at pipeline position 1)" in err
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"), ids=("in-process", "worker"))
+def test_a_second_segment_is_located_by_the_files_lines(tmp_path, capsys,
+                                                         jobs):
+    """A ``--split-input-file`` segment's diagnostics count the lines of
+    the file, in-process and in the ``--jobs`` worker's remark."""
+    path = tmp_path / "split.mlir"
+    path.write_text(GOOD + "// -----\n" + NOT_VERIFYING, encoding="utf-8")
+    # GOOD, the separator, then the segment; its third line is the one.
+    located = f"{path}:{GOOD.count(chr(10)) + 4}:5: error: "
+    rc, _, err = _cli(capsys, repro_opt.main, [
+        path, "--split-input-file", "--jobs", jobs, "--report",
+        "--passes", "canonicalize"])
+    assert rc == 1
+    assert f"\n{located}func.return: terminator must be the last" in err
+    if jobs == "2":
+        assert f"worker error: {located}VerificationError: func.return: " \
+            "terminator must be the last" in err
+
+
 SYCL_MLIR = NAMED_PIPELINE_SPECS["sycl-mlir"]
 #: The front-key form of each door, computed by hand: what the printed
 #: text depends on besides the input and the pipeline.

@@ -78,6 +78,33 @@ class TestBuffer:
         assert buffer.shape == (2, 3)
         assert buffer.range.sizes == (2, 3)
 
+    def test_a_read_only_array_is_shared_until_the_first_write(self):
+        source = np.arange(4, dtype=np.float32)
+        source.flags.writeable = False
+        buffer = Buffer(source)
+        assert np.shares_memory(buffer.host_array(), source)
+        assert np.shares_memory(buffer.device_array(writable=False), source)
+        device = buffer.device_array(writable=True)
+        assert not np.shares_memory(device, source)
+        device[0] = 7.0
+        assert source[0] == 0.0 and buffer.host_array()[0] == 7.0
+        # One transfer: the copy on write moves nothing host<->device.
+        assert buffer.bytes_to_device == buffer.size_bytes()
+
+    def test_write_host_copies_a_shared_array_first(self):
+        source = np.zeros(2, dtype=np.float32)
+        source.flags.writeable = False
+        buffer = Buffer(source)
+        buffer.write_host(np.array([1.0, 2.0], dtype=np.float32))
+        assert list(buffer.host_array()) == [1.0, 2.0]
+        assert not source.any()
+
+    def test_device_and_host_are_one_array(self):
+        buffer = Buffer(np.ones(4, dtype=np.float32))
+        device = buffer.device_array(writable=True)
+        assert device is buffer.host_array()
+        assert buffer.device_array(writable=False) is device
+
     def test_from_shape_zero_filled(self):
         buffer = Buffer((4,), dtype=np.int64, name="z")
         assert buffer.name == "z"
