@@ -413,7 +413,7 @@ class _EmitterBase:
 #: which a changed emitter would otherwise keep reusing for as long as it
 #: still compiles.  Bump a tier's entry on any change to what its
 #: emitter generates.
-EMITTER_VERSIONS = {"jit": 3, "vector": 4}
+EMITTER_VERSIONS = {"jit": 3, "vector": 5}
 
 
 @dataclass

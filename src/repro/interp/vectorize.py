@@ -13,12 +13,12 @@ indexed through a lane -> group vector; private storage is lanes-last
 kind ``basic``/``nd``, walk ``launch``/``group``) into one Python
 function, cached in the engine's
 :class:`~repro.interp.jit_runtime.ExecutableCache` under the tag
-``vector<N>:<kind>:<walk>``.  Each value's form (scalar or lane array)
-is fixed at emission and each memory access specialised to its storage
-layout; a position that is the lane index plus a uniform offset (a 1-D
-launch indexed by its global id) is the slice ``flat[o:o + L]`` behind
-one scalar bounds check of both ends.  Counters, the step budget and
-traps follow the JIT (a flat index names the first lane out of range).
+``vector<N>:<kind>:<walk>``.  Each value's form (scalar, lane array or
+affine in the lane coordinates) is fixed at emission; an affine
+position is a strided view of the storage (the slice ``flat[o:o + L]``
+for the lane number plus ``o``) behind a check of the box's corners.
+Counters, the step budget and traps follow the JIT (a flat index names
+the first lane out of range).
 
 Lockstep is exact only when lanes cannot diverge:
 :func:`vector_legality` declines ``scf.if`` (naming branches
@@ -327,6 +327,29 @@ def _v_ids(flat, shape):
             for component in _np.unravel_index(flat, shape)]
 
 
+def _v_positions(offset, coeffs, box, extent=None):
+    """The int64 positions ``offset + sum(coeffs[i] * x[i])`` of the
+    lanes of ``box`` (lane coordinates ``x``), in lane order; given
+    ``extent``, the first of them outside ``[0, extent)``."""
+    grid = _np.indices(box, dtype=_np.int64).reshape(len(box), -1)
+    positions = offset + _np.array(coeffs, dtype=_np.int64) @ grid
+    return positions if extent is None else _oob(positions, extent)
+
+
+def _v_injective(coeffs, box):
+    """Whether no two lanes of ``box`` share the position ``sum(coeffs[i]
+    * x[i])``: in order of magnitude, each coefficient exceeds the span
+    of the smaller ones (a sufficient test, exact for the row-major
+    layouts kernels index)."""
+    span = 0
+    for coeff, extent in sorted(zip(map(abs, coeffs), box)):
+        if extent > 1:
+            if coeff <= span:
+                return False
+            span += coeff * (extent - 1)
+    return True
+
+
 def _v_pick(values, dim, what):
     dim = int(dim)
     if not 0 <= dim < len(values):
@@ -427,6 +450,7 @@ def _vector_namespace() -> Dict[str, object]:
     namespace = _jit_namespace()
     namespace.update({
         "_Degrade": JITExecutionError, "_oob": _oob, "_ids": _v_ids,
+        "_positions": _v_positions, "_injective": _v_injective,
         "_pick": _v_pick, "_vdim": _v_dim, "_divrem": _v_divrem,
         "_shift": _v_shift, "_cmpf": _v_cmpf, "_vfptosi": _v_fptosi,
         "_vmath": _v_math, "_m_eval": evaluate,
@@ -463,18 +487,13 @@ def _release_dead(body: str) -> str:
     ``del`` after the last statement of each block that mentions a name
     the block binds.
 
-    Every operation binds a fresh local, so without this each lane array
-    stays referenced until the walk returns (or, in a loop body, until
-    the next trip rebinds it): the peak is one array per operation
-    instead of the live set.  The only compound statements are ``for``
-    loops.  A name a loop body binds is deleted inside the body when
-    every mention of it lies in the body and the body binds it before
-    any read, so no trip reads the previous trip's value (a carried
-    value is bound before the loop too, and stays).  A mention is any
-    identifier token of a line (string literals included), so a
-    spurious one can only keep a name longer, never delete it before a
-    read.  The scan makes a handful of calls per block, none per name:
-    the vector tier runs it on every kernel it compiles.
+    Every operation binds a fresh local: without this the peak is one
+    array per operation, not the live set.  The only compound statements
+    are ``for`` loops; a loop body deletes a name it binds when every
+    mention lies in the body and the body binds it before any read (a
+    carried value, bound before the loop too, stays).  A mention is any
+    identifier token (string literals included), so a spurious one only
+    keeps a name longer.  A handful of calls per block, none per name.
     """
     lines = body.count("\n") + 1
     indents: List[str] = [""] * lines
@@ -538,6 +557,42 @@ def _release_dead(body: str) -> str:
     return "\n".join(texts)
 
 
+#: A factor the emitter knows is never negative: a literal, a launch
+#: extent, an accessor's ranges, offsets, base or size, a memref extent.
+_NONNEG_FACTOR = (r"(?:\d+|_[GLP]R\d+|x\d+_(?:mr|ar|off|sh)\[\d+\]"
+                  r"|x\d+_[mo]\d+|x\d+_[nb])")
+_NONNEG = re.compile(rf"{_NONNEG_FACTOR}(?: \* {_NONNEG_FACTOR})*")
+
+
+def _sign(expr: str) -> int:
+    """1 / -1 when ``expr`` is known to be >= 0 / <= 0, else 0."""
+    if _NONNEG.fullmatch(expr):
+        return 1
+    return -1 if expr[:1] == "-" and _NONNEG.fullmatch(expr[1:]) else 0
+
+
+def _paren(expr: str) -> str:
+    return f"({expr})" if " + " in expr or " - " in expr else expr
+
+
+def _plus(a: str, b: str) -> str:
+    return b if a == "0" else a if b == "0" else f"{a} + {b}"
+
+
+def _minus(a: str, b: str) -> str:
+    if a == "0" and b[:1] == "-" and " " not in b:
+        return b[1:]
+    return a if b == "0" else f"{a} - {_paren(b)}" if a != "0" \
+        else f"-{_paren(b)}"
+
+
+def _times(a: str, b: str) -> str:
+    if "0" in (a, b) or "1" in (a, b):
+        return "0" if "0" in (a, b) else b if a == "1" else a
+    return str(int(a) * int(b)) if a.isdigit() and b.isdigit() \
+        else f"{_paren(a)} * {_paren(b)}"
+
+
 _LOCAL_QUERY_TRAP = ("work-group query on a kernel launched without a "
                      "local range")
 
@@ -549,14 +604,17 @@ class _VectorEmitter(_EmitterBase):
 
     The generated ``_run`` guards and unpacks the arguments, sets up the
     lane arrays and calls the nested ``_walk`` once per walk.  A numeric
-    value's kind is ``("s", expr)`` — one Python scalar for every lane —
-    or ``("a", var, unit)`` — one value per lane, where a ``unit``
-    offset expression ``o`` (when not ``None``) says ``var == o +
-    arange(L)``.  A *position* may also be ``("u", o, array expr)``: a
-    unit-stride one whose array is only built if a layout needs it.
-    Other kinds: ``("item",)``, ``("acc", var, dims, store)``,
-    ``("stor", store)``, ``("view", store, position, checked)`` and
-    ``("cell", name)`` (an id cell; its components are tracked here).
+    value's kind is ``("s", expr)`` — one Python scalar for every lane —,
+    ``("a", var)`` — a lane array — or ``("f", (offset, coeffs))`` — an
+    *affine* lane value ``offset + sum(coeffs[i] * x[i])`` over the
+    lane coordinates ``x`` (the mixed-radix digits of the lane number
+    over :attr:`extents`), with uniform offset and coefficient
+    expressions.  An affine value's array is only built when something
+    needs one (:meth:`_lanes_of`); a memory access at an affine position
+    is a strided view of the storage.  Other kinds: ``("item",)``,
+    ``("acc", var, dims, store)``, ``("stor", store)``, ``("view",
+    store, position, checked)`` and ``("cell", name)`` (an id cell; its
+    components are tracked here).
     """
 
     SCALE = " * _L"
@@ -577,14 +635,17 @@ class _VectorEmitter(_EmitterBase):
     def emit(self) -> str:
         self._emit_prologue()
         self._emit_launch_checks()
+        self._lane_box()
         self.emit_block(self.fn.body, True,
                         "1" if self.walk == "launch" else "_G")
         self._fill_patches()
         counts = [self.bc(bid) for _, _, bid, _ in self.patches]
         groups = [f"p{d}" for d in range(self.rank)] \
             if self.walk == "group" else []
+        # (An empty line is the slot of an affine array never built.)
         walk = _release_dead("\n".join(
-            ["        " + text for text in self.walk_pro] + self.out))
+            ["        " + text for text in self.walk_pro if text]
+            + [text for text in self.out if text]))
         lanes = self._lane_lines()
         if _LANE.search("\n".join(lanes + [walk])):  # else never built
             lanes.insert(0, "    _lane = _np.arange(_L, dtype=_np.int64)")
@@ -631,17 +692,17 @@ class _VectorEmitter(_EmitterBase):
         p(f"    _L = {'_T' if self.walk == 'launch' else '_S'}")
 
     def _lane_lines(self) -> List[str]:
-        """Lane index arrays derived from ``_lane`` (the lane numbers,
-        prepended by :meth:`emit` when read), in group-major lane order
-        (lane ``n`` of an ND-range walk over every group belongs to
-        group ``n // S``)."""
+        """Lane coordinate arrays derived from ``_lane`` (the lane
+        numbers, prepended by :meth:`emit` when read), in group-major
+        lane order (lane ``n`` of an ND-range walk over every group
+        belongs to group ``n // S``)."""
         used, r = self.used, self.rank
         names = ", ".join(f"{{0}}{d}" for d in range(r)) \
             + ("," if r == 1 else "")
         lines: List[str] = []
         launch = self.walk == "launch"
         if self.kind == "basic":
-            if "g" in used and r > 1:
+            if "g" in used:
                 lines.append(f"    {names.format('g')} = _ids(_lane, _GR)")
             return lines
         if launch and used & {"grp", "p"}:
@@ -653,30 +714,51 @@ class _VectorEmitter(_EmitterBase):
             lines.append(f"    {names.format('l')} = _ids({lanes}, _LR)")
         if launch and "p" in used:
             lines.append(f"    {names.format('p')} = _ids(_grp, _PR)")
-        if launch and "g" in used and r > 1:
-            lines += [f"    g{d} = l{d} + p{d} * _LR{d}" for d in range(r)]
+        if launch:
+            lines.append("    _X = _PR + _LR")
         return lines
 
+    def _lane_box(self) -> None:
+        """The lane coordinates: ``g`` over ``_GR`` (basic launch), ``p,
+        l`` over ``_PR + _LR`` (ND launch walk) or ``l`` over ``_LR`` (the
+        :attr:`box`); the coefficients of the lane (:attr:`unit`) and
+        group numbers."""
+        r = self.rank
+        if self.kind == "basic":
+            families = "g"
+        else:
+            families = "pl" if self.walk == "launch" else "l"
+        self.coords = [f"{family}{d}" for family in families
+                       for d in range(r)]
+        self.extents = [f"_{'G' if family == 'g' else family.upper()}R{d}"
+                        for family in families for d in range(r)]
+        self.unit = tuple(" * ".join(self.extents[i + 1:]) or "1"
+                          for i in range(len(self.extents)))
+        self.grp = tuple(" * ".join(self.extents[d + 1:r]) or "1"
+                         for d in range(r)) + ("0",) * r
+        self.zero = ("0",) * len(self.extents)
+        self.box = {"g": "_GR", "pl": "_X", "l": "_LR"}[families]
+
     def _lane_ids(self, family: str) -> List[Tuple]:
-        """The kinds of the ``g``lobal, ``l``ocal or grou``p`` ids."""
+        """The kinds of the ``g``lobal, ``l``ocal or grou``p`` ids: affine
+        over the lane coordinates (``g_d = l_d + p_d * LR_d``), except a
+        per-group walk's group ids, which are ints."""
         r, launch = self.rank, self.walk == "launch"
         if family == "p" and not launch:
             return [("s", f"p{d}") for d in range(r)]
-        if r == 1 and (family == "l" and not launch or family == "g"
-                       and launch):
-            return [("a", "_lane", "0")]
-        if family == "g" and not launch:
-            if "g" not in self.used:
-                self.walk_pro += [
-                    f"g{d} = {'_lane' if r == 1 else f'l{d}'} + p{d} * "
-                    f"_LR{d}" for d in range(r)]
-            self.used |= {"g", "l"} if r > 1 else {"g"}
-            return [("a", f"g{d}", "p0 * _LR0" if r == 1 else None)
-                    for d in range(r)]
-        self.used.add(family)
-        if family == "g" and self.kind == "nd":
-            self.used |= {"l", "p"}
-        return [("a", f"{family}{d}", None) for d in range(r)]
+        kinds, nd_launch = [], launch and self.kind == "nd"
+        for d in range(r):
+            coeffs = list(self.zero)
+            if not nd_launch or family != "l":
+                coeffs[d] = f"_LR{d}" if nd_launch and family == "g" else "1"
+            if nd_launch and family != "p":
+                coeffs[r + d] = "1"
+            aff = (f"p{d} * _LR{d}" if family == "g" and not launch
+                   else "0", tuple(coeffs))
+            # Built (when at all) once per walk.
+            self._slot(aff, self.memo_stack[0], self.walk_pro, "")
+            kinds.append(("f", aff))
+        return kinds
 
     # -- prologue: unpack and guard the argument vector ----------------------
     def _emit_prologue(self) -> None:
@@ -774,18 +856,27 @@ class _VectorEmitter(_EmitterBase):
                       _PER_GROUP if launch else _UNIFORM)
 
     # -- values --------------------------------------------------------------
-    def num(self, value) -> Tuple:
+    def val(self, value) -> Tuple:
+        """``value``'s numeric kind, an affine one left unbuilt."""
         kind = self.kind_of(value)
-        if kind[0] not in ("s", "a"):
+        if kind[0] not in ("s", "a", "f"):
             raise self.unsup(f"a {kind[0]} value used as a number")
         return kind
 
-    def bind(self, result, body: str, array: bool, unit=None) -> Tuple:
+    def num(self, value) -> Tuple:
+        """``value``'s kind as a scalar or a lane array."""
+        kind = self.val(value)
+        return ("a", self._lanes_of(kind[1])) if kind[0] == "f" else kind
+
+    def _built(self, kind) -> Tuple:
+        return ("a", self._lanes_of(kind[1])) if kind[0] == "f" else kind
+
+    def bind(self, result, body: str, array: bool) -> Tuple:
         """A fresh local set to ``body``; its kind, also bound to
         ``result`` when given."""
         var = self.fresh()
         self.line(f"{var} = {body}")
-        kind = ("a", var, unit) if array else ("s", var)
+        kind = ("a", var) if array else ("s", var)
         if result is not None:
             self.kinds[id(result)] = kind
         return kind
@@ -793,6 +884,75 @@ class _VectorEmitter(_EmitterBase):
     def arr(self, kind) -> str:
         """A lane array of numeric ``kind`` (a scalar is broadcast)."""
         return kind[1] if kind[0] == "a" else f"_np.full(_L, {kind[1]})"
+
+    # -- affine lane values --------------------------------------------------
+    def _slot(self, aff, memo, lines, indent: str) -> None:
+        """Reserve a line of ``lines`` for :meth:`_lanes_of` to build
+        ``aff``'s array where it is defined, not in a loop using it."""
+        for scope in self.memo_stack:
+            if ("slot", aff) in scope:
+                return
+        memo[("slot", aff)] = (lines, len(lines), indent)
+        lines.append("")
+
+    def _affine(self, result, aff) -> Tuple:
+        """``result`` (when given) bound to the affine ``aff``; its kind."""
+        aff = (self._name(aff[0]), aff[1])
+        kind = ("f", aff)
+        if result is not None:
+            self.kinds[id(result)] = kind
+        self._slot(aff, self.memo_stack[-1], self.out, "    " * self.ind)
+        return kind
+
+    def _affine_of(self, name: str, a, b):
+        """The affine form of ``a + b``, ``a - b`` or ``a * b`` (``name``
+        is the ``arith`` op), or ``None`` when it has none."""
+        kinds = (a[0], b[0])
+        if "a" in kinds or "f" not in kinds:
+            return None
+        if name == "arith.muli":
+            if kinds == ("f", "f"):
+                return None
+            (offset, coeffs), factor = (a[1], b[1]) if kinds[0] == "f" \
+                else (b[1], a[1])
+            return (_times(offset, factor),
+                    tuple([_times(coeff, factor) for coeff in coeffs]))
+        combine = _minus if name == "arith.subi" else _plus
+        if kinds[1] == "s":  # the coefficients stay
+            return (combine(a[1][0], b[1]), a[1][1])
+        if combine is _plus and kinds[0] == "s":
+            return (_plus(a[1], b[1][0]), b[1][1])
+        a = a[1] if kinds[0] == "f" else (a[1], self.zero)
+        return (combine(a[0], b[1][0]), tuple(map(combine, a[1], b[1][1])))
+
+    def _lanes_of(self, aff) -> str:
+        """The int64 lane array of ``aff``, built once, in the slot of
+        its definition when it has one."""
+        for scope in self.memo_stack:
+            if ("lanes", aff) in scope:
+                return scope[("lanes", aff)]
+        offset, coeffs = aff
+        if coeffs == self.unit:
+            body = _plus("_lane", offset)
+        else:
+            coords = self.coords if len(coeffs) > 1 else ["_lane"]
+            terms = [(coeff, coord) for coeff, coord in zip(coeffs, coords)
+                     if coeff != "0"]
+            self.used.update(coord[0] for _, coord in terms)
+            body = _plus(" + ".join(_times(*term) for term in terms), offset) \
+                if terms else f"_np.full(_L, {offset})"
+        if body.isidentifier():
+            return body
+        for memo in self.memo_stack:
+            if ("slot", aff) in memo:
+                lines, index, indent = memo[("slot", aff)]
+                var = self.fresh()
+                lines[index] = f"{indent}{var} = {body}"
+                break
+        else:
+            var, memo = self.bind(None, body, True)[1], self.memo_stack[-1]
+        memo[("lanes", aff)] = var
+        return var
 
     def _name(self, expr: str) -> str:
         """``expr`` itself when a name or literal, else a local bound
@@ -830,7 +990,7 @@ class _VectorEmitter(_EmitterBase):
                 stat.ops += 1
                 self.emit_op(op, stat, carried)
                 op = op.next_op()
-            if len(self.out) == start:
+            if not any(self.out[start:]):
                 self.line("pass")
 
     def emit_op(self, op, stat, carried) -> None:
@@ -894,24 +1054,28 @@ class _VectorEmitter(_EmitterBase):
         self._emit_arith(op, name, result)
 
     def _emit_arith(self, op, name, result) -> None:
-        args = [self.num(value) for value in op.operands]
+        values = [self.val(value) for value in op.operands]
+        if name in ("arith.addi", "arith.subi", "arith.muli") \
+                and getattr(result.type, "width", 64) != 1:
+            aff = self._affine_of(name, *values)
+            if aff is not None:
+                self._affine(result, aff)
+                return
+        if name in ("arith.index_cast", "arith.extsi"):
+            source = op.operands[0].type
+            if _scalar_int_type(source) and getattr(source, "width", 64) != 1:
+                self.kinds[id(result)] = values[0]
+                return
+        args = [self._built(kind) if kind[0] == "f" else kind
+                for kind in values]
         array = any(arg[0] == "a" for arg in args)
         a = args[0][1] if args else ""
         b = args[1][1] if len(args) > 1 else ""
         if name in _BIN_INT or name in _BIN_FLOAT:
             body = f"{a} {_BIN_INT.get(name) or _BIN_FLOAT[name]} {b}"
-            unit = None
             if name in _BIN_INT and getattr(result.type, "width", 64) == 1:
                 body = f"({body}).astype(bool)" if array else f"bool({body})"
-            elif name in ("arith.addi", "arith.subi"):
-                # A unit-stride index plus a uniform offset stays one.
-                left, right = args
-                if name == "arith.addi" and left[0] == "s":
-                    left, right = right, left
-                if left[0] == "a" and left[2] is not None \
-                        and right[0] == "s":
-                    unit = f"{left[2]} {_BIN_INT[name]} {right[1]}"
-            self.bind(result, body, array, unit)
+            self.bind(result, body, array)
         elif name in ("arith.minsi", "arith.maxsi"):
             fn = name[6:9]  # "min" / "max"
             self.bind(result, f"_np.{fn}imum({a}, {b})" if array
@@ -950,12 +1114,8 @@ class _VectorEmitter(_EmitterBase):
             self.bind(result, f"_np.where({a}, {b}, {c})" if array
                       else f"({b} if {a} else {c})", array)
         elif name in ("arith.index_cast", "arith.extsi"):
-            source = op.operands[0].type
-            if _scalar_int_type(source) and getattr(source, "width", 64) != 1:
-                self.kinds[id(result)] = args[0]
-            else:
-                self.bind(result, f"{a}.astype(_np.int64)" if array
-                          else f"int({a})", array)
+            self.bind(result, f"{a}.astype(_np.int64)" if array
+                      else f"int({a})", array)
         elif name == "arith.trunci":
             width = result.type.width
             body = f"{a}.astype(_np.int64) & {(1 << width) - 1}" if array \
@@ -1004,8 +1164,8 @@ class _VectorEmitter(_EmitterBase):
         exprs = []
         for value, what in zip(bounds, ("a loop bound", "a loop bound",
                                         "a loop step")):
-            kind = self.num(value)
-            if kind[0] == "a":
+            kind = self.val(value)
+            if kind[0] != "s":
                 self._raise("_Degrade", f"{what} varies per work-item in "
                             f"'{self.fn.sym_name}'", op.results)
                 return
@@ -1037,7 +1197,7 @@ class _VectorEmitter(_EmitterBase):
             kind = self.num(init)
             array = kind[0] == "a" or self._varies(argument)
             carried.append((self.fresh("c"), array, kind))
-            self.kinds[id(argument)] = ("a", carried[-1][0], None) if array \
+            self.kinds[id(argument)] = ("a", carried[-1][0]) if array \
                 else ("s", carried[-1][0])
         if carried:
             self.line(f"{', '.join(var for var, _, _ in carried)} = "
@@ -1079,18 +1239,6 @@ class _VectorEmitter(_EmitterBase):
             var, size, tuple(memref_type.shape), is_float(element),
             byte_size_of(element), varies))
 
-    def _pos(self, kind) -> Tuple:
-        """``kind`` as a position (a unit-stride array becomes ``u``)."""
-        if kind[0] == "a" and kind[2] is not None:
-            return ("u", self._name(kind[2]), kind[1])
-        return kind
-
-    def _mat(self, position) -> str:
-        """A position's value: its scalar or its lane array."""
-        if position[0] == "u":
-            return self._name(position[2])
-        return position[1]
-
     def _memo(self, key, make):
         """``make()``, unless this block or an enclosing one already
         made ``key`` (scoped CSE: that value is still in scope, that
@@ -1103,7 +1251,6 @@ class _VectorEmitter(_EmitterBase):
 
     def _add(self, a, b) -> Tuple:
         """The position ``a + b``."""
-        a, b = self._pos(a), self._pos(b)
         if b[0] != "s" or a == ("s", "0"):
             a, b = b, a
         if b[1] == "0":
@@ -1111,14 +1258,12 @@ class _VectorEmitter(_EmitterBase):
         return self._memo(("+", a, b), lambda: self._sum(a, b))
 
     def _sum(self, a, b) -> Tuple:
-        if b[0] != "s":  # both vary per lane
-            return self.bind(None, f"{self._mat(a)} + {self._mat(b)}", True)
+        if a[0] == "a" or b[0] == "a":  # an array the lanes computed
+            return self.bind(None, f"{self._built(a)[1]} + "
+                             f"{self._built(b)[1]}", True)
         if a[0] == "s":
             return ("s", self._name(f"{a[1]} + {b[1]}"))
-        if a[0] == "u":
-            offset = b[1] if a[1] == "0" else self._name(f"{a[1]} + {b[1]}")
-            return ("u", offset, f"{a[2]} + {b[1]}")
-        return self.bind(None, f"{a[1]} + {b[1]}", True)
+        return self._affine(None, self._affine_of("arith.addi", a, b))
 
     def _check(self, position, extent, trap: Optional[str] = None) -> None:
         """Bounds-check ``position`` against ``[0, extent)``; ``trap`` is
@@ -1128,14 +1273,31 @@ class _VectorEmitter(_EmitterBase):
                    lambda: self._emit_check(position, extent, trap))
 
     def _emit_check(self, position, extent, trap) -> None:
-        kind, value = position[:2]
+        kind, value = position
         if kind == "s":
             self.line(f"if not 0 <= {value} < {extent}: raise "
                       f"{trap or f'_flat_trap({value}, {extent})'}")
-        elif kind == "u":  # the lanes' positions are value .. value + L-1
-            trap = trap or (f"_flat_trap({value} if {value} < 0 else "
-                            f"max({value}, {extent}), {extent})")
-            self.line(f"if not 0 <= {value} <= {extent} - _L: raise {trap}")
+        elif kind == "f":
+            # The box's extreme corners; only a trap builds the lanes.
+            offset, coeffs = value
+            low = high = offset
+            for coeff, extent_d in zip(coeffs, self.extents):
+                if coeff == "0":
+                    continue
+                span, sign = f"{extent_d} - 1", _sign(coeff)
+                if sign >= 0:
+                    high = _plus(high, _times(sign and coeff or
+                                              f"max({coeff}, 0)", span))
+                if sign <= 0:
+                    low = _plus(low, _times(sign and coeff or
+                                            f"min({coeff}, 0)", span))
+            tests = [f"{high} >= {extent}"]
+            if _sign(low) <= 0:
+                tests.insert(0, f"{low} < 0")
+            trap = trap or (f"_flat_trap(_positions({offset}, "
+                            f"({', '.join(coeffs)},), {self.box}, "
+                            f"{extent}), {extent})")
+            self.line(f"if {' or '.join(tests)}: raise {trap}")
         else:
             trap = trap or (f"_flat_trap(_oob({value}, {extent}), "
                             f"{extent})")
@@ -1151,7 +1313,7 @@ class _VectorEmitter(_EmitterBase):
                 return store, ("s", "0")
             if not indices:
                 return store, ("s", "0")
-            idx = [self._pos(self.num(value)) for value in indices]
+            idx = [self.val(value) for value in indices]
             for index, extent in zip(idx, store.shape):
                 self._check(index, extent,
                             "_TrapError('memref index out of bounds')")
@@ -1164,34 +1326,54 @@ class _VectorEmitter(_EmitterBase):
                              f"{len(indices)} indices")
         _, store, base, checked = kind
         if indices and self.consts.get(id(indices[0])) != 0:
-            position = self._add(self.num(indices[0]), base)
+            position = self._add(self.val(indices[0]), base)
         elif checked:  # the subscript's own check covers element 0
-            return store, self._pos(base)
+            return store, base
         else:
-            position = self._pos(base)
+            position = base
         self._check(position, store.size)
         return store, position
 
+    def _view(self, store: _Store, aff) -> Tuple[str, Optional[Tuple]]:
+        """``(view, coefficients)`` of ``store`` at ``aff`` (a tile: each
+        lane's group's): ``flat[o:o + L]`` (``None``) or a strided view."""
+        offset, coeffs = aff
+        flat = store.flat
+        if store.varies == _PER_GROUP:  # row ``_grp`` of [groups, size]
+            coeffs = tuple(_plus(coeff, _times(grp, str(store.size)))
+                           for coeff, grp in zip(coeffs, self.grp))
+        elif coeffs == self.unit:
+            return f"{flat}[{offset}:{offset} + _L]", None
+        size = f"{flat}.itemsize"
+        strides = ", ".join(_times(coeff, size) for coeff in coeffs)
+        return (f"_np.ndarray({self.box}, {flat}.dtype, {flat}, "
+                f"{_times(offset, size)}, ({strides},))", coeffs)
+
     def _gather(self, result, store: _Store, position) -> None:
         flat, kind = store.flat, position[0]
+        wide = f"_np.{'float64' if store.is_float else 'int64'}"
+        if kind == "f" and store.varies != _PER_ITEM:
+            view, coeffs = self._view(store, position[1])
+            self.bind(result, f"{view}.astype({wide})" if coeffs is None
+                      or len(coeffs) == 1 else
+                      f"{view}.astype({wide}, 'C').reshape(_L)", True)
+            return
+        position = self._built(position)
         if store.varies == _UNIFORM:
             if kind == "s":
                 conv = "float" if store.is_float else "int"
                 self.bind(result, f"{conv}({flat}[{position[1]}])", False)
                 return
-            index = f"{position[1]}:{position[1]} + _L" if kind == "u" \
-                else position[1]
+            index = position[1]
         elif store.varies == _PER_GROUP:
             self.used.add("grp")
-            index = f"_grp, {self._mat(position)}"
+            index = f"_grp, {position[1]}"
         else:
-            index = position[1] if kind == "s" \
-                else f"{self._mat(position)}, _lane"
+            index = position[1] if kind == "s" else f"{position[1]}, _lane"
         # Widen to binary64 / int64 so arithmetic matches the
         # interpreter's load conversion exactly (``astype`` copies, so a
         # row or slice of a storage is never aliased).
-        self.bind(result, f"{flat}[{index}].astype("
-                  f"_np.{'float64' if store.is_float else 'int64'})", True)
+        self.bind(result, f"{flat}[{index}].astype({wide})", True)
 
     def _scatter(self, store: _Store, position, value) -> None:
         # A varying value at one uniform location: the interpreter's
@@ -1199,12 +1381,15 @@ class _VectorEmitter(_EmitterBase):
         # work-group-local tile, of the walk otherwise — win.
         kind, text = position[0], value[1]
         varying = value[0] == "a"
+        if kind == "f" and store.varies != _PER_ITEM:
+            self._scatter_affine(store, position[1], value)
+            return
+        position = self._built(position)
         if store.varies == _UNIFORM:
             if kind == "s":
                 index, text = position[1], f"{text}[-1]" if varying else text
             else:
-                index = f"{position[1]}:{position[1]} + _L" if kind == "u" \
-                    else position[1]
+                index = position[1]
         elif store.varies == _PER_GROUP:
             if kind == "s":
                 index = f":, {position[1]}"
@@ -1213,11 +1398,33 @@ class _VectorEmitter(_EmitterBase):
                     text = f"{text}[_last]"
             else:
                 self.used.add("grp")
-                index = f"_grp, {self._mat(position)}"
+                index = f"_grp, {position[1]}"
         else:
-            index = position[1] if kind == "s" \
-                else f"{self._mat(position)}, _lane"
+            index = position[1] if kind == "s" else f"{position[1]}, _lane"
         self.line(f"{store.flat}[{index}] = {text}")
+
+    def _scatter_affine(self, store: _Store, aff, value) -> None:
+        """A view store when no two lanes share an address or all store
+        one value; else an index-array store (the last lane wins)."""
+        view, coeffs = self._view(store, aff)
+        if coeffs is None:
+            self.line(f"{view} = {value[1]}")
+            return
+        box, text = self.box, value[1]
+        if value[0] == "a" and len(coeffs) > 1:
+            text = f"{text}.reshape({box})"
+        if value[0] == "a" and not (len(coeffs) == 1 and coeffs[0].lstrip(
+                "-").isdigit() and int(coeffs[0])):
+            listed = f"({', '.join(coeffs)},)"
+            injective = self._memo(("injective", coeffs), lambda: self._name(
+                f"_injective({listed}, {box})"))
+            flat = store.flat if store.varies == _UNIFORM \
+                else f"{store.flat}.reshape(-1)"
+            self.line(f"if not {injective}: {flat}[_positions({aff[0]}, "
+                      f"{listed}, {box})] = {value[1]}")
+            self.line(f"if {injective}: {view}[...] = {text}")
+        else:
+            self.line(f"{view}[...] = {text}")
 
     # -- SYCL ids, items and accessors ---------------------------------------
     def _dim(self, op):
@@ -1228,8 +1435,8 @@ class _VectorEmitter(_EmitterBase):
         constant = self._const_int(op.operands[1])
         if constant is not None:
             return constant
-        kind = self.num(op.operands[1])
-        if kind[0] == "a":
+        kind = self.val(op.operands[1])
+        if kind[0] != "s":
             self._raise("_Degrade", f"a dimension operand varies per "
                         f"work-item in '{self.fn.sym_name}'")
             return 0
@@ -1244,14 +1451,14 @@ class _VectorEmitter(_EmitterBase):
                 self._raise("_TrapError", f"dimension {dim} out of range "
                             f"for {what} of rank {len(values)}", (result,))
             return
-        array = any(value[0] == "a" for value in values)
-        items = ", ".join(self.arr(value) if array else value[1]
+        array = any(value[0] != "s" for value in values)
+        items = ", ".join(self.arr(self._built(value)) if array else value[1]
                           for value in values)
         self.bind(result, f"_pick(({items},), {dim[1]}, {what!r})", array)
 
     def _components(self, value) -> List[Tuple]:
         kind = self.kind_of(value)
-        if kind[0] in ("s", "a"):
+        if kind[0] in ("s", "a", "f"):
             return [kind]
         if kind[0] == "cell" and any(kind[1] in scope
                                      for scope in self.scopes):
@@ -1282,10 +1489,8 @@ class _VectorEmitter(_EmitterBase):
                 self.kinds[id(result)] = values[0]
             else:
                 extents = "_GR" if family == "g" else "_LR"
-                body = values[0][1]
-                for d in range(1, len(values)):
-                    body = f"({body}) * {extents}{d} + {values[d][1]}"
-                self.bind(result, body, True)
+                self.kinds[id(result)] = self._linear(
+                    values, [f"{extents}{d}" for d in range(len(values))])
         elif name in _RANGE_QUERIES:
             extents, what, _ = _RANGE_QUERIES[name]
             dim = self._dim(op)
@@ -1313,8 +1518,9 @@ class _VectorEmitter(_EmitterBase):
                                  "destination")
             comps = []
             for operand in op.operands[1:]:
-                comp = self.num(operand)
+                comp = self.val(operand)
                 if not _scalar_int_type(operand.type):
+                    comp = self._built(comp)
                     comp = self.bind(None, f"{comp[1]}.astype(_np.int64)"
                                      if comp[0] == "a"
                                      else f"int({comp[1]})", comp[0] == "a")
@@ -1325,7 +1531,8 @@ class _VectorEmitter(_EmitterBase):
             self._select(result, comps, self._dim(op), "the id"
                          if name == "sycl.id.get" else "the range")
         elif name == "sycl.range.size":
-            comps = self._components(op.operands[0])
+            comps = [self._built(comp)
+                     for comp in self._components(op.operands[0])]
             self.bind(result, " * ".join(f"({comp[1]})" for comp in comps),
                       any(comp[0] == "a" for comp in comps))
         else:
@@ -1379,10 +1586,22 @@ class _VectorEmitter(_EmitterBase):
 
     def _linear(self, indices, extents) -> Tuple:
         """The row-major flat position of ``indices`` into ``extents``."""
-        body = self._mat(indices[0])
+        forms = {index[0] for index in indices}
+        if "f" in forms and "a" not in forms:
+            affs = [index[1] if index[0] == "f" else (index[1], self.zero)
+                    for index in indices]
+            offset, coeffs = affs[0]
+            for (index, index_coeffs), extent in zip(affs[1:], extents[1:]):
+                extent = str(extent)
+                offset = _plus(_times(offset, extent), index)
+                coeffs = tuple([_plus(_times(coeff, extent), index_coeff)
+                                for coeff, index_coeff
+                                in zip(coeffs, index_coeffs)])
+            return self._affine(None, (offset, coeffs))
+        body = self._built(indices[0])[1]
         for index, extent in zip(indices[1:], extents[1:]):
-            body = f"({body}) * {extent} + {self._mat(index)}"
-        return self.bind(None, body, any(index[0] != "s" for index in indices))
+            body = f"({body}) * {extent} + {self._built(index)[1]}"
+        return self.bind(None, body, forms != {"s"})
 
 
 def compile_vector(function, kind: str, walk: str,

@@ -502,6 +502,20 @@ class CompileOutcome:
         return 1 if self.kind in ("parse", "verify") else 2
 
 
+class _RecordOnly:
+    """A located compile's cache: records, never hits (a template's
+    locations name the text that filled it)."""
+
+    def __init__(self, cache: CompileCache):
+        self.cache = cache
+
+    def lookup(self, key: CacheKey) -> None:
+        return None
+
+    def __getattr__(self, name: str):
+        return getattr(self.cache, name)
+
+
 @dataclass
 class CompileSession:
     """Text in, one :class:`CompileOutcome` out.
@@ -518,7 +532,8 @@ class CompileSession:
     the source compiled.  ``engine`` (``repro-opt --verify-diagnostics``)
     receives the verifier's findings; ``report`` accumulates every
     compile's statistics (without one, each run makes its own).  The
-    built manager stays in :attr:`manager`, for a pool to take back.
+    built manager stays in :attr:`manager`, for a pool to take back.  A
+    ``print_locations`` compile never takes a second-level hit.
     """
 
     pipeline: object = None
@@ -537,8 +552,11 @@ class CompileSession:
         if pipeline is None:
             self.spec = None  # no pipeline, no front tier
         elif self.manager is not None and self.cache is not None:
-            self.manager.cache = self.cache
+            self.manager.cache = self._manager_cache()
             self.spec = self.spec or self.manager.to_spec()
+
+    def _manager_cache(self):
+        return _RecordOnly(self.cache) if self.print_locations else self.cache
 
     def compile(self, text: str, filename: str,
                 form: Optional[tuple] = None,
@@ -566,7 +584,7 @@ class CompileSession:
                 return CompileOutcome("pipeline", exc, location_of(module),
                                       module)
             if self.cache is not None:
-                self.manager.cache = self.cache
+                self.manager.cache = self._manager_cache()
         manager, report, cached = self.manager, self.report, False
         try:
             if self.verify:

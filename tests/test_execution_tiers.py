@@ -1608,6 +1608,124 @@ class TestLaneArraysDieAtTheirLastUse:
         assert not bounds
 
 
+def _affine_kernel(name, body, arrays, nd_item):
+    """A 2-D f32 kernel through ``sycl-mlir`` (accessor subscripts
+    lowered to flat positions)."""
+    from repro.ir import f32
+
+    module = _kernel(name, body, {array: (mode, f32())
+                                  for array, mode in arrays.items()},
+                     dims=2, nd_item=nd_item)
+    build_named_pipeline("sycl-mlir").run(module)
+    return module
+
+
+def _transpose(nd_item, per_group=False):
+    """``out[i][j] = a[j][i]``: a read of stride ``N``; ``per_group``
+    adds ``t`` over a loop bounded by the group id (the per-group
+    walk)."""
+    def body(k):
+        i, j = k.global_id(0), k.global_id(1)
+        if per_group:
+            _scf_loop(k, 0, k.group_id(0) + 1, lambda t: k.store(
+                "out", [i, j], k.load("a", [j, i]) + t.to_float()))
+        else:
+            k.store("out", [i, j], k.load("a", [j, i]))
+
+    return _affine_kernel("tr", body, {"a": "read", "out": "read_write"},
+                          nd_item)
+
+
+def _reverse(nd_item):
+    """``out[i] = a[7 - i]``: a read of stride -1."""
+    from repro.frontend.kernel_builder import AccessorParam, KernelSource
+    from repro.ir import f32
+
+    def body(k):
+        i = k.global_id(0)
+        k.store("out", [i], k.load("a", [7 - i]))
+
+    module = wrap_in_module(KernelSource(
+        "rev", body=body, nd_range_dims=1, uses_nd_item=nd_item,
+        accessors=[AccessorParam("a", 1, f32(), "read"),
+                   AccessorParam("out", 1, f32(), "write")]).build())
+    build_named_pipeline("sycl-mlir").run(module)
+    return module
+
+
+class TestAffineLanePositions:
+    """A lane position affine in the work-item ids is a strided view of
+    the storage on the vector tier: two corner comparisons instead of a
+    per-lane bounds check, no index array."""
+
+    @pytest.mark.parametrize("launch", ("basic", "nd", "group"))
+    def test_a_transposed_copy_runs_through_views(self, launch):
+        module = _transpose(launch != "basic", launch == "group")
+        runs = _run_on_every_tier(module, "tr", _spec(
+            (4, 8), None if launch == "basic" else (2, 4),
+            a=(8, 4), out=(4, 8)))
+        a = runs["interp"][0].memory["a"].reshape(8, 4)
+        out = runs["vector"][0].memory["out"].reshape(4, 8)
+        if launch != "group":
+            assert out.tolist() == a.T.tolist()
+        assert ("per-group walk" in " ".join(runs["vector"][1])) \
+            is (launch == "group")
+        source = compile_vector(
+            module.lookup_symbol("tr"), "basic" if launch == "basic"
+            else "nd", "group" if launch == "group" else "launch").source
+        assert "_np.ndarray(" in source
+        assert "_oob(" not in source
+
+    def test_traps_name_the_first_lane_out_of_range(self):
+        # A stride-N read one row past the end of ``a``.
+        for nd_item, local in ((False, None), (True, (2, 4))):
+            messages = _trap_on_every_tier(_transpose(nd_item), "tr", _spec(
+                (4, 8), local, a=(7, 4), out=(4, 8)))
+            assert set(messages.values()) == {
+                "flat index 28 out of bounds for memref of 28 elements"}
+        # A reverse index (coefficient -1) launched one item too wide.
+        for nd_item, local in ((False, None), (True, (3,))):
+            messages = _trap_on_every_tier(_reverse(nd_item), "rev", _spec(
+                (9,), local, a=(8,), out=(9,)))
+            assert set(messages.values()) == {
+                "flat index -1 out of bounds for memref of 8 elements"}
+
+    @pytest.mark.parametrize("local", (None, (2, 3)))
+    def test_a_store_lanes_share_keeps_the_last_lane(self, local):
+        """Every ``j`` of row ``i`` stores to ``out[i]``: no view may
+        take that store; the last lane wins, as on the interpreter."""
+        def body(k):
+            i, j = k.global_id(0), k.global_id(1)
+            k.store("out", [i, 0], k.load("a", [i, j]))
+
+        module = _affine_kernel("row", body, {"a": "read",
+                                              "out": "read_write"},
+                                local is not None)
+        runs = _run_on_every_tier(module, "row", _spec(
+            (4, 6), local, a=(4, 6), out=(4, 1)))
+        a = runs["interp"][0].memory["a"].reshape(4, 6)
+        assert runs["vector"][0].memory["out"].tolist() == a[:, 5].tolist()
+
+    def test_the_benchmark_kernels_build_no_index_arrays(self):
+        from repro.ir import parse_module
+
+        from .helpers import e2e_programs
+
+        programs = e2e_programs()
+        seen = set()
+        for program in programs.exec_programs(101):
+            if program.family not in ("mvt", "gemm", "syrk"):
+                continue
+            module = parse_module(programs.module_text([program]))
+            build_named_pipeline("sycl-mlir").run(module)
+            source = compile_vector(
+                module.lookup_symbol(program.name), "basic"
+                if program.local_size is None else "nd", "launch").source
+            assert "_oob(" not in source, program.family
+            seen.add(program.family)
+        assert seen == {"mvt", "gemm", "syrk"}
+
+
 class TestEngineReuse:
     def test_distinct_remarks_are_recorded_once(self):
         module = _listing_module()

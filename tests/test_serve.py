@@ -158,6 +158,29 @@ class TestCompile:
         assert second["text"] == first["text"]
         assert second["statistics"] is not None
 
+    def test_located_compile_prints_its_own_lines(self, server):
+        """Two texts that differ only by a leading comment share a
+        second-level entry; printed locations must still name each
+        request's own lines, and a repeat is a front hit."""
+        from repro.ir import parse_module
+
+        text = _module_text()
+        shifted = "// a leading comment\n" + text
+
+        def one_shot(source):
+            module = parse_module(source, filename="<request>")
+            parse_pass_pipeline(PIPELINE).run(module)
+            return Printer(print_locations=True).print_module(module) + "\n"
+
+        with _client(server) as client:
+            first = client.compile(text, PIPELINE, print_locations=True)
+            second = client.compile(shifted, PIPELINE, print_locations=True)
+            repeat = client.compile(shifted, PIPELINE, print_locations=True)
+        assert first["text"] == one_shot(text)
+        assert second["text"] == one_shot(shifted) != first["text"]
+        assert second["cached"] is False
+        assert repeat["cached"] is True and repeat["text"] == second["text"]
+
     def test_progress_events_stream(self, server):
         text = _module_text()
         events = []
