@@ -922,33 +922,28 @@ class _Emitter(_EmitterBase):
             return None
 
     def _emit_for(self, op, affine: bool) -> None:
-        if affine:
-            lower = self.expr(op.operands[0])
-            upper = self.expr(op.operands[1])
-            step = op.step
-            carried_init = list(op.operands[2:])
-            if step <= 0:
-                self.line(f"raise _TrapError('affine.for with non-positive "
-                          f"step {step}')")
-                for result in op.results:
-                    self.kinds[id(result)] = ("scalar", "None")
-                return
-            step_text = "" if step == 1 else f", {step}"
-            lo_c = self._const_int(op.operands[0])
-            up_c = self._const_int(op.operands[1])
-            step_c: Optional[int] = step
-        else:
-            lower = self.expr(op.operands[0])
-            upper = self.expr(op.operands[1])
-            step_expr = self.expr(op.operands[2])
-            carried_init = list(op.operands[3:])
+        lower = self.expr(op.operands[0])
+        upper = self.expr(op.operands[1])
+        carried_init = list(op.operands[2 if affine else 3:])
+        step_expr = "" if affine else self.expr(op.operands[2])
+        step_c: Optional[int] = op.step if affine \
+            else self._const_int(op.operands[2])
+        # A constant step is judged here; only another is checked per run.
+        if step_c is None:
             self.line(f"if {step_expr} <= 0: raise _TrapError("
                       f"'scf.for with non-positive step ' + "
                       f"str({step_expr}))")
             step_text = f", {step_expr}"
-            lo_c = self._const_int(op.operands[0])
-            up_c = self._const_int(op.operands[1])
-            step_c = self._const_int(op.operands[2])
+        elif step_c <= 0:
+            self.line(f"raise _TrapError('{op.name} with non-positive "
+                      f"step {step_c}')")
+            for result in op.results:
+                self.kinds[id(result)] = ("scalar", "None")
+            return
+        else:
+            step_text = "" if step_c == 1 else f", {step_c}"
+        lo_c = self._const_int(op.operands[0])
+        up_c = self._const_int(op.operands[1])
         # A loop with constant bounds nested in statically counted
         # blocks is itself statically counted: no per-iteration
         # bookkeeping in the generated code.

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..dialects.arith import _floordiv, _ieee_zero_divide, _nan_propagating
 from ..faults import TransientFault, fault_point
 from ..ir import IndexType, IntegerType
 from ..ir.operations import op_memo
@@ -56,18 +57,13 @@ class _GuardFallback(Exception):
 # plain ``exec(source, _jit_namespace())``.
 # ---------------------------------------------------------------------------
 
-def _jit_floordiv(a, b):
-    # C-style truncating division (mirrors arith._floordiv).
-    return int(a / b) if (a < 0) != (b < 0) and a % b != 0 else a // b
-
-
 # The optional trailing ``name`` of the trapping helpers is the op the
 # trap is reported against: an ``llvm.*`` alias traps under its own name.
 
 def _jit_divsi(a, b, name="arith.divsi"):
     if b == 0:
         raise TrapError(f"division by zero in '{name}'")
-    return _jit_floordiv(a, b)
+    return _floordiv(a, b)  # C's truncating division, as arith's
 
 
 def _jit_divui(a, b, name="arith.divui"):
@@ -79,7 +75,7 @@ def _jit_divui(a, b, name="arith.divui"):
 def _jit_remsi(a, b, name="arith.remsi"):
     if b == 0:
         raise TrapError(f"division by zero in '{name}'")
-    return a - _jit_floordiv(a, b) * b
+    return a - _floordiv(a, b) * b
 
 
 def _jit_remui(a, b, name="arith.remui"):
@@ -88,17 +84,11 @@ def _jit_remui(a, b, name="arith.remui"):
     return a % b
 
 
-def _jit_ieee_zero_divide(op_name, a, b):
-    if op_name == "arith.divf" and a != 0.0 and not math.isnan(a):
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return math.nan
-
-
 def _jit_divf(a, b):
     try:
         return a / b
     except ZeroDivisionError:
-        return _jit_ieee_zero_divide("arith.divf", float(a), float(b))
+        return _ieee_zero_divide("arith.divf", float(a), float(b))
 
 
 def _jit_remf(a, b):
@@ -108,16 +98,7 @@ def _jit_remf(a, b):
         return math.nan
 
 
-def _jit_minf(a, b):
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    return min(a, b)
-
-
-def _jit_maxf(a, b):
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    return max(a, b)
+_jit_minf, _jit_maxf = _nan_propagating(min), _nan_propagating(max)
 
 
 def _jit_shift(op_name, compute, width, a, b):
@@ -184,10 +165,8 @@ def _jit_local_tile(local_accessor):
     """The per-group NumPy tile behind a LocalAccessor argument."""
     import numpy
 
-    total = 1
-    for dim in local_accessor.shape:
-        total *= int(dim)
-    return numpy.zeros(total, dtype=_jit_local_dtype(local_accessor))
+    return numpy.zeros(math.prod(map(int, local_accessor.shape)),
+                       dtype=_jit_local_dtype(local_accessor))
 
 
 def _jit_namespace() -> Dict[str, object]:
@@ -413,7 +392,7 @@ class _EmitterBase:
 #: which a changed emitter would otherwise keep reusing for as long as it
 #: still compiles.  Bump a tier's entry on any change to what its
 #: emitter generates.
-EMITTER_VERSIONS = {"jit": 3, "vector": 5}
+EMITTER_VERSIONS = {"jit": 4, "vector": 6}
 
 
 @dataclass

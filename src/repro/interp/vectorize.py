@@ -11,14 +11,12 @@ indexed through a lane -> group vector; private storage is lanes-last
 
 :class:`_VectorEmitter` compiles a kernel once per (fingerprint, launch
 kind ``basic``/``nd``, walk ``launch``/``group``) into one Python
-function, cached in the engine's
-:class:`~repro.interp.jit_runtime.ExecutableCache` under the tag
-``vector<N>:<kind>:<walk>``.  Each value's form (scalar, lane array or
-affine in the lane coordinates) is fixed at emission; an affine
-position is a strided view of the storage (the slice ``flat[o:o + L]``
-for the lane number plus ``o``) behind a check of the box's corners.
-Counters, the step budget and traps follow the JIT (a flat index names
-the first lane out of range).
+function, cached under the tag ``vector<N>:<kind>:<walk>``.  Each
+value's form (scalar, lane array or affine in the lane coordinates) is
+fixed at emission; an affine position is a strided view of the storage
+behind a check of the box's corners, and an elementwise op writes into
+a lane array that dies there.  Counters, the step budget and traps
+follow the JIT (a flat index names the first lane out of range).
 
 Lockstep is exact only when lanes cannot diverge:
 :func:`vector_legality` declines ``scf.if`` (naming branches
@@ -75,18 +73,22 @@ _V_MATH = {
     "math.tanh": "tanh", "math.powf": "power",
 }
 
-_BIN_INT = {
-    "arith.addi": "+", "arith.subi": "-", "arith.muli": "*",
-    "arith.andi": "&", "arith.ori": "|", "arith.xori": "^",
-}
-_BIN_FLOAT = {"arith.addf": "+", "arith.subf": "-", "arith.mulf": "*"}
-#: Float op -> (scalar helper, lane-array form).
-_FLOAT_OPS = {
-    "arith.divf": ("_divf({a}, {b})", "{a} / {b}"),
-    "arith.remf": ("_remf({a}, {b})", "_np.fmod({a}, {b})"),
-    "arith.minf": ("_minf({a}, {b})", "_np.minimum({a}, {b})"),
-    "arith.maxf": ("_maxf({a}, {b})", "_np.maximum({a}, {b})"),
-}
+#: Elementwise op -> (lane ufunc, its operator): lanes compute ``a op b``
+#: (``op a``), or call the ufunc where there is no operator.
+_LANE_OPS = {
+    "arith.addi": ("add", "+"), "arith.subi": ("subtract", "-"),
+    "arith.muli": ("multiply", "*"), "arith.andi": ("bitwise_and", "&"),
+    "arith.ori": ("bitwise_or", "|"), "arith.xori": ("bitwise_xor", "^"),
+    "arith.addf": ("add", "+"), "arith.subf": ("subtract", "-"),
+    "arith.mulf": ("multiply", "*"), "arith.divf": ("true_divide", "/"),
+    "arith.remf": ("fmod", ""), "arith.minf": ("minimum", ""),
+    "arith.maxf": ("maximum", ""), "arith.minsi": ("minimum", ""),
+    "arith.maxsi": ("maximum", ""), "arith.negf": ("negative", "-")}
+#: Elementwise op -> its scalar function (the others compute ``a op b``).
+_SCALAR_OPS = {
+    "arith.divf": "_divf", "arith.remf": "_remf", "arith.minf": "_minf",
+    "arith.maxf": "_maxf", "arith.minsi": "min", "arith.maxsi": "max",
+    "arith.negf": "-float"}
 _CMP_INT = {
     "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
     "sge": ">=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
@@ -126,18 +128,16 @@ _ACC_QUERIES = {
 #: Every op :class:`_VectorEmitter` compiles: the tables above plus the
 #: ops it handles by name.
 _SUPPORTED_OPS = frozenset(_V_MATH).union(
-    _BIN_INT, _BIN_FLOAT, _FLOAT_OPS, _ID_QUERIES, _RANGE_QUERIES,
-    _ACC_QUERIES, {
-        "arith.constant", "arith.minsi", "arith.maxsi", "arith.divsi",
-        "arith.divui", "arith.remsi", "arith.remui", "arith.shli",
-        "arith.shrsi", "arith.cmpi", "arith.cmpf", "arith.select",
-        "arith.index_cast", "arith.extsi", "arith.trunci", "arith.sitofp",
-        "arith.fptosi", "arith.extf", "arith.truncf", "arith.negf",
-        "math.fma", "scf.for", "scf.yield", "affine.for", "affine.yield",
-        "affine.apply", "affine.min", "affine.load", "affine.store",
-        "memref.alloc", "memref.alloca", "memref.dealloc", "memref.cast",
-        "memref.dim", "memref.load", "memref.store", "func.return",
-        "sycl.constructor", "sycl.id.get", "sycl.range.get",
+    _LANE_OPS, _ID_QUERIES, _RANGE_QUERIES, _ACC_QUERIES, {
+        "arith.constant", "arith.divsi", "arith.divui", "arith.remsi",
+        "arith.remui", "arith.shli", "arith.shrsi", "arith.cmpi",
+        "arith.cmpf", "arith.select", "arith.index_cast", "arith.extsi",
+        "arith.trunci", "arith.sitofp", "arith.fptosi", "arith.extf",
+        "arith.truncf", "math.fma", "scf.for", "scf.yield", "affine.for",
+        "affine.yield", "affine.apply", "affine.min", "affine.load",
+        "affine.store", "memref.alloc", "memref.alloca", "memref.dealloc",
+        "memref.cast", "memref.dim", "memref.load", "memref.store",
+        "func.return", "sycl.constructor", "sycl.id.get", "sycl.range.get",
         "sycl.range.size", "sycl.nd_item.get_group",
         "sycl.accessor.subscript", "sycl.accessor.get_pointer",
         "sycl.accessor.size", "sycl.group_barrier"})
@@ -323,7 +323,7 @@ def _oob(position, extent):
 def _v_ids(flat, shape):
     """Per-dimension int64 index arrays of the row-major positions
     ``flat`` into ``shape``."""
-    return [component.astype(_np.int64)
+    return [component.astype(_np.int64, copy=False)
             for component in _np.unravel_index(flat, shape)]
 
 
@@ -366,52 +366,24 @@ def _v_dim(shape, dim):
 
 
 def _v_divrem(name, a, b):
-    """``arith.{div,rem}{si,ui}`` of scalars or lanes; a zero divisor in
-    any lane traps.  The signed ops truncate (mirroring
-    ``arith._floordiv``): the remainder takes the dividend's sign."""
+    """``arith.{div,rem}{si,ui}`` over lanes; a zero divisor in any lane
+    traps.  The signed ops truncate (integer ``fmod`` is C's ``%``): the
+    remainder takes the dividend's sign."""
     if (b == 0).any() if isinstance(b, _np.ndarray) else b == 0:
         raise TrapError(f"division by zero in '{name}'")
-    if not isinstance(a, _np.ndarray) and not isinstance(b, _np.ndarray):
-        a, b = int(a), int(b)
-        remainder = a % b
-        if remainder and (a < 0) != (b < 0):
-            remainder -= b
-    elif name in ("arith.divsi", "arith.remsi"):
-        remainder = _np.fmod(a, b)  # integer ``fmod`` is C's ``%``
-    if name == "arith.divsi":
-        return (a - remainder) // b
-    if name == "arith.remsi":
-        return remainder
-    return a // b if name == "arith.divui" else a % b
+    if name[-2:] == "ui":
+        return a // b if name == "arith.divui" else a % b
+    remainder = _np.fmod(a, b)
+    return remainder if name == "arith.remsi" else (a - remainder) // b
 
 
 def _v_shift(name, a, b, width):
-    if isinstance(b, _np.ndarray):
-        bad = (b < 0) | (b >= width)
-        if bad.any():
-            raise TrapError(f"shift amount {int(b[bad][0])} out of range "
-                            f"for i{width} in '{name}'")
-    elif not 0 <= int(b) < width:
-        raise TrapError(f"shift amount {int(b)} out of range for "
-                        f"i{width} in '{name}'")
+    amounts = _np.asarray(b)
+    bad = (amounts < 0) | (amounts >= width)
+    if bad.any():
+        raise TrapError(f"shift amount {int(amounts[bad][0])} out of range "
+                        f"for i{width} in '{name}'")
     return (a << b) if name == "arith.shli" else (a >> b)
-
-
-#: Lane-wise ``arith.cmpf`` predicates beyond the plain comparisons,
-#: given the lanes where either operand is NaN.
-_V_CMPF = {
-    "one": lambda a, b, nan: (a != b) & ~nan, "ord": lambda a, b, nan: ~nan,
-    "ueq": lambda a, b, nan: (a == b) | nan,
-    "une": lambda a, b, nan: (a != b) | nan,
-    "ult": lambda a, b, nan: (a < b) | nan,
-    "ule": lambda a, b, nan: (a <= b) | nan,
-    "ugt": lambda a, b, nan: (a > b) | nan,
-    "uge": lambda a, b, nan: (a >= b) | nan, "uno": lambda a, b, nan: nan,
-}
-
-
-def _v_cmpf(predicate, a, b):
-    return _V_CMPF[predicate](a, b, _np.isnan(a) | _np.isnan(b))
 
 
 def _v_fptosi(value):
@@ -452,7 +424,7 @@ def _vector_namespace() -> Dict[str, object]:
         "_Degrade": JITExecutionError, "_oob": _oob, "_ids": _v_ids,
         "_positions": _v_positions, "_injective": _v_injective,
         "_pick": _v_pick, "_vdim": _v_dim, "_divrem": _v_divrem,
-        "_shift": _v_shift, "_cmpf": _v_cmpf, "_vfptosi": _v_fptosi,
+        "_shift": _v_shift, "_vfptosi": _v_fptosi,
         "_vmath": _v_math, "_m_eval": evaluate,
     })
     return namespace
@@ -482,7 +454,7 @@ _WALK_TOKEN = re.compile(r"^( *)(?:([A-Za-z_]\w*(?:, [A-Za-z_]\w*)*) = )?"
 _LANE = re.compile(r"\b_lane\b")
 
 
-def _release_dead(body: str) -> str:
+def _release_dead(body: str, inplace=None) -> str:
     """``body`` (the ``_walk`` statements, top level at 8 spaces) with a
     ``del`` after the last statement of each block that mentions a name
     the block binds.
@@ -494,6 +466,8 @@ def _release_dead(body: str) -> str:
     carried value, bound before the loop too, stays).  A mention is any
     identifier token (string literals included), so a spurious one only
     keeps a name longer.  A handful of calls per block, none per name.
+    ``inplace`` maps the name a simple statement binds to ``{operand:
+    statement}``: the first operand found dying there picks its statement.
     """
     lines = body.count("\n") + 1
     indents: List[str] = [""] * lines
@@ -524,6 +498,8 @@ def _release_dead(body: str) -> str:
     #: :func:`release` is looking at.
     owner = [0] * lines
     dels: Dict[Tuple[int, str], str] = {}  # (line, indent) -> "a, b"
+    rewrite: Dict[int, str] = {}  # line -> its statement from ``inplace``
+    inplace = inplace or {}
 
     def release(begin: int, stop: int, loop: bool) -> None:
         """The block of lines ``begin`` to ``stop`` (a loop body when
@@ -541,6 +517,10 @@ def _release_dead(body: str) -> str:
                              or name in read_where_bound):
                     continue
                 end = owner[last[name]]
+                if end not in rewrite and indents[end] == indent \
+                        and binds[end] and binds[end][0] in inplace \
+                        and name in inplace[binds[end][0]]:
+                    rewrite[end] = inplace[binds[end][0]][name]
                 if not loop and end == stop - 1:
                     continue  # returning frees it anyway
                 key = (end, indent)
@@ -548,9 +528,11 @@ def _release_dead(body: str) -> str:
                     else name
 
     release(0, lines, False)
-    if not dels:
+    if not dels and not rewrite:
         return body
     texts = body.split("\n")
+    for end, statement in rewrite.items():
+        texts[end] = indents[end] + statement
     # Deepest first: a loop body's dels come before the loop's own.
     for (end, indent), names in sorted(dels.items(), reverse=True):
         texts[end] += "\n" + indent + "del " + names
@@ -593,10 +575,6 @@ def _times(a: str, b: str) -> str:
         else f"{_paren(a)} * {_paren(b)}"
 
 
-_LOCAL_QUERY_TRAP = ("work-group query on a kernel launched without a "
-                     "local range")
-
-
 class _VectorEmitter(_EmitterBase):
     """Emits one kernel's executable for one launch ``kind`` (``basic``
     / ``nd``) and ``walk`` (``launch``: one walk over every lane of the
@@ -630,6 +608,8 @@ class _VectorEmitter(_EmitterBase):
         self.used: set = set()           # lane set-up the body reads
         self.walk_pro: List[str] = []    # per-walk set-up lines
         self.levels: Optional[Dict[int, int]] = None
+        self.owned: Dict[str, str] = {}  # unaliased lane array -> dtype
+        self.inplace: Dict[str, dict] = {}  # see :func:`_release_dead`
 
     # -- assembly ------------------------------------------------------------
     def emit(self) -> str:
@@ -645,7 +625,7 @@ class _VectorEmitter(_EmitterBase):
         # (An empty line is the slot of an affine array never built.)
         walk = _release_dead("\n".join(
             ["        " + text for text in self.walk_pro if text]
-            + [text for text in self.out if text]))
+            + [text for text in self.out if text]), self.inplace)
         lanes = self._lane_lines()
         if _LANE.search("\n".join(lanes + [walk])):  # else never built
             lanes.insert(0, "    _lane = _np.arange(_L, dtype=_np.int64)")
@@ -865,17 +845,20 @@ class _VectorEmitter(_EmitterBase):
 
     def num(self, value) -> Tuple:
         """``value``'s kind as a scalar or a lane array."""
-        kind = self.val(value)
-        return ("a", self._lanes_of(kind[1])) if kind[0] == "f" else kind
+        return self._built(self.val(value))
 
     def _built(self, kind) -> Tuple:
         return ("a", self._lanes_of(kind[1])) if kind[0] == "f" else kind
 
-    def bind(self, result, body: str, array: bool) -> Tuple:
+    def bind(self, result, body: str, array: bool, dtype="") -> Tuple:
         """A fresh local set to ``body``; its kind, also bound to
-        ``result`` when given."""
+        ``result`` when given.  ``dtype`` marks a new lane array owned."""
         var = self.fresh()
         self.line(f"{var} = {body}")
+        if body in self.owned:  # an alias: now two names hold the array
+            del self.owned[body]
+        elif dtype and array:
+            self.owned[var] = dtype
         kind = ("a", var) if array else ("s", var)
         if result is not None:
             self.kinds[id(result)] = kind
@@ -884,6 +867,41 @@ class _VectorEmitter(_EmitterBase):
     def arr(self, kind) -> str:
         """A lane array of numeric ``kind`` (a scalar is broadcast)."""
         return kind[1] if kind[0] == "a" else f"_np.full(_L, {kind[1]})"
+
+    def _lane_op(self, result, name, a, b, array, width=64) -> Tuple:
+        """``result`` bound to the elementwise ``name`` of ``a`` (and
+        ``b``).  An owned operand of the result's dtype that dies here
+        takes the result (:func:`_release_dead`): ``a op= b`` for the left
+        operand of an operator, else the ufunc's ``out=``."""
+        ufunc, operator = _LANE_OPS[name]
+        operands = f"{a}, {b}" if b else a
+        wrap = operator and name[-1] == "i" and width == 1  # an i1 result
+        if not array:
+            body = f"{_SCALAR_OPS[name]}({operands})" \
+                if name in _SCALAR_OPS else f"{a} {operator} {b}"
+            return self.bind(result, f"bool({body})" if wrap else body, False)
+        body = f"_np.{ufunc}({operands})" if not operator \
+            else f"{a} {operator} {b}" if b else operator + a
+        dtype = "float64" if name[-1] == "f" else "bool" if wrap else "int64"
+        kind = self.bind(result, f"({body}).astype(bool)" if wrap else body,
+                         True, dtype)
+        owned, var = self.owned, kind[1]
+        forms = {out: f"{a} {operator}= {b}; {var} = {a}" if out == a
+                 and operator and b else f"{var} = _np.{ufunc}({operands}, "
+                 f"out={out})" for out in (a, b)
+                 if out in owned and owned[out] == dtype}
+        if forms and (not wrap or a in forms and b in forms):  # i1: bools
+            self.inplace[var] = forms
+        return kind
+
+    def _carry(self, names, arrays, kinds) -> None:
+        """``names = kinds``, lane arrays where ``arrays`` says so; an
+        array a carried name holds is no longer owned."""
+        self.line(f"{', '.join(names)} = " + ", ".join(
+            self.arr(kind) if array else kind[1]
+            for array, kind in zip(arrays, kinds)))
+        for kind in kinds:
+            self.owned.pop(kind[1], None)
 
     # -- affine lane values --------------------------------------------------
     def _slot(self, aff, memo, lines, indent: str) -> None:
@@ -1009,11 +1027,8 @@ class _VectorEmitter(_EmitterBase):
             return
         if name in ("scf.yield", "affine.yield"):
             if carried:
-                values = [self.num(value) for value in op.operands]
-                self.line(f"{', '.join(var for var, _ in carried)} = "
-                          + ", ".join(self.arr(kind) if array else kind[1]
-                                      for (_, array), kind
-                                      in zip(carried, values)))
+                self._carry(*zip(*carried),
+                            [self.num(value) for value in op.operands])
             return
         if name in ("func.return", "memref.dealloc"):
             return
@@ -1071,21 +1086,24 @@ class _VectorEmitter(_EmitterBase):
         array = any(arg[0] == "a" for arg in args)
         a = args[0][1] if args else ""
         b = args[1][1] if len(args) > 1 else ""
-        if name in _BIN_INT or name in _BIN_FLOAT:
-            body = f"{a} {_BIN_INT.get(name) or _BIN_FLOAT[name]} {b}"
-            if name in _BIN_INT and getattr(result.type, "width", 64) == 1:
-                body = f"({body}).astype(bool)" if array else f"bool({body})"
-            self.bind(result, body, array)
-        elif name in ("arith.minsi", "arith.maxsi"):
-            fn = name[6:9]  # "min" / "max"
-            self.bind(result, f"_np.{fn}imum({a}, {b})" if array
-                      else f"{fn}({a}, {b})", array)
+        if name in _LANE_OPS:
+            self._lane_op(result, name, a, b, array,
+                          getattr(result.type, "width", 64))
         elif name in ("arith.divsi", "arith.divui", "arith.remsi",
                       "arith.remui"):
-            self.bind(result, f"_divrem({name!r}, {a}, {b})", array)
-        elif name in _FLOAT_OPS:
-            self.bind(result, _FLOAT_OPS[name][array].format(a=a, b=b),
-                      array)
+            divisor, (form, aff) = self._const_int(op.operands[1]), values[0]
+            if form == "f" and divisor and divisor > 0 \
+                    and all(_sign(term) > 0 for term in (aff[0],) + aff[1]):
+                # Lanes are >= 0: C's and floor division agree (and NumPy
+                # divides by a constant without a divide instruction).
+                var = self.bind(result, f"{a} // {divisor}", True,
+                                "int64")[1]
+                if name[6] == "r":  # a - a // b * b
+                    self.line(f"{var} *= {-divisor}")
+                    self.line(f"{var} += {a}")
+            else:
+                self.bind(result, f"_divrem({name!r}, {a}, {b})" if array
+                          else f"_{name[6:]}({a}, {b})", array)
         elif name in ("arith.shli", "arith.shrsi"):
             width = getattr(result.type, "width", 64)
             self.bind(result, f"_shift({name!r}, {a}, {b}, {width})", array)
@@ -1094,18 +1112,24 @@ class _VectorEmitter(_EmitterBase):
                 self._raise("_Degrade", f"cmpi predicate {op.predicate!r}",
                             (result,))
             else:
-                self.bind(result, f"{a} {_CMP_INT[op.predicate]} {b}", array)
+                self.bind(result, f"{a} {_CMP_INT[op.predicate]} {b}", array,
+                          "bool")
         elif name == "arith.cmpf":
             from ..dialects.arith import _FLOAT_PREDICATES
 
             predicate = op.predicate
             if predicate in _CMP_FLOAT:
-                self.bind(result, f"{a} {_CMP_FLOAT[predicate]} {b}", array)
-            elif array and predicate in _V_CMPF:
-                self.bind(result, f"_cmpf({predicate!r}, {a}, {b})", True)
+                self.bind(result, f"{a} {_CMP_FLOAT[predicate]} {b}", array,
+                          "bool")
             elif not array and predicate in _FLOAT_PREDICATES:
                 self.bind(result, f"bool(_FCMP[{predicate!r}]({a}, {b}))",
                           False)
+            elif predicate in _FLOAT_PREDICATES:  # a NaN lane decides
+                nan = f"(_np.isnan({a}) | _np.isnan({b}))"
+                compare = _CMP_INT.get(predicate) or _CMP_INT[predicate[1:]]
+                self.bind(result, f"({a} != {b}) & ~{nan}" if predicate
+                          == "one" else f"({a} {compare} {b}) | {nan}", True,
+                          "bool")
             else:
                 self._raise("_Degrade", f"cmpf predicate {predicate!r}",
                             (result,))
@@ -1115,7 +1139,7 @@ class _VectorEmitter(_EmitterBase):
                       else f"({b} if {a} else {c})", array)
         elif name in ("arith.index_cast", "arith.extsi"):
             self.bind(result, f"{a}.astype(_np.int64)" if array
-                      else f"int({a})", array)
+                      else f"int({a})", array, "int64")
         elif name == "arith.trunci":
             width = result.type.width
             body = f"{a}.astype(_np.int64) & {(1 << width) - 1}" if array \
@@ -1125,18 +1149,16 @@ class _VectorEmitter(_EmitterBase):
             self.bind(result, body, array)
         elif name == "arith.sitofp":
             self.bind(result, f"{a}.astype(_np.float64)" if array
-                      else f"float({a})", array)
+                      else f"float({a})", array, "float64")
         elif name == "arith.fptosi":
             self.bind(result, f"_vfptosi({a})" if array else f"_fptosi({a})",
                       array)
-        elif name == "arith.negf":
-            self.bind(result, f"-{a}" if array else f"-float({a})", array)
         elif name in _V_MATH:
             joined = ", ".join(arg[1] for arg in args)
             self.bind(result, f"_vmath({name!r}, {joined})" if array
-                      else f"_m_eval({name!r}, {joined})", array)
+                      else f"_m_eval({name!r}, {joined})", array, "float64")
         elif name == "math.fma":
-            self.bind(result, f"{a} * {b} + {args[2][1]}", array)
+            self.bind(result, f"{a} * {b} + {args[2][1]}", array, "float64")
         elif name == "affine.apply":
             coefficients = op.coefficients
             if len(coefficients) != len(args):
@@ -1170,19 +1192,16 @@ class _VectorEmitter(_EmitterBase):
                             f"'{self.fn.sym_name}'", op.results)
                 return
             exprs.append(kind[1])
-        if affine:
-            step = op.step
-            if step <= 0:
-                self._raise("_TrapError",
-                            f"affine.for with non-positive step {step}",
-                            op.results)
-                return
-            step_text = "" if step == 1 else f", {step}"
-        else:
-            step = self._const_int(bounds[2])
+        step = op.step if affine else self._const_int(bounds[2])
+        if step is None:
             self.line(f"if {exprs[2]} <= 0: raise _TrapError("
                       f"'scf.for with non-positive step ' + str({exprs[2]}))")
-            step_text = f", {exprs[2]}"
+        elif step <= 0:
+            self._raise("_TrapError", f"{op.name} with non-positive step "
+                        f"{step}", op.results)
+            return
+        step_text = f", {exprs[2]}" if step is None \
+            else "" if step == 1 else f", {step}"
         # A loop with constant bounds nested in statically counted blocks
         # is itself statically counted: no per-iteration bookkeeping.
         lower, upper = self._const_int(bounds[0]), self._const_int(bounds[1])
@@ -1200,9 +1219,7 @@ class _VectorEmitter(_EmitterBase):
             self.kinds[id(argument)] = ("a", carried[-1][0]) if array \
                 else ("s", carried[-1][0])
         if carried:
-            self.line(f"{', '.join(var for var, _, _ in carried)} = "
-                      + ", ".join(self.arr(kind) if array else kind[1]
-                                  for _, array, kind in carried))
+            self._carry(*zip(*carried))
         induction = self.fresh("i")
         self.kinds[id(body.arguments[0])] = ("s", induction)
         self.line(f"for {induction} in range({exprs[0]}, {exprs[1]}"
@@ -1259,8 +1276,8 @@ class _VectorEmitter(_EmitterBase):
 
     def _sum(self, a, b) -> Tuple:
         if a[0] == "a" or b[0] == "a":  # an array the lanes computed
-            return self.bind(None, f"{self._built(a)[1]} + "
-                             f"{self._built(b)[1]}", True)
+            return self._lane_op(None, "arith.addi", self._built(a)[1],
+                                 self._built(b)[1], True)
         if a[0] == "s":
             return ("s", self._name(f"{a[1]} + {b[1]}"))
         return self._affine(None, self._affine_of("arith.addi", a, b))
@@ -1351,12 +1368,13 @@ class _VectorEmitter(_EmitterBase):
 
     def _gather(self, result, store: _Store, position) -> None:
         flat, kind = store.flat, position[0]
-        wide = f"_np.{'float64' if store.is_float else 'int64'}"
+        dtype = "float64" if store.is_float else "int64"
+        wide = f"_np.{dtype}"
         if kind == "f" and store.varies != _PER_ITEM:
             view, coeffs = self._view(store, position[1])
             self.bind(result, f"{view}.astype({wide})" if coeffs is None
                       or len(coeffs) == 1 else
-                      f"{view}.astype({wide}, 'C').reshape(_L)", True)
+                      f"{view}.astype({wide}, 'C').reshape(_L)", True, dtype)
             return
         position = self._built(position)
         if store.varies == _UNIFORM:
@@ -1373,7 +1391,7 @@ class _VectorEmitter(_EmitterBase):
         # Widen to binary64 / int64 so arithmetic matches the
         # interpreter's load conversion exactly (``astype`` copies, so a
         # row or slice of a storage is never aliased).
-        self.bind(result, f"{flat}[{index}].astype({wide})", True)
+        self.bind(result, f"{flat}[{index}].astype({wide})", True, dtype)
 
     def _scatter(self, store: _Store, position, value) -> None:
         # A varying value at one uniform location: the interpreter's
@@ -1452,9 +1470,12 @@ class _VectorEmitter(_EmitterBase):
                             f"for {what} of rank {len(values)}", (result,))
             return
         array = any(value[0] != "s" for value in values)
-        items = ", ".join(self.arr(self._built(value)) if array else value[1]
-                          for value in values)
-        self.bind(result, f"_pick(({items},), {dim[1]}, {what!r})", array)
+        items = [self.arr(self._built(value)) if array else value[1]
+                 for value in values]
+        for item in items:  # the pick holds one of them
+            self.owned.pop(item, None)
+        self.bind(result, f"_pick(({', '.join(items)},), {dim[1]}, "
+                  f"{what!r})", array)
 
     def _components(self, value) -> List[Tuple]:
         kind = self.kind_of(value)
@@ -1478,7 +1499,8 @@ class _VectorEmitter(_EmitterBase):
             needs_local = name == "sycl.nd_item.get_group" or (
                 _ID_QUERIES.get(name) or _RANGE_QUERIES[name])[2]
             if needs_local and self.kind == "basic":
-                self._raise("_TrapError", _LOCAL_QUERY_TRAP, op.results)
+                self._raise("_TrapError", "work-group query on a kernel "
+                            "launched without a local range", op.results)
                 return
         if name in _ID_QUERIES:
             family, what, _, linear = _ID_QUERIES[name]
@@ -1533,7 +1555,7 @@ class _VectorEmitter(_EmitterBase):
         elif name == "sycl.range.size":
             comps = [self._built(comp)
                      for comp in self._components(op.operands[0])]
-            self.bind(result, " * ".join(f"({comp[1]})" for comp in comps),
+            self.bind(result, " * ".join(_paren(comp[1]) for comp in comps),
                       any(comp[0] == "a" for comp in comps))
         else:
             self._emit_accessor_op(op, name, result)
